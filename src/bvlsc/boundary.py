@@ -21,6 +21,8 @@ Three numerical forms are provided:
     test, and reports whether their verdicts agree.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .integrands import freeze_x
@@ -31,7 +33,6 @@ from .minimize import (
     RayleighQuotient,
     SolverOptions,
     TVObjective,
-    _ramp_profile,
     minimize_field,
 )
 from .quasiconvex import qc_deficit
@@ -87,6 +88,14 @@ def _halfball_clamped(mesh, nu, tol=1e-9):
     return mesh.boundary_vertices[~on_flat_interior]
 
 
+def _ramp_profile(mesh, direction, width):
+    """Boundary-layer ramp along `direction`: 1 at the min face, 0 past width."""
+    s = mesh.vertices @ np.atleast_1d(np.asarray(direction, dtype=float))
+    s = s - float(np.min(s))
+    t = np.clip(1.0 - s / width, 0.0, 1.0)
+    return t
+
+
 def _layer_inits(mesh, nu, M, clamped, widths):
     inits = []
     for w in widths:
@@ -118,17 +127,8 @@ def halfball_deficit(finf, x0, h=0.05, tol=1e-3, options=None, mesh=None):
     extra = tuple(_layer_inits(mesh, nu, g.M, clamped, widths)) + tuple(
         base.extra_inits
     )
-    opts = SolverOptions(
-        restarts=max(base.restarts, len(extra) + 2),
-        max_iter=base.max_iter,
-        seed=base.seed,
-        step0=base.step0,
-        smoothing=base.smoothing,
-        mode="normalize",
-        patience=base.patience,
-        stationarity_tol=base.stationarity_tol,
-        extra_inits=extra,
-    )
+    opts = replace(base, restarts=max(base.restarts, len(extra) + 2),
+                   mode="normalize", grad_cap=0.0, tv_cap=0.0, extra_inits=extra)
     res = minimize_field(objective, mesh, clamped, opts)
 
     c_inf = finf.sup_on_sphere()
@@ -192,17 +192,8 @@ def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
                     if tv_prev > 1e-12:
                         # rescale the carried witness up to the new cap
                         inits = (prev * (float(R) / tv_prev), prev)
-                opts = SolverOptions(
-                    restarts=base.restarts,
-                    max_iter=base.max_iter,
-                    seed=base.seed,
-                    step0=base.step0,
-                    smoothing=base.smoothing,
-                    mode="plain",
-                    tv_cap=float(R),
-                    patience=base.patience,
-                    extra_inits=inits,
-                )
+                opts = replace(base, mode="plain", grad_cap=0.0, tv_cap=float(R),
+                               extra_inits=inits)
                 res = minimize_field(
                     objective, patch.mesh, patch.clamped_vertices, opts
                 )
@@ -232,11 +223,7 @@ def _patch_sign_test(g, center, domain_mesh, eps, tol, base, refine_levels=1,
         [(1.0, BulkObjective(patch.mesh, g)),
          (float(eps), TVObjective(patch.mesh, g.M))]
     )
-    opts = SolverOptions(
-        restarts=base.restarts, max_iter=base.max_iter, seed=base.seed,
-        step0=base.step0, smoothing=base.smoothing, mode="plain",
-        tv_cap=1.0, patience=base.patience,
-    )
+    opts = replace(base, mode="plain", grad_cap=0.0, tv_cap=1.0, extra_inits=())
     res = minimize_field(objective, patch.mesh, patch.clamped_vertices, opts)
     return res.value, ("violated" if res.value < -tol else "qslb-plausible")
 

@@ -18,7 +18,6 @@ charges in polar form (unit-Frobenius polar matrix, positive mass).
 Both types are immutable values; operations never mutate their inputs.
 """
 
-import json
 import warnings
 
 import numpy as np
@@ -33,9 +32,6 @@ __all__ = [
     "cutoff_multiply",
     "l1_distance",
     "weakstar_diagnostics",
-    "bv_to_json",
-    "bv_from_json",
-    "measure_to_json",
 ]
 
 _ATOL = 1e-14
@@ -390,15 +386,15 @@ def total_variation(mu, cells=None):
     With a cell subset, a singular charge is counted iff its owner cell (the
     lowest-index incident cell) belongs to the subset.
     """
-    dens_mass = np.linalg.norm(mu.density.reshape(mu.mesh.n_cells, -1), axis=1)
+    masses = mu.mesh.gradient_masses(mu.density)
     if cells is None:
-        bulk = float(np.sum(dens_mass * mu.mesh.cell_measures))
+        bulk = float(np.sum(masses))
         sing = float(sum(m for _, _, m in mu.charges))
         return bulk + sing
     cells = np.asarray(cells, dtype=np.int64)
     sel = np.zeros(mu.mesh.n_cells, dtype=bool)
     sel[cells] = True
-    bulk = float(np.sum((dens_mass * mu.mesh.cell_measures)[sel]))
+    bulk = float(np.sum(masses[sel]))
     sing = 0.0
     for desc, _, m in mu.charges:
         if sel[_owner_cell(mu.mesh, desc)]:
@@ -604,62 +600,3 @@ def refine_bv_1d(u, coords):
             t = (x - x0) / (x1 - x0)
             new_cv[ci, loc] = v0 + t * (v1 - v0)
     return BVFunction(new_mesh, new_cv, atoms=u.atoms)
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def bv_to_json(u):
-    """Documented JSON form of a BVFunction (see FORMATS.md)."""
-    return {
-        "dim": u.mesh.dim,
-        "M": u.M,
-        "mesh": {
-            "vertices": np.asarray(u.mesh.vertices).tolist(),
-            "cells": np.asarray(u.mesh.cells).tolist(),
-        },
-        "cell_values": np.asarray(u.cell_values).tolist(),
-        "atoms": [{"x": loc, "jump": j.tolist()} for loc, j in u.atoms],
-        "jump_facets": [
-            {"facet": list(f), "jump": j.tolist(), "normal": n.tolist()}
-            for f, j, n in u.jump_facets
-        ],
-    }
-
-
-def bv_from_json(data, domain=None):
-    from .meshing import Mesh
-
-    mesh = Mesh(
-        np.asarray(data["mesh"]["vertices"], dtype=float),
-        np.asarray(data["mesh"]["cells"], dtype=np.int64),
-        domain=domain,
-    )
-    atoms = [(a["x"], np.asarray(a["jump"], dtype=float)) for a in data.get("atoms", [])]
-    jumps = [
-        (tuple(f["facet"]), np.asarray(f["jump"], dtype=float),
-         np.asarray(f["normal"], dtype=float))
-        for f in data.get("jump_facets", [])
-    ]
-    return BVFunction(mesh, np.asarray(data["cell_values"], dtype=float), atoms, jumps)
-
-
-def measure_to_json(mu):
-    return {
-        "M": mu.M,
-        "N": mu.N,
-        "density": np.asarray(mu.density).tolist(),
-        "charges": [
-            {
-                "where": (float(d) if mu.mesh.dim == 1 else list(d)),
-                "polar": np.asarray(p).tolist(),
-                "mass": m,
-            }
-            for d, p, m in mu.charges
-        ],
-    }
-
-
-def dump_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)

@@ -45,7 +45,6 @@ def resolve_config(name_or_path):
 def _add_common(p):
     p.add_argument("config", help="config file path or bundled scenario name")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--workers", type=int, default=1, help="parallel check workers")
     p.add_argument("--out-dir", default=None, help="output directory")
     p.add_argument("--h", type=float, default=None, help="override mesh sizes")
 
@@ -138,7 +137,6 @@ def main(argv=None):
         config,
         out_dir=args.out_dir,
         seed=args.seed,
-        workers=args.workers,
         h=args.h,
         checks_override=_ONLY.get(args.command),
     )

@@ -85,18 +85,12 @@ class DecompositionResult:
             "component_tv": {
                 str(n): [
                     float(sum(np.linalg.norm(j) for _, j in c.atoms)
-                          + _gradient_l1(c))
+                          + np.sum(c.mesh.gradient_masses(c.gradients())))
                     for c in comps
                 ]
                 for n, comps in self.components.items()
             },
         }
-
-
-def _gradient_l1(u):
-    g = u.gradients()
-    mags = np.linalg.norm(g.reshape(len(g), -1), axis=1)
-    return float(np.sum(mags * u.mesh.cell_measures))
 
 
 def _abs_integral_times_grad(u, phi_values):
@@ -316,11 +310,10 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
         slack_cells = measured * uk.mesh.cell_measures
         slack_recorded.append(float(np.sum(slack_cells)))
 
-        parent_mass = _cell_masses(uk)
+        parent_mass = uk.mesh.gradient_masses(uk.gradients())
         parent_atoms = {round(loc, 12): np.linalg.norm(j) for loc, j in uk.atoms}
         for j_idx, c in enumerate(comps):
-            cm = _cell_masses(c)
-            lhs = cm
+            lhs = c.mesh.gradient_masses(c.gradients())
             rhs = parent_mass + uk.mesh.cell_measures / n + slack_cells + tol
             bad = np.where(lhs > rhs)[0]
             for ci in bad:
@@ -382,12 +375,6 @@ def _union(a, b):
     from .regions import CompactSet
 
     return CompactSet(a.dim, list(a.pieces) + list(b.pieces))
-
-
-def _cell_masses(u):
-    g = u.gradients()
-    mags = np.linalg.norm(g.reshape(len(g), -1), axis=1)
-    return mags * u.mesh.cell_measures
 
 
 def _support_points(u, tol=1e-13):

@@ -11,8 +11,9 @@ Conventions:
     <= h^2/8, which matters because the half-ball sign test integrates over
     the exact half-ball.
 
-Meshes are immutable after construction (arrays are locked), so they can be
-shared freely between concurrent check runs.
+Meshes are immutable after construction (arrays are locked).  The interval,
+rectangle, polygon and half-ball constructors refuse meshes over MAX_CELLS
+cells with MeshBudgetError before building anything.
 """
 
 import numpy as np
@@ -34,8 +35,18 @@ __all__ = [
 ]
 
 
+MAX_CELLS = 200_000
+
+
 class MeshBudgetError(ValueError):
     """Raised when a requested mesh would exceed the cell-count budget."""
+
+
+def _check_budget(n_cells, request):
+    if n_cells > MAX_CELLS:
+        raise MeshBudgetError(
+            f"{request} implies about {n_cells:.0f} cells, over the budget {MAX_CELLS}"
+        )
 
 
 def _segments_intersect(p1, p2, p3, p4):
@@ -345,6 +356,22 @@ class Mesh:
         vals = values[self.cells]  # (nc, dim+1, M)
         return np.einsum("cim,cid->cmd", vals, self.shape_gradients)
 
+    def p1_assemble(self, per_cell):
+        """Adjoint of p1_gradient: per-cell (nc, M, dim) -> vertex (nv, M).
+
+        sum(p1_gradient(v) * G) == sum(v * p1_assemble(G)), so the gradient of
+        sum_c G_c : grad v on cell c with respect to v is p1_assemble(G).
+        """
+        contrib = np.einsum("cmn,cin->cim", per_cell, self.shape_gradients)
+        out = np.zeros((self.n_vertices, per_cell.shape[1]))
+        np.add.at(out, self.cells, contrib)
+        return out
+
+    def gradient_masses(self, grads):
+        """Per-cell |g|_F * |cell| of cellwise gradients (nc, M, dim)."""
+        mags = np.linalg.norm(grads.reshape(len(grads), -1), axis=1)
+        return mags * self.cell_measures
+
     def find_cell(self, x, tol=1e-10):
         """Index of a cell whose closure contains x (smallest index wins)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -390,19 +417,6 @@ class Mesh:
         out = lam @ values[self.cells[ci]]
         return float(out[0]) if scalar else out
 
-    def dump_text(self):
-        """Plain-text vertex/cell listing for debugging."""
-        lines = [f"# mesh dim={self.dim} vertices={self.n_vertices} "
-                 f"cells={self.n_cells} h={self.h:.6g}"]
-        for i, v in enumerate(self.vertices):
-            lines.append(f"v {i} " + " ".join(f"{x:.17g}" for x in v))
-        for i, c in enumerate(self.cells):
-            lines.append(f"c {i} " + " ".join(str(int(j)) for j in c))
-        for f, n in zip(self.boundary_facets, self.boundary_normals):
-            lines.append("b " + ",".join(map(str, f)) + " "
-                         + " ".join(f"{x:.17g}" for x in n))
-        return "\n".join(lines) + "\n"
-
     def __repr__(self):
         return (
             f"Mesh(dim={self.dim}, vertices={self.n_vertices}, "
@@ -414,6 +428,7 @@ class Mesh:
 
 
 def interval_mesh(a, b, h_target, domain=None):
+    _check_budget((b - a) / h_target, f"h={h_target} on [{a}, {b}]")
     n = max(1, int(np.ceil((b - a) / h_target)))
     verts = np.linspace(a, b, n + 1)[:, None]
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
@@ -434,6 +449,7 @@ def interval_mesh_with(a, b, h_target, required_points=(), domain=None):
 
 def rectangle_mesh(x0, x1, y0, y1, nx, ny, domain=None):
     """Structured rectangle mesh; each grid quad split into two triangles."""
+    _check_budget(2 * nx * ny, f"a {nx}x{ny} grid")
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -457,7 +473,7 @@ def unit_square_mesh(n):
     return rectangle_mesh(0.0, 1.0, 0.0, 1.0, n, n)
 
 
-def _polygon_mesh(domain, h, max_cells):
+def _polygon_mesh(domain, h):
     verts = domain.params["vertices"]
     pts = []
     n = len(verts)
@@ -471,10 +487,7 @@ def _polygon_mesh(domain, h, max_cells):
     hi = verts.max(axis=0)
     nx = int(np.ceil((hi[0] - lo[0]) / h))
     ny = int(np.ceil((hi[1] - lo[1]) / h))
-    if 2 * nx * ny > max_cells:
-        raise MeshBudgetError(
-            f"h={h} implies about {2 * nx * ny} cells, over the budget {max_cells}"
-        )
+    _check_budget(2 * nx * ny, f"h={h}")
     from .regions import polygon_region
 
     region = polygon_region(verts)
@@ -497,7 +510,7 @@ def _polygon_mesh(domain, h, max_cells):
     return mesh
 
 
-def halfball_mesh(normal, h_target, max_cells=200_000):
+def halfball_mesh(normal, h_target):
     """Mesh of D_nu = {y in B_1(0): y.nu < 0}.
 
     1D: D_nu is the unit interval on the side opposite the normal.
@@ -514,10 +527,7 @@ def halfball_mesh(normal, h_target, max_cells=200_000):
         return interval_mesh(0.0, 1.0, h_target, domain=domain)
 
     nr = max(2, int(np.ceil(1.0 / h_target)))
-    if 4 * nr * nr > max_cells:
-        raise MeshBudgetError(
-            f"h={h_target} implies about {4 * nr * nr} cells, over the budget {max_cells}"
-        )
+    _check_budget(4 * nr * nr, f"h={h_target}")
     pts = [np.zeros(2)]
     for k in range(1, nr + 1):
         r = k / nr
@@ -545,21 +555,17 @@ def _tri_areas(pts, simplices):
     return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def build_mesh(domain, h_target, max_cells=200_000):
+def build_mesh(domain, h_target):
     """Conforming simplicial mesh of the domain with h <= h_target."""
     if h_target <= 0:
         raise ValueError("h_target must be positive")
     if domain.kind == "interval":
         a, b = domain.params["a"], domain.params["b"]
-        if (b - a) / h_target > max_cells:
-            raise MeshBudgetError(
-                f"h={h_target} implies over {max_cells} cells on [{a}, {b}]"
-            )
         return interval_mesh(a, b, h_target, domain=domain)
     if domain.kind == "polygon":
-        return _polygon_mesh(domain, h_target, max_cells)
+        return _polygon_mesh(domain, h_target)
     if domain.kind == "halfball":
-        return halfball_mesh(domain.params["normal"], h_target, max_cells)
+        return halfball_mesh(domain.params["normal"], h_target)
     raise ValueError(f"unknown domain kind {domain.kind!r}")
 
 

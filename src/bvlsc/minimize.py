@@ -59,9 +59,7 @@ class TestField:
         return self.mesh.p1_gradient(self.values)
 
     def gradient_tv(self):
-        g = self.gradients()
-        mags = np.linalg.norm(g.reshape(len(g), -1), axis=1)
-        return float(np.sum(mags * self.mesh.cell_measures))
+        return float(np.sum(self.mesh.gradient_masses(self.gradients())))
 
     def to_json(self):
         return {
@@ -85,20 +83,6 @@ class SolveResult:
     low_confidence: bool
     seed: int
 
-    def to_json(self, with_witness=False):
-        out = {
-            "value": self.value,
-            "iterations": self.iterations,
-            "restarts_used": self.restarts_used,
-            "stationarity_residual": self.stationarity_residual,
-            "best_restart": self.best_restart,
-            "low_confidence": self.low_confidence,
-            "seed": self.seed,
-        }
-        if with_witness:
-            out["witness"] = self.witness.to_json()
-        return out
-
 
 @dataclass
 class SolverOptions:
@@ -113,19 +97,6 @@ class SolverOptions:
     patience: int = 60
     stationarity_tol: float = 1e-2
     extra_inits: tuple = field(default_factory=tuple)
-
-    def to_json(self):
-        return {
-            "restarts": self.restarts,
-            "max_iter": self.max_iter,
-            "seed": self.seed,
-            "step0": self.step0,
-            "smoothing": list(self.smoothing),
-            "mode": self.mode,
-            "grad_cap": self.grad_cap,
-            "tv_cap": self.tv_cap,
-            "patience": self.patience,
-        }
 
 
 # -- objectives ---------------------------------------------------------------
@@ -156,8 +127,7 @@ class BulkObjective:
         return self._smooth_cache[delta]
 
     def _cell_xi(self, values):
-        grads = np.einsum("cim,cid->cmd", values[self.mesh.cells],
-                          self.mesh.shape_gradients)
+        grads = self.mesh.p1_gradient(values)
         if self.xi0 is not None:
             grads = grads + self.xi0
         return grads
@@ -177,10 +147,7 @@ class BulkObjective:
             self.mesh.n_cells, self._nq, g.M, self.mesh.dim
         )
         per_cell = np.einsum("cq,cqmn->cmn", self._wts, dg)
-        contrib = np.einsum("cmn,cin->cim", per_cell, self.mesh.shape_gradients)
-        grad = np.zeros_like(values)
-        np.add.at(grad, self.mesh.cells, contrib)
-        return val, grad
+        return val, self.mesh.p1_assemble(per_cell)
 
 
 class TVObjective:
@@ -190,26 +157,22 @@ class TVObjective:
         self.mesh = mesh
         self.M = M
 
-    def value(self, values, delta=0.0):
-        g = np.einsum("cim,cid->cmd", values[self.mesh.cells],
-                      self.mesh.shape_gradients)
+    @staticmethod
+    def _smoothed_norms(g, delta):
         mags = np.linalg.norm(g.reshape(len(g), -1), axis=1)
-        if delta > 0:
-            mags = np.sqrt(mags**2 + delta**2)
+        return np.sqrt(mags**2 + delta**2) if delta > 0 else mags
+
+    def value(self, values, delta=0.0):
+        mags = self._smoothed_norms(self.mesh.p1_gradient(values), delta)
         return float(np.sum(mags * self.mesh.cell_measures))
 
     def value_and_grad(self, values, delta=0.0):
-        cells = self.mesh.cells
-        g = np.einsum("cim,cid->cmd", values[cells], self.mesh.shape_gradients)
-        raw = np.linalg.norm(g.reshape(len(g), -1), axis=1)
-        mags = np.sqrt(raw**2 + delta**2) if delta > 0 else raw
+        g = self.mesh.p1_gradient(values)
+        mags = self._smoothed_norms(g, delta)
         val = float(np.sum(mags * self.mesh.cell_measures))
         denom = np.maximum(mags, 1e-300)
         per_cell = g * (self.mesh.cell_measures / denom)[:, None, None]
-        contrib = np.einsum("cmn,cin->cim", per_cell, self.mesh.shape_gradients)
-        grad = np.zeros_like(values)
-        np.add.at(grad, cells, contrib)
-        return val, grad
+        return val, self.mesh.p1_assemble(per_cell)
 
 
 class LinearCombo:
@@ -274,14 +237,6 @@ def tent_field(mesh, field_dir, space_dir, clamped):
     return values
 
 
-def _ramp_profile(mesh, direction, width):
-    """Boundary-layer ramp along `direction`: 1 at the min face, 0 past width."""
-    s = mesh.vertices @ np.atleast_1d(np.asarray(direction, dtype=float))
-    s = s - float(np.min(s))
-    t = np.clip(1.0 - s / width, 0.0, 1.0)
-    return t
-
-
 def default_inits(mesh, M, clamped, options, rng):
     inits = []
     if options.mode != "normalize":
@@ -316,7 +271,7 @@ def default_inits(mesh, M, clamped, options, rng):
 
 def _project(values, mesh, options):
     if options.grad_cap > 0:
-        g = np.einsum("cim,cid->cmd", values[mesh.cells], mesh.shape_gradients)
+        g = mesh.p1_gradient(values)
         mx = float(np.max(np.linalg.norm(g.reshape(len(g), -1), axis=1), initial=0.0))
         if mx > options.grad_cap:
             values = values * (options.grad_cap / mx)

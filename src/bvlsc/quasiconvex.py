@@ -9,6 +9,8 @@ re-evaluated witness field.  A nonnegative numerical minimum is evidence, not
 proof, hence the asymmetric verdict wording "qc-plausible" vs "violated".
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .meshing import interval_mesh, unit_square_mesh
@@ -76,18 +78,8 @@ def qc_deficit(g, xi, mesh=None, L_grid=(1.0, 4.0, 16.0), tol=None, options=None
     best = (np.inf, None)
     carry = ()
     for L in sorted(L_grid):
-        opts = SolverOptions(
-            restarts=base.restarts,
-            max_iter=base.max_iter,
-            seed=base.seed,
-            step0=base.step0,
-            smoothing=base.smoothing,
-            mode="plain",
-            grad_cap=float(L),
-            patience=base.patience,
-            stationarity_tol=base.stationarity_tol,
-            extra_inits=carry,
-        )
+        opts = replace(base, mode="plain", grad_cap=float(L), tv_cap=0.0,
+                       extra_inits=carry)
         res = minimize_field(objective, mesh, clamped, opts)
         per_cap.append((float(L), res.value))
         diagnostics.append(

@@ -8,8 +8,9 @@ The overall verdict is
                        when sequences are enabled and the violation sits at
                        the boundary, an executable necessity certificate);
   * wlsc-plausible  -- every sampled check passed at full confidence;
-  * inconclusive    -- all passed but some solve hit its iteration cap with a
-                       large stationarity residual.
+  * inconclusive    -- no check reported a violation, but some check errored
+                       (its message is in `errors`) or some solve hit its
+                       iteration cap with a large stationarity residual.
 
 Interior almost-everywhere quasiconvexity is sampled at finitely many points,
 so a passing run is evidence, not proof; violations are certificates up to
@@ -27,9 +28,9 @@ import numpy as np
 from .boundary import equivalence_harness, halfball_deficit
 from .decompose import CoverSpec, local_decompose, verify_properties
 from .integrands import catalog_get, estimated_recession, mu_estimate, freeze_x
-from .meshing import Domain, build_mesh
+from .meshing import Domain, MeshBudgetError, build_mesh
 from .minimize import SolverOptions
-from .quasiconvex import qc_deficit
+from .quasiconvex import default_qc_mesh, qc_deficit
 from .regions import CompactSet
 from .sequences import (
     NecessityTransferError,
@@ -107,6 +108,11 @@ def _validate(cfg, raw_text=""):
     for key, val in cfg.items():
         if key in ("seed",) and not isinstance(val, int):
             err("'seed' must be an integer", "seed")
+    for section in ("mesh", "qc", "qslb"):
+        sub = cfg.get(section)
+        h = sub.get("h", 1.0) if isinstance(sub, dict) else 1.0
+        if isinstance(h, bool) or not isinstance(h, (int, float)) or not h > 0:
+            err(f"'{section}.h' must be a positive number, got {h!r}", section)
     if errors:
         raise ConfigError(errors)
 
@@ -273,7 +279,7 @@ class Verdict:
         }
 
 
-def analyze(scenario, workers=1):
+def analyze(scenario):
     """Run the configured checks and assemble the verdict."""
     t_start = time.perf_counter()
     checks = scenario.cfg["checks"]
@@ -284,59 +290,34 @@ def analyze(scenario, workers=1):
     f = scenario.integrand
     finf = scenario.recession
 
-    jobs = []
+    qc_cfg, qslb_cfg = scenario.cfg["qc"], scenario.cfg["qslb"]
     if checks.get("qc", True):
-        from .quasiconvex import default_qc_mesh
-
-        qc_mesh = default_qc_mesh(f.N, scenario.cfg["qc"]["h"])
-        for pi, x0 in enumerate(scenario.interior_points()):
+        points = scenario.interior_points()
+        try:
+            qc_mesh = default_qc_mesh(f.N, qc_cfg["h"])
+        except MeshBudgetError as e:
+            errors.append({"job": "qc", "error": str(e)})
+            points = []
+        for pi, x0 in enumerate(points):
             g = freeze_x(f, x0)
             for si, xi in enumerate(scenario.xi_samples()):
-                jobs.append(("qc", x0, g, xi,
-                             scenario.solver_options(17 * pi + si), qc_mesh))
+                try:
+                    rep = qc_deficit(g, xi, mesh=qc_mesh, L_grid=qc_cfg["L_grid"],
+                                     options=scenario.solver_options(17 * pi + si))
+                except Exception as e:  # collect and continue
+                    errors.append({"job": "qc", "error": str(e)})
+                    continue
+                qc_reports.append((x0, rep))
     boundary_pts, corner_pts = ([], [])
     if checks.get("qslb", True):
         boundary_pts, corner_pts = scenario.boundary_points()
         for bi, bp in enumerate(boundary_pts):
-            jobs.append(("qslb", bp, scenario.solver_options(1000 + bi)))
-
-    def run_job(job):
-        if job[0] == "qc":
-            _, x0, g, xi, opts, qc_mesh = job
-            rep = qc_deficit(g, xi, mesh=qc_mesh,
-                             L_grid=scenario.cfg["qc"]["L_grid"], options=opts)
-            return ("qc", x0, rep)
-        _, bp, opts = job
-        rep = halfball_deficit(finf, bp, h=scenario.cfg["qslb"]["h"],
-                               tol=scenario.cfg["qslb"]["tol"], options=opts)
-        return ("qslb", bp, rep)
-
-    def run_job_safe(job):
-        try:
-            return run_job(job)
-        except Exception as e:  # collect and continue
-            return ("error", job[0], str(e))
-
-    results = [None] * len(jobs)
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, out in enumerate(pool.map(run_job_safe, jobs)):
-                results[i] = out
-    else:
-        for i, job in enumerate(jobs):
-            results[i] = run_job_safe(job)
-    for out in results:
-        if out is None:
-            continue
-        if out[0] == "error":
-            errors.append({"job": out[1], "error": out[2]})
-            continue
-        kind, x, rep = out
-        if kind == "qc":
-            qc_reports.append((x, rep))
-        else:
+            try:
+                rep = halfball_deficit(finf, bp, h=qslb_cfg["h"], tol=qslb_cfg["tol"],
+                                       options=scenario.solver_options(1000 + bi))
+            except Exception as e:  # collect and continue
+                errors.append({"job": "qslb", "error": str(e)})
+                continue
             qslb_reports.append(rep)
     for corner in corner_pts:
         extras.setdefault("corner_notes", []).append(
@@ -409,7 +390,7 @@ def analyze(scenario, workers=1):
 
     if violated or qslb_violated:
         overall = "not-wlsc"
-    elif low_conf:
+    elif low_conf or errors:
         overall = "inconclusive"
     else:
         overall = "wlsc-plausible"
@@ -477,14 +458,17 @@ def _sanitize(obj):
     return obj
 
 
-def run_scenario(config_path, out_dir=None, seed=None, workers=1, h=None,
+def run_scenario(config_path, out_dir=None, seed=None, h=None,
                  checks_override=None):
     """Execute a scenario config; write report.json, CSV tables and witnesses.
 
     Returns (exit_code, verdict_or_None).  Exit 0 on completion regardless of
-    the mathematical verdict, 2 on config schema violations, 1 on execution
-    errors.
+    the mathematical verdict, 2 on config schema violations (and on a
+    non-positive `h` override), 1 on execution errors.
     """
+    if h is not None and not h > 0:
+        print(f"config error: --h must be positive, got {h}")
+        return 2, None
     try:
         scenario = Scenario.from_file(config_path)
     except ConfigError as e:
@@ -504,7 +488,7 @@ def run_scenario(config_path, out_dir=None, seed=None, workers=1, h=None,
     out = Path(out_dir) if out_dir else Path.cwd() / f"out_{scenario.name}"
     out.mkdir(parents=True, exist_ok=True)
     try:
-        verdict = analyze(scenario, workers=workers)
+        verdict = analyze(scenario)
     except Exception as e:
         print(f"execution error: {e}")
         return 1, None

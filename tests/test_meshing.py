@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from bvlsc.meshing import (
     MeshBudgetError,
     build_mesh,
     halfball_mesh,
+    interval_mesh,
     local_patch,
+    rectangle_mesh,
     unit_square_mesh,
 )
+from bvlsc.quasiconvex import default_qc_mesh
 
 
 def test_interval_mesh_counts():
@@ -86,7 +91,34 @@ def test_halfball_area_within_chord_error():
 
 def test_mesh_budget_rejected():
     with pytest.raises(MeshBudgetError):
-        build_mesh(Domain.interval(0.0, 1.0), 1e-9, max_cells=1000)
+        build_mesh(Domain.interval(0.0, 1.0), 1e-9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: interval_mesh(0.0, 1.0, 1e-9),
+    lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.0, 1000, 1000),
+    lambda: halfball_mesh([0.0, 1.0], 1e-3),
+    lambda: build_mesh(Domain.polygon([[0, 0], [1, 0], [1, 1], [0, 1]]), 1e-3),
+    lambda: default_qc_mesh(2, 1e-3),
+])
+def test_sized_constructors_refuse_over_budget_meshes_fast(build):
+    t0 = time.perf_counter()
+    with pytest.raises(MeshBudgetError):
+        build()
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("mesh", [
+    interval_mesh(0.0, 1.0, 0.1),
+    halfball_mesh([0.6, 0.8], 0.25),
+], ids=["1d", "2d"])
+def test_p1_assemble_is_adjoint_of_p1_gradient(mesh):
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(mesh.n_vertices, 2))
+    G = rng.normal(size=(mesh.n_cells, 2, mesh.dim))
+    lhs = np.sum(mesh.p1_gradient(v) * G)
+    rhs = np.sum(v * mesh.p1_assemble(G))
+    assert abs(lhs - rhs) <= 1e-12
 
 
 def test_degenerate_polygon_rejected():

@@ -148,3 +148,12 @@ def test_gradient_cap_respected():
     g = res.witness.gradients()
     mags = np.linalg.norm(g.reshape(len(g), -1), axis=1)
     assert np.max(mags) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 0.1), unit_square_mesh(4)],
+                         ids=["1d", "2d"])
+def test_gradient_masses_sum_to_tv_objective(mesh):
+    v = np.random.default_rng(5).normal(size=(mesh.n_vertices, 2))
+    masses = mesh.gradient_masses(mesh.p1_gradient(v))
+    assert masses.shape == (mesh.n_cells,)
+    assert float(np.sum(masses)) == TVObjective(mesh, 2).value(v)

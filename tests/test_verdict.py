@@ -110,10 +110,44 @@ def test_dimension_mismatch_rejected():
         Scenario(cfg)
 
 
-def test_workers_do_not_change_results():
-    base = load("example_1_2")
-    v1 = analyze(base, workers=1)
-    v2 = analyze(load("example_1_2"), workers=4)
-    d1 = [round(r.deficit, 12) for r in v1.qslb_reports]
-    d2 = [round(r.deficit, 12) for r in v2.qslb_reports]
-    assert d1 == d2
+def test_errored_check_makes_verdict_inconclusive():
+    # the half-ball mesh at h=0.001 is over the cell budget, so no check runs
+    sc = load("negnorm_square")
+    sc.cfg["checks"]["qc"] = False
+    sc.cfg["qslb"]["h"] = 0.001
+    verdict = analyze(sc)
+    assert verdict.qc_reports == [] and verdict.qslb_reports == []
+    assert [e["job"] for e in verdict.errors] == ["qslb"]
+    assert "budget" in verdict.errors[0]["error"]
+    assert verdict.overall == "inconclusive"
+
+
+def test_violation_with_errored_check_is_still_not_wlsc():
+    sc = load("example_1_2")
+    sc.cfg["checks"]["sequences"] = False
+    sc.cfg["qc"]["h"] = 1e-9  # the qc mesh is over the cell budget
+    verdict = analyze(sc)
+    assert verdict.qc_reports == []
+    assert [e["job"] for e in verdict.errors] == ["qc"]
+    assert all(r.verdict == "violated" for r in verdict.qslb_reports)
+    assert verdict.overall == "not-wlsc"
+
+
+@pytest.mark.parametrize("section", ["mesh", "qc", "qslb"])
+@pytest.mark.parametrize("h", [0.0, -0.1])
+def test_nonpositive_mesh_size_is_schema_error(tmp_path, capsys, section, h):
+    cfg = json.loads(resolve_config("norm_square").read_text())
+    cfg[section]["h"] = h
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    code, verdict = run_scenario(path, out_dir=tmp_path / "out")
+    assert (code, verdict) == (2, None)
+    assert f"'{section}.h' must be a positive number" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1])
+def test_nonpositive_h_override_is_rejected(tmp_path, h):
+    code, verdict = run_scenario(resolve_config("norm_square"),
+                                 out_dir=tmp_path / "out", h=h)
+    assert (code, verdict) == (2, None)
+    assert not (tmp_path / "out").exists()
