@@ -39,10 +39,16 @@ from .quasiconvex import qc_deficit
 
 __all__ = [
     "QslbReport",
+    "QuotientBoundError",
     "halfball_deficit",
     "epsdelta_probe",
     "equivalence_harness",
 ]
+
+
+class QuotientBoundError(ArithmeticError):
+    """The minimized half-ball quotient left [-C_inf, C_inf], which a quotient
+    of a 1-homogeneous integral by the total variation cannot do."""
 
 
 class QslbReport:
@@ -136,7 +142,7 @@ def halfball_deficit(finf, x0, h=0.05, tol=1e-3, options=None, mesh=None):
     # the quotient of sums can never leave [-C_inf, C_inf]; the margin covers
     # the sampling error of the sphere maximum
     if abs(deficit) > c_inf * (1.0 + 1e-3) + 1e-6:
-        raise AssertionError(
+        raise QuotientBoundError(
             f"quotient {deficit} outside the homogeneity bound [-{c_inf}, {c_inf}]"
         )
     violated = deficit < -tol

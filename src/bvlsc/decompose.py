@@ -165,12 +165,14 @@ def local_decompose(members, cover, n_max=None, selection_bound_factor=0.5,
 
     s_table = []
     if compute_s_table:
-        derivs = [derivative(u) for u in members]
+        # member k enters the rows m <= k + 1, at the radii 0.5 / m
+        radii = [0.5 / m for m in range(1, n_max + 1)]
+        tvs = [
+            tv_on_neighborhood(derivative(u), cover.sets[0], radii[:k + 1])
+            for k, u in enumerate(members)
+        ]
         for m in range(1, n_max + 1):
-            vals = [
-                tv_on_neighborhood(derivs[k], cover.sets[0], 0.5 / m)
-                for k in range(m - 1, len(members))
-            ]
+            vals = [tvs[k][m - 1] for k in range(m - 1, len(members))]
             s_table.append({
                 "m": m,
                 "last": vals[-1],

@@ -218,6 +218,7 @@ class Mesh:
         self._build_geometry()
         self._build_boundary()
         self._quad_cache = {}
+        self._refine_cache = {}
 
     # -- geometry ---------------------------------------------------------
 
@@ -270,52 +271,37 @@ class Mesh:
         self.n_cells = len(self.cells)
         self.n_vertices = len(self.vertices)
 
-    def _facets_of_cells(self):
-        if self.dim == 1:
-            return [
-                [(int(c[0]),), (int(c[1]),)] for c in self.cells
-            ]
-        return [
-            [
-                tuple(sorted((int(c[0]), int(c[1])))),
-                tuple(sorted((int(c[1]), int(c[2])))),
-                tuple(sorted((int(c[0]), int(c[2])))),
-            ]
-            for c in self.cells
-        ]
-
     def _build_boundary(self):
-        count = {}
-        owner = {}
-        for ci, facets in enumerate(self._facets_of_cells()):
-            for f in facets:
-                count[f] = count.get(f, 0) + 1
-                owner.setdefault(f, ci)
-        bfacets, bnormals = [], []
-        for f, c in count.items():
-            if c != 1:
-                continue
-            ci = owner[f]
-            centroid = self.centroids[ci]
-            if self.dim == 1:
-                x = self.vertices[f[0]]
-                nrm = np.sign(x - centroid)
-            else:
-                a, b = self.vertices[f[0]], self.vertices[f[1]]
+        # facets as sorted vertex rows, cell by cell; a facet seen once is a
+        # boundary facet, owned by its only cell
+        if self.dim == 1:
+            facets = self.cells.reshape(-1, 1)
+            keys = facets[:, 0]
+        else:
+            facets = np.sort(self.cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+            keys = facets[:, 0] * self.n_vertices + facets[:, 1]
+        _, first, count = np.unique(keys, return_index=True, return_counts=True)
+        first = first[count == 1]  # in key order, i.e. lexicographic
+        bfacets = facets[first]
+        centroids = self.centroids[first // (self.dim + 1)]
+        if self.dim == 1:
+            normals = np.sign(self.vertices[bfacets[:, 0]] - centroids)
+        else:
+            # per facet: a row-wise norm rounds differently from np.linalg.norm
+            # of one vector, and the normals must not change
+            normals = []
+            for (i, j), centroid in zip(bfacets, centroids):
+                a, b = self.vertices[i], self.vertices[j]
                 e = b - a
                 nrm = np.array([e[1], -e[0]])
                 nrm = nrm / np.linalg.norm(nrm)
                 if nrm @ (0.5 * (a + b) - centroid) < 0:
                     nrm = -nrm
-            bfacets.append(f)
-            bnormals.append(nrm)
-        order = sorted(range(len(bfacets)), key=lambda i: bfacets[i])
-        self.boundary_facets = [bfacets[i] for i in order]
-        self.boundary_normals = _lock(np.array([bnormals[i] for i in order]))
-        self.boundary_vertices = np.array(
-            sorted({v for f in self.boundary_facets for v in f}), dtype=np.int64
-        )
-        self.interior_facet_count = sum(1 for c in count.values() if c == 2)
+                normals.append(nrm)
+        self.boundary_facets = list(map(tuple, bfacets.tolist()))
+        self.boundary_normals = _lock(np.array(normals))
+        self.boundary_vertices = np.unique(bfacets)
+        self.interior_facet_count = int(np.count_nonzero(count == 2))
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -347,6 +333,26 @@ class Mesh:
         wts = np.outer(self.cell_measures, w)
         self._quad_cache[key] = (_lock(pts), _lock(wts))
         return self._quad_cache[key]
+
+    def refined_cells(self, subdivisions):
+        """Sub-cells after `subdivisions` uniform refinements of the whole mesh.
+
+        Returns read-only (sub-centroids (ns, dim), sub-measures (ns,), parent
+        cell ids (ns,)), built once per subdivision count and then cached.
+        """
+        key = int(subdivisions)
+        if key not in self._refine_cache:
+            verts, cells = np.asarray(self.vertices), np.asarray(self.cells)
+            parent = np.arange(len(cells))
+            for _ in range(key):
+                verts, cells = _refine_all(verts, cells, self.dim)
+                parent = np.repeat(parent, 2 if self.dim == 1 else 4)
+            self._refine_cache[key] = (
+                _lock(verts[cells].mean(axis=1)),
+                _lock(_sub_measures(verts, cells, self.dim)),
+                _lock(parent),
+            )
+        return self._refine_cache[key]
 
     def p1_gradient(self, values):
         """Cellwise gradient of a continuous P1 field; values (nv, M) -> (nc, M, dim)."""
@@ -455,18 +461,14 @@ def rectangle_mesh(x0, x1, y0, y1, nx, ny, domain=None):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append([a, b, c])
-            cells.append([a, c, d])
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    a = (i * (ny + 1) + j).ravel()
+    b, c, d = a + ny + 1, a + ny + 2, a + 1
+    # per grid quad (i-major), the triangles [a, b, c] and [a, c, d]
+    cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     if domain is None:
         domain = Domain.polygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-    return Mesh(verts, np.array(cells), domain=domain)
+    return Mesh(verts, cells, domain=domain)
 
 
 def unit_square_mesh(n):
@@ -625,6 +627,15 @@ def _refine_all(vertices, cells, dim):
         ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
         new_cells.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
     return np.array(verts), np.array(new_cells)
+
+
+def _sub_measures(verts, cells, dim):
+    v = verts[cells]
+    if dim == 1:
+        return np.abs(v[:, 1, 0] - v[:, 0, 0])
+    e1 = v[:, 1] - v[:, 0]
+    e2 = v[:, 2] - v[:, 0]
+    return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def local_patch(mesh, x0, delta, refine_levels=1):

@@ -13,6 +13,9 @@ gradients or a cap on the gradient total variation shrinks the whole field
 back onto the feasible set.  In `normalize` mode the objective must be a
 0-homogeneous quotient; iterates are renormalized to unit denominator, and
 the witness is returned with denominator exactly 1.
+
+A solve whose cells x restarts x iterations exceed MAX_WORK raises
+SolverBudgetError before its first iteration.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +31,7 @@ __all__ = [
     "LinearCombo",
     "RayleighQuotient",
     "FieldEvaluationError",
+    "SolverBudgetError",
     "minimize_field",
     "tent_field",
 ]
@@ -39,6 +43,17 @@ class FieldEvaluationError(RuntimeError):
     def __init__(self, message, values):
         super().__init__(message)
         self.values = values
+
+
+# cells x restarts x iterations one solve may take.  The mesh cell budget
+# alone lets a 200k-cell qc mesh through, whose solve would run for about an
+# hour; the largest solve of the tests and bundled scenarios is the 1,275-cell
+# half-ball mesh x 10 restarts x 500 iterations = 6.4e6.
+MAX_WORK = 50_000_000
+
+
+class SolverBudgetError(ValueError):
+    """Raised before a solve whose cells x restarts x iterations exceed MAX_WORK."""
 
 
 class TestField:
@@ -289,6 +304,13 @@ def minimize_field(objective, mesh, clamped, options=None):
     M = objective.M
     rng = np.random.default_rng(options.seed)
     inits = default_inits(mesh, M, clamped, options, rng)
+    work = mesh.n_cells * len(inits) * options.max_iter
+    if work > MAX_WORK:
+        raise SolverBudgetError(
+            f"solve needs {mesh.n_cells} cells x {len(inits)} restarts x "
+            f"{options.max_iter} iterations = {work:.3g}, "
+            f"over the budget {MAX_WORK:.3g}"
+        )
 
     best_val = np.inf
     best_values = None

@@ -1,16 +1,61 @@
-"""Regenerate the golden report files for the bundled scenarios.
+"""Regenerate the golden files: the bundled scenario reports and the
+decomposition tightness tables.
 
-Run after any intentional change to defaults, solver behavior or report
-layout:  python tests/make_goldens.py
+Run after any intentional change to defaults, solver behavior, report layout
+or decomposition arithmetic:  python tests/make_goldens.py
 """
 
+import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
+from bvlsc import regions
+from bvlsc.bv import BVFunction
 from bvlsc.cli import bundled_scenarios, main
+from bvlsc.decompose import CoverSpec, local_decompose, verify_properties
+from bvlsc.meshing import Domain, interval_mesh_with
+from bvlsc.sequences import SequenceSpec, generate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DECOMPOSE_GOLDEN = GOLDEN_DIR / "decompose_tables.json"
+
+
+def decomposition_families():
+    """The three sequences and covers of acceptance criterion 6."""
+    omega = Domain.interval(0.0, 1.0)
+    spec = SequenceSpec("jump_migration", omega, n_max=200)
+    yield ("jump_to_boundary",
+           [generate(spec, n) for n in range(1, 140)],
+           CoverSpec([regions.point([0.0]), regions.box([0.125], [1.0])]))
+    members = []
+    for n in range(1, 140):
+        mesh = interval_mesh_with(0.0, 1.0, 1.0 / 16, [0.5 - 0.5 / n, 0.5],
+                                  domain=omega)
+        members.append(BVFunction.indicator_1d(mesh, 0.5 - 0.5 / n, 0.5))
+    sides = regions.CompactSet(1).add_segment([0.0], [0.46]).add_segment(
+        [0.54], [1.0])
+    yield "jump_to_interior", members, CoverSpec([regions.point([0.5]), sides])
+    spec3 = SequenceSpec("pure_boundary_concentration", omega, n_max=300)
+    ends = regions.CompactSet(1).add_point([0.0]).add_point([1.0])
+    yield ("boundary_bumps",
+           [generate(spec3, n) for n in range(1, 140)],
+           CoverSpec([ends, regions.box([0.08], [0.92])]))
+
+
+def decompose_tables_json():
+    """s_table and charge tables of criterion 6 as JSON text (floats by repr)."""
+    out = {}
+    for name, members, cover in decomposition_families():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cover-gap note
+            res = local_decompose(members, cover, n_max=64)
+        rep = verify_properties(res, deltas=(0.1, 0.02, 0.005),
+                                charge_threshold=1e-3)
+        out[name] = {"s_table": rep["s_table"],
+                     "charge_tables": rep["charge_tables"]}
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
 
 
 def regenerate():
@@ -21,6 +66,8 @@ def regenerate():
             shutil.copy(Path(tmp) / "report.json",
                         GOLDEN_DIR / f"{name}.report.json")
             print(f"wrote {GOLDEN_DIR / (name + '.report.json')}")
+    DECOMPOSE_GOLDEN.write_text(decompose_tables_json())
+    print(f"wrote {DECOMPOSE_GOLDEN}")
 
 
 if __name__ == "__main__":

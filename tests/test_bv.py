@@ -266,6 +266,35 @@ def test_tv_on_neighborhood_atoms_exact():
     assert tv_on_neighborhood(mu, regions.point([0.9]), 0.01) == 0.0
 
 
+def _measure_with_jumps_2d():
+    mesh = rectangle_mesh(0, 1, 0, 1, 6, 6)
+    step = (mesh.centroids[:, 0] > 0.5).astype(float)
+    u = BVFunction.from_cellwise_constant(mesh, step) + BVFunction.affine(
+        mesh, [[0.3, -0.7]])
+    return derivative(u), regions.segment([0.5, 0.2], [0.5, 0.6])
+
+
+@pytest.mark.parametrize("case", ["1d_atoms", "2d_facet_jumps"])
+def test_tv_on_neighborhood_sequence_equals_scalar_calls(case):
+    if case == "1d_atoms":
+        u = jump_member(4)
+        mu = derivative(u + BVFunction.affine(u.mesh, [[2.0]]))
+        kset = regions.point([0.25])
+    else:
+        mu, kset = _measure_with_jumps_2d()
+    assert mu.charges and np.any(mu.density)
+    deltas = [0.5, 0.3, 0.1, 0.04, 0.01]
+    values = tv_on_neighborhood(mu, kset, deltas)
+    assert values == [tv_on_neighborhood(mu, kset, d) for d in deltas]
+    assert len(set(values)) > 2
+
+
+def test_tv_on_neighborhood_scalar_delta_returns_float():
+    mu, kset = _measure_with_jumps_2d()
+    assert type(tv_on_neighborhood(mu, kset, 0.1)) is float
+    assert type(tv_on_neighborhood(mu, kset, np.float64(0.1))) is float
+
+
 def test_l1_distance_mismatch():
     u = jump_member(4)
     mesh2 = rectangle_mesh(0, 1, 0, 1, 2, 2)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -192,3 +195,14 @@ def test_s_table_recorded(migrating_decomposition):
 def test_cover_needs_two_sets():
     with pytest.raises(ValueError):
         CoverSpec([regions.point([0.0])])
+
+
+def test_decompose_tables_match_golden():
+    # criterion 6's s_table and charge tables, byte for byte (floats by repr)
+    path = Path(__file__).parent / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    golden = make_goldens.DECOMPOSE_GOLDEN
+    assert golden.exists(), "regenerate with python tests/make_goldens.py"
+    assert make_goldens.decompose_tables_json().encode() == golden.read_bytes()

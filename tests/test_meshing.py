@@ -5,10 +5,12 @@ import pytest
 
 from bvlsc.meshing import (
     Domain,
+    Mesh,
     MeshBudgetError,
     build_mesh,
     halfball_mesh,
     interval_mesh,
+    interval_mesh_with,
     local_patch,
     rectangle_mesh,
     unit_square_mesh,
@@ -119,6 +121,94 @@ def test_p1_assemble_is_adjoint_of_p1_gradient(mesh):
     lhs = np.sum(mesh.p1_gradient(v) * G)
     rhs = np.sum(v * mesh.p1_assemble(G))
     assert abs(lhs - rhs) <= 1e-12
+
+
+def _loop_rectangle_cells(nx, ny):
+    """Reference: the per-quad loop rectangle_mesh used to build its cells."""
+    def vid(i, j):
+        return i * (ny + 1) + j
+
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            cells.append([a, b, c])
+            cells.append([a, c, d])
+    return np.array(cells)
+
+
+def _loop_boundary(mesh):
+    """Reference: the per-cell facet dictionary Mesh used to build its boundary."""
+    count, owner = {}, {}
+    for ci, c in enumerate(mesh.cells):
+        if mesh.dim == 1:
+            facets = [(int(c[0]),), (int(c[1]),)]
+        else:
+            facets = [tuple(sorted((int(c[0]), int(c[1])))),
+                      tuple(sorted((int(c[1]), int(c[2])))),
+                      tuple(sorted((int(c[0]), int(c[2]))))]
+        for f in facets:
+            count[f] = count.get(f, 0) + 1
+            owner.setdefault(f, ci)
+    bfacets, bnormals = [], []
+    for f, k in count.items():
+        if k != 1:
+            continue
+        centroid = mesh.centroids[owner[f]]
+        if mesh.dim == 1:
+            nrm = np.sign(mesh.vertices[f[0]] - centroid)
+        else:
+            a, b = mesh.vertices[f[0]], mesh.vertices[f[1]]
+            e = b - a
+            nrm = np.array([e[1], -e[0]])
+            nrm = nrm / np.linalg.norm(nrm)
+            if nrm @ (0.5 * (a + b) - centroid) < 0:
+                nrm = -nrm
+        bfacets.append(f)
+        bnormals.append(nrm)
+    order = sorted(range(len(bfacets)), key=lambda i: bfacets[i])
+    facets = [bfacets[i] for i in order]
+    return (facets, np.array([bnormals[i] for i in order]),
+            np.array(sorted({v for f in facets for v in f}), dtype=np.int64),
+            sum(1 for k in count.values() if k == 2))
+
+
+@pytest.mark.parametrize("build, grid", [
+    (lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.0, 1, 1), (1, 1)),
+    (lambda: rectangle_mesh(-1.0, 2.0, 0.5, 1.5, 3, 5), (3, 5)),
+    (lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.0, 8, 8), (8, 8)),
+    (lambda: halfball_mesh([0.6, 0.8], 0.05), None),
+    (lambda: interval_mesh_with(0.0, 1.0, 0.1, [0.33, 0.5]), None),
+], ids=["rect1x1", "rect3x5", "rect8x8", "halfball", "interval"])
+def test_vectorized_mesh_build_matches_loops(build, grid):
+    mesh = build()
+    if grid is not None:
+        ref = Mesh(mesh.vertices, _loop_rectangle_cells(*grid))
+        assert np.array_equal(mesh.cells, ref.cells)
+    facets, normals, verts, interior = _loop_boundary(mesh)
+    assert mesh.boundary_facets == facets
+    assert all(type(v) is int for f in mesh.boundary_facets for v in f)
+    assert np.array_equal(mesh.boundary_normals, normals)
+    assert mesh.boundary_vertices.dtype == verts.dtype
+    assert np.array_equal(mesh.boundary_vertices, verts)
+    assert mesh.interior_facet_count == interior
+
+
+@pytest.mark.parametrize("build", [
+    lambda: interval_mesh_with(0.0, 1.0, 0.1, [0.33]),
+    lambda: halfball_mesh([0.6, 0.8], 0.25),
+], ids=["1d", "2d"])
+def test_refined_cells_cached_and_mass_preserving(build):
+    mesh = build()
+    cent, measures, parent = mesh.refined_cells(2)
+    assert mesh.refined_cells(2) is mesh.refined_cells(2)
+    assert not (cent.flags.writeable or measures.flags.writeable
+                or parent.flags.writeable)
+    assert len(cent) == len(measures) == len(parent) == mesh.n_cells * (
+        2 if mesh.dim == 1 else 4) ** 2
+    assert abs(measures.sum() - mesh.cell_measures.sum()) <= 1e-14
+    assert np.allclose(np.bincount(parent, measures), mesh.cell_measures,
+                       rtol=0, atol=1e-15)
 
 
 def test_degenerate_polygon_rejected():

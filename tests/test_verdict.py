@@ -1,8 +1,13 @@
 import json
+import time
 
 import pytest
 
+import bvlsc.boundary
 from bvlsc.cli import bundled_scenarios, resolve_config
+from bvlsc.integrands import catalog_get
+from bvlsc.meshing import BoundaryPoint
+from bvlsc.minimize import minimize_field
 from bvlsc.verdict import ConfigError, Scenario, analyze, run_scenario
 
 
@@ -131,6 +136,43 @@ def test_violation_with_errored_check_is_still_not_wlsc():
     assert [e["job"] for e in verdict.errors] == ["qc"]
     assert all(r.verdict == "violated" for r in verdict.qslb_reports)
     assert verdict.overall == "not-wlsc"
+
+
+def test_unbudgeted_solver_work_fails_fast(tmp_path):
+    # 194,688 qc cells pass the cell budget, but 8 restarts x 400 iterations
+    # on them would run for about an hour
+    cfg = json.loads(resolve_config("norm_square").read_text())
+    cfg["qc"]["h"] = 0.0032
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    t0 = time.perf_counter()
+    code, verdict = run_scenario(path, out_dir=tmp_path / "out")
+    assert time.perf_counter() - t0 < 15.0
+    assert code == 0
+    assert verdict.qc_reports == [] and verdict.qslb_reports
+    assert {e["job"] for e in verdict.errors} == {"qc"}
+    assert all("over the budget" in e["error"] for e in verdict.errors)
+    assert verdict.overall == "inconclusive"
+
+
+def test_quotient_outside_homogeneity_bound_is_errored_qslb_check(monkeypatch):
+    def out_of_bound(*args, **kwargs):
+        res = minimize_field(*args, **kwargs)
+        res.value = -3.0  # the norm's recession function has C_inf = 1
+        return res
+
+    monkeypatch.setattr(bvlsc.boundary, "minimize_field", out_of_bound)
+    norm = catalog_get("norm", {"M": 1, "N": 2})
+    with pytest.raises(bvlsc.boundary.QuotientBoundError):
+        bvlsc.boundary.halfball_deficit(
+            norm.recession, BoundaryPoint([0.0, 0.5], [-1.0, 0.0]), h=0.25)
+    sc = load("norm_square")
+    sc.cfg["checks"]["qc"] = False
+    verdict = analyze(sc)
+    assert verdict.qslb_reports == []
+    assert verdict.errors and {e["job"] for e in verdict.errors} == {"qslb"}
+    assert all("homogeneity bound" in e["error"] for e in verdict.errors)
+    assert verdict.overall == "inconclusive"
 
 
 @pytest.mark.parametrize("section", ["mesh", "qc", "qslb"])
