@@ -219,6 +219,7 @@ class Mesh:
         self._build_boundary()
         self._quad_cache = {}
         self._refine_cache = {}
+        self._copies = (0, None, None)  # see _copies_for
 
     # -- geometry ---------------------------------------------------------
 
@@ -355,23 +356,48 @@ class Mesh:
         return self._refine_cache[key]
 
     def p1_gradient(self, values):
-        """Cellwise gradient of a continuous P1 field; values (nv, M) -> (nc, M, dim)."""
+        """Cellwise gradient of a continuous P1 field; values (nv, M) -> (nc, M, dim).
+
+        A batch (R, nv, M) of fields is one field on R disjoint copies of the
+        mesh and gives (R, nc, M, dim), every entry summed as for one field.
+        """
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
-        vals = values[self.cells]  # (nc, dim+1, M)
-        return np.einsum("cim,cid->cmd", vals, self.shape_gradients)
+        batch, M = values.shape[:-2], values.shape[-1]
+        cells, grads = self._copies_for(batch)
+        out = np.einsum("cim,cid->cmd", values.reshape(-1, M)[cells], grads)
+        return out.reshape(batch + (self.n_cells, M, self.dim))
 
     def p1_assemble(self, per_cell):
         """Adjoint of p1_gradient: per-cell (nc, M, dim) -> vertex (nv, M).
 
         sum(p1_gradient(v) * G) == sum(v * p1_assemble(G)), so the gradient of
-        sum_c G_c : grad v on cell c with respect to v is p1_assemble(G).
+        sum_c G_c : grad v on cell c with respect to v is p1_assemble(G).  A
+        batch (R, nc, M, dim) gives (R, nv, M).
         """
-        contrib = np.einsum("cmn,cin->cim", per_cell, self.shape_gradients)
-        out = np.zeros((self.n_vertices, per_cell.shape[1]))
-        np.add.at(out, self.cells, contrib)
-        return out
+        batch, M = per_cell.shape[:-3], per_cell.shape[-2]
+        cells, grads = self._copies_for(batch)
+        contrib = np.einsum("cmn,cin->cim", per_cell.reshape(-1, M, self.dim), grads)
+        out = np.zeros((np.prod(batch, dtype=int) * self.n_vertices, M))
+        np.add.at(out, cells, contrib)
+        return out.reshape(batch + (self.n_vertices, M))
+
+    def _copies_for(self, batch):
+        """Cells and shape gradients for one field (batch == ()) or for R
+        fields (batch == (R,)) on R disjoint copies of the mesh, copy r with
+        its vertex ids offset by r * n_vertices.  The tiling is built for the
+        largest R asked so far; a smaller R takes its leading slice."""
+        if not batch:
+            return self.cells, self.shape_gradients
+        R = batch[0]
+        if R > self._copies[0]:
+            offsets = np.arange(R)[:, None, None] * self.n_vertices
+            cells = (self.cells[None] + offsets).reshape(-1, self.dim + 1)
+            grads = np.tile(self.shape_gradients, (R, 1, 1))
+            self._copies = (R, _lock(cells), _lock(grads))
+        n = R * self.n_cells
+        return self._copies[1][:n], self._copies[2][:n]
 
     def gradient_masses(self, grads):
         """Per-cell |g|_F * |cell| of cellwise gradients (nc, M, dim)."""

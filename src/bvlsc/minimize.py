@@ -8,11 +8,21 @@ starts (the zero field plus rank-one "tent" fields) make the standard
 counterexamples reproducible; remaining restarts are seeded Gaussian fields
 scaled to unit gradient total variation.
 
+All restarts advance in lockstep as one (R, nv, M) batch, which the mesh
+evaluates as one field on R disjoint copies of itself.  Each restart keeps
+its own step size, patience count and best iterate; a restart whose
+gradient vanishes waits for the next smoothing stage, and one that runs out
+of patience skips all later stages.  Every entry is computed as it would be
+for the restart alone, so the result equals that of running the restarts
+one after another, and ties still go to the lowest restart.  Batches larger
+than BATCH_CELLS cells x restarts advance in chunks.
+
 Constraint handling is by feasible rescaling: an L-infinity cap on cell
 gradients or a cap on the gradient total variation shrinks the whole field
 back onto the feasible set.  In `normalize` mode the objective must be a
 0-homogeneous quotient; iterates are renormalized to unit denominator, and
-the witness is returned with denominator exactly 1.
+the witness is returned with denominator exactly 1.  A start whose
+denominator is below 1e-12 is skipped.
 
 A solve whose cells x restarts x iterations exceed MAX_WORK raises
 SolverBudgetError before its first iteration.
@@ -50,6 +60,15 @@ class FieldEvaluationError(RuntimeError):
 # hour; the largest solve of the tests and bundled scenarios is the 1,275-cell
 # half-ball mesh x 10 restarts x 500 iterations = 6.4e6.
 MAX_WORK = 50_000_000
+
+
+# cells x restarts of one batched evaluation; an iteration advances its
+# restarts in chunks of at most this size.  The largest temporaries hold one
+# (M, N) matrix per quadrature point, 48 bytes per cell for a scalar field in
+# 2D, so a chunk stays under the 128 KiB above which glibc's malloc hands
+# memory back to the system and a solve page-faults on every iteration (1,275
+# cells: 16 faults per solve at 1 restart per chunk, 85 at 2, 63,872 at 3).
+BATCH_CELLS = 2560
 
 
 class SolverBudgetError(ValueError):
@@ -97,6 +116,10 @@ class SolveResult:
     best_restart: int
     low_confidence: bool
     seed: int
+    # per restart: its best value (inf for an unusable start) and why it
+    # stopped: "patience", "iteration_cap", "zero_gradient" or "unusable_start"
+    restart_values: tuple = ()
+    stop_reasons: tuple = ()
 
 
 @dataclass
@@ -115,6 +138,26 @@ class SolverOptions:
 
 
 # -- objectives ---------------------------------------------------------------
+#
+# Every objective takes one field (nv, M) and returns a float value and an
+# (nv, M) gradient, or a batch (R, nv, M) and returns values (R,) and
+# gradients (R, nv, M), each entry computed as for the field alone.
+
+
+def _as_batch(values):
+    """(R, nv, M) batch of `values`, and whether they were a single field."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 3:
+        return values, False
+    if values.ndim == 1:
+        values = values[:, None]
+    return values[None], True
+
+
+def _unbatch(single, value, grad=None):
+    if single:
+        value, grad = float(value[0]), None if grad is None else grad[0]
+    return value if grad is None else (value, grad)
 
 
 class BulkObjective:
@@ -135,34 +178,43 @@ class BulkObjective:
             flat_xi = np.repeat(xi[None], len(self._flat_x), axis=0)
             self._offset = float(np.sum(g(self._flat_x, flat_xi) * self._wts.ravel()))
         self._smooth_cache = {}
+        self._tiles = (0, None, None)
 
     def _g_at(self, delta):
         if delta not in self._smooth_cache:
             self._smooth_cache[delta] = self.g.smoothed(delta)
         return self._smooth_cache[delta]
 
-    def _cell_xi(self, values):
-        grads = self.mesh.p1_gradient(values)
+    def _tiled(self, R):
+        """Quadrature points and weights of R mesh copies, built for the
+        largest R asked so far; a smaller R takes the leading slice."""
+        if R > self._tiles[0]:
+            self._tiles = (R, np.tile(self._flat_x, (R, 1)), np.tile(self._wts, (R, 1)))
+        return self._tiles[1][: R * len(self._flat_x)], self._tiles[2][: R * len(self._wts)]
+
+    def _evaluate(self, values, delta, with_grad):
+        batch, single = _as_batch(values)
+        R = len(batch)
+        g = self._g_at(delta)
+        x, wts = self._tiled(R)
+        cell_xi = self.mesh.p1_gradient(batch).reshape(-1, g.M, self.mesh.dim)
         if self.xi0 is not None:
-            grads = grads + self.xi0
-        return grads
+            cell_xi = cell_xi + self.xi0
+        xi = np.repeat(cell_xi, self._nq, axis=0)
+        vals = g(x, xi).reshape(R, -1)
+        val = (vals * self._wts.ravel()).sum(axis=-1) - self._offset
+        if not with_grad:
+            return _unbatch(single, val)
+        dg = g.grad_xi(x, xi).reshape(len(wts), self._nq, g.M, self.mesh.dim)
+        per_cell = np.einsum("cq,cqmn->cmn", wts, dg)
+        grad = self.mesh.p1_assemble(per_cell.reshape(R, -1, g.M, self.mesh.dim))
+        return _unbatch(single, val, grad)
 
     def value(self, values, delta=0.0):
-        g = self._g_at(delta)
-        xi = np.repeat(self._cell_xi(values), self._nq, axis=0)
-        return float(np.sum(g(self._flat_x, xi) * self._wts.ravel())) - self._offset
+        return self._evaluate(values, delta, with_grad=False)
 
     def value_and_grad(self, values, delta=0.0):
-        g = self._g_at(delta)
-        cell_xi = self._cell_xi(values)
-        xi = np.repeat(cell_xi, self._nq, axis=0)
-        vals = g(self._flat_x, xi)
-        val = float(np.sum(vals * self._wts.ravel())) - self._offset
-        dg = g.grad_xi(self._flat_x, xi).reshape(
-            self.mesh.n_cells, self._nq, g.M, self.mesh.dim
-        )
-        per_cell = np.einsum("cq,cqmn->cmn", self._wts, dg)
-        return val, self.mesh.p1_assemble(per_cell)
+        return self._evaluate(values, delta, with_grad=True)
 
 
 class TVObjective:
@@ -172,22 +224,24 @@ class TVObjective:
         self.mesh = mesh
         self.M = M
 
-    @staticmethod
-    def _smoothed_norms(g, delta):
-        mags = np.linalg.norm(g.reshape(len(g), -1), axis=1)
-        return np.sqrt(mags**2 + delta**2) if delta > 0 else mags
+    def _evaluate(self, values, delta, with_grad):
+        batch, single = _as_batch(values)
+        g = self.mesh.p1_gradient(batch)
+        mags = np.linalg.norm(g.reshape(len(batch), self.mesh.n_cells, -1), axis=-1)
+        if delta > 0:
+            mags = np.sqrt(mags**2 + delta**2)
+        val = (mags * self.mesh.cell_measures).sum(axis=-1)
+        if not with_grad:
+            return _unbatch(single, val)
+        denom = np.maximum(mags, 1e-300)
+        per_cell = g * (self.mesh.cell_measures / denom)[..., None, None]
+        return _unbatch(single, val, self.mesh.p1_assemble(per_cell))
 
     def value(self, values, delta=0.0):
-        mags = self._smoothed_norms(self.mesh.p1_gradient(values), delta)
-        return float(np.sum(mags * self.mesh.cell_measures))
+        return self._evaluate(values, delta, with_grad=False)
 
     def value_and_grad(self, values, delta=0.0):
-        g = self.mesh.p1_gradient(values)
-        mags = self._smoothed_norms(g, delta)
-        val = float(np.sum(mags * self.mesh.cell_measures))
-        denom = np.maximum(mags, 1e-300)
-        per_cell = g * (self.mesh.cell_measures / denom)[:, None, None]
-        return val, self.mesh.p1_assemble(per_cell)
+        return self._evaluate(values, delta, with_grad=True)
 
 
 class LinearCombo:
@@ -208,7 +262,8 @@ class LinearCombo:
 
 
 class RayleighQuotient:
-    """num(phi) / den(phi) for 1-homogeneous numerator and denominator."""
+    """num(phi) / den(phi) for 1-homogeneous numerator and denominator;
+    +inf where the denominator is below `den_floor`."""
 
     def __init__(self, num, den, den_floor=1e-12):
         self.num = num
@@ -220,18 +275,20 @@ class RayleighQuotient:
         return self.den.value(values, 0.0)
 
     def value(self, values, delta=0.0):
-        d = self.den.value(values, delta)
-        if d < self.den_floor:
-            return np.inf
-        return self.num.value(values, delta) / d
+        batch, single = _as_batch(values)
+        d = self.den.value(batch, delta)
+        n = self.num.value(batch, delta)
+        val = np.where(d < self.den_floor, np.inf, n / np.maximum(d, self.den_floor))
+        return _unbatch(single, val)
 
     def value_and_grad(self, values, delta=0.0):
-        nv, ng = self.num.value_and_grad(values, delta)
-        dv, dg = self.den.value_and_grad(values, delta)
-        dv = max(dv, self.den_floor)
+        batch, single = _as_batch(values)
+        nv, ng = self.num.value_and_grad(batch, delta)
+        dv, dg = self.den.value_and_grad(batch, delta)
+        dv = np.maximum(dv, self.den_floor)
         val = nv / dv
-        grad = (ng - val * dg) / dv
-        return val, grad
+        grad = (ng - val[:, None, None] * dg) / dv[:, None, None]
+        return _unbatch(single, val, grad)
 
 
 # -- initial fields -----------------------------------------------------------
@@ -284,106 +341,137 @@ def default_inits(mesh, M, clamped, options, rng):
 # -- solver -------------------------------------------------------------------
 
 
-def _project(values, mesh, options):
+def _shrink(batch, size, cap):
+    """Scale each field of the batch whose size exceeds cap down onto it;
+    the others are multiplied by exactly 1."""
+    factor = np.divide(cap, size, out=np.ones_like(size), where=size > cap)
+    return batch * factor[:, None, None]
+
+
+def _project(batch, mesh, options):
+    """Rescale each field of a batch (R, nv, M) onto the feasible set."""
     if options.grad_cap > 0:
-        g = mesh.p1_gradient(values)
-        mx = float(np.max(np.linalg.norm(g.reshape(len(g), -1), axis=1), initial=0.0))
-        if mx > options.grad_cap:
-            values = values * (options.grad_cap / mx)
+        g = mesh.p1_gradient(batch)
+        mags = np.linalg.norm(g.reshape(len(batch), mesh.n_cells, -1), axis=-1)
+        batch = _shrink(batch, mags.max(axis=-1, initial=0.0), options.grad_cap)
     if options.tv_cap > 0:
-        tv = TVObjective(mesh, values.shape[1]).value(values)
-        if tv > options.tv_cap:
-            values = values * (options.tv_cap / tv)
-    return values
+        tv = TVObjective(mesh, batch.shape[2]).value(batch)
+        batch = _shrink(batch, tv, options.tv_cap)
+    return batch
+
+
+def _first_nonfinite(x):
+    bad = ~np.isfinite(x)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def minimize_field(objective, mesh, clamped, options=None):
     """Minimize a field objective over clamped P1 fields; see module docstring."""
     options = options or SolverOptions()
     clamped = np.asarray(clamped, dtype=np.int64)
-    M = objective.M
     rng = np.random.default_rng(options.seed)
-    inits = default_inits(mesh, M, clamped, options, rng)
-    work = mesh.n_cells * len(inits) * options.max_iter
+    inits = default_inits(mesh, objective.M, clamped, options, rng)
+    n = len(inits)
+    work = mesh.n_cells * n * options.max_iter
     if work > MAX_WORK:
         raise SolverBudgetError(
-            f"solve needs {mesh.n_cells} cells x {len(inits)} restarts x "
+            f"solve needs {mesh.n_cells} cells x {n} restarts x "
             f"{options.max_iter} iterations = {work:.3g}, "
             f"over the budget {MAX_WORK:.3g}"
         )
-
-    best_val = np.inf
-    best_values = None
-    best_restart = -1
-    best_hit_cap = False
-    total_iters = 0
     normalize = options.mode == "normalize"
+    size = max(1, BATCH_CELLS // mesh.n_cells)
 
-    for ridx, values in enumerate(inits):
-        values = values.copy()
-        values[clamped] = 0.0
-        values = _project(values, mesh, options)
+    def chunks(rows):
+        return (rows[i:i + size] for i in range(0, len(rows), size))
+
+    # per restart: the current iterate, the best value and where it was reached
+    fields = np.array(inits)
+    fields[:, clamped] = 0.0
+    d = np.ones(n)
+    for rows in chunks(np.arange(n)):
+        fields[rows] = _project(fields[rows], mesh, options)
         if normalize:
-            d = objective.denominator(values)
-            if d < 1e-12:
-                continue
-            values = values / d
-        v0 = objective.value(values, 0.0)
-        if not np.isfinite(v0):
-            raise FieldEvaluationError(
-                f"objective non-finite at restart {ridx} init", values
-            )
-        local_best, local_best_values = v0, values.copy()
-        since_improve = 0
-        hit_cap = False
-        scale = max(float(np.max(np.abs(values), initial=0.0)), 0.1)
-        step0 = options.step0 if options.step0 > 0 else 0.3 * scale
-        stages = list(options.smoothing) or [0.0]
-        iters_per_stage = max(1, options.max_iter // len(stages))
-        k_global = 0
-        stop = False
-        for delta in stages:
-            if stop:
-                break
-            for k in range(iters_per_stage):
-                _, g = objective.value_and_grad(values, delta)
-                g[clamped] = 0.0
-                gn = float(np.linalg.norm(g))
-                if not np.isfinite(gn):
-                    raise FieldEvaluationError("non-finite gradient", values)
-                if gn < 1e-15:
-                    break
-                alpha = step0 / np.sqrt(1.0 + k_global)
-                values = values - alpha * (g / gn)
-                values[clamped] = 0.0
-                values = _project(values, mesh, options)
-                if normalize:
-                    d = objective.denominator(values)
-                    if d > 1e-12:
-                        values = values / d
-                k_global += 1
-                total_iters += 1
-                v = objective.value(values, 0.0)
-                if not np.isfinite(v):
-                    raise FieldEvaluationError("objective non-finite", values)
-                if v < local_best - 1e-14 * (1.0 + abs(local_best)):
-                    local_best, local_best_values = v, values.copy()
-                    since_improve = 0
-                    hit_cap = k_global >= options.max_iter - 1
-                else:
-                    since_improve += 1
-                    if since_improve >= options.patience:
-                        stop = True
-                        break
-        if local_best < best_val:
-            best_val = local_best
-            best_values = local_best_values
-            best_restart = ridx
-            best_hit_cap = hit_cap
-
-    if best_values is None:
+            d[rows] = objective.denominator(fields[rows])
+    usable = ~(d < 1e-12)
+    fields /= np.where(usable, d, 1.0)[:, None, None]
+    if not usable.any():
         raise FieldEvaluationError("no usable start (degenerate inits)", None)
+    best = np.full(n, np.inf)
+    for rows in chunks(np.flatnonzero(usable)):
+        best[rows] = objective.value(fields[rows], 0.0)
+        bad = _first_nonfinite(best[rows])
+        if bad is not None:
+            r = rows[bad]
+            raise FieldEvaluationError(
+                f"objective non-finite at restart {r} init", fields[r])
+    best_fields = fields.copy()
+    since_improve = np.zeros(n, dtype=np.int64)
+    k_global = np.zeros(n, dtype=np.int64)
+    hit_cap = np.zeros(n, dtype=bool)
+    if options.step0 > 0:
+        step0 = np.full(n, options.step0)
+    else:
+        step0 = 0.3 * np.maximum(np.abs(fields).max(axis=(1, 2), initial=0.0), 0.1)
+    alive = usable.copy()  # cleared by patience: no later stage runs
+    reasons = np.where(usable, "iteration_cap", "unusable_start").astype(object)
 
+    def advance(rows, delta, active, flat):
+        """One iteration of the restarts `rows`, all in the same stage."""
+        _, g = objective.value_and_grad(fields[rows], delta)
+        g[:, clamped] = 0.0
+        # one dot per restart, as np.linalg.norm of a single field takes it
+        gn = np.sqrt([gr.dot(gr) for gr in g.reshape(len(rows), -1)])
+        bad = _first_nonfinite(gn)
+        if bad is not None:
+            raise FieldEvaluationError("non-finite gradient", fields[rows[bad]])
+        zero = gn < 1e-15
+        if zero.any():
+            active[rows[zero]] = False
+            flat[rows[zero]] = True
+            rows, g, gn = rows[~zero], g[~zero], gn[~zero]
+            if not len(rows):
+                return
+        alpha = step0[rows] / np.sqrt(1.0 + k_global[rows])
+        new = fields[rows] - alpha[:, None, None] * (g / gn[:, None, None])
+        new[:, clamped] = 0.0
+        new = _project(new, mesh, options)
+        if normalize:
+            d = objective.denominator(new)
+            new /= np.where(d > 1e-12, d, 1.0)[:, None, None]
+        k_global[rows] += 1
+        v = objective.value(new, 0.0)
+        bad = _first_nonfinite(v)
+        if bad is not None:
+            raise FieldEvaluationError("objective non-finite", new[bad])
+        fields[rows] = new
+        lb = best[rows]
+        better = v < lb - 1e-14 * (1.0 + np.abs(lb))
+        up, rest = rows[better], rows[~better]
+        best[up] = v[better]
+        best_fields[up] = new[better]
+        since_improve[up] = 0
+        hit_cap[up] = k_global[up] >= options.max_iter - 1
+        since_improve[rest] += 1
+        out = rest[since_improve[rest] >= options.patience]
+        alive[out] = active[out] = False
+        reasons[out] = "patience"
+
+    stages = list(options.smoothing) or [0.0]
+    iters_per_stage = max(1, options.max_iter // len(stages))
+    for delta in stages:
+        active = alive.copy()  # cleared by a zero gradient: on to the next stage
+        flat = np.zeros(n, dtype=bool)
+        for _ in range(iters_per_stage):
+            rows = np.flatnonzero(active)
+            if not len(rows):
+                break
+            for part in chunks(rows):
+                advance(part, delta, active, flat)
+    reasons[alive & flat] = "zero_gradient"
+
+    best_restart = int(np.argmin(best))  # ties go to the lowest restart
+    best_val, best_values = best[best_restart], best_fields[best_restart].copy()
     if normalize:
         d = objective.denominator(best_values)
         if d > 1e-12:
@@ -394,15 +482,17 @@ def minimize_field(objective, mesh, clamped, options=None):
     _, gfin = objective.value_and_grad(best_values, delta_min)
     gfin[clamped] = 0.0
     residual = float(np.max(np.abs(gfin), initial=0.0))
-    low_conf = bool(best_hit_cap and residual > options.stationarity_tol)
+    low_conf = bool(hit_cap[best_restart] and residual > options.stationarity_tol)
     witness = TestField(mesh, best_values, clamped)
     return SolveResult(
         value=float(best_val),
         witness=witness,
-        iterations=total_iters,
-        restarts_used=len(inits),
+        iterations=int(k_global.sum()),
+        restarts_used=n,
         stationarity_residual=residual,
         best_restart=best_restart,
         low_confidence=low_conf,
         seed=options.seed,
+        restart_values=tuple(best.tolist()),
+        stop_reasons=tuple(reasons.tolist()),
     )

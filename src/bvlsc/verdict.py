@@ -20,6 +20,7 @@ carries no wall-clock data (timings go to a separate file).
 
 import csv
 import json
+import math
 import time
 from pathlib import Path
 
@@ -78,6 +79,12 @@ def _line_of(text, key):
     return None
 
 
+def _positive_number(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return x > 0 and (isinstance(x, int) or math.isfinite(x))
+
+
 def _validate(cfg, raw_text=""):
     errors = []
 
@@ -111,8 +118,24 @@ def _validate(cfg, raw_text=""):
     for section in ("mesh", "qc", "qslb"):
         sub = cfg.get(section)
         h = sub.get("h", 1.0) if isinstance(sub, dict) else 1.0
-        if isinstance(h, bool) or not isinstance(h, (int, float)) or not h > 0:
+        if not _positive_number(h):
             err(f"'{section}.h' must be a positive number, got {h!r}", section)
+    qc = cfg.get("qc")
+    caps = qc.get("L_grid", [1.0]) if isinstance(qc, dict) else [1.0]
+    if not isinstance(caps, list) or not caps:
+        err(f"'qc.L_grid' must be a non-empty list of caps, got {caps!r}", "L_grid")
+    else:
+        for L in caps:
+            if not _positive_number(L):
+                err(f"'qc.L_grid' caps must be positive finite numbers, got {L!r}",
+                    "L_grid")
+    checks = cfg.get("checks", {})
+    if not isinstance(checks, dict):
+        err("'checks' must be an object", "checks")
+    else:
+        for key in sorted(set(checks) - set(_DEFAULTS["checks"])):
+            err(f"unknown check {key!r} (known: "
+                f"{', '.join(_DEFAULTS['checks'])})", "checks")
     if errors:
         raise ConfigError(errors)
 
@@ -374,16 +397,23 @@ def analyze(scenario):
 
     if checks.get("mu", False):
         tgrid = [1.0, 10.0, 100.0, 1e4, 1e6]
-        extras["mu_table"] = [mu_estimate(f, finf, t, seed=scenario.seed)
-                              for t in tgrid]
+        try:
+            extras["mu_table"] = [mu_estimate(f, finf, t, seed=scenario.seed)
+                                  for t in tgrid]
+        except Exception as e:  # collect and continue
+            errors.append({"job": "mu", "error": str(e)})
 
     if checks.get("refinement", False):
         rows = []
         for bp in boundary_pts:
             for hh in (scenario.cfg["qslb"]["h"], scenario.cfg["qslb"]["h"] / 2):
-                rep = halfball_deficit(finf, bp, h=hh,
-                                       tol=scenario.cfg["qslb"]["tol"],
-                                       options=scenario.solver_options(9000))
+                try:
+                    rep = halfball_deficit(finf, bp, h=hh,
+                                           tol=scenario.cfg["qslb"]["tol"],
+                                           options=scenario.solver_options(9000))
+                except Exception as e:  # collect and continue
+                    errors.append({"job": "refinement", "error": str(e)})
+                    continue
                 rows.append({"x0": bp.x0.tolist(), "h": hh,
                              "deficit": rep.deficit})
         extras["refinement"] = rows

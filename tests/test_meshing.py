@@ -123,6 +123,23 @@ def test_p1_assemble_is_adjoint_of_p1_gradient(mesh):
     assert abs(lhs - rhs) <= 1e-12
 
 
+@pytest.mark.parametrize("mesh", [
+    interval_mesh(0.0, 1.0, 0.1),
+    halfball_mesh([0.6, 0.8], 0.25),
+], ids=["1d", "2d"])
+def test_batched_p1_operators_equal_one_field_at_a_time(mesh):
+    rng = np.random.default_rng(4)
+    V = rng.normal(size=(4, mesh.n_vertices, 2))
+    G = rng.normal(size=(4, mesh.n_cells, 2, mesh.dim))
+    for R in (4, 2):  # a smaller batch after a larger one: the leading copies
+        grads, assembled = mesh.p1_gradient(V[:R]), mesh.p1_assemble(G[:R])
+        assert grads.shape == (R, mesh.n_cells, 2, mesh.dim)
+        assert assembled.shape == (R, mesh.n_vertices, 2)
+        for r in range(R):
+            assert grads[r].tobytes() == mesh.p1_gradient(V[r]).tobytes()
+            assert assembled[r].tobytes() == mesh.p1_assemble(G[r]).tobytes()
+
+
 def _loop_rectangle_cells(nx, ny):
     """Reference: the per-quad loop rectangle_mesh used to build its cells."""
     def vid(i, j):

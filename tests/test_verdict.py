@@ -4,6 +4,7 @@ import time
 import pytest
 
 import bvlsc.boundary
+import bvlsc.verdict
 from bvlsc.cli import bundled_scenarios, resolve_config
 from bvlsc.integrands import catalog_get
 from bvlsc.meshing import BoundaryPoint
@@ -193,3 +194,59 @@ def test_nonpositive_h_override_is_rejected(tmp_path, h):
                                  out_dir=tmp_path / "out", h=h)
     assert (code, verdict) == (2, None)
     assert not (tmp_path / "out").exists()
+
+
+def _run_modified(tmp_path, edit):
+    cfg = json.loads(resolve_config("norm_square").read_text())
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    return run_scenario(path, out_dir=tmp_path / "out")
+
+
+def test_errored_refinement_check_is_inconclusive(tmp_path):
+    # h=0.0015 puts every half-ball mesh over the cell budget, the refinement
+    # check's included
+    def edit(cfg):
+        cfg["checks"].update(refinement=True, qc=False)
+        cfg["qslb"]["h"] = 0.0015
+
+    code, verdict = _run_modified(tmp_path, edit)
+    assert code == 0
+    assert verdict.overall == "inconclusive"
+    assert {e["job"] for e in verdict.errors} == {"qslb", "refinement"}
+    assert verdict.extras["refinement"] == []
+
+
+def test_errored_mu_table_is_inconclusive(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("tail did not settle")
+
+    monkeypatch.setattr(bvlsc.verdict, "mu_estimate", broken)
+    sc = load("nulllag_square")
+    sc.cfg["checks"]["mu"] = True
+    verdict = analyze(sc)
+    assert [e["job"] for e in verdict.errors] == ["mu"]
+    assert "mu_table" not in verdict.extras
+    assert verdict.overall == "inconclusive"
+
+
+def test_empty_cap_grid_is_schema_error(tmp_path, capsys):
+    code, verdict = _run_modified(tmp_path, lambda cfg: cfg["qc"].update(L_grid=[]))
+    assert (code, verdict) == (2, None)
+    assert "'qc.L_grid' must be a non-empty list" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cap", [-1, 0.0, "4", True, None])
+def test_nonpositive_or_nonnumeric_cap_is_schema_error(tmp_path, capsys, cap):
+    code, verdict = _run_modified(tmp_path,
+                                  lambda cfg: cfg["qc"].update(L_grid=[1.0, cap]))
+    assert (code, verdict) == (2, None)
+    assert "caps must be positive finite numbers" in capsys.readouterr().out
+
+
+def test_unknown_check_key_is_schema_error(tmp_path, capsys):
+    code, verdict = _run_modified(tmp_path,
+                                  lambda cfg: cfg["checks"].update(refinment=True))
+    assert (code, verdict) == (2, None)
+    assert "unknown check 'refinment'" in capsys.readouterr().out
