@@ -579,15 +579,11 @@ def refine_bv_1d(u, coords):
     new_mesh = Mesh(pts[:, None], cells, domain=mesh.domain)
     old_cells = mesh.vertices[mesh.cells][:, :, 0]
     lefts = old_cells[:, 0]
-    new_cv = np.zeros((n, 2, u.M))
     mid = 0.5 * (pts[:-1] + pts[1:])
     parent = np.searchsorted(np.sort(lefts), mid, side="right") - 1
-    order = np.argsort(lefts)
-    for ci in range(n):
-        pi = order[parent[ci]]
-        x0, x1 = old_cells[pi]
-        v0, v1 = u.cell_values[pi, 0], u.cell_values[pi, 1]
-        for loc, x in enumerate((pts[ci], pts[ci + 1])):
-            t = (x - x0) / (x1 - x0)
-            new_cv[ci, loc] = v0 + t * (v1 - v0)
+    pi = np.argsort(lefts)[parent]
+    x0, x1 = old_cells[pi, :1], old_cells[pi, 1:]
+    t = (np.column_stack([pts[:-1], pts[1:]]) - x0) / (x1 - x0)  # (n, 2)
+    v0, v1 = u.cell_values[pi, :1], u.cell_values[pi, 1:]  # (n, 1, M)
+    new_cv = v0 + t[..., None] * (v1 - v0)
     return BVFunction(new_mesh, new_cv, atoms=u.atoms)

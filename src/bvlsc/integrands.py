@@ -18,6 +18,8 @@ final evaluations always use the true integrand.
 
 import numpy as np
 
+from .meshing import row_norms
+
 __all__ = [
     "Integrand",
     "RecessionFn",
@@ -44,7 +46,7 @@ CATALOG_TAGS = (
 
 
 def _frob(xi):
-    return np.linalg.norm(xi.reshape(xi.shape[0], -1), axis=1)
+    return row_norms(xi.reshape(xi.shape[0], -1))
 
 
 class Integrand:
@@ -540,22 +542,28 @@ def modulate(f, c0, cvec):
 def freeze_x(f, x0):
     """Freeze the spatial argument: g(xi) = f(x0, xi), recession frozen too."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    block = np.empty((0, len(x0)))
+
+    def xs(k):
+        """k read-only rows of x0, sliced from the largest block built so far."""
+        nonlocal block
+        if k > len(block):
+            block = np.repeat(x0[None, :], k, axis=0)
+            block.flags.writeable = False
+        return block[:k]
 
     def fn(x, xi):
-        xs = np.repeat(x0[None, :], len(xi), axis=0)
-        return f(xs, xi)
+        return f(xs(len(xi)), xi)
 
     def grad(x, xi):
-        xs = np.repeat(x0[None, :], len(xi), axis=0)
-        return f.grad_xi(xs, xi)
+        return f.grad_xi(xs(len(xi)), xi)
 
     rec = None
     if f.recession is not None:
         base_rec = f.recession
 
         def recfn(x, xi):
-            xs = np.repeat(x0[None, :], len(xi), axis=0)
-            return base_rec(xs, xi)
+            return base_rec(xs(len(xi)), xi)
 
         rec = RecessionFn(recfn, f.M, f.N, provenance=base_rec.provenance)
 

@@ -17,12 +17,21 @@ for the restart alone, so the result equals that of running the restarts
 one after another, and ties still go to the lowest restart.  Batches larger
 than BATCH_CELLS cells x restarts advance in chunks.
 
+Objectives evaluate from cell gradients (see the objectives section below),
+and each restart keeps the cell gradients of its iterate.  An iteration takes
+its smoothed gradient from them with one p1_assemble call, then takes the
+P1 gradient of the stepped field, which serves the projection, the
+denominator and, unless a rescaling moved the field, the acceptance value.
+A rescaled field has its gradients taken once more, so an iteration in
+normalize mode, or in plain mode under a cap, costs two P1 gradients and one
+assembly.
+
 Constraint handling is by feasible rescaling: an L-infinity cap on cell
 gradients or a cap on the gradient total variation shrinks the whole field
 back onto the feasible set.  In `normalize` mode the objective must be a
-0-homogeneous quotient; iterates are renormalized to unit denominator, and
-the witness is returned with denominator exactly 1.  A start whose
-denominator is below 1e-12 is skipped.
+0-homogeneous RayleighQuotient; iterates are renormalized to unit
+denominator, and the witness is returned with denominator exactly 1.  A
+start whose denominator is below 1e-12 is skipped.
 
 A solve whose cells x restarts x iterations exceed MAX_WORK raises
 SolverBudgetError before its first iteration.
@@ -31,6 +40,8 @@ SolverBudgetError before its first iteration.
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .meshing import row_norms
 
 __all__ = [
     "TestField",
@@ -139,9 +150,17 @@ class SolverOptions:
 
 # -- objectives ---------------------------------------------------------------
 #
-# Every objective takes one field (nv, M) and returns a float value and an
-# (nv, M) gradient, or a batch (R, nv, M) and returns values (R,) and
-# gradients (R, nv, M), each entry computed as for the field alone.
+# An objective evaluates a batch from its cell gradients G (R, nc, M, dim), as
+# Mesh.p1_gradient returns them.  from_cells(G, delta) gives the values (R,);
+# from_cells(G, delta, with_grad=True) gives the values, a list of per-cell
+# arrays (R, nc, M, dim) and a function that turns their p1_assemble images
+# into the gradient (R, nv, M).  _assemble stacks the list into one
+# p1_assemble call on disjoint mesh copies, so a quotient or a combination of
+# terms assembles once and every entry keeps the bits of its own call.
+# value and value_and_grad wrap from_cells for one field (nv, M), giving a
+# float and an (nv, M) gradient, or a batch (R, nv, M), each entry computed
+# as for the field alone.  The solver keeps each restart's cell gradients and
+# calls from_cells directly.
 
 
 def _as_batch(values):
@@ -160,7 +179,29 @@ def _unbatch(single, value, grad=None):
     return value if grad is None else (value, grad)
 
 
-class BulkObjective:
+def _assemble(mesh, parts, finish):
+    """Gradient from the per-cell arrays and finish of from_cells."""
+    R = len(parts[0])
+    whole = mesh.p1_assemble(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    return finish([whole[i * R:(i + 1) * R] for i in range(len(parts))])
+
+
+def _only(assembled):
+    return assembled[0]
+
+
+class _Objective:
+    def value(self, values, delta=0.0):
+        batch, single = _as_batch(values)
+        return _unbatch(single, self.from_cells(self.mesh.p1_gradient(batch), delta))
+
+    def value_and_grad(self, values, delta=0.0):
+        batch, single = _as_batch(values)
+        val, parts, finish = self.from_cells(self.mesh.p1_gradient(batch), delta, True)
+        return _unbatch(single, val, _assemble(self.mesh, parts, finish))
+
+
+class BulkObjective(_Objective):
     """E(phi) = sum_cells integral g(x, xi0 + grad phi) dx [- same at xi0]."""
 
     def __init__(self, mesh, g, xi0=None, subtract_offset=False, quad_order=2):
@@ -192,76 +233,68 @@ class BulkObjective:
             self._tiles = (R, np.tile(self._flat_x, (R, 1)), np.tile(self._wts, (R, 1)))
         return self._tiles[1][: R * len(self._flat_x)], self._tiles[2][: R * len(self._wts)]
 
-    def _evaluate(self, values, delta, with_grad):
-        batch, single = _as_batch(values)
-        R = len(batch)
+    def from_cells(self, grads, delta=0.0, with_grad=False):
+        R = len(grads)
         g = self._g_at(delta)
         x, wts = self._tiled(R)
-        cell_xi = self.mesh.p1_gradient(batch).reshape(-1, g.M, self.mesh.dim)
+        cell_xi = grads.reshape(-1, g.M, self.mesh.dim)
         if self.xi0 is not None:
             cell_xi = cell_xi + self.xi0
         xi = np.repeat(cell_xi, self._nq, axis=0)
         vals = g(x, xi).reshape(R, -1)
         val = (vals * self._wts.ravel()).sum(axis=-1) - self._offset
         if not with_grad:
-            return _unbatch(single, val)
+            return val
         dg = g.grad_xi(x, xi).reshape(len(wts), self._nq, g.M, self.mesh.dim)
         per_cell = np.einsum("cq,cqmn->cmn", wts, dg)
-        grad = self.mesh.p1_assemble(per_cell.reshape(R, -1, g.M, self.mesh.dim))
-        return _unbatch(single, val, grad)
-
-    def value(self, values, delta=0.0):
-        return self._evaluate(values, delta, with_grad=False)
-
-    def value_and_grad(self, values, delta=0.0):
-        return self._evaluate(values, delta, with_grad=True)
+        return val, [per_cell.reshape(grads.shape)], _only
 
 
-class TVObjective:
+class TVObjective(_Objective):
     """E(phi) = sum_cells |cell| * s_delta(|grad phi|_F)."""
 
     def __init__(self, mesh, M):
         self.mesh = mesh
         self.M = M
 
-    def _evaluate(self, values, delta, with_grad):
-        batch, single = _as_batch(values)
-        g = self.mesh.p1_gradient(batch)
-        mags = np.linalg.norm(g.reshape(len(batch), self.mesh.n_cells, -1), axis=-1)
+    def from_cells(self, grads, delta=0.0, with_grad=False):
+        mags = row_norms(grads.reshape(len(grads), self.mesh.n_cells, -1))
         if delta > 0:
             mags = np.sqrt(mags**2 + delta**2)
         val = (mags * self.mesh.cell_measures).sum(axis=-1)
         if not with_grad:
-            return _unbatch(single, val)
+            return val
         denom = np.maximum(mags, 1e-300)
-        per_cell = g * (self.mesh.cell_measures / denom)[..., None, None]
-        return _unbatch(single, val, self.mesh.p1_assemble(per_cell))
-
-    def value(self, values, delta=0.0):
-        return self._evaluate(values, delta, with_grad=False)
-
-    def value_and_grad(self, values, delta=0.0):
-        return self._evaluate(values, delta, with_grad=True)
+        return val, [grads * (self.mesh.cell_measures / denom)[..., None, None]], _only
 
 
-class LinearCombo:
+class LinearCombo(_Objective):
     def __init__(self, terms):
         self.terms = list(terms)
         self.M = self.terms[0][1].M
+        self.mesh = self.terms[0][1].mesh
 
-    def value(self, values, delta=0.0):
-        return sum(c * o.value(values, delta) for c, o in self.terms)
-
-    def value_and_grad(self, values, delta=0.0):
-        total, grad = 0.0, None
+    def from_cells(self, grads, delta=0.0, with_grad=False):
+        if not with_grad:
+            return sum(c * o.from_cells(grads, delta) for c, o in self.terms)
+        total, parts, pieces = 0.0, [], []
         for c, o in self.terms:
-            v, g = o.value_and_grad(values, delta)
+            v, p, finish = o.from_cells(grads, delta, True)
             total += c * v
-            grad = c * g if grad is None else grad + c * g
-        return total, grad
+            pieces.append((c, finish, len(parts), len(parts) + len(p)))
+            parts += p
+
+        def combine(assembled):
+            grad = None
+            for c, finish, i, j in pieces:
+                g = finish(assembled[i:j])
+                grad = c * g if grad is None else grad + c * g
+            return grad
+
+        return total, parts, combine
 
 
-class RayleighQuotient:
+class RayleighQuotient(_Objective):
     """num(phi) / den(phi) for 1-homogeneous numerator and denominator;
     +inf where the denominator is below `den_floor`."""
 
@@ -270,25 +303,27 @@ class RayleighQuotient:
         self.den = den
         self.den_floor = den_floor
         self.M = num.M
+        self.mesh = num.mesh
 
     def denominator(self, values):
         return self.den.value(values, 0.0)
 
-    def value(self, values, delta=0.0):
-        batch, single = _as_batch(values)
-        d = self.den.value(batch, delta)
-        n = self.num.value(batch, delta)
-        val = np.where(d < self.den_floor, np.inf, n / np.maximum(d, self.den_floor))
-        return _unbatch(single, val)
-
-    def value_and_grad(self, values, delta=0.0):
-        batch, single = _as_batch(values)
-        nv, ng = self.num.value_and_grad(batch, delta)
-        dv, dg = self.den.value_and_grad(batch, delta)
+    def from_cells(self, grads, delta=0.0, with_grad=False):
+        if not with_grad:
+            d = self.den.from_cells(grads, delta)
+            n = self.num.from_cells(grads, delta)
+            return np.where(d < self.den_floor, np.inf, n / np.maximum(d, self.den_floor))
+        nv, n_parts, n_finish = self.num.from_cells(grads, delta, True)
+        dv, d_parts, d_finish = self.den.from_cells(grads, delta, True)
         dv = np.maximum(dv, self.den_floor)
         val = nv / dv
-        grad = (ng - val[:, None, None] * dg) / dv[:, None, None]
-        return _unbatch(single, val, grad)
+        k = len(n_parts)
+
+        def combine(assembled):
+            ng, dg = n_finish(assembled[:k]), d_finish(assembled[k:])
+            return (ng - val[:, None, None] * dg) / dv[:, None, None]
+
+        return val, n_parts + d_parts, combine
 
 
 # -- initial fields -----------------------------------------------------------
@@ -341,23 +376,28 @@ def default_inits(mesh, M, clamped, options, rng):
 # -- solver -------------------------------------------------------------------
 
 
-def _shrink(batch, size, cap):
+def _shrink(batch, grads, mesh, size, cap):
     """Scale each field of the batch whose size exceeds cap down onto it;
-    the others are multiplied by exactly 1."""
-    factor = np.divide(cap, size, out=np.ones_like(size), where=size > cap)
-    return batch * factor[:, None, None]
+    the cell gradients are taken again if any field moved."""
+    over = size > cap
+    if not over.any():
+        return batch, grads
+    factor = np.divide(cap, size, out=np.ones_like(size), where=over)
+    batch = batch * factor[:, None, None]
+    return batch, mesh.p1_gradient(batch)
 
 
-def _project(batch, mesh, options):
-    """Rescale each field of a batch (R, nv, M) onto the feasible set."""
+def _project(batch, grads, mesh, options):
+    """Rescale each field of a batch (R, nv, M) with cell gradients `grads`
+    onto the feasible set; returns the fields and their cell gradients."""
     if options.grad_cap > 0:
-        g = mesh.p1_gradient(batch)
-        mags = np.linalg.norm(g.reshape(len(batch), mesh.n_cells, -1), axis=-1)
-        batch = _shrink(batch, mags.max(axis=-1, initial=0.0), options.grad_cap)
+        mags = row_norms(grads.reshape(len(batch), mesh.n_cells, -1))
+        batch, grads = _shrink(batch, grads, mesh, mags.max(axis=-1, initial=0.0),
+                               options.grad_cap)
     if options.tv_cap > 0:
-        tv = TVObjective(mesh, batch.shape[2]).value(batch)
-        batch = _shrink(batch, tv, options.tv_cap)
-    return batch
+        tv = TVObjective(mesh, batch.shape[2]).from_cells(grads)
+        batch, grads = _shrink(batch, grads, mesh, tv, options.tv_cap)
+    return batch, grads
 
 
 def _first_nonfinite(x):
@@ -369,9 +409,7 @@ def minimize_field(objective, mesh, clamped, options=None):
     """Minimize a field objective over clamped P1 fields; see module docstring."""
     options = options or SolverOptions()
     clamped = np.asarray(clamped, dtype=np.int64)
-    rng = np.random.default_rng(options.seed)
-    inits = default_inits(mesh, objective.M, clamped, options, rng)
-    n = len(inits)
+    n = max(options.restarts, len(options.extra_inits) + 1)  # starts made below
     work = mesh.n_cells * n * options.max_iter
     if work > MAX_WORK:
         raise SolverBudgetError(
@@ -379,27 +417,33 @@ def minimize_field(objective, mesh, clamped, options=None):
             f"{options.max_iter} iterations = {work:.3g}, "
             f"over the budget {MAX_WORK:.3g}"
         )
+    rng = np.random.default_rng(options.seed)
+    inits = default_inits(mesh, objective.M, clamped, options, rng)
     normalize = options.mode == "normalize"
     size = max(1, BATCH_CELLS // mesh.n_cells)
 
     def chunks(rows):
         return (rows[i:i + size] for i in range(0, len(rows), size))
 
-    # per restart: the current iterate, the best value and where it was reached
+    # per restart: the current iterate and its cell gradients, the best value
+    # and where it was reached
     fields = np.array(inits)
     fields[:, clamped] = 0.0
+    grads = np.zeros((n, mesh.n_cells, objective.M, mesh.dim))
     d = np.ones(n)
     for rows in chunks(np.arange(n)):
-        fields[rows] = _project(fields[rows], mesh, options)
+        fields[rows], G = _project(fields[rows], mesh.p1_gradient(fields[rows]),
+                                   mesh, options)
         if normalize:
-            d[rows] = objective.denominator(fields[rows])
+            d[rows] = objective.den.from_cells(G)
     usable = ~(d < 1e-12)
     fields /= np.where(usable, d, 1.0)[:, None, None]
     if not usable.any():
         raise FieldEvaluationError("no usable start (degenerate inits)", None)
     best = np.full(n, np.inf)
     for rows in chunks(np.flatnonzero(usable)):
-        best[rows] = objective.value(fields[rows], 0.0)
+        grads[rows] = mesh.p1_gradient(fields[rows])
+        best[rows] = objective.from_cells(grads[rows], 0.0)
         bad = _first_nonfinite(best[rows])
         if bad is not None:
             r = rows[bad]
@@ -417,8 +461,10 @@ def minimize_field(objective, mesh, clamped, options=None):
     reasons = np.where(usable, "iteration_cap", "unusable_start").astype(object)
 
     def advance(rows, delta, active, flat):
-        """One iteration of the restarts `rows`, all in the same stage."""
-        _, g = objective.value_and_grad(fields[rows], delta)
+        """One iteration of the restarts `rows`, all in the same stage: one
+        assembly, and the cell gradients of the step and of its rescaling."""
+        _, parts, finish = objective.from_cells(grads[rows], delta, with_grad=True)
+        g = _assemble(mesh, parts, finish)
         g[:, clamped] = 0.0
         # one dot per restart, as np.linalg.norm of a single field takes it
         gn = np.sqrt([gr.dot(gr) for gr in g.reshape(len(rows), -1)])
@@ -435,16 +481,18 @@ def minimize_field(objective, mesh, clamped, options=None):
         alpha = step0[rows] / np.sqrt(1.0 + k_global[rows])
         new = fields[rows] - alpha[:, None, None] * (g / gn[:, None, None])
         new[:, clamped] = 0.0
-        new = _project(new, mesh, options)
+        new, G = _project(new, mesh.p1_gradient(new), mesh, options)
         if normalize:
-            d = objective.denominator(new)
+            d = objective.den.from_cells(G)
             new /= np.where(d > 1e-12, d, 1.0)[:, None, None]
+            G = mesh.p1_gradient(new)
         k_global[rows] += 1
-        v = objective.value(new, 0.0)
+        v = objective.from_cells(G, 0.0)
         bad = _first_nonfinite(v)
         if bad is not None:
             raise FieldEvaluationError("objective non-finite", new[bad])
         fields[rows] = new
+        grads[rows] = G
         lb = best[rows]
         better = v < lb - 1e-14 * (1.0 + np.abs(lb))
         up, rest = rows[better], rows[~better]

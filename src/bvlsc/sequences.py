@@ -35,6 +35,7 @@ __all__ = [
     "necessity_witness",
     "NecessityTransferError",
     "PROFILES",
+    "SEQUENCE_KINDS",
 ]
 
 
@@ -86,16 +87,9 @@ def generate(spec, n):
     """Member n of the sequence described by spec."""
     if not 1 <= n <= spec.n_max:
         raise ValueError(f"index {n} outside [1, {spec.n_max}]")
-    kind = spec.kind
-    if kind == "jump_migration":
-        return _jump_migration(spec, n)
-    if kind == "boundary_rescale":
-        return _boundary_rescale(spec, n)
-    if kind == "fixed_trace_oscillation":
-        return _fixed_trace_oscillation(spec, n)
-    if kind == "pure_boundary_concentration":
-        return _pure_boundary_concentration(spec, n)
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    if spec.kind not in _GENERATORS:
+        raise ValueError(f"unknown sequence kind {spec.kind!r}")
+    return _GENERATORS[spec.kind](spec, n)
 
 
 def _jump_migration(spec, n):
@@ -185,6 +179,15 @@ def _pure_boundary_concentration(spec, n):
     u = BVFunction.from_vertex_values(mesh, vals)
     u.support_radius = rn  # recorded shrinking support scale
     return u
+
+
+_GENERATORS = {
+    "jump_migration": _jump_migration,
+    "boundary_rescale": _boundary_rescale,
+    "fixed_trace_oscillation": _fixed_trace_oscillation,
+    "pure_boundary_concentration": _pure_boundary_concentration,
+}
+SEQUENCE_KINDS = tuple(_GENERATORS)
 
 
 def empirical_liminf(f, finf, spec, n_values=None, tol=1e-6, stability_rel=0.05,

@@ -34,6 +34,7 @@ from .minimize import SolverOptions
 from .quasiconvex import default_qc_mesh, qc_deficit
 from .regions import CompactSet
 from .sequences import (
+    SEQUENCE_KINDS,
     NecessityTransferError,
     SequenceSpec,
     empirical_liminf,
@@ -79,10 +80,77 @@ def _line_of(text, key):
     return None
 
 
-def _positive_number(x):
+def _finite_number(x):
+    """A JSON number (not a bool) with a finite float value."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
-    return x > 0 and (isinstance(x, int) or math.isfinite(x))
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _positive_number(x):
+    return _finite_number(x) and x > 0
+
+
+def _positive_int(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
+def _validate_solver(solver, err):
+    if not isinstance(solver, dict):
+        err("'solver' must be an object", "solver")
+        return
+    for key in ("restarts", "max_iter", "patience"):
+        if key in solver and not _positive_int(solver[key]):
+            err(f"'solver.{key}' must be a positive integer, got {solver[key]!r}", key)
+    if "step0" in solver and not (_finite_number(solver["step0"])
+                                  and solver["step0"] >= 0):
+        err(f"'solver.step0' must be a non-negative finite number, got "
+            f"{solver['step0']!r}", "step0")
+    smoothing = solver.get("smoothing", [])
+    if not (isinstance(smoothing, list)
+            and all(_finite_number(d) and d >= 0 for d in smoothing)):
+        err(f"'solver.smoothing' must be a list of non-negative finite numbers, "
+            f"got {smoothing!r}", "smoothing")
+
+
+def _validate_sequence(seq, err):
+    if not isinstance(seq, dict):
+        err("'sequence' must be an object", "sequence")
+        return
+    kinds = SEQUENCE_KINDS + ("none",)
+    if seq.get("kind", "none") not in kinds:
+        err(f"unknown sequence kind {seq['kind']!r} ({'|'.join(kinds)})", "sequence")
+    if "n_max" in seq and not _positive_int(seq["n_max"]):
+        err(f"'sequence.n_max' must be a positive integer, got {seq['n_max']!r}",
+            "n_max")
+    if not isinstance(seq.get("params", {}), dict):
+        err("'sequence.params' must be an object", "params")
+
+
+def _validate_domain(dom, err):
+    if not isinstance(dom, dict):
+        err("'domain' must be an object", "domain")
+        return
+    kind = dom.get("kind")
+    if kind == "interval":
+        a, b = dom.get("a"), dom.get("b")
+        if not (_finite_number(a) and _finite_number(b)):
+            err(f"interval domain needs finite numbers 'a' and 'b', got {a!r}, {b!r}",
+                "domain")
+        elif not float(a) < float(b):
+            err("interval domain needs a < b", "domain")
+    elif kind == "polygon":
+        verts = dom.get("vertices")
+        if not (isinstance(verts, list) and len(verts) >= 3 and all(
+                isinstance(v, list) and len(v) == 2 and all(map(_finite_number, v))
+                for v in verts)):
+            err("polygon domain needs 'vertices', a list of at least 3 [x, y] "
+                "pairs of finite numbers", "domain")
+    else:
+        err(f"unknown domain kind {kind!r} (interval|polygon)", "domain")
 
 
 def _validate(cfg, raw_text=""):
@@ -100,16 +168,9 @@ def _validate(cfg, raw_text=""):
     if "domain" not in cfg:
         err("missing required key 'domain'", "domain")
     else:
-        dom = cfg["domain"]
-        kind = dom.get("kind")
-        if kind == "interval":
-            if not ("a" in dom and "b" in dom and dom["a"] < dom["b"]):
-                err("interval domain needs a < b", "domain")
-        elif kind == "polygon":
-            if "vertices" not in dom:
-                err("polygon domain needs 'vertices'", "domain")
-        else:
-            err(f"unknown domain kind {kind!r} (interval|polygon)", "domain")
+        _validate_domain(cfg["domain"], err)
+    _validate_solver(cfg.get("solver", {}), err)
+    _validate_sequence(cfg.get("sequence", {}), err)
     if "schema_version" in cfg and cfg["schema_version"] != SCHEMA_VERSION:
         err(f"unsupported schema_version {cfg['schema_version']}", "schema_version")
     for key, val in cfg.items():
@@ -160,10 +221,13 @@ class Scenario:
         self.name = self.cfg.get("name", "scenario")
         self.seed = int(self.cfg["seed"])
         dom = self.cfg["domain"]
-        if dom["kind"] == "interval":
-            self.domain = Domain.interval(dom["a"], dom["b"])
-        else:
-            self.domain = Domain.polygon(dom["vertices"])
+        try:
+            if dom["kind"] == "interval":
+                self.domain = Domain.interval(dom["a"], dom["b"])
+            else:
+                self.domain = Domain.polygon(dom["vertices"])
+        except ValueError as e:  # e.g. a polygon loop that is not simple
+            raise ConfigError([(str(e), _line_of(raw_text, "domain"))]) from e
         self.integrand = catalog_get(
             self.cfg["integrand"]["tag"], self.cfg["integrand"].get("params")
         )

@@ -259,6 +259,50 @@ def test_refine_bv_1d_exact():
     assert abs(r.l1_norm() - u.l1_norm()) <= 1e-12
 
 
+def _reference_refine_bv_1d(u, coords):
+    """refine_bv_1d with its cells re-evaluated one at a time."""
+    mesh = u.mesh
+    old = mesh.vertices[:, 0]
+    a, b = float(old.min()), float(old.max())
+    coords = np.asarray(coords, dtype=float)
+    coords = coords[(coords > a + 1e-14) & (coords < b - 1e-14)]
+    pts = np.unique(np.concatenate([old, np.round(coords, 14)]))
+    pts = pts[np.concatenate([[True], np.diff(pts) > 1e-14])]
+    n = len(pts) - 1
+    old_cells = mesh.vertices[mesh.cells][:, :, 0]
+    lefts = old_cells[:, 0]
+    new_cv = np.zeros((n, 2, u.M))
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    parent = np.searchsorted(np.sort(lefts), mid, side="right") - 1
+    order = np.argsort(lefts)
+    for ci in range(n):
+        pi = order[parent[ci]]
+        x0, x1 = old_cells[pi]
+        v0, v1 = u.cell_values[pi, 0], u.cell_values[pi, 1]
+        for loc, x in enumerate((pts[ci], pts[ci + 1])):
+            t = (x - x0) / (x1 - x0)
+            new_cv[ci, loc] = v0 + t * (v1 - v0)
+    return pts, new_cv
+
+
+def test_refine_bv_1d_matches_cell_loop():
+    rng = np.random.default_rng(3)
+    mesh = interval_mesh_with(-1.0, 2.0, 0.3, [0.05, 0.7],
+                              domain=Domain.interval(-1.0, 2.0))
+    rough = BVFunction(mesh, rng.normal(size=(mesh.n_cells, 2, 2)))
+    cases = [
+        (jump_member(4), [0.1234, 0.456, 0.789]),
+        (jump_member(7), np.linspace(-0.5, 1.5, 41)),
+        (rough, rng.uniform(-1.2, 2.2, size=60)),
+        (rough, np.concatenate([mesh.vertices[:, 0], [0.05 + 1e-15, 1.0]])),
+    ]
+    for u, coords in cases:
+        r = refine_bv_1d(u, coords)
+        pts, cv = _reference_refine_bv_1d(u, coords)
+        assert r.mesh.vertices[:, 0].tobytes() == pts.tobytes()
+        assert r.cell_values.tobytes() == cv.tobytes()
+
+
 def test_tv_on_neighborhood_atoms_exact():
     u = jump_member(4)
     mu = derivative(u)

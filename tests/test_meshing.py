@@ -13,6 +13,7 @@ from bvlsc.meshing import (
     interval_mesh_with,
     local_patch,
     rectangle_mesh,
+    row_norms,
     unit_square_mesh,
 )
 from bvlsc.quasiconvex import default_qc_mesh
@@ -138,6 +139,39 @@ def test_batched_p1_operators_equal_one_field_at_a_time(mesh):
         for r in range(R):
             assert grads[r].tobytes() == mesh.p1_gradient(V[r]).tobytes()
             assert assembled[r].tobytes() == mesh.p1_assemble(G[r]).tobytes()
+
+
+@pytest.mark.parametrize("mesh", [
+    interval_mesh(0.0, 1.0, 0.1),
+    halfball_mesh([0.6, 0.8], 0.25),
+], ids=["1d", "2d"])
+@pytest.mark.parametrize("M", [1, 3])
+def test_p1_assemble_matches_add_at_scatter(mesh, M):
+    """Reference: the einsum and np.add.at scatter p1_assemble used to run."""
+    rng = np.random.default_rng(5)
+    G = rng.normal(size=(3, mesh.n_cells, M, mesh.dim))
+    G *= np.exp(4.0 * rng.normal(size=G.shape))
+    for per_cell in (G[0], G):
+        batch = per_cell.shape[:-3]
+        R = int(np.prod(batch, dtype=int))
+        cells = (mesh.cells[None] + mesh.n_vertices * np.arange(R)[:, None, None])
+        grads = np.tile(mesh.shape_gradients, (R, 1, 1))
+        contrib = np.einsum("cmn,cin->cim", per_cell.reshape(-1, M, mesh.dim), grads)
+        want = np.zeros((R * mesh.n_vertices, M))
+        np.add.at(want, cells.reshape(-1, mesh.dim + 1), contrib)
+        got = mesh.p1_assemble(per_cell)
+        assert got.shape == batch + (mesh.n_vertices, M)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 6])
+def test_row_norms_equal_numpy_norm_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    for shape in [(20_000, width), (1, width), (7, 50, width)]:
+        x = rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
+        assert row_norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+    x = rng.normal(size=(20_000, width))
+    assert row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
 
 
 def _loop_rectangle_cells(nx, ny):

@@ -6,7 +6,7 @@ import pytest
 
 from bvlsc import minimize
 from bvlsc.integrands import Integrand, catalog_get
-from bvlsc.meshing import halfball_mesh, interval_mesh, unit_square_mesh
+from bvlsc.meshing import Mesh, halfball_mesh, interval_mesh, unit_square_mesh
 from bvlsc.minimize import (
     BulkObjective,
     FieldEvaluationError,
@@ -367,6 +367,18 @@ def test_lockstep_raises_where_per_restart_loop_raises():
     assert exc.value.values is not None
 
 
+def test_work_budget_is_checked_before_the_starts_are_built(monkeypatch):
+    mesh = unit_square_mesh(3)
+
+    def no_starts(*args):
+        raise AssertionError("starts built for an over-budget solve")
+
+    monkeypatch.setattr(minimize, "default_inits", no_starts)
+    with pytest.raises(minimize.SolverBudgetError, match="over the budget"):
+        minimize_field(BulkObjective(mesh, _norm()), mesh, mesh.boundary_vertices,
+                       SolverOptions(restarts=10**9))
+
+
 def test_no_usable_start_raises():
     mesh = unit_square_mesh(3)
     tv = TVObjective(mesh, 1)
@@ -413,3 +425,41 @@ def test_batch_of_five_equals_five_single_calls(mesh, delta, name):
         # smoothing lifts the denominator of the zero field to delta * |domain|
         assert vals[2] == np.inf
         assert np.isfinite(vg_vals[2])
+
+
+# -- mesh operator calls per iteration ------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["normalize_degenerate_init", "plain_grad_cap",
+                                  "plain_tv_cap"])
+@pytest.mark.parametrize("chunked", [False, True], ids=["one_batch", "chunked"])
+def test_iteration_takes_two_gradients_and_one_assembly(case, chunked, monkeypatch):
+    objective, mesh, clamped, opts = _lockstep_cases()[case]
+    if chunked:
+        monkeypatch.setattr(minimize, "BATCH_CELLS", 2 * mesh.n_cells)
+    calls = {"p1_gradient": 0, "p1_assemble": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _inner=getattr(Mesh, name)):
+            calls[_name] += 1
+            return _inner(self, *args)
+        monkeypatch.setattr(Mesh, name, counted)
+    # an iteration starts where the gradient of its restarts is asked for
+    starts = []
+    inner = objective.from_cells
+
+    def marked(grads, delta=0.0, with_grad=False):
+        if with_grad:
+            starts.append((calls["p1_gradient"], calls["p1_assemble"]))
+        return inner(grads, delta, with_grad)
+
+    monkeypatch.setattr(objective, "from_cells", marked)
+    res = minimize_field(objective, mesh, clamped, opts)
+    # the last start is the final stationarity gradient, so the last difference
+    # also holds the work after the loop
+    per_iteration = np.diff(np.array(starts), axis=0)[:-1]
+    assert len(per_iteration) >= res.iterations // 7 >= 10
+    assert np.all(per_iteration[:, 1] == 1)
+    assert per_iteration[:, 0].max() <= 2
+    if case == "normalize_degenerate_init":
+        # the stepped field, then the field renormalized to unit denominator
+        assert np.all(per_iteration[:, 0] == 2)

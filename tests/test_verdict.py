@@ -2,6 +2,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bvlsc.boundary
 import bvlsc.verdict
@@ -250,3 +252,64 @@ def test_unknown_check_key_is_schema_error(tmp_path, capsys):
                                   lambda cfg: cfg["checks"].update(refinment=True))
     assert (code, verdict) == (2, None)
     assert "unknown check 'refinment'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: cfg["solver"].update(max_iter=0, patience=-3),
+     "'solver.max_iter' must be a positive integer"),
+    (lambda cfg: cfg["solver"].update(restarts="many"),
+     "'solver.restarts' must be a positive integer"),
+    (lambda cfg: cfg["solver"].update(patience=2.0),
+     "'solver.patience' must be a positive integer"),
+    (lambda cfg: cfg["solver"].update(step0=-0.1), "'solver.step0' must be"),
+    (lambda cfg: cfg["solver"].update(smoothing=[0.1, float("inf")]),
+     "'solver.smoothing' must be a list"),
+    (lambda cfg: cfg["solver"].update(smoothing=0.1), "'solver.smoothing' must be"),
+    (lambda cfg: cfg.update(solver=[8]), "'solver' must be an object"),
+    (lambda cfg: cfg["sequence"].update(kind="bogus"), "unknown sequence kind 'bogus'"),
+    (lambda cfg: cfg["domain"].update(a="x"), "interval domain needs finite numbers"),
+    (lambda cfg: cfg["domain"].update(b=None), "interval domain needs finite numbers"),
+])
+def test_degenerate_solver_sequence_and_domain_are_schema_errors(tmp_path, capsys,
+                                                                 edit, message):
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["solver"] = {}
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    code, verdict = run_scenario(path, out_dir=tmp_path / "out")
+    assert (code, verdict) == (2, None)
+    assert message in capsys.readouterr().out
+
+
+_BUNDLED_CONFIGS = {name: json.loads(path.read_text())
+                    for name, path in bundled_scenarios().items()}
+_FIELDS = ["kind", "a", "b", "vertices", "restarts", "max_iter", "patience",
+           "step0", "smoothing", "n_max", "params"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["interval", "polygon", "none", "jump_migration"])
+    | st.text(max_size=6)
+    | st.lists(st.lists(st.integers(-2, 2) | st.floats(-2, 2), min_size=2, max_size=2),
+               min_size=3, max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+_json_objects = st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=6),
+                                _json_values, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_BUNDLED_CONFIGS)),
+       section=st.sampled_from(["domain", "solver", "sequence"]),
+       obj=_json_objects)
+def test_any_object_as_domain_solver_or_sequence_is_valid_or_a_config_error(
+        name, section, obj):
+    cfg = json.loads(json.dumps(_BUNDLED_CONFIGS[name]))
+    cfg[section] = obj
+    try:
+        scenario = Scenario(cfg)
+    except ConfigError:
+        return
+    scenario.solver_options()
