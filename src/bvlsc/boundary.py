@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from .integrands import freeze_x
-from .meshing import BoundaryPoint, halfball_mesh, local_patch
+from .meshing import BoundaryPoint, MeshStack, halfball_mesh, local_patch
 from .minimize import (
     BulkObjective,
     LinearCombo,
@@ -34,6 +34,7 @@ from .minimize import (
     SolverOptions,
     TVObjective,
     minimize_field,
+    minimize_fields,
 )
 from .quasiconvex import qc_deficit
 
@@ -41,6 +42,7 @@ __all__ = [
     "QslbReport",
     "QuotientBoundError",
     "halfball_deficit",
+    "halfball_deficits",
     "epsdelta_probe",
     "equivalence_harness",
 ]
@@ -117,38 +119,72 @@ def _layer_inits(mesh, nu, M, clamped, widths):
 
 
 def halfball_deficit(finf, x0, h=0.05, tol=1e-3, options=None, mesh=None):
-    """Minimized half-ball Rayleigh quotient for f_inf(x0, .) at a boundary point."""
-    if not isinstance(x0, BoundaryPoint):
-        raise TypeError("x0 must be a BoundaryPoint (needs an outward normal)")
-    nu = x0.normal
-    mesh = mesh or halfball_mesh(nu, h)
-    g = freeze_x(finf.as_integrand(), x0.x0)
-    clamped = _halfball_clamped(mesh, nu)
-    num = BulkObjective(mesh, g)
-    den = TVObjective(mesh, g.M)
-    objective = RayleighQuotient(num, den)
+    """Minimized half-ball Rayleigh quotient for f_inf(x0, .) at a boundary
+    point; the one-job case of halfball_deficits, raising the error that
+    ended the job."""
+    (rep,) = halfball_deficits(finf, [(x0, options, mesh)], h=h, tol=tol)
+    if isinstance(rep, Exception):
+        raise rep
+    return rep
 
-    base = options or SolverOptions()
-    widths = (2 * mesh.h, 4 * mesh.h, 8 * mesh.h, 0.5)
-    extra = tuple(_layer_inits(mesh, nu, g.M, clamped, widths)) + tuple(
-        base.extra_inits
-    )
-    opts = replace(base, restarts=max(base.restarts, len(extra) + 2),
-                   mode="normalize", grad_cap=0.0, tv_cap=0.0, extra_inits=extra)
-    res = minimize_field(objective, mesh, clamped, opts)
 
+def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
+    """halfball_deficit for each job (x0, options, mesh), mesh None meaning
+    halfball_mesh(x0.normal, h), as one family.
+
+    The half-balls of the jobs must share one cells array, as halfball_mesh
+    builds them for one h (rotations of one mesh in 2D, the two unit intervals
+    in 1D), so their solves advance as one lockstep batch (minimize_fields) on
+    a MeshStack.  Returns one entry per job, in order: its QslbReport, or the
+    error that ended it (the other jobs finish as they would alone).
+    """
+    out = [None] * len(jobs)
+    base = finf.as_integrand()
+    family = []  # (job, mesh, integrand, clamped, options) of each live job
+    for j, (x0, options, mesh) in enumerate(jobs):
+        try:
+            if not isinstance(x0, BoundaryPoint):
+                raise TypeError("x0 must be a BoundaryPoint (needs an outward normal)")
+            mesh = mesh or halfball_mesh(x0.normal, h)
+        except Exception as e:  # collect and continue
+            out[j] = e
+            continue
+        clamped = _halfball_clamped(mesh, x0.normal)
+        opts = options or SolverOptions()
+        widths = (2 * mesh.h, 4 * mesh.h, 8 * mesh.h, 0.5)
+        extra = tuple(_layer_inits(mesh, x0.normal, base.M, clamped, widths)) + tuple(
+            opts.extra_inits
+        )
+        opts = replace(opts, restarts=max(opts.restarts, len(extra) + 2),
+                       mode="normalize", grad_cap=0.0, tv_cap=0.0, extra_inits=extra)
+        family.append((j, mesh, freeze_x(base, x0.x0), clamped, opts))
+    if not family:
+        return out
+
+    meshes = [m for _, m, _, _, _ in family]
+    stack = meshes[0] if len(meshes) == 1 else MeshStack(meshes)
+    objective = RayleighQuotient(BulkObjective(stack, [g for _, _, g, _, _ in family]),
+                                 TVObjective(stack, base.M))
+    results = minimize_fields(objective, [(m, c, o) for _, m, _, c, o in family])
     c_inf = finf.sup_on_sphere()
+    for (j, mesh, _, _, _), res in zip(family, results):
+        out[j] = res if isinstance(res, Exception) else _qslb_report(
+            jobs[j][0], mesh, res, c_inf, tol)
+    return out
+
+
+def _qslb_report(x0, mesh, res, c_inf, tol):
     deficit = res.value
     # the quotient of sums can never leave [-C_inf, C_inf]; the margin covers
     # the sampling error of the sphere maximum
     if abs(deficit) > c_inf * (1.0 + 1e-3) + 1e-6:
-        raise QuotientBoundError(
+        return QuotientBoundError(
             f"quotient {deficit} outside the homogeneity bound [-{c_inf}, {c_inf}]"
         )
     violated = deficit < -tol
     return QslbReport(
         x0=x0.x0,
-        nu=nu,
+        nu=x0.normal,
         deficit=deficit,
         verdict="violated" if violated else "qslb-plausible",
         witness=res.witness if violated else None,

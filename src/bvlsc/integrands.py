@@ -54,8 +54,11 @@ class Integrand:
 
     grad_xi, when absent, falls back to central finite differences.  smoothed
     returns an integrand usable by the nonsmooth solver; the default returns
-    self (already smooth, or a user integrand without a surrogate).
+    self (already smooth, or a user integrand without a surrogate).  `frozen`
+    is (f, x0) for freeze_x(f, x0), which evaluates as f at rows of x0.
     """
+
+    frozen = None
 
     def __init__(self, fn, M, N, growth, tag="user", params=None, grad=None,
                  recession=None, mu_analytic=None, smoother=None):
@@ -330,13 +333,6 @@ def _mk_linear(A, tag="linear"):
     )
 
 
-def _smooth_norm(delta):
-    def s(xi):
-        return np.sqrt(_frob(xi) ** 2 + delta**2)
-
-    return s
-
-
 def _mk_norm(sign=1.0, tag="norm", M=1, N=1):
     def fn(x, xi):
         return sign * _frob(xi)
@@ -570,8 +566,10 @@ def freeze_x(f, x0):
     def smoother(delta):
         return freeze_x(f.smoothed(delta), x0)
 
-    return Integrand(
+    g = Integrand(
         fn, f.M, f.N, growth=f.growth, tag=f"frozen({f.tag})",
         params={"x0": x0.tolist(), "inner": f.tag}, grad=grad, recession=rec,
         mu_analytic=f.mu_analytic, smoother=smoother,
     )
+    g.frozen = (f, x0)
+    return g

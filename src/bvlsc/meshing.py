@@ -16,12 +16,14 @@ rectangle, polygon and half-ball constructors refuse meshes over MAX_CELLS
 cells with MeshBudgetError before building anything.
 """
 
+import copy
+
 import numpy as np
-from scipy.spatial import Delaunay
 
 __all__ = [
     "Domain",
     "Mesh",
+    "MeshStack",
     "BoundaryPoint",
     "Patch",
     "build_mesh",
@@ -367,43 +369,58 @@ class Mesh:
             )
         return self._refine_cache[key]
 
-    def p1_gradient(self, values):
+    # a mesh is the one copy of a family (see MeshStack): every field of a
+    # batch lies on it
+    copies = 1
+
+    def take(self, copies):
+        return self
+
+    def p1_gradient(self, values, shapes=None):
         """Cellwise gradient of a continuous P1 field; values (nv, M) -> (nc, M, dim).
 
         A batch (R, nv, M) of fields is one field on R disjoint copies of the
         mesh and gives (R, nc, M, dim), every entry summed as for one field.
+        `shapes` (R, nc, dim+1, dim) gives each field of a batch the shape
+        gradients of its own mesh with these cells (see MeshStack).
         """
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
         batch, M = values.shape[:-2], values.shape[-1]
-        cells, grads = self._copies_for(batch)
+        cells, grads = self._copies_for(batch, shapes)
         out = np.einsum("cim,cid->cmd", values.reshape(-1, M)[cells], grads)
         return out.reshape(batch + (self.n_cells, M, self.dim))
 
-    def p1_assemble(self, per_cell):
+    def p1_assemble(self, per_cell, shapes=None):
         """Adjoint of p1_gradient: per-cell (nc, M, dim) -> vertex (nv, M).
 
         sum(p1_gradient(v) * G) == sum(v * p1_assemble(G)), so the gradient of
         sum_c G_c : grad v on cell c with respect to v is p1_assemble(G).  A
         batch (R, nc, M, dim) gives (R, nv, M).  Each vertex entry adds its
-        cell contributions in cell order, starting from 0.0.
+        cell contributions in cell order, starting from 0.0.  `shapes` (R', nc,
+        dim+1, dim), R a multiple of R', gives batch entry r the shape
+        gradients shapes[r % R'].
         """
         batch, M = per_cell.shape[:-3], per_cell.shape[-2]
-        cells, grads = self._copies_for(batch)
+        cells, grads = self._copies_for(batch, shapes)
         contrib = np.einsum("cmn,cin->cim", per_cell.reshape(-1, M, self.dim), grads)
         slots = (cells[..., None] * M + np.arange(M)).ravel()
         size = np.prod(batch, dtype=int) * self.n_vertices * M
         out = np.bincount(slots, contrib.ravel(), minlength=size)
         return out.reshape(batch + (self.n_vertices, M))
 
-    def _copies_for(self, batch):
+    def _copies_for(self, batch, shapes=None):
         """Cells and shape gradients for one field (batch == ()) or for R
         fields (batch == (R,)) on R disjoint copies of the mesh, copy r with
-        its vertex ids offset by r * n_vertices.  The tiling is built for the
-        largest R asked so far; a smaller R takes its leading slice."""
+        its vertex ids offset by r * n_vertices and the shape gradients of
+        this mesh or, given `shapes`, of shapes[r % len(shapes)].  The tiling
+        is built for the largest R asked so far; a smaller R takes its
+        leading slice."""
         if not batch:
-            return self.cells, self.shape_gradients
+            if shapes is None:
+                return self.cells, self.shape_gradients
+            return self.cells, shapes.reshape(self.shape_gradients.shape)
         R = batch[0]
         if R > self._copies[0]:
             offsets = np.arange(R)[:, None, None] * self.n_vertices
@@ -411,7 +428,12 @@ class Mesh:
             grads = np.tile(self.shape_gradients, (R, 1, 1))
             self._copies = (R, _lock(cells), _lock(grads))
         n = R * self.n_cells
-        return self._copies[1][:n], self._copies[2][:n]
+        if shapes is None:
+            return self._copies[1][:n], self._copies[2][:n]
+        grads = shapes.reshape(-1, self.dim + 1, self.dim)
+        if len(grads) < n:
+            grads = np.tile(grads, (n // len(grads), 1, 1))
+        return self._copies[1][:n], grads
 
     def gradient_masses(self, grads):
         """Per-cell |g|_F * |cell| of cellwise gradients (nc, M, dim)."""
@@ -467,6 +489,55 @@ class Mesh:
             f"Mesh(dim={self.dim}, vertices={self.n_vertices}, "
             f"cells={self.n_cells}, h={self.h:.4g})"
         )
+
+
+class MeshStack:
+    """Meshes with one cells array, such as the half-balls of different normals
+    (rotations of one mesh), stacked as the copies of a family.
+
+    A batch of fields (P, nv, M) evaluates with field p on mesh p: the P1
+    operators run as Mesh runs them on a batch, with each copy's shape
+    gradients, so every entry has the bits of its own mesh.  `take(copies)`
+    stacks the meshes `copies` (indices, repeats allowed) for a batch whose
+    field r lies on mesh copies[r].
+    """
+
+    def __init__(self, meshes):
+        self.meshes = tuple(meshes)
+        base = self.meshes[0]
+        if any(m.n_vertices != base.n_vertices or not np.array_equal(m.cells, base.cells)
+               for m in self.meshes):
+            raise ValueError("stacked meshes must share one cells array")
+        self._base = base
+        self.cells, self.dim = base.cells, base.dim
+        self.n_cells, self.n_vertices = base.n_cells, base.n_vertices
+        self.copies = len(self.meshes)
+        self.shape_gradients = np.stack([m.shape_gradients for m in self.meshes])
+        self.cell_measures = np.stack([m.cell_measures for m in self.meshes])
+        self._taken = (None, None)  # the last take, shared by the terms asking
+
+    def take(self, copies):
+        key = np.asarray(copies).tobytes()
+        if self._taken[0] != key:
+            view = copy.copy(self)
+            view.meshes = tuple(self.meshes[i] for i in copies)
+            view.copies = len(copies)
+            view.shape_gradients = self.shape_gradients[copies]
+            view.cell_measures = self.cell_measures[copies]
+            view._taken = (None, None)
+            self._taken = (key, view)
+        return self._taken[1]
+
+    def quadrature(self, order=2):
+        """Per-copy quadrature points and weights: (P, nc, nq, dim), (P, nc, nq)."""
+        pts, wts = zip(*(m.quadrature(order) for m in self.meshes))
+        return np.stack(pts), np.stack(wts)
+
+    def p1_gradient(self, values):
+        return self._base.p1_gradient(values, self.shape_gradients)
+
+    def p1_assemble(self, per_cell):
+        return self._base.p1_assemble(per_cell, self.shape_gradients)
 
 
 # -- constructors -----------------------------------------------------------
@@ -540,6 +611,8 @@ def _polygon_mesh(domain, h):
     inside = region.contains(grid, tol=1e-12) & (bdist > 0.3 * h)
     pts = np.vstack([np.array(pts), grid[inside]])
     pts = np.unique(np.round(pts, 12), axis=0)
+    from scipy.spatial import Delaunay  # imported here: it costs 0.4 s per process
+
     tri = Delaunay(pts)
     cent = pts[tri.simplices].mean(axis=1)
     keep = region.contains(cent, tol=1e-12) & (_tri_areas(pts, tri.simplices) > 1e-13)
@@ -580,6 +653,8 @@ def halfball_mesh(normal, h_target):
         pts.append(ring)
     pts = np.vstack(pts)
     pts[np.abs(pts[:, 0]) < 1e-14, 0] = 0.0
+    from scipy.spatial import Delaunay  # imported here: it costs 0.4 s per process
+
     tri = Delaunay(pts)
     areas = _tri_areas(pts, tri.simplices)
     cells = tri.simplices[areas > 1e-13]

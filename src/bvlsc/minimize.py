@@ -17,6 +17,16 @@ for the restart alone, so the result equals that of running the restarts
 one after another, and ties still go to the lowest restart.  Batches larger
 than BATCH_CELLS cells x restarts advance in chunks.
 
+A family of independent problems advances the same way (minimize_fields):
+the restarts of all problems form one batch, problem p on copy p of an
+objective whose parameters vary per copy (BulkObjective's integrand point,
+xi0 and offset; the meshes of a MeshStack, which share one cells array).
+Each problem keeps its own starts, clamped set, best restart,
+normalization and residual, so its SolveResult equals minimize_field's for
+the problem alone; a problem whose objective turns non-finite, or whose
+solve is over the work budget, ends with its error and leaves the others
+unchanged.  minimize_field is the one-problem case.
+
 Objectives evaluate from cell gradients (see the objectives section below),
 and each restart keeps the cell gradients of its iterate.  An iteration takes
 its smoothed gradient from them with one p1_assemble call, then takes the
@@ -33,11 +43,12 @@ back onto the feasible set.  In `normalize` mode the objective must be a
 denominator, and the witness is returned with denominator exactly 1.  A
 start whose denominator is below 1e-12 is skipped.
 
-A solve whose cells x restarts x iterations exceed MAX_WORK raises
-SolverBudgetError before its first iteration.
+A solve whose cells x restarts x iterations exceed MAX_WORK raises (or, in
+a family, ends with) SolverBudgetError before its first iteration.
 """
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +65,7 @@ __all__ = [
     "FieldEvaluationError",
     "SolverBudgetError",
     "minimize_field",
+    "minimize_fields",
     "tent_field",
 ]
 
@@ -161,6 +173,11 @@ class SolverOptions:
 # float and an (nv, M) gradient, or a batch (R, nv, M), each entry computed
 # as for the field alone.  The solver keeps each restart's cell gradients and
 # calls from_cells directly.
+#
+# An objective of P copies (a family, see BulkObjective) evaluates a batch of
+# R = P fields, field r on copy r; take(copies) gives the objective of a batch
+# whose field r lies on copy copies[r].  An objective of one copy serves any
+# batch.
 
 
 def _as_batch(values):
@@ -191,6 +208,13 @@ def _only(assembled):
 
 
 class _Objective:
+    # the copies of a family (see BulkObjective); one copy serves every field
+    copies = 1
+
+    def take(self, copies):
+        """The objective for a batch whose field r lies on copy copies[r]."""
+        return self
+
     def value(self, values, delta=0.0):
         batch, single = _as_batch(values)
         return _unbatch(single, self.from_cells(self.mesh.p1_gradient(batch), delta))
@@ -202,60 +226,133 @@ class _Objective:
 
 
 class BulkObjective(_Objective):
-    """E(phi) = sum_cells integral g(x, xi0 + grad phi) dx [- same at xi0]."""
+    """E(phi) = sum_cells integral g(x, xi0 + grad phi) dx [- same at xi0].
+
+    A frozen integrand (freeze_x) is evaluated as its base at the frozen
+    point, once per cell, and its values are repeated over the quadrature
+    points of the cell.
+
+    Copies: `mesh` may be a MeshStack, `g` a list of integrands frozen from one
+    base at different points, and `xi0` a stack (P, M, N) of matrices.  Copy p
+    takes the p-th entry of each (a single entry serves every copy), and a
+    batch of P fields evaluates with field p on copy p, each entry as the
+    objective of its own entries computes it.
+    """
 
     def __init__(self, mesh, g, xi0=None, subtract_offset=False, quad_order=2):
-        self.mesh = mesh
-        self.g = g
-        self.M = g.M
-        self.xi0 = None if xi0 is None else np.asarray(xi0, float).reshape(g.M, g.N)
-        self.quad_order = quad_order
-        self._pts, self._wts = mesh.quadrature(quad_order)
-        self._flat_x = self._pts.reshape(-1, mesh.dim)
-        self._nq = self._pts.shape[1]
-        self._offset = 0.0
-        if subtract_offset:
-            xi = np.zeros((g.M, g.N)) if self.xi0 is None else self.xi0
-            flat_xi = np.repeat(xi[None], len(self._flat_x), axis=0)
-            self._offset = float(np.sum(g(self._flat_x, flat_xi) * self._wts.ravel()))
+        gs = list(g) if isinstance(g, (list, tuple)) else [g]
+        bases = [gi.frozen or (gi, None) for gi in gs]
+        self.g = bases[0][0]
+        if any(b is not self.g for b, _ in bases) or len({x is None for _, x in bases}) > 1:
+            raise ValueError("the copies of a BulkObjective need one integrand, "
+                             "frozen at every copy's point or at none")
+        self.mesh, self.M, self.quad_order = mesh, self.g.M, quad_order
+        nc, dim = mesh.n_cells, mesh.dim
+        self._xi0 = None if xi0 is None else np.asarray(xi0, float).reshape(
+            -1, self.g.M, self.g.N)
+        pts, wts = mesh.quadrature(quad_order)
+        self._wts = wts.reshape(-1, nc, wts.shape[-1])  # (1 or P, nc, nq)
+        # the x rows passed to g: every quadrature point, or the frozen point
+        # once per cell
+        self._frozen = bases[0][1] is not None
+        if self._frozen:
+            x0 = np.stack([x for _, x in bases])
+            self._x = np.repeat(x0[:, None], nc, axis=1)
+        else:
+            self._x = pts.reshape(-1, nc * pts.shape[-2], dim)
+        sizes = {len(gs), len(self._wts)} | ({len(self._xi0)} if xi0 is not None else set())
+        if len(sizes - {1}) > 1:
+            raise ValueError(f"BulkObjective copies disagree: {sorted(sizes)}")
+        self.copies = max(sizes)
         self._smooth_cache = {}
-        self._tiles = (0, None, None)
+        self._tiles = {}
+        self._offset = np.zeros(1)
+        if subtract_offset:
+            self._offset = np.array([self._offset_of(p) for p in range(self.copies)])
 
     def _g_at(self, delta):
         if delta not in self._smooth_cache:
             self._smooth_cache[delta] = self.g.smoothed(delta)
         return self._smooth_cache[delta]
 
-    def _tiled(self, R):
-        """Quadrature points and weights of R mesh copies, built for the
-        largest R asked so far; a smaller R takes the leading slice."""
-        if R > self._tiles[0]:
-            self._tiles = (R, np.tile(self._flat_x, (R, 1)), np.tile(self._wts, (R, 1)))
-        return self._tiles[1][: R * len(self._flat_x)], self._tiles[2][: R * len(self._wts)]
+    def _offset_of(self, p):
+        """E of the zero field on copy p, summed as for its own objective."""
+        def entry(a):
+            return a[p if len(a) > 1 else 0]
+
+        xi = np.zeros((self.g.M, self.g.N)) if self._xi0 is None else entry(self._xi0)
+        x, wts = entry(self._x), entry(self._wts)
+        vals = self.g(x, np.repeat(xi[None], len(x), axis=0))
+        if self._frozen:
+            vals = np.repeat(vals, wts.shape[-1])
+        return float(np.sum(vals * wts.ravel()))
+
+    def _rows(self, name, a, R):
+        """a (1 or R, n, ...) as (R * n, ...), block r from copy r; one copy is
+        tiled for the largest R asked so far and sliced."""
+        if len(a) == R:
+            return a.reshape((-1,) + a.shape[2:])
+        if len(a) != 1:
+            raise ValueError(f"{R} fields for {len(a)} copies")
+        n = a.shape[1]
+        tiled = self._tiles.get(name)
+        if tiled is None or len(tiled) < R * n:
+            tiled = np.tile(a.reshape((-1,) + a.shape[2:]), (R,) + (1,) * (a.ndim - 2))
+            self._tiles[name] = tiled
+        return tiled[: R * n]
+
+    def take(self, copies):
+        if self.copies == 1:
+            return self
+        copies = np.asarray(copies, dtype=np.int64)
+        R = len(copies)
+        view = copy.copy(self)
+        view.mesh, view.copies, view._tiles = self.mesh.take(copies), R, {}
+        for name in ("_xi0", "_offset", "_x", "_wts"):
+            a = getattr(self, name)
+            if a is None:
+                continue
+            if len(a) > 1:
+                a = a[copies]
+            elif name in ("_x", "_wts"):  # tiled from this objective's cache
+                a = self._rows(name, a, R).reshape((R,) + a.shape[1:])
+            setattr(view, name, a)
+        return view
 
     def from_cells(self, grads, delta=0.0, with_grad=False):
         R = len(grads)
         g = self._g_at(delta)
-        x, wts = self._tiled(R)
-        cell_xi = grads.reshape(-1, g.M, self.mesh.dim)
-        if self.xi0 is not None:
-            cell_xi = cell_xi + self.xi0
-        xi = np.repeat(cell_xi, self._nq, axis=0)
-        vals = g(x, xi).reshape(R, -1)
-        val = (vals * self._wts.ravel()).sum(axis=-1) - self._offset
+        nq = self._wts.shape[-1]
+        cell_xi = grads if self._xi0 is None else grads + self._xi0[:, None]
+        cell_xi = cell_xi.reshape(-1, g.M, self.mesh.dim)
+        x = self._rows("_x", self._x, R)
+        xi = cell_xi if self._frozen else np.repeat(cell_xi, nq, axis=0)
+        vals = g(x, xi)
+        if self._frozen:
+            vals = np.repeat(vals, nq)
+        wts = self._wts
+        val = (vals.reshape(R, -1) * wts.reshape(len(wts), -1)).sum(axis=-1) - self._offset
         if not with_grad:
             return val
-        dg = g.grad_xi(x, xi).reshape(len(wts), self._nq, g.M, self.mesh.dim)
-        per_cell = np.einsum("cq,cqmn->cmn", wts, dg)
+        dg = g.grad_xi(x, xi)
+        if self._frozen:
+            dg = np.repeat(dg, nq, axis=0)
+        wts = self._rows("_wts", wts, R)
+        per_cell = np.einsum("cq,cqmn->cmn", wts, dg.reshape(len(wts), nq, g.M, self.mesh.dim))
         return val, [per_cell.reshape(grads.shape)], _only
 
 
 class TVObjective(_Objective):
-    """E(phi) = sum_cells |cell| * s_delta(|grad phi|_F)."""
+    """E(phi) = sum_cells |cell| * s_delta(|grad phi|_F); on a MeshStack, copy
+    p is the objective on mesh p."""
 
     def __init__(self, mesh, M):
         self.mesh = mesh
         self.M = M
+        self.copies = mesh.copies
+
+    def take(self, copies):
+        return self if self.copies == 1 else TVObjective(self.mesh.take(copies), self.M)
 
     def from_cells(self, grads, delta=0.0, with_grad=False):
         mags = row_norms(grads.reshape(len(grads), self.mesh.n_cells, -1))
@@ -273,6 +370,12 @@ class LinearCombo(_Objective):
         self.terms = list(terms)
         self.M = self.terms[0][1].M
         self.mesh = self.terms[0][1].mesh
+        self.copies = max(o.copies for _, o in self.terms)
+
+    def take(self, copies):
+        if self.copies == 1:
+            return self
+        return LinearCombo([(c, o.take(copies)) for c, o in self.terms])
 
     def from_cells(self, grads, delta=0.0, with_grad=False):
         if not with_grad:
@@ -304,6 +407,13 @@ class RayleighQuotient(_Objective):
         self.den_floor = den_floor
         self.M = num.M
         self.mesh = num.mesh
+        self.copies = max(num.copies, den.copies)
+
+    def take(self, copies):
+        if self.copies == 1:
+            return self
+        return RayleighQuotient(self.num.take(copies), self.den.take(copies),
+                                self.den_floor)
 
     def denominator(self, values):
         return self.den.value(values, 0.0)
@@ -400,55 +510,137 @@ def _project(batch, grads, mesh, options):
     return batch, grads
 
 
-def _first_nonfinite(x):
-    bad = ~np.isfinite(x)
-    return int(np.argmax(bad)) if bad.any() else None
+def _shared(options):
+    """The options every problem of one family must agree on."""
+    return replace(options, seed=0, restarts=0, extra_inits=())
 
 
 def minimize_field(objective, mesh, clamped, options=None):
-    """Minimize a field objective over clamped P1 fields; see module docstring."""
-    options = options or SolverOptions()
-    clamped = np.asarray(clamped, dtype=np.int64)
-    n = max(options.restarts, len(options.extra_inits) + 1)  # starts made below
-    work = mesh.n_cells * n * options.max_iter
-    if work > MAX_WORK:
-        raise SolverBudgetError(
-            f"solve needs {mesh.n_cells} cells x {n} restarts x "
-            f"{options.max_iter} iterations = {work:.3g}, "
-            f"over the budget {MAX_WORK:.3g}"
-        )
-    rng = np.random.default_rng(options.seed)
-    inits = default_inits(mesh, objective.M, clamped, options, rng)
+    """Minimize a field objective over clamped P1 fields; see module docstring.
+
+    The one-problem case of minimize_fields: raises the error that ended the
+    solve instead of returning it."""
+    (result,) = _solve(objective, [(mesh, clamped, options or SolverOptions())])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def minimize_fields(objective, problems):
+    """Solve a family of problems (mesh, clamped, options) in one lockstep batch.
+
+    Problem p lies on copy p of `objective` (or every problem on its only
+    copy), and its mesh is copy p of the objective's mesh.  The problems may
+    differ in their clamped sets and in seed, restarts and extra_inits; all
+    other options must agree.  Returns one entry per problem, in order: the
+    SolveResult minimize_field gives for the problem alone, or the
+    FieldEvaluationError or SolverBudgetError that ended it, which leaves the
+    other problems' results unchanged.
+    """
+    problems = [(mesh, clamped, options or SolverOptions())
+                for mesh, clamped, options in problems]
+    if len(problems) == 1:
+        # a family of one runs through minimize_field, which tracers count
+        # as a solve
+        try:
+            return [minimize_field(objective, *problems[0])]
+        except (FieldEvaluationError, SolverBudgetError) as e:
+            return [e]
+    return _solve(objective, problems)
+
+
+def _solve(objective, problems):
+    out = [None] * len(problems)  # per problem: its result or error
+    options = problems[0][2]
+    if any(_shared(o) != _shared(options) for _, _, o in problems):
+        raise ValueError("the problems of a family may differ only in seed, "
+                         "restarts and extra_inits")
+    if objective.copies not in (1, len(problems)):
+        raise ValueError(f"{len(problems)} problems on {objective.copies} copies")
+    starts, owner = [], []
+    for p, (mesh, clamped, opts) in enumerate(problems):
+        n = max(opts.restarts, len(opts.extra_inits) + 1)  # starts made below
+        work = mesh.n_cells * n * opts.max_iter
+        if work > MAX_WORK:
+            out[p] = SolverBudgetError(
+                f"solve needs {mesh.n_cells} cells x {n} restarts x "
+                f"{opts.max_iter} iterations = {work:.3g}, "
+                f"over the budget {MAX_WORK:.3g}"
+            )
+            continue
+        inits = default_inits(mesh, objective.M, np.asarray(clamped, dtype=np.int64),
+                              opts, np.random.default_rng(opts.seed))
+        starts += inits
+        owner += [p] * len(inits)
+    if not starts:
+        return out
+    mesh = problems[0][0]
+    owner = np.array(owner)
+    first = np.searchsorted(owner, np.arange(len(problems)))  # each problem's row 0
+    clamp = np.zeros((len(problems), mesh.n_vertices), dtype=bool)
+    for p, (_, clamped, _) in enumerate(problems):
+        clamp[p, np.asarray(clamped, dtype=np.int64)] = True
+    n = len(owner)
     normalize = options.mode == "normalize"
     size = max(1, BATCH_CELLS // mesh.n_cells)
 
     def chunks(rows):
         return (rows[i:i + size] for i in range(0, len(rows), size))
 
+    views = {}  # copies of recent chunks -> their objective
+
+    def family(rows):
+        """The objective of the restarts `rows`."""
+        if objective.copies == 1:
+            return objective
+        key = owner[rows].tobytes()
+        if key not in views:
+            if len(views) >= 8:
+                views.clear()
+            views[key] = objective.take(owner[rows])
+        return views[key]
+
+    failed = np.zeros(len(problems), dtype=bool)
+    alive = np.zeros(n, dtype=bool)  # cleared by patience: no later stage runs
+    active = np.zeros(n, dtype=bool)  # cleared by a zero gradient: next stage
+
+    def fail(rows, bad, message, values):
+        """End the problems of the restarts rows[bad], each with its first."""
+        if not np.any(bad):
+            return
+        for i in np.flatnonzero(bad):
+            p = owner[rows[i]]
+            if not failed[p]:
+                failed[p] = True
+                out[p] = FieldEvaluationError(message.format(r=rows[i] - first[p]),
+                                              None if values is None else values[i])
+        lost = failed[owner]
+        alive[lost] = active[lost] = False
+
     # per restart: the current iterate and its cell gradients, the best value
     # and where it was reached
-    fields = np.array(inits)
-    fields[:, clamped] = 0.0
+    fields = np.array(starts)
+    fields[clamp[owner]] = 0.0
     grads = np.zeros((n, mesh.n_cells, objective.M, mesh.dim))
     d = np.ones(n)
     for rows in chunks(np.arange(n)):
-        fields[rows], G = _project(fields[rows], mesh.p1_gradient(fields[rows]),
-                                   mesh, options)
+        view = family(rows)
+        fields[rows], G = _project(fields[rows], view.mesh.p1_gradient(fields[rows]),
+                                   view.mesh, options)
         if normalize:
-            d[rows] = objective.den.from_cells(G)
+            d[rows] = view.den.from_cells(G)
     usable = ~(d < 1e-12)
     fields /= np.where(usable, d, 1.0)[:, None, None]
-    if not usable.any():
-        raise FieldEvaluationError("no usable start (degenerate inits)", None)
+    for p in np.unique(owner):
+        if not usable[owner == p].any():
+            fail(first[p:p + 1], [True], "no usable start (degenerate inits)", None)
     best = np.full(n, np.inf)
-    for rows in chunks(np.flatnonzero(usable)):
-        grads[rows] = mesh.p1_gradient(fields[rows])
-        best[rows] = objective.from_cells(grads[rows], 0.0)
-        bad = _first_nonfinite(best[rows])
-        if bad is not None:
-            r = rows[bad]
-            raise FieldEvaluationError(
-                f"objective non-finite at restart {r} init", fields[r])
+    for rows in chunks(np.flatnonzero(usable & ~failed[owner])):
+        view = family(rows)
+        grads[rows] = view.mesh.p1_gradient(fields[rows])
+        best[rows] = view.from_cells(grads[rows], 0.0)
+        fail(rows, ~np.isfinite(best[rows]), "objective non-finite at restart {r} init",
+             fields[rows])
     best_fields = fields.copy()
     since_improve = np.zeros(n, dtype=np.int64)
     k_global = np.zeros(n, dtype=np.int64)
@@ -457,40 +649,43 @@ def minimize_field(objective, mesh, clamped, options=None):
         step0 = np.full(n, options.step0)
     else:
         step0 = 0.3 * np.maximum(np.abs(fields).max(axis=(1, 2), initial=0.0), 0.1)
-    alive = usable.copy()  # cleared by patience: no later stage runs
+    alive[:] = usable & ~failed[owner]
     reasons = np.where(usable, "iteration_cap", "unusable_start").astype(object)
 
-    def advance(rows, delta, active, flat):
+    def advance(rows, delta, flat):
         """One iteration of the restarts `rows`, all in the same stage: one
         assembly, and the cell gradients of the step and of its rescaling."""
-        _, parts, finish = objective.from_cells(grads[rows], delta, with_grad=True)
-        g = _assemble(mesh, parts, finish)
-        g[:, clamped] = 0.0
+        rows = rows[~failed[owner[rows]]]
+        view = family(rows)
+        _, parts, finish = view.from_cells(grads[rows], delta, with_grad=True)
+        g = _assemble(view.mesh, parts, finish)
+        g[clamp[owner[rows]]] = 0.0
         # one dot per restart, as np.linalg.norm of a single field takes it
         gn = np.sqrt([gr.dot(gr) for gr in g.reshape(len(rows), -1)])
-        bad = _first_nonfinite(gn)
-        if bad is not None:
-            raise FieldEvaluationError("non-finite gradient", fields[rows[bad]])
+        fail(rows, ~np.isfinite(gn), "non-finite gradient", fields[rows])
         zero = gn < 1e-15
-        if zero.any():
-            active[rows[zero]] = False
-            flat[rows[zero]] = True
-            rows, g, gn = rows[~zero], g[~zero], gn[~zero]
+        active[rows[zero]] = False
+        flat[rows[zero]] = True
+        go = ~zero & ~failed[owner[rows]]
+        if not go.all():
+            rows, g, gn = rows[go], g[go], gn[go]
             if not len(rows):
                 return
+            view = family(rows)
         alpha = step0[rows] / np.sqrt(1.0 + k_global[rows])
         new = fields[rows] - alpha[:, None, None] * (g / gn[:, None, None])
-        new[:, clamped] = 0.0
-        new, G = _project(new, mesh.p1_gradient(new), mesh, options)
+        new[clamp[owner[rows]]] = 0.0
+        new, G = _project(new, view.mesh.p1_gradient(new), view.mesh, options)
         if normalize:
-            d = objective.den.from_cells(G)
+            d = view.den.from_cells(G)
             new /= np.where(d > 1e-12, d, 1.0)[:, None, None]
-            G = mesh.p1_gradient(new)
+            G = view.mesh.p1_gradient(new)
         k_global[rows] += 1
-        v = objective.from_cells(G, 0.0)
-        bad = _first_nonfinite(v)
-        if bad is not None:
-            raise FieldEvaluationError("objective non-finite", new[bad])
+        v = view.from_cells(G, 0.0)
+        fail(rows, ~np.isfinite(v), "objective non-finite", new)
+        ok = ~failed[owner[rows]]
+        if not ok.all():
+            rows, new, G, v = rows[ok], new[ok], G[ok], v[ok]
         fields[rows] = new
         grads[rows] = G
         lb = best[rows]
@@ -501,46 +696,52 @@ def minimize_field(objective, mesh, clamped, options=None):
         since_improve[up] = 0
         hit_cap[up] = k_global[up] >= options.max_iter - 1
         since_improve[rest] += 1
-        out = rest[since_improve[rest] >= options.patience]
-        alive[out] = active[out] = False
-        reasons[out] = "patience"
+        tired = rest[since_improve[rest] >= options.patience]
+        alive[tired] = active[tired] = False
+        reasons[tired] = "patience"
 
     stages = list(options.smoothing) or [0.0]
     iters_per_stage = max(1, options.max_iter // len(stages))
     for delta in stages:
-        active = alive.copy()  # cleared by a zero gradient: on to the next stage
+        active[:] = alive
         flat = np.zeros(n, dtype=bool)
         for _ in range(iters_per_stage):
             rows = np.flatnonzero(active)
             if not len(rows):
                 break
             for part in chunks(rows):
-                advance(part, delta, active, flat)
+                advance(part, delta, flat)
     reasons[alive & flat] = "zero_gradient"
 
-    best_restart = int(np.argmin(best))  # ties go to the lowest restart
-    best_val, best_values = best[best_restart], best_fields[best_restart].copy()
-    if normalize:
-        d = objective.denominator(best_values)
-        if d > 1e-12:
-            best_values = best_values / d
-        best_val = objective.value(best_values, 0.0)
-
     delta_min = min(options.smoothing) if options.smoothing else 0.0
-    _, gfin = objective.value_and_grad(best_values, delta_min)
-    gfin[clamped] = 0.0
-    residual = float(np.max(np.abs(gfin), initial=0.0))
-    low_conf = bool(hit_cap[best_restart] and residual > options.stationarity_tol)
-    witness = TestField(mesh, best_values, clamped)
-    return SolveResult(
-        value=float(best_val),
-        witness=witness,
-        iterations=int(k_global.sum()),
-        restarts_used=n,
-        stationarity_residual=residual,
-        best_restart=best_restart,
-        low_confidence=low_conf,
-        seed=options.seed,
-        restart_values=tuple(best.tolist()),
-        stop_reasons=tuple(reasons.tolist()),
-    )
+    for p, (mesh, clamped, opts) in enumerate(problems):
+        if out[p] is not None:
+            continue
+        mine = np.flatnonzero(owner == p)
+        obj = objective if objective.copies == 1 else objective.take([p])
+        best_restart = int(np.argmin(best[mine]))  # ties go to the lowest restart
+        best_val = best[mine[best_restart]]
+        best_values = best_fields[mine[best_restart]].copy()
+        if normalize:
+            d = obj.denominator(best_values)
+            if d > 1e-12:
+                best_values = best_values / d
+            best_val = obj.value(best_values, 0.0)
+        clamped = np.asarray(clamped, dtype=np.int64)
+        _, gfin = obj.value_and_grad(best_values, delta_min)
+        gfin[clamped] = 0.0
+        residual = float(np.max(np.abs(gfin), initial=0.0))
+        out[p] = SolveResult(
+            value=float(best_val),
+            witness=TestField(mesh, best_values, clamped),
+            iterations=int(k_global[mine].sum()),
+            restarts_used=len(mine),
+            stationarity_residual=residual,
+            best_restart=best_restart,
+            low_confidence=bool(hit_cap[mine[best_restart]]
+                                and residual > opts.stationarity_tol),
+            seed=opts.seed,
+            restart_values=tuple(best[mine].tolist()),
+            stop_reasons=tuple(reasons[mine].tolist()),
+        )
+    return out

@@ -14,9 +14,9 @@ from dataclasses import replace
 import numpy as np
 
 from .meshing import interval_mesh, unit_square_mesh
-from .minimize import BulkObjective, SolverOptions, minimize_field
+from .minimize import BulkObjective, SolverOptions, minimize_fields
 
-__all__ = ["QcReport", "qc_deficit", "default_qc_mesh"]
+__all__ = ["QcReport", "qc_deficit", "qc_deficits", "default_qc_mesh"]
 
 
 class QcReport:
@@ -62,43 +62,73 @@ def qc_deficit(g, xi, mesh=None, L_grid=(1.0, 4.0, 16.0), tol=None, options=None
     For each gradient cap L the clamped-field minimum of
     sum_cells |cell| (g(xi + grad phi) - g(xi)) is estimated by multistart
     subgradient descent; larger caps are seeded with the smaller-cap witness,
-    which makes the reported deficits non-increasing in L.
+    which makes the reported deficits non-increasing in L.  The one-job case
+    of qc_deficits, raising the error that ended the job.
     """
-    xi = np.asarray(xi, dtype=float).reshape(g.M, g.N)
-    mesh = mesh or default_qc_mesh(g.N)
+    (rep,) = qc_deficits([(g, xi, options)], mesh=mesh, L_grid=L_grid, tol=tol)
+    if isinstance(rep, Exception):
+        raise rep
+    return rep
+
+
+def qc_deficits(jobs, mesh=None, L_grid=(1.0, 4.0, 16.0), tol=None):
+    """qc_deficit for each job (g, xi, options) on one mesh, as one family.
+
+    The integrands g are one integrand, or freeze_x of one integrand at
+    different points.  At each cap the solves of all jobs advance as one
+    lockstep batch (minimize_fields); the caps of one job stay chained.
+    Returns one entry per job, in order: its QcReport, or the error that
+    ended it (the other jobs finish as they would alone).
+    """
+    out = [None] * len(jobs)
+    g0 = jobs[0][0]
+    mesh = mesh or default_qc_mesh(g0.N)
     domain_measure = float(np.sum(mesh.cell_measures))
-    if tol is None:
-        tol = 1e-6 * domain_measure * (1.0 + float(np.linalg.norm(xi)))
-    base = options or SolverOptions()
+    xis = [np.asarray(xi, dtype=float).reshape(g0.M, g0.N) for _, xi, _ in jobs]
+    tols = [tol if tol is not None
+            else 1e-6 * domain_measure * (1.0 + float(np.linalg.norm(xi)))
+            for xi in xis]
+    bases = [options or SolverOptions() for _, _, options in jobs]
     clamped = mesh.boundary_vertices
-    objective = BulkObjective(mesh, g, xi0=xi, subtract_offset=True)
+    objective = BulkObjective(mesh, [g for g, _, _ in jobs], xi0=np.array(xis),
+                              subtract_offset=True)
 
-    per_cap = []
-    diagnostics = []
-    best = (np.inf, None)
-    carry = ()
+    per_cap = [[] for _ in jobs]
+    diagnostics = [[] for _ in jobs]
+    best = [(np.inf, None) for _ in jobs]
+    carry = [() for _ in jobs]
     for L in sorted(L_grid):
-        opts = replace(base, mode="plain", grad_cap=float(L), tv_cap=0.0,
-                       extra_inits=carry)
-        res = minimize_field(objective, mesh, clamped, opts)
-        per_cap.append((float(L), res.value))
-        diagnostics.append(
-            {"L": float(L), "low_confidence": res.low_confidence,
-             "iterations": res.iterations,
-             "stationarity_residual": res.stationarity_residual}
-        )
-        carry = (res.witness.values,)
-        if res.value < best[0]:
-            best = (res.value, res.witness)
+        live = [j for j in range(len(jobs)) if out[j] is None]
+        if not live:
+            break
+        problems = [(mesh, clamped, replace(bases[j], mode="plain", grad_cap=float(L),
+                                            tv_cap=0.0, extra_inits=carry[j]))
+                    for j in live]
+        for j, res in zip(live, minimize_fields(objective.take(live), problems)):
+            if isinstance(res, Exception):
+                out[j] = res
+                continue
+            per_cap[j].append((float(L), res.value))
+            diagnostics[j].append(
+                {"L": float(L), "low_confidence": res.low_confidence,
+                 "iterations": res.iterations,
+                 "stationarity_residual": res.stationarity_residual}
+            )
+            carry[j] = (res.witness.values,)
+            if res.value < best[j][0]:
+                best[j] = (res.value, res.witness)
 
-    deficit = best[0]
-    violated = deficit < -tol
-    return QcReport(
-        xi=xi,
-        per_cap=per_cap,
-        deficit=deficit,
-        verdict="violated" if violated else "qc-plausible",
-        witness=best[1] if violated else None,
-        tol=tol,
-        diagnostics=diagnostics,
-    )
+    for j, (deficit, witness) in enumerate(best):
+        if out[j] is not None:
+            continue
+        violated = deficit < -tols[j]
+        out[j] = QcReport(
+            xi=xis[j],
+            per_cap=per_cap[j],
+            deficit=deficit,
+            verdict="violated" if violated else "qc-plausible",
+            witness=witness if violated else None,
+            tol=tols[j],
+            diagnostics=diagnostics[j],
+        )
+    return out

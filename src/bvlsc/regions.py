@@ -96,17 +96,6 @@ class CompactSet:
     def contains(self, x, tol=1e-12):
         return self.dist(x) <= tol
 
-    def to_config(self):
-        out = []
-        for kind, data in self.pieces:
-            if kind == "point":
-                out.append({"point": np.asarray(data).tolist()})
-            elif kind == "segment":
-                out.append({"segment": [data[0].tolist(), data[1].tolist()]})
-            else:
-                out.append({"polygon": np.asarray(data).tolist()})
-        return out
-
     @classmethod
     def from_config(cls, dim, items):
         ks = cls(dim)

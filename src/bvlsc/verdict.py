@@ -7,10 +7,15 @@ The overall verdict is
   * not-wlsc        -- some check reported a violation (with a witness, and,
                        when sequences are enabled and the violation sits at
                        the boundary, an executable necessity certificate);
-  * wlsc-plausible  -- every sampled check passed at full confidence;
+  * wlsc-plausible  -- every sampled check passed at full confidence, and the
+                       evidence is complete: some qc check ran, every
+                       requested boundary point (polygon corners included)
+                       has a qslb report, and the liminf table, when run,
+                       shows no empirical lsc violation;
   * inconclusive    -- no check reported a violation, but some check errored
-                       (its message is in `errors`) or some solve hit its
-                       iteration cap with a large stationarity residual.
+                       (its message is in `errors`), some solve hit its
+                       iteration cap with a large stationarity residual, or
+                       the evidence is incomplete as above.
 
 Interior almost-everywhere quasiconvexity is sampled at finitely many points,
 so a passing run is evidence, not proof; violations are certificates up to
@@ -26,12 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import equivalence_harness, halfball_deficit
+from .boundary import equivalence_harness, halfball_deficit, halfball_deficits
 from .decompose import CoverSpec, local_decompose, verify_properties
 from .integrands import catalog_get, estimated_recession, mu_estimate, freeze_x
 from .meshing import Domain, MeshBudgetError, build_mesh
 from .minimize import SolverOptions
-from .quasiconvex import default_qc_mesh, qc_deficit
+from .quasiconvex import default_qc_mesh, qc_deficits
 from .regions import CompactSet
 from .sequences import (
     SEQUENCE_KINDS,
@@ -385,26 +390,30 @@ def analyze(scenario):
         except MeshBudgetError as e:
             errors.append({"job": "qc", "error": str(e)})
             points = []
+        jobs, job_points = [], []
         for pi, x0 in enumerate(points):
             g = freeze_x(f, x0)
             for si, xi in enumerate(scenario.xi_samples()):
-                try:
-                    rep = qc_deficit(g, xi, mesh=qc_mesh, L_grid=qc_cfg["L_grid"],
-                                     options=scenario.solver_options(17 * pi + si))
-                except Exception as e:  # collect and continue
-                    errors.append({"job": "qc", "error": str(e)})
-                    continue
+                jobs.append((g, xi, scenario.solver_options(17 * pi + si)))
+                job_points.append(x0)
+        reps = _entries(jobs, lambda: qc_deficits(jobs, mesh=qc_mesh,
+                                                  L_grid=qc_cfg["L_grid"]))
+        for x0, rep in zip(job_points, reps):
+            if isinstance(rep, Exception):
+                errors.append({"job": "qc", "error": str(rep)})
+            else:
                 qc_reports.append((x0, rep))
-    boundary_pts, corner_pts = ([], [])
-    if checks.get("qslb", True):
-        boundary_pts, corner_pts = scenario.boundary_points()
-        for bi, bp in enumerate(boundary_pts):
-            try:
-                rep = halfball_deficit(finf, bp, h=qslb_cfg["h"], tol=qslb_cfg["tol"],
-                                       options=scenario.solver_options(1000 + bi))
-            except Exception as e:  # collect and continue
-                errors.append({"job": "qslb", "error": str(e)})
-                continue
+    boundary_pts, corner_pts = scenario.boundary_points()
+    n_requested = len(boundary_pts) + len(corner_pts)
+    if not checks.get("qslb", True):
+        boundary_pts, corner_pts = [], []
+    jobs = [(bp, scenario.solver_options(1000 + bi), None)
+            for bi, bp in enumerate(boundary_pts)]
+    for rep in _entries(jobs, lambda: halfball_deficits(finf, jobs, h=qslb_cfg["h"],
+                                                        tol=qslb_cfg["tol"])):
+        if isinstance(rep, Exception):
+            errors.append({"job": "qslb", "error": str(rep)})
+        else:
             qslb_reports.append(rep)
     for corner in corner_pts:
         extras.setdefault("corner_notes", []).append(
@@ -482,14 +491,30 @@ def analyze(scenario):
                              "deficit": rep.deficit})
         extras["refinement"] = rows
 
+    # evidence a passing verdict needs: a qc report, a qslb report for every
+    # requested boundary point (corners included), and no empirical lsc
+    # violation in the liminf table
+    missing = not qc_reports or len(qslb_reports) < n_requested
+    missing |= extras.get("liminf", {}).get("verdict") == "lsc violated empirically"
     if violated or qslb_violated:
         overall = "not-wlsc"
-    elif low_conf or errors:
+    elif low_conf or errors or missing:
         overall = "inconclusive"
     else:
         overall = "wlsc-plausible"
     timing = {"total_s": time.perf_counter() - t_start}
     return Verdict(overall, qc_reports, qslb_reports, extras, errors, timing)
+
+
+def _entries(jobs, check):
+    """The entries of the family check() of `jobs`; an error that ends the
+    whole family becomes every job's entry."""
+    if not jobs:
+        return []
+    try:
+        return check()
+    except Exception as e:  # collect and continue
+        return [e] * len(jobs)
 
 
 def _run_decomposition(scenario, f, finf, errors):

@@ -78,3 +78,16 @@ def test_golden_reports(name, tmp_path):
     assert code == 0
     fresh = (tmp_path / "report.json").read_bytes()
     assert fresh == golden.read_bytes()
+
+
+def test_scipy_is_not_imported_by_the_cli_or_a_1d_analysis():
+    code = (
+        "import sys\n"
+        "import bvlsc.cli\n"
+        "assert 'scipy' not in sys.modules, 'imported by bvlsc.cli'\n"
+        "from bvlsc.verdict import Scenario, analyze\n"
+        "analyze(Scenario.from_file(bvlsc.cli.resolve_config('example_1_2')))\n"
+        "assert 'scipy' not in sys.modules, 'imported by a 1D analysis'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

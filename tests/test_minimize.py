@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bvlsc import minimize
-from bvlsc.integrands import Integrand, catalog_get
+from bvlsc.integrands import Integrand, catalog_get, catalog_tags, freeze_x, modulate
 from bvlsc.meshing import Mesh, halfball_mesh, interval_mesh, unit_square_mesh
 from bvlsc.minimize import (
     BulkObjective,
@@ -463,3 +463,34 @@ def test_iteration_takes_two_gradients_and_one_assembly(case, chunked, monkeypat
     if case == "normalize_degenerate_init":
         # the stepped field, then the field renormalized to unit denominator
         assert np.all(per_iteration[:, 0] == 2)
+
+
+# -- frozen integrands: one evaluation per cell -----------------------------------
+
+
+def _catalog_entry(tag, N):
+    params = {"linear": {"matrix": [[0.7, -0.4][:N]]},
+              "boundary_null_lagrangian": {"a": [1.0], "t": [0.6, 0.8][:N]}}
+    return catalog_get(tag, params.get(tag, {"M": 1, "N": N}))
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 0.1), unit_square_mesh(4)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+@pytest.mark.parametrize("tag", sorted(catalog_tags()))
+def test_frozen_integrand_once_per_cell_equals_every_quadrature_point(mesh, delta, tag):
+    f = _catalog_entry(tag, mesh.dim)
+    x0 = [0.3, 0.6][:mesh.dim]
+    batch = np.random.default_rng(2).normal(size=(3, mesh.n_vertices, 1))
+    for g in (f, modulate(f, 1.2, [0.5, -0.4][:mesh.dim])):
+        per_cell = freeze_x(g, x0)
+        per_point = freeze_x(g, x0)
+        per_point.frozen = None  # seen as x-dependent: every quadrature point
+        xi0 = np.full((1, mesh.dim), 0.3)
+        for kwargs in ({}, {"xi0": xi0, "subtract_offset": True}):
+            a = BulkObjective(mesh, per_cell, **kwargs)
+            b = BulkObjective(mesh, per_point, **kwargs)
+            va, ga = a.value_and_grad(batch, delta)
+            vb, gb = b.value_and_grad(batch, delta)
+            assert va.tobytes() == vb.tobytes() and ga.tobytes() == gb.tobytes()
+            assert a.value(batch[0], delta) == b.value(batch[0], delta)

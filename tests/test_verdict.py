@@ -10,7 +10,7 @@ import bvlsc.verdict
 from bvlsc.cli import bundled_scenarios, resolve_config
 from bvlsc.integrands import catalog_get
 from bvlsc.meshing import BoundaryPoint
-from bvlsc.minimize import minimize_field
+from bvlsc.minimize import minimize_fields
 from bvlsc.verdict import ConfigError, Scenario, analyze, run_scenario
 
 
@@ -160,11 +160,12 @@ def test_unbudgeted_solver_work_fails_fast(tmp_path):
 
 def test_quotient_outside_homogeneity_bound_is_errored_qslb_check(monkeypatch):
     def out_of_bound(*args, **kwargs):
-        res = minimize_field(*args, **kwargs)
-        res.value = -3.0  # the norm's recession function has C_inf = 1
-        return res
+        results = minimize_fields(*args, **kwargs)
+        for res in results:
+            res.value = -3.0  # the norm's recession function has C_inf = 1
+        return results
 
-    monkeypatch.setattr(bvlsc.boundary, "minimize_field", out_of_bound)
+    monkeypatch.setattr(bvlsc.boundary, "minimize_fields", out_of_bound)
     norm = catalog_get("norm", {"M": 1, "N": 2})
     with pytest.raises(bvlsc.boundary.QuotientBoundError):
         bvlsc.boundary.halfball_deficit(
@@ -313,3 +314,53 @@ def test_any_object_as_domain_solver_or_sequence_is_valid_or_a_config_error(
     except ConfigError:
         return
     scenario.solver_options()
+
+
+# -- no wlsc-plausible without evidence ---------------------------------------------
+
+
+def test_no_check_run_is_inconclusive():
+    # negnorm is not quasiconvex; with every check off nothing says so
+    sc = load("negnorm_square")
+    sc.cfg["checks"] = {key: False for key in sc.cfg["checks"]}
+    verdict = analyze(sc)
+    assert verdict.qc_reports == [] and verdict.qslb_reports == []
+    assert verdict.errors == []
+    assert verdict.overall == "inconclusive"
+
+
+def test_unchecked_corner_and_empirical_liminf_violation_are_inconclusive():
+    # the only requested boundary point is a corner, so no half-ball test
+    # runs, and the liminf table shows an empirical lsc violation
+    sc = load("negnorm_square")
+    sc.cfg["checks"]["qc"] = False
+    sc.cfg["boundary_points"] = [[0.0, 0.0]]
+    verdict = analyze(sc)
+    assert verdict.qslb_reports == [] and "corner_notes" in verdict.extras
+    assert verdict.extras["liminf"]["verdict"] == "lsc violated empirically"
+    assert verdict.errors == []
+    assert verdict.overall == "inconclusive"
+
+
+@pytest.mark.parametrize("edit", ["qc_off", "qslb_off", "corner", "liminf_violated"])
+def test_each_missing_piece_of_evidence_alone_is_inconclusive(edit, monkeypatch):
+    sc = load("norm_square")
+    if edit == "qc_off":
+        sc.cfg["checks"]["qc"] = False
+    elif edit == "qslb_off":
+        sc.cfg["checks"]["qslb"] = False
+    elif edit == "corner":
+        sc.cfg["boundary_points"] = [[0.5, 0.0], [1.0, 1.0]]
+    else:
+        def violated(*args, **kwargs):
+            return {"verdict": "lsc violated empirically", "table": []}
+
+        monkeypatch.setattr(bvlsc.verdict, "empirical_liminf", violated)
+        sc.cfg["checks"]["sequences"] = True
+    sc.cfg["qc"]["L_grid"] = [1.0]
+    verdict = analyze(sc)
+    assert verdict.errors == []
+    assert verdict.overall == "inconclusive"
+    sc.cfg["boundary_points"] = []  # nothing requested: nothing missing
+    if edit in ("qslb_off", "corner"):
+        assert analyze(sc).overall == "wlsc-plausible"
