@@ -16,8 +16,6 @@ rectangle, polygon and half-ball constructors refuse meshes over MAX_CELLS
 cells with MeshBudgetError before building anything.
 """
 
-import copy
-
 import numpy as np
 
 __all__ = [
@@ -370,20 +368,30 @@ class Mesh:
         return self._refine_cache[key]
 
     # a mesh is the one copy of a family (see MeshStack): every field of a
-    # batch lies on it
+    # batch lies on it, whatever copies `on` names
     copies = 1
 
-    def take(self, copies):
-        return self
-
-    def p1_gradient(self, values, shapes=None):
+    def p1_gradient(self, values, on=None):
         """Cellwise gradient of a continuous P1 field; values (nv, M) -> (nc, M, dim).
 
         A batch (R, nv, M) of fields is one field on R disjoint copies of the
         mesh and gives (R, nc, M, dim), every entry summed as for one field.
-        `shapes` (R, nc, dim+1, dim) gives each field of a batch the shape
-        gradients of its own mesh with these cells (see MeshStack).
         """
+        return self._p1_gradient(values)
+
+    def p1_assemble(self, per_cell, on=None):
+        """Adjoint of p1_gradient: per-cell (nc, M, dim) -> vertex (nv, M).
+
+        sum(p1_gradient(v) * G) == sum(v * p1_assemble(G)), so the gradient of
+        sum_c G_c : grad v on cell c with respect to v is p1_assemble(G).  A
+        batch (R, nc, M, dim) gives (R, nv, M).  Each vertex entry adds its
+        cell contributions in cell order, starting from 0.0.
+        """
+        return self._p1_assemble(per_cell)
+
+    def _p1_gradient(self, values, shapes=None):
+        """p1_gradient; `shapes` (R, nc, dim+1, dim) gives each field of a
+        batch the shape gradients of its own mesh with these cells."""
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
@@ -392,16 +400,9 @@ class Mesh:
         out = np.einsum("cim,cid->cmd", values.reshape(-1, M)[cells], grads)
         return out.reshape(batch + (self.n_cells, M, self.dim))
 
-    def p1_assemble(self, per_cell, shapes=None):
-        """Adjoint of p1_gradient: per-cell (nc, M, dim) -> vertex (nv, M).
-
-        sum(p1_gradient(v) * G) == sum(v * p1_assemble(G)), so the gradient of
-        sum_c G_c : grad v on cell c with respect to v is p1_assemble(G).  A
-        batch (R, nc, M, dim) gives (R, nv, M).  Each vertex entry adds its
-        cell contributions in cell order, starting from 0.0.  `shapes` (R', nc,
-        dim+1, dim), R a multiple of R', gives batch entry r the shape
-        gradients shapes[r % R'].
-        """
+    def _p1_assemble(self, per_cell, shapes=None):
+        """p1_assemble; `shapes` (R', nc, dim+1, dim), R a multiple of R',
+        gives batch entry r the shape gradients shapes[r % R']."""
         batch, M = per_cell.shape[:-3], per_cell.shape[-2]
         cells, grads = self._copies_for(batch, shapes)
         contrib = np.einsum("cmn,cin->cim", per_cell.reshape(-1, M, self.dim), grads)
@@ -495,11 +496,10 @@ class MeshStack:
     """Meshes with one cells array, such as the half-balls of different normals
     (rotations of one mesh), stacked as the copies of a family.
 
-    A batch of fields (P, nv, M) evaluates with field p on mesh p: the P1
-    operators run as Mesh runs them on a batch, with each copy's shape
-    gradients, so every entry has the bits of its own mesh.  `take(copies)`
-    stacks the meshes `copies` (indices, repeats allowed) for a batch whose
-    field r lies on mesh copies[r].
+    The P1 operators take a batch of fields (R, nv, M) with field r on mesh
+    on[r] (on None: field p on mesh p) and run as Mesh runs them on a batch,
+    with each field's shape gradients, so every entry has the bits of its own
+    mesh.
     """
 
     def __init__(self, meshes):
@@ -514,30 +514,20 @@ class MeshStack:
         self.copies = len(self.meshes)
         self.shape_gradients = np.stack([m.shape_gradients for m in self.meshes])
         self.cell_measures = np.stack([m.cell_measures for m in self.meshes])
-        self._taken = (None, None)  # the last take, shared by the terms asking
-
-    def take(self, copies):
-        key = np.asarray(copies).tobytes()
-        if self._taken[0] != key:
-            view = copy.copy(self)
-            view.meshes = tuple(self.meshes[i] for i in copies)
-            view.copies = len(copies)
-            view.shape_gradients = self.shape_gradients[copies]
-            view.cell_measures = self.cell_measures[copies]
-            view._taken = (None, None)
-            self._taken = (key, view)
-        return self._taken[1]
 
     def quadrature(self, order=2):
         """Per-copy quadrature points and weights: (P, nc, nq, dim), (P, nc, nq)."""
         pts, wts = zip(*(m.quadrature(order) for m in self.meshes))
         return np.stack(pts), np.stack(wts)
 
-    def p1_gradient(self, values):
-        return self._base.p1_gradient(values, self.shape_gradients)
+    def _shapes(self, on):
+        return self.shape_gradients if on is None else self.shape_gradients[on]
 
-    def p1_assemble(self, per_cell):
-        return self._base.p1_assemble(per_cell, self.shape_gradients)
+    def p1_gradient(self, values, on=None):
+        return self._base._p1_gradient(values, self._shapes(on))
+
+    def p1_assemble(self, per_cell, on=None):
+        return self._base._p1_assemble(per_cell, self._shapes(on))
 
 
 # -- constructors -----------------------------------------------------------

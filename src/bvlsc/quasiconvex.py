@@ -104,7 +104,7 @@ def qc_deficits(jobs, mesh=None, L_grid=(1.0, 4.0, 16.0), tol=None):
         problems = [(mesh, clamped, replace(bases[j], mode="plain", grad_cap=float(L),
                                             tv_cap=0.0, extra_inits=carry[j]))
                     for j in live]
-        for j, res in zip(live, minimize_fields(objective.take(live), problems)):
+        for j, res in zip(live, minimize_fields(objective, problems, on=live)):
             if isinstance(res, Exception):
                 out[j] = res
                 continue

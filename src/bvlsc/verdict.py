@@ -36,7 +36,7 @@ from .decompose import CoverSpec, local_decompose, verify_properties
 from .integrands import catalog_get, estimated_recession, mu_estimate, freeze_x
 from .meshing import Domain, MeshBudgetError, build_mesh
 from .minimize import SolverOptions
-from .quasiconvex import default_qc_mesh, qc_deficits
+from .quasiconvex import default_qc_mesh, qc_deficit, qc_deficits
 from .regions import CompactSet
 from .sequences import (
     SEQUENCE_KINDS,
@@ -396,8 +396,10 @@ def analyze(scenario):
             for si, xi in enumerate(scenario.xi_samples()):
                 jobs.append((g, xi, scenario.solver_options(17 * pi + si)))
                 job_points.append(x0)
-        reps = _entries(jobs, lambda: qc_deficits(jobs, mesh=qc_mesh,
-                                                  L_grid=qc_cfg["L_grid"]))
+        reps = _entries(
+            jobs, lambda js: qc_deficits(js, mesh=qc_mesh, L_grid=qc_cfg["L_grid"]),
+            lambda g, xi, opts: qc_deficit(g, xi, mesh=qc_mesh, L_grid=qc_cfg["L_grid"],
+                                           options=opts))
         for x0, rep in zip(job_points, reps):
             if isinstance(rep, Exception):
                 errors.append({"job": "qc", "error": str(rep)})
@@ -409,8 +411,10 @@ def analyze(scenario):
         boundary_pts, corner_pts = [], []
     jobs = [(bp, scenario.solver_options(1000 + bi), None)
             for bi, bp in enumerate(boundary_pts)]
-    for rep in _entries(jobs, lambda: halfball_deficits(finf, jobs, h=qslb_cfg["h"],
-                                                        tol=qslb_cfg["tol"])):
+    for rep in _entries(
+            jobs, lambda js: halfball_deficits(finf, js, h=qslb_cfg["h"], tol=qslb_cfg["tol"]),
+            lambda bp, opts, _: halfball_deficit(finf, bp, h=qslb_cfg["h"],
+                                                 tol=qslb_cfg["tol"], options=opts)):
         if isinstance(rep, Exception):
             errors.append({"job": "qslb", "error": str(rep)})
         else:
@@ -506,15 +510,23 @@ def analyze(scenario):
     return Verdict(overall, qc_reports, qslb_reports, extras, errors, timing)
 
 
-def _entries(jobs, check):
-    """The entries of the family check() of `jobs`; an error that ends the
-    whole family becomes every job's entry."""
+def _entries(jobs, family, alone):
+    """family(jobs), one report or error per job.  If the family raises as a
+    whole, each job runs alone(*job), so that it keeps its own report or
+    error."""
     if not jobs:
         return []
     try:
-        return check()
+        return family(jobs)
+    except Exception:  # collect and continue, job by job
+        return [_caught(alone, job) for job in jobs]
+
+
+def _caught(check, job):
+    try:
+        return check(*job)
     except Exception as e:  # collect and continue
-        return [e] * len(jobs)
+        return e
 
 
 def _run_decomposition(scenario, f, finf, errors):

@@ -43,8 +43,8 @@ def _recording(monkeypatch, module):
     """Every list of results minimize_fields returns inside `module`."""
     seen = []
 
-    def record(objective, problems):
-        results = minimize.minimize_fields(objective, problems)
+    def record(objective, problems, on=None):
+        results = minimize.minimize_fields(objective, problems, on)
         seen.append(results)
         return results
 
@@ -157,9 +157,13 @@ def _blows_up_right_of_half():
     return Integrand(fn, 1, 1, growth=1.0, grad=grad)
 
 
-def test_a_problem_that_turns_nonfinite_mid_solve_errors_alone():
+@pytest.mark.parametrize("chunk", ["batch", "one_row"])
+def test_a_problem_that_turns_nonfinite_mid_solve_errors_alone(monkeypatch, chunk):
     f = _blows_up_right_of_half()
     mesh = interval_mesh(0.0, 1.0, 0.125)
+    if chunk == "one_row":
+        # the chunks after the one where problem 1 fails hold only its rows
+        monkeypatch.setattr(minimize, "BATCH_CELLS", mesh.n_cells)
     points = ([0.2], [0.8], [0.3])
     # the zero field and two tents of slope 0.5 under the cap: finite starts
     opts = [SolverOptions(restarts=3, max_iter=60, tv_cap=0.5, seed=s) for s in (1, 2, 3)]
@@ -191,6 +195,21 @@ def test_an_over_budget_problem_errors_alone(monkeypatch):
     alone = minimize_field(obj, mesh, mesh.boundary_vertices, small)
     _assert_same_result(results[0], alone)
     _assert_same_result(results[2], alone)
+
+
+def test_qc_jobs_left_after_an_error_keep_their_own_copies(monkeypatch):
+    # job 1 is over the work budget at the first cap, so the later caps
+    # solve jobs 0 and 2 on copies 0 and 2 of the family objective
+    mesh = unit_square_mesh(4)
+    jobs = [(g, xi, dataclasses.replace(o, restarts=3 if j == 1 else 2))
+            for j, (g, xi, o) in enumerate(_qc_jobs()[1:4])]
+    monkeypatch.setattr(minimize, "MAX_WORK", mesh.n_cells * 2 * jobs[0][2].max_iter)
+    reps = qc_deficits(jobs, mesh=mesh, L_grid=(1.0, 4.0))
+    assert isinstance(reps[1], minimize.SolverBudgetError)
+    for j in (0, 2):
+        g, xi, opts = jobs[j]
+        _assert_same_report(reps[j], qc_deficit(g, xi, mesh=mesh, L_grid=(1.0, 4.0),
+                                                options=opts))
 
 
 def test_family_options_must_agree_beyond_starts():
@@ -236,5 +255,4 @@ def test_stacked_objectives_evaluate_each_copy_as_its_own():
             alone = RayleighQuotient(BulkObjective(meshes[p], gs[p]), TVObjective(meshes[p], 1))
             v, g = alone.value_and_grad(batch[p], delta)
             assert vals[p] == v and grads[p].tobytes() == g.tobytes()
-            view = family.take([p, p])
-            assert view.value(batch[[p, p]], delta).tolist() == [v, v]
+            assert family.value(batch[[p, p]], delta, on=[p, p]).tolist() == [v, v]

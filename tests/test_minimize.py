@@ -367,6 +367,29 @@ def test_lockstep_raises_where_per_restart_loop_raises():
     assert exc.value.values is not None
 
 
+@pytest.mark.parametrize("chunked", [False, True], ids=["one_batch", "one_row"])
+def test_lockstep_raises_mid_solve_where_per_restart_loop_raises(chunked, monkeypatch):
+    """A restart that turns non-finite mid-solve ends the solve, also when
+    the later chunks of its iteration hold no restart left to run."""
+    if chunked:
+        monkeypatch.setattr(minimize, "BATCH_CELLS", 1)
+    mesh = interval_mesh(0.0, 1.0, 0.25)
+
+    def fn(x, xi):
+        v = xi[:, 0, 0]
+        return np.where(np.abs(v) > 3.0, np.nan, -v * v)
+
+    obj = BulkObjective(mesh, Integrand(fn, 1, 1, growth=1.0, grad=lambda x, xi: -2.0 * xi))
+    opts = SolverOptions(restarts=4, max_iter=60)
+    with pytest.raises(FieldEvaluationError) as want:
+        reference_minimize(obj, mesh, [0], opts)
+    with pytest.raises(FieldEvaluationError) as got:
+        minimize_field(obj, mesh, [0], opts)
+    assert str(want.value) in ("objective non-finite", "non-finite gradient")
+    assert str(got.value) == str(want.value)
+    assert got.value.values is not None
+
+
 def test_work_budget_is_checked_before_the_starts_are_built(monkeypatch):
     mesh = unit_square_mesh(3)
 

@@ -364,3 +364,23 @@ def test_each_missing_piece_of_evidence_alone_is_inconclusive(edit, monkeypatch)
     sc.cfg["boundary_points"] = []  # nothing requested: nothing missing
     if edit in ("qslb_off", "corner"):
         assert analyze(sc).overall == "wlsc-plausible"
+
+
+def test_a_family_that_raises_falls_back_to_each_job_alone(monkeypatch):
+    # a family holding the boundary point of seed 1001 raises as a whole; run
+    # alone, that point errs and the other keeps its violation
+    def raising(objective, problems, on=None):
+        if any(opts.seed == 1001 for _, _, opts in problems):
+            raise RuntimeError("boom")
+        return minimize_fields(objective, problems, on)
+
+    sc = load("example_1_2")
+    sc.cfg["checks"].update(qc=False, sequences=False)
+    want = analyze(sc)
+    assert len(want.qslb_reports) == 2
+    monkeypatch.setattr(bvlsc.boundary, "minimize_fields", raising)
+    verdict = analyze(sc)
+    assert verdict.errors == [{"job": "qslb", "error": "boom"}]
+    assert [r.to_json() for r in verdict.qslb_reports] == [want.qslb_reports[0].to_json()]
+    assert verdict.qslb_reports[0].verdict == "violated"
+    assert verdict.overall == "not-wlsc"
