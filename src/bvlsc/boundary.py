@@ -49,7 +49,8 @@ __all__ = [
 
 
 class QuotientBoundError(ArithmeticError):
-    """The minimized half-ball quotient left [-C_inf, C_inf], which a quotient
+    """The minimized half-ball quotient left [-C_inf, C_inf], C_inf the sup of
+    |f_inf(x0, .)| on the unit sphere at the boundary point, which a quotient
     of a 1-homogeneous integral by the total variation cannot do."""
 
 
@@ -166,10 +167,10 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
     objective = RayleighQuotient(BulkObjective(stack, [g for _, _, g, _, _ in family]),
                                  TVObjective(stack, base.M))
     results = minimize_fields(objective, [(m, c, o) for _, m, _, c, o in family])
-    c_inf = finf.sup_on_sphere()
     for (j, mesh, _, _, _), res in zip(family, results):
+        x0 = jobs[j][0]
         out[j] = res if isinstance(res, Exception) else _qslb_report(
-            jobs[j][0], mesh, res, c_inf, tol)
+            x0, mesh, res, finf.sup_on_sphere(x0.x0), tol)
     return out
 
 

@@ -22,6 +22,8 @@ import warnings
 
 import numpy as np
 
+from .meshing import Mesh, row_norms
+
 __all__ = [
     "BVFunction",
     "MatrixMeasure",
@@ -116,40 +118,45 @@ class BVFunction:
         vpc = np.asarray(values_per_cell, dtype=float)
         if vpc.ndim == 1:
             vpc = vpc[:, None]
-        M = vpc.shape[1]
         cv = np.repeat(vpc[:, None, :], mesh.dim + 1, axis=1)
+        if mesh.dim == 1:
+            # a vertex of two cells is an interface; its atom is listed at the
+            # vertex's first slot in the cells, and the constructor drops the
+            # negligible atoms and sorts the rest by location
+            flat = mesh.cells.ravel()
+            count = np.bincount(flat, minlength=mesh.n_vertices)
+            order = np.argsort(flat, kind="stable")
+            start = np.cumsum(count) - count  # first place of each vertex in order
+            first = np.sort(order[start[count == 2]])
+            v = flat[first]
+            c0, c1 = first // 2, order[start[v] + 1] // 2
+            ahead = mesh.centroids[c0, 0] < mesh.centroids[c1, 0]
+            jumps = vpc[np.where(ahead, c1, c0)] - vpc[np.where(ahead, c0, c1)]
+            nz = np.any(jumps != 0, axis=1)
+            return cls(mesh, cv, atoms=zip(mesh.vertices[v[nz], 0].tolist(), jumps[nz]))
         facet_owner = {}
-        for ci in range(mesh.n_cells):
-            for f in _cell_facets(mesh, ci):
-                facet_owner.setdefault(f, []).append(ci)
-        atoms, jumps = [], []
+        for ci, c in enumerate(mesh.cells.tolist()):
+            for f in ((c[0], c[1]), (c[1], c[2]), (c[0], c[2])):
+                facet_owner.setdefault(tuple(sorted(f)), []).append(ci)
+        jumps = []
         for f, owners in facet_owner.items():
             if len(owners) != 2:
                 continue
             c0, c1 = owners
-            if mesh.dim == 1:
-                x = mesh.vertices[f[0], 0]
-                left, right = (
-                    (c0, c1) if mesh.centroids[c0, 0] < mesh.centroids[c1, 0] else (c1, c0)
-                )
-                j = vpc[right] - vpc[left]
-                if np.linalg.norm(j) > _ATOL:
-                    atoms.append((x, j))
-            else:
-                a, b = mesh.vertices[f[0]], mesh.vertices[f[1]]
-                e = b - a
-                n = np.array([e[1], -e[0]])
-                n = n / np.linalg.norm(n)
-                mid = 0.5 * (a + b)
-                plus, minus = (
-                    (c0, c1)
-                    if n @ (mesh.centroids[c0] - mid) > 0
-                    else (c1, c0)
-                )
-                j = vpc[plus] - vpc[minus]
-                if np.linalg.norm(j) > _ATOL:
-                    jumps.append((f, j, n))
-        return cls(mesh, cv, atoms=atoms, jump_facets=jumps)
+            a, b = mesh.vertices[f[0]], mesh.vertices[f[1]]
+            e = b - a
+            n = np.array([e[1], -e[0]])
+            n = n / np.linalg.norm(n)
+            mid = 0.5 * (a + b)
+            plus, minus = (
+                (c0, c1)
+                if n @ (mesh.centroids[c0] - mid) > 0
+                else (c1, c0)
+            )
+            j = vpc[plus] - vpc[minus]
+            if np.linalg.norm(j) > _ATOL:
+                jumps.append((f, j, n))
+        return cls(mesh, cv, jump_facets=jumps)
 
     @classmethod
     def indicator_1d(cls, mesh, a, b):
@@ -271,17 +278,6 @@ class BVFunction:
         )
 
 
-def _cell_facets(mesh, ci):
-    c = mesh.cells[ci]
-    if mesh.dim == 1:
-        return [(int(c[0]),), (int(c[1]),)]
-    return [
-        tuple(sorted((int(c[0]), int(c[1])))),
-        tuple(sorted((int(c[1]), int(c[2])))),
-        tuple(sorted((int(c[0]), int(c[2])))),
-    ]
-
-
 class MatrixMeasure:
     """Matrix-valued measure: cellwise density + singular charges in polar form.
 
@@ -391,31 +387,36 @@ def total_variation(mu, cells=None):
         bulk = float(np.sum(masses))
         sing = float(sum(m for _, _, m in mu.charges))
         return bulk + sing
-    cells = np.asarray(cells, dtype=np.int64)
     sel = np.zeros(mu.mesh.n_cells, dtype=bool)
-    sel[cells] = True
+    sel[np.asarray(cells, dtype=np.int64)] = True
     bulk = float(np.sum(masses[sel]))
     sing = 0.0
-    for desc, _, m in mu.charges:
-        if sel[_owner_cell(mu.mesh, desc)]:
+    owners = _owner_cells(mu.mesh, [desc for desc, _, _ in mu.charges])
+    for (_, _, m), owner in zip(mu.charges, owners):
+        if sel[owner]:
             sing += m
     return bulk + sing
 
 
-def _owner_cell(mesh, desc):
+def _owner_cells(mesh, descs):
+    """Lowest-index cell incident to each charge: the cell whose closure holds
+    the atom (1D, within 1e-12) or that has the facet's two vertices (2D)."""
     if mesh.dim == 1:
-        x = float(desc)
+        x = np.asarray(descs, dtype=float)[:, None]
         v = mesh.vertices[mesh.cells][:, :, 0]
-        hit = np.where((v[:, 0] - 1e-12 <= x) & (x <= v[:, 1] + 1e-12))[0]
-        if len(hit) == 0:
-            raise ValueError(f"atom at {x} lies outside the mesh")
-        return int(hit[0])
-    i, j = desc
-    for ci in range(mesh.n_cells):
-        c = set(map(int, mesh.cells[ci]))
-        if i in c and j in c:
-            return ci
-    raise ValueError(f"facet {desc} not found in mesh")
+        hit = (v[:, 0] - 1e-12 <= x) & (x <= v[:, 1] + 1e-12)
+        found, owners = hit.any(axis=1), hit.argmax(axis=1)
+    else:
+        # facet keys in cell order; np.unique returns each key's first slot
+        key = np.array([mesh.n_vertices, 1])
+        facets = np.sort(mesh.cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+        keys, first = np.unique(facets @ key, return_index=True)
+        ij = np.sort(np.asarray(descs, dtype=np.int64).reshape(-1, 2), axis=1)
+        at = first[np.minimum(np.searchsorted(keys, ij @ key), len(keys) - 1)]
+        found, owners = (facets[at] == ij).all(axis=1), at // 3
+    if not found.all():
+        raise ValueError(f"charge {descs[np.argmin(found)]} lies outside the mesh")
+    return owners
 
 
 def tv_on_neighborhood(mu, kset, delta, subdivisions=2):
@@ -428,22 +429,30 @@ def tv_on_neighborhood(mu, kset, delta, subdivisions=2):
     exactly by their position.  `delta` may be one radius, giving a float,
     or a sequence of radii, giving a list with one value per radius: the
     distances to the set are computed once and thresholded per radius.
+
+    Open neighborhoods are nested, so two radii holding equal numbers of
+    sub-cells hold the same sub-cells, summed in the same order to the same
+    bits; each distinct count (of sub-cells, and of charges) is summed once.
     """
     mesh = mu.mesh
     cent, sub_measure, parent = mesh.refined_cells(subdivisions)
-    dens_mass = np.linalg.norm(mu.density.reshape(mesh.n_cells, -1), axis=1)
-    weights = dens_mass[parent] * sub_measure
+    weights = row_norms(mu.density.reshape(mesh.n_cells, -1))[parent] * sub_measure
     dist = kset.dist(cent)
     pos = [mu.charge_position(desc) for desc, _, _ in mu.charges]
-    charges = list(zip(kset.dist(np.reshape(pos, (-1, mesh.dim))),
-                       (m for _, _, m in mu.charges)))
-
-    def value(d):
-        return float(weights[dist < d].sum()) + sum(m for dc, m in charges if dc < d)
-
-    if np.ndim(delta) == 0:
-        return value(delta)
-    return [value(d) for d in delta]
+    cdist = kset.dist(np.reshape(pos, (-1, mesh.dim)))
+    masses = [m for _, _, m in mu.charges]
+    radii = np.atleast_1d(np.asarray(delta, dtype=float))
+    nan = np.isnan(radii)  # d < NaN holds nothing, wherever searchsorted puts NaN
+    held = [np.where(nan, 0, np.searchsorted(np.sort(x), radii)).tolist()
+            for x in (dist, cdist)]
+    bulk, sing, values = {}, {}, []
+    for d, nb, ns in zip(radii.tolist(), *held):
+        if nb not in bulk:
+            bulk[nb] = float(weights[dist < d].sum())
+        if ns not in sing:
+            sing[ns] = sum(m for dc, m in zip(cdist, masses) if dc < d)
+        values.append(bulk[nb] + sing[ns])
+    return values[0] if np.ndim(delta) == 0 else values
 
 
 def does_not_charge(measures, kset, deltas, threshold=1e-2, subdivisions=2):
@@ -563,8 +572,6 @@ def refine_bv_1d(u, coords):
     within each parent cell (exact, also across discontinuities), atoms are
     untouched.
     """
-    from .meshing import Mesh
-
     mesh = u.mesh
     if mesh.dim != 1:
         raise ValueError("refine_bv_1d needs a 1D mesh")

@@ -162,11 +162,14 @@ class RecessionFn:
             mu_analytic=lambda t: 0.0, smoother=self._smoother,
         )
 
-    def sup_on_sphere(self, samples=256, seed=0):
+    def sup_on_sphere(self, x=None, samples=256, seed=0):
+        """Largest |f_inf(x, xi)| over sampled unit xi, at the point x (None:
+        the origin)."""
         rng = np.random.default_rng(seed)
         xi = rng.normal(size=(samples, self.M, self.N))
         xi /= np.maximum(_frob(xi), 1e-12)[:, None, None]
-        return float(np.max(np.abs(self(np.zeros((samples, self.N)), xi))))
+        x = np.zeros(self.N) if x is None else np.asarray(x, dtype=float)
+        return float(np.max(np.abs(self(np.tile(x, (samples, 1)), xi))))
 
     def homogeneity_check(self, alphas=(0.0, 0.5, 2.0, 10.0), samples=32, seed=0):
         rng = np.random.default_rng(seed)

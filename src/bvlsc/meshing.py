@@ -285,17 +285,23 @@ class Mesh:
         self.n_vertices = len(self.vertices)
 
     def _build_boundary(self):
-        # facets as sorted vertex rows, cell by cell; a facet seen once is a
-        # boundary facet, owned by its only cell
+        # a facet seen once is a boundary facet, owned by its only cell;
+        # boundary facets are listed in lexicographic order
         if self.dim == 1:
-            facets = self.cells.reshape(-1, 1)
-            keys = facets[:, 0]
+            # facets are vertices: count them and find each one's slot in cells
+            flat = self.cells.ravel()
+            count = np.bincount(flat, minlength=self.n_vertices)
+            slot = np.empty(self.n_vertices, dtype=np.int64)
+            slot[flat] = np.arange(len(flat))  # exact where count == 1
+            bfacets = np.flatnonzero(count == 1)[:, None]
+            first = slot[bfacets[:, 0]]
         else:
+            # facets as sorted vertex rows, cell by cell
             facets = np.sort(self.cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
             keys = facets[:, 0] * self.n_vertices + facets[:, 1]
-        _, first, count = np.unique(keys, return_index=True, return_counts=True)
-        first = first[count == 1]  # in key order, i.e. lexicographic
-        bfacets = facets[first]
+            _, first, count = np.unique(keys, return_index=True, return_counts=True)
+            first = first[count == 1]
+            bfacets = facets[first]
         centroids = self.centroids[first // (self.dim + 1)]
         if self.dim == 1:
             normals = np.sign(self.vertices[bfacets[:, 0]] - centroids)
@@ -704,18 +710,11 @@ class Patch:
 def _refine_all(vertices, cells, dim):
     """One uniform red refinement of a conforming submesh."""
     if dim == 1:
-        mid = {}
-        verts = list(vertices)
-        new_cells = []
-        for a, b in cells:
-            key = (min(a, b), max(a, b))
-            if key not in mid:
-                mid[key] = len(verts)
-                verts.append(0.5 * (vertices[a] + vertices[b]))
-            m = mid[key]
-            new_cells.append([a, m])
-            new_cells.append([m, b])
-        return np.array(verts), np.array(new_cells)
+        # cell i = [a, b] gets the midpoint vertex nv + i and becomes [a, m], [m, b]
+        a, b = cells[:, 0], cells[:, 1]
+        m = len(vertices) + np.arange(len(cells))
+        verts = np.concatenate([vertices, 0.5 * (vertices[a] + vertices[b])])
+        return verts, np.stack([a, m, m, b], axis=1).reshape(-1, 2)
     mid = {}
     verts = list(vertices)
 

@@ -3,10 +3,15 @@ decomposition tightness tables.
 
 Run after any intentional change to defaults, solver behavior, report layout
 or decomposition arithmetic:  python tests/make_goldens.py
+
+To confirm a change keeps every golden byte-identical, without writing under
+tests/golden/:  python tests/make_goldens.py --check  (lists the files that
+differ and exits 1 on any difference).
 """
 
 import json
 import shutil
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -58,17 +63,38 @@ def decompose_tables_json():
     return json.dumps(out, indent=1, sort_keys=True) + "\n"
 
 
-def regenerate():
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def regenerate(out_dir=GOLDEN_DIR):
+    """Write every golden file into out_dir; returns the paths written."""
+    out_dir.mkdir(exist_ok=True)
+    written = []
     for name in sorted(bundled_scenarios()):
         with tempfile.TemporaryDirectory() as tmp:
             assert main(["analyze", name, "--out-dir", tmp]) == 0
-            shutil.copy(Path(tmp) / "report.json",
-                        GOLDEN_DIR / f"{name}.report.json")
-            print(f"wrote {GOLDEN_DIR / (name + '.report.json')}")
-    DECOMPOSE_GOLDEN.write_text(decompose_tables_json())
-    print(f"wrote {DECOMPOSE_GOLDEN}")
+            written.append(Path(shutil.copy(Path(tmp) / "report.json",
+                                            out_dir / f"{name}.report.json")))
+    written.append(out_dir / DECOMPOSE_GOLDEN.name)
+    written[-1].write_text(decompose_tables_json())
+    return written
+
+
+def check():
+    """Regenerate into a temporary directory and list the golden files that
+    differ from it; returns 1 on any difference, else 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = regenerate(Path(tmp))
+        differ = [p.name for p in fresh
+                  if not (GOLDEN_DIR / p.name).is_file()
+                  or (GOLDEN_DIR / p.name).read_bytes() != p.read_bytes()]
+    for name in differ:
+        print(f"differs: {GOLDEN_DIR / name}")
+    print(f"{len(fresh) - len(differ)} of {len(fresh)} golden files byte-identical")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    if sys.argv[1:]:
+        sys.exit("usage: python tests/make_goldens.py [--check]")
+    for path in regenerate():
+        print(f"wrote {path}")

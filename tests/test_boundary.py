@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bvlsc.boundary import epsdelta_probe, equivalence_harness, halfball_deficit
-from bvlsc.integrands import catalog_get, freeze_x
+from bvlsc.integrands import catalog_get, freeze_x, modulate
 from bvlsc.meshing import BoundaryPoint, Domain, build_mesh, halfball_mesh
 from bvlsc.minimize import BulkObjective, SolverOptions
 
@@ -17,6 +17,17 @@ def test_halfball_1d_linear_quotient_minus_one():
     assert rep.verdict == "violated"
     assert rep.witness is not None
     assert rep.witness.gradient_tv() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_halfball_bound_uses_c_inf_at_the_boundary_point():
+    # c(x) = 1 + x / 2: at x0 = 1 the quotient is -c(1) = -1.5, past the
+    # sphere bound C_inf = 1 of the origin
+    rec = modulate(LIN, 1.0, [0.5]).recession
+    assert rec.sup_on_sphere() == pytest.approx(1.0)
+    rep = halfball_deficit(rec, BoundaryPoint([1.0], [1.0]), h=0.0625)
+    assert rep.deficit == pytest.approx(-1.5, abs=1e-6)
+    assert rep.diagnostics["sphere_bound"] == pytest.approx(1.5)
+    assert rep.verdict == "violated"
 
 
 def test_halfball_tangential_null_lagrangian_vanishes():

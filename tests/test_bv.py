@@ -15,8 +15,10 @@ from bvlsc.bv import (
     tv_on_neighborhood,
     weakstar_diagnostics,
 )
+from bvlsc.bv import _owner_cells
 from bvlsc.meshing import (
     Domain,
+    Mesh,
     build_mesh,
     interval_mesh,
     interval_mesh_with,
@@ -333,10 +335,119 @@ def test_tv_on_neighborhood_sequence_equals_scalar_calls(case):
     assert len(set(values)) > 2
 
 
+@pytest.mark.parametrize("case", ["1d_atoms", "2d_facet_jumps"])
+def test_tv_on_neighborhood_radii_share_sums_bit_for_bit(case):
+    if case == "1d_atoms":
+        # two atoms and a density; both atoms lie 0.25 from the point 0.5
+        mesh = interval_mesh_with(0.0, 1.0, 1.0 / 16, [0.25, 0.75],
+                                  domain=Domain.interval(0.0, 1.0))
+        step = BVFunction.indicator_1d(mesh, 0.25, 0.75)
+        mu = derivative(step + BVFunction.affine(mesh, [[0.7]]))
+        kset = regions.point([0.5])
+        assert [kset.dist([[d]])[0] for d, _, _ in mu.charges] == [0.25, 0.25]
+    else:
+        mu, kset = _measure_with_jumps_2d()
+    # unsorted and repeated radii, radii equal to sub-cell and charge distances
+    dist = kset.dist(mu.mesh.refined_cells(2)[0])
+    deltas = [0.3, 0.25, 0.1, 0.25, np.nextafter(0.25, 1.0), 0.6, 0.01, 0.3,
+              float(dist[3]), float(dist[3]), float(np.median(dist)), 0.0, np.inf,
+              np.nan, 0.02, 0.1]
+    values = tv_on_neighborhood(mu, kset, deltas)
+    assert values == [tv_on_neighborhood(mu, kset, d) for d in deltas]
+    assert values[deltas.index(np.nan)] == 0.0 == values[deltas.index(0.0)]
+    assert values[deltas.index(np.inf)] == pytest.approx(total_variation(mu))
+    assert len(set(values)) > 5
+
+
 def test_tv_on_neighborhood_scalar_delta_returns_float():
     mu, kset = _measure_with_jumps_2d()
     assert type(tv_on_neighborhood(mu, kset, 0.1)) is float
     assert type(tv_on_neighborhood(mu, kset, np.float64(0.1))) is float
+
+
+def _loop_from_cellwise_constant_1d(mesh, values):
+    """Reference: the per-cell facet dictionary from_cellwise_constant used in 1D."""
+    vpc = np.asarray(values, dtype=float).reshape(mesh.n_cells, -1)
+    owners = {}
+    for ci in range(mesh.n_cells):
+        for v in mesh.cells[ci]:
+            owners.setdefault(int(v), []).append(ci)
+    atoms = []
+    for v, cs in owners.items():
+        if len(cs) != 2:
+            continue
+        c0, c1 = cs
+        left, right = (c0, c1) if mesh.centroids[c0, 0] < mesh.centroids[c1, 0] else (c1, c0)
+        j = vpc[right] - vpc[left]
+        if np.linalg.norm(j) > 1e-14:
+            atoms.append((mesh.vertices[v, 0], j))
+    return BVFunction(mesh, np.repeat(vpc[:, None, :], 2, axis=1), atoms=atoms)
+
+
+def _shuffled_1d_mesh(seed):
+    rng = np.random.default_rng(seed)
+    mesh = interval_mesh_with(0.0, 1.0, 0.1, [0.33, 0.5],
+                              domain=Domain.interval(0.0, 1.0))
+    perm = rng.permutation(mesh.n_vertices)
+    cells = np.argsort(perm)[np.asarray(mesh.cells)][rng.permutation(mesh.n_cells)]
+    flip = rng.random(mesh.n_cells) < 0.5
+    cells[flip] = cells[flip, ::-1]
+    return Mesh(mesh.vertices[perm], cells, domain=mesh.domain)
+
+
+def test_from_cellwise_constant_1d_matches_cell_loop():
+    rng = np.random.default_rng(11)
+    shuffled = _shuffled_1d_mesh(11)
+    member = jump_member(4)
+    steps = rng.integers(0, 3, size=(shuffled.n_cells, 2)).astype(float)
+    steps[::3, 1] += 1e-15  # jumps of norm 1e-15 are dropped
+    cases = [
+        (member.mesh, (member.mesh.centroids[:, 0] < 0.25).astype(float)),
+        (shuffled, steps),
+        (shuffled, 1e-9 * steps),
+        (shuffled, rng.normal(size=shuffled.n_cells)),
+        (shuffled, np.ones(shuffled.n_cells)),
+    ]
+    for mesh, values in cases:
+        got = BVFunction.from_cellwise_constant(mesh, values)
+        want = _loop_from_cellwise_constant_1d(mesh, values)
+        assert got.cell_values.tobytes() == want.cell_values.tobytes()
+        assert [loc for loc, _ in got.atoms] == [loc for loc, _ in want.atoms]
+        assert [j.tobytes() for _, j in got.atoms] == [j.tobytes() for _, j in want.atoms]
+    assert len(BVFunction.from_cellwise_constant(shuffled, steps).atoms) > 3
+
+
+def test_owner_cells_are_the_lowest_index_incident_cells():
+    rng = np.random.default_rng(2)
+    grid = rectangle_mesh(0, 1, 0, 1, 6, 6)
+    mesh = Mesh(grid.vertices, np.asarray(grid.cells)[rng.permutation(grid.n_cells)])
+    step = (mesh.centroids[:, 0] + 0.3 * mesh.centroids[:, 1] > 0.6).astype(float)
+    mu = derivative(BVFunction.from_cellwise_constant(mesh, step))
+    descs = [desc for desc, _, _ in mu.charges]
+    assert len(descs) > 5
+    want = [min(ci for ci, c in enumerate(mesh.cells.tolist()) if set(d) <= set(c))
+            for d in descs]
+    assert _owner_cells(mesh, descs).tolist() == want
+    # total_variation on a cell subset counts a charge iff its owner is in it
+    sub = rng.permutation(mesh.n_cells)[: mesh.n_cells // 2]
+    sing = 0.0
+    for (_, _, m), owner in zip(mu.charges, want):
+        if owner in sub:
+            sing += m
+    assert 0.0 < sing < total_variation(mu)
+    assert total_variation(mu, cells=sub) == sing  # no density: charges only
+    a, b = sorted(next(d for d in descs if min(d) > 0))
+    # (0, a * nv + b) has the key of the facet (a, b) but is not a facet
+    for bad in ([(0, a * mesh.n_vertices + b)], [(0, mesh.n_vertices + 1)], [(0, 35)]):
+        with pytest.raises(ValueError, match="outside the mesh"):
+            _owner_cells(mesh, bad)
+    u = jump_member(4)
+    x = [loc for loc, _ in u.atoms] + [0.0, 1.0]
+    left = [min(ci for ci, (a, b) in enumerate(u.mesh.vertices[u.mesh.cells][:, :, 0])
+                if a - 1e-12 <= p <= b + 1e-12) for p in x]
+    assert _owner_cells(u.mesh, x).tolist() == left
+    with pytest.raises(ValueError, match="outside the mesh"):
+        _owner_cells(u.mesh, [1.5])
 
 
 def test_l1_distance_mismatch():

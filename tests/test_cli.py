@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +80,24 @@ def test_golden_reports(name, tmp_path):
     assert code == 0
     fresh = (tmp_path / "report.json").read_bytes()
     assert fresh == golden.read_bytes()
+
+
+def test_make_goldens_check_lists_the_differing_golden(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", Path(__file__).parent / "make_goldens.py")
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    before = {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()}
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, copy)
+    (copy / "norm_square.report.json").write_text("{}\n")
+    monkeypatch.setattr(make_goldens, "GOLDEN_DIR", copy)
+    assert make_goldens.check() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("differs")] == [
+        f"differs: {copy / 'norm_square.report.json'}"]
+    assert out[-1] == "5 of 6 golden files byte-identical"
+    assert {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()} == before
 
 
 def test_scipy_is_not_imported_by_the_cli_or_a_1d_analysis():
