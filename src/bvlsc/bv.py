@@ -387,36 +387,31 @@ def total_variation(mu, cells=None):
         bulk = float(np.sum(masses))
         sing = float(sum(m for _, _, m in mu.charges))
         return bulk + sing
+    cells = np.asarray(cells, dtype=np.int64)
     sel = np.zeros(mu.mesh.n_cells, dtype=bool)
-    sel[np.asarray(cells, dtype=np.int64)] = True
+    sel[cells] = True
     bulk = float(np.sum(masses[sel]))
     sing = 0.0
-    owners = _owner_cells(mu.mesh, [desc for desc, _, _ in mu.charges])
-    for (_, _, m), owner in zip(mu.charges, owners):
-        if sel[owner]:
+    for desc, _, m in mu.charges:
+        if sel[_owner_cell(mu.mesh, desc)]:
             sing += m
     return bulk + sing
 
 
-def _owner_cells(mesh, descs):
-    """Lowest-index cell incident to each charge: the cell whose closure holds
-    the atom (1D, within 1e-12) or that has the facet's two vertices (2D)."""
+def _owner_cell(mesh, desc):
     if mesh.dim == 1:
-        x = np.asarray(descs, dtype=float)[:, None]
+        x = float(desc)
         v = mesh.vertices[mesh.cells][:, :, 0]
-        hit = (v[:, 0] - 1e-12 <= x) & (x <= v[:, 1] + 1e-12)
-        found, owners = hit.any(axis=1), hit.argmax(axis=1)
-    else:
-        # facet keys in cell order; np.unique returns each key's first slot
-        key = np.array([mesh.n_vertices, 1])
-        facets = np.sort(mesh.cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
-        keys, first = np.unique(facets @ key, return_index=True)
-        ij = np.sort(np.asarray(descs, dtype=np.int64).reshape(-1, 2), axis=1)
-        at = first[np.minimum(np.searchsorted(keys, ij @ key), len(keys) - 1)]
-        found, owners = (facets[at] == ij).all(axis=1), at // 3
-    if not found.all():
-        raise ValueError(f"charge {descs[np.argmin(found)]} lies outside the mesh")
-    return owners
+        hit = np.where((v[:, 0] - 1e-12 <= x) & (x <= v[:, 1] + 1e-12))[0]
+        if len(hit) == 0:
+            raise ValueError(f"atom at {x} lies outside the mesh")
+        return int(hit[0])
+    i, j = desc
+    for ci in range(mesh.n_cells):
+        c = set(map(int, mesh.cells[ci]))
+        if i in c and j in c:
+            return ci
+    raise ValueError(f"facet {desc} not found in mesh")
 
 
 def tv_on_neighborhood(mu, kset, delta, subdivisions=2):

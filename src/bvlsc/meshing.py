@@ -285,23 +285,17 @@ class Mesh:
         self.n_vertices = len(self.vertices)
 
     def _build_boundary(self):
-        # a facet seen once is a boundary facet, owned by its only cell;
-        # boundary facets are listed in lexicographic order
+        # facets as sorted vertex rows, cell by cell; a facet seen once is a
+        # boundary facet, owned by its only cell
         if self.dim == 1:
-            # facets are vertices: count them and find each one's slot in cells
-            flat = self.cells.ravel()
-            count = np.bincount(flat, minlength=self.n_vertices)
-            slot = np.empty(self.n_vertices, dtype=np.int64)
-            slot[flat] = np.arange(len(flat))  # exact where count == 1
-            bfacets = np.flatnonzero(count == 1)[:, None]
-            first = slot[bfacets[:, 0]]
+            facets = self.cells.reshape(-1, 1)
+            keys = facets[:, 0]
         else:
-            # facets as sorted vertex rows, cell by cell
             facets = np.sort(self.cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
             keys = facets[:, 0] * self.n_vertices + facets[:, 1]
-            _, first, count = np.unique(keys, return_index=True, return_counts=True)
-            first = first[count == 1]
-            bfacets = facets[first]
+        _, first, count = np.unique(keys, return_index=True, return_counts=True)
+        first = first[count == 1]  # in key order, i.e. lexicographic
+        bfacets = facets[first]
         centroids = self.centroids[first // (self.dim + 1)]
         if self.dim == 1:
             normals = np.sign(self.vertices[bfacets[:, 0]] - centroids)

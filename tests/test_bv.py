@@ -15,7 +15,7 @@ from bvlsc.bv import (
     tv_on_neighborhood,
     weakstar_diagnostics,
 )
-from bvlsc.bv import _owner_cells
+from bvlsc.bv import _owner_cell
 from bvlsc.meshing import (
     Domain,
     Mesh,
@@ -24,6 +24,7 @@ from bvlsc.meshing import (
     interval_mesh_with,
     rectangle_mesh,
 )
+from mesh_helpers import shuffled_interval_mesh
 
 
 def jump_member(n, a=0.0, b=1.0, h=1.0 / 16):
@@ -384,20 +385,9 @@ def _loop_from_cellwise_constant_1d(mesh, values):
     return BVFunction(mesh, np.repeat(vpc[:, None, :], 2, axis=1), atoms=atoms)
 
 
-def _shuffled_1d_mesh(seed):
-    rng = np.random.default_rng(seed)
-    mesh = interval_mesh_with(0.0, 1.0, 0.1, [0.33, 0.5],
-                              domain=Domain.interval(0.0, 1.0))
-    perm = rng.permutation(mesh.n_vertices)
-    cells = np.argsort(perm)[np.asarray(mesh.cells)][rng.permutation(mesh.n_cells)]
-    flip = rng.random(mesh.n_cells) < 0.5
-    cells[flip] = cells[flip, ::-1]
-    return Mesh(mesh.vertices[perm], cells, domain=mesh.domain)
-
-
 def test_from_cellwise_constant_1d_matches_cell_loop():
     rng = np.random.default_rng(11)
-    shuffled = _shuffled_1d_mesh(11)
+    shuffled = shuffled_interval_mesh(11)
     member = jump_member(4)
     steps = rng.integers(0, 3, size=(shuffled.n_cells, 2)).astype(float)
     steps[::3, 1] += 1e-15  # jumps of norm 1e-15 are dropped
@@ -427,7 +417,7 @@ def test_owner_cells_are_the_lowest_index_incident_cells():
     assert len(descs) > 5
     want = [min(ci for ci, c in enumerate(mesh.cells.tolist()) if set(d) <= set(c))
             for d in descs]
-    assert _owner_cells(mesh, descs).tolist() == want
+    assert [_owner_cell(mesh, d) for d in descs] == want
     # total_variation on a cell subset counts a charge iff its owner is in it
     sub = rng.permutation(mesh.n_cells)[: mesh.n_cells // 2]
     sing = 0.0
@@ -436,18 +426,15 @@ def test_owner_cells_are_the_lowest_index_incident_cells():
             sing += m
     assert 0.0 < sing < total_variation(mu)
     assert total_variation(mu, cells=sub) == sing  # no density: charges only
-    a, b = sorted(next(d for d in descs if min(d) > 0))
-    # (0, a * nv + b) has the key of the facet (a, b) but is not a facet
-    for bad in ([(0, a * mesh.n_vertices + b)], [(0, mesh.n_vertices + 1)], [(0, 35)]):
-        with pytest.raises(ValueError, match="outside the mesh"):
-            _owner_cells(mesh, bad)
+    with pytest.raises(ValueError, match="not found"):
+        _owner_cell(mesh, (0, 35))
     u = jump_member(4)
     x = [loc for loc, _ in u.atoms] + [0.0, 1.0]
     left = [min(ci for ci, (a, b) in enumerate(u.mesh.vertices[u.mesh.cells][:, :, 0])
                 if a - 1e-12 <= p <= b + 1e-12) for p in x]
-    assert _owner_cells(u.mesh, x).tolist() == left
+    assert [_owner_cell(u.mesh, p) for p in x] == left
     with pytest.raises(ValueError, match="outside the mesh"):
-        _owner_cells(u.mesh, [1.5])
+        _owner_cell(u.mesh, 1.5)
 
 
 def test_l1_distance_mismatch():

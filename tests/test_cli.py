@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -88,15 +87,29 @@ def test_make_goldens_check_lists_the_differing_golden(tmp_path, monkeypatch, ca
     make_goldens = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_goldens)
     before = {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()}
-    copy = tmp_path / "golden"
-    shutil.copytree(GOLDEN_DIR, copy)
-    (copy / "norm_square.report.json").write_text("{}\n")
-    monkeypatch.setattr(make_goldens, "GOLDEN_DIR", copy)
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    (golden / "a.json").write_text("1\n")
+    (golden / "b.json").write_text("2\n")
+
+    def regenerate(out_dir):
+        # stands in for the full regeneration, which the golden tests cover
+        written = [out_dir / "a.json", out_dir / "b.json", out_dir / "c.json"]
+        for path, text in zip(written, ["1\n", "3\n", "4\n"]):
+            path.write_text(text)
+        return written
+
+    monkeypatch.setattr(make_goldens, "GOLDEN_DIR", golden)
+    monkeypatch.setattr(make_goldens, "regenerate", regenerate)
     assert make_goldens.check() == 1
     out = capsys.readouterr().out.splitlines()
-    assert [line for line in out if line.startswith("differs")] == [
-        f"differs: {copy / 'norm_square.report.json'}"]
-    assert out[-1] == "5 of 6 golden files byte-identical"
+    assert out == [f"differs: {golden / 'b.json'}", f"differs: {golden / 'c.json'}",
+                   "1 of 3 golden files byte-identical"]
+    assert [p.read_text() for p in sorted(golden.iterdir())] == ["1\n", "2\n"]
+    (golden / "b.json").write_text("3\n")
+    (golden / "c.json").write_text("4\n")
+    assert make_goldens.check() == 0
+    assert capsys.readouterr().out == "3 of 3 golden files byte-identical\n"
     assert {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()} == before
 
 

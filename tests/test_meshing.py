@@ -18,6 +18,7 @@ from bvlsc.meshing import (
 )
 from bvlsc.meshing import _refine_all
 from bvlsc.quasiconvex import default_qc_mesh
+from mesh_helpers import shuffled_interval_mesh
 
 
 def test_interval_mesh_counts():
@@ -225,25 +226,13 @@ def _loop_boundary(mesh):
             sum(1 for k in count.values() if k == 2))
 
 
-def _shuffled_interval_mesh(seed):
-    """An interval mesh with permuted vertex ids, permuted cells and some cells
-    given right to left."""
-    rng = np.random.default_rng(seed)
-    mesh = interval_mesh_with(0.0, 1.0, 0.1, [0.33, 0.5])
-    perm = rng.permutation(mesh.n_vertices)
-    cells = np.argsort(perm)[np.asarray(mesh.cells)][rng.permutation(mesh.n_cells)]
-    flip = rng.random(mesh.n_cells) < 0.5
-    cells[flip] = cells[flip, ::-1]
-    return Mesh(mesh.vertices[perm], cells, domain=mesh.domain)
-
-
 @pytest.mark.parametrize("build, grid", [
     (lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.0, 1, 1), (1, 1)),
     (lambda: rectangle_mesh(-1.0, 2.0, 0.5, 1.5, 3, 5), (3, 5)),
     (lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.0, 8, 8), (8, 8)),
     (lambda: halfball_mesh([0.6, 0.8], 0.05), None),
     (lambda: interval_mesh_with(0.0, 1.0, 0.1, [0.33, 0.5]), None),
-    (lambda: _shuffled_interval_mesh(5), None),
+    (lambda: shuffled_interval_mesh(5), None),
     (lambda: Mesh([[0.0], [0.1], [0.2], [0.5], [0.6]], [[0, 1], [2, 1], [3, 4]]), None),
 ], ids=["rect1x1", "rect3x5", "rect8x8", "halfball", "interval", "interval_shuffled",
         "interval_two_pieces"])
@@ -301,12 +290,8 @@ def test_refine_all_1d_matches_cell_loop(order):
     if order == "reversed":
         cells = cells[::-1, ::-1]
     elif order == "shuffled":
-        shuffled = _shuffled_interval_mesh(7)
+        shuffled = shuffled_interval_mesh(7)
         verts, cells = np.asarray(shuffled.vertices), np.asarray(shuffled.cells)
-        rng = np.random.default_rng(7)
-        cells = cells[rng.permutation(len(cells))]
-        flip = rng.random(len(cells)) < 0.5
-        cells[flip] = cells[flip, ::-1]
     for _ in range(3):
         got, want = _refine_all(verts, cells, 1), _loop_refine_all_1d(verts, cells)
         assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
