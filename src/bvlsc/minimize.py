@@ -28,13 +28,16 @@ solve is over the work budget, ends with its error and leaves the others
 unchanged.  minimize_field is the one-problem case.
 
 Objectives evaluate from cell gradients (see the objectives section below),
-and each restart keeps the cell gradients of its iterate.  An iteration takes
-its smoothed gradient from them with one p1_assemble call, then takes the
-P1 gradient of the stepped field, which serves the projection, the
-denominator and, unless a rescaling moved the field, the acceptance value.
-A rescaled field has its gradients taken once more, so an iteration in
-normalize mode, or in plain mode under a cap, costs two P1 gradients and one
-assembly.
+and each restart keeps the smoothed gradient of its iterate.  An iteration
+steps along it, takes the P1 gradient of the stepped field, which serves the
+projection and the denominator, and takes it once more if a rescaling moved
+the field.  One from_cells call on those cell gradients then gives both the
+exact value, for acceptance, and the smoothed per-cell parts, which one
+p1_assemble call turns into the gradient the next iteration steps along.
+So an iteration costs one objective evaluation, one assembly and at most
+two P1 gradients (two in normalize mode, or in plain mode under a cap).  A
+new smoothing stage evaluates its live restarts once more at its own
+smoothing.
 
 Constraint handling is by feasible rescaling: an L-infinity cap on cell
 gradients or a cap on the gradient total variation shrinks the whole field
@@ -163,15 +166,16 @@ class SolverOptions:
 #
 # An objective evaluates a batch from its cell gradients G (R, nc, M, dim), as
 # Mesh.p1_gradient returns them.  from_cells(G, delta) gives the values (R,);
-# from_cells(G, delta, with_grad=True) gives the values, a list of per-cell
-# arrays (R, nc, M, dim) and a function that turns their p1_assemble images
-# into the gradient (R, nv, M).  _assemble stacks the list into one
+# from_cells(G, delta, with_grad=True) gives the values, the exact (delta 0)
+# values, a list of per-cell arrays (R, nc, M, dim) and a function that turns
+# their p1_assemble images into the gradient (R, nv, M).  The exact values
+# carry the bits of from_cells(G, 0.0), so the solver accepts an iterate and
+# takes its next gradient from one call.  _assemble stacks the list into one
 # p1_assemble call on disjoint mesh copies, so a quotient or a combination of
 # terms assembles once and every entry keeps the bits of its own call.
 # value and value_and_grad wrap from_cells for one field (nv, M), giving a
 # float and an (nv, M) gradient, or a batch (R, nv, M), each entry computed
-# as for the field alone.  The solver keeps each restart's cell gradients and
-# calls from_cells directly.
+# as for the field alone.  The solver calls from_cells directly.
 #
 # An objective of P copies (a family, see BulkObjective) evaluates a batch of
 # fields with field r on copy on[r]; `on` None puts field p on copy p of a
@@ -230,7 +234,7 @@ class _Objective:
     def value_and_grad(self, values, delta=0.0, on=None):
         batch, single = _as_batch(values)
         G = self.mesh.p1_gradient(batch, on)
-        val, parts, finish = self.from_cells(G, delta, True, **_placed(self, on))
+        val, _, parts, finish = self.from_cells(G, delta, True, **_placed(self, on))
         return _unbatch(single, val, _assemble(self.mesh, parts, finish, on))
 
 
@@ -321,20 +325,25 @@ class BulkObjective(_Objective):
         cell_xi = cell_xi.reshape(-1, g.M, self.mesh.dim)
         x = self._rows("_x", R, on)
         xi = cell_xi if self._frozen else np.repeat(cell_xi, nq, axis=0)
-        vals = g(x, xi)
-        if self._frozen:
-            vals = np.repeat(vals, nq)
         wts = _on(self._wts, on)
-        val = (vals.reshape(R, -1) * wts.reshape(len(wts), -1)).sum(axis=-1)
-        val = val - _on(self._offset, on)
+
+        def total(gd):
+            vals = gd(x, xi)
+            if self._frozen:
+                vals = np.repeat(vals, nq)
+            val = (vals.reshape(R, -1) * wts.reshape(len(wts), -1)).sum(axis=-1)
+            return val - _on(self._offset, on)
+
+        val = total(g)
         if not with_grad:
             return val
+        exact = val if g is self._g_at(0.0) else total(self._g_at(0.0))
         dg = g.grad_xi(x, xi)
         if self._frozen:
             dg = np.repeat(dg, nq, axis=0)
         wts = self._rows("_wts", R, on)
         per_cell = np.einsum("cq,cqmn->cmn", wts, dg.reshape(len(wts), nq, g.M, self.mesh.dim))
-        return val, [per_cell.reshape(grads.shape)], _only
+        return val, exact, [per_cell.reshape(grads.shape)], _only
 
 
 class TVObjective(_Objective):
@@ -351,13 +360,14 @@ class TVObjective(_Objective):
         if self.copies > 1:
             measures = _on(measures, on)
         mags = row_norms(grads.reshape(len(grads), self.mesh.n_cells, -1))
+        val = exact = (mags * measures).sum(axis=-1)
         if delta > 0:
             mags = np.sqrt(mags**2 + delta**2)
-        val = (mags * measures).sum(axis=-1)
+            val = (mags * measures).sum(axis=-1)
         if not with_grad:
             return val
         denom = np.maximum(mags, 1e-300)
-        return val, [grads * (measures / denom)[..., None, None]], _only
+        return val, exact, [grads * (measures / denom)[..., None, None]], _only
 
 
 class LinearCombo(_Objective):
@@ -370,10 +380,11 @@ class LinearCombo(_Objective):
     def from_cells(self, grads, delta=0.0, with_grad=False, on=None):
         if not with_grad:
             return sum(c * o.from_cells(grads, delta, on=on) for c, o in self.terms)
-        total, parts, pieces = 0.0, [], []
+        total, exact, parts, pieces = 0.0, 0.0, [], []
         for c, o in self.terms:
-            v, p, finish = o.from_cells(grads, delta, True, on)
+            v, e, p, finish = o.from_cells(grads, delta, True, on)
             total += c * v
+            exact += c * e
             pieces.append((c, finish, len(parts), len(parts) + len(p)))
             parts += p
 
@@ -384,7 +395,7 @@ class LinearCombo(_Objective):
                 grad = c * g if grad is None else grad + c * g
             return grad
 
-        return total, parts, combine
+        return total, exact, parts, combine
 
 
 class RayleighQuotient(_Objective):
@@ -402,13 +413,16 @@ class RayleighQuotient(_Objective):
     def denominator(self, values, on=None):
         return self.den.value(values, 0.0, on)
 
+    def _quotient(self, n, d):
+        return np.where(d < self.den_floor, np.inf, n / np.maximum(d, self.den_floor))
+
     def from_cells(self, grads, delta=0.0, with_grad=False, on=None):
         if not with_grad:
-            d = self.den.from_cells(grads, delta, on=on)
-            n = self.num.from_cells(grads, delta, on=on)
-            return np.where(d < self.den_floor, np.inf, n / np.maximum(d, self.den_floor))
-        nv, n_parts, n_finish = self.num.from_cells(grads, delta, True, on)
-        dv, d_parts, d_finish = self.den.from_cells(grads, delta, True, on)
+            return self._quotient(self.num.from_cells(grads, delta, on=on),
+                                  self.den.from_cells(grads, delta, on=on))
+        nv, n_exact, n_parts, n_finish = self.num.from_cells(grads, delta, True, on)
+        dv, d_exact, d_parts, d_finish = self.den.from_cells(grads, delta, True, on)
+        exact = self._quotient(n_exact, d_exact)
         dv = np.maximum(dv, self.den_floor)
         val = nv / dv
         k = len(n_parts)
@@ -417,7 +431,7 @@ class RayleighQuotient(_Objective):
             ng, dg = n_finish(assembled[:k]), d_finish(assembled[k:])
             return (ng - val[:, None, None] * dg) / dv[:, None, None]
 
-        return val, n_parts + d_parts, combine
+        return val, exact, n_parts + d_parts, combine
 
 
 # -- initial fields -----------------------------------------------------------
@@ -587,8 +601,6 @@ def _solve(objective, problems, on=None):
 
     def fail(rows, bad, message, values):
         """End the problems of the restarts rows[bad], each with its first."""
-        if not np.any(bad):
-            return
         for i in np.flatnonzero(bad):
             p = owner[rows[i]]
             if not failed[p]:
@@ -598,11 +610,11 @@ def _solve(objective, problems, on=None):
         lost = failed[owner]
         alive[lost] = active[lost] = False
 
-    # per restart: the current iterate and its cell gradients, the best value
-    # and where it was reached
+    # per restart: the current iterate and its clamped smoothed gradient, the
+    # best value and where it was reached
     fields = np.array(starts)
     fields[clamp[owner]] = 0.0
-    grads = np.zeros((n, family.n_cells, objective.M, family.dim))
+    steps = np.zeros_like(fields)
     d = np.ones(n)
     for rows in chunks(np.arange(n)):
         fields[rows], G = _project(fields[rows], family.p1_gradient(fields[rows], at[rows]),
@@ -614,12 +626,26 @@ def _solve(objective, problems, on=None):
     for p in np.unique(owner):
         if not usable[owner == p].any():
             fail(first[p:p + 1], [True], "no usable start (degenerate inits)", None)
+    stages = list(options.smoothing) or [0.0]
+
+    def evaluate(rows, G, delta, on, clamped):
+        """The exact values of the fields `rows` (on copies `on`, clamped
+        where `clamped`) from their cell gradients G; their gradients at
+        smoothing delta go to steps[rows]."""
+        _, exact, parts, finish = objective.from_cells(G, delta, True,
+                                                       **_placed(objective, on))
+        g = _assemble(family, parts, finish, on)
+        g[clamped] = 0.0
+        steps[rows] = g
+        return exact
+
     best = np.full(n, np.inf)
     for rows in chunks(np.flatnonzero(usable & ~failed[owner])):
-        grads[rows] = family.p1_gradient(fields[rows], at[rows])
-        best[rows] = objective.from_cells(grads[rows], 0.0, **_placed(objective, at[rows]))
-        fail(rows, ~np.isfinite(best[rows]), "objective non-finite at restart {r} init",
-             fields[rows])
+        best[rows] = evaluate(rows, family.p1_gradient(fields[rows], at[rows]), stages[0],
+                              at[rows], clamp[owner[rows]])
+        bad = ~np.isfinite(best[rows])
+        if bad.any():
+            fail(rows, bad, "objective non-finite at restart {r} init", fields[rows])
     best_fields = fields.copy()
     since_improve = np.zeros(n, dtype=np.int64)
     k_global = np.zeros(n, dtype=np.int64)
@@ -632,59 +658,65 @@ def _solve(objective, problems, on=None):
     reasons = np.where(usable, "iteration_cap", "unusable_start").astype(object)
 
     def advance(rows, delta, flat):
-        """One iteration of the restarts `rows`, all in the same stage: one
-        assembly, and the cell gradients of the step and of its rescaling."""
-        rows = rows[~failed[owner[rows]]]  # a problem may end in an earlier chunk
-        if not len(rows):
-            return
-        _, parts, finish = objective.from_cells(grads[rows], delta, with_grad=True,
-                                                **_placed(objective, at[rows]))
-        g = _assemble(family, parts, finish, at[rows])
-        g[clamp[owner[rows]]] = 0.0
+        """One iteration of the restarts `rows`, all in the same stage: a step
+        along their gradients, the cell gradients of the step and of its
+        rescaling, and one evaluation with one assembly."""
+        if failed.any():
+            rows = rows[~failed[owner[rows]]]  # a problem may end in an earlier chunk
+            if not len(rows):
+                return
+        g = steps[rows]
         # one dot per restart, as np.linalg.norm of a single field takes it
         gn = np.sqrt([gr.dot(gr) for gr in g.reshape(len(rows), -1)])
-        fail(rows, ~np.isfinite(gn), "non-finite gradient", fields[rows])
         zero = gn < 1e-15
         active[rows[zero]] = False
         flat[rows[zero]] = True
-        go = ~zero & ~failed[owner[rows]]
+        go = ~zero
+        bad = ~np.isfinite(gn)
+        if bad.any():
+            fail(rows, bad, "non-finite gradient", fields[rows])
+            go &= ~failed[owner[rows]]
         if not go.all():
             rows, g, gn = rows[go], g[go], gn[go]
             if not len(rows):
                 return
+        at_rows, clamp_rows = at[rows], clamp[owner[rows]]
         alpha = step0[rows] / np.sqrt(1.0 + k_global[rows])
         new = fields[rows] - alpha[:, None, None] * (g / gn[:, None, None])
-        new[clamp[owner[rows]]] = 0.0
-        new, G = _project(new, family.p1_gradient(new, at[rows]), family, options, at[rows])
+        new[clamp_rows] = 0.0
+        new, G = _project(new, family.p1_gradient(new, at_rows), family, options,
+                          at_rows)
         if normalize:
-            d = objective.den.from_cells(G, on=at[rows])
+            d = objective.den.from_cells(G, on=at_rows)
             new /= np.where(d > 1e-12, d, 1.0)[:, None, None]
-            G = family.p1_gradient(new, at[rows])
+            G = family.p1_gradient(new, at_rows)
         k_global[rows] += 1
-        v = objective.from_cells(G, 0.0, **_placed(objective, at[rows]))
-        fail(rows, ~np.isfinite(v), "objective non-finite", new)
-        ok = ~failed[owner[rows]]
-        if not ok.all():
-            rows, new, G, v = rows[ok], new[ok], G[ok], v[ok]
+        v = evaluate(rows, G, delta, at_rows, clamp_rows)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            fail(rows, bad, "objective non-finite", new)
+            ok = ~failed[owner[rows]]
+            rows, new, v = rows[ok], new[ok], v[ok]
         fields[rows] = new
-        grads[rows] = G
         lb = best[rows]
         better = v < lb - 1e-14 * (1.0 + np.abs(lb))
-        up, rest = rows[better], rows[~better]
-        best[up] = v[better]
+        best[rows] = np.where(better, v, lb)
+        up = rows[better]
         best_fields[up] = new[better]
-        since_improve[up] = 0
         hit_cap[up] = k_global[up] >= options.max_iter - 1
-        since_improve[rest] += 1
-        tired = rest[since_improve[rest] >= options.patience]
+        since_improve[rows] = since = np.where(better, 0, since_improve[rows] + 1)
+        tired = rows[~better & (since >= options.patience)]
         alive[tired] = active[tired] = False
         reasons[tired] = "patience"
 
-    stages = list(options.smoothing) or [0.0]
     iters_per_stage = max(1, options.max_iter // len(stages))
-    for delta in stages:
+    for s, delta in enumerate(stages):
         active[:] = alive
         flat = np.zeros(n, dtype=bool)
+        if s:  # the first stage's gradients came with the start values
+            for rows in chunks(np.flatnonzero(alive)):
+                evaluate(rows, family.p1_gradient(fields[rows], at[rows]), delta,
+                         at[rows], clamp[owner[rows]])
         for _ in range(iters_per_stage):
             rows = np.flatnonzero(active)
             if not len(rows):

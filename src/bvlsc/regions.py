@@ -8,6 +8,8 @@ open delta-neighborhood is simply {x : dist(x) < delta}.
 
 import numpy as np
 
+from .meshing import row_norms
+
 __all__ = ["CompactSet", "point", "segment", "box", "polygon_region"]
 
 
@@ -23,10 +25,10 @@ def _dist_to_segment(x, a, b):
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0.0:
-        return np.linalg.norm(x - a, axis=1)
+        return row_norms(x - a)
     t = np.clip((x - a) @ ab / denom, 0.0, 1.0)
     proj = a + t[:, None] * ab
-    return np.linalg.norm(x - proj, axis=1)
+    return row_norms(x - proj)
 
 
 def _points_in_polygon(x, verts):
@@ -78,7 +80,7 @@ class CompactSet:
         d = np.full(len(x), np.inf)
         for kind, data in self.pieces:
             if kind == "point":
-                d = np.minimum(d, np.linalg.norm(x - data, axis=1))
+                d = np.minimum(d, row_norms(x - data))
             elif kind == "segment":
                 a, b = data
                 d = np.minimum(d, _dist_to_segment(x, a, b))

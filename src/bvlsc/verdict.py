@@ -99,8 +99,13 @@ def _positive_number(x):
     return _finite_number(x) and x > 0
 
 
+def _count(x):
+    """A JSON integer (not a bool) >= 0."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _positive_int(x):
-    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+    return _count(x) and x > 0
 
 
 def _validate_solver(solver, err):
@@ -158,6 +163,57 @@ def _validate_domain(dom, err):
         err(f"unknown domain kind {kind!r} (interval|polygon)", "domain")
 
 
+def _validate_integrand(integrand, err):
+    if not isinstance(integrand, dict) or "tag" not in integrand:
+        err("'integrand' needs a 'tag'", "integrand")
+        return
+    params = integrand.get("params", {})
+    if not isinstance(params, dict):
+        err("'integrand.params' must be an object", "params")
+        return
+    for key in ("M", "N"):
+        if key in params and not _positive_int(params[key]):
+            err(f"'integrand.params.{key}' must be a positive integer, got "
+                f"{params[key]!r}", key)
+
+
+def _validate_samples(cfg, err):
+    """interior_points, boundary_points and xi_samples."""
+    dom = cfg.get("domain")
+    kind = dom.get("kind") if isinstance(dom, dict) else None
+    dim = 1 if kind == "interval" else 2 if kind == "polygon" else None
+
+    def points(key, spec):
+        if not (isinstance(spec, list) and all(
+                isinstance(p, list) and len(p) in ((dim,) if dim else (1, 2))
+                and all(map(_finite_number, p)) for p in spec)):
+            err(f"'{key}' must be a list of points, each a list of {dim or 'd'} "
+                f"finite numbers, got {spec!r}", key)
+
+    spec = cfg.get("interior_points", {})
+    if not isinstance(spec, dict):
+        points("interior_points", spec)
+    elif "count" in spec and not _count(spec["count"]):
+        err(f"'interior_points.count' must be a non-negative integer, got "
+            f"{spec['count']!r}", "count")
+    spec = cfg.get("boundary_points", "all")
+    if spec != "all":
+        points("boundary_points", spec)
+    xi = cfg.get("xi_samples", {})
+    if not isinstance(xi, dict):
+        err("'xi_samples' must be an object", "xi_samples")
+        return
+    for key in ("include_zero", "rank_one"):
+        if key in xi and not isinstance(xi[key], bool):
+            err(f"'xi_samples.{key}' must be true or false, got {xi[key]!r}", key)
+    if "random" in xi and not _count(xi["random"]):
+        err(f"'xi_samples.random' must be a non-negative integer, got "
+            f"{xi['random']!r}", "random")
+    if "radius" in xi and not _positive_number(xi["radius"]):
+        err(f"'xi_samples.radius' must be a positive finite number, got "
+            f"{xi['radius']!r}", "radius")
+
+
 def _validate(cfg, raw_text=""):
     errors = []
 
@@ -168,12 +224,13 @@ def _validate(cfg, raw_text=""):
         raise ConfigError([("config must be a JSON object", None)])
     if "integrand" not in cfg:
         err("missing required key 'integrand'", "integrand")
-    elif not isinstance(cfg["integrand"], dict) or "tag" not in cfg["integrand"]:
-        err("'integrand' needs a 'tag'", "integrand")
+    else:
+        _validate_integrand(cfg["integrand"], err)
     if "domain" not in cfg:
         err("missing required key 'domain'", "domain")
     else:
         _validate_domain(cfg["domain"], err)
+    _validate_samples(cfg, err)
     _validate_solver(cfg.get("solver", {}), err)
     _validate_sequence(cfg.get("sequence", {}), err)
     if "schema_version" in cfg and cfg["schema_version"] != SCHEMA_VERSION:
@@ -233,9 +290,12 @@ class Scenario:
                 self.domain = Domain.polygon(dom["vertices"])
         except ValueError as e:  # e.g. a polygon loop that is not simple
             raise ConfigError([(str(e), _line_of(raw_text, "domain"))]) from e
-        self.integrand = catalog_get(
-            self.cfg["integrand"]["tag"], self.cfg["integrand"].get("params")
-        )
+        try:
+            self.integrand = catalog_get(
+                self.cfg["integrand"]["tag"], self.cfg["integrand"].get("params")
+            )
+        except (KeyError, TypeError, ValueError) as e:  # e.g. an unknown tag
+            raise ConfigError([(f"integrand: {e}", _line_of(raw_text, "integrand"))]) from e
         if self.integrand.N != self.domain.dim:
             raise ConfigError(
                 [(f"integrand expects N={self.integrand.N} but the domain is "

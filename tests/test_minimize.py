@@ -457,35 +457,60 @@ def test_batch_of_five_equals_five_single_calls(mesh, delta, name):
                                   "plain_tv_cap"])
 @pytest.mark.parametrize("chunked", [False, True], ids=["one_batch", "chunked"])
 def test_iteration_takes_two_gradients_and_one_assembly(case, chunked, monkeypatch):
+    """Each iterate is evaluated once: one from_cells call, which carries the
+    gradient, then one assembly, with at most two P1 gradients per step."""
     objective, mesh, clamped, opts = _lockstep_cases()[case]
+    n_chunks = 1
     if chunked:
         monkeypatch.setattr(minimize, "BATCH_CELLS", 2 * mesh.n_cells)
-    calls = {"p1_gradient": 0, "p1_assemble": 0}
-    for name in calls:
+        n_chunks = -(-opts.restarts // 2)
+    calls = {"p1_gradient": 0, "p1_assemble": 0, "project": 0}
+    for name in ("p1_gradient", "p1_assemble"):
         def counted(self, *args, _name=name, _inner=getattr(Mesh, name)):
             calls[_name] += 1
             return _inner(self, *args)
         monkeypatch.setattr(Mesh, name, counted)
-    # an iteration starts where the gradient of its restarts is asked for
-    starts = []
+
+    def projected(*args, _inner=minimize._project):
+        calls["project"] += 1
+        return _inner(*args)
+
+    monkeypatch.setattr(minimize, "_project", projected)
+    # per from_cells call of the solver loop: rows, whether it carries the
+    # gradient, and the counts so far; the final value and stationarity
+    # gradient after the loop go through value and value_and_grad
+    seen, after_loop = [], []
     inner = objective.from_cells
 
     def marked(grads, delta=0.0, with_grad=False):
-        if with_grad:
-            starts.append((calls["p1_gradient"], calls["p1_assemble"]))
+        if not after_loop:
+            seen.append((len(grads), with_grad, calls["p1_gradient"],
+                         calls["p1_assemble"], calls["project"]))
         return inner(grads, delta, with_grad)
 
+    for name in ("value", "value_and_grad"):
+        def ends_loop(*args, _inner=getattr(objective, name)):
+            after_loop.append(True)
+            return _inner(*args)
+        monkeypatch.setattr(objective, name, ends_loop)
     monkeypatch.setattr(objective, "from_cells", marked)
     res = minimize_field(objective, mesh, clamped, opts)
-    # the last start is the final stationarity gradient, so the last difference
-    # also holds the work after the loop
-    per_iteration = np.diff(np.array(starts), axis=0)[:-1]
-    assert len(per_iteration) >= res.iterations // 7 >= 10
-    assert np.all(per_iteration[:, 1] == 1)
-    assert per_iteration[:, 0].max() <= 2
+    rows = np.array([r for r, *_ in seen])
+    assert all(with_grad for _, with_grad, *_ in seen)
+    between = np.diff(np.array([s[2:] for s in seen]), axis=0)
+    gradients, assemblies, projections = between.T
+    # every evaluation is assembled once, before the next evaluation
+    assert np.all(assemblies == 1)
+    assert gradients.max() <= 2
+    # an iteration projects its step once; every stepped row is evaluated once
+    step = projections > 0
+    assert np.all(projections[step] == 1)
+    assert rows[1:][step].sum() == res.iterations >= 10 * opts.restarts
+    # the other evaluations: the starts, and each later smoothing stage's once
+    assert len(seen) - step.sum() <= n_chunks * len(opts.smoothing)
     if case == "normalize_degenerate_init":
         # the stepped field, then the field renormalized to unit denominator
-        assert np.all(per_iteration[:, 0] == 2)
+        assert np.all(gradients[step] == 2)
 
 
 # -- frozen integrands: one evaluation per cell -----------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bvlsc.boundary
 import bvlsc.verdict
-from bvlsc.cli import bundled_scenarios, resolve_config
+from bvlsc.cli import bundled_scenarios, main, resolve_config
 from bvlsc.integrands import catalog_get
 from bvlsc.meshing import BoundaryPoint
 from bvlsc.minimize import minimize_fields
@@ -281,6 +281,26 @@ def test_degenerate_solver_sequence_and_domain_are_schema_errors(tmp_path, capsy
     code, verdict = run_scenario(path, out_dir=tmp_path / "out")
     assert (code, verdict) == (2, None)
     assert message in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: cfg.update(interior_points="x"), "'interior_points' must be a list"),
+    (lambda cfg: cfg["xi_samples"].update(random="two"),
+     "'xi_samples.random' must be a non-negative integer"),
+    (lambda cfg: cfg["integrand"].update(params={"M": "a"}),
+     "'integrand.params.M' must be a positive integer"),
+    (lambda cfg: cfg.update(boundary_points=3), "'boundary_points' must be a list"),
+    (lambda cfg: cfg["integrand"].update(tag="nosuch"), "unknown integrand tag 'nosuch'"),
+], ids=["interior_points", "xi_random", "params_M", "boundary_points", "tag"])
+def test_mistyped_points_samples_and_integrand_exit_2(tmp_path, capsys, edit, message):
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert message in out
+    assert not (tmp_path / "out").exists()
 
 
 _BUNDLED_CONFIGS = {name: json.loads(path.read_text())
