@@ -59,7 +59,7 @@ print(f"  certificate (eventually below {cert['target']:+.3f}): "
 print("\n== same sequence on the enlarged domain (-1, 1)")
 spec_ext = SequenceSpec("jump_migration", Domain.interval(-1.0, 1.0), n_max=64)
 u8 = generate(spec_ext, 8)
-print(f"  atoms of u_8: {[(x, float(j)) for x, j in u8.atoms]}")
+print(f"  atoms of u_8: {[(x, j.item()) for x, j in u8.atoms]}")
 print(f"  F(u_8) = {eval_F(f, f.recession, u8).total:+.3f}  "
       "(the two jumps cancel)")
 lim_ext = empirical_liminf(f, f.recession, spec_ext)

@@ -66,29 +66,19 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-_ONLY = {
-    "liminf": {"qc": False, "qslb": True, "sequences": True,
-               "decomposition": False, "equivalence": False, "mu": False,
-               "refinement": False},
-    "decompose": {"qc": False, "qslb": False, "sequences": False,
-                  "decomposition": True, "equivalence": False, "mu": False,
-                  "refinement": False},
-}
+# the checks a subcommand runs; every other check is off
+_ONLY = {"liminf": ("qslb", "sequences"), "decompose": ("decomposition",)}
 
 
 def _recession_report(config_path, out_dir, seed):
     from .integrands import mu_estimate, recession_estimate
-    from .verdict import ConfigError, Scenario, _sanitize
+    from .verdict import Scenario, _sanitize
 
-    try:
-        scenario = Scenario.from_file(config_path)
-    except ConfigError as e:
-        for msg, line in e.messages:
-            where = f" (line {line})" if line else ""
-            print(f"config error{where}: {msg}")
+    scenario = Scenario.load(config_path)
+    if scenario is None:
         return 2
     if seed is not None:
-        scenario.seed = int(seed)
+        scenario.seed = seed
     f = scenario.integrand
     finf = scenario.recession
     rng = np.random.default_rng(scenario.seed)
@@ -127,19 +117,17 @@ def main(argv=None):
     except FileNotFoundError as e:
         print(e)
         return 2
+    if args.seed is not None and args.seed < 0:
+        print(f"config error: --seed must be non-negative, got {args.seed}")
+        return 2
 
     if args.command == "recession":
         return _recession_report(config, args.out_dir, args.seed)
 
     from .verdict import run_scenario
 
-    code, _ = run_scenario(
-        config,
-        out_dir=args.out_dir,
-        seed=args.seed,
-        h=args.h,
-        checks_override=_ONLY.get(args.command),
-    )
+    code, _ = run_scenario(config, out_dir=args.out_dir, seed=args.seed, h=args.h,
+                           only=_ONLY.get(args.command))
     return code
 
 

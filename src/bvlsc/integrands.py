@@ -35,16 +35,6 @@ __all__ = [
     "freeze_x",
 ]
 
-CATALOG_TAGS = (
-    "linear",
-    "norm",
-    "negnorm",
-    "area",
-    "boundary_null_lagrangian",
-    "norm_sin",
-)
-
-
 def _frob(xi):
     return row_norms(xi.reshape(xi.shape[0], -1))
 
@@ -318,8 +308,8 @@ def mu_estimate(f, finf, t, budget=2000, x_samples=None, seed=0, span=100.0):
 # -- catalog -------------------------------------------------------------------
 
 
-def _mk_linear(A, tag="linear"):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+def _mk_linear(matrix, tag="linear"):
+    A = np.atleast_2d(np.asarray(matrix, dtype=float))
     M, N = A.shape
 
     def fn(x, xi):
@@ -437,30 +427,40 @@ def _mk_null_lagrangian(a, t):
     return g
 
 
+# tag -> (maker, declared parameters with their defaults; None marks a required one)
+CATALOG = {
+    "linear": (_mk_linear, {"matrix": [[1.0]]}),
+    "norm": (lambda M, N: _mk_norm(1.0, "norm", M, N), {"M": 1, "N": 1}),
+    "negnorm": (lambda M, N: _mk_norm(-1.0, "negnorm", M, N), {"M": 1, "N": 1}),
+    "area": (_mk_area, {"M": 1, "N": 1}),
+    "boundary_null_lagrangian": (_mk_null_lagrangian, {"a": None, "t": None}),
+    "norm_sin": (_mk_norm_sin, {"M": 1, "N": 1}),
+    "composite": (lambda terms: composite(
+        [(float(w), catalog_get(t["tag"], t.get("params"))) for w, t in terms]),
+        {"terms": None}),
+}
+CATALOG_TAGS = tuple(tag for tag in CATALOG if tag != "composite")
+
+
 def catalog_get(tag, params=None):
-    """Named integrand with correct growth constant and analytic recession."""
+    """Named integrand with correct growth constant and analytic recession.
+
+    Raises ValueError for an unknown tag, a parameter the tag does not declare
+    or a required one left out."""
+    if tag not in CATALOG:
+        raise ValueError(f"unknown integrand tag {tag!r} ({'|'.join(CATALOG)})")
+    maker, declared = CATALOG[tag]
     params = params or {}
-    M = int(params.get("M", 1))
-    N = int(params.get("N", 1))
-    if tag == "linear":
-        return _mk_linear(params.get("matrix", [[1.0]]))
-    if tag == "norm":
-        return _mk_norm(1.0, "norm", M, N)
-    if tag == "negnorm":
-        return _mk_norm(-1.0, "negnorm", M, N)
-    if tag == "area":
-        return _mk_area(M, N)
-    if tag == "norm_sin":
-        return _mk_norm_sin(M, N)
-    if tag == "boundary_null_lagrangian":
-        return _mk_null_lagrangian(params["a"], params["t"])
-    if tag == "composite":
-        terms = [
-            (float(w), catalog_get(spec["tag"], spec.get("params")))
-            for w, spec in params["terms"]
-        ]
-        return composite(terms)
-    raise ValueError(f"unknown integrand tag {tag!r}")
+    required = [k for k, v in declared.items() if v is None]
+    if set(params) - set(declared) or set(required) - set(params):
+        raise ValueError(f"{tag!r} takes parameters {list(declared)} (required: "
+                         f"{required}), got {sorted(params)}")
+    for k in ("M", "N"):
+        if k in params and not (isinstance(params[k], (int, np.integer))
+                                and params[k] > 0):
+            raise ValueError(f"parameter {k!r} must be a positive integer, "
+                             f"got {params[k]!r}")
+    return maker(**{**declared, **params})
 
 
 def catalog_tags():
@@ -469,6 +469,8 @@ def catalog_tags():
 
 def composite(terms):
     """Weighted sum of integrands: sum_i w_i f_i, with summed recession."""
+    if not terms:
+        raise ValueError("composite needs at least one term")
     ws = [w for w, _ in terms]
     fs = [f for _, f in terms]
     M, N = fs[0].M, fs[0].N

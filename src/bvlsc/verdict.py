@@ -23,6 +23,7 @@ quadrature.  report.json is deterministic for a fixed config and seed: it
 carries no wall-clock data (timings go to a separate file).
 """
 
+import copy
 import csv
 import json
 import math
@@ -33,9 +34,10 @@ import numpy as np
 
 from .boundary import equivalence_harness, halfball_deficit, halfball_deficits
 from .decompose import CoverSpec, local_decompose, verify_properties
-from .integrands import catalog_get, estimated_recession, mu_estimate, freeze_x
+from .integrands import CATALOG, catalog_get, estimated_recession, mu_estimate, freeze_x
+from . import minimize
 from .meshing import Domain, MeshBudgetError, build_mesh
-from .minimize import SolverOptions
+from .minimize import SolverBudgetError, SolverOptions
 from .quasiconvex import default_qc_mesh, qc_deficit, qc_deficits
 from .regions import CompactSet
 from .sequences import (
@@ -58,33 +60,6 @@ class ConfigError(ValueError):
         self.messages = messages
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "mesh": {"h": 0.125},
-    "checks": {"qc": True, "qslb": True, "sequences": False,
-               "decomposition": False, "equivalence": False, "mu": False,
-               "refinement": False},
-    "interior_points": {"count": 1},
-    "boundary_points": "all",
-    "xi_samples": {"include_zero": True, "rank_one": True, "random": 2,
-                   "radius": 1.0},
-    "solver": {},
-    "qc": {"L_grid": [1.0, 4.0, 16.0], "h": 0.125},
-    "qslb": {"h": 0.1, "tol": 1e-3},
-    "sequence": {"kind": "jump_migration", "n_max": 64, "params": {}},
-    "decomposition": {"n_max": 16, "prefix": 80,
-                      "cover": [{"point": [0.0]}, {"segment": [[0.125], [1.0]]}]},
-    "liminf_tol": 1e-6,
-}
-
-
-def _line_of(text, key):
-    for i, line in enumerate(text.splitlines(), start=1):
-        if f'"{key}"' in line:
-            return i
-    return None
-
-
 def _finite_number(x):
     """A JSON number (not a bool) with a finite float value."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -95,126 +70,157 @@ def _finite_number(x):
         return False
 
 
-def _positive_number(x):
-    return _finite_number(x) and x > 0
-
-
 def _count(x):
     """A JSON integer (not a bool) >= 0."""
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _positive_int(x):
-    return _count(x) and x > 0
+class _Accepts:
+    """The values a config key accepts: a test, and the phrase naming them in
+    error messages and in FORMATS.md."""
+
+    def __init__(self, what, test, form="'{key}' must be {what}, got {value!r}"):
+        self.what, self.test, self.form = what, test, form
+
+    def message(self, key, value):
+        return self.form.format(key=key, what=self.what, value=value)
 
 
-def _validate_solver(solver, err):
-    if not isinstance(solver, dict):
-        err("'solver' must be an object", "solver")
-        return
-    for key in ("restarts", "max_iter", "patience"):
-        if key in solver and not _positive_int(solver[key]):
-            err(f"'solver.{key}' must be a positive integer, got {solver[key]!r}", key)
-    if "step0" in solver and not (_finite_number(solver["step0"])
-                                  and solver["step0"] >= 0):
-        err(f"'solver.step0' must be a non-negative finite number, got "
-            f"{solver['step0']!r}", "step0")
-    smoothing = solver.get("smoothing", [])
-    if not (isinstance(smoothing, list)
-            and all(_finite_number(d) and d >= 0 for d in smoothing)):
-        err(f"'solver.smoothing' must be a list of non-negative finite numbers, "
-            f"got {smoothing!r}", "smoothing")
+def _one_of(noun, choices):
+    return _Accepts("one of " + "|".join(choices), lambda v: v in choices,
+                    f"unknown {noun} {{value!r}} ({'|'.join(choices)})")
 
 
-def _validate_sequence(seq, err):
-    if not isinstance(seq, dict):
-        err("'sequence' must be an object", "sequence")
-        return
-    kinds = SEQUENCE_KINDS + ("none",)
-    if seq.get("kind", "none") not in kinds:
-        err(f"unknown sequence kind {seq['kind']!r} ({'|'.join(kinds)})", "sequence")
-    if "n_max" in seq and not _positive_int(seq["n_max"]):
-        err(f"'sequence.n_max' must be a positive integer, got {seq['n_max']!r}",
-            "n_max")
-    if not isinstance(seq.get("params", {}), dict):
-        err("'sequence.params' must be an object", "params")
+_BOOL = _Accepts("true or false", lambda v: isinstance(v, bool))
+_COUNT = _Accepts("a non-negative integer", _count)
+_POSITIVE_INT = _Accepts("a positive integer", lambda v: _count(v) and v > 0)
+_POSITIVE = _Accepts("a positive number", lambda v: _finite_number(v) and v > 0)
+_NON_NEGATIVE = _Accepts("a non-negative finite number",
+                         lambda v: _finite_number(v) and v >= 0)
+_OBJECT = _Accepts("an object", lambda v: isinstance(v, dict))
+_PER_FORM = None  # checked by the per-form code in _checked, which needs the domain
+_REQUIRED = object()
+
+# one row per dotted key: (accepted values, default); a key with a dot is a
+# member of its section, which must be an object
+_SCHEMA = {
+    "schema_version": (_Accepts("1", lambda v: _count(v) and v == SCHEMA_VERSION),
+                       SCHEMA_VERSION),
+    "name": (_Accepts("a string", lambda v: isinstance(v, str)), "scenario"),
+    "seed": (_COUNT, 0),
+    "domain": (_PER_FORM, _REQUIRED),
+    "integrand.tag": (_one_of("integrand tag", tuple(CATALOG)), _REQUIRED),
+    "integrand.params": (_OBJECT, {}),
+    "mesh.h": (_POSITIVE, 0.125),
+    "checks.qc": (_BOOL, True),
+    "checks.qslb": (_BOOL, True),
+    "checks.sequences": (_BOOL, False),
+    "checks.decomposition": (_BOOL, False),
+    "checks.equivalence": (_BOOL, False),
+    "checks.mu": (_BOOL, False),
+    "checks.refinement": (_BOOL, False),
+    "interior_points.count": (_COUNT, 1),  # or a list of points in place of the object
+    "boundary_points": (_PER_FORM, "all"),
+    "xi_samples.include_zero": (_BOOL, True),
+    "xi_samples.rank_one": (_BOOL, True),
+    "xi_samples.random": (_COUNT, 2),
+    "xi_samples.radius": (_POSITIVE, 1.0),
+    "qc.L_grid": (_Accepts("a non-empty list of caps; caps must be positive finite "
+                           "numbers", lambda v: isinstance(v, list) and v != []
+                           and all(_POSITIVE.test(L) for L in v)), [1.0, 4.0, 16.0]),
+    "qc.h": (_POSITIVE, 0.125),
+    "qslb.h": (_POSITIVE, 0.1),
+    "qslb.tol": (_NON_NEGATIVE, 1e-3),
+    "solver.restarts": (_POSITIVE_INT, 8),
+    "solver.max_iter": (_POSITIVE_INT, 400),
+    "solver.step0": (_NON_NEGATIVE, 0.0),
+    "solver.smoothing": (_Accepts("a list of non-negative finite numbers",
+                                  lambda v: isinstance(v, list) and all(
+                                      _finite_number(d) and d >= 0 for d in v)),
+                         [0.1, 0.01, 0.001]),
+    "solver.patience": (_POSITIVE_INT, 60),
+    "sequence.kind": (_one_of("sequence kind", SEQUENCE_KINDS + ("none",)),
+                      "jump_migration"),
+    "sequence.n_max": (_POSITIVE_INT, 64),
+    "sequence.params": (_OBJECT, {}),
+    "decomposition.n_max": (_POSITIVE_INT, 16),
+    "decomposition.prefix": (_POSITIVE_INT, 80),
+    "decomposition.cover": (_PER_FORM, [{"point": [0.0]},
+                                        {"segment": [[0.125], [1.0]]}]),
+    "liminf_tol": (_NON_NEGATIVE, 1e-6),
+}
+_SECTIONS = {}  # section ("" for the top level) -> {member: row}
+for _key, _row in _SCHEMA.items():
+    _section, _, _member = _key.rpartition(".")
+    _SECTIONS.setdefault(_section, {})[_member] = _row
 
 
-def _validate_domain(dom, err):
+def _line_of(text, key):
+    """1-based line of a dotted key, each part searched from the line of the
+    part before it; None when its first part is not in the text."""
+    lines, at = text.splitlines(), None
+    for part in key.split("."):
+        hits = [i for i in range(at or 0, len(lines)) if f'"{part}"' in lines[i]]
+        if not hits:
+            break
+        at = hits[0]
+    return None if at is None else at + 1
+
+
+def _filled(given, section, err):
+    """One section checked against its rows, with every default filled in.
+    Members that are sections of their own are left to the caller."""
+    rows = _SECTIONS[section]
+    known = list(rows) + [s for s in _SECTIONS if s and not section]
+    for name in sorted(set(given) - set(known)):
+        noun = "check" if section == "checks" else "key"
+        err(f"unknown {noun} {name!r}{f' in {section!r}' if section else ''} "
+            f"(known: {', '.join(known)})", f"{section}.{name}".lstrip("."))
+    out = {}
+    for name, (accepts, default) in rows.items():
+        key = f"{section}.{name}".lstrip(".")
+        if name in given:
+            out[name] = given[name]
+            if accepts is not _PER_FORM and not accepts.test(given[name]):
+                err(accepts.message(key, given[name]), key)
+        elif default is _REQUIRED:
+            err(f"missing required key '{key}'", section or name)
+        else:
+            out[name] = copy.deepcopy(default)
+    return out
+
+
+def _is_point(p, dim):
+    return (isinstance(p, list) and len(p) in ((dim,) if dim else (1, 2))
+            and all(map(_finite_number, p)))
+
+
+def _domain_dim(dom, err):
+    """The domain's dimension by its kind, or None for an unknown kind.  Its
+    numbers must be finite; Domain checks their order and the polygon loop."""
     if not isinstance(dom, dict):
         err("'domain' must be an object", "domain")
-        return
-    kind = dom.get("kind")
-    if kind == "interval":
-        a, b = dom.get("a"), dom.get("b")
-        if not (_finite_number(a) and _finite_number(b)):
-            err(f"interval domain needs finite numbers 'a' and 'b', got {a!r}, {b!r}",
-                "domain")
-        elif not float(a) < float(b):
-            err("interval domain needs a < b", "domain")
-    elif kind == "polygon":
-        verts = dom.get("vertices")
-        if not (isinstance(verts, list) and len(verts) >= 3 and all(
-                isinstance(v, list) and len(v) == 2 and all(map(_finite_number, v))
-                for v in verts)):
-            err("polygon domain needs 'vertices', a list of at least 3 [x, y] "
-                "pairs of finite numbers", "domain")
-    else:
+        return None
+    kind, members = dom.get("kind"), {"interval": ("a", "b"), "polygon": ("vertices",)}
+    if not isinstance(kind, str) or kind not in members:
         err(f"unknown domain kind {kind!r} (interval|polygon)", "domain")
+        return None
+    for name in sorted(set(dom) - {"kind", *members[kind]}):
+        err(f"unknown key {name!r} in {kind} 'domain'", "domain")
+    a, b, verts = dom.get("a"), dom.get("b"), dom.get("vertices")
+    if kind == "interval" and not (_finite_number(a) and _finite_number(b)):
+        err(f"interval domain needs finite numbers 'a' and 'b', got {a!r}, {b!r}",
+            "domain")
+    if kind == "polygon" and not (isinstance(verts, list)
+                                  and all(_is_point(v, 2) for v in verts)):
+        err("polygon domain needs 'vertices', a list of [x, y] pairs of finite "
+            "numbers", "domain")
+    return 1 if kind == "interval" else 2
 
 
-def _validate_integrand(integrand, err):
-    if not isinstance(integrand, dict) or "tag" not in integrand:
-        err("'integrand' needs a 'tag'", "integrand")
-        return
-    params = integrand.get("params", {})
-    if not isinstance(params, dict):
-        err("'integrand.params' must be an object", "params")
-        return
-    for key in ("M", "N"):
-        if key in params and not _positive_int(params[key]):
-            err(f"'integrand.params.{key}' must be a positive integer, got "
-                f"{params[key]!r}", key)
-
-
-def _validate_samples(cfg, err):
-    """interior_points, boundary_points and xi_samples."""
-    dom = cfg.get("domain")
-    kind = dom.get("kind") if isinstance(dom, dict) else None
-    dim = 1 if kind == "interval" else 2 if kind == "polygon" else None
-
-    def points(key, spec):
-        if not (isinstance(spec, list) and all(
-                isinstance(p, list) and len(p) in ((dim,) if dim else (1, 2))
-                and all(map(_finite_number, p)) for p in spec)):
-            err(f"'{key}' must be a list of points, each a list of {dim or 'd'} "
-                f"finite numbers, got {spec!r}", key)
-
-    spec = cfg.get("interior_points", {})
-    if not isinstance(spec, dict):
-        points("interior_points", spec)
-    elif "count" in spec and not _count(spec["count"]):
-        err(f"'interior_points.count' must be a non-negative integer, got "
-            f"{spec['count']!r}", "count")
-    spec = cfg.get("boundary_points", "all")
-    if spec != "all":
-        points("boundary_points", spec)
-    xi = cfg.get("xi_samples", {})
-    if not isinstance(xi, dict):
-        err("'xi_samples' must be an object", "xi_samples")
-        return
-    for key in ("include_zero", "rank_one"):
-        if key in xi and not isinstance(xi[key], bool):
-            err(f"'xi_samples.{key}' must be true or false, got {xi[key]!r}", key)
-    if "random" in xi and not _count(xi["random"]):
-        err(f"'xi_samples.random' must be a non-negative integer, got "
-            f"{xi['random']!r}", "random")
-    if "radius" in xi and not _positive_number(xi["radius"]):
-        err(f"'xi_samples.radius' must be a positive finite number, got "
-            f"{xi['radius']!r}", "radius")
-
-
-def _validate(cfg, raw_text=""):
+def _checked(cfg, raw_text=""):
+    """cfg checked against _SCHEMA and the per-form checks, with every default
+    filled in; raises ConfigError listing every violation."""
     errors = []
 
     def err(msg, key):
@@ -222,55 +228,44 @@ def _validate(cfg, raw_text=""):
 
     if not isinstance(cfg, dict):
         raise ConfigError([("config must be a JSON object", None)])
-    if "integrand" not in cfg:
-        err("missing required key 'integrand'", "integrand")
-    else:
-        _validate_integrand(cfg["integrand"], err)
-    if "domain" not in cfg:
-        err("missing required key 'domain'", "domain")
-    else:
-        _validate_domain(cfg["domain"], err)
-    _validate_samples(cfg, err)
-    _validate_solver(cfg.get("solver", {}), err)
-    _validate_sequence(cfg.get("sequence", {}), err)
-    if "schema_version" in cfg and cfg["schema_version"] != SCHEMA_VERSION:
-        err(f"unsupported schema_version {cfg['schema_version']}", "schema_version")
-    for key, val in cfg.items():
-        if key in ("seed",) and not isinstance(val, int):
-            err("'seed' must be an integer", "seed")
-    for section in ("mesh", "qc", "qslb"):
-        sub = cfg.get(section)
-        h = sub.get("h", 1.0) if isinstance(sub, dict) else 1.0
-        if not _positive_number(h):
-            err(f"'{section}.h' must be a positive number, got {h!r}", section)
-    qc = cfg.get("qc")
-    caps = qc.get("L_grid", [1.0]) if isinstance(qc, dict) else [1.0]
-    if not isinstance(caps, list) or not caps:
-        err(f"'qc.L_grid' must be a non-empty list of caps, got {caps!r}", "L_grid")
-    else:
-        for L in caps:
-            if not _positive_number(L):
-                err(f"'qc.L_grid' caps must be positive finite numbers, got {L!r}",
-                    "L_grid")
-    checks = cfg.get("checks", {})
-    if not isinstance(checks, dict):
-        err("'checks' must be an object", "checks")
-    else:
-        for key in sorted(set(checks) - set(_DEFAULTS["checks"])):
-            err(f"unknown check {key!r} (known: "
-                f"{', '.join(_DEFAULTS['checks'])})", "checks")
+    out = _filled(cfg, "", err)
+    for section in filter(None, _SECTIONS):
+        given = cfg.get(section, {})
+        if isinstance(given, dict):
+            out[section] = _filled(given, section, err)
+        elif section == "interior_points":  # the list-of-points form
+            out[section] = given
+        else:
+            err(f"'{section}' must be an object", section)
+
+    # the per-form parts: domain kinds, point lists, the cover as given and
+    # the integrand's dimensions
+    dim = _domain_dim(cfg["domain"], err) if "domain" in cfg else None
+
+    def points(key, spec):
+        if not (isinstance(spec, list) and all(_is_point(p, dim) for p in spec)):
+            err(f"'{key}' must be a list of points, each a list of {dim or 'd'} "
+                f"finite numbers, got {spec!r}", key)
+
+    if not isinstance(out.get("interior_points", {}), dict):
+        points("interior_points", out["interior_points"])
+    if out["boundary_points"] != "all":
+        points("boundary_points", out["boundary_points"])
+    dec = cfg.get("decomposition")
+    cover = dec.get("cover") if isinstance(dec, dict) else None
+    try:
+        if cover is not None and dim:
+            CompactSet.from_config(dim, cover)
+    except (KeyError, TypeError, ValueError) as e:
+        err(f"'decomposition.cover' must be a list of compact-set pieces in {dim}D, "
+            f"got {cover!r}: {e}", "decomposition.cover")
+    params = out.get("integrand", {}).get("params")
+    for key in ("M", "N") if isinstance(params, dict) else ():
+        if key in params and not _POSITIVE_INT.test(params[key]):
+            err(_POSITIVE_INT.message(f"integrand.params.{key}", params[key]),
+                f"integrand.params.{key}")
     if errors:
         raise ConfigError(errors)
-
-
-def _merged(cfg):
-    out = json.loads(json.dumps(_DEFAULTS))
-    for k, v in cfg.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k].update(v)
-        else:
-            out[k] = v
-    out["schema_version"] = SCHEMA_VERSION
     return out
 
 
@@ -278,10 +273,9 @@ class Scenario:
     """Validated scenario config with all defaults filled in."""
 
     def __init__(self, cfg, raw_text=""):
-        _validate(cfg, raw_text)
-        self.cfg = _merged(cfg)
-        self.name = self.cfg.get("name", "scenario")
-        self.seed = int(self.cfg["seed"])
+        self.cfg = _checked(cfg, raw_text)
+        self.name = self.cfg["name"]
+        self.seed = self.cfg["seed"]
         dom = self.cfg["domain"]
         try:
             if dom["kind"] == "interval":
@@ -291,9 +285,8 @@ class Scenario:
         except ValueError as e:  # e.g. a polygon loop that is not simple
             raise ConfigError([(str(e), _line_of(raw_text, "domain"))]) from e
         try:
-            self.integrand = catalog_get(
-                self.cfg["integrand"]["tag"], self.cfg["integrand"].get("params")
-            )
+            self.integrand = catalog_get(self.cfg["integrand"]["tag"],
+                                         self.cfg["integrand"]["params"])
         except (KeyError, TypeError, ValueError) as e:  # e.g. an unknown tag
             raise ConfigError([(f"integrand: {e}", _line_of(raw_text, "integrand"))]) from e
         if self.integrand.N != self.domain.dim:
@@ -314,16 +307,35 @@ class Scenario:
             raise ConfigError([(f"invalid JSON: {e.msg}", e.lineno)]) from e
         return cls(cfg, text)
 
+    @classmethod
+    def load(cls, path):
+        """from_file(path), or None after printing each config error."""
+        try:
+            return cls.from_file(path)
+        except ConfigError as e:
+            for msg, line in e.messages:
+                print(f"config error{f' (line {line})' if line else ''}: {msg}")
+
     def solver_options(self, seed_offset=0):
-        s = self.cfg["solver"]
-        return SolverOptions(
-            restarts=int(s.get("restarts", 8)),
-            max_iter=int(s.get("max_iter", 400)),
-            seed=self.seed + seed_offset,
-            step0=float(s.get("step0", 0.0)),
-            smoothing=tuple(s.get("smoothing", (1e-1, 1e-2, 1e-3))),
-            patience=int(s.get("patience", 60)),
-        )
+        s = self.cfg["solver"]  # its keys are SolverOptions fields
+        return SolverOptions(**{**s, "smoothing": tuple(s["smoothing"])},
+                             seed=self.seed + seed_offset)
+
+    def check_qc_work(self, cells):
+        """Raises SolverBudgetError when the qc family on a mesh of `cells`
+        cells, jobs x cells x starts x iterations x caps, exceeds MAX_WORK;
+        each job starts from its restarts and the previous cap's witness."""
+        spec, xi = self.cfg["interior_points"], self.cfg["xi_samples"]
+        solver, caps = self.cfg["solver"], len(self.cfg["qc"]["L_grid"])
+        points = len(spec) if isinstance(spec, list) else spec["count"]
+        jobs = points * (xi["include_zero"] + xi["random"]
+                         + xi["rank_one"] * self.integrand.M * self.integrand.N)
+        starts = max(solver["restarts"], 2)
+        if jobs * cells * starts * solver["max_iter"] * caps > minimize.MAX_WORK:
+            raise SolverBudgetError(
+                f"qc family needs {jobs} jobs x {cells} cells x {starts} restarts x "
+                f"{solver['max_iter']} iterations x {caps} caps, over the budget "
+                f"{minimize.MAX_WORK:.3g}")
 
     def _contains(self, p):
         if self.domain.kind == "interval":
@@ -346,7 +358,7 @@ class Scenario:
                           None)]
                     )
             return pts
-        count = int(spec.get("count", 1))
+        count = spec["count"]
         # quasi-random (golden-ratio lattice) interior samples, domain-scaled
         pts = []
         if self.domain.kind == "interval":
@@ -393,18 +405,18 @@ class Scenario:
         cfg = self.cfg["xi_samples"]
         M, N = self.integrand.M, self.integrand.N
         out = []
-        if cfg.get("include_zero", True):
+        if cfg["include_zero"]:
             out.append(np.zeros((M, N)))
-        if cfg.get("rank_one", True):
+        if cfg["rank_one"]:
             for i in range(M):
                 for j in range(N):
                     e = np.zeros((M, N))
                     e[i, j] = 1.0
                     out.append(e)
         rng = np.random.default_rng(self.seed)
-        for _ in range(int(cfg.get("random", 0))):
+        for _ in range(cfg["random"]):
             xi = rng.normal(size=(M, N))
-            xi *= cfg.get("radius", 1.0) / max(np.linalg.norm(xi), 1e-12)
+            xi *= cfg["radius"] / max(np.linalg.norm(xi), 1e-12)
             out.append(xi)
         return out
 
@@ -443,11 +455,12 @@ def analyze(scenario):
     finf = scenario.recession
 
     qc_cfg, qslb_cfg = scenario.cfg["qc"], scenario.cfg["qslb"]
-    if checks.get("qc", True):
-        points = scenario.interior_points()
+    if checks["qc"]:
         try:
             qc_mesh = default_qc_mesh(f.N, qc_cfg["h"])
-        except MeshBudgetError as e:
+            scenario.check_qc_work(qc_mesh.n_cells)
+            points = scenario.interior_points()
+        except (MeshBudgetError, SolverBudgetError) as e:
             errors.append({"job": "qc", "error": str(e)})
             points = []
         jobs, job_points = [], []
@@ -467,7 +480,7 @@ def analyze(scenario):
                 qc_reports.append((x0, rep))
     boundary_pts, corner_pts = scenario.boundary_points()
     n_requested = len(boundary_pts) + len(corner_pts)
-    if not checks.get("qslb", True):
+    if not checks["qslb"]:
         boundary_pts, corner_pts = [], []
     jobs = [(bp, scenario.solver_options(1000 + bi), None)
             for bi, bp in enumerate(boundary_pts)]
@@ -491,13 +504,12 @@ def analyze(scenario):
     low_conf = any(r.low_confidence for _, r in qc_reports if r.verdict != "violated")
     low_conf |= any(r.low_confidence for r in qslb_reports if r.verdict != "violated")
 
-    if checks.get("sequences", False):
+    if checks["sequences"]:
         seq_cfg = scenario.cfg["sequence"]
-        if seq_cfg.get("kind", "none") != "none":
+        if seq_cfg["kind"] != "none":
             try:
-                dom = scenario.domain
-                spec = SequenceSpec(seq_cfg["kind"], dom, int(seq_cfg["n_max"]),
-                                    dict(seq_cfg.get("params", {})))
+                spec = SequenceSpec(seq_cfg["kind"], scenario.domain, seq_cfg["n_max"],
+                                    dict(seq_cfg["params"]))
                 extras["liminf"] = empirical_liminf(
                     f, finf, spec, tol=scenario.cfg["liminf_tol"]
                 )
@@ -516,10 +528,10 @@ def analyze(scenario):
             except NecessityTransferError as e:
                 errors.append({"job": "necessity_witness", "error": str(e)})
 
-    if checks.get("decomposition", False):
+    if checks["decomposition"]:
         extras["decomposition"] = _run_decomposition(scenario, f, finf, errors)
 
-    if checks.get("equivalence", False):
+    if checks["equivalence"]:
         try:
             pts = scenario.interior_points()[:1]
             harness = [
@@ -532,7 +544,7 @@ def analyze(scenario):
         except Exception as e:
             errors.append({"job": "equivalence", "error": str(e)})
 
-    if checks.get("mu", False):
+    if checks["mu"]:
         tgrid = [1.0, 10.0, 100.0, 1e4, 1e6]
         try:
             extras["mu_table"] = [mu_estimate(f, finf, t, seed=scenario.seed)
@@ -540,7 +552,7 @@ def analyze(scenario):
         except Exception as e:  # collect and continue
             errors.append({"job": "mu", "error": str(e)})
 
-    if checks.get("refinement", False):
+    if checks["refinement"]:
         rows = []
         for bp in boundary_pts:
             for hh in (scenario.cfg["qslb"]["h"], scenario.cfg["qslb"]["h"] / 2):
@@ -595,15 +607,14 @@ def _run_decomposition(scenario, f, finf, errors):
     dcfg = scenario.cfg["decomposition"]
     seq_cfg = scenario.cfg["sequence"]
     try:
-        spec = SequenceSpec(seq_cfg["kind"], scenario.domain,
-                            int(dcfg.get("prefix", 80)) + 1,
-                            dict(seq_cfg.get("params", {})))
-        members = [generate(spec, n) for n in range(1, int(dcfg.get("prefix", 80)))]
+        spec = SequenceSpec(seq_cfg["kind"], scenario.domain, dcfg["prefix"] + 1,
+                            dict(seq_cfg["params"]))
+        members = [generate(spec, n) for n in range(1, dcfg["prefix"])]
         cover = CoverSpec([
             CompactSet.from_config(scenario.domain.dim, [item])
             for item in dcfg["cover"]
         ])
-        res = local_decompose(members, cover, n_max=int(dcfg.get("n_max", 16)))
+        res = local_decompose(members, cover, n_max=dcfg["n_max"])
         report = verify_properties(res)
         add = additivity_residual(
             f, finf, None,
@@ -649,9 +660,10 @@ def _sanitize(obj):
     return obj
 
 
-def run_scenario(config_path, out_dir=None, seed=None, h=None,
-                 checks_override=None):
+def run_scenario(config_path, out_dir=None, seed=None, h=None, only=None):
     """Execute a scenario config; write report.json, CSV tables and witnesses.
+    `only` names the checks to run, every other one off (default: the
+    config's checks).
 
     Returns (exit_code, verdict_or_None).  Exit 0 on completion regardless of
     the mathematical verdict, 2 on config schema violations (and on a
@@ -660,15 +672,11 @@ def run_scenario(config_path, out_dir=None, seed=None, h=None,
     if h is not None and not h > 0:
         print(f"config error: --h must be positive, got {h}")
         return 2, None
-    try:
-        scenario = Scenario.from_file(config_path)
-    except ConfigError as e:
-        for msg, line in e.messages:
-            where = f" (line {line})" if line else ""
-            print(f"config error{where}: {msg}")
+    scenario = Scenario.load(config_path)
+    if scenario is None:
         return 2, None
-    if checks_override is not None:
-        scenario.cfg["checks"] = dict(checks_override)
+    if only is not None:
+        scenario.cfg["checks"] = {c: c in only for c in scenario.cfg["checks"]}
     if seed is not None:
         scenario.cfg["seed"] = int(seed)
         scenario.seed = int(seed)

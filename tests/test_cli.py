@@ -54,6 +54,14 @@ def test_recession_subcommand(tmp_path):
     assert mus[-1] < 1e-3
 
 
+@pytest.mark.parametrize("command", ["analyze", "liminf", "decompose", "recession"])
+def test_negative_seed_override_is_a_config_error(command, tmp_path, capsys):
+    assert main([command, "example_1_2", "--seed", "-1",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config error: --seed must be non-negative" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
 def test_h_flag_overrides_mesh(tmp_path):
     code = main(["analyze", "example_1_2", "--out-dir", str(tmp_path),
                  "--h", "0.0625"])

@@ -1,8 +1,10 @@
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bvlsc.boundary
@@ -303,6 +305,98 @@ def test_mistyped_points_samples_and_integrand_exit_2(tmp_path, capsys, edit, me
     assert not (tmp_path / "out").exists()
 
 
+def _mutated(cfg, key, action, value=None):
+    """cfg with the dotted key deleted ("delete"), set to value ("set"), or
+    given an unknown sibling ("sibling"); missing or non-object sections on
+    the way are made empty objects."""
+    *path, name = key.split(".")
+    parent = cfg
+    for part in path:
+        if not isinstance(parent.get(part), dict):
+            parent[part] = {}
+        parent = parent[part]
+    if action == "delete":
+        parent.pop(name, None)
+    elif action == "set":
+        parent[name] = value
+    else:
+        parent[name + "_x"] = value
+    return cfg
+
+
+_MOTIVATION = [("qc", 5, "'qc' must be an object"),
+               ("seed", -1, "'seed' must be a non-negative integer"),
+               ("seed", True, "'seed' must be a non-negative integer"),
+               ("checks.qc", "no", "'checks.qc' must be true or false"),
+               ("liminf_tol", "x", "'liminf_tol' must be a non-negative"),
+               ("solver.restart", 3, "unknown key 'restart' in 'solver'"),
+               ("integrand.params.zzz", 1, "'linear' takes parameters ['matrix']"),
+               ("qslb.tol", "x", "'qslb.tol' must be a non-negative"),
+               ("decomposition.prefix", -80, "'decomposition.prefix' must be a positive"),
+               ("decomposition.cover", [{"pt": [0.0]}], "'decomposition.cover' must be"),
+               ("decomposition.n_max", "16", "'decomposition.n_max' must be a positive")]
+
+
+@pytest.mark.parametrize("key, value, message", _MOTIVATION,
+                         ids=[f"{k}={v!r}" for k, v, _ in _MOTIVATION])
+def test_mistyped_or_unknown_key_exits_2(tmp_path, capsys, key, value, message):
+    cfg = _mutated(json.loads(resolve_config("example_1_2").read_text()), key, "set",
+                   value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "config error (line " in out and message in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_default_is_filled_in():
+    sc = Scenario({"domain": {"kind": "interval", "a": 0.0, "b": 1.0},
+                   "integrand": {"tag": "norm"}})
+    for key, (_, default) in bvlsc.verdict._SCHEMA.items():
+        value = sc.cfg
+        for part in key.split("."):
+            value = value[part]
+        if default is not bvlsc.verdict._REQUIRED:
+            assert value == default, key
+    assert sc.cfg["integrand"] == {"tag": "norm", "params": {}}
+    assert sc.solver_options(3) == bvlsc.verdict.SolverOptions(
+        restarts=8, max_iter=400, seed=3, step0=0.0, smoothing=(0.1, 0.01, 0.001),
+        patience=60)
+
+
+def test_formats_md_has_a_row_for_every_key():
+    text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
+    rows = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            rows[cells[0].strip("`")] = cells[2]
+    assert set(rows) == set(bvlsc.verdict._SCHEMA)
+    for key, (_, default) in bvlsc.verdict._SCHEMA.items():
+        want = ("required" if default is bvlsc.verdict._REQUIRED
+                else f"`{json.dumps(default)}`")
+        assert rows[key] == want, key
+
+
+@pytest.mark.parametrize("key, value", [("xi_samples.random", 10**6),
+                                        ("interior_points", {"count": 10**6})])
+def test_qc_family_over_the_work_budget_is_one_errored_job(tmp_path, key, value):
+    # about 1.4 ms a sample: a million samples would run for about 25 minutes
+    cfg = _mutated(json.loads(resolve_config("norm_square").read_text()), key, "set",
+                   value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    t0 = time.perf_counter()
+    code, verdict = run_scenario(path, out_dir=tmp_path / "out")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    assert verdict.qc_reports == [] and verdict.qslb_reports
+    assert len(verdict.errors) == 1 and verdict.errors[0]["job"] == "qc"
+    assert "over the budget" in verdict.errors[0]["error"]
+    assert verdict.overall == "inconclusive"
+
+
 _BUNDLED_CONFIGS = {name: json.loads(path.read_text())
                     for name, path in bundled_scenarios().items()}
 _FIELDS = ["kind", "a", "b", "vertices", "restarts", "max_iter", "patience",
@@ -404,3 +498,40 @@ def test_a_family_that_raises_falls_back_to_each_job_alone(monkeypatch):
     assert [r.to_json() for r in verdict.qslb_reports] == [want.qslb_reports[0].to_json()]
     assert verdict.qslb_reports[0].verdict == "violated"
     assert verdict.overall == "not-wlsc"
+
+
+# -- whole-config fuzz ------------------------------------------------------------
+
+
+_KEYS = sorted(set(bvlsc.verdict._SCHEMA) | set(filter(None, bvlsc.verdict._SECTIONS)))
+_wrong_typed = (st.none() | st.booleans() | st.text(max_size=4) | st.sampled_from([5, 0.5])
+                | st.lists(st.integers(-2, 2) | st.floats(-2, 2), max_size=3)
+                | st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2))
+_out_of_range = (st.integers(-10**9, 0) | st.floats(max_value=0.0)
+                 | st.sampled_from([float("inf"), float("nan"), 10**400]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_BUNDLED_CONFIGS)), key=st.sampled_from(_KEYS),
+       action=st.sampled_from(["delete", "set", "sibling"]),
+       value=_wrong_typed | _out_of_range)
+@example(name="example_1_2", key="qc", action="set", value=5)
+@example(name="example_1_2", key="seed", action="set", value=-1)
+@example(name="example_1_2", key="seed", action="set", value=True)
+@example(name="example_1_2", key="checks.qc", action="set", value="no")
+@example(name="example_1_2", key="liminf_tol", action="set", value="x")
+@example(name="example_1_2", key="solver.restarts", action="sibling", value=3)
+@example(name="example_1_2", key="integrand.params.zzz", action="set", value=1)
+@example(name="example_1_2", key="qslb.tol", action="set", value="x")
+@example(name="example_1_2", key="decomposition.prefix", action="set", value="x")
+@example(name="example_1_2", key="decomposition.cover", action="set", value=[{}])
+@example(name="example_1_2", key="decomposition.n_max", action="set", value=-1)
+def test_any_mutated_bundled_config_runs_or_is_a_config_error(name, key, action, value):
+    cfg = _mutated(json.loads(json.dumps(_BUNDLED_CONFIGS[name])), key, action, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg, indent=1))
+        t0 = time.perf_counter()
+        code, _ = run_scenario(path, out_dir=Path(tmp) / "out")
+        assert time.perf_counter() - t0 < 20.0
+    assert code in (0, 2)
