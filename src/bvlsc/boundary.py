@@ -166,7 +166,9 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
     stack = meshes[0] if len(meshes) == 1 else MeshStack(meshes)
     objective = RayleighQuotient(BulkObjective(stack, [g for _, _, g, _, _ in family]),
                                  TVObjective(stack, base.M))
-    results = minimize_fields(objective, [(m, c, o) for _, m, _, c, o in family])
+    # 1-homogeneity: f_inf(x0, xi) >= sphere_min |xi|, so no quotient is lower
+    results = minimize_fields(objective, [(m, c, o) for _, m, _, c, o in family],
+                              floors=[finf.sphere_min] * len(family))
     for (j, mesh, _, _, _), res in zip(family, results):
         x0 = jobs[j][0]
         out[j] = res if isinstance(res, Exception) else _qslb_report(

@@ -46,13 +46,16 @@ class Integrand:
     returns an integrand usable by the nonsmooth solver; the default returns
     self (already smooth, or a user integrand without a surrogate).  `frozen`
     is (f, x0) for freeze_x(f, x0), which evaluates as f at rows of x0.
+    `convex` is True only where f is proven independent of x and convex in xi
+    (then Jensen's inequality makes every quasiconvexity deficit >= 0).
     """
 
     frozen = None
 
     def __init__(self, fn, M, N, growth, tag="user", params=None, grad=None,
-                 recession=None, mu_analytic=None, smoother=None):
+                 recession=None, mu_analytic=None, smoother=None, convex=False):
         self._fn = fn
+        self.convex = convex
         self.M = int(M)
         self.N = int(N)
         self.growth = float(growth)
@@ -116,11 +119,18 @@ class Integrand:
 
 
 class RecessionFn:
-    """Positively 1-homogeneous large-argument limit of an integrand."""
+    """Positively 1-homogeneous large-argument limit of an integrand.
+
+    `sphere_min`, when known analytically, is a lower bound on f_inf(x, xi)
+    over every x and every xi with |xi|_F = 1 (the minimum for catalog
+    entries); by homogeneity f_inf(x, xi) >= sphere_min |xi|_F.  None where
+    no bound is known.
+    """
 
     def __init__(self, fn, M, N, provenance="analytic", t_grid=None, grad=None,
-                 smoother=None):
+                 smoother=None, sphere_min=None):
         self._fn = fn
+        self.sphere_min = sphere_min
         self.M = int(M)
         self.N = int(N)
         self.provenance = provenance
@@ -318,11 +328,11 @@ def _mk_linear(matrix, tag="linear"):
     def grad(x, xi):
         return np.broadcast_to(A, xi.shape).copy()
 
-    rec = RecessionFn(fn, M, N, grad=grad)
+    rec = RecessionFn(fn, M, N, grad=grad, sphere_min=-float(np.linalg.norm(A)))
     return Integrand(
         fn, M, N, growth=max(np.linalg.norm(A), 1e-12), tag=tag,
         params={"matrix": A.tolist()}, grad=grad, recession=rec,
-        mu_analytic=lambda t: 0.0,
+        mu_analytic=lambda t: 0.0, convex=True,
     )
 
 
@@ -346,11 +356,12 @@ def _mk_norm(sign=1.0, tag="norm", M=1, N=1):
         return Integrand(fns, M, N, 1.0 + delta, tag=tag + "_smoothed",
                          grad=grads, recession=rec)
 
-    rec = RecessionFn(fn, M, N, grad=grad,
-                      smoother=lambda d: smoother(d))
+    rec = RecessionFn(fn, M, N, grad=grad, smoother=lambda d: smoother(d),
+                      sphere_min=sign)
     return Integrand(
         fn, M, N, growth=1.0, tag=tag, params={"M": M, "N": N}, grad=grad,
         recession=rec, mu_analytic=lambda t: 0.0, smoother=smoother,
+        convex=sign > 0,
     )
 
 
@@ -369,14 +380,15 @@ def _mk_area(M=1, N=1):
         return xi / n[:, None, None]
 
     rec = RecessionFn(recfn, M, N, grad=recgrad,
-                      smoother=lambda d: _mk_norm(1.0, M=M, N=N).smoothed(d))
+                      smoother=lambda d: _mk_norm(1.0, M=M, N=N).smoothed(d),
+                      sphere_min=1.0)
 
     def mu(t):
         # sup_{s>=t} (sqrt(1+s^2)-s)/(1+s), attained at s=t
         return (np.sqrt(1.0 + t * t) - t) / (1.0 + t)
 
     return Integrand(fn, M, N, growth=1.0, tag="area", params={"M": M, "N": N},
-                     grad=grad, recession=rec, mu_analytic=mu)
+                     grad=grad, recession=rec, mu_analytic=mu, convex=True)
 
 
 def _mk_norm_sin(M=1, N=1):
@@ -395,7 +407,7 @@ def _mk_norm_sin(M=1, N=1):
         n = np.maximum(_frob(xi), 1e-300)
         return xi / n[:, None, None]
 
-    rec = RecessionFn(recfn, M, N, grad=recgrad)
+    rec = RecessionFn(recfn, M, N, grad=recgrad, sphere_min=1.0)
 
     def smoother(delta):
         def fns(x, xi):
@@ -485,11 +497,14 @@ def composite(terms):
 
     recs = [f.recession for f in fs]
     rec = None
+    nonnegative = all(w >= 0 for w in ws)
     if all(r is not None for r in recs):
         def recfn(x, xi):
             return sum(w * r(x, xi) for w, r in zip(ws, recs))
 
-        rec = RecessionFn(recfn, M, N)
+        mins = [r.sphere_min for r in recs]
+        rec = RecessionFn(recfn, M, N, sphere_min=sum(w * m for w, m in zip(ws, mins))
+                          if nonnegative and None not in mins else None)
 
     mu = None
     if all(f.mu_analytic is not None for f in fs):
@@ -504,6 +519,7 @@ def composite(terms):
         tag="composite",
         params={"terms": [(w, {"tag": f.tag, "params": f.params}) for w, f in terms]},
         grad=grad, recession=rec, mu_analytic=mu, smoother=smoother,
+        convex=nonnegative and all(f.convex for f in fs),
     )
 
 
@@ -566,7 +582,8 @@ def freeze_x(f, x0):
         def recfn(x, xi):
             return base_rec(xs(len(xi)), xi)
 
-        rec = RecessionFn(recfn, f.M, f.N, provenance=base_rec.provenance)
+        rec = RecessionFn(recfn, f.M, f.N, provenance=base_rec.provenance,
+                          sphere_min=base_rec.sphere_min)
 
     def smoother(delta):
         return freeze_x(f.smoothed(delta), x0)
@@ -574,7 +591,7 @@ def freeze_x(f, x0):
     g = Integrand(
         fn, f.M, f.N, growth=f.growth, tag=f"frozen({f.tag})",
         params={"x0": x0.tolist(), "inner": f.tag}, grad=grad, recession=rec,
-        mu_analytic=f.mu_analytic, smoother=smoother,
+        mu_analytic=f.mu_analytic, smoother=smoother, convex=f.convex,
     )
     g.frozen = (f, x0)
     return g

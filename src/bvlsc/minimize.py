@@ -48,6 +48,19 @@ start whose denominator is below 1e-12 is skipped.
 
 A solve whose cells x restarts x iterations exceed MAX_WORK raises (or, in
 a family, ends with) SolverBudgetError before its first iteration.
+
+Certified stops: a problem may come with a floor, a proven lower bound on
+its objective that the caller derives (the solver never infers one).  Once
+the starts are evaluated, and after every full iteration (all chunks
+advanced, so a problem stops at the same point alone and in a family), a
+problem whose best exact value is <= its floor ends: no descent can beat
+the value it has, so its live restarts stop with reason "certified".  The
+best restart, final renormalization and residual are then taken as for any
+other stop.  A problem certified by a start reports iterations 0, and its
+stationarity residual is that of the start field: the residual measures the
+smoothed gradient at the witness, which need not be small at a nonsmooth
+minimum, and low_confidence stays False because the cap was never hit.  A
+problem without a floor runs exactly as it would without this rule.
 """
 
 from dataclasses import dataclass, field, replace
@@ -142,7 +155,8 @@ class SolveResult:
     low_confidence: bool
     seed: int
     # per restart: its best value (inf for an unusable start) and why it
-    # stopped: "patience", "iteration_cap", "zero_gradient" or "unusable_start"
+    # stopped: "patience", "iteration_cap", "zero_gradient", "unusable_start"
+    # or "certified" (its problem reached its floor)
     restart_values: tuple = ()
     stop_reasons: tuple = ()
 
@@ -514,43 +528,65 @@ def _shared(options):
     return replace(options, seed=0, restarts=0, extra_inits=())
 
 
+class _Floored:
+    """An objective with a proven lower bound `solve_floor`, which evaluates as
+    the objective; how minimize_fields hands a floor to minimize_field."""
+
+    def __init__(self, objective, floor):
+        self.objective, self.solve_floor = objective, floor
+
+    def __getattr__(self, name):
+        return getattr(self.objective, name)
+
+
 def minimize_field(objective, mesh, clamped, options=None):
     """Minimize a field objective over clamped P1 fields; see module docstring.
 
     The one-problem case of minimize_fields: raises the error that ended the
-    solve instead of returning it."""
-    (result,) = _solve(objective, [(mesh, clamped, options or SolverOptions())])
+    solve instead of returning it.  From minimize_fields the objective may
+    come as a _Floored view carrying the problem's floor."""
+    floor = getattr(objective, "solve_floor", None)
+    (result,) = _solve(objective, [(mesh, clamped, options or SolverOptions())],
+                       None, [floor])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def minimize_fields(objective, problems, on=None):
+def minimize_fields(objective, problems, on=None, floors=None):
     """Solve a family of problems (mesh, clamped, options) in one lockstep batch.
 
     Problem p lies on copy on[p] of `objective` (on None: copy p, or every
     problem on the only copy), and its mesh is that copy of the objective's
     mesh.  The problems may differ in their clamped sets and in seed,
-    restarts and extra_inits; all other options must agree.  Returns one
+    restarts and extra_inits; all other options must agree.  floors[p], when
+    given and not None, is a proven lower bound on problem p's objective: the
+    problem ends, certified, once its best value reaches it.  Returns one
     entry per problem, in order: the SolveResult minimize_field gives for the
     problem alone, or the FieldEvaluationError or SolverBudgetError that ended
     it, which leaves the other problems' results unchanged.
     """
     problems = [(mesh, clamped, options or SolverOptions())
                 for mesh, clamped, options in problems]
+    floors = [None] * len(problems) if floors is None else list(floors)
+    if len(floors) != len(problems):
+        raise ValueError(f"{len(floors)} floors for {len(problems)} problems")
     if len(problems) == 1 and objective.copies == 1:
         # A family of one runs through minimize_field because the benchmark's
         # traced runs count solves at minimize_field only
         # (benchmarks/test_bench.py::test_spans_of_smoke_trace_are_linked);
-        # once they wrap minimize_fields, this branch can go.
+        # once they wrap minimize_fields, this branch can go.  Their wrapper
+        # takes no floor, so the floor rides on the objective.
+        if floors[0] is not None:
+            objective = _Floored(objective, floors[0])
         try:
             return [minimize_field(objective, *problems[0])]
         except (FieldEvaluationError, SolverBudgetError) as e:
             return [e]
-    return _solve(objective, problems, on)
+    return _solve(objective, problems, on, floors)
 
 
-def _solve(objective, problems, on=None):
+def _solve(objective, problems, on, floors):
     out = [None] * len(problems)  # per problem: its result or error
     options = problems[0][2]
     if any(_shared(o) != _shared(options) for _, _, o in problems):
@@ -569,9 +605,13 @@ def _solve(objective, problems, on=None):
         n = max(opts.restarts, len(opts.extra_inits) + 1)  # starts made below
         work = mesh.n_cells * n * opts.max_iter
         if work > MAX_WORK:
+            # Decimal formats an int of any size, where float() would overflow;
+            # imported here, off the import path of every solve that fits
+            from decimal import Decimal
+
             out[p] = SolverBudgetError(
                 f"solve needs {mesh.n_cells} cells x {n} restarts x "
-                f"{opts.max_iter} iterations = {work:.3g}, "
+                f"{opts.max_iter} iterations = {Decimal(work):.3g}, "
                 f"over the budget {MAX_WORK:.3g}"
             )
             continue
@@ -656,6 +696,18 @@ def _solve(objective, problems, on=None):
         step0 = 0.3 * np.maximum(np.abs(fields).max(axis=(1, 2), initial=0.0), 0.1)
     alive[:] = usable & ~failed[owner]
     reasons = np.where(usable, "iteration_cap", "unusable_start").astype(object)
+    floor = np.array([-np.inf if f is None else f for f in floors])[owner]
+    floored = any(f is not None for f in floors)
+
+    def certify():
+        """End every problem whose best value has reached its floor."""
+        if not floored:
+            return
+        proven = np.isin(owner, owner[best <= floor]) & alive
+        alive[proven] = active[proven] = False
+        reasons[proven] = "certified"
+
+    certify()
 
     def advance(rows, delta, flat):
         """One iteration of the restarts `rows`, all in the same stage: a step
@@ -723,6 +775,7 @@ def _solve(objective, problems, on=None):
                 break
             for part in chunks(rows):
                 advance(part, delta, flat)
+            certify()  # after whole iterations only, so alone = in a family
     reasons[alive & flat] = "zero_gradient"
 
     delta_min = min(options.smoothing) if options.smoothing else 0.0

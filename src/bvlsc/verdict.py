@@ -27,6 +27,7 @@ import copy
 import csv
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -94,6 +95,12 @@ def _one_of(noun, choices):
 _BOOL = _Accepts("true or false", lambda v: isinstance(v, bool))
 _COUNT = _Accepts("a non-negative integer", _count)
 _POSITIVE_INT = _Accepts("a positive integer", lambda v: _count(v) and v > 0)
+# Sequence members cost most on a polygon, where fixed_trace_oscillation
+# member n takes a 2n x n grid: 128 members take about 4 s there (1D: 0.1 s)
+# on a 2-CPU Xeon; at 256 the liminf table runs 21 s before its mesh overruns
+# the cell budget.
+_MEMBERS = _Accepts("a positive integer at most 128",
+                    lambda v: _POSITIVE_INT.test(v) and v <= 128)
 _POSITIVE = _Accepts("a positive number", lambda v: _finite_number(v) and v > 0)
 _NON_NEGATIVE = _Accepts("a non-negative finite number",
                          lambda v: _finite_number(v) and v >= 0)
@@ -141,10 +148,10 @@ _SCHEMA = {
     "solver.patience": (_POSITIVE_INT, 60),
     "sequence.kind": (_one_of("sequence kind", SEQUENCE_KINDS + ("none",)),
                       "jump_migration"),
-    "sequence.n_max": (_POSITIVE_INT, 64),
+    "sequence.n_max": (_MEMBERS, 64),
     "sequence.params": (_OBJECT, {}),
     "decomposition.n_max": (_POSITIVE_INT, 16),
-    "decomposition.prefix": (_POSITIVE_INT, 80),
+    "decomposition.prefix": (_MEMBERS, 80),
     "decomposition.cover": (_PER_FORM, [{"point": [0.0]},
                                         {"segment": [[0.125], [1.0]]}]),
     "liminf_tol": (_NON_NEGATIVE, 1e-6),
@@ -156,11 +163,23 @@ for _key, _row in _SCHEMA.items():
 
 
 def _line_of(text, key):
-    """1-based line of a dotted key, each part searched from the line of the
-    part before it; None when its first part is not in the text."""
-    lines, at = text.splitlines(), None
-    for part in key.split("."):
-        hits = [i for i in range(at or 0, len(lines)) if f'"{part}"' in lines[i]]
+    """1-based line of a dotted key: its first part as a key of the top-level
+    object, each later part searched from the line of the part before it;
+    None when the first part is not a top-level key of the text."""
+    lines, at, depth = text.splitlines(), None, 0
+    first, *rest = key.split(".")
+    # strings (a key when a colon follows) and brackets, in text order
+    for m in re.finditer(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}\[\]]', text):
+        token = m.group()
+        if token in ("{", "["):
+            depth += 1
+        elif token in ("}", "]"):
+            depth -= 1
+        elif depth == 1 and m.group(2) and m.group(1) == f'"{first}"':
+            at = text.count("\n", 0, m.start())
+            break
+    for part in rest if at is not None else ():
+        hits = [i for i in range(at, len(lines)) if f'"{part}"' in lines[i]]
         if not hits:
             break
         at = hits[0]

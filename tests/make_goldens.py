@@ -6,7 +6,8 @@ or decomposition arithmetic:  python tests/make_goldens.py
 
 To confirm a change keeps every golden byte-identical, without writing under
 tests/golden/:  python tests/make_goldens.py --check  (lists the files that
-differ and exits 1 on any difference).
+differ, each with the JSON paths whose values changed, old -> new, and exits
+1 on any difference).
 """
 
 import json
@@ -77,17 +78,40 @@ def regenerate(out_dir=GOLDEN_DIR):
     return written
 
 
+MISSING = "<missing>"  # the value of a key only one document has
+
+
+def changed_paths(old, new, path="$"):
+    """(path, old, new) for each JSON leaf, or container of another shape,
+    whose value differs between two parsed documents."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [c for k in sorted(old.keys() | new.keys())
+                for c in changed_paths(old.get(k, MISSING), new.get(k, MISSING),
+                                       f"{path}.{k}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [c for i, (a, b) in enumerate(zip(old, new))
+                for c in changed_paths(a, b, f"{path}[{i}]")]
+    return [] if old == new and type(old) is type(new) else [(path, old, new)]
+
+
 def check():
     """Regenerate into a temporary directory and list the golden files that
-    differ from it; returns 1 on any difference, else 0."""
+    differ from it, each with its changed JSON paths; returns 1 on any
+    difference, else 0."""
+    differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         fresh = regenerate(Path(tmp))
-        differ = [p.name for p in fresh
-                  if not (GOLDEN_DIR / p.name).is_file()
-                  or (GOLDEN_DIR / p.name).read_bytes() != p.read_bytes()]
-    for name in differ:
-        print(f"differs: {GOLDEN_DIR / name}")
-    print(f"{len(fresh) - len(differ)} of {len(fresh)} golden files byte-identical")
+        for p in fresh:
+            golden = GOLDEN_DIR / p.name
+            if golden.is_file() and golden.read_bytes() == p.read_bytes():
+                continue
+            differ += 1
+            print(f"differs: {golden}")
+            if golden.is_file():
+                for path, old, new in changed_paths(json.loads(golden.read_text()),
+                                                    json.loads(p.read_text())):
+                    print(f"  {path}: {json.dumps(old)} -> {json.dumps(new)}")
+    print(f"{len(fresh) - differ} of {len(fresh)} golden files byte-identical")
     return 1 if differ else 0
 
 

@@ -111,14 +111,27 @@ def test_make_goldens_check_lists_the_differing_golden(tmp_path, monkeypatch, ca
     monkeypatch.setattr(make_goldens, "regenerate", regenerate)
     assert make_goldens.check() == 1
     out = capsys.readouterr().out.splitlines()
-    assert out == [f"differs: {golden / 'b.json'}", f"differs: {golden / 'c.json'}",
-                   "1 of 3 golden files byte-identical"]
+    assert out == [f"differs: {golden / 'b.json'}", "  $: 2 -> 3",
+                   f"differs: {golden / 'c.json'}", "1 of 3 golden files byte-identical"]
     assert [p.read_text() for p in sorted(golden.iterdir())] == ["1\n", "2\n"]
     (golden / "b.json").write_text("3\n")
     (golden / "c.json").write_text("4\n")
     assert make_goldens.check() == 0
     assert capsys.readouterr().out == "3 of 3 golden files byte-identical\n"
     assert {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()} == before
+
+
+def test_make_goldens_names_each_changed_json_path():
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", Path(__file__).parent / "make_goldens.py")
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    old = {"a": [1, {"b": 2.0, "c": "x"}], "d": [1, 2], "e": 1, "f": True}
+    new = {"a": [1, {"b": 2.5, "c": "x"}], "d": [1, 2, 3], "e": 1.0, "f": True, "g": None}
+    assert make_goldens.changed_paths(old, new) == [
+        ("$.a[1].b", 2.0, 2.5), ("$.d", [1, 2], [1, 2, 3]), ("$.e", 1, 1.0),
+        ("$.g", make_goldens.MISSING, None)]
+    assert make_goldens.changed_paths(old, old) == []
 
 
 def test_scipy_is_not_imported_by_the_cli_or_a_1d_analysis():

@@ -43,8 +43,8 @@ def _recording(monkeypatch, module):
     """Every list of results minimize_fields returns inside `module`."""
     seen = []
 
-    def record(objective, problems, on=None):
-        results = minimize.minimize_fields(objective, problems, on)
+    def record(objective, problems, on=None, floors=None):
+        results = minimize.minimize_fields(objective, problems, on, floors)
         seen.append(results)
         return results
 

@@ -143,6 +143,20 @@ def test_violation_with_errored_check_is_still_not_wlsc():
     assert verdict.overall == "not-wlsc"
 
 
+def test_a_solver_budget_beyond_the_float_range_is_reported(tmp_path):
+    # 10**400 iterations: the work product is an int that float() overflows
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["solver"] = {"max_iter": 10**400}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    code, verdict = run_scenario(path, out_dir=tmp_path / "out")
+    assert code == 0
+    assert [e["job"] for e in verdict.errors] == ["qc", "qslb", "qslb"]
+    assert all("over the budget" in e["error"] for e in verdict.errors)
+    assert "iterations = 3.20e+402" in verdict.errors[1]["error"]
+    assert verdict.overall == "inconclusive"
+
+
 def test_unbudgeted_solver_work_fails_fast(tmp_path):
     # 194,688 qc cells pass the cell budget, but 8 restarts x 400 iterations
     # on them would run for about an hour
@@ -334,7 +348,11 @@ _MOTIVATION = [("qc", 5, "'qc' must be an object"),
                ("qslb.tol", "x", "'qslb.tol' must be a non-negative"),
                ("decomposition.prefix", -80, "'decomposition.prefix' must be a positive"),
                ("decomposition.cover", [{"pt": [0.0]}], "'decomposition.cover' must be"),
-               ("decomposition.n_max", "16", "'decomposition.n_max' must be a positive")]
+               ("decomposition.n_max", "16", "'decomposition.n_max' must be a positive"),
+               ("sequence.n_max", 10**6, "'sequence.n_max' must be a positive integer "
+                                         "at most 128, got 1000000"),
+               ("decomposition.prefix", 10**5, "'decomposition.prefix' must be a positive "
+                                               "integer at most 128, got 100000")]
 
 
 @pytest.mark.parametrize("key, value, message", _MOTIVATION,
@@ -348,6 +366,24 @@ def test_mistyped_or_unknown_key_exits_2(tmp_path, capsys, key, value, message):
     out = capsys.readouterr().out
     assert "config error (line " in out and message in out
     assert not (tmp_path / "out").exists()
+
+
+def test_a_top_level_key_is_reported_at_its_own_line(tmp_path, capsys):
+    # "qc" is quoted first inside "checks", on an earlier line
+    text = resolve_config("example_1_2").read_text()
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(' "qc":'))
+    assert any('"qc"' in line for line in lines[:at])
+    lines[at] = ' "qc": 5,'
+    path = tmp_path / "cfg.json"
+    path.write_text("\n".join(lines) + "\n")
+    code, _ = run_scenario(path, out_dir=tmp_path / "out")
+    assert code == 2
+    assert f"config error (line {at + 1}): 'qc' must be an object" in capsys.readouterr().out
+    assert bvlsc.verdict._line_of(text, "checks.qc") < at + 1
+    assert bvlsc.verdict._line_of(text, "qc.h") == at + 1
+    assert bvlsc.verdict._line_of('{"a": {"b": "]{", "c": 1},\n "c": 2}', "c") == 2
+    assert bvlsc.verdict._line_of('{"a": {"c": 1}}', "c") is None
 
 
 def test_every_default_is_filled_in():
@@ -483,10 +519,10 @@ def test_each_missing_piece_of_evidence_alone_is_inconclusive(edit, monkeypatch)
 def test_a_family_that_raises_falls_back_to_each_job_alone(monkeypatch):
     # a family holding the boundary point of seed 1001 raises as a whole; run
     # alone, that point errs and the other keeps its violation
-    def raising(objective, problems, on=None):
+    def raising(objective, problems, on=None, floors=None):
         if any(opts.seed == 1001 for _, _, opts in problems):
             raise RuntimeError("boom")
-        return minimize_fields(objective, problems, on)
+        return minimize_fields(objective, problems, on, floors)
 
     sc = load("example_1_2")
     sc.cfg["checks"].update(qc=False, sequences=False)
