@@ -128,12 +128,19 @@ def _breakpoints_1d(kset, n, lo, hi):
     pts = []
     for kind, data in kset.pieces:
         anchors = [data[0]] if kind == "point" else [data[0][0], data[1][0]]
-        if kind == "segment":
-            anchors = [data[0][0], data[1][0]]
         for a in anchors:
             for r in (0.5 / n, 1.0 / n):
                 pts.extend([a - r, a + r])
     return [p for p in pts if lo < p < hi]
+
+
+def require_1d(dim):
+    """Raise unless dim is 1: only 1D meshes make cutoff level sets mesh-exact."""
+    if dim != 1:
+        raise ValueError(
+            "decomposition is implemented for 1D meshes (cutoff level sets "
+            "must be mesh-exact); 2D sequences are not supported"
+        )
 
 
 def local_decompose(members, cover, n_max=None, selection_bound_factor=0.5,
@@ -143,11 +150,7 @@ def local_decompose(members, cover, n_max=None, selection_bound_factor=0.5,
     if not members:
         raise ValueError("empty sequence")
     mesh0 = members[0].mesh
-    if mesh0.dim != 1:
-        raise ValueError(
-            "decomposition is implemented for 1D meshes (cutoff level sets "
-            "must be mesh-exact); 2D sequences are not supported"
-        )
+    require_1d(mesh0.dim)
     cover_gap = cover.validate_covers(mesh0)
     if cover_gap > 1e-9:
         warnings.warn(

@@ -92,6 +92,19 @@ def eval_G(f, finf, mu, quad_order=2):
     return FunctionalValue(bulk, singular, per_cell, per_charge)
 
 
+def _signed_total(f, finf, terms, quad_order):
+    """sum of sgn * F(w) over the terms (w, sgn), accumulated per cell and per
+    charge before the final reduction; terms of sign 0 are skipped."""
+    cellwise, charge_sum = 0.0, 0.0
+    for w, sgn in terms:
+        if sgn == 0.0:
+            continue
+        val = eval_F(f, finf, w, quad_order)
+        cellwise = cellwise + sgn * val.per_cell
+        charge_sum += sgn * sum(v for _, v in val.per_charge)
+    return float(np.sum(cellwise) + charge_sum)
+
+
 def four_term_residual(f, finf, u, un, quad_order=2):
     """F(u + un) - F(u) - F(un) + F(0), accumulated per entity in one pass.
 
@@ -101,14 +114,7 @@ def four_term_residual(f, finf, u, un, quad_order=2):
     """
     zero = 0.0 * u
     terms = [(u + un, 1.0), (u, -1.0), (un, -1.0), (zero, 1.0)]
-    mesh = u.mesh
-    cellwise = np.zeros(mesh.n_cells)
-    charge_sum = 0.0
-    for w, sgn in terms:
-        val = eval_F(f, finf, w, quad_order)
-        cellwise += sgn * val.per_cell
-        charge_sum += sgn * sum(v for _, v in val.per_charge)
-    abs_res = float(np.sum(cellwise) + charge_sum)
+    abs_res = _signed_total(f, finf, terms, quad_order)
     tvn = total_variation(derivative(un))
     return {"residual": abs_res, "tv_relative": abs_res / max(tvn, 1e-300)}
 
@@ -172,19 +178,9 @@ def additivity_residual(f, finf, v, members, components_per_n, quad_order=2,
                 f"components do not sum to the member (deviation {dev:.3g})"
             )
         vv = v if v is not None else 0.0 * un
-        mesh = un.mesh
-        cellwise = np.zeros(mesh.n_cells)
-        charge_sum = 0.0
         terms = [(un + vv, 1.0), (vv, float(len(comps) - 1))]
-        for c in comps:
-            terms.append((c + vv, -1.0))
-        for w, sgn in terms:
-            if sgn == 0.0:
-                continue
-            val = eval_F(f, finf, w, quad_order)
-            cellwise += sgn * val.per_cell
-            charge_sum += sgn * sum(x for _, x in val.per_charge)
-        rows.append(float(np.sum(cellwise) + charge_sum))
+        terms += [(c + vv, -1.0) for c in comps]
+        rows.append(_signed_total(f, finf, terms, quad_order))
     tail = [abs(r) for r in rows[-max(1, len(rows) // 4):]]
     return {
         "residuals": rows,

@@ -605,7 +605,7 @@ def _polygon_mesh(domain, h):
 
     tri = Delaunay(pts)
     cent = pts[tri.simplices].mean(axis=1)
-    keep = region.contains(cent, tol=1e-12) & (_tri_areas(pts, tri.simplices) > 1e-13)
+    keep = region.contains(cent, tol=1e-12) & (_sub_measures(pts, tri.simplices, 2) > 1e-13)
     cells = tri.simplices[keep]
     used = np.unique(cells)
     remap = -np.ones(len(pts), dtype=np.int64)
@@ -646,19 +646,12 @@ def halfball_mesh(normal, h_target):
     from scipy.spatial import Delaunay  # imported here: it costs 0.4 s per process
 
     tri = Delaunay(pts)
-    areas = _tri_areas(pts, tri.simplices)
+    areas = _sub_measures(pts, tri.simplices, 2)
     cells = tri.simplices[areas > 1e-13]
     # rotate canonical frame (nu = e1) onto the requested normal
     R = np.array([[nu[0], -nu[1]], [nu[1], nu[0]]])
     verts = pts @ R.T
     return Mesh(verts, cells, domain=domain)
-
-
-def _tri_areas(pts, simplices):
-    v = pts[simplices]
-    e1 = v[:, 1] - v[:, 0]
-    e2 = v[:, 2] - v[:, 0]
-    return 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def build_mesh(domain, h_target):

@@ -32,12 +32,14 @@ and each restart keeps the smoothed gradient of its iterate.  An iteration
 steps along it, takes the P1 gradient of the stepped field, which serves the
 projection and the denominator, and takes it once more if a rescaling moved
 the field.  One from_cells call on those cell gradients then gives both the
-exact value, for acceptance, and the smoothed per-cell parts, which one
-p1_assemble call turns into the gradient the next iteration steps along.
-So an iteration costs one objective evaluation, one assembly and at most
-two P1 gradients (two in normalize mode, or in plain mode under a cap).  A
-new smoothing stage evaluates its live restarts once more at its own
-smoothing.
+exact value, for acceptance, and the derivative of the smoothed value with
+respect to the cell gradients, one array of the batch's shape, which one
+p1_assemble call on the batch's rows turns into the gradient the next
+iteration steps along; quotients and combinations of terms combine their
+per-cell arrays first.  So an iteration costs one objective evaluation, one
+assembly and at most two P1 gradients (two in normalize mode, or in plain
+mode under a cap).  A new smoothing stage evaluates its live restarts once
+more at its own smoothing.
 
 Constraint handling is by feasible rescaling: an L-infinity cap on cell
 gradients or a cap on the gradient total variation shrinks the whole field
@@ -180,16 +182,18 @@ class SolverOptions:
 #
 # An objective evaluates a batch from its cell gradients G (R, nc, M, dim), as
 # Mesh.p1_gradient returns them.  from_cells(G, delta) gives the values (R,);
-# from_cells(G, delta, with_grad=True) gives the values, the exact (delta 0)
-# values, a list of per-cell arrays (R, nc, M, dim) and a function that turns
-# their p1_assemble images into the gradient (R, nv, M).  The exact values
-# carry the bits of from_cells(G, 0.0), so the solver accepts an iterate and
-# takes its next gradient from one call.  _assemble stacks the list into one
-# p1_assemble call on disjoint mesh copies, so a quotient or a combination of
-# terms assembles once and every entry keeps the bits of its own call.
-# value and value_and_grad wrap from_cells for one field (nv, M), giving a
-# float and an (nv, M) gradient, or a batch (R, nv, M), each entry computed
-# as for the field alone.  The solver calls from_cells directly.
+# from_cells(G, delta, with_grad=True) gives (values, exact, dG): the values,
+# the exact (delta 0) values and dG (R, nc, M, dim), the derivative of the
+# smoothed values with respect to G.  The exact values carry the bits of
+# from_cells(G, 0.0), so the solver accepts an iterate and takes its next
+# gradient from one call.  p1_assemble is the adjoint of p1_gradient, so
+# p1_assemble(dG) is the gradient (R, nv, M) with respect to the vertex
+# values; being linear, it serves sums and quotients of terms once their
+# per-cell arrays are combined: sum c dG for a LinearCombo, (dN - q dD) / D
+# for a RayleighQuotient of value q.  value and value_and_grad wrap
+# from_cells for one field (nv, M), giving a float and an (nv, M) gradient,
+# or a batch (R, nv, M), each entry computed as for the field alone.  The
+# solver calls from_cells directly.
 #
 # An objective of P copies (a family, see BulkObjective) evaluates a batch of
 # fields with field r on copy on[r]; `on` None puts field p on copy p of a
@@ -210,17 +214,6 @@ def _unbatch(single, value, grad=None):
     if single:
         value, grad = float(value[0]), None if grad is None else grad[0]
     return value if grad is None else (value, grad)
-
-
-def _assemble(mesh, parts, finish, on=None):
-    """Gradient from the per-cell arrays and finish of from_cells."""
-    R = len(parts[0])
-    whole = mesh.p1_assemble(parts[0] if len(parts) == 1 else np.concatenate(parts), on)
-    return finish([whole[i * R:(i + 1) * R] for i in range(len(parts))])
-
-
-def _only(assembled):
-    return assembled[0]
 
 
 def _on(a, on):
@@ -248,8 +241,8 @@ class _Objective:
     def value_and_grad(self, values, delta=0.0, on=None):
         batch, single = _as_batch(values)
         G = self.mesh.p1_gradient(batch, on)
-        val, _, parts, finish = self.from_cells(G, delta, True, **_placed(self, on))
-        return _unbatch(single, val, _assemble(self.mesh, parts, finish, on))
+        val, _, dG = self.from_cells(G, delta, True, **_placed(self, on))
+        return _unbatch(single, val, self.mesh.p1_assemble(dG, on))
 
 
 class BulkObjective(_Objective):
@@ -357,7 +350,7 @@ class BulkObjective(_Objective):
             dg = np.repeat(dg, nq, axis=0)
         wts = self._rows("_wts", R, on)
         per_cell = np.einsum("cq,cqmn->cmn", wts, dg.reshape(len(wts), nq, g.M, self.mesh.dim))
-        return val, exact, [per_cell.reshape(grads.shape)], _only
+        return val, exact, per_cell.reshape(grads.shape)
 
 
 class TVObjective(_Objective):
@@ -381,7 +374,7 @@ class TVObjective(_Objective):
         if not with_grad:
             return val
         denom = np.maximum(mags, 1e-300)
-        return val, exact, [grads * (measures / denom)[..., None, None]], _only
+        return val, exact, grads * (measures / denom)[..., None, None]
 
 
 class LinearCombo(_Objective):
@@ -394,22 +387,11 @@ class LinearCombo(_Objective):
     def from_cells(self, grads, delta=0.0, with_grad=False, on=None):
         if not with_grad:
             return sum(c * o.from_cells(grads, delta, on=on) for c, o in self.terms)
-        total, exact, parts, pieces = 0.0, 0.0, [], []
+        total = exact = dG = 0.0
         for c, o in self.terms:
-            v, e, p, finish = o.from_cells(grads, delta, True, on)
-            total += c * v
-            exact += c * e
-            pieces.append((c, finish, len(parts), len(parts) + len(p)))
-            parts += p
-
-        def combine(assembled):
-            grad = None
-            for c, finish, i, j in pieces:
-                g = finish(assembled[i:j])
-                grad = c * g if grad is None else grad + c * g
-            return grad
-
-        return total, exact, parts, combine
+            v, e, g = o.from_cells(grads, delta, True, on)
+            total, exact, dG = total + c * v, exact + c * e, dG + c * g
+        return total, exact, dG
 
 
 class RayleighQuotient(_Objective):
@@ -434,18 +416,12 @@ class RayleighQuotient(_Objective):
         if not with_grad:
             return self._quotient(self.num.from_cells(grads, delta, on=on),
                                   self.den.from_cells(grads, delta, on=on))
-        nv, n_exact, n_parts, n_finish = self.num.from_cells(grads, delta, True, on)
-        dv, d_exact, d_parts, d_finish = self.den.from_cells(grads, delta, True, on)
-        exact = self._quotient(n_exact, d_exact)
+        nv, n_exact, dN = self.num.from_cells(grads, delta, True, on)
+        dv, d_exact, dD = self.den.from_cells(grads, delta, True, on)
         dv = np.maximum(dv, self.den_floor)
         val = nv / dv
-        k = len(n_parts)
-
-        def combine(assembled):
-            ng, dg = n_finish(assembled[:k]), d_finish(assembled[k:])
-            return (ng - val[:, None, None] * dg) / dv[:, None, None]
-
-        return val, exact, n_parts + d_parts, combine
+        q, d = val[:, None, None, None], dv[:, None, None, None]
+        return val, self._quotient(n_exact, d_exact), (dN - q * dD) / d
 
 
 # -- initial fields -----------------------------------------------------------
@@ -672,9 +648,8 @@ def _solve(objective, problems, on, floors):
         """The exact values of the fields `rows` (on copies `on`, clamped
         where `clamped`) from their cell gradients G; their gradients at
         smoothing delta go to steps[rows]."""
-        _, exact, parts, finish = objective.from_cells(G, delta, True,
-                                                       **_placed(objective, on))
-        g = _assemble(family, parts, finish, on)
+        _, exact, dG = objective.from_cells(G, delta, True, **_placed(objective, on))
+        g = family.p1_assemble(dG, on)
         g[clamped] = 0.0
         steps[rows] = g
         return exact

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import equivalence_harness, halfball_deficit, halfball_deficits
-from .decompose import CoverSpec, local_decompose, verify_properties
+from .decompose import CoverSpec, local_decompose, require_1d, verify_properties
 from .integrands import CATALOG, catalog_get, estimated_recession, mu_estimate, freeze_x
 from . import minimize
 from .meshing import Domain, MeshBudgetError, build_mesh
@@ -283,6 +283,13 @@ def _checked(cfg, raw_text=""):
         if key in params and not _POSITIVE_INT.test(params[key]):
             err(_POSITIVE_INT.message(f"integrand.params.{key}", params[key]),
                 f"integrand.params.{key}")
+    composite = isinstance(params, dict) and out["integrand"].get("tag") == "composite"
+    terms = params.get("terms") if composite else None
+    for i, term in enumerate(terms if isinstance(terms, list) else ()):
+        if not (isinstance(term, list) and len(term) == 2 and _finite_number(term[0])
+                and isinstance(term[1], dict)):
+            err(f"'integrand.params.terms[{i}]' must be [weight, {{\"tag\": ..., "
+                f"\"params\": ...}}], got {term!r}", "integrand.params.terms")
     if errors:
         raise ConfigError(errors)
     return out
@@ -572,18 +579,21 @@ def analyze(scenario):
             errors.append({"job": "mu", "error": str(e)})
 
     if checks["refinement"]:
+        # one family per h; rows and errors in (point, h) order
+        hs, opts = (qslb_cfg["h"], qslb_cfg["h"] / 2), scenario.solver_options(9000)
+        per_h = [_entries(
+            [(bp, opts, None) for bp in boundary_pts],
+            lambda js, hh=hh: halfball_deficits(finf, js, h=hh, tol=qslb_cfg["tol"]),
+            lambda bp, o, _, hh=hh: halfball_deficit(finf, bp, h=hh, tol=qslb_cfg["tol"],
+                                                     options=o)) for hh in hs]
         rows = []
-        for bp in boundary_pts:
-            for hh in (scenario.cfg["qslb"]["h"], scenario.cfg["qslb"]["h"] / 2):
-                try:
-                    rep = halfball_deficit(finf, bp, h=hh,
-                                           tol=scenario.cfg["qslb"]["tol"],
-                                           options=scenario.solver_options(9000))
-                except Exception as e:  # collect and continue
-                    errors.append({"job": "refinement", "error": str(e)})
-                    continue
-                rows.append({"x0": bp.x0.tolist(), "h": hh,
-                             "deficit": rep.deficit})
+        for bi, bp in enumerate(boundary_pts):
+            for hh, reps in zip(hs, per_h):
+                if isinstance(reps[bi], Exception):
+                    errors.append({"job": "refinement", "error": str(reps[bi])})
+                else:
+                    rows.append({"x0": bp.x0.tolist(), "h": hh,
+                                 "deficit": reps[bi].deficit})
         extras["refinement"] = rows
 
     # evidence a passing verdict needs: a qc report, a qslb report for every
@@ -628,6 +638,7 @@ def _run_decomposition(scenario, f, finf, errors):
     try:
         spec = SequenceSpec(seq_cfg["kind"], scenario.domain, dcfg["prefix"] + 1,
                             dict(seq_cfg["params"]))
+        require_1d(scenario.domain.dim)
         members = [generate(spec, n) for n in range(1, dcfg["prefix"])]
         cover = CoverSpec([
             CompactSet.from_config(scenario.domain.dim, [item])

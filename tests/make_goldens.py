@@ -6,8 +6,9 @@ or decomposition arithmetic:  python tests/make_goldens.py
 
 To confirm a change keeps every golden byte-identical, without writing under
 tests/golden/:  python tests/make_goldens.py --check  (lists the files that
-differ, each with the JSON paths whose values changed, old -> new, and exits
-1 on any difference).
+differ, each with the JSON paths whose values changed, old -> new, then the
+largest absolute numeric drift with its path and every changed string leaf,
+and exits 1 on any difference).
 """
 
 import json
@@ -94,11 +95,28 @@ def changed_paths(old, new, path="$"):
     return [] if old == new and type(old) is type(new) else [(path, old, new)]
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def drift_summary(changes):
+    """Two lines on the changes (file, path, old, new): the largest absolute
+    numeric drift with its path, and every changed string leaf."""
+    drifts = [(abs(new - old), f"{name} {path}") for name, path, old, new in changes
+              if _is_number(old) and _is_number(new)]
+    largest = max(drifts, default=None)
+    strings = [f"{name} {path}" for name, path, old, new in changes
+               if any(isinstance(x, str) and x is not MISSING for x in (old, new))]
+    return ["largest numeric drift: " + ("none" if largest is None
+                                         else f"{largest[0]:.6g} at {largest[1]}"),
+            "changed string leaves: " + (", ".join(strings) or "none")]
+
+
 def check():
     """Regenerate into a temporary directory and list the golden files that
     differ from it, each with its changed JSON paths; returns 1 on any
     difference, else 0."""
-    differ = 0
+    differ, changes = 0, []
     with tempfile.TemporaryDirectory() as tmp:
         fresh = regenerate(Path(tmp))
         for p in fresh:
@@ -111,6 +129,9 @@ def check():
                 for path, old, new in changed_paths(json.loads(golden.read_text()),
                                                     json.loads(p.read_text())):
                     print(f"  {path}: {json.dumps(old)} -> {json.dumps(new)}")
+                    changes.append((p.name, path, old, new))
+    if differ:
+        print("\n".join(drift_summary(changes)))
     print(f"{len(fresh) - differ} of {len(fresh)} golden files byte-identical")
     return 1 if differ else 0
 

@@ -112,7 +112,8 @@ def test_make_goldens_check_lists_the_differing_golden(tmp_path, monkeypatch, ca
     assert make_goldens.check() == 1
     out = capsys.readouterr().out.splitlines()
     assert out == [f"differs: {golden / 'b.json'}", "  $: 2 -> 3",
-                   f"differs: {golden / 'c.json'}", "1 of 3 golden files byte-identical"]
+                   f"differs: {golden / 'c.json'}", "largest numeric drift: 1 at b.json $",
+                   "changed string leaves: none", "1 of 3 golden files byte-identical"]
     assert [p.read_text() for p in sorted(golden.iterdir())] == ["1\n", "2\n"]
     (golden / "b.json").write_text("3\n")
     (golden / "c.json").write_text("4\n")
@@ -132,6 +133,26 @@ def test_make_goldens_names_each_changed_json_path():
         ("$.a[1].b", 2.0, 2.5), ("$.d", [1, 2], [1, 2, 3]), ("$.e", 1, 1.0),
         ("$.g", make_goldens.MISSING, None)]
     assert make_goldens.changed_paths(old, old) == []
+
+
+def test_make_goldens_summarizes_the_largest_drift_and_changed_strings():
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", Path(__file__).parent / "make_goldens.py")
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    old = {"overall": "wlsc-plausible", "qslb": [{"deficit": -0.5, "verdict": "x"}],
+           "n": 3, "flag": True, "gone": 1.0, "rows": [1, 2]}
+    new = {"overall": "not-wlsc", "qslb": [{"deficit": -0.25, "verdict": "x"}],
+           "n": 2, "flag": False, "rows": [1, 2, 3], "added": "note"}
+    changes = [("r.json", *c) for c in make_goldens.changed_paths(old, new)]
+    assert make_goldens.drift_summary(changes) == [
+        "largest numeric drift: 1 at r.json $.n",
+        "changed string leaves: r.json $.added, r.json $.overall"]
+    small = [("r.json", "$.a", 1e-17, 3e-17), ("s.json", "$.b", 0.5, 0.5 + 1e-16)]
+    assert make_goldens.drift_summary(small) == [
+        "largest numeric drift: 1.11022e-16 at s.json $.b", "changed string leaves: none"]
+    assert make_goldens.drift_summary([]) == ["largest numeric drift: none",
+                                              "changed string leaves: none"]
 
 
 def test_scipy_is_not_imported_by_the_cli_or_a_1d_analysis():

@@ -450,6 +450,50 @@ def test_batch_of_five_equals_five_single_calls(mesh, delta, name):
         assert np.isfinite(vg_vals[2])
 
 
+@pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 0.1), unit_square_mesh(4)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("name", ["bulk", "tv", "combo", "quotient"])
+def test_gradient_is_the_derivative_of_the_value(mesh, name):
+    """Central differences of value along random directions match the
+    gradient of value_and_grad at smoothing 1e-2."""
+    obj, delta, eps = _objectives(mesh)[name], 1e-2, 1e-6
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        field, direction = rng.normal(size=(2, mesh.n_vertices, 1))
+        _, grad = obj.value_and_grad(field, delta)
+        slope = (obj.value(field + eps * direction, delta)
+                 - obj.value(field - eps * direction, delta)) / (2 * eps)
+        assert np.sum(grad * direction) == pytest.approx(slope, rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["combo", "quotient"])
+def test_one_evaluation_assembles_once_on_its_own_rows(name, monkeypatch):
+    """Each gradient evaluation of the solver makes one p1_assemble call on as
+    many rows as fields it evaluates, for combinations and quotients too."""
+    mesh = unit_square_mesh(4)
+    obj = _objectives(mesh)[name]
+    events = []
+
+    def assembled(self, per_cell, on=None, _inner=Mesh.p1_assemble):
+        events.append(("assemble", len(per_cell)))
+        return _inner(self, per_cell, on)
+
+    def evaluated(grads, delta=0.0, with_grad=False, _inner=obj.from_cells):
+        if with_grad:
+            events.append(("evaluate", len(grads)))
+        return _inner(grads, delta, with_grad)
+
+    monkeypatch.setattr(Mesh, "p1_assemble", assembled)
+    monkeypatch.setattr(obj, "from_cells", evaluated)
+    opts = SolverOptions(restarts=4, max_iter=30,
+                         mode="normalize" if name == "quotient" else "plain")
+    # clamped on the side x = 1 only, so the linear numerator is not zero
+    res = minimize_field(obj, mesh, np.flatnonzero(mesh.vertices[:, 0] == 1.0), opts)
+    assert res.iterations > 0
+    assert len(events) > 2 and events[::2] == [("evaluate", r) for _, r in events[::2]]
+    assert events[1::2] == [("assemble", r) for _, r in events[::2]]
+
+
 # -- mesh operator calls per iteration ------------------------------------------
 
 

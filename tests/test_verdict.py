@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bvlsc.boundary
+import bvlsc.meshing
 import bvlsc.verdict
 from bvlsc.cli import bundled_scenarios, main, resolve_config
 from bvlsc.integrands import catalog_get
@@ -235,6 +236,71 @@ def test_errored_refinement_check_is_inconclusive(tmp_path):
     assert verdict.overall == "inconclusive"
     assert {e["job"] for e in verdict.errors} == {"qslb", "refinement"}
     assert verdict.extras["refinement"] == []
+
+
+@pytest.mark.parametrize("name", ["example_1_2", "norm_square"])
+def test_refinement_rows_equal_one_halfball_deficit_per_point_and_h(name):
+    sc = load(name)
+    sc.cfg["checks"].update(refinement=True, qc=False)
+    verdict = analyze(sc)
+    q, points = sc.cfg["qslb"], sc.boundary_points()[0]
+    alone = [{"x0": bp.x0.tolist(), "h": hh,
+              "deficit": bvlsc.boundary.halfball_deficit(
+                  sc.recession, bp, h=hh, tol=q["tol"],
+                  options=sc.solver_options(9000)).deficit}
+             for bp in points for hh in (q["h"], q["h"] / 2)]
+    assert len(alone) == 2 * len(points) > 0
+    assert json.dumps(verdict.extras["refinement"]) == json.dumps(alone)
+
+
+def test_an_over_budget_refinement_h_is_an_error_in_point_order(monkeypatch):
+    # norm_square's half-balls take 400 cells at h = 0.1 and 1,600 at h = 0.05
+    monkeypatch.setattr(bvlsc.meshing, "MAX_CELLS", 1000)
+    sc = load("norm_square")
+    sc.cfg["checks"].update(refinement=True, qc=False)
+    verdict = analyze(sc)
+    points = sc.boundary_points()[0]
+    rows = verdict.extras["refinement"]
+    assert [(r["x0"], r["h"]) for r in rows] == [(bp.x0.tolist(), 0.1) for bp in points]
+    assert [e["job"] for e in verdict.errors] == ["refinement"] * len(points)
+    assert all("h=0.05 implies about 1600 cells" in e["error"] for e in verdict.errors)
+    assert verdict.overall == "inconclusive"
+
+
+def test_decomposition_on_a_polygon_builds_no_member(monkeypatch):
+    calls = []
+
+    def counted(*args, _inner=bvlsc.verdict.generate):
+        calls.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(bvlsc.verdict, "generate", counted)
+    sc = load("norm_square")
+    sc.cfg["checks"].update(qc=False, qslb=False, decomposition=True)
+    sc.cfg["sequence"].update(kind="fixed_trace_oscillation")
+    sc.cfg["decomposition"]["prefix"] = 128
+    verdict = analyze(sc)
+    assert calls == []
+    assert verdict.extras["decomposition"] is None
+    assert verdict.errors == [{"job": "decomposition", "error": (
+        "decomposition is implemented for 1D meshes (cutoff level sets must be "
+        "mesh-exact); 2D sequences are not supported")}]
+
+
+@pytest.mark.parametrize("term", [{"w": 1, "term": {"tag": "norm"}},
+                                  {"w": 1, "term": {"tag": "norm"}, "x": 2}],
+                         ids=["two_keys", "three_keys"])
+def test_a_composite_term_given_as_an_object_is_a_config_error(tmp_path, capsys, term):
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["integrand"] = {"tag": "composite", "params": {"terms": [
+        [1.0, {"tag": "linear", "params": {"matrix": [[1.0]]}}], term]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert (f"'integrand.params.terms[1]' must be [weight, {{\"tag\": ..., \"params\": "
+            f"...}}], got {term!r}") in out
+    assert not (tmp_path / "out").exists()
 
 
 def test_errored_mu_table_is_inconclusive(monkeypatch):
