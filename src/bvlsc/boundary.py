@@ -70,8 +70,8 @@ class QslbReport:
     def low_confidence(self):
         return bool(self.diagnostics.get("low_confidence"))
 
-    def to_json(self, with_witness=False):
-        out = {
+    def to_json(self):
+        return {
             "x0": np.asarray(self.x0).tolist(),
             "nu": np.asarray(self.nu).tolist(),
             "deficit": self.deficit,
@@ -80,9 +80,6 @@ class QslbReport:
             "diagnostics": self.diagnostics,
             "tables": self.tables,
         }
-        if with_witness and self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        return out
 
     def __repr__(self):
         return f"QslbReport(deficit={self.deficit:.6g}, verdict={self.verdict!r})"
@@ -203,13 +200,12 @@ def _qslb_report(x0, mesh, res, c_inf, tol):
 
 
 def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
-                   R_grid=(1.0, 10.0, 100.0), tol=1e-6, options=None,
-                   growth_factor=5.0, refine_levels=1):
+                   tol=1e-6, options=None, refine_levels=1):
     """Unbounded-below signature of the local growth inequality at x0.
 
-    Returns rows (eps, delta, R, minimum) and per-(eps, delta) verdicts:
-    "unbounded-below" when the minimum at R=100 is at least `growth_factor`
-    times deeper than at R=10 (and the latter is below -tol), else
+    Returns rows (eps, delta, R, minimum) for the TV caps R = 1, 10, 100 and
+    per-(eps, delta) verdicts: "unbounded-below" when the minimum at R=100 is
+    at least 5 times deeper than at R=10 (and the latter is below -tol), else
     "bounded plausible".  x0 may be a BoundaryPoint, a polygon corner
     coordinate, or an interior point; no boundary regularity is used.
     """
@@ -229,28 +225,27 @@ def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
             )
             minima = {}
             carry = ()
-            for R in sorted(R_grid):
+            for R in (1.0, 10.0, 100.0):
                 inits = carry
                 if carry:
                     prev = carry[0]
                     tv_prev = TVObjective(patch.mesh, f.M).value(prev)
                     if tv_prev > 1e-12:
                         # rescale the carried witness up to the new cap
-                        inits = (prev * (float(R) / tv_prev), prev)
-                opts = replace(base, mode="plain", grad_cap=0.0, tv_cap=float(R),
+                        inits = (prev * (R / tv_prev), prev)
+                opts = replace(base, mode="plain", grad_cap=0.0, tv_cap=R,
                                extra_inits=inits)
                 res = minimize_field(
                     objective, patch.mesh, patch.clamped_vertices, opts
                 )
-                minima[float(R)] = res.value
+                minima[R] = res.value
                 carry = (res.witness.values,)
                 rows.append(
-                    {"eps": float(eps), "delta": float(delta), "R": float(R),
+                    {"eps": float(eps), "delta": float(delta), "R": R,
                      "minimum": res.value}
                 )
-            Rs = sorted(minima)
-            lo, hi = minima[Rs[-2]], minima[Rs[-1]]
-            unbounded = lo < -tol and hi <= growth_factor * lo
+            lo, hi = minima[10.0], minima[100.0]
+            unbounded = lo < -tol and hi <= 5.0 * lo
             verdicts[(float(eps), float(delta))] = (
                 "unbounded-below" if unbounded else "bounded plausible"
             )

@@ -144,7 +144,7 @@ def require_1d(dim):
 
 
 def local_decompose(members, cover, n_max=None, selection_bound_factor=0.5,
-                    grad_slack=0.05, compute_s_table=True):
+                    grad_slack=0.05):
     """Decompose a 1D vanishing sequence against a compact cover."""
     members = list(members)
     if not members:
@@ -166,24 +166,23 @@ def local_decompose(members, cover, n_max=None, selection_bound_factor=0.5,
                               selection_bound_factor, grad_slack, lo, hi)
     n_values, k_map, subsequence, components, cutoffs = result
 
-    s_table = []
-    if compute_s_table:
-        # member k enters the rows m <= k + 1, at the radii 0.5 / m
-        radii = [0.5 / m for m in range(1, n_max + 1)]
-        tvs = [
-            tv_on_neighborhood(derivative(u), cover.sets[0], radii[:k + 1])
-            for k, u in enumerate(members)
-        ]
-        for m in range(1, n_max + 1):
-            vals = [tvs[k][m - 1] for k in range(m - 1, len(members))]
-            s_table.append({
-                "m": m,
-                "last": vals[-1],
-                "sup_dev": float(np.max(np.abs(np.asarray(vals) - vals[-1]))),
-            })
-        lasts = [row["last"] for row in s_table]
-        monotone = all(lasts[i + 1] <= lasts[i] + 1e-12 for i in range(len(lasts) - 1))
-        s_table = {"rows": s_table, "monotone": monotone}
+    # member k enters the rows m <= k + 1, at the radii 0.5 / m
+    radii = [0.5 / m for m in range(1, n_max + 1)]
+    tvs = [
+        tv_on_neighborhood(derivative(u), cover.sets[0], radii[:k + 1])
+        for k, u in enumerate(members)
+    ]
+    rows = []
+    for m in range(1, n_max + 1):
+        vals = [tvs[k][m - 1] for k in range(m - 1, len(members))]
+        rows.append({
+            "m": m,
+            "last": vals[-1],
+            "sup_dev": float(np.max(np.abs(np.asarray(vals) - vals[-1]))),
+        })
+    lasts = [row["last"] for row in rows]
+    monotone = all(lasts[i + 1] <= lasts[i] + 1e-12 for i in range(len(lasts) - 1))
+    s_table = {"rows": rows, "monotone": monotone}
 
     return DecompositionResult(
         cover, members, n_values, k_map, subsequence, components, cutoffs,

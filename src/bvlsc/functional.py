@@ -3,8 +3,8 @@ through the recession function at the polar.
 
     F(u) = sum_cells  integral f(x, grad u)  +  sum_charges f_inf(pos, polar) * mass
 
-Bulk integrals use a per-cell Gauss rule (configurable order, default 2) in x;
-the gradient is exact per cell, so x-independent integrands are integrated
+Bulk integrals use the mesh's quadrature rule in x (meshing.QUADRATURE); the
+gradient is exact per cell, so x-independent integrands are integrated
 exactly.  eval_G applies the same rule to an arbitrary matrix measure.
 """
 
@@ -49,8 +49,8 @@ class FunctionalValue:
         )
 
 
-def _bulk_cell_values(f, mesh, grads, quad_order):
-    pts, wts = mesh.quadrature(quad_order)
+def _bulk_cell_values(f, mesh, grads):
+    pts, wts = mesh.quadrature()
     nq = pts.shape[1]
     flat_x = pts.reshape(-1, mesh.dim)
     flat_xi = np.repeat(grads, nq, axis=0)
@@ -58,54 +58,47 @@ def _bulk_cell_values(f, mesh, grads, quad_order):
     return np.sum(vals * wts, axis=1)
 
 
-def _singular_values(finf, mu_like_charges, mesh):
+def _singular_values(finf, mu):
     out = []
-    for desc, polar, mass in mu_like_charges:
-        if mesh.dim == 1:
-            pos = np.array([float(desc)])
-            where = float(desc)
-        else:
-            i, j = desc
-            pos = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
-            where = [int(i), int(j)]
-        val = finf.at(pos, polar) * mass
-        out.append((where, val))
+    for desc, polar, mass in mu.charges:
+        where = float(desc) if mu.mesh.dim == 1 else [int(i) for i in desc]
+        out.append((where, finf.at(mu.charge_position(desc), polar) * mass))
     return out
 
 
-def eval_F(f, finf, u, quad_order=2):
+def eval_F(f, finf, u):
     """Evaluate the functional at a BVFunction."""
     if f.M != u.M or f.N != u.mesh.dim:
         raise ValueError(
             f"integrand is {f.M}x{f.N} but the function has M={u.M}, N={u.mesh.dim}"
         )
     mu = derivative(u)
-    return eval_G(f, finf, mu, quad_order=quad_order)
+    return eval_G(f, finf, mu)
 
 
-def eval_G(f, finf, mu, quad_order=2):
+def eval_G(f, finf, mu):
     """Evaluate the measure functional at a MatrixMeasure."""
-    per_cell = _bulk_cell_values(f, mu.mesh, mu.density, quad_order)
-    per_charge = _singular_values(finf, mu.charges, mu.mesh)
+    per_cell = _bulk_cell_values(f, mu.mesh, mu.density)
+    per_charge = _singular_values(finf, mu)
     bulk = float(np.sum(per_cell))
     singular = float(sum(v for _, v in per_charge))
     return FunctionalValue(bulk, singular, per_cell, per_charge)
 
 
-def _signed_total(f, finf, terms, quad_order):
+def _signed_total(f, finf, terms):
     """sum of sgn * F(w) over the terms (w, sgn), accumulated per cell and per
     charge before the final reduction; terms of sign 0 are skipped."""
     cellwise, charge_sum = 0.0, 0.0
     for w, sgn in terms:
         if sgn == 0.0:
             continue
-        val = eval_F(f, finf, w, quad_order)
+        val = eval_F(f, finf, w)
         cellwise = cellwise + sgn * val.per_cell
         charge_sum += sgn * sum(v for _, v in val.per_charge)
     return float(np.sum(cellwise) + charge_sum)
 
 
-def four_term_residual(f, finf, u, un, quad_order=2):
+def four_term_residual(f, finf, u, un):
     """F(u + un) - F(u) - F(un) + F(0), accumulated per entity in one pass.
 
     Along sequences concentrating on the boundary this residual vanishes;
@@ -114,41 +107,38 @@ def four_term_residual(f, finf, u, un, quad_order=2):
     """
     zero = 0.0 * u
     terms = [(u + un, 1.0), (u, -1.0), (un, -1.0), (zero, 1.0)]
-    abs_res = _signed_total(f, finf, terms, quad_order)
+    abs_res = _signed_total(f, finf, terms)
     tvn = total_variation(derivative(un))
     return {"residual": abs_res, "tv_relative": abs_res / max(tvn, 1e-300)}
 
 
-def uniform_continuity_probe(f, finf, pair_generator, n_max, mass_budget=1e4,
-                             gap_threshold=0.05, quad_order=2):
+def uniform_continuity_probe(f, finf, pair_generator, n_max):
     """Probe: TV-close measure pairs should have close functional values.
 
     pair_generator(n) yields (mu_n, lambda_n).  The table records the TV gap
     |mu_n - lambda_n|(Omega) and the value gap |G(mu_n) - G(lambda_n)|.  If the
-    TV gaps do not vanish the hypothesis fails and no verdict is issued.
+    TV gaps do not vanish (a tail above half the first gap and above 0.05) the
+    hypothesis fails and no verdict is issued; otherwise the probe is
+    consistent when the value gaps of the tail stay below 0.05.  A pair of
+    total variation above 1e4 raises ValueError.
     """
     rows = []
     for n in range(1, n_max + 1):
         mu, lam = pair_generator(n)
         m1, m2 = total_variation(mu), total_variation(lam)
-        if max(m1, m2) > mass_budget:
-            raise ValueError(
-                f"mass budget exceeded at n={n}: {max(m1, m2):.3g} > {mass_budget}"
-            )
+        if max(m1, m2) > 1e4:
+            raise ValueError(f"mass budget exceeded at n={n}: {max(m1, m2):.3g} > 10000.0")
         tv_gap = total_variation(mu - lam)
-        g_gap = abs(
-            eval_G(f, finf, mu, quad_order).total
-            - eval_G(f, finf, lam, quad_order).total
-        )
+        g_gap = abs(eval_G(f, finf, mu).total - eval_G(f, finf, lam).total)
         rows.append({"n": n, "tv_gap": tv_gap, "g_gap": g_gap})
     tv_tail = [r["tv_gap"] for r in rows[-max(1, len(rows) // 4):]]
     g_tail = [r["g_gap"] for r in rows[-max(1, len(rows) // 4):]]
-    if max(tv_tail) > 0.5 * rows[0]["tv_gap"] and max(tv_tail) > gap_threshold:
+    if max(tv_tail) > 0.5 * rows[0]["tv_gap"] and max(tv_tail) > 0.05:
         return {
             "rows": rows,
             "verdict": "hypothesis violated: TV gap does not vanish",
         }
-    consistent = max(g_tail) < gap_threshold
+    consistent = max(g_tail) < 0.05
     return {
         "rows": rows,
         "verdict": "consistent" if consistent else "inconsistent",
@@ -156,11 +146,11 @@ def uniform_continuity_probe(f, finf, pair_generator, n_max, mass_budget=1e4,
     }
 
 
-def additivity_residual(f, finf, v, members, components_per_n, quad_order=2,
-                        threshold=1e-2, reassembly_tol=1e-12):
+def additivity_residual(f, finf, v, members, components_per_n, threshold=1e-2):
     """Residuals F(u_n + v) - F(v) - sum_j [F(u_{j,n} + v) - F(v)] over n.
 
-    members[i] must equal the exact sum of components_per_n[i]; the residual
+    members[i] must equal the sum of components_per_n[i] (ValueError beyond a
+    deviation of 1e-12); the residual
     is accumulated per cell/charge in a single pass.  Verdict "additive" when
     the residual magnitude tail falls below the threshold.
     """
@@ -173,14 +163,14 @@ def additivity_residual(f, finf, v, members, components_per_n, quad_order=2,
         dev = diff.linf_norm() + sum(np.linalg.norm(j) for _, j in diff.atoms) + sum(
             np.linalg.norm(j) for _, j, _ in diff.jump_facets
         )
-        if dev > reassembly_tol:
+        if dev > 1e-12:
             raise ValueError(
                 f"components do not sum to the member (deviation {dev:.3g})"
             )
         vv = v if v is not None else 0.0 * un
         terms = [(un + vv, 1.0), (vv, float(len(comps) - 1))]
         terms += [(c + vv, -1.0) for c in comps]
-        rows.append(_signed_total(f, finf, terms, quad_order))
+        rows.append(_signed_total(f, finf, terms))
     tail = [abs(r) for r in rows[-max(1, len(rows) // 4):]]
     return {
         "residuals": rows,

@@ -77,7 +77,7 @@ class Integrand:
         xi = np.asarray(xi, dtype=float).reshape(self.M, self.N)
         return float(self._fn(x[None, :], xi[None, :, :])[0])
 
-    def grad_xi(self, x, xi, fd_step=1e-6):
+    def grad_xi(self, x, xi):
         if self._grad is not None:
             return self._grad(np.asarray(x, float), np.asarray(xi, float))
         x = np.asarray(x, dtype=float)
@@ -86,10 +86,8 @@ class Integrand:
         for i in range(self.M):
             for j in range(self.N):
                 e = np.zeros_like(xi)
-                e[:, i, j] = fd_step
-                g[:, i, j] = (self._fn(x, xi + e) - self._fn(x, xi - e)) / (
-                    2 * fd_step
-                )
+                e[:, i, j] = 1e-6
+                g[:, i, j] = (self._fn(x, xi + e) - self._fn(x, xi - e)) / 2e-6
         return g
 
     def smoothed(self, delta):
@@ -97,16 +95,13 @@ class Integrand:
             return self
         return self._smoother(delta)
 
-    def spot_check(self, rng=None, n=64, radius=10.0, x_box=None):
-        """Random check of the growth bound |f| <= C(|xi|+1) and x-continuity."""
+    def spot_check(self, rng=None, n=64, radius=10.0):
+        """Random check of the growth bound |f| <= C(|xi|+1) and of continuity
+        in x, at x = 0."""
         rng = rng or np.random.default_rng(0)
         xi = rng.normal(size=(n, self.M, self.N))
         xi *= (radius * rng.random(n) / np.maximum(_frob(xi), 1e-12))[:, None, None]
-        if x_box is None:
-            x = np.zeros((n, self.N))
-        else:
-            lo, hi = x_box
-            x = lo + (hi - lo) * rng.random((n, self.N))
+        x = np.zeros((n, self.N))
         vals = self._fn(x, xi)
         bound = self.growth * (_frob(xi) + 1.0)
         growth_ok = bool(np.all(np.abs(vals) <= bound + 1e-9))
@@ -281,14 +276,14 @@ def estimated_recession(f, t_grid=DEFAULT_T_GRID):
     return RecessionFn(fn, f.M, f.N, provenance="estimated", t_grid=tuple(t_grid))
 
 
-def mu_estimate(f, finf, t, budget=2000, x_samples=None, seed=0, span=100.0):
+def mu_estimate(f, finf, t, budget=2000, seed=0, span=100.0):
     """Sampled lower bound for the deviation modulus
 
         mu(t) = sup over x and |xi| >= t of |f(x, xi) - finf(x, xi)| / (1 + |xi|),
 
-    scanning |xi| in [t, span * max(t, 1)] (plus xi = 0 when t = 0).  The
-    analytic value is attached for integrands that provide one; the sampled
-    figure is a lower estimate, never a certified supremum.
+    scanning |xi| in [t, span * max(t, 1)] (plus xi = 0 when t = 0) at x = 0.
+    The analytic value is attached for integrands that provide one; the
+    sampled figure is a lower estimate, never a certified supremum.
     """
     t = float(t)
     if t < 0:
@@ -303,11 +298,7 @@ def mu_estimate(f, finf, t, budget=2000, x_samples=None, seed=0, span=100.0):
     xi = dirs * mags[:, None, None]
     if t == 0.0:
         xi[1] = 0.0
-    if x_samples is None:
-        x = np.zeros((budget, f.N))
-    else:
-        x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
-        x = x_samples[rng.integers(0, len(x_samples), budget)]
+    x = np.zeros((budget, f.N))
     dev = np.abs(f(x, xi) - finf(x, xi)) / (1.0 + _frob(xi))
     out = {"sampled": float(np.max(dev)), "t": t}
     if f.mu_analytic is not None:

@@ -11,6 +11,12 @@ Conventions:
     <= h^2/8, which matters because the half-ball sign test integrates over
     the exact half-ball.
 
+Every integral over cells uses one quadrature rule per dimension, the table
+QUADRATURE of barycentric points and weights: two-point Gauss on segments
+and the three edge midpoints on triangles.  Both are exact for quadratics,
+so the integral of f(x, grad u) over a cell is exact whenever f is at most
+quadratic in x (grad u is constant per cell).
+
 Meshes are immutable after construction (arrays are locked).  The interval,
 rectangle, polygon and half-ball constructors refuse meshes over MAX_CELLS
 cells with MeshBudgetError before building anything.
@@ -125,15 +131,9 @@ class Domain:
             a, b = self.params["a"], self.params["b"]
             return np.minimum(np.abs(x[:, 0] - a), np.abs(x[:, 0] - b))
         if self.kind == "polygon":
-            from .regions import _dist_to_segment
+            from .regions import _dist_to_loop
 
-            verts = self.params["vertices"]
-            d = np.full(len(x), np.inf)
-            for i in range(len(verts)):
-                d = np.minimum(
-                    d, _dist_to_segment(x, verts[i], verts[(i + 1) % len(verts)])
-                )
-            return d
+            return _dist_to_loop(x, self.params["vertices"])
         nu = self.params["normal"]
         if self.dim == 1:
             # D = {y in (-1,1): y*nu < 0}: endpoints are 0 and -nu.
@@ -205,6 +205,15 @@ def _lock(a):
     return a
 
 
+_G = 0.5 / np.sqrt(3.0)
+# dim -> (barycentric points (nq, dim+1), weights (nq,) summing to 1)
+QUADRATURE = {
+    1: (_lock([[0.5 + _G, 0.5 - _G], [0.5 - _G, 0.5 + _G]]), _lock([0.5, 0.5])),
+    2: (_lock([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+        _lock([1 / 3, 1 / 3, 1 / 3])),
+}
+
+
 def row_norms(x):
     """Euclidean norms along the last axis, bit-equal to np.linalg.norm(x,
     axis=-1).  Rows of up to 4 entries are summed left to right, as numpy's
@@ -229,7 +238,7 @@ class Mesh:
             raise ValueError("cells must be simplices with dim+1 vertices")
         self._build_geometry()
         self._build_boundary()
-        self._quad_cache = {}
+        self._quad = None  # built on first use: most refined meshes never integrate
         self._refine_cache = {}
         self._copies = (0, None, None)  # see _copies_for
 
@@ -318,34 +327,14 @@ class Mesh:
 
     # -- evaluation helpers -------------------------------------------------
 
-    def quadrature(self, order=2):
-        """Per-cell quadrature points and weights: (nc, nq, dim), (nc, nq)."""
-        key = int(order)
-        if key in self._quad_cache:
-            return self._quad_cache[key]
-        v = self.vertices[self.cells]
-        if self.dim == 1:
-            if order <= 1:
-                bary = np.array([[0.5, 0.5]])
-                w = np.array([1.0])
-            else:
-                g = 0.5 / np.sqrt(3.0)
-                bary = np.array([[0.5 + g, 0.5 - g], [0.5 - g, 0.5 + g]])
-                w = np.array([0.5, 0.5])
-        else:
-            if order <= 1:
-                bary = np.array([[1 / 3, 1 / 3, 1 / 3]])
-                w = np.array([1.0])
-            else:
-                # edge-midpoint rule, exact for quadratics
-                bary = np.array(
-                    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-                )
-                w = np.array([1 / 3, 1 / 3, 1 / 3])
-        pts = np.einsum("qi,cid->cqd", bary, v)
-        wts = np.outer(self.cell_measures, w)
-        self._quad_cache[key] = (_lock(pts), _lock(wts))
-        return self._quad_cache[key]
+    def quadrature(self):
+        """Per-cell points and weights of the QUADRATURE rule: (nc, nq, dim),
+        (nc, nq)."""
+        if self._quad is None:
+            bary, w = QUADRATURE[self.dim]
+            pts = np.einsum("qi,cid->cqd", bary, self.vertices[self.cells])
+            self._quad = (_lock(pts), _lock(np.outer(self.cell_measures, w)))
+        return self._quad
 
     def refined_cells(self, subdivisions):
         """Sub-cells after `subdivisions` uniform refinements of the whole mesh.
@@ -515,9 +504,9 @@ class MeshStack:
         self.shape_gradients = np.stack([m.shape_gradients for m in self.meshes])
         self.cell_measures = np.stack([m.cell_measures for m in self.meshes])
 
-    def quadrature(self, order=2):
+    def quadrature(self):
         """Per-copy quadrature points and weights: (P, nc, nq, dim), (P, nc, nq)."""
-        pts, wts = zip(*(m.quadrature(order) for m in self.meshes))
+        pts, wts = zip(*(m.quadrature() for m in self.meshes))
         return np.stack(pts), np.stack(wts)
 
     def _shapes(self, on):

@@ -46,7 +46,7 @@ gradients or a cap on the gradient total variation shrinks the whole field
 back onto the feasible set.  In `normalize` mode the objective must be a
 0-homogeneous RayleighQuotient; iterates are renormalized to unit
 denominator, and the witness is returned with denominator exactly 1.  A
-start whose denominator is below 1e-12 is skipped.
+start whose denominator is below DEN_FLOOR is skipped.
 
 A solve whose cells x restarts x iterations exceed MAX_WORK raises (or, in
 a family, ends with) SolverBudgetError before its first iteration.
@@ -93,6 +93,11 @@ class FieldEvaluationError(RuntimeError):
     def __init__(self, message, values):
         super().__init__(message)
         self.values = values
+
+
+# a quotient's denominator below this is no field: the quotient reads +inf,
+# a start is skipped and a field is not rescaled by it
+DEN_FLOOR = 1e-12
 
 
 # cells x restarts x iterations one solve may take.  The mesh cell budget
@@ -259,18 +264,18 @@ class BulkObjective(_Objective):
     entries computes it.
     """
 
-    def __init__(self, mesh, g, xi0=None, subtract_offset=False, quad_order=2):
+    def __init__(self, mesh, g, xi0=None, subtract_offset=False):
         gs = list(g) if isinstance(g, (list, tuple)) else [g]
         bases = [gi.frozen or (gi, None) for gi in gs]
         self.g = bases[0][0]
         if any(b is not self.g for b, _ in bases) or len({x is None for _, x in bases}) > 1:
             raise ValueError("the copies of a BulkObjective need one integrand, "
                              "frozen at every copy's point or at none")
-        self.mesh, self.M, self.quad_order = mesh, self.g.M, quad_order
+        self.mesh, self.M = mesh, self.g.M
         nc, dim = mesh.n_cells, mesh.dim
         self._xi0 = None if xi0 is None else np.asarray(xi0, float).reshape(
             -1, self.g.M, self.g.N)
-        pts, wts = mesh.quadrature(quad_order)
+        pts, wts = mesh.quadrature()
         self._wts = wts.reshape(-1, nc, wts.shape[-1])  # (1 or P, nc, nq)
         # the x rows passed to g: every quadrature point, or the frozen point
         # once per cell
@@ -396,12 +401,11 @@ class LinearCombo(_Objective):
 
 class RayleighQuotient(_Objective):
     """num(phi) / den(phi) for 1-homogeneous numerator and denominator;
-    +inf where the denominator is below `den_floor`."""
+    +inf where the denominator is below DEN_FLOOR."""
 
-    def __init__(self, num, den, den_floor=1e-12):
+    def __init__(self, num, den):
         self.num = num
         self.den = den
-        self.den_floor = den_floor
         self.M = num.M
         self.mesh = num.mesh
         self.copies = max(num.copies, den.copies)
@@ -410,7 +414,7 @@ class RayleighQuotient(_Objective):
         return self.den.value(values, 0.0, on)
 
     def _quotient(self, n, d):
-        return np.where(d < self.den_floor, np.inf, n / np.maximum(d, self.den_floor))
+        return np.where(d < DEN_FLOOR, np.inf, n / np.maximum(d, DEN_FLOOR))
 
     def from_cells(self, grads, delta=0.0, with_grad=False, on=None):
         if not with_grad:
@@ -418,7 +422,7 @@ class RayleighQuotient(_Objective):
                                   self.den.from_cells(grads, delta, on=on))
         nv, n_exact, dN = self.num.from_cells(grads, delta, True, on)
         dv, d_exact, dD = self.den.from_cells(grads, delta, True, on)
-        dv = np.maximum(dv, self.den_floor)
+        dv = np.maximum(dv, DEN_FLOOR)
         val = nv / dv
         q, d = val[:, None, None, None], dv[:, None, None, None]
         return val, self._quotient(n_exact, d_exact), (dN - q * dD) / d
@@ -637,7 +641,7 @@ def _solve(objective, problems, on, floors):
                                    family, options, at[rows])
         if normalize:
             d[rows] = objective.den.from_cells(G, on=at[rows])
-    usable = ~(d < 1e-12)
+    usable = ~(d < DEN_FLOOR)
     fields /= np.where(usable, d, 1.0)[:, None, None]
     for p in np.unique(owner):
         if not usable[owner == p].any():
@@ -715,7 +719,7 @@ def _solve(objective, problems, on, floors):
                           at_rows)
         if normalize:
             d = objective.den.from_cells(G, on=at_rows)
-            new /= np.where(d > 1e-12, d, 1.0)[:, None, None]
+            new /= np.where(d > DEN_FLOOR, d, 1.0)[:, None, None]
             G = family.p1_gradient(new, at_rows)
         k_global[rows] += 1
         v = evaluate(rows, G, delta, at_rows, clamp_rows)
@@ -764,7 +768,7 @@ def _solve(objective, problems, on, floors):
         best_values = best_fields[mine[best_restart]].copy()
         if normalize:
             d = objective.denominator(best_values, **kw)
-            if d > 1e-12:
+            if d > DEN_FLOOR:
                 best_values = best_values / d
             best_val = objective.value(best_values, 0.0, **kw)
         clamped = np.asarray(clamped, dtype=np.int64)

@@ -37,8 +37,8 @@ class QcReport:
     def low_confidence(self):
         return any(d.get("low_confidence") for d in self.diagnostics)
 
-    def to_json(self, with_witness=False):
-        out = {
+    def to_json(self):
+        return {
             "xi": np.asarray(self.xi).tolist(),
             "per_cap": [[L, v] for L, v in self.per_cap],
             "deficit": self.deficit,
@@ -46,9 +46,6 @@ class QcReport:
             "tol": self.tol,
             "diagnostics": self.diagnostics,
         }
-        if with_witness and self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        return out
 
     def __repr__(self):
         return f"QcReport(deficit={self.deficit:.6g}, verdict={self.verdict!r})"

@@ -31,6 +31,14 @@ def _dist_to_segment(x, a, b):
     return row_norms(x - proj)
 
 
+def _dist_to_loop(x, verts):
+    """Distance from points x (k, 2) to the closed edge loop through verts."""
+    d = np.full(len(x), np.inf)
+    for i in range(len(verts)):
+        d = np.minimum(d, _dist_to_segment(x, verts[i], verts[(i + 1) % len(verts)]))
+    return d
+
+
 def _points_in_polygon(x, verts):
     """Even-odd rule point-in-polygon test, vectorized over x (k, 2)."""
     inside = np.zeros(len(x), dtype=bool)
@@ -85,13 +93,8 @@ class CompactSet:
                 a, b = data
                 d = np.minimum(d, _dist_to_segment(x, a, b))
             else:
-                verts = data
-                db = np.full(len(x), np.inf)
-                for i in range(len(verts)):
-                    db = np.minimum(
-                        db, _dist_to_segment(x, verts[i], verts[(i + 1) % len(verts)])
-                    )
-                db[_points_in_polygon(x, verts)] = 0.0
+                db = _dist_to_loop(x, data)
+                db[_points_in_polygon(x, data)] = 0.0
                 d = np.minimum(d, db)
         return d
 

@@ -410,10 +410,15 @@ class Scenario:
         spec = self.cfg["boundary_points"]
         out, corners = [], []
         if isinstance(spec, list):
+            # a polygon vertex has no single normal and is noted as a corner;
+            # any other point off the boundary is a config error
             for p in spec:
                 try:
                     out.append(self.domain.boundary_point(p))
-                except ValueError:
+                except ValueError as e:
+                    if not (self.domain.kind == "polygon" and np.min(np.linalg.norm(
+                            self.domain.params["vertices"] - p, axis=1)) <= 1e-9):
+                        raise ConfigError([(f"boundary_points: {e}", None)]) from None
                     corners.append(np.asarray(p, dtype=float))
             return out, corners
         if self.domain.kind == "interval":
@@ -479,6 +484,9 @@ def analyze(scenario):
     extras = {}
     f = scenario.integrand
     finf = scenario.recession
+    # a listed boundary point off the boundary is a config error, raised
+    # before any check runs
+    boundary_pts, corner_pts = scenario.boundary_points()
 
     qc_cfg, qslb_cfg = scenario.cfg["qc"], scenario.cfg["qslb"]
     if checks["qc"]:
@@ -504,7 +512,6 @@ def analyze(scenario):
                 errors.append({"job": "qc", "error": str(rep)})
             else:
                 qc_reports.append((x0, rep))
-    boundary_pts, corner_pts = scenario.boundary_points()
     n_requested = len(boundary_pts) + len(corner_pts)
     if not checks["qslb"]:
         boundary_pts, corner_pts = [], []
@@ -558,8 +565,8 @@ def analyze(scenario):
         extras["decomposition"] = _run_decomposition(scenario, f, finf, errors)
 
     if checks["equivalence"]:
+        pts = scenario.interior_points()[:1]  # a ConfigError ends the run
         try:
-            pts = scenario.interior_points()[:1]
             harness = [
                 equivalence_harness(f, finf, p, build_mesh(
                     scenario.domain, scenario.cfg["mesh"]["h"]),
@@ -668,25 +675,15 @@ def _strip_tables(report):
 # -- report emission -----------------------------------------------------------
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, tuple):
-        return list(o)
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -696,8 +693,9 @@ def run_scenario(config_path, out_dir=None, seed=None, h=None, only=None):
     config's checks).
 
     Returns (exit_code, verdict_or_None).  Exit 0 on completion regardless of
-    the mathematical verdict, 2 on config schema violations (and on a
-    non-positive `h` override), 1 on execution errors.
+    the mathematical verdict, 2 on config errors (schema violations, a sample
+    point off the domain or its boundary, a non-positive `h` override), 1 on
+    execution errors; only exit 0 writes a report.
     """
     if h is not None and not h > 0:
         print(f"config error: --h must be positive, got {h}")
@@ -714,22 +712,24 @@ def run_scenario(config_path, out_dir=None, seed=None, h=None, only=None):
         scenario.cfg["mesh"]["h"] = float(h)
         scenario.cfg["qslb"]["h"] = float(h)
         scenario.cfg["qc"]["h"] = float(h)
-    out = Path(out_dir) if out_dir else Path.cwd() / f"out_{scenario.name}"
-    out.mkdir(parents=True, exist_ok=True)
     try:
         verdict = analyze(scenario)
+    except ConfigError as e:
+        print(f"config error: {e}")
+        return 2, None
     except Exception as e:
         print(f"execution error: {e}")
         return 1, None
 
+    out = Path(out_dir) if out_dir else Path.cwd() / f"out_{scenario.name}"
+    out.mkdir(parents=True, exist_ok=True)
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.cfg,
         "verdict": verdict.to_json(),
     }
     (out / "report.json").write_text(
-        json.dumps(_sanitize(report), sort_keys=True, indent=1,
-                   default=_json_default) + "\n"
+        json.dumps(_sanitize(report), sort_keys=True, indent=1) + "\n"
     )
     (out / "timings.txt").write_text(f"total_s={verdict.timing['total_s']:.3f}\n")
     _write_tables(out, verdict)
@@ -769,23 +769,11 @@ def _write_tables(out, verdict):
 
 
 def _write_witnesses(out, verdict):
-    idx = 0
-    for x0, rep in verdict.qc_reports:
-        if rep.witness is not None:
-            data = rep.witness.to_json()
-            data["check"] = "qc"
-            data["x0"] = np.asarray(x0).tolist()
-            (out / f"witness_qc_{idx}.json").write_text(
+    qslb = [(rep.x0, rep) for rep in verdict.qslb_reports]
+    for check, reports in (("qc", verdict.qc_reports), ("qslb", qslb)):
+        found = [(x0, rep.witness) for x0, rep in reports if rep.witness is not None]
+        for idx, (x0, witness) in enumerate(found):
+            data = {**witness.to_json(), "check": check, "x0": np.asarray(x0).tolist()}
+            (out / f"witness_{check}_{idx}.json").write_text(
                 json.dumps(_sanitize(data), sort_keys=True)
             )
-            idx += 1
-    idx = 0
-    for rep in verdict.qslb_reports:
-        if rep.witness is not None:
-            data = rep.witness.to_json()
-            data["check"] = "qslb"
-            data["x0"] = np.asarray(rep.x0).tolist()
-            (out / f"witness_qslb_{idx}.json").write_text(
-                json.dumps(_sanitize(data), sort_keys=True)
-            )
-            idx += 1

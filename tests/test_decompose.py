@@ -162,15 +162,19 @@ def test_three_set_cover_matches_nested_two_set_runs():
         regions.box([0.1], [0.6]),
         regions.box([0.55], [1.0]),
     ])
-    res3 = local_decompose(members, cover3, n_max=8)
+    # every cover below leaves (0, 0.1) uncovered
+    with pytest.warns(UserWarning, match="cover gap"):
+        res3 = local_decompose(members, cover3, n_max=8)
 
     # manual nesting: stage one against K1, then the remainders against K2/K3
     cover_first = CoverSpec([regions.point([0.0]), regions.box([0.1], [1.0])])
-    stage1 = local_decompose(members, cover_first, n_max=40)
+    with pytest.warns(UserWarning, match="cover gap"):
+        stage1 = local_decompose(members, cover_first, n_max=40)
     remainders = [stage1.components[n][1] for n in stage1.n_values]
     cover_rest = CoverSpec([regions.box([0.1], [0.6]),
                             regions.box([0.55], [1.0])])
-    stage2 = local_decompose(remainders, cover_rest, n_max=8)
+    with pytest.warns(UserWarning, match="cover gap"):
+        stage2 = local_decompose(remainders, cover_rest, n_max=8)
 
     for n in stage2.n_values:
         manual_last = stage2.components[n][1]

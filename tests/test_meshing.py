@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from bvlsc.bv import BVFunction
 from bvlsc.meshing import (
     Domain,
     Mesh,
@@ -373,3 +374,57 @@ def test_boundary_point_normals():
         dom.boundary_point([0.0, 0.0])  # corner: no single normal
     with pytest.raises(ValueError):
         dom.boundary_point([0.5, 0.5])  # interior
+
+
+# the quadrature rule on a segment mesh, a structured triangle mesh and a
+# half-ball mesh with a tilted normal
+RULE_MESHES = {
+    "interval": lambda: interval_mesh(-0.5, 1.0, 0.1),
+    "square": lambda: unit_square_mesh(4),
+    "halfball": lambda: halfball_mesh([0.6, 0.8], 0.25),
+}
+
+
+def _degree3_integral(mesh, p):
+    """Integral of p over the mesh by Simpson's rule on segments and the
+    vertex/midpoint/centroid rule on triangles, both exact for cubics."""
+    v = mesh.vertices[mesh.cells]
+    if mesh.dim == 1:
+        nodes, w = [v[:, 0], v.mean(axis=1), v[:, 1]], np.array([1, 4, 1]) / 6
+    else:
+        mids = [0.5 * (v[:, i] + v[:, (i + 1) % 3]) for i in range(3)]
+        nodes = [v[:, 0], v[:, 1], v[:, 2], *mids, v.mean(axis=1)]
+        w = np.array([3, 3, 3, 8, 8, 8, 27]) / 60
+    return sum(wi * np.sum(mesh.cell_measures * p(x)) for wi, x in zip(w, nodes))
+
+
+@pytest.mark.parametrize("name", RULE_MESHES)
+def test_quadrature_integrates_a_random_quadratic_exactly(name):
+    mesh = RULE_MESHES[name]()
+    rng = np.random.default_rng(3)
+    c, b, A = rng.normal(), rng.normal(size=mesh.dim), rng.normal(size=(mesh.dim,) * 2)
+
+    def p(x):
+        return c + x @ b + np.einsum("...i,ij,...j->...", x, A, x)
+
+    pts, wts = mesh.quadrature()
+    assert mesh.quadrature() is mesh.quadrature()  # built once
+    assert np.sum(wts * p(pts)) == pytest.approx(_degree3_integral(mesh, p), abs=1e-13)
+
+
+@pytest.mark.parametrize("name", RULE_MESHES)
+def test_values_at_quadrature_of_a_p1_field_are_its_point_values(name):
+    mesh = RULE_MESHES[name]()
+    values = np.random.default_rng(4).normal(size=(mesh.n_vertices, 2))
+    pts, _, vals = BVFunction.from_vertex_values(mesh, values).values_at_quadrature()
+    want = [[mesh.eval_p1(values, x) for x in cell] for cell in pts]
+    assert np.max(np.abs(vals - np.array(want))) <= 1e-14
+
+
+@pytest.mark.parametrize("name", RULE_MESHES)
+def test_l1_norm_of_a_positive_affine_field_is_its_integral(name):
+    mesh = RULE_MESHES[name]()
+    slope = np.random.default_rng(5).uniform(-0.5, 0.5, size=(1, mesh.dim))
+    u = BVFunction.affine(mesh, slope, b=2.0)  # >= 1 wherever |x| <= 2
+    exact = np.sum(mesh.cell_measures * (2.0 + mesh.centroids @ slope[0]))
+    assert u.l1_norm() == pytest.approx(exact, abs=1e-13)

@@ -112,6 +112,27 @@ def test_sample_point_outside_domain_rejected():
         analyze(base)
 
 
+@pytest.mark.parametrize("name, point", [("example_1_2", [0.5]),
+                                         ("norm_square", [0.5, 0.5])])
+def test_boundary_point_off_the_boundary_is_a_config_error(name, point):
+    sc = load(name)
+    sc.cfg["boundary_points"] = [point]
+    with pytest.raises(ConfigError, match="boundary_points"):
+        analyze(sc)
+
+
+@pytest.mark.parametrize("key, point", [("interior_points", [1.5]),
+                                        ("boundary_points", [0.5])])
+def test_point_off_the_domain_exits_2_without_a_report(tmp_path, capsys, key, point):
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg[key] = [point]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    assert run_scenario(path, out_dir=tmp_path / "out") == (2, None)
+    assert "config error: " in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
 def test_dimension_mismatch_rejected():
     cfg = {
         "domain": {"kind": "interval", "a": 0.0, "b": 1.0},
