@@ -87,11 +87,12 @@ class QslbReport:
 
 def _halfball_clamped(mesh, nu, tol=1e-9):
     """Boundary vertices minus the open flat facet {y.nu = 0, |y| < 1}."""
-    verts = mesh.vertices[mesh.boundary_vertices]
+    bverts = mesh.boundary_vertices
+    verts = mesh.vertices[bverts]
     s = verts @ nu
     r = np.linalg.norm(verts, axis=1)
     on_flat_interior = (np.abs(s) <= tol) & (r < 1.0 - tol)
-    return mesh.boundary_vertices[~on_flat_interior]
+    return bverts[~on_flat_interior]
 
 
 def _ramp_profile(mesh, direction, width):
@@ -116,19 +117,19 @@ def _layer_inits(mesh, nu, M, clamped, widths):
     return inits
 
 
-def halfball_deficit(finf, x0, h=0.05, tol=1e-3, options=None, mesh=None):
+def halfball_deficit(finf, x0, h=0.05, tol=1e-3, options=None):
     """Minimized half-ball Rayleigh quotient for f_inf(x0, .) at a boundary
     point; the one-job case of halfball_deficits, raising the error that
     ended the job."""
-    (rep,) = halfball_deficits(finf, [(x0, options, mesh)], h=h, tol=tol)
+    (rep,) = halfball_deficits(finf, [(x0, options)], h=h, tol=tol)
     if isinstance(rep, Exception):
         raise rep
     return rep
 
 
 def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
-    """halfball_deficit for each job (x0, options, mesh), mesh None meaning
-    halfball_mesh(x0.normal, h), as one family.
+    """halfball_deficit for each job (x0, options) on halfball_mesh(x0.normal,
+    h), as one family.
 
     The half-balls of the jobs must share one cells array, as halfball_mesh
     builds them for one h (rotations of one mesh in 2D, the two unit intervals
@@ -139,11 +140,11 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
     out = [None] * len(jobs)
     base = finf.as_integrand()
     family = []  # (job, mesh, integrand, clamped, options) of each live job
-    for j, (x0, options, mesh) in enumerate(jobs):
+    for j, (x0, options) in enumerate(jobs):
         try:
             if not isinstance(x0, BoundaryPoint):
                 raise TypeError("x0 must be a BoundaryPoint (needs an outward normal)")
-            mesh = mesh or halfball_mesh(x0.normal, h)
+            mesh = halfball_mesh(x0.normal, h)
         except Exception as e:  # collect and continue
             out[j] = e
             continue

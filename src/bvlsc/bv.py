@@ -119,44 +119,26 @@ class BVFunction:
         if vpc.ndim == 1:
             vpc = vpc[:, None]
         cv = np.repeat(vpc[:, None, :], mesh.dim + 1, axis=1)
+        # one jump per interior facet, with normal +1 in 1D and the unit
+        # normal of the edge in 2D; the constructor drops the negligible
+        # jumps and sorts the rest
+        facets, sides = mesh.facets()
+        inner = sides[:, 1] >= 0
+        f, (c0, c1) = facets[inner], sides[inner].T
+        v = mesh.vertices[f]
+        mid = 0.5 * (v[:, 0] + v[:, -1])
         if mesh.dim == 1:
-            # a vertex of two cells is an interface; its atom is listed at the
-            # vertex's first slot in the cells, and the constructor drops the
-            # negligible atoms and sorts the rest by location
-            flat = mesh.cells.ravel()
-            count = np.bincount(flat, minlength=mesh.n_vertices)
-            order = np.argsort(flat, kind="stable")
-            start = np.cumsum(count) - count  # first place of each vertex in order
-            first = np.sort(order[start[count == 2]])
-            v = flat[first]
-            c0, c1 = first // 2, order[start[v] + 1] // 2
-            ahead = mesh.centroids[c0, 0] < mesh.centroids[c1, 0]
-            jumps = vpc[np.where(ahead, c1, c0)] - vpc[np.where(ahead, c0, c1)]
-            nz = np.any(jumps != 0, axis=1)
-            return cls(mesh, cv, atoms=zip(mesh.vertices[v[nz], 0].tolist(), jumps[nz]))
-        facet_owner = {}
-        for ci, c in enumerate(mesh.cells.tolist()):
-            for f in ((c[0], c[1]), (c[1], c[2]), (c[0], c[2])):
-                facet_owner.setdefault(tuple(sorted(f)), []).append(ci)
-        jumps = []
-        for f, owners in facet_owner.items():
-            if len(owners) != 2:
-                continue
-            c0, c1 = owners
-            a, b = mesh.vertices[f[0]], mesh.vertices[f[1]]
-            e = b - a
-            n = np.array([e[1], -e[0]])
-            n = n / np.linalg.norm(n)
-            mid = 0.5 * (a + b)
-            plus, minus = (
-                (c0, c1)
-                if n @ (mesh.centroids[c0] - mid) > 0
-                else (c1, c0)
-            )
-            j = vpc[plus] - vpc[minus]
-            if np.linalg.norm(j) > _ATOL:
-                jumps.append((f, j, n))
-        return cls(mesh, cv, jump_facets=jumps)
+            n = np.ones((len(f), 1))
+        else:
+            e = v[:, 1] - v[:, 0]
+            n = np.stack([e[:, 1], -e[:, 0]], axis=1)
+            n /= row_norms(n)[:, None]
+        ahead = (n * (mesh.centroids[c0] - mid)).sum(axis=1) > 0  # c0 on the +n side
+        jumps = vpc[np.where(ahead, c0, c1)] - vpc[np.where(ahead, c1, c0)]
+        nz = np.any(jumps != 0, axis=1)
+        if mesh.dim == 1:
+            return cls(mesh, cv, atoms=zip(mid[nz, 0].tolist(), jumps[nz]))
+        return cls(mesh, cv, jump_facets=zip(f[nz], jumps[nz], n[nz]))
 
     @classmethod
     def indicator_1d(cls, mesh, a, b):
@@ -387,12 +369,11 @@ def _owner_cell(mesh, desc):
         if len(hit) == 0:
             raise ValueError(f"atom at {x} lies outside the mesh")
         return int(hit[0])
-    i, j = desc
-    for ci in range(mesh.n_cells):
-        c = set(map(int, mesh.cells[ci]))
-        if i in c and j in c:
-            return ci
-    raise ValueError(f"facet {desc} not found in mesh")
+    facets, sides = mesh.facets()
+    hit = np.flatnonzero((facets == sorted(desc)).all(axis=1))
+    if len(hit) == 0:
+        raise ValueError(f"facet {desc} not found in mesh")
+    return int(sides[hit[0], 0])
 
 
 def tv_on_neighborhood(mu, kset, delta, subdivisions=2):

@@ -3,8 +3,8 @@
 Conventions:
   * vertices are stored as an (nv, N) float array, also in 1D (N = 1);
   * cells are (nc, N+1) vertex index tuples (segments / triangles);
-  * boundary facets are the facets incident to exactly one cell, each with a
-    unit outward normal;
+  * Mesh.facets() lists each facet (a vertex in 1D, an edge in 2D) once with
+    the cells on its two sides; boundary facets are those with one cell;
   * the half-ball D_nu = {y in B_1(0) : y.nu < 0} is meshed in a canonical
     frame (nu = e1) and rotated, so the flat facet lies exactly on
     {y.nu = 0}.  The circular arc is approximated polygonally with sagitta
@@ -227,7 +227,7 @@ def row_norms(x):
 
 
 class Mesh:
-    """Conforming simplicial mesh with boundary facets and outward normals."""
+    """Conforming simplicial mesh with a facet table built on first use."""
 
     def __init__(self, vertices, cells, domain=None):
         self.vertices = _lock(np.asarray(vertices, dtype=float))
@@ -237,8 +237,9 @@ class Mesh:
         if self.cells.shape[1] != self.dim + 1:
             raise ValueError("cells must be simplices with dim+1 vertices")
         self._build_geometry()
-        self._build_boundary()
-        self._quad = None  # built on first use: most refined meshes never integrate
+        # built on first use: most refined meshes never integrate or look at
+        # their facets
+        self._quad = self._facets = None
         self._refine_cache = {}
         self._copies = (0, None, None)  # see _copies_for
 
@@ -293,37 +294,35 @@ class Mesh:
         self.n_cells = len(self.cells)
         self.n_vertices = len(self.vertices)
 
-    def _build_boundary(self):
-        # facets as sorted vertex rows, cell by cell; a facet seen once is a
-        # boundary facet, owned by its only cell
-        if self.dim == 1:
-            facets = self.cells.reshape(-1, 1)
-            keys = facets[:, 0]
-        else:
-            facets = np.sort(self.cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
-            keys = facets[:, 0] * self.n_vertices + facets[:, 1]
-        _, first, count = np.unique(keys, return_index=True, return_counts=True)
-        first = first[count == 1]  # in key order, i.e. lexicographic
-        bfacets = facets[first]
-        centroids = self.centroids[first // (self.dim + 1)]
-        if self.dim == 1:
-            normals = np.sign(self.vertices[bfacets[:, 0]] - centroids)
-        else:
-            # per facet: a row-wise norm rounds differently from np.linalg.norm
-            # of one vector, and the normals must not change
-            normals = []
-            for (i, j), centroid in zip(bfacets, centroids):
-                a, b = self.vertices[i], self.vertices[j]
-                e = b - a
-                nrm = np.array([e[1], -e[0]])
-                nrm = nrm / np.linalg.norm(nrm)
-                if nrm @ (0.5 * (a + b) - centroid) < 0:
-                    nrm = -nrm
-                normals.append(nrm)
-        self.boundary_facets = list(map(tuple, bfacets.tolist()))
-        self.boundary_normals = _lock(np.array(normals))
-        self.boundary_vertices = np.unique(bfacets)
-        self.interior_facet_count = int(np.count_nonzero(count == 2))
+    def facets(self):
+        """Each facet once, as its sorted vertex row, in lexicographic order,
+        with the cells on its two sides: (facets (nf, dim), sides (nf, 2)),
+        the lower cell id first and -1 on the open side of a boundary facet.
+        Built on first use and cached."""
+        if self._facets is None:
+            if self.dim == 1:
+                rows = self.cells.reshape(-1, 1)
+                keys = rows[:, 0]
+            else:
+                rows = np.sort(self.cells[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+                keys = rows[:, 0] * self.n_vertices + rows[:, 1]
+            # stable: the slots of one facet stay in cell order, so its first
+            # slot holds the lower cell id
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            facet = np.cumsum(first) - 1
+            sides = np.full((facet[-1] + 1, 2), -1)
+            sides[facet, 1 - first] = order // (self.dim + 1)
+            self._facets = (_lock(rows[order[first]]), _lock(sides))
+        return self._facets
+
+    @property
+    def boundary_vertices(self):
+        """Sorted ids of the vertices on facets with one cell."""
+        facets, sides = self.facets()
+        return np.unique(facets[sides[:, 1] < 0])
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -758,19 +757,11 @@ def local_patch(mesh, x0, delta, refine_levels=1):
     remap = -np.ones(len(verts), dtype=np.int64)
     remap[used] = np.arange(len(used))
     sub = Mesh(verts[used], remap[cells], domain=mesh.domain)
-
-    clamped, free = [], []
-    tol = 1e-9 * max(mesh.h, 1.0)
+    bverts = sub.boundary_vertices
+    free = np.zeros(len(bverts), dtype=bool)
     if mesh.domain is not None:
-        bdist = mesh.domain.boundary_distance(sub.vertices[sub.boundary_vertices])
-    else:
-        bdist = np.full(len(sub.boundary_vertices), np.inf)
-    for v, d in zip(sub.boundary_vertices, bdist):
-        if d <= tol:
-            free.append(v)
-        else:
-            clamped.append(v)
-    return Patch(sub, clamped, free, center, delta, refine_levels)
+        free = mesh.domain.boundary_distance(sub.vertices[bverts]) <= 1e-9 * max(mesh.h, 1.0)
+    return Patch(sub, bverts[~free], bverts[free], center, delta, refine_levels)
 
 
 def _any_cell_straddles(verts, cells, center, delta):

@@ -292,25 +292,13 @@ class BulkObjective(_Objective):
         self._smooth_cache = {}
         self._tiles = {}
         self._offset = np.zeros(1)
-        if subtract_offset:
-            self._offset = np.array([self._offset_of(p) for p in range(self.copies)])
+        if subtract_offset:  # E of the zero field, field p on copy p
+            self._offset = self.from_cells(np.zeros((self.copies, nc, self.M, dim)))
 
     def _g_at(self, delta):
         if delta not in self._smooth_cache:
             self._smooth_cache[delta] = self.g.smoothed(delta)
         return self._smooth_cache[delta]
-
-    def _offset_of(self, p):
-        """E of the zero field on copy p, summed as for its own objective."""
-        def entry(a):
-            return a[p if len(a) > 1 else 0]
-
-        xi = np.zeros((self.g.M, self.g.N)) if self._xi0 is None else entry(self._xi0)
-        x, wts = entry(self._x), entry(self._wts)
-        vals = self.g(x, np.repeat(xi[None], len(x), axis=0))
-        if self._frozen:
-            vals = np.repeat(vals, wts.shape[-1])
-        return float(np.sum(vals * wts.ravel()))
 
     def _rows(self, name, R, on):
         """The per-copy array `name` (1 or P, n, ...) as the rows (R * n, ...)

@@ -25,6 +25,7 @@ carries no wall-clock data (timings go to a separate file).
 
 import copy
 import csv
+import itertools
 import json
 import math
 import re
@@ -33,13 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import equivalence_harness, halfball_deficit, halfball_deficits
+from .boundary import equivalence_harness, halfball_deficits
 from .decompose import CoverSpec, local_decompose, require_1d, verify_properties
 from .integrands import CATALOG, catalog_get, estimated_recession, mu_estimate, freeze_x
 from . import minimize
 from .meshing import Domain, MeshBudgetError, build_mesh
 from .minimize import SolverBudgetError, SolverOptions
-from .quasiconvex import default_qc_mesh, qc_deficit, qc_deficits
+from .quasiconvex import default_qc_mesh, qc_deficits
 from .regions import CompactSet
 from .sequences import (
     SEQUENCE_KINDS,
@@ -374,37 +375,40 @@ class Scenario:
         )[0])
 
     def interior_points(self):
+        """Iterator over the interior sample points: the listed points, each
+        checked to lie in the domain before any is given (ConfigError
+        otherwise), or `count` lattice points, each built when it is taken."""
         spec = self.cfg["interior_points"]
-        if isinstance(spec, list):
-            pts = [np.asarray(p, dtype=float) for p in spec]
-            for p in pts:
-                if not self._contains(p):
-                    raise ConfigError(
-                        [(f"interior point {p.tolist()} lies outside the domain",
-                          None)]
-                    )
-            return pts
-        count = spec["count"]
+        if not isinstance(spec, list):
+            return self._lattice(spec["count"])
+        pts = [np.asarray(p, dtype=float) for p in spec]
+        for p in pts:
+            if not self._contains(p):
+                raise ConfigError(
+                    [(f"interior point {p.tolist()} lies outside the domain", None)]
+                )
+        return iter(pts)
+
+    def _lattice(self, count):
         # quasi-random (golden-ratio lattice) interior samples, domain-scaled
-        pts = []
         if self.domain.kind == "interval":
             a, b = self.domain.params["a"], self.domain.params["b"]
             for i in range(count):
                 t = (0.5 + i * 0.6180339887498949) % 1.0
-                pts.append(np.array([a + (0.25 + 0.5 * t) * (b - a)]))
-        else:
-            verts = self.domain.params["vertices"]
-            lo, hi = verts.min(axis=0), verts.max(axis=0)
-            c = 0.5 * (lo + hi)
-            i = 0
-            while len(pts) < count and i < 100 * count:
-                t1 = (0.5 + i * 0.6180339887498949) % 1.0
-                t2 = (0.5 + i * 0.7548776662466927) % 1.0
-                p = c + (np.array([t1, t2]) - 0.5) * 0.5 * (hi - lo)
-                if self.domain.boundary_distance(p[None, :])[0] > 0.05 * np.max(hi - lo):
-                    pts.append(p)
-                i += 1
-        return pts
+                yield np.array([a + (0.25 + 0.5 * t) * (b - a)])
+            return
+        verts = self.domain.params["vertices"]
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
+        c = 0.5 * (lo + hi)
+        i = built = 0
+        while built < count and i < 100 * count:
+            t1 = (0.5 + i * 0.6180339887498949) % 1.0
+            t2 = (0.5 + i * 0.7548776662466927) % 1.0
+            p = c + (np.array([t1, t2]) - 0.5) * 0.5 * (hi - lo)
+            if self.domain.boundary_distance(p[None, :])[0] > 0.05 * np.max(hi - lo):
+                built += 1
+                yield p
+            i += 1
 
     def boundary_points(self):
         spec = self.cfg["boundary_points"]
@@ -484,8 +488,9 @@ def analyze(scenario):
     extras = {}
     f = scenario.integrand
     finf = scenario.recession
-    # a listed boundary point off the boundary is a config error, raised
+    # a listed point off the domain or its boundary is a config error, raised
     # before any check runs
+    interior = scenario.interior_points()
     boundary_pts, corner_pts = scenario.boundary_points()
 
     qc_cfg, qslb_cfg = scenario.cfg["qc"], scenario.cfg["qslb"]
@@ -493,7 +498,7 @@ def analyze(scenario):
         try:
             qc_mesh = default_qc_mesh(f.N, qc_cfg["h"])
             scenario.check_qc_work(qc_mesh.n_cells)
-            points = scenario.interior_points()
+            points = list(interior)
         except (MeshBudgetError, SolverBudgetError) as e:
             errors.append({"job": "qc", "error": str(e)})
             points = []
@@ -503,10 +508,8 @@ def analyze(scenario):
             for si, xi in enumerate(scenario.xi_samples()):
                 jobs.append((g, xi, scenario.solver_options(17 * pi + si)))
                 job_points.append(x0)
-        reps = _entries(
-            jobs, lambda js: qc_deficits(js, mesh=qc_mesh, L_grid=qc_cfg["L_grid"]),
-            lambda g, xi, opts: qc_deficit(g, xi, mesh=qc_mesh, L_grid=qc_cfg["L_grid"],
-                                           options=opts))
+        reps = _entries(jobs, lambda js: qc_deficits(js, mesh=qc_mesh,
+                                                     L_grid=qc_cfg["L_grid"]))
         for x0, rep in zip(job_points, reps):
             if isinstance(rep, Exception):
                 errors.append({"job": "qc", "error": str(rep)})
@@ -515,12 +518,9 @@ def analyze(scenario):
     n_requested = len(boundary_pts) + len(corner_pts)
     if not checks["qslb"]:
         boundary_pts, corner_pts = [], []
-    jobs = [(bp, scenario.solver_options(1000 + bi), None)
-            for bi, bp in enumerate(boundary_pts)]
-    for rep in _entries(
-            jobs, lambda js: halfball_deficits(finf, js, h=qslb_cfg["h"], tol=qslb_cfg["tol"]),
-            lambda bp, opts, _: halfball_deficit(finf, bp, h=qslb_cfg["h"],
-                                                 tol=qslb_cfg["tol"], options=opts)):
+    jobs = [(bp, scenario.solver_options(1000 + bi)) for bi, bp in enumerate(boundary_pts)]
+    for rep in _entries(jobs, lambda js: halfball_deficits(finf, js, h=qslb_cfg["h"],
+                                                           tol=qslb_cfg["tol"])):
         if isinstance(rep, Exception):
             errors.append({"job": "qslb", "error": str(rep)})
         else:
@@ -565,7 +565,7 @@ def analyze(scenario):
         extras["decomposition"] = _run_decomposition(scenario, f, finf, errors)
 
     if checks["equivalence"]:
-        pts = scenario.interior_points()[:1]  # a ConfigError ends the run
+        pts = list(itertools.islice(scenario.interior_points(), 1))
         try:
             harness = [
                 equivalence_harness(f, finf, p, build_mesh(
@@ -588,11 +588,10 @@ def analyze(scenario):
     if checks["refinement"]:
         # one family per h; rows and errors in (point, h) order
         hs, opts = (qslb_cfg["h"], qslb_cfg["h"] / 2), scenario.solver_options(9000)
-        per_h = [_entries(
-            [(bp, opts, None) for bp in boundary_pts],
-            lambda js, hh=hh: halfball_deficits(finf, js, h=hh, tol=qslb_cfg["tol"]),
-            lambda bp, o, _, hh=hh: halfball_deficit(finf, bp, h=hh, tol=qslb_cfg["tol"],
-                                                     options=o)) for hh in hs]
+        per_h = [_entries([(bp, opts) for bp in boundary_pts],
+                          lambda js, hh=hh: halfball_deficits(finf, js, h=hh,
+                                                              tol=qslb_cfg["tol"]))
+                 for hh in hs]
         rows = []
         for bi, bp in enumerate(boundary_pts):
             for hh, reps in zip(hs, per_h):
@@ -618,21 +617,21 @@ def analyze(scenario):
     return Verdict(overall, qc_reports, qslb_reports, extras, errors, timing)
 
 
-def _entries(jobs, family, alone):
+def _entries(jobs, family):
     """family(jobs), one report or error per job.  If the family raises as a
-    whole, each job runs alone(*job), so that it keeps its own report or
-    error."""
+    whole, each job runs as the family [job], so that it keeps its own report
+    or error."""
     if not jobs:
         return []
     try:
         return family(jobs)
     except Exception:  # collect and continue, job by job
-        return [_caught(alone, job) for job in jobs]
+        return [_alone(family, job) for job in jobs]
 
 
-def _caught(check, job):
+def _alone(family, job):
     try:
-        return check(*job)
+        return family([job])[0]
     except Exception as e:  # collect and continue
         return e
 

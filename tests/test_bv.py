@@ -18,13 +18,13 @@ from bvlsc.bv import (
 from bvlsc.bv import _owner_cell
 from bvlsc.meshing import (
     Domain,
-    Mesh,
     build_mesh,
+    halfball_mesh,
     interval_mesh,
     interval_mesh_with,
     rectangle_mesh,
 )
-from mesh_helpers import shuffled_interval_mesh
+from mesh_helpers import shuffled_interval_mesh, shuffled_triangle_mesh
 
 
 def jump_member(n, a=0.0, b=1.0, h=1.0 / 16):
@@ -407,10 +407,52 @@ def test_from_cellwise_constant_1d_matches_cell_loop():
     assert len(BVFunction.from_cellwise_constant(shuffled, steps).atoms) > 3
 
 
+def _loop_from_cellwise_constant_2d(mesh, values):
+    """Reference: the per-facet loop from_cellwise_constant used in 2D."""
+    vpc = np.asarray(values, dtype=float).reshape(mesh.n_cells, -1)
+    owners = {}
+    for ci, c in enumerate(mesh.cells.tolist()):
+        for f in ((c[0], c[1]), (c[1], c[2]), (c[0], c[2])):
+            owners.setdefault(tuple(sorted(f)), []).append(ci)
+    jumps = []
+    for f, cs in owners.items():
+        if len(cs) != 2:
+            continue
+        a, b = mesh.vertices[f[0]], mesh.vertices[f[1]]
+        e = b - a
+        n = np.array([e[1], -e[0]])
+        n = n / np.linalg.norm(n)
+        c0, c1 = cs
+        plus, minus = (c0, c1) if n @ (mesh.centroids[c0] - 0.5 * (a + b)) > 0 else (c1, c0)
+        j = vpc[plus] - vpc[minus]
+        if np.linalg.norm(j) > 1e-14:
+            jumps.append((f, j, n))
+    return BVFunction(mesh, np.repeat(vpc[:, None, :], 3, axis=1), jump_facets=jumps)
+
+
+def test_from_cellwise_constant_2d_matches_facet_loop():
+    rng = np.random.default_rng(12)
+    meshes = [shuffled_triangle_mesh(s, n) for s, n in [(0, 6), (1, 9), (2, 12)]]
+    meshes.append(halfball_mesh([0.6, 0.8], 0.1))
+    for mesh in meshes:
+        steps = rng.integers(0, 3, size=(mesh.n_cells, 2)).astype(float)
+        steps[::3, 1] += 1e-15  # jumps of norm 1e-15 are dropped
+        for values in (steps, rng.normal(size=mesh.n_cells), np.ones(mesh.n_cells)):
+            got = BVFunction.from_cellwise_constant(mesh, values)
+            want = _loop_from_cellwise_constant_2d(mesh, values)
+            assert got.cell_values.tobytes() == want.cell_values.tobytes()
+            assert [f for f, _, _ in got.jump_facets] == [f for f, _, _ in want.jump_facets]
+            assert ([j.tobytes() for _, j, _ in got.jump_facets]
+                    == [j.tobytes() for _, j, _ in want.jump_facets])
+            # a row-wise norm may round the last bit of a normal differently
+            for (_, _, n), (_, _, m) in zip(got.jump_facets, want.jump_facets):
+                assert np.max(np.abs(n - m)) <= 4.5e-16
+        assert len(BVFunction.from_cellwise_constant(mesh, steps).jump_facets) > 10
+
+
 def test_owner_cells_are_the_lowest_index_incident_cells():
     rng = np.random.default_rng(2)
-    grid = rectangle_mesh(0, 1, 0, 1, 6, 6)
-    mesh = Mesh(grid.vertices, np.asarray(grid.cells)[rng.permutation(grid.n_cells)])
+    mesh = shuffled_triangle_mesh(2)
     step = (mesh.centroids[:, 0] + 0.3 * mesh.centroids[:, 1] > 0.6).astype(float)
     mu = derivative(BVFunction.from_cellwise_constant(mesh, step))
     descs = [desc for desc, _, _ in mu.charges]
@@ -426,8 +468,10 @@ def test_owner_cells_are_the_lowest_index_incident_cells():
             sing += m
     assert 0.0 < sing < total_variation(mu)
     assert total_variation(mu, cells=sub) == sing  # no density: charges only
+    corners = [int(np.argmin(np.linalg.norm(mesh.vertices - p, axis=1)))
+               for p in ([0.0, 0.0], [1.0, 1.0])]
     with pytest.raises(ValueError, match="not found"):
-        _owner_cell(mesh, (0, 35))
+        _owner_cell(mesh, tuple(sorted(corners)))  # a diagonal, not a facet
     u = jump_member(4)
     x = [loc for loc, _ in u.atoms] + [0.0, 1.0]
     left = [min(ci for ci, (a, b) in enumerate(u.mesh.vertices[u.mesh.cells][:, :, 0])

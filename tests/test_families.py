@@ -97,13 +97,13 @@ FAST = SolverOptions(restarts=4, max_iter=90, patience=20)
 
 
 def _halfball_family_matches(monkeypatch, finf, points, h):
-    jobs = [(bp, SolverOptions(restarts=4, max_iter=90, patience=20, seed=1000 + i), None)
+    jobs = [(bp, SolverOptions(restarts=4, max_iter=90, patience=20, seed=1000 + i))
             for i, bp in enumerate(points)]
     seen = _recording(monkeypatch, bvlsc.boundary)
     reps = halfball_deficits(finf, jobs, h=h)
     assert [len(r) for r in seen] == [len(points)]  # one batch
     family = seen[0]
-    for j, (bp, opts, _) in enumerate(jobs):
+    for j, (bp, opts) in enumerate(jobs):
         del seen[:]
         alone = halfball_deficit(finf, bp, h=h, options=opts)
         _assert_same_result(family[j], seen[0][0])
@@ -233,7 +233,7 @@ def test_one_report_per_job_in_job_order():
     finf = catalog_get("norm", {"M": 1, "N": 2}).recession
     points = [BoundaryPoint([0.0, 0.5], [-1.0, 0.0]), [0.5, 0.0],
               BoundaryPoint([0.5, 1.0], [0.0, 1.0]), BoundaryPoint([0.5, 0.0], [0.0, -1.0])]
-    reps = halfball_deficits(finf, [(bp, FAST, None) for bp in points], h=0.25)
+    reps = halfball_deficits(finf, [(bp, FAST) for bp in points], h=0.25)
     assert len(reps) == len(points)
     assert isinstance(reps[1], TypeError)  # not a BoundaryPoint: that job alone errs
     for bp, rep in zip(points, reps):

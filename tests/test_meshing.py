@@ -19,7 +19,7 @@ from bvlsc.meshing import (
 )
 from bvlsc.meshing import _refine_all
 from bvlsc.quasiconvex import default_qc_mesh
-from mesh_helpers import shuffled_interval_mesh
+from mesh_helpers import shuffled_interval_mesh, shuffled_triangle_mesh
 
 
 def test_interval_mesh_counts():
@@ -29,24 +29,31 @@ def test_interval_mesh_counts():
     assert m.h == pytest.approx(0.25)
 
 
+def _boundary_facets(mesh):
+    facets, sides = mesh.facets()
+    return facets[sides[:, 1] < 0]
+
+
 def test_interval_boundary_normals():
+    # the boundary of an interval mesh is its two end vertices, each the
+    # facet of one cell
     m = build_mesh(Domain.interval(0.0, 1.0), 0.25)
-    normals = {f[0]: n[0] for f, n in zip(m.boundary_facets, m.boundary_normals)}
     left = int(np.argmin(m.vertices[:, 0]))
     right = int(np.argmax(m.vertices[:, 0]))
-    assert normals[left] == -1.0
-    assert normals[right] == 1.0
+    assert m.boundary_vertices.tolist() == sorted([left, right])
+    assert _boundary_facets(m).tolist() == [[v] for v in sorted([left, right])]
 
 
 def test_halfball_flat_facet_resolved():
     m = halfball_mesh([1.0, 0.0], 0.5)
     # no cell straddles {y1 = 0}; the flat facet lies exactly on it
     assert np.max(m.vertices[:, 0]) <= 1e-14
-    flat = [f for f, n in zip(m.boundary_facets, m.boundary_normals)
-            if abs(n[0] - 1.0) < 1e-9]
+    bfacets = _boundary_facets(m)
+    flat = bfacets[np.all(np.abs(m.vertices[bfacets, 0]) < 1e-12, axis=1)]
     assert len(flat) >= 2
-    for f in flat:
-        assert np.all(np.abs(m.vertices[list(f), 0]) < 1e-12)
+    # the flat facets cover the diameter [-1, 1] of {y1 = 0}
+    ends = m.vertices[flat, 1]
+    assert np.sum(np.abs(ends[:, 1] - ends[:, 0])) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_halfball_rotated_frame():
@@ -68,14 +75,12 @@ def test_halfball_reflection_symmetry():
 def test_unit_square_polygon_boundary():
     m = build_mesh(Domain.polygon([[0, 0], [1, 0], [1, 1], [0, 1]]), 0.5)
     assert m.cell_measures.sum() == pytest.approx(1.0, abs=1e-12)
-    normals = np.unique(np.round(m.boundary_normals, 9), axis=0)
-    expected = {(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)}
-    assert {tuple(n) for n in normals} == expected
-    # boundary facets tile the four sides: total length 4
-    length = 0.0
-    for f in m.boundary_facets:
-        a, b = m.vertices[f[0]], m.vertices[f[1]]
-        length += np.linalg.norm(b - a)
+    # boundary facets tile the four sides: each lies on one side, and their
+    # total length is 4
+    ends = m.vertices[_boundary_facets(m)]  # (nb, 2 ends, 2 coordinates)
+    on_side = np.isclose(ends, 0.0, atol=1e-12) | np.isclose(ends, 1.0, atol=1e-12)
+    assert np.all(on_side.all(axis=1).any(axis=1))
+    length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).sum()
     assert length == pytest.approx(4.0, abs=1e-12)
 
 
@@ -191,40 +196,25 @@ def _loop_rectangle_cells(nx, ny):
     return np.array(cells)
 
 
-def _loop_boundary(mesh):
-    """Reference: the per-cell facet dictionary Mesh used to build its boundary."""
-    count, owner = {}, {}
-    for ci, c in enumerate(mesh.cells):
-        if mesh.dim == 1:
-            facets = [(int(c[0]),), (int(c[1]),)]
-        else:
-            facets = [tuple(sorted((int(c[0]), int(c[1])))),
-                      tuple(sorted((int(c[1]), int(c[2])))),
-                      tuple(sorted((int(c[0]), int(c[2]))))]
-        for f in facets:
-            count[f] = count.get(f, 0) + 1
-            owner.setdefault(f, ci)
-    bfacets, bnormals = [], []
-    for f, k in count.items():
-        if k != 1:
-            continue
-        centroid = mesh.centroids[owner[f]]
-        if mesh.dim == 1:
-            nrm = np.sign(mesh.vertices[f[0]] - centroid)
-        else:
-            a, b = mesh.vertices[f[0]], mesh.vertices[f[1]]
-            e = b - a
-            nrm = np.array([e[1], -e[0]])
-            nrm = nrm / np.linalg.norm(nrm)
-            if nrm @ (0.5 * (a + b) - centroid) < 0:
-                nrm = -nrm
-        bfacets.append(f)
-        bnormals.append(nrm)
-    order = sorted(range(len(bfacets)), key=lambda i: bfacets[i])
-    facets = [bfacets[i] for i in order]
-    return (facets, np.array([bnormals[i] for i in order]),
-            np.array(sorted({v for f in facets for v in f}), dtype=np.int64),
-            sum(1 for k in count.values() if k == 2))
+def _loop_facets(mesh):
+    """Reference: each facet's incident cells, from a per-cell loop."""
+    owners = {}
+    for ci, c in enumerate(mesh.cells.tolist()):
+        pairs = [c[:1], c[1:]] if mesh.dim == 1 else [c[:2], c[1:], c[::2]]
+        for f in pairs:
+            owners.setdefault(tuple(sorted(f)), []).append(ci)
+    facets = sorted(owners)
+    sides = [owners[f] + [-1] * (2 - len(owners[f])) for f in facets]
+    verts = sorted({v for f in facets if len(owners[f]) == 1 for v in f})
+    return np.array(facets), np.array(sides), np.array(verts, dtype=np.int64)
+
+
+def test_facet_table_is_built_on_first_use():
+    mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 3, 3)
+    assert mesh._facets is None
+    assert len(mesh.boundary_vertices) == 12
+    facets, sides = mesh.facets()
+    assert len(facets) == 33 and np.count_nonzero(sides[:, 1] < 0) == 12
 
 
 @pytest.mark.parametrize("build, grid", [
@@ -234,21 +224,22 @@ def _loop_boundary(mesh):
     (lambda: halfball_mesh([0.6, 0.8], 0.05), None),
     (lambda: interval_mesh_with(0.0, 1.0, 0.1, [0.33, 0.5]), None),
     (lambda: shuffled_interval_mesh(5), None),
+    (lambda: shuffled_triangle_mesh(5), None),
     (lambda: Mesh([[0.0], [0.1], [0.2], [0.5], [0.6]], [[0, 1], [2, 1], [3, 4]]), None),
 ], ids=["rect1x1", "rect3x5", "rect8x8", "halfball", "interval", "interval_shuffled",
-        "interval_two_pieces"])
+        "triangles_shuffled", "interval_two_pieces"])
 def test_vectorized_mesh_build_matches_loops(build, grid):
     mesh = build()
     if grid is not None:
         ref = Mesh(mesh.vertices, _loop_rectangle_cells(*grid))
         assert np.array_equal(mesh.cells, ref.cells)
-    facets, normals, verts, interior = _loop_boundary(mesh)
-    assert mesh.boundary_facets == facets
-    assert all(type(v) is int for f in mesh.boundary_facets for v in f)
-    assert np.array_equal(mesh.boundary_normals, normals)
+    facets, sides, verts = _loop_facets(mesh)
+    got_facets, got_sides = mesh.facets()
+    assert mesh.facets() is mesh.facets()  # built once
+    assert np.array_equal(got_facets, facets) and np.array_equal(got_sides, sides)
+    assert got_facets.dtype == got_sides.dtype == np.int64
     assert mesh.boundary_vertices.dtype == verts.dtype
     assert np.array_equal(mesh.boundary_vertices, verts)
-    assert mesh.interior_facet_count == interior
 
 
 @pytest.mark.parametrize("build", [

@@ -133,6 +133,32 @@ def test_point_off_the_domain_exits_2_without_a_report(tmp_path, capsys, key, po
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("only", [[], ["qslb"], ["equivalence"]])
+def test_interior_point_off_the_domain_exits_2_whichever_checks_run(tmp_path, only):
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["interior_points"] = [[0.5], [1.5]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    assert run_scenario(path, out_dir=tmp_path / "out", only=only) == (2, None)
+    assert not (tmp_path / "out").exists()
+
+
+def test_equivalence_builds_only_the_interior_point_it_uses(monkeypatch):
+    # each lattice point of a polygon is one boundary_distance probe
+    sc = load("norm_square")
+    sc.cfg["interior_points"] = {"count": 10**6}
+    sc.cfg["checks"] = {c: c == "equivalence" for c in sc.cfg["checks"]}
+    probes, used = [], []
+    probe = sc.domain.boundary_distance
+    monkeypatch.setattr(sc.domain, "boundary_distance", lambda x: probes.append(x) or probe(x))
+    monkeypatch.setattr(bvlsc.verdict, "build_mesh", lambda domain, h: None)
+    monkeypatch.setattr(bvlsc.verdict, "equivalence_harness",
+                        lambda f, finf, p, mesh, options: used.append(p) or {})
+    verdict = analyze(sc)
+    assert len(probes) == 1 and len(used) == 1
+    assert verdict.extras["equivalence"] == [{}] and not verdict.errors
+
+
 def test_dimension_mismatch_rejected():
     cfg = {
         "domain": {"kind": "interval", "a": 0.0, "b": 1.0},
