@@ -154,7 +154,9 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
         extra = tuple(_layer_inits(mesh, x0.normal, base.M, clamped, widths)) + tuple(
             opts.extra_inits
         )
-        opts = replace(opts, restarts=max(opts.restarts, len(extra) + 2),
+        # room for every extra after default_inits' 2 M dim tents
+        tents = 2 * base.M * mesh.dim
+        opts = replace(opts, restarts=max(opts.restarts, tents + len(extra)),
                        mode="normalize", grad_cap=0.0, tv_cap=0.0, extra_inits=extra)
         family.append((j, mesh, freeze_x(base, x0.x0), clamped, opts))
     if not family:

@@ -13,7 +13,9 @@ Evaluators are batched: f(x, xi) takes x of shape (k, N) and xi of shape
 plus weighted composites and affine spatial modulation c(x) * f(xi).  Every
 catalog entry knows its recession function analytically.  Nonsmooth entries
 expose a smoothed surrogate (|xi| -> sqrt(|xi|^2 + delta^2)) for the solver;
-final evaluations always use the true integrand.
+final evaluations always use the true integrand.  Integrand.evaluate gives
+the solver the smoothed values, the exact values and the smoothed gradient
+of a batch in one pass.
 """
 
 import numpy as np
@@ -48,12 +50,15 @@ class Integrand:
     is (f, x0) for freeze_x(f, x0), which evaluates as f at rows of x0.
     `convex` is True only where f is proven independent of x and convex in xi
     (then Jensen's inequality makes every quasiconvexity deficit >= 0).
+    `one_pass`, when given, is evaluate's pass (x, xi, delta) -> (smoothed
+    values, exact values, smoothed gradient).
     """
 
     frozen = None
 
     def __init__(self, fn, M, N, growth, tag="user", params=None, grad=None,
-                 recession=None, mu_analytic=None, smoother=None, convex=False):
+                 recession=None, mu_analytic=None, smoother=None, convex=False,
+                 one_pass=None):
         self._fn = fn
         self.convex = convex
         self.M = int(M)
@@ -65,6 +70,8 @@ class Integrand:
         self.recession = recession
         self.mu_analytic = mu_analytic
         self._smoother = smoother
+        self._one_pass = one_pass
+        self._smoothed = {}  # delta -> smoothed(delta), built on first use
 
     def __call__(self, x, xi):
         x = np.asarray(x, dtype=float)
@@ -93,7 +100,25 @@ class Integrand:
     def smoothed(self, delta):
         if self._smoother is None or delta == 0.0:
             return self
-        return self._smoother(delta)
+        if delta not in self._smoothed:
+            self._smoothed[delta] = self._smoother(delta)
+        return self._smoothed[delta]
+
+    def evaluate(self, x, xi, delta):
+        """One pass over a batch at smoothing delta: (smoothed values, exact
+        values, smoothed gradient in xi), with the bits of smoothed(delta)(x,
+        xi), self(x, xi) and smoothed(delta).grad_xi(x, xi).  The entries
+        built on |xi| take its row norms once; composite, modulate and
+        freeze_x combine their terms' passes; any other integrand makes those
+        calls, with one call for both values where smoothed(delta) is self
+        (then the two values are one array)."""
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        if self._one_pass is not None:
+            return self._one_pass(x, xi, delta)
+        s = self.smoothed(delta)
+        val = s(x, xi)
+        return val, val if s is self else self(x, xi), s.grad_xi(x, xi)
 
     def spot_check(self, rng=None, n=64, radius=10.0):
         """Random check of the growth bound |f| <= C(|xi|+1) and of continuity
@@ -119,12 +144,14 @@ class RecessionFn:
     `sphere_min`, when known analytically, is a lower bound on f_inf(x, xi)
     over every x and every xi with |xi|_F = 1 (the minimum for catalog
     entries); by homogeneity f_inf(x, xi) >= sphere_min |xi|_F.  None where
-    no bound is known.
+    no bound is known.  `one_pass` is as_integrand's (see Integrand), and
+    keeps f_inf(x, 0) = +0.0.
     """
 
     def __init__(self, fn, M, N, provenance="analytic", t_grid=None, grad=None,
-                 smoother=None, sphere_min=None):
+                 smoother=None, sphere_min=None, one_pass=None):
         self._fn = fn
+        self._one_pass = one_pass
         self.sphere_min = sphere_min
         self.M = int(M)
         self.N = int(N)
@@ -155,6 +182,7 @@ class RecessionFn:
             self.__call__, self.M, self.N, g, tag="recession",
             grad=self._grad, recession=self,
             mu_analytic=lambda t: 0.0, smoother=self._smoother,
+            one_pass=self._one_pass,
         )
 
     def sup_on_sphere(self, x=None, samples=256, seed=0):
@@ -309,6 +337,23 @@ def mu_estimate(f, finf, t, budget=2000, seed=0, span=100.0):
 # -- catalog -------------------------------------------------------------------
 
 
+def _norm_pass(sign, smooth, recession=False):
+    """The one pass of sign |xi|, smoothed to sign sqrt(|xi|^2 + delta^2)
+    where `smooth`; as a recession function, +0.0 where |xi| = 0."""
+
+    def one_pass(x, xi, delta):
+        r = _frob(xi)
+        exact = sign * r
+        if recession and np.any(r == 0.0):
+            exact = np.where(r == 0.0, 0.0, exact)
+        if delta == 0.0 or not smooth:
+            return exact, exact, sign * xi / np.maximum(r, 1e-300)[:, None, None]
+        n = np.sqrt(r**2 + delta**2)
+        return sign * n, exact, sign * xi / n[:, None, None]
+
+    return one_pass
+
+
 def _mk_linear(matrix, tag="linear"):
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     M, N = A.shape
@@ -348,11 +393,11 @@ def _mk_norm(sign=1.0, tag="norm", M=1, N=1):
                          grad=grads, recession=rec)
 
     rec = RecessionFn(fn, M, N, grad=grad, smoother=lambda d: smoother(d),
-                      sphere_min=sign)
+                      sphere_min=sign, one_pass=_norm_pass(sign, True, recession=True))
     return Integrand(
         fn, M, N, growth=1.0, tag=tag, params={"M": M, "N": N}, grad=grad,
         recession=rec, mu_analytic=lambda t: 0.0, smoother=smoother,
-        convex=sign > 0,
+        convex=sign > 0, one_pass=_norm_pass(sign, True),
     )
 
 
@@ -372,14 +417,19 @@ def _mk_area(M=1, N=1):
 
     rec = RecessionFn(recfn, M, N, grad=recgrad,
                       smoother=lambda d: _mk_norm(1.0, M=M, N=N).smoothed(d),
-                      sphere_min=1.0)
+                      sphere_min=1.0, one_pass=_norm_pass(1.0, True, recession=True))
+
+    def one_pass(x, xi, delta):
+        s = np.sqrt(1.0 + _frob(xi) ** 2)
+        return s, s, xi / s[:, None, None]
 
     def mu(t):
         # sup_{s>=t} (sqrt(1+s^2)-s)/(1+s), attained at s=t
         return (np.sqrt(1.0 + t * t) - t) / (1.0 + t)
 
     return Integrand(fn, M, N, growth=1.0, tag="area", params={"M": M, "N": N},
-                     grad=grad, recession=rec, mu_analytic=mu, convex=True)
+                     grad=grad, recession=rec, mu_analytic=mu, convex=True,
+                     one_pass=one_pass)
 
 
 def _mk_norm_sin(M=1, N=1):
@@ -398,7 +448,8 @@ def _mk_norm_sin(M=1, N=1):
         n = np.maximum(_frob(xi), 1e-300)
         return xi / n[:, None, None]
 
-    rec = RecessionFn(recfn, M, N, grad=recgrad, sphere_min=1.0)
+    rec = RecessionFn(recfn, M, N, grad=recgrad, sphere_min=1.0,
+                      one_pass=_norm_pass(1.0, False, recession=True))
 
     def smoother(delta):
         def fns(x, xi):
@@ -412,13 +463,24 @@ def _mk_norm_sin(M=1, N=1):
         return Integrand(fns, M, N, 2.0 + delta, tag="norm_sin_smoothed",
                          grad=grads, recession=rec)
 
+    def one_pass(x, xi, delta):
+        r = _frob(xi)
+        exact = r + np.sin(r)
+        if delta == 0.0:
+            n, val = np.maximum(r, 1e-300), exact
+        else:
+            n = np.sqrt(r**2 + delta**2)
+            val = n + np.sin(n)
+        return val, exact, (1.0 + np.cos(n))[:, None, None] * xi / n[:, None, None]
+
     def mu(t):
         # sup_{s>=t} |sin s|/(1+s) via a dense scan of the first periods past t
         s = t + np.linspace(0.0, 4.0 * np.pi, 4097)
         return float(np.max(np.abs(np.sin(s)) / (1.0 + s)))
 
     return Integrand(fn, M, N, growth=2.0, tag="norm_sin", params={"M": M, "N": N},
-                     grad=grad, recession=rec, mu_analytic=mu, smoother=smoother)
+                     grad=grad, recession=rec, mu_analytic=mu, smoother=smoother,
+                     one_pass=one_pass)
 
 
 def _mk_null_lagrangian(a, t):
@@ -505,12 +567,16 @@ def composite(terms):
     def smoother(delta):
         return composite([(w, f.smoothed(delta)) for w, f in zip(ws, fs)])
 
+    def one_pass(x, xi, delta):
+        passes = [f.evaluate(x, xi, delta) for f in fs]
+        return tuple(sum(w * p[k] for w, p in zip(ws, passes)) for k in range(3))
+
     return Integrand(
         fn, M, N, growth=sum(abs(w) * f.growth for w, f in zip(ws, fs)),
         tag="composite",
         params={"terms": [(w, {"tag": f.tag, "params": f.params}) for w, f in terms]},
         grad=grad, recession=rec, mu_analytic=mu, smoother=smoother,
-        convex=nonnegative and all(f.convex for f in fs),
+        convex=nonnegative and all(f.convex for f in fs), one_pass=one_pass,
     )
 
 
@@ -539,11 +605,16 @@ def modulate(f, c0, cvec):
     def smoother(delta):
         return modulate(f.smoothed(delta), c0, cvec)
 
+    def one_pass(x, xi, delta):
+        cx = c(x)
+        val, exact, grad = f.evaluate(x, xi, delta)
+        return cx * val, cx * exact, cx[:, None, None] * grad
+
     return Integrand(
         fn, f.M, f.N, growth=f.growth * (abs(c0) + np.linalg.norm(cvec) * 10.0),
         tag=f"modulated({f.tag})", params={"c0": c0, "cvec": cvec.tolist(),
                                            "inner": f.tag},
-        grad=grad, recession=rec, smoother=smoother,
+        grad=grad, recession=rec, smoother=smoother, one_pass=one_pass,
     )
 
 
@@ -579,10 +650,14 @@ def freeze_x(f, x0):
     def smoother(delta):
         return freeze_x(f.smoothed(delta), x0)
 
+    def one_pass(x, xi, delta):
+        return f.evaluate(xs(len(xi)), xi, delta)
+
     g = Integrand(
         fn, f.M, f.N, growth=f.growth, tag=f"frozen({f.tag})",
         params={"x0": x0.tolist(), "inner": f.tag}, grad=grad, recession=rec,
         mu_analytic=f.mu_analytic, smoother=smoother, convex=f.convex,
+        one_pass=one_pass,
     )
     g.frozen = (f, x0)
     return g

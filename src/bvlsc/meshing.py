@@ -242,6 +242,7 @@ class Mesh:
         self._quad = self._facets = None
         self._refine_cache = {}
         self._copies = (0, None, None)  # see _copies_for
+        self._slots = {}  # see _p1_assemble
 
     # -- geometry ---------------------------------------------------------
 
@@ -394,9 +395,13 @@ class Mesh:
         batch, M = per_cell.shape[:-3], per_cell.shape[-2]
         cells, grads = self._copies_for(batch, shapes)
         contrib = np.einsum("cmn,cin->cim", per_cell.reshape(-1, M, self.dim), grads)
-        slots = (cells[..., None] * M + np.arange(M)).ravel()
-        size = np.prod(batch, dtype=int) * self.n_vertices * M
-        out = np.bincount(slots, contrib.ravel(), minlength=size)
+        # the scatter slots of cells, kept per M for the most rows asked so
+        # far: the rows of fewer copies are their leading slice
+        slots = self._slots.get(M)
+        if slots is None or len(slots) < contrib.size:
+            slots = self._slots[M] = _lock((cells[..., None] * M + np.arange(M)).ravel())
+        size = len(cells) // self.n_cells * self.n_vertices * M
+        out = np.bincount(slots[:contrib.size], contrib.ravel(), minlength=size)
         return out.reshape(batch + (self.n_vertices, M))
 
     def _copies_for(self, batch, shapes=None):

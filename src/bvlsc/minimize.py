@@ -29,17 +29,17 @@ unchanged.  minimize_field is the one-problem case.
 
 Objectives evaluate from cell gradients (see the objectives section below),
 and each restart keeps the smoothed gradient of its iterate.  An iteration
-steps along it, takes the P1 gradient of the stepped field, which serves the
-projection and the denominator, and takes it once more if a rescaling moved
-the field.  One from_cells call on those cell gradients then gives both the
-exact value, for acceptance, and the derivative of the smoothed value with
-respect to the cell gradients, one array of the batch's shape, which one
-p1_assemble call on the batch's rows turns into the gradient the next
-iteration steps along; quotients and combinations of terms combine their
-per-cell arrays first.  So an iteration costs one objective evaluation, one
-assembly and at most two P1 gradients (two in normalize mode, or in plain
-mode under a cap).  A new smoothing stage evaluates its live restarts once
-more at its own smoothing.
+steps along it and takes the P1 gradient of the stepped field, which serves
+the projection and the denominator; a rescaling (a cap, or normalize mode's
+unit denominator) scales the cell gradients with the field.  One from_cells
+call on those cell gradients then gives both the exact value, for
+acceptance, and the derivative of the smoothed value with respect to the
+cell gradients, one array of the batch's shape, which one p1_assemble call
+on the batch's rows turns into the gradient the next iteration steps along;
+quotients and combinations of terms combine their per-cell arrays first.  So
+an iteration costs one P1 gradient, one objective evaluation (one integrand
+pass, Integrand.evaluate, for a BulkObjective) and one assembly.  A new
+smoothing stage evaluates its live restarts once more at its own smoothing.
 
 Constraint handling is by feasible rescaling: an L-infinity cap on cell
 gradients or a cap on the gradient total variation shrinks the whole field
@@ -289,16 +289,10 @@ class BulkObjective(_Objective):
         if len(sizes - {1}) > 1:
             raise ValueError(f"BulkObjective copies disagree: {sorted(sizes)}")
         self.copies = max(sizes)
-        self._smooth_cache = {}
         self._tiles = {}
         self._offset = np.zeros(1)
         if subtract_offset:  # E of the zero field, field p on copy p
             self._offset = self.from_cells(np.zeros((self.copies, nc, self.M, dim)))
-
-    def _g_at(self, delta):
-        if delta not in self._smooth_cache:
-            self._smooth_cache[delta] = self.g.smoothed(delta)
-        return self._smooth_cache[delta]
 
     def _rows(self, name, R, on):
         """The per-copy array `name` (1 or P, n, ...) as the rows (R * n, ...)
@@ -318,32 +312,31 @@ class BulkObjective(_Objective):
         return tiled[: R * n]
 
     def from_cells(self, grads, delta=0.0, with_grad=False, on=None):
-        R = len(grads)
-        g = self._g_at(delta)
+        R, g = len(grads), self.g
         nq = self._wts.shape[-1]
         cell_xi = grads if self._xi0 is None else grads + _on(self._xi0, on)[:, None]
         cell_xi = cell_xi.reshape(-1, g.M, self.mesh.dim)
         x = self._rows("_x", R, on)
         xi = cell_xi if self._frozen else np.repeat(cell_xi, nq, axis=0)
+        if with_grad:
+            val, exact, dg = g.evaluate(x, xi, delta)
+            vals = val if exact is val else np.concatenate((val, exact))
+        else:
+            vals = g.smoothed(delta)(x, xi)
+        if self._frozen:
+            vals = np.repeat(vals, nq)
+        # the smoothed and exact sums in one reduction, row by row as each alone
         wts = _on(self._wts, on)
-
-        def total(gd):
-            vals = gd(x, xi)
-            if self._frozen:
-                vals = np.repeat(vals, nq)
-            val = (vals.reshape(R, -1) * wts.reshape(len(wts), -1)).sum(axis=-1)
-            return val - _on(self._offset, on)
-
-        val = total(g)
+        wts = wts.reshape(len(wts), -1)
+        sums = (vals.reshape(-1, R, wts.shape[-1]) * wts).sum(axis=-1)
+        sums -= _on(self._offset, on)
         if not with_grad:
-            return val
-        exact = val if g is self._g_at(0.0) else total(self._g_at(0.0))
-        dg = g.grad_xi(x, xi)
+            return sums[0]
         if self._frozen:
             dg = np.repeat(dg, nq, axis=0)
         wts = self._rows("_wts", R, on)
         per_cell = np.einsum("cq,cqmn->cmn", wts, dg.reshape(len(wts), nq, g.M, self.mesh.dim))
-        return val, exact, per_cell.reshape(grads.shape)
+        return sums[0], sums[-1], per_cell.reshape(grads.shape)
 
 
 class TVObjective(_Objective):
@@ -466,15 +459,14 @@ def default_inits(mesh, M, clamped, options, rng):
 # -- solver -------------------------------------------------------------------
 
 
-def _shrink(batch, grads, mesh, size, cap, on):
-    """Scale each field of the batch whose size exceeds cap down onto it;
-    the cell gradients are taken again if any field moved."""
+def _shrink(batch, grads, size, cap):
+    """Scale each field of the batch whose size exceeds cap down onto it,
+    and its cell gradients with it."""
     over = size > cap
     if not over.any():
         return batch, grads
     factor = np.divide(cap, size, out=np.ones_like(size), where=over)
-    batch = batch * factor[:, None, None]
-    return batch, mesh.p1_gradient(batch, on)
+    return batch * factor[:, None, None], grads * factor[:, None, None, None]
 
 
 def _project(batch, grads, mesh, options, on):
@@ -483,11 +475,11 @@ def _project(batch, grads, mesh, options, on):
     their cell gradients."""
     if options.grad_cap > 0:
         mags = row_norms(grads.reshape(len(batch), mesh.n_cells, -1))
-        batch, grads = _shrink(batch, grads, mesh, mags.max(axis=-1, initial=0.0),
-                               options.grad_cap, on)
+        batch, grads = _shrink(batch, grads, mags.max(axis=-1, initial=0.0),
+                               options.grad_cap)
     if options.tv_cap > 0:
         tv = TVObjective(mesh, batch.shape[2]).from_cells(grads, on=on)
-        batch, grads = _shrink(batch, grads, mesh, tv, options.tv_cap, on)
+        batch, grads = _shrink(batch, grads, tv, options.tv_cap)
     return batch, grads
 
 
@@ -678,8 +670,8 @@ def _solve(objective, problems, on, floors):
 
     def advance(rows, delta, flat):
         """One iteration of the restarts `rows`, all in the same stage: a step
-        along their gradients, the cell gradients of the step and of its
-        rescaling, and one evaluation with one assembly."""
+        along their gradients, the cell gradients of the step (a rescaling
+        scales them with the field), and one evaluation with one assembly."""
         if failed.any():
             rows = rows[~failed[owner[rows]]]  # a problem may end in an earlier chunk
             if not len(rows):
@@ -707,8 +699,9 @@ def _solve(objective, problems, on, floors):
                           at_rows)
         if normalize:
             d = objective.den.from_cells(G, on=at_rows)
-            new /= np.where(d > DEN_FLOOR, d, 1.0)[:, None, None]
-            G = family.p1_gradient(new, at_rows)
+            d = np.where(d > DEN_FLOOR, d, 1.0)
+            new /= d[:, None, None]
+            G = G / d[:, None, None, None]
         k_global[rows] += 1
         v = evaluate(rows, G, delta, at_rows, clamp_rows)
         bad = ~np.isfinite(v)

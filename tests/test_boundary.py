@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from bvlsc.boundary import epsdelta_probe, equivalence_harness, halfball_deficit
+from bvlsc import minimize
+from bvlsc.boundary import (
+    _halfball_clamped,
+    epsdelta_probe,
+    equivalence_harness,
+    halfball_deficit,
+)
 from bvlsc.integrands import catalog_get, freeze_x, modulate
 from bvlsc.meshing import BoundaryPoint, Domain, build_mesh, halfball_mesh
 from bvlsc.minimize import BulkObjective, SolverOptions
@@ -28,6 +34,30 @@ def test_halfball_bound_uses_c_inf_at_the_boundary_point():
     assert rep.deficit == pytest.approx(-1.5, abs=1e-6)
     assert rep.diagnostics["sphere_bound"] == pytest.approx(1.5)
     assert rep.verdict == "violated"
+
+
+def test_every_caller_init_of_a_2d_halfball_is_run(monkeypatch):
+    """The starts hold the four tents, all eight boundary-layer ramps (four
+    widths, two signs) and both caller inits, none cut off by the restart
+    count."""
+    nu = np.array([1.0, 0.0])
+    mesh = halfball_mesh(nu, 0.2)
+    clamped = _halfball_clamped(mesh, nu)
+    caller = np.random.default_rng(9).normal(size=(2, mesh.n_vertices, 1))
+    caller[:, clamped] = 0.0
+    starts = []
+
+    def recorded(*args, _inner=minimize.default_inits):
+        starts.extend(_inner(*args))
+        return starts
+
+    monkeypatch.setattr(minimize, "default_inits", recorded)
+    opts = SolverOptions(restarts=8, max_iter=30, extra_inits=tuple(caller))
+    halfball_deficit(catalog_get("norm", {"M": 1, "N": 2}).recession,
+                     BoundaryPoint([0.0, 0.0], nu), h=0.2, options=opts)
+    assert len(starts) == 4 + 8 + 2
+    for u in caller:
+        assert any(np.array_equal(u, v) for v in starts)
 
 
 def test_halfball_tangential_null_lagrangian_vanishes():

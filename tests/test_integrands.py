@@ -215,3 +215,48 @@ def test_grad_finite_difference_fallback():
     xi = np.array([[[1.0, -2.0]]])
     g = f.grad_xi(np.zeros((1, 2)), xi)
     assert np.allclose(g, 2 * xi, atol=1e-5)
+
+
+# -- one pass: smoothed values, exact values and smoothed gradient -------------
+
+
+def _entry(tag, N):
+    params = {"linear": {"matrix": [[0.7, -0.4][:N]]},
+              "boundary_null_lagrangian": {"a": [1.0], "t": [0.6, 0.8][:N]}}
+    return catalog_get(tag, params.get(tag, {"M": 1, "N": N}))
+
+
+def _one_pass_cases(N):
+    """Every catalog entry, its recession as an integrand, and the
+    combinators over them."""
+    cases = {}
+    for tag in catalog_tags():
+        f = _entry(tag, N)
+        cases[tag] = f
+        cases[f"recession({tag})"] = f.recession.as_integrand()
+    cvec = [0.5, -0.4][:N]
+    cases["composite"] = composite([(1.0, _entry("norm_sin", N)), (-0.5, _entry("negnorm", N)),
+                                    (2.0, _entry("linear", N)), (0.3, _entry("area", N))])
+    cases["modulate"] = modulate(_entry("norm", N), 1.2, cvec)
+    cases["freeze_x"] = freeze_x(modulate(_entry("negnorm", N), 0.8, cvec), [0.3, 0.6][:N])
+    cases["freeze_x(composite)"] = freeze_x(cases["composite"], [0.1, 0.2][:N])
+    cases["recession(composite)"] = cases["composite"].recession.as_integrand()
+    cases["recession(modulate)"] = cases["modulate"].recession.as_integrand()
+    return cases
+
+
+@pytest.mark.parametrize("N", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+@pytest.mark.parametrize("name", sorted(_one_pass_cases(2)))
+def test_one_pass_equals_the_three_calls(name, delta, N):
+    f = _one_pass_cases(N)[name]
+    rng = np.random.default_rng(3)
+    x = rng.random((7, N))
+    xi = rng.normal(size=(7, 1, N))
+    xi[[0, 4]] = 0.0  # f_inf(x, 0) reads +0.0, also for negnorm's -|xi|
+    val, exact, grad = f.evaluate(x, xi, delta)
+    fs = f.smoothed(delta)
+    assert val.tobytes() == fs(x, xi).tobytes()
+    assert exact.tobytes() == f(x, xi).tobytes()
+    assert grad.tobytes() == fs.grad_xi(x, xi).tobytes()
+    assert f.smoothed(delta) is fs  # cached

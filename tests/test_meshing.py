@@ -8,6 +8,7 @@ from bvlsc.meshing import (
     Domain,
     Mesh,
     MeshBudgetError,
+    MeshStack,
     build_mesh,
     halfball_mesh,
     interval_mesh,
@@ -169,6 +170,29 @@ def test_p1_assemble_matches_add_at_scatter(mesh, M):
         np.add.at(want, cells.reshape(-1, mesh.dim + 1), contrib)
         got = mesh.p1_assemble(per_cell)
         assert got.shape == batch + (mesh.n_vertices, M)
+        assert got.tobytes() == want.tobytes()
+
+
+def _stack(h=0.25):
+    return MeshStack([halfball_mesh(nu, h) for nu in ([1.0, 0.0], [0.6, 0.8], [0.0, -1.0])])
+
+
+@pytest.mark.parametrize("make", [lambda: unit_square_mesh(3), lambda: interval_mesh(0.0, 1.0, 0.1),
+                                  _stack], ids=["2d", "1d", "stack"])
+def test_p1_assemble_with_cached_scatter_slots_equals_a_fresh_mesh(make):
+    """Scatter slots are kept per component count for the most rows asked so
+    far; fewer rows, then another component count, still assemble as a mesh
+    that never saw a batch."""
+    mesh = make()
+    rng = np.random.default_rng(8)
+    for R, M in ((8, 1), (3, 1), (5, 2), (None, 2), (8, 2)):
+        shape = (mesh.n_cells, M, mesh.dim) if R is None else (R, mesh.n_cells, M, mesh.dim)
+        G = rng.normal(size=shape)
+        # on a stack, field r on mesh r mod 3, or one field on mesh 1
+        on = None if mesh.copies == 1 else np.arange(R or 1) % 3 + (R is None)
+        got = mesh.p1_assemble(G, on)
+        want = make().p1_assemble(G, on)
+        assert got.shape == shape[:-3] + (mesh.n_vertices, M)
         assert got.tobytes() == want.tobytes()
 
 

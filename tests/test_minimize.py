@@ -167,21 +167,24 @@ def test_gradient_masses_sum_to_tv_objective(mesh):
 
 
 def _reference_project(values, mesh, options):
+    """A field and its cell gradients, rescaled together onto the caps."""
+    g = mesh.p1_gradient(values)
     if options.grad_cap > 0:
-        g = mesh.p1_gradient(values)
         mx = float(np.max(np.linalg.norm(g.reshape(len(g), -1), axis=1), initial=0.0))
         if mx > options.grad_cap:
-            values = values * (options.grad_cap / mx)
+            values, g = values * (options.grad_cap / mx), g * (options.grad_cap / mx)
     if options.tv_cap > 0:
-        tv = TVObjective(mesh, values.shape[1]).value(values)
+        tv = TVObjective(mesh, values.shape[1]).from_cells(g[None])[0]
         if tv > options.tv_cap:
-            values = values * (options.tv_cap / tv)
-    return values
+            values, g = values * (options.tv_cap / tv), g * (options.tv_cap / tv)
+    return values, g
 
 
 def reference_minimize(objective, mesh, clamped, options):
     """The solver with its restarts run one after another, each to its end;
-    the lockstep batch must reproduce it bit for bit."""
+    the lockstep batch must reproduce it bit for bit.  A step takes the cell
+    gradients of the stepped field once; a rescaling scales them with the
+    field, and the next step's gradient is assembled from them."""
     clamped = np.asarray(clamped, dtype=np.int64)
     rng = np.random.default_rng(options.seed)
     inits = default_inits(mesh, objective.M, clamped, options, rng)
@@ -192,9 +195,9 @@ def reference_minimize(objective, mesh, clamped, options):
     for ridx, values in enumerate(inits):
         values = values.copy()
         values[clamped] = 0.0
-        values = _reference_project(values, mesh, options)
+        values, g = _reference_project(values, mesh, options)
         if normalize:
-            d = objective.denominator(values)
+            d = objective.den.from_cells(g[None])[0]
             if d < 1e-12:
                 restart_values.append(np.inf)
                 stop_reasons.append("unusable_start")
@@ -216,8 +219,8 @@ def reference_minimize(objective, mesh, clamped, options):
             if stop:
                 break
             reason = "iteration_cap"
+            _, g = objective.value_and_grad(values, delta)
             for _ in range(iters_per_stage):
-                _, g = objective.value_and_grad(values, delta)
                 g[clamped] = 0.0
                 gn = float(np.linalg.norm(g))
                 if not np.isfinite(gn):
@@ -228,14 +231,15 @@ def reference_minimize(objective, mesh, clamped, options):
                 alpha = step0 / np.sqrt(1.0 + k_global)
                 values = values - alpha * (g / gn)
                 values[clamped] = 0.0
-                values = _reference_project(values, mesh, options)
+                values, G = _reference_project(values, mesh, options)
                 if normalize:
-                    d = objective.denominator(values)
+                    d = objective.den.from_cells(G[None])[0]
                     if d > 1e-12:
-                        values = values / d
+                        values, G = values / d, G / d
                 k_global += 1
                 total_iters += 1
-                v = objective.value(values, 0.0)
+                v = objective.from_cells(G[None], 0.0)[0]
+                g = mesh.p1_assemble(objective.from_cells(G[None], delta, True)[2][0])
                 if not np.isfinite(v):
                     raise FieldEvaluationError("objective non-finite", values)
                 if v < local_best - 1e-14 * (1.0 + abs(local_best)):
@@ -452,6 +456,27 @@ def test_batch_of_five_equals_five_single_calls(mesh, delta, name):
 
 @pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 0.1), unit_square_mesh(4)],
                          ids=["1d", "2d"])
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+@pytest.mark.parametrize("name", ["bulk", "tv", "combo", "quotient", "frozen"])
+def test_gradient_form_carries_the_bits_of_both_value_calls(mesh, delta, name):
+    """from_cells(G, delta, True) gives from_cells(G, delta) and, as the exact
+    values, from_cells(G, 0.0), from one integrand pass."""
+    objectives = _objectives(mesh)
+    objectives["frozen"] = BulkObjective(
+        mesh, freeze_x(catalog_get("negnorm", {"M": 1, "N": mesh.dim}), [0.4] * mesh.dim),
+        xi0=np.full((1, mesh.dim), 0.2), subtract_offset=True)
+    obj = objectives[name]
+    batch = np.random.default_rng(12).normal(size=(4, mesh.n_vertices, 1))
+    batch[1] = 0.0
+    G = mesh.p1_gradient(batch)
+    val, exact, _ = obj.from_cells(G, delta, True)
+    if name != "quotient":  # whose gradient form reads no +inf at the zero field
+        assert val.tobytes() == obj.from_cells(G, delta).tobytes()
+    assert exact.tobytes() == obj.from_cells(G, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 0.1), unit_square_mesh(4)],
+                         ids=["1d", "2d"])
 @pytest.mark.parametrize("name", ["bulk", "tv", "combo", "quotient"])
 def test_gradient_is_the_derivative_of_the_value(mesh, name):
     """Central differences of value along random directions match the
@@ -500,9 +525,10 @@ def test_one_evaluation_assembles_once_on_its_own_rows(name, monkeypatch):
 @pytest.mark.parametrize("case", ["normalize_degenerate_init", "plain_grad_cap",
                                   "plain_tv_cap"])
 @pytest.mark.parametrize("chunked", [False, True], ids=["one_batch", "chunked"])
-def test_iteration_takes_two_gradients_and_one_assembly(case, chunked, monkeypatch):
-    """Each iterate is evaluated once: one from_cells call, which carries the
-    gradient, then one assembly, with at most two P1 gradients per step."""
+def test_iteration_takes_one_gradient_and_one_assembly(case, chunked, monkeypatch):
+    """Each iterate is evaluated once: one P1 gradient, one from_cells call,
+    which carries the gradient, then one assembly; a cap or a normalization
+    rescales the cell gradients with the field."""
     objective, mesh, clamped, opts = _lockstep_cases()[case]
     n_chunks = 1
     if chunked:
@@ -543,18 +569,16 @@ def test_iteration_takes_two_gradients_and_one_assembly(case, chunked, monkeypat
     assert all(with_grad for _, with_grad, *_ in seen)
     between = np.diff(np.array([s[2:] for s in seen]), axis=0)
     gradients, assemblies, projections = between.T
-    # every evaluation is assembled once, before the next evaluation
+    # every evaluation is assembled once, before the next evaluation, and
+    # takes the P1 gradient of its fields once
     assert np.all(assemblies == 1)
-    assert gradients.max() <= 2
+    assert np.all(gradients == 1)
     # an iteration projects its step once; every stepped row is evaluated once
     step = projections > 0
     assert np.all(projections[step] == 1)
     assert rows[1:][step].sum() == res.iterations >= 10 * opts.restarts
     # the other evaluations: the starts, and each later smoothing stage's once
     assert len(seen) - step.sum() <= n_chunks * len(opts.smoothing)
-    if case == "normalize_degenerate_init":
-        # the stepped field, then the field renormalized to unit denominator
-        assert np.all(gradients[step] == 2)
 
 
 # -- frozen integrands: one evaluation per cell -----------------------------------
