@@ -11,11 +11,13 @@ Evaluators are batched: f(x, xi) takes x of shape (k, N) and xi of shape
     norm_sin               f = |xi| + sin(|xi|)
 
 plus weighted composites and affine spatial modulation c(x) * f(xi).  Every
-catalog entry knows its recession function analytically.  Nonsmooth entries
-expose a smoothed surrogate (|xi| -> sqrt(|xi|^2 + delta^2)) for the solver;
-final evaluations always use the true integrand.  Integrand.evaluate gives
-the solver the smoothed values, the exact values and the smoothed gradient
-of a batch in one pass.
+catalog entry knows its recession function analytically.  Smoothing and
+gradients live in one pass per integrand and per recession function:
+Integrand.evaluate(x, xi, delta) gives the solver the smoothed values
+(|xi| -> sqrt(|xi|^2 + delta^2) in the nonsmooth entries), the exact values
+and the smoothed gradient of a batch.  Composites, modulations and frozen
+integrands combine the passes of their terms.  Final evaluations always use
+the true integrand.
 """
 
 import numpy as np
@@ -41,24 +43,31 @@ def _frob(xi):
     return row_norms(xi.reshape(xi.shape[0], -1))
 
 
+def _plus_zero_at_origin(out, xi):
+    """out with +0.0 at the rows where xi = 0, the value there of a
+    recession function (forced by 1-homogeneity)."""
+    zero = _frob(xi) == 0.0
+    return np.where(zero, 0.0, out) if np.any(zero) else out
+
+
 class Integrand:
     """Density f(x, xi) with linear-growth constant and optional extras.
 
-    grad_xi, when absent, falls back to central finite differences.  smoothed
-    returns an integrand usable by the nonsmooth solver; the default returns
-    self (already smooth, or a user integrand without a surrogate).  `frozen`
-    is (f, x0) for freeze_x(f, x0), which evaluates as f at rows of x0.
-    `convex` is True only where f is proven independent of x and convex in xi
-    (then Jensen's inequality makes every quasiconvexity deficit >= 0).
-    `one_pass`, when given, is evaluate's pass (x, xi, delta) -> (smoothed
-    values, exact values, smoothed gradient).
+    `one_pass`, when given, is where the integrand defines its smoothing and
+    its gradient: (x, xi, delta) -> (values smoothed at delta, exact values,
+    gradient in xi of the smoothed values), with the exact values as the
+    smoothed ones at delta = 0.  Without a pass, evaluate is unsmoothed.
+    grad_xi is `grad` where given (user integrands), else the pass at
+    delta = 0, else central finite differences.  `frozen` is (f, x0) for
+    freeze_x(f, x0), which evaluates as f at rows of x0.  `convex` is True
+    only where f is proven independent of x and convex in xi (then Jensen's
+    inequality makes every quasiconvexity deficit >= 0).
     """
 
     frozen = None
 
     def __init__(self, fn, M, N, growth, tag="user", params=None, grad=None,
-                 recession=None, mu_analytic=None, smoother=None, convex=False,
-                 one_pass=None):
+                 recession=None, mu_analytic=None, convex=False, one_pass=None):
         self._fn = fn
         self.convex = convex
         self.M = int(M)
@@ -69,9 +78,7 @@ class Integrand:
         self._grad = grad
         self.recession = recession
         self.mu_analytic = mu_analytic
-        self._smoother = smoother
         self._one_pass = one_pass
-        self._smoothed = {}  # delta -> smoothed(delta), built on first use
 
     def __call__(self, x, xi):
         x = np.asarray(x, dtype=float)
@@ -85,10 +92,12 @@ class Integrand:
         return float(self._fn(x[None, :], xi[None, :, :])[0])
 
     def grad_xi(self, x, xi):
-        if self._grad is not None:
-            return self._grad(np.asarray(x, float), np.asarray(xi, float))
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
+        if self._grad is not None:
+            return self._grad(x, xi)
+        if self._one_pass is not None:
+            return self._one_pass(x, xi, 0.0)[2]
         g = np.zeros_like(xi)
         for i in range(self.M):
             for j in range(self.N):
@@ -97,28 +106,16 @@ class Integrand:
                 g[:, i, j] = (self._fn(x, xi + e) - self._fn(x, xi - e)) / 2e-6
         return g
 
-    def smoothed(self, delta):
-        if self._smoother is None or delta == 0.0:
-            return self
-        if delta not in self._smoothed:
-            self._smoothed[delta] = self._smoother(delta)
-        return self._smoothed[delta]
-
     def evaluate(self, x, xi, delta):
         """One pass over a batch at smoothing delta: (smoothed values, exact
-        values, smoothed gradient in xi), with the bits of smoothed(delta)(x,
-        xi), self(x, xi) and smoothed(delta).grad_xi(x, xi).  The entries
-        built on |xi| take its row norms once; composite, modulate and
-        freeze_x combine their terms' passes; any other integrand makes those
-        calls, with one call for both values where smoothed(delta) is self
-        (then the two values are one array)."""
+        values, smoothed gradient in xi).  Without a pass the values are
+        unsmoothed, one array for both, and the gradient is grad_xi's."""
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         if self._one_pass is not None:
             return self._one_pass(x, xi, delta)
-        s = self.smoothed(delta)
-        val = s(x, xi)
-        return val, val if s is self else self(x, xi), s.grad_xi(x, xi)
+        val = self(x, xi)
+        return val, val, self.grad_xi(x, xi)
 
     def spot_check(self, rng=None, n=64, radius=10.0):
         """Random check of the growth bound |f| <= C(|xi|+1) and of continuity
@@ -144,12 +141,12 @@ class RecessionFn:
     `sphere_min`, when known analytically, is a lower bound on f_inf(x, xi)
     over every x and every xi with |xi|_F = 1 (the minimum for catalog
     entries); by homogeneity f_inf(x, xi) >= sphere_min |xi|_F.  None where
-    no bound is known.  `one_pass` is as_integrand's (see Integrand), and
-    keeps f_inf(x, 0) = +0.0.
+    no bound is known.  `one_pass` is the smoothing and gradient of
+    as_integrand (see Integrand), and keeps f_inf(x, 0) = +0.0.
     """
 
-    def __init__(self, fn, M, N, provenance="analytic", t_grid=None, grad=None,
-                 smoother=None, sphere_min=None, one_pass=None):
+    def __init__(self, fn, M, N, provenance="analytic", t_grid=None,
+                 sphere_min=None, one_pass=None):
         self._fn = fn
         self._one_pass = one_pass
         self.sphere_min = sphere_min
@@ -157,18 +154,11 @@ class RecessionFn:
         self.N = int(N)
         self.provenance = provenance
         self.t_grid = t_grid
-        self._grad = grad
-        self._smoother = smoother
 
     def __call__(self, x, xi):
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        out = self._fn(x, xi)
-        # f_inf(x, 0) = 0 is forced by 1-homogeneity
-        zero = _frob(xi) == 0.0
-        if np.any(zero):
-            out = np.where(zero, 0.0, out)
-        return out
+        return _plus_zero_at_origin(self._fn(x, xi), xi)
 
     def at(self, x, xi):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -178,12 +168,9 @@ class RecessionFn:
     def as_integrand(self, growth=None):
         """View the recession function itself as an integrand (f = f_inf)."""
         g = growth if growth is not None else self.sup_on_sphere() + 1.0
-        return Integrand(
-            self.__call__, self.M, self.N, g, tag="recession",
-            grad=self._grad, recession=self,
-            mu_analytic=lambda t: 0.0, smoother=self._smoother,
-            one_pass=self._one_pass,
-        )
+        return Integrand(self.__call__, self.M, self.N, g, tag="recession",
+                         recession=self, mu_analytic=lambda t: 0.0,
+                         one_pass=self._one_pass)
 
     def sup_on_sphere(self, x=None, samples=256, seed=0):
         """Largest |f_inf(x, xi)| over sampled unit xi, at the point x (None:
@@ -354,6 +341,16 @@ def _norm_pass(sign, smooth, recession=False):
     return one_pass
 
 
+def _norm_recession(sign, smooth, M, N):
+    """sign |xi|, the recession function of the entries built on |xi|."""
+
+    def fn(x, xi):
+        return sign * _frob(xi)
+
+    return RecessionFn(fn, M, N, sphere_min=sign,
+                       one_pass=_norm_pass(sign, smooth, recession=True))
+
+
 def _mk_linear(matrix, tag="linear"):
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     M, N = A.shape
@@ -361,14 +358,19 @@ def _mk_linear(matrix, tag="linear"):
     def fn(x, xi):
         return np.einsum("mn,kmn->k", A, xi)
 
-    def grad(x, xi):
-        return np.broadcast_to(A, xi.shape).copy()
+    def linear_pass(value):
+        def one_pass(x, xi, delta):
+            v = value(x, xi)
+            return v, v, np.broadcast_to(A, xi.shape).copy()
 
-    rec = RecessionFn(fn, M, N, grad=grad, sphere_min=-float(np.linalg.norm(A)))
+        return one_pass
+
+    rec_pass = linear_pass(lambda x, xi: _plus_zero_at_origin(fn(x, xi), xi))
+    rec = RecessionFn(fn, M, N, sphere_min=-float(np.linalg.norm(A)), one_pass=rec_pass)
     return Integrand(
         fn, M, N, growth=max(np.linalg.norm(A), 1e-12), tag=tag,
-        params={"matrix": A.tolist()}, grad=grad, recession=rec,
-        mu_analytic=lambda t: 0.0, convex=True,
+        params={"matrix": A.tolist()}, recession=rec, mu_analytic=lambda t: 0.0,
+        convex=True, one_pass=linear_pass(fn),
     )
 
 
@@ -376,27 +378,9 @@ def _mk_norm(sign=1.0, tag="norm", M=1, N=1):
     def fn(x, xi):
         return sign * _frob(xi)
 
-    def grad(x, xi):
-        n = np.maximum(_frob(xi), 1e-300)
-        return sign * xi / n[:, None, None]
-
-    def smoother(delta):
-        def fns(x, xi):
-            return sign * np.sqrt(_frob(xi) ** 2 + delta**2)
-
-        def grads(x, xi):
-            n = np.sqrt(_frob(xi) ** 2 + delta**2)
-            return sign * xi / n[:, None, None]
-
-        rec = RecessionFn(fn, M, N, grad=grad)
-        return Integrand(fns, M, N, 1.0 + delta, tag=tag + "_smoothed",
-                         grad=grads, recession=rec)
-
-    rec = RecessionFn(fn, M, N, grad=grad, smoother=lambda d: smoother(d),
-                      sphere_min=sign, one_pass=_norm_pass(sign, True, recession=True))
     return Integrand(
-        fn, M, N, growth=1.0, tag=tag, params={"M": M, "N": N}, grad=grad,
-        recession=rec, mu_analytic=lambda t: 0.0, smoother=smoother,
+        fn, M, N, growth=1.0, tag=tag, params={"M": M, "N": N},
+        recession=_norm_recession(sign, True, M, N), mu_analytic=lambda t: 0.0,
         convex=sign > 0, one_pass=_norm_pass(sign, True),
     )
 
@@ -405,22 +389,8 @@ def _mk_area(M=1, N=1):
     def fn(x, xi):
         return np.sqrt(1.0 + _frob(xi) ** 2)
 
-    def grad(x, xi):
-        return xi / np.sqrt(1.0 + _frob(xi) ** 2)[:, None, None]
-
-    def recfn(x, xi):
-        return _frob(xi)
-
-    def recgrad(x, xi):
-        n = np.maximum(_frob(xi), 1e-300)
-        return xi / n[:, None, None]
-
-    rec = RecessionFn(recfn, M, N, grad=recgrad,
-                      smoother=lambda d: _mk_norm(1.0, M=M, N=N).smoothed(d),
-                      sphere_min=1.0, one_pass=_norm_pass(1.0, True, recession=True))
-
     def one_pass(x, xi, delta):
-        s = np.sqrt(1.0 + _frob(xi) ** 2)
+        s = fn(x, xi)
         return s, s, xi / s[:, None, None]
 
     def mu(t):
@@ -428,40 +398,14 @@ def _mk_area(M=1, N=1):
         return (np.sqrt(1.0 + t * t) - t) / (1.0 + t)
 
     return Integrand(fn, M, N, growth=1.0, tag="area", params={"M": M, "N": N},
-                     grad=grad, recession=rec, mu_analytic=mu, convex=True,
-                     one_pass=one_pass)
+                     recession=_norm_recession(1.0, True, M, N), mu_analytic=mu,
+                     convex=True, one_pass=one_pass)
 
 
 def _mk_norm_sin(M=1, N=1):
     def fn(x, xi):
         n = _frob(xi)
         return n + np.sin(n)
-
-    def grad(x, xi):
-        n = np.maximum(_frob(xi), 1e-300)
-        return (1.0 + np.cos(n))[:, None, None] * xi / n[:, None, None]
-
-    def recfn(x, xi):
-        return _frob(xi)
-
-    def recgrad(x, xi):
-        n = np.maximum(_frob(xi), 1e-300)
-        return xi / n[:, None, None]
-
-    rec = RecessionFn(recfn, M, N, grad=recgrad, sphere_min=1.0,
-                      one_pass=_norm_pass(1.0, False, recession=True))
-
-    def smoother(delta):
-        def fns(x, xi):
-            n = np.sqrt(_frob(xi) ** 2 + delta**2)
-            return n + np.sin(n)
-
-        def grads(x, xi):
-            n = np.sqrt(_frob(xi) ** 2 + delta**2)
-            return (1.0 + np.cos(n))[:, None, None] * xi / n[:, None, None]
-
-        return Integrand(fns, M, N, 2.0 + delta, tag="norm_sin_smoothed",
-                         grad=grads, recession=rec)
 
     def one_pass(x, xi, delta):
         r = _frob(xi)
@@ -478,8 +422,9 @@ def _mk_norm_sin(M=1, N=1):
         s = t + np.linspace(0.0, 4.0 * np.pi, 4097)
         return float(np.max(np.abs(np.sin(s)) / (1.0 + s)))
 
+    # the recession |xi| is left unsmoothed
     return Integrand(fn, M, N, growth=2.0, tag="norm_sin", params={"M": M, "N": N},
-                     grad=grad, recession=rec, mu_analytic=mu, smoother=smoother,
+                     recession=_norm_recession(1.0, False, M, N), mu_analytic=mu,
                      one_pass=one_pass)
 
 
@@ -510,8 +455,9 @@ CATALOG_TAGS = tuple(tag for tag in CATALOG if tag != "composite")
 def catalog_get(tag, params=None):
     """Named integrand with correct growth constant and analytic recession.
 
-    Raises ValueError for an unknown tag, a parameter the tag does not declare
-    or a required one left out."""
+    Raises ValueError for an unknown tag, a parameter the tag does not declare,
+    a required one left out, a dimension that is not a positive integer or a
+    matrix or vector with a non-finite entry."""
     if tag not in CATALOG:
         raise ValueError(f"unknown integrand tag {tag!r} ({'|'.join(CATALOG)})")
     maker, declared = CATALOG[tag]
@@ -522,9 +468,12 @@ def catalog_get(tag, params=None):
                          f"{required}), got {sorted(params)}")
     for k in ("M", "N"):
         if k in params and not (isinstance(params[k], (int, np.integer))
-                                and params[k] > 0):
+                                and not isinstance(params[k], bool) and params[k] > 0):
             raise ValueError(f"parameter {k!r} must be a positive integer, "
                              f"got {params[k]!r}")
+    for k in ("matrix", "a", "t"):
+        if k in params and not np.all(np.isfinite(np.asarray(params[k], dtype=float))):
+            raise ValueError(f"parameter {k!r} must hold finite numbers, got {params[k]!r}")
     return maker(**{**declared, **params})
 
 
@@ -545,8 +494,12 @@ def composite(terms):
     def fn(x, xi):
         return sum(w * f(x, xi) for w, f in zip(ws, fs))
 
-    def grad(x, xi):
-        return sum(w * f.grad_xi(x, xi) for w, f in zip(ws, fs))
+    def summed(passes):
+        def one_pass(x, xi, delta):
+            outs = [p(x, xi, delta) for p in passes]
+            return tuple(sum(w * out[k] for w, out in zip(ws, outs)) for k in range(3))
+
+        return one_pass
 
     recs = [f.recession for f in fs]
     rec = None
@@ -556,27 +509,22 @@ def composite(terms):
             return sum(w * r(x, xi) for w, r in zip(ws, recs))
 
         mins = [r.sphere_min for r in recs]
+        rec_passes = [r._one_pass for r in recs]
         rec = RecessionFn(recfn, M, N, sphere_min=sum(w * m for w, m in zip(ws, mins))
-                          if nonnegative and None not in mins else None)
+                          if nonnegative and None not in mins else None,
+                          one_pass=None if None in rec_passes else summed(rec_passes))
 
     mu = None
     if all(f.mu_analytic is not None for f in fs):
         def mu(t):
             return sum(abs(w) * f.mu_analytic(t) for w, f in zip(ws, fs))
 
-    def smoother(delta):
-        return composite([(w, f.smoothed(delta)) for w, f in zip(ws, fs)])
-
-    def one_pass(x, xi, delta):
-        passes = [f.evaluate(x, xi, delta) for f in fs]
-        return tuple(sum(w * p[k] for w, p in zip(ws, passes)) for k in range(3))
-
     return Integrand(
         fn, M, N, growth=sum(abs(w) * f.growth for w, f in zip(ws, fs)),
         tag="composite",
         params={"terms": [(w, {"tag": f.tag, "params": f.params}) for w, f in terms]},
-        grad=grad, recession=rec, mu_analytic=mu, smoother=smoother,
-        convex=nonnegative and all(f.convex for f in fs), one_pass=one_pass,
+        recession=rec, mu_analytic=mu, convex=nonnegative and all(f.convex for f in fs),
+        one_pass=summed([f.evaluate for f in fs]),
     )
 
 
@@ -590,8 +538,13 @@ def modulate(f, c0, cvec):
     def fn(x, xi):
         return c(x) * f(x, xi)
 
-    def grad(x, xi):
-        return c(x)[:, None, None] * f.grad_xi(x, xi)
+    def scaled(inner):
+        def one_pass(x, xi, delta):
+            cx = c(x)
+            val, exact, grad = inner(x, xi, delta)
+            return cx * val, cx * exact, cx[:, None, None] * grad
+
+        return one_pass
 
     rec = None
     if f.recession is not None:
@@ -600,21 +553,14 @@ def modulate(f, c0, cvec):
         def recfn(x, xi):
             return c(x) * base_rec(x, xi)
 
-        rec = RecessionFn(recfn, f.M, f.N)
-
-    def smoother(delta):
-        return modulate(f.smoothed(delta), c0, cvec)
-
-    def one_pass(x, xi, delta):
-        cx = c(x)
-        val, exact, grad = f.evaluate(x, xi, delta)
-        return cx * val, cx * exact, cx[:, None, None] * grad
+        rec = RecessionFn(recfn, f.M, f.N, one_pass=None if base_rec._one_pass is None
+                          else scaled(base_rec._one_pass))
 
     return Integrand(
         fn, f.M, f.N, growth=f.growth * (abs(c0) + np.linalg.norm(cvec) * 10.0),
         tag=f"modulated({f.tag})", params={"c0": c0, "cvec": cvec.tolist(),
                                            "inner": f.tag},
-        grad=grad, recession=rec, smoother=smoother, one_pass=one_pass,
+        recession=rec, one_pass=scaled(f.evaluate),
     )
 
 
@@ -634,8 +580,11 @@ def freeze_x(f, x0):
     def fn(x, xi):
         return f(xs(len(xi)), xi)
 
-    def grad(x, xi):
-        return f.grad_xi(xs(len(xi)), xi)
+    def frozen(inner):
+        def one_pass(x, xi, delta):
+            return inner(xs(len(xi)), xi, delta)
+
+        return one_pass
 
     rec = None
     if f.recession is not None:
@@ -645,19 +594,14 @@ def freeze_x(f, x0):
             return base_rec(xs(len(xi)), xi)
 
         rec = RecessionFn(recfn, f.M, f.N, provenance=base_rec.provenance,
-                          sphere_min=base_rec.sphere_min)
-
-    def smoother(delta):
-        return freeze_x(f.smoothed(delta), x0)
-
-    def one_pass(x, xi, delta):
-        return f.evaluate(xs(len(xi)), xi, delta)
+                          sphere_min=base_rec.sphere_min,
+                          one_pass=None if base_rec._one_pass is None
+                          else frozen(base_rec._one_pass))
 
     g = Integrand(
         fn, f.M, f.N, growth=f.growth, tag=f"frozen({f.tag})",
-        params={"x0": x0.tolist(), "inner": f.tag}, grad=grad, recession=rec,
-        mu_analytic=f.mu_analytic, smoother=smoother, convex=f.convex,
-        one_pass=one_pass,
+        params={"x0": x0.tolist(), "inner": f.tag}, recession=rec,
+        mu_analytic=f.mu_analytic, convex=f.convex, one_pass=frozen(f.evaluate),
     )
     g.frozen = (f, x0)
     return g

@@ -322,7 +322,7 @@ class BulkObjective(_Objective):
             val, exact, dg = g.evaluate(x, xi, delta)
             vals = val if exact is val else np.concatenate((val, exact))
         else:
-            vals = g.smoothed(delta)(x, xi)
+            vals = g(x, xi) if delta == 0.0 else g.evaluate(x, xi, delta)[0]
         if self._frozen:
             vals = np.repeat(vals, nq)
         # the smoothed and exact sums in one reduction, row by row as each alone

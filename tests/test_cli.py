@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bvlsc.cli import main
+from bvlsc.cli import main, resolve_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BUNDLES = ["example_1_2", "example_1_2_extended", "norm_square",
@@ -62,6 +62,21 @@ def test_negative_seed_override_is_a_config_error(command, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert "config error: --seed must be non-negative" in capsys.readouterr().out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("params", ['{"matrix": [[1e400, 1.0]]}', '{"matrix": [[NaN, 1.0]]}',
+                                    '{"a": [1e400], "t": [0.0, 1.0]}'])
+def test_non_finite_integrand_parameter_exits_2(tmp_path, capsys, params):
+    text = resolve_config("nulllag_square").read_text()
+    tag = "boundary_null_lagrangian" if '"a"' in params else "linear"
+    lines = [f' "integrand": {{"tag": "{tag}", "params": {params}}},'
+             if line.startswith(' "integrand":') else line for line in text.splitlines()]
+    path = tmp_path / "cfg.json"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "config error" in out and "integrand" in out and "finite" in out
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_h_flag_overrides_mesh(tmp_path):

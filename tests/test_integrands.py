@@ -194,17 +194,31 @@ def test_freeze_x_pins_position():
 
 def test_smoothed_surrogate_close_and_true_at_zero():
     f = catalog_get("norm")
-    fs = f.smoothed(1e-2)
     xi = np.array([[[1.0]]])
     x = np.zeros((1, 1))
-    assert fs(x, xi)[0] == pytest.approx(np.sqrt(1 + 1e-4))
-    assert f.smoothed(0.0) is f
+    val, exact, _ = f.evaluate(x, xi, 1e-2)
+    assert val[0] == pytest.approx(np.sqrt(1 + 1e-4))
+    assert exact[0] == 1.0
+    val, exact, _ = f.evaluate(x, xi, 0.0)
+    assert val.tobytes() == exact.tobytes() == f(x, xi).tobytes()
 
 
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
         catalog_get("mystery")
     assert len(catalog_tags()) == 6
+
+
+@pytest.mark.parametrize("tag, params, key", [
+    ("linear", {"matrix": [[float("inf"), 1.0]]}, "matrix"),
+    ("linear", {"matrix": [[float("nan")]]}, "matrix"),
+    ("boundary_null_lagrangian", {"a": [float("inf")], "t": [1.0]}, "a"),
+    ("boundary_null_lagrangian", {"a": [1.0], "t": [float("nan"), 1.0]}, "t"),
+    ("norm", {"M": True}, "M"),
+])
+def test_non_finite_or_bool_parameter_rejected(tag, params, key):
+    with pytest.raises(ValueError, match=f"parameter '{key}'"):
+        catalog_get(tag, params)
 
 
 def test_grad_finite_difference_fallback():
@@ -217,7 +231,7 @@ def test_grad_finite_difference_fallback():
     assert np.allclose(g, 2 * xi, atol=1e-5)
 
 
-# -- one pass: smoothed values, exact values and smoothed gradient -------------
+# -- the pass: smoothed values, exact values and smoothed gradient -------------
 
 
 def _entry(tag, N):
@@ -249,14 +263,48 @@ def _one_pass_cases(N):
 @pytest.mark.parametrize("delta", [0.0, 1e-2])
 @pytest.mark.parametrize("name", sorted(_one_pass_cases(2)))
 def test_one_pass_equals_the_three_calls(name, delta, N):
+    """The pass against three other computations: its exact values carry the
+    bits of f(x, xi) (a separate code path, fn), its smoothed values are the
+    exact ones at delta = 0, and its gradient is the central difference of
+    its smoothed values wherever xi != 0."""
     f = _one_pass_cases(N)[name]
     rng = np.random.default_rng(3)
     x = rng.random((7, N))
     xi = rng.normal(size=(7, 1, N))
     xi[[0, 4]] = 0.0  # f_inf(x, 0) reads +0.0, also for negnorm's -|xi|
     val, exact, grad = f.evaluate(x, xi, delta)
-    fs = f.smoothed(delta)
-    assert val.tobytes() == fs(x, xi).tobytes()
     assert exact.tobytes() == f(x, xi).tobytes()
-    assert grad.tobytes() == fs.grad_xi(x, xi).tobytes()
-    assert f.smoothed(delta) is fs  # cached
+    if delta == 0.0:
+        assert val.tobytes() == exact.tobytes()
+    diff = np.zeros_like(xi)
+    for j in range(N):
+        e = np.zeros_like(xi)
+        e[:, 0, j] = 1e-6
+        diff[:, 0, j] = (f.evaluate(x, xi + e, delta)[0] - f.evaluate(x, xi - e, delta)[0]) / 2e-6
+    live = np.any(xi != 0.0, axis=(1, 2))
+    assert np.allclose(grad[live], diff[live], rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("N", [1, 2], ids=["1d", "2d"])
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+def test_combined_recessions_combine_their_terms_passes(delta, N):
+    """The recession of a composite, modulation or frozen integrand evaluates
+    as that combinator over its terms' recessions: smoothed, with analytic
+    gradients."""
+    terms = [(1.0, _entry("norm_sin", N)), (-0.5, _entry("negnorm", N)),
+             (2.0, _entry("linear", N)), (0.3, _entry("area", N))]
+    cvec, x0 = [0.5, -0.4][:N], [0.3, 0.6][:N]
+    f = _entry("norm", N)
+    pairs = [
+        (composite(terms), composite([(w, g.recession.as_integrand()) for w, g in terms])),
+        (modulate(f, 1.2, cvec), modulate(f.recession.as_integrand(), 1.2, cvec)),
+        (freeze_x(f, x0), freeze_x(f.recession.as_integrand(), x0)),
+    ]
+    rng = np.random.default_rng(5)
+    x = rng.random((7, N))
+    xi = rng.normal(size=(7, 1, N))
+    xi[[1, 5]] = 0.0
+    for g, combined in pairs:
+        got = g.recession.as_integrand().evaluate(x, xi, delta)
+        want = combined.evaluate(x, xi, delta)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]

@@ -65,8 +65,7 @@ def test_translation_consistency():
         return f(x, eta + xi[None, :, :])
 
     g = Integrand(shifted, 1, 2, growth=f.growth + np.linalg.norm(xi),
-                  grad=lambda x, eta: f.grad_xi(x, eta + xi[None, :, :]),
-                  smoother=None)
+                  grad=lambda x, eta: f.grad_xi(x, eta + xi[None, :, :]))
     rep2 = qc_deficit(g, np.zeros((1, 2)), options=FAST)
     assert rep1.deficit == pytest.approx(rep2.deficit, abs=1e-6)
 
