@@ -9,6 +9,18 @@ Three numerical forms are provided:
     constant in the growth inequality drops out, so nonnegativity of this
     quotient is the whole condition; "violated" means quotient < -tol.
 
+    qslb_deficits, the check analyze runs, takes the quotient in closed form
+    where it is exact.  For f_inf(x0, xi) = c |xi|_F + A : xi (see
+    RecessionFn.split_at) and outward normal nu, the constant divergence-free
+    tau = (A nu) (x) nu - A has tau nu = 0 on the flat facet, so
+    integral A : grad phi = integral (A nu) . (grad phi nu) for every field
+    clamped on the arc, and every quotient is >= c - |A nu| (the normal-trace
+    pairing of Anzellotti, Ann. Mat. Pura Appl. 135, 1983).  In 1D every
+    field whose components share one monotone profile attains it, and in 2D
+    with A nu = 0 every field does, so there the mesh minimum is c - |A nu|
+    itself.  In 2D with A nu != 0 it lies strictly above, and the mesh solve
+    decides.
+
   * epsdelta_probe -- the local form on an actual domain patch: for each
     (eps, delta), minimize  integral f(x, grad v) + eps * integral |grad v|
     over clamped patch fields at gradient-TV caps R in {1, 10, 100} and look
@@ -26,15 +38,25 @@ from dataclasses import replace
 import numpy as np
 
 from .integrands import freeze_x
-from .meshing import BoundaryPoint, MeshStack, halfball_mesh, local_patch
+from .meshing import (
+    BoundaryPoint,
+    MeshBudgetError,
+    MeshStack,
+    halfball_cells,
+    halfball_mesh,
+    local_patch,
+)
 from .minimize import (
     BulkObjective,
     LinearCombo,
     RayleighQuotient,
+    SolverBudgetError,
     SolverOptions,
+    TestField,
     TVObjective,
     minimize_field,
     minimize_fields,
+    work_error,
 )
 from .quasiconvex import qc_deficit
 
@@ -43,15 +65,17 @@ __all__ = [
     "QuotientBoundError",
     "halfball_deficit",
     "halfball_deficits",
+    "qslb_deficits",
     "epsdelta_probe",
     "equivalence_harness",
 ]
 
 
 class QuotientBoundError(ArithmeticError):
-    """The minimized half-ball quotient left [-C_inf, C_inf], C_inf the sup of
-    |f_inf(x0, .)| on the unit sphere at the boundary point, which a quotient
-    of a 1-homogeneous integral by the total variation cannot do."""
+    """The minimized half-ball quotient left [-C_inf, C_inf], C_inf a bound on
+    |f_inf(x0, .)| on the unit sphere at the boundary point (see
+    _sphere_bound), which a quotient of a 1-homogeneous integral by the total
+    variation cannot do."""
 
 
 class QslbReport:
@@ -101,6 +125,24 @@ def _ramp_profile(mesh, direction, width):
     s = s - float(np.min(s))
     t = np.clip(1.0 - s / width, 0.0, 1.0)
     return t
+
+
+def _halfball_restarts(options, M, dim):
+    """Starts of a half-ball solve: room for default_inits' 2 M dim tents, the
+    8 M boundary-layer ramps of _layer_inits (four widths, two signs) and the
+    caller's extra_inits."""
+    return max(options.restarts, 2 * M * dim + 8 * M + len(options.extra_inits))
+
+
+def _sphere_bound(finf, x):
+    """Bound on |f_inf(x, xi)| over unit xi: |c| + |A|_F where the split
+    c |xi|_F + A : xi is known, else the sampled RecessionFn.sup_on_sphere
+    (which falls short of the supremum once M N >= 3)."""
+    split = finf.split_at(x)
+    if split is None:
+        return finf.sup_on_sphere(x)
+    c, A = split
+    return abs(float(c)) + float(np.linalg.norm(A))
 
 
 def _layer_inits(mesh, nu, M, clamped, widths):
@@ -154,9 +196,7 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
         extra = tuple(_layer_inits(mesh, x0.normal, base.M, clamped, widths)) + tuple(
             opts.extra_inits
         )
-        # room for every extra after default_inits' 2 M dim tents
-        tents = 2 * base.M * mesh.dim
-        opts = replace(opts, restarts=max(opts.restarts, tents + len(extra)),
+        opts = replace(opts, restarts=_halfball_restarts(opts, base.M, mesh.dim),
                        mode="normalize", grad_cap=0.0, tv_cap=0.0, extra_inits=extra)
         family.append((j, mesh, freeze_x(base, x0.x0), clamped, opts))
     if not family:
@@ -172,14 +212,82 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
     for (j, mesh, _, _, _), res in zip(family, results):
         x0 = jobs[j][0]
         out[j] = res if isinstance(res, Exception) else _qslb_report(
-            x0, mesh, res, finf.sup_on_sphere(x0.x0), tol)
+            x0, mesh, res, _sphere_bound(finf, x0.x0), tol)
     return out
+
+
+def qslb_deficits(finf, jobs, h=0.05, tol=1e-3):
+    """halfball_deficits, with the closed form c - |A nu| (module docstring)
+    for each job whose recession splits at x0 and whose half-ball has N = 1
+    or A nu = 0; every other job goes to halfball_deficits, as one family.
+
+    A closed-form job builds no mesh and runs no solve, but it errs as its
+    mesh solve would on a half-ball mesh over the cell budget or a solve over
+    the work budget.  Only a violation builds the half-ball mesh, for its
+    witness: the strip ramp of _strip_witness, whose mesh quotient the
+    diagnostics carry.
+    """
+    out = [None] * len(jobs)
+    rest = []  # the jobs of the mesh family
+    for j, (x0, options) in enumerate(jobs):
+        split = finf.split_at(x0.x0) if isinstance(x0, BoundaryPoint) else None
+        if split is not None:
+            c, A = split
+            a_nu = A @ x0.normal
+            if len(x0.normal) == 1 or np.linalg.norm(a_nu) <= 1e-12 * np.linalg.norm(A):
+                try:
+                    out[j] = _closed_form_report(finf, x0, float(c), a_nu,
+                                                 options or SolverOptions(), h, tol)
+                except (MeshBudgetError, SolverBudgetError) as e:
+                    out[j] = e
+                continue
+        rest.append(j)
+    if rest:
+        family = halfball_deficits(finf, [jobs[j] for j in rest], h=h, tol=tol)
+        for j, rep in zip(rest, family):
+            out[j] = rep
+    return out
+
+
+def _closed_form_report(finf, x0, c, a_nu, options, h, tol):
+    nu = x0.normal
+    cells = halfball_cells(nu, h)
+    budget = work_error(cells, replace(
+        options, restarts=_halfball_restarts(options, finf.M, len(nu))))
+    if budget is not None:
+        raise budget
+    r = float(np.linalg.norm(a_nu))
+    deficit = c - r
+    violated = deficit < -tol
+    diagnostics = {"source": "closed_form", "low_confidence": False, "iterations": 0,
+                   "sphere_bound": _sphere_bound(finf, x0.x0)}
+    witness = None
+    if violated:
+        mesh = halfball_mesh(nu, h)
+        s = -a_nu / r if r > 0 else np.eye(finf.M)[0]
+        witness = _strip_witness(mesh, nu, s)
+        quotient = RayleighQuotient(BulkObjective(mesh, freeze_x(finf.as_integrand(), x0.x0)),
+                                    TVObjective(mesh, finf.M))
+        diagnostics.update(h=mesh.h, witness_quotient=float(quotient.value(witness.values)))
+    return QslbReport(x0=x0.x0, nu=nu, deficit=deficit,
+                      verdict="violated" if violated else "qslb-plausible",
+                      witness=witness, tol=tol, diagnostics=diagnostics)
+
+
+def _strip_witness(mesh, nu, s):
+    """s max(0, 1 - dist / (2 h)), dist the distance to the flat facet, with
+    the clamped vertices zero, scaled to unit total variation: the half-ball
+    field whose quotient is c - |A nu| for s = -A nu / |A nu|."""
+    clamped = _halfball_clamped(mesh, nu)
+    values = np.outer(_ramp_profile(mesh, -nu, 2 * mesh.h), s)
+    values[clamped] = 0.0
+    return TestField(mesh, values / TVObjective(mesh, len(s)).value(values), clamped)
 
 
 def _qslb_report(x0, mesh, res, c_inf, tol):
     deficit = res.value
     # the quotient of sums can never leave [-C_inf, C_inf]; the margin covers
-    # the sampling error of the sphere maximum
+    # rounding and the sampling error of a sampled sphere maximum
     if abs(deficit) > c_inf * (1.0 + 1e-3) + 1e-6:
         return QuotientBoundError(
             f"quotient {deficit} outside the homogeneity bound [-{c_inf}, {c_inf}]"
@@ -193,6 +301,7 @@ def _qslb_report(x0, mesh, res, c_inf, tol):
         witness=res.witness if violated else None,
         tol=tol,
         diagnostics={
+            "source": "mesh",
             "low_confidence": res.low_confidence,
             "iterations": res.iterations,
             "stationarity_residual": res.stationarity_residual,

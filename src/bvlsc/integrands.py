@@ -142,13 +142,15 @@ class RecessionFn:
     over every x and every xi with |xi|_F = 1 (the minimum for catalog
     entries); by homogeneity f_inf(x, xi) >= sphere_min |xi|_F.  None where
     no bound is known.  `one_pass` is the smoothing and gradient of
-    as_integrand (see Integrand), and keeps f_inf(x, 0) = +0.0.
+    as_integrand (see Integrand), and keeps f_inf(x, 0) = +0.0.  `split`,
+    where known, maps a point x to the (c, A) of split_at.
     """
 
     def __init__(self, fn, M, N, provenance="analytic", t_grid=None,
-                 sphere_min=None, one_pass=None):
+                 sphere_min=None, one_pass=None, split=None):
         self._fn = fn
         self._one_pass = one_pass
+        self._split = split
         self.sphere_min = sphere_min
         self.M = int(M)
         self.N = int(N)
@@ -164,6 +166,13 @@ class RecessionFn:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xi = np.asarray(xi, dtype=float).reshape(self.M, self.N)
         return float(self(x[None, :], xi[None, :, :])[0])
+
+    def split_at(self, x):
+        """(c, A), A of shape (M, N), with f_inf(x, xi) = c |xi|_F + A : xi
+        for every xi, at the point x; None where no split is known."""
+        if self._split is None:
+            return None
+        return self._split(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def as_integrand(self, growth=None):
         """View the recession function itself as an integrand (f = f_inf)."""
@@ -341,6 +350,12 @@ def _norm_pass(sign, smooth, recession=False):
     return one_pass
 
 
+def _constant_split(c, A):
+    """The split of a recession function c |xi|_F + A : xi the same at every x."""
+    A = np.asarray(A, dtype=float)
+    return lambda x: (float(c), A.copy())
+
+
 def _norm_recession(sign, smooth, M, N):
     """sign |xi|, the recession function of the entries built on |xi|."""
 
@@ -348,7 +363,8 @@ def _norm_recession(sign, smooth, M, N):
         return sign * _frob(xi)
 
     return RecessionFn(fn, M, N, sphere_min=sign,
-                       one_pass=_norm_pass(sign, smooth, recession=True))
+                       one_pass=_norm_pass(sign, smooth, recession=True),
+                       split=_constant_split(sign, np.zeros((M, N))))
 
 
 def _mk_linear(matrix, tag="linear"):
@@ -366,7 +382,8 @@ def _mk_linear(matrix, tag="linear"):
         return one_pass
 
     rec_pass = linear_pass(lambda x, xi: _plus_zero_at_origin(fn(x, xi), xi))
-    rec = RecessionFn(fn, M, N, sphere_min=-float(np.linalg.norm(A)), one_pass=rec_pass)
+    rec = RecessionFn(fn, M, N, sphere_min=-float(np.linalg.norm(A)), one_pass=rec_pass,
+                      split=_constant_split(0.0, A))
     return Integrand(
         fn, M, N, growth=max(np.linalg.norm(A), 1e-12), tag=tag,
         params={"matrix": A.tolist()}, recession=rec, mu_analytic=lambda t: 0.0,
@@ -508,11 +525,19 @@ def composite(terms):
         def recfn(x, xi):
             return sum(w * r(x, xi) for w, r in zip(ws, recs))
 
+        def split(x):
+            parts = [r.split_at(x) for r in recs]
+            if None in parts:
+                return None
+            return (sum(w * c for w, (c, _) in zip(ws, parts)),
+                    sum(w * A for w, (_, A) in zip(ws, parts)))
+
         mins = [r.sphere_min for r in recs]
         rec_passes = [r._one_pass for r in recs]
         rec = RecessionFn(recfn, M, N, sphere_min=sum(w * m for w, m in zip(ws, mins))
                           if nonnegative and None not in mins else None,
-                          one_pass=None if None in rec_passes else summed(rec_passes))
+                          one_pass=None if None in rec_passes else summed(rec_passes),
+                          split=split)
 
     mu = None
     if all(f.mu_analytic is not None for f in fs):
@@ -553,8 +578,12 @@ def modulate(f, c0, cvec):
         def recfn(x, xi):
             return c(x) * base_rec(x, xi)
 
+        def split(x):
+            part = base_rec.split_at(x)
+            return None if part is None else (c(x) * part[0], c(x) * part[1])
+
         rec = RecessionFn(recfn, f.M, f.N, one_pass=None if base_rec._one_pass is None
-                          else scaled(base_rec._one_pass))
+                          else scaled(base_rec._one_pass), split=split)
 
     return Integrand(
         fn, f.M, f.N, growth=f.growth * (abs(c0) + np.linalg.norm(cvec) * 10.0),
@@ -596,7 +625,8 @@ def freeze_x(f, x0):
         rec = RecessionFn(recfn, f.M, f.N, provenance=base_rec.provenance,
                           sphere_min=base_rec.sphere_min,
                           one_pass=None if base_rec._one_pass is None
-                          else frozen(base_rec._one_pass))
+                          else frozen(base_rec._one_pass),
+                          split=lambda x: base_rec.split_at(x0))
 
     g = Integrand(
         fn, f.M, f.N, growth=f.growth, tag=f"frozen({f.tag})",

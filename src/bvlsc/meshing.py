@@ -22,6 +22,8 @@ rectangle, polygon and half-ball constructors refuse meshes over MAX_CELLS
 cells with MeshBudgetError before building anything.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -526,9 +528,13 @@ class MeshStack:
 # -- constructors -----------------------------------------------------------
 
 
-def interval_mesh(a, b, h_target, domain=None):
+def _interval_cells(a, b, h_target):
     _check_budget((b - a) / h_target, f"h={h_target} on [{a}, {b}]")
-    n = max(1, int(np.ceil((b - a) / h_target)))
+    return max(1, int(np.ceil((b - a) / h_target)))
+
+
+def interval_mesh(a, b, h_target, domain=None):
+    n = _interval_cells(a, b, h_target)
     verts = np.linspace(a, b, n + 1)[:, None]
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     return Mesh(verts, cells, domain=domain or Domain.interval(a, b))
@@ -607,24 +613,24 @@ def _polygon_mesh(domain, h):
     return mesh
 
 
-def halfball_mesh(normal, h_target):
-    """Mesh of D_nu = {y in B_1(0): y.nu < 0}.
+def _halfball_interval(nu):
+    """The 1D half-ball of the normal nu: the unit interval opposite it."""
+    return (-1.0, 0.0) if nu[0] > 0 else (0.0, 1.0)
 
-    1D: D_nu is the unit interval on the side opposite the normal.
-    2D: concentric polar rings in the canonical frame nu = e1 (left half-disk,
-    flat facet exactly on {y1 = 0}), Delaunay-triangulated, then rotated so
-    the flat facet lies on {y.nu = 0}.
-    """
-    nu = np.atleast_1d(np.asarray(normal, dtype=float))
-    nu = nu / np.linalg.norm(nu)
-    domain = Domain.halfball(nu)
-    if len(nu) == 1:
-        if nu[0] > 0:
-            return interval_mesh(-1.0, 0.0, h_target, domain=domain)
-        return interval_mesh(0.0, 1.0, h_target, domain=domain)
 
+def _canonical_halfball(h_target):
+    """Ring points and cells of the 2D half-ball in the canonical frame nu =
+    e1, after the cell budget check, which runs on every call."""
     nr = max(2, int(np.ceil(1.0 / h_target)))
     _check_budget(4 * nr * nr, f"h={h_target}")
+    return _triangulated_halfball(nr, h_target)
+
+
+@functools.lru_cache(maxsize=8)
+def _triangulated_halfball(nr, h_target):
+    """_canonical_halfball's points and cells, locked, Delaunay-triangulated
+    once per h and shared by every normal; the cells are oriented as Mesh
+    orients them, so every rotation keeps this one array."""
     pts = [np.zeros(2)]
     for k in range(1, nr + 1):
         r = k / nr
@@ -640,11 +646,37 @@ def halfball_mesh(normal, h_target):
 
     tri = Delaunay(pts)
     areas = _sub_measures(pts, tri.simplices, 2)
-    cells = tri.simplices[areas > 1e-13]
+    return _lock(pts), Mesh(pts, tri.simplices[areas > 1e-13]).cells
+
+
+def halfball_mesh(normal, h_target):
+    """Mesh of D_nu = {y in B_1(0): y.nu < 0}.
+
+    1D: D_nu is the unit interval on the side opposite the normal.
+    2D: concentric polar rings in the canonical frame nu = e1 (left half-disk,
+    flat facet exactly on {y1 = 0}), Delaunay-triangulated once per h, then
+    rotated so the flat facet lies on {y.nu = 0}.
+    """
+    nu = np.atleast_1d(np.asarray(normal, dtype=float))
+    nu = nu / np.linalg.norm(nu)
+    domain = Domain.halfball(nu)
+    if len(nu) == 1:
+        return interval_mesh(*_halfball_interval(nu), h_target, domain=domain)
+    pts, cells = _canonical_halfball(h_target)
     # rotate canonical frame (nu = e1) onto the requested normal
     R = np.array([[nu[0], -nu[1]], [nu[1], nu[0]]])
-    verts = pts @ R.T
-    return Mesh(verts, cells, domain=domain)
+    return Mesh(pts @ R.T, cells, domain=domain)
+
+
+def halfball_cells(normal, h_target):
+    """halfball_mesh(normal, h_target).n_cells, without building the mesh;
+    raises the MeshBudgetError that halfball_mesh raises.  Left out of
+    __all__, whose functions return meshes (benchmarks/tracing.py counts
+    their cells)."""
+    nu = np.atleast_1d(np.asarray(normal, dtype=float))
+    if len(nu) == 1:
+        return _interval_cells(*_halfball_interval(nu), h_target)
+    return len(_canonical_halfball(h_target)[1])
 
 
 def build_mesh(domain, h_target):

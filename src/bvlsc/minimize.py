@@ -546,6 +546,24 @@ def minimize_fields(objective, problems, on=None, floors=None):
     return _solve(objective, problems, on, floors)
 
 
+def work_error(n_cells, options):
+    """The SolverBudgetError of a solve with `options` on a mesh of n_cells
+    cells, whose cells x restarts x iterations exceed MAX_WORK; None for a
+    solve that fits."""
+    n = max(options.restarts, len(options.extra_inits) + 1)  # starts it makes
+    work = n_cells * n * options.max_iter
+    if work <= MAX_WORK:
+        return None
+    # Decimal formats an int of any size, where float() would overflow;
+    # imported here, off the import path of every solve that fits
+    from decimal import Decimal
+
+    return SolverBudgetError(
+        f"solve needs {n_cells} cells x {n} restarts x {options.max_iter} "
+        f"iterations = {Decimal(work):.3g}, over the budget {MAX_WORK:.3g}"
+    )
+
+
 def _solve(objective, problems, on, floors):
     out = [None] * len(problems)  # per problem: its result or error
     options = problems[0][2]
@@ -562,18 +580,8 @@ def _solve(objective, problems, on, floors):
                          f"{objective.copies} copies")
     starts, owner = [], []
     for p, (mesh, clamped, opts) in enumerate(problems):
-        n = max(opts.restarts, len(opts.extra_inits) + 1)  # starts made below
-        work = mesh.n_cells * n * opts.max_iter
-        if work > MAX_WORK:
-            # Decimal formats an int of any size, where float() would overflow;
-            # imported here, off the import path of every solve that fits
-            from decimal import Decimal
-
-            out[p] = SolverBudgetError(
-                f"solve needs {mesh.n_cells} cells x {n} restarts x "
-                f"{opts.max_iter} iterations = {Decimal(work):.3g}, "
-                f"over the budget {MAX_WORK:.3g}"
-            )
+        out[p] = work_error(mesh.n_cells, opts)
+        if out[p] is not None:
             continue
         inits = default_inits(mesh, objective.M, np.asarray(clamped, dtype=np.int64),
                               opts, np.random.default_rng(opts.seed))

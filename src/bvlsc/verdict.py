@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import equivalence_harness, halfball_deficits
+from .boundary import equivalence_harness, halfball_deficits, qslb_deficits
 from .decompose import CoverSpec, local_decompose, require_1d, verify_properties
 from .integrands import CATALOG, catalog_get, estimated_recession, mu_estimate, freeze_x
 from . import minimize
@@ -519,8 +519,8 @@ def analyze(scenario):
     if not checks["qslb"]:
         boundary_pts, corner_pts = [], []
     jobs = [(bp, scenario.solver_options(1000 + bi)) for bi, bp in enumerate(boundary_pts)]
-    for rep in _entries(jobs, lambda js: halfball_deficits(finf, js, h=qslb_cfg["h"],
-                                                           tol=qslb_cfg["tol"])):
+    for rep in _entries(jobs, lambda js: qslb_deficits(finf, js, h=qslb_cfg["h"],
+                                                       tol=qslb_cfg["tol"])):
         if isinstance(rep, Exception):
             errors.append({"job": "qslb", "error": str(rep)})
         else:

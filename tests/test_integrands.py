@@ -192,6 +192,52 @@ def test_freeze_x_pins_position():
     assert g(x, xi)[0] == pytest.approx(2.5)
 
 
+SPLIT_2D = [
+    ("linear", {"matrix": [[0.6, -0.8], [2.0, 1.0]]}),
+    ("norm", {"M": 2, "N": 2}),
+    ("negnorm", {"M": 1, "N": 2}),
+    ("area", {"M": 1, "N": 2}),
+    ("boundary_null_lagrangian", {"a": [1.0, -2.0], "t": [0.6, 0.8]}),
+    ("norm_sin", {"M": 2, "N": 2}),
+]
+
+
+def _splits():
+    """Recessions with a split, each with a point to split it at: the catalog,
+    a composite with a negative weight, a modulation and a frozen one."""
+    for tag, params in CATALOG_1D + SPLIT_2D:
+        f = catalog_get(tag, params)
+        yield tag, f, [0.3] * f.N
+    lin = catalog_get("linear", {"matrix": [[0.6, -0.8]]})
+    norm = catalog_get("norm", {"M": 1, "N": 2})
+    both = composite([(2.0, norm), (-1.5, lin)])
+    yield "composite", both, [0.3, 0.7]
+    yield "modulate", modulate(both, 1.0, [0.5, -0.25]), [0.8, 0.4]
+    yield "freeze_x", freeze_x(modulate(both, 1.0, [0.5, -0.25]), [0.8, 0.4]), [0.0, 0.0]
+
+
+@pytest.mark.parametrize("name,f,x", list(_splits()), ids=[n for n, _, _ in _splits()])
+def test_recession_split_reproduces_the_recession(name, f, x):
+    c, A = f.recession.split_at(x)
+    assert A.shape == (f.M, f.N)
+    xi = random_xis(f.M, f.N, 16, seed=3)
+    want = f.recession(np.tile(x, (16, 1)), xi)
+    got = c * np.linalg.norm(xi.reshape(16, -1), axis=1) + np.einsum("mn,kmn->k", A, xi)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_split_is_known_only_where_every_part_has_one():
+    est = estimated_recession(catalog_get("area"))
+    assert est.split_at([0.0]) is None
+    user = Integrand(lambda x, xi: np.abs(xi[:, 0, 0]), 1, 1, 1.0,
+                     recession=est)
+    mixed = composite([(1.0, catalog_get("norm")), (1.0, user)])
+    assert mixed.recession.split_at([0.0]) is None
+    assert modulate(user, 1.0, [0.5]).recession.split_at([0.0]) is None
+    assert freeze_x(user, [0.5]).recession.split_at([0.0]) is None
+    assert catalog_get("norm").recession.split_at([0.0])[0] == 1.0
+
+
 def test_smoothed_surrogate_close_and_true_at_zero():
     f = catalog_get("norm")
     xi = np.array([[[1.0]]])

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -18,7 +19,8 @@ from bvlsc.meshing import (
     row_norms,
     unit_square_mesh,
 )
-from bvlsc.meshing import _refine_all
+from bvlsc import meshing
+from bvlsc.meshing import _canonical_halfball, _refine_all, _sub_measures, halfball_cells
 from bvlsc.quasiconvex import default_qc_mesh
 from mesh_helpers import shuffled_interval_mesh, shuffled_triangle_mesh
 
@@ -99,6 +101,44 @@ def test_halfball_area_within_chord_error():
     m = halfball_mesh([1.0, 0.0], h)
     # polygonal approximation: area deficit is O(h^2)
     assert 0 < np.pi / 2 - m.cell_measures.sum() < h * h
+
+
+HALFBALL_NORMALS = ([1.0, 0.0], [0.6, 0.8], [0.0, -1.0], [-np.sqrt(0.5), np.sqrt(0.5)])
+
+
+@pytest.mark.parametrize("h", [0.5, 0.25, 0.1, 0.05])
+def test_halfball_mesh_rotates_one_triangulation_per_h_as_a_fresh_build(h):
+    """A fresh build triangulates the canonical ring points again and lets the
+    rotated mesh orient its own cells."""
+    from scipy.spatial import Delaunay
+
+    meshes = [halfball_mesh(nu, h) for nu in HALFBALL_NORMALS]
+    pts = _canonical_halfball(h)[0]
+    simplices = Delaunay(pts).simplices
+    simplices = simplices[_sub_measures(pts, simplices, 2) > 1e-13]
+    for nu, mesh in zip(HALFBALL_NORMALS, meshes):
+        nu = np.asarray(nu) / np.linalg.norm(nu)
+        fresh = Mesh(pts @ np.array([[nu[0], -nu[1]], [nu[1], nu[0]]]).T, simplices)
+        assert mesh.vertices.tobytes() == fresh.vertices.tobytes()
+        assert mesh.cells.tobytes() == fresh.cells.tobytes()
+        assert halfball_cells(nu, h) == mesh.n_cells
+
+
+def test_a_stack_of_four_halfball_normals_shares_one_cells_array():
+    meshes = [halfball_mesh(nu, 0.1) for nu in HALFBALL_NORMALS]
+    stack = MeshStack(meshes)
+    assert all(m.cells is stack.cells for m in meshes)
+
+
+@pytest.mark.parametrize("nu", [[1.0], [-1.0], [0.6, 0.8]])
+def test_halfball_cells_refuses_what_halfball_mesh_refuses(nu, monkeypatch):
+    assert halfball_cells(nu, 0.25) == halfball_mesh(nu, 0.25).n_cells
+    # the budget is checked on every call, also for a triangulation already kept
+    monkeypatch.setattr(meshing, "MAX_CELLS", 3)
+    with pytest.raises(MeshBudgetError) as want:
+        halfball_mesh(nu, 0.25)
+    with pytest.raises(MeshBudgetError, match=re.escape(str(want.value))):
+        halfball_cells(nu, 0.25)
 
 
 def test_mesh_budget_rejected():

@@ -21,6 +21,14 @@ def load(name):
     return Scenario.from_file(resolve_config(name))
 
 
+def linear_square():
+    """norm_square's square with f = A : xi, A = [[0.6, -0.8]]: A nu != 0 on
+    every edge, so every boundary point takes the half-ball mesh solve."""
+    cfg = json.loads(resolve_config("norm_square").read_text())
+    cfg["integrand"] = {"tag": "linear", "params": {"matrix": [[0.6, -0.8]]}}
+    return Scenario(cfg)
+
+
 def test_bundles_resolve():
     names = set(bundled_scenarios())
     assert {"example_1_2", "example_1_2_extended", "norm_square",
@@ -226,7 +234,7 @@ def test_quotient_outside_homogeneity_bound_is_errored_qslb_check(monkeypatch):
     def out_of_bound(*args, **kwargs):
         results = minimize_fields(*args, **kwargs)
         for res in results:
-            res.value = -3.0  # the norm's recession function has C_inf = 1
+            res.value = -3.0  # both recession functions below have C_inf = 1
         return results
 
     monkeypatch.setattr(bvlsc.boundary, "minimize_fields", out_of_bound)
@@ -234,13 +242,50 @@ def test_quotient_outside_homogeneity_bound_is_errored_qslb_check(monkeypatch):
     with pytest.raises(bvlsc.boundary.QuotientBoundError):
         bvlsc.boundary.halfball_deficit(
             norm.recession, BoundaryPoint([0.0, 0.5], [-1.0, 0.0]), h=0.25)
-    sc = load("norm_square")
+    sc = linear_square()
     sc.cfg["checks"]["qc"] = False
     verdict = analyze(sc)
     assert verdict.qslb_reports == []
     assert verdict.errors and {e["job"] for e in verdict.errors} == {"qslb"}
     assert all("homogeneity bound" in e["error"] for e in verdict.errors)
     assert verdict.overall == "inconclusive"
+
+
+def test_a_vector_valued_linear_boundary_check_passes_its_homogeneity_bound():
+    # the sampled sphere maximum of |A : xi| (2.416) fell short of |A| = 2.5,
+    # below the quotients the refinement check's mesh solves reach at h = 1/8
+    # and 1/16 (-2.4987 and -2.4840)
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["integrand"] = {"tag": "linear", "params": {"matrix": [[1], [2], [-1], [0.5]]}}
+    cfg["qslb"]["h"] = 0.125
+    sc = Scenario(cfg)
+    sc.cfg["checks"].update(qc=False, sequences=False, refinement=True)
+    verdict = analyze(sc)
+    assert verdict.errors == []
+    assert [r.deficit for r in verdict.qslb_reports] == [-2.5, -2.5]
+    assert [r.diagnostics["sphere_bound"] for r in verdict.qslb_reports] == [2.5, 2.5]
+    rows = verdict.extras["refinement"]
+    assert len(rows) == 4 and all(-2.5 <= r["deficit"] < -2.45 for r in rows)
+    assert verdict.overall == "not-wlsc"
+
+
+@pytest.mark.parametrize("name", ["norm_square", "nulllag_square"])
+def test_closed_form_boundary_checks_build_no_mesh_and_run_no_solve(name, monkeypatch):
+    sc = load(name)
+    sc.cfg["checks"]["qc"] = False
+    want = [r.to_json() for r in analyze(sc).qslb_reports]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("no half-ball mesh or solve expected")
+
+    monkeypatch.setattr(bvlsc.boundary, "halfball_mesh", refused)
+    monkeypatch.setattr(bvlsc.boundary, "minimize_fields", refused)
+    verdict = analyze(sc)
+    assert verdict.errors == []
+    assert [r.to_json() for r in verdict.qslb_reports] == want
+    assert len(want) == len(sc.boundary_points()[0]) > 0
+    assert all(r["diagnostics"]["source"] == "closed_form" for r in want)
+    assert verdict.overall == "inconclusive"  # no qc report
 
 
 @pytest.mark.parametrize("section", ["mesh", "qc", "qslb"])
@@ -631,20 +676,21 @@ def test_each_missing_piece_of_evidence_alone_is_inconclusive(edit, monkeypatch)
 
 def test_a_family_that_raises_falls_back_to_each_job_alone(monkeypatch):
     # a family holding the boundary point of seed 1001 raises as a whole; run
-    # alone, that point errs and the other keeps its violation
+    # alone, that point errs and the others keep their violations
     def raising(objective, problems, on=None, floors=None):
         if any(opts.seed == 1001 for _, _, opts in problems):
             raise RuntimeError("boom")
         return minimize_fields(objective, problems, on, floors)
 
-    sc = load("example_1_2")
+    sc = linear_square()
     sc.cfg["checks"].update(qc=False, sequences=False)
     want = analyze(sc)
-    assert len(want.qslb_reports) == 2
+    assert len(want.qslb_reports) == 4
     monkeypatch.setattr(bvlsc.boundary, "minimize_fields", raising)
     verdict = analyze(sc)
     assert verdict.errors == [{"job": "qslb", "error": "boom"}]
-    assert [r.to_json() for r in verdict.qslb_reports] == [want.qslb_reports[0].to_json()]
+    assert [r.to_json() for r in verdict.qslb_reports] == [
+        want.qslb_reports[k].to_json() for k in (0, 2, 3)]
     assert verdict.qslb_reports[0].verdict == "violated"
     assert verdict.overall == "not-wlsc"
 
