@@ -1,8 +1,8 @@
-"""Regenerate the golden files: the bundled scenario reports and the
-decomposition tightness tables.
+"""Regenerate the golden files: the bundled scenario reports, the
+decomposition tightness tables and the liminf tables of every sequence kind.
 
 Run after any intentional change to defaults, solver behavior, report layout
-or decomposition arithmetic:  python tests/make_goldens.py
+or decomposition or sequence arithmetic:  python tests/make_goldens.py
 
 To confirm a change keeps every golden byte-identical, without writing under
 tests/golden/:  python tests/make_goldens.py --check  (lists the files that
@@ -22,11 +22,13 @@ from bvlsc import regions
 from bvlsc.bv import BVFunction
 from bvlsc.cli import bundled_scenarios, main
 from bvlsc.decompose import CoverSpec, local_decompose, verify_properties
+from bvlsc.integrands import catalog_get
 from bvlsc.meshing import Domain, interval_mesh_with
-from bvlsc.sequences import SequenceSpec, generate
+from bvlsc.sequences import SequenceSpec, empirical_liminf, generate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DECOMPOSE_GOLDEN = GOLDEN_DIR / "decompose_tables.json"
+LIMINF_GOLDEN = GOLDEN_DIR / "liminf_tables.json"
 
 
 def decomposition_families():
@@ -65,6 +67,41 @@ def decompose_tables_json():
     return json.dumps(out, indent=1, sort_keys=True) + "\n"
 
 
+def liminf_specs():
+    """(name, spec, integrand dimension N) for each sequence kind and variant."""
+    unit, wide = Domain.interval(0.0, 1.0), Domain.interval(-1.0, 1.0)
+    square = Domain.polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    yield "jump_migration_unit", SequenceSpec("jump_migration", unit, n_max=64), 1
+    yield "jump_migration_wide", SequenceSpec("jump_migration", wide, n_max=32), 1
+    for profile in ("hat", "bump"):
+        yield (f"boundary_rescale_{profile}",
+               SequenceSpec("boundary_rescale", unit, n_max=16,
+                            params={"profile": profile, "x0": 0.0}), 1)
+    yield ("pure_boundary_concentration",
+           SequenceSpec("pure_boundary_concentration", unit, n_max=32), 1)
+    yield ("fixed_trace_oscillation_1d",
+           SequenceSpec("fixed_trace_oscillation", unit, n_max=32), 1)
+    yield ("fixed_trace_oscillation_2d",
+           SequenceSpec("fixed_trace_oscillation", square, n_max=8), 2)
+
+
+def liminf_integrands(N):
+    """Catalog integrands on scalar fields of dimension N, by name."""
+    yield "linear", catalog_get("linear", {"matrix": [[1.0, -0.5][:N]]})
+    for tag in ("norm", "negnorm", "area", "norm_sin"):
+        yield tag, catalog_get(tag, {"M": 1, "N": N})
+
+
+def liminf_tables_json():
+    """empirical_liminf of every sequence kind and variant on catalog
+    integrands as JSON text (floats by repr)."""
+    out = {}
+    for name, spec, N in liminf_specs():
+        out[name] = {tag: empirical_liminf(f, f.recession, spec)
+                     for tag, f in liminf_integrands(N)}
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
 def regenerate(out_dir=GOLDEN_DIR):
     """Write every golden file into out_dir; returns the paths written."""
     out_dir.mkdir(exist_ok=True)
@@ -76,6 +113,8 @@ def regenerate(out_dir=GOLDEN_DIR):
                                             out_dir / f"{name}.report.json")))
     written.append(out_dir / DECOMPOSE_GOLDEN.name)
     written[-1].write_text(decompose_tables_json())
+    written.append(out_dir / LIMINF_GOLDEN.name)
+    written[-1].write_text(liminf_tables_json())
     return written
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -203,3 +206,14 @@ def test_generated_sequences_weakstar_plausible():
         members = [generate(spec, n) for n in (8, 16, 32, 64)]
         rep = weakstar_diagnostics(members, l1_threshold=0.15)
         assert rep["verdict"] == "weak* plausible", kind
+
+
+def test_liminf_tables_match_golden():
+    # empirical_liminf of every sequence kind, byte for byte (floats by repr)
+    path = Path(__file__).parent / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    golden = make_goldens.LIMINF_GOLDEN
+    assert golden.exists(), "regenerate with python tests/make_goldens.py"
+    assert make_goldens.liminf_tables_json().encode() == golden.read_bytes()
