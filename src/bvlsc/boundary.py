@@ -127,11 +127,28 @@ def _ramp_profile(mesh, direction, width):
     return t
 
 
-def _halfball_restarts(options, M, dim):
+def _halfball_restarts(options, M, dim, strip):
     """Starts of a half-ball solve: room for default_inits' 2 M dim tents, the
-    8 M boundary-layer ramps of _layer_inits (four widths, two signs) and the
+    8 M boundary-layer ramps of _layer_inits (four widths, two signs), the
+    strip ramp where `strip` is a direction (see _strip_direction) and the
     caller's extra_inits."""
-    return max(options.restarts, 2 * M * dim + 8 * M + len(options.extra_inits))
+    return max(options.restarts, 2 * M * dim + 8 * M + (strip is not None)
+               + len(options.extra_inits))
+
+
+def _strip_direction(finf, x0):
+    """s = -A nu / |A nu| where the recession splits at x0 with A nu != 0 and
+    s is not a signed unit vector, else None: the direction of the strip ramp
+    (_strip_witness) a half-ball solve starts from, which reaches the closed
+    form c - |A nu| in 1D.  Along a signed unit vector that ramp is already
+    the narrowest of _layer_inits' ramps."""
+    split = finf.split_at(x0.x0)
+    if split is None:
+        return None
+    a_nu = split[1] @ x0.normal
+    if np.count_nonzero(a_nu) < 2:
+        return None
+    return -a_nu / np.linalg.norm(a_nu)
 
 
 def _sphere_bound(finf, x):
@@ -193,11 +210,13 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
         clamped = _halfball_clamped(mesh, x0.normal)
         opts = options or SolverOptions()
         widths = (2 * mesh.h, 4 * mesh.h, 8 * mesh.h, 0.5)
-        extra = tuple(_layer_inits(mesh, x0.normal, base.M, clamped, widths)) + tuple(
-            opts.extra_inits
-        )
-        opts = replace(opts, restarts=_halfball_restarts(opts, base.M, mesh.dim),
-                       mode="normalize", grad_cap=0.0, tv_cap=0.0, extra_inits=extra)
+        extra = tuple(_layer_inits(mesh, x0.normal, base.M, clamped, widths))
+        s = _strip_direction(finf, x0)
+        if s is not None:
+            extra += (_strip_witness(mesh, x0.normal, s).values,)
+        opts = replace(opts, restarts=_halfball_restarts(opts, base.M, mesh.dim, s),
+                       mode="normalize", grad_cap=0.0, tv_cap=0.0,
+                       extra_inits=extra + tuple(opts.extra_inits))
         family.append((j, mesh, freeze_x(base, x0.x0), clamped, opts))
     if not family:
         return out
@@ -252,8 +271,8 @@ def qslb_deficits(finf, jobs, h=0.05, tol=1e-3):
 def _closed_form_report(finf, x0, c, a_nu, options, h, tol):
     nu = x0.normal
     cells = halfball_cells(nu, h)
-    budget = work_error(cells, replace(
-        options, restarts=_halfball_restarts(options, finf.M, len(nu))))
+    budget = work_error(cells, replace(options, restarts=_halfball_restarts(
+        options, finf.M, len(nu), _strip_direction(finf, x0))))
     if budget is not None:
         raise budget
     r = float(np.linalg.norm(a_nu))

@@ -39,6 +39,22 @@ __all__ = [
 _ATOL = 1e-14
 
 
+def _rows(vectors):
+    """The vectors, k >= 1 of them, as the rows of one float array (k, n)."""
+    return np.asarray(vectors, dtype=float).reshape(len(vectors), -1)
+
+
+def _frobenius(mats):
+    """np.linalg.norm of each matrix (or vector) of the stack mats (k, ...),
+    bit for bit: one array pass where each holds a single number, else one
+    np.linalg.norm apiece, whose BLAS dot over two or more numbers need not
+    round as an array pass does."""
+    flat = mats.reshape(-1)
+    if flat.size == len(mats):
+        return np.sqrt(flat * flat)
+    return np.array([np.linalg.norm(m) for m in mats.reshape(len(mats), -1)])
+
+
 class BVFunction:
     """Piecewise-affine function with explicit singular derivative data."""
 
@@ -54,34 +70,32 @@ class BVFunction:
         self.cell_values = cv
         self.M = cv.shape[2]
 
-        kept_atoms = []
-        for loc, jump in atoms:
-            loc = float(loc)
-            jump = np.atleast_1d(np.asarray(jump, dtype=float))
-            if np.linalg.norm(jump) <= _ATOL:
-                continue
-            bdist = (
-                mesh.domain.boundary_distance([[loc]])[0]
-                if (mesh.domain is not None and mesh.dim == 1)
-                else np.inf
-            )
-            if mesh.dim == 1 and bdist <= 1e-12:
-                warnings.warn(
-                    f"pruning atom at {loc}: jumps on the domain boundary are not "
-                    "part of the derivative measure on the open domain"
-                )
-                continue
-            kept_atoms.append((loc, jump))
-        self.atoms = tuple(sorted(kept_atoms, key=lambda a: a[0]))
+        # one norm pass over the jumps and, in 1D, one boundary_distance call
+        # over the atoms; the per-atom decisions are read off as lists
+        atoms = sorted(((float(loc), jump) for loc, jump in atoms), key=lambda a: a[0])
+        if atoms:
+            jumps = _rows([j for _, j in atoms])
+            keep = [not n <= _ATOL for n in _frobenius(jumps).tolist()]
+            if mesh.dim == 1 and mesh.domain is not None and any(keep):
+                bdist = mesh.domain.boundary_distance([[loc] for loc, _ in atoms])
+                for i, d in enumerate(bdist.tolist()):
+                    if keep[i] and d <= 1e-12:
+                        warnings.warn(
+                            f"pruning atom at {atoms[i][0]}: jumps on the domain boundary "
+                            "are not part of the derivative measure on the open domain"
+                        )
+                        keep[i] = False
+            atoms = [(loc, j) for (loc, _), j, k in zip(atoms, jumps, keep) if k]
+        self.atoms = tuple(atoms)
 
-        kept_jumps = []
-        for facet, jump, normal in jump_facets:
-            jump = np.atleast_1d(np.asarray(jump, dtype=float))
-            if np.linalg.norm(jump) <= _ATOL:
-                continue
-            kept_jumps.append((tuple(sorted(map(int, facet))), jump,
-                               np.asarray(normal, dtype=float)))
-        self.jump_facets = tuple(sorted(kept_jumps, key=lambda a: a[0]))
+        jump_facets = sorted(((tuple(sorted(map(int, facet))), jump, normal)
+                              for facet, jump, normal in jump_facets), key=lambda a: a[0])
+        if jump_facets:
+            jumps = _rows([j for _, j, _ in jump_facets])
+            keep = [not n <= _ATOL for n in _frobenius(jumps).tolist()]
+            jump_facets = [(facet, j, np.asarray(normal, dtype=float))
+                           for (facet, _, normal), j, k in zip(jump_facets, jumps, keep) if k]
+        self.jump_facets = tuple(jump_facets)
         if mesh.dim == 1 and self.jump_facets:
             raise ValueError("facet jumps are a 2D feature; use atoms in 1D")
         if mesh.dim == 2 and self.atoms:
@@ -114,30 +128,37 @@ class BVFunction:
 
     @classmethod
     def from_cellwise_constant(cls, mesh, values_per_cell):
-        """Piecewise-constant function; jumps are read off the cell interfaces."""
+        """Piecewise-constant function; jumps are read off the cell interfaces.
+
+        In 1D the cells are taken in x order, and two neighbours that share
+        a vertex jump there by the right cell's value minus the left one's
+        (neighbours across a gap in the mesh share none and do not jump).
+        In 2D each interior facet of the facet table jumps by the value on
+        the +n side minus the one on the -n side, n the unit normal of the
+        edge.  The constructor drops the negligible jumps and sorts the rest.
+        """
         vpc = np.asarray(values_per_cell, dtype=float)
         if vpc.ndim == 1:
             vpc = vpc[:, None]
         cv = np.repeat(vpc[:, None, :], mesh.dim + 1, axis=1)
-        # one jump per interior facet, with normal +1 in 1D and the unit
-        # normal of the edge in 2D; the constructor drops the negligible
-        # jumps and sorts the rest
+        if mesh.dim == 1:
+            order = np.argsort(mesh.centroids[:, 0])
+            left, right = order[:-1], order[1:]
+            jumps = vpc[right] - vpc[left]
+            nz = (mesh.cells[left, 1] == mesh.cells[right, 0]) & (jumps != 0).any(axis=1)
+            at = mesh.vertices[mesh.cells[left[nz], 1], 0]
+            return cls(mesh, cv, atoms=zip(at.tolist(), jumps[nz]))
         facets, sides = mesh.facets()
         inner = sides[:, 1] >= 0
         f, (c0, c1) = facets[inner], sides[inner].T
         v = mesh.vertices[f]
-        mid = 0.5 * (v[:, 0] + v[:, -1])
-        if mesh.dim == 1:
-            n = np.ones((len(f), 1))
-        else:
-            e = v[:, 1] - v[:, 0]
-            n = np.stack([e[:, 1], -e[:, 0]], axis=1)
-            n /= row_norms(n)[:, None]
+        e = v[:, 1] - v[:, 0]
+        n = np.stack([e[:, 1], -e[:, 0]], axis=1)
+        n /= row_norms(n)[:, None]
+        mid = 0.5 * (v[:, 0] + v[:, 1])
         ahead = (n * (mesh.centroids[c0] - mid)).sum(axis=1) > 0  # c0 on the +n side
         jumps = vpc[np.where(ahead, c0, c1)] - vpc[np.where(ahead, c1, c0)]
-        nz = np.any(jumps != 0, axis=1)
-        if mesh.dim == 1:
-            return cls(mesh, cv, atoms=zip(mid[nz, 0].tolist(), jumps[nz]))
+        nz = (jumps != 0).any(axis=1)
         return cls(mesh, cv, jump_facets=zip(f[nz], jumps[nz], n[nz]))
 
     @classmethod
@@ -247,7 +268,9 @@ class MatrixMeasure:
     Singular charges are (location_descriptor, polar matrix, mass); the polar
     matrix has unit Frobenius norm and mass > 0, so polar * mass reconstructs
     the raw charge.  In 1D the descriptor is the atom coordinate, in 2D the
-    facet vertex pair; `position` gives the representative point either way.
+    facet vertex pair; charge_positions() gives the representative points
+    either way.  `polars` (k, M, N) and `masses` (k,) hold the same charges
+    as read-only arrays, in order.
     """
 
     def __init__(self, mesh, density, charges=()):
@@ -259,34 +282,42 @@ class MatrixMeasure:
             raise ValueError("density must have one matrix per cell")
         self.density = dens
         self.M, self.N = dens.shape[1], dens.shape[2]
-        chs = []
-        for desc, polar, mass in charges:
-            polar = np.asarray(polar, dtype=float)
-            mass = float(mass)
-            if mass <= _ATOL:
-                continue
-            if abs(np.linalg.norm(polar) - 1.0) > 1e-12:
-                raise ValueError("polar matrix must have unit Frobenius norm")
-            chs.append((desc, polar, mass))
-        self.charges = tuple(chs)
-        self.density.flags.writeable = False
+        charges = [(d, p, float(m)) for d, p, m in charges]
+        charges = [c for c in charges if not c[2] <= _ATOL]
+        polars = np.asarray([p for _, p, _ in charges], dtype=float).reshape(
+            len(charges), self.M, self.N)
+        if charges and any(abs(n - 1.0) > 1e-12 for n in _frobenius(polars).tolist()):
+            raise ValueError("polar matrix must have unit Frobenius norm")
+        masses = [m for _, _, m in charges]
+        self.polars, self.masses = polars, np.array(masses)
+        self.charges = tuple(zip([d for d, _, _ in charges], polars, masses))
+        for a in (self.density, self.polars, self.masses):
+            a.flags.writeable = False
 
     @classmethod
     def from_raw_charges(cls, mesh, density, raw_charges):
-        chs = []
-        for desc, mat in raw_charges:
-            mat = np.asarray(mat, dtype=float)
-            mass = float(np.linalg.norm(mat))
-            if mass <= _ATOL:
-                continue
-            chs.append((desc, mat / mass, mass))
-        return cls(mesh, density, chs)
+        """The measure with charges (descriptor, matrix) in polar form; the
+        charges of mass at most 1e-14 are dropped."""
+        raw_charges = list(raw_charges)
+        if not raw_charges:
+            return cls(mesh, density)
+        mats = np.asarray([m for _, m in raw_charges], dtype=float)
+        masses = _frobenius(mats)
+        kept = [i for i, m in enumerate(masses.tolist()) if not m <= _ATOL]
+        if len(kept) < len(raw_charges):
+            raw_charges = [raw_charges[i] for i in kept]
+            mats, masses = mats[kept], masses[kept]
+        polars = mats / masses.reshape((-1,) + (1,) * (mats.ndim - 1))
+        return cls(mesh, density, zip([d for d, _ in raw_charges], polars, masses.tolist()))
 
-    def charge_position(self, desc):
+    def charge_positions(self):
+        """Representative point of each charge, in charge order: (k, dim)."""
+        descs = [d for d, _, _ in self.charges]
         if self.mesh.dim == 1:
-            return np.array([float(desc)])
-        i, j = desc
-        return 0.5 * (self.mesh.vertices[i] + self.mesh.vertices[j])
+            return np.array(descs, dtype=float).reshape(-1, 1)
+        v = self.mesh.vertices
+        ij = np.array(descs, dtype=np.int64).reshape(-1, 2)
+        return 0.5 * (v[ij[:, 0]] + v[ij[:, 1]])
 
     def scaled(self, alpha):
         alpha = float(alpha)
@@ -326,17 +357,13 @@ class MatrixMeasure:
 def derivative(u):
     """Derivative measure of a BVFunction: cell gradients + singular charges."""
     mesh = u.mesh
-    density = u.gradients()
-    raw = []
     if mesh.dim == 1:
-        for loc, j in u.atoms:
-            raw.append((loc, j[:, None]))
+        raw = [(loc, j[:, None]) for loc, j in u.atoms]
     else:
-        for f, j, n in u.jump_facets:
-            a, b = mesh.vertices[f[0]], mesh.vertices[f[1]]
-            length = np.linalg.norm(b - a)
-            raw.append((f, np.outer(j, n) * length))
-    return MatrixMeasure.from_raw_charges(mesh, density, raw)
+        v = mesh.vertices
+        raw = [(f, np.outer(j, n) * np.linalg.norm(v[f[1]] - v[f[0]]))
+               for f, j, n in u.jump_facets]
+    return MatrixMeasure.from_raw_charges(mesh, u.gradients(), raw)
 
 
 def total_variation(mu, cells=None):
@@ -395,8 +422,7 @@ def tv_on_neighborhood(mu, kset, delta, subdivisions=2):
     cent, sub_measure, parent = mesh.refined_cells(subdivisions)
     weights = row_norms(mu.density.reshape(mesh.n_cells, -1))[parent] * sub_measure
     dist = kset.dist(cent)
-    pos = [mu.charge_position(desc) for desc, _, _ in mu.charges]
-    cdist = kset.dist(np.reshape(pos, (-1, mesh.dim)))
+    cdist = kset.dist(mu.charge_positions())
     masses = [m for _, _, m in mu.charges]
     radii = np.atleast_1d(np.asarray(delta, dtype=float))
     nan = np.isnan(radii)  # d < NaN holds nothing, wherever searchsorted puts NaN

@@ -6,6 +6,12 @@ through the recession function at the polar.
 Bulk integrals use the mesh's quadrature rule in x (meshing.QUADRATURE); the
 gradient is exact per cell, so x-independent integrands are integrated
 exactly.  eval_G applies the same rule to an arbitrary matrix measure.
+
+All the charges of a measure go through the recession function in one call,
+one row (position, polar) per charge.  A recession function, a user
+RecessionFn included, must therefore treat its rows independently, giving
+each row the value it would give it alone, as the batched half-ball solves
+already require.
 """
 
 import numpy as np
@@ -55,15 +61,18 @@ def _bulk_cell_values(f, mesh, grads):
     flat_x = pts.reshape(-1, mesh.dim)
     flat_xi = np.repeat(grads, nq, axis=0)
     vals = f(flat_x, flat_xi).reshape(mesh.n_cells, nq)
-    return np.sum(vals * wts, axis=1)
+    return (vals * wts).sum(axis=1)
 
 
 def _singular_values(finf, mu):
-    out = []
-    for desc, polar, mass in mu.charges:
-        where = float(desc) if mu.mesh.dim == 1 else [int(i) for i in desc]
-        out.append((where, finf.at(mu.charge_position(desc), polar) * mass))
-    return out
+    """(where, f_inf(position, polar) * mass) per charge, from one call of
+    finf on all the charges of mu."""
+    if not mu.charges:
+        return []
+    values = finf(mu.charge_positions(), mu.polars) * mu.masses
+    where = ([float(d) for d, _, _ in mu.charges] if mu.mesh.dim == 1
+             else [[int(i) for i in d] for d, _, _ in mu.charges])
+    return list(zip(where, values.tolist()))
 
 
 def eval_F(f, finf, u):
@@ -77,10 +86,12 @@ def eval_F(f, finf, u):
 
 
 def eval_G(f, finf, mu):
-    """Evaluate the measure functional at a MatrixMeasure."""
+    """Evaluate the measure functional at a MatrixMeasure: the bulk through
+    f at the quadrature points, the charges through one call of finf on the
+    rows (charge_positions(), polars), times the masses."""
     per_cell = _bulk_cell_values(f, mu.mesh, mu.density)
     per_charge = _singular_values(finf, mu)
-    bulk = float(np.sum(per_cell))
+    bulk = float(per_cell.sum())
     singular = float(sum(v for _, v in per_charge))
     return FunctionalValue(bulk, singular, per_cell, per_charge)
 

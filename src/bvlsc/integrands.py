@@ -47,7 +47,7 @@ def _plus_zero_at_origin(out, xi):
     """out with +0.0 at the rows where xi = 0, the value there of a
     recession function (forced by 1-homogeneity)."""
     zero = _frob(xi) == 0.0
-    return np.where(zero, 0.0, out) if np.any(zero) else out
+    return np.where(zero, 0.0, out) if zero.any() else out
 
 
 class Integrand:
@@ -558,7 +558,10 @@ def modulate(f, c0, cvec):
     cvec = np.atleast_1d(np.asarray(cvec, dtype=float))
 
     def c(x):
-        return c0 + x @ cvec
+        # summed per row: x @ cvec rounds a lone row (BLAS dot) unlike a row
+        # of a block (gemv), and a row's value must not depend on the rows
+        # evaluated with it
+        return c0 + (x * cvec).sum(axis=-1)
 
     def fn(x, xi):
         return c(x) * f(x, xi)

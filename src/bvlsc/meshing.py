@@ -249,25 +249,30 @@ class Mesh:
     # -- geometry ---------------------------------------------------------
 
     def _build_geometry(self):
-        v = self.vertices[self.cells]  # (nc, dim+1, dim)
+        self.n_cells = len(self.cells)
+        self.n_vertices = len(self.vertices)
         if self.dim == 1:
-            length = v[:, 1, 0] - v[:, 0, 0]
-            if np.any(np.abs(length) < 1e-15):
-                raise ValueError("degenerate cell (zero length)")
-            # orient cells left-to-right
-            flip = length < 0
-            if np.any(flip):
+            x = self.vertices[self.cells, 0]  # (nc, 2)
+            length = x[:, 1] - x[:, 0]
+            if length.min() < 1e-15:
+                if np.any(np.abs(length) < 1e-15):
+                    raise ValueError("degenerate cell (zero length)")
+                # orient cells left-to-right
+                flip = length < 0
                 cells = self.cells.copy()
                 cells[flip] = cells[flip][:, ::-1]
                 self.cells = _lock(cells)
-                v = self.vertices[self.cells]
-                length = v[:, 1, 0] - v[:, 0, 0]
+                x = self.vertices[self.cells, 0]
+                length = x[:, 1] - x[:, 0]
             self.cell_measures = _lock(length)
-            inv = 1.0 / length
-            grads = np.stack([-inv, inv], axis=1)[:, :, None]
+            grads = np.empty((self.n_cells, 2, 1))
+            grads[:, 1, 0] = 1.0 / length
+            grads[:, 0, 0] = -grads[:, 1, 0]
             self.shape_gradients = _lock(grads)
             self.h = float(np.max(length))
+            self.centroids = _lock(0.5 * (x[:, 0] + x[:, 1])[:, None])
         else:
+            v = self.vertices[self.cells]  # (nc, 3, 2)
             e1 = v[:, 1] - v[:, 0]
             e2 = v[:, 2] - v[:, 0]
             det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
@@ -288,14 +293,9 @@ class Mesh:
             g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
             g0 = -g1 - g2
             self.shape_gradients = _lock(np.stack([g0, g1, g2], axis=1))
-            diam = np.maximum(
-                np.linalg.norm(e1, axis=1),
-                np.maximum(np.linalg.norm(e2, axis=1), np.linalg.norm(e1 - e2, axis=1)),
-            )
+            diam = np.maximum(row_norms(e1), np.maximum(row_norms(e2), row_norms(e1 - e2)))
             self.h = float(np.max(diam))
-        self.centroids = _lock(v.mean(axis=1))
-        self.n_cells = len(self.cells)
-        self.n_vertices = len(self.vertices)
+            self.centroids = _lock(v.mean(axis=1))
 
     def facets(self):
         """Each facet once, as its sorted vertex row, in lexicographic order,
@@ -546,10 +546,8 @@ def interval_mesh_with(a, b, h_target, required_points=(), domain=None):
     pts = np.concatenate([base, np.asarray(required_points, dtype=float)])
     pts = pts[(pts >= a - 1e-14) & (pts <= b + 1e-14)]
     pts = np.unique(np.round(pts, 14))
-    verts = pts[:, None]
-    n = len(pts) - 1
-    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    return Mesh(verts, cells, domain=domain or Domain.interval(a, b))
+    cells = np.arange(len(pts) - 1)[:, None] + np.arange(2)
+    return Mesh(pts[:, None], cells, domain=domain or Domain.interval(a, b))
 
 
 def rectangle_mesh(x0, x1, y0, y1, nx, ny, domain=None):

@@ -279,8 +279,7 @@ def test_closed_form_deficit_is_its_witness_ramps_mesh_quotient(case):
 
 def test_closed_form_bounds_the_mesh_solve_of_a_vector_valued_1d_field():
     # |A| = sqrt(2): the half-ball infimum is attained by a monotone profile
-    # times -A/|A|, which the solver, started from coordinate directions,
-    # need not reach
+    # times -A/|A|, the strip ramp the mesh solve starts from
     finf = catalog_get("linear", {"matrix": [[1.0], [1.0]]}).recession
     (rep,) = qslb_deficits(finf, [(BP1, None)], h=1.0 / 16)
     assert rep.deficit == -np.sqrt(2.0)
@@ -326,14 +325,17 @@ def test_jobs_without_a_closed_form_run_as_one_family_in_job_order(monkeypatch):
 
 
 def test_a_closed_form_job_errs_as_its_mesh_solve_would_over_budget():
-    for bp, h, opts in [(BP2, 1e-3, FAST), (BP1, 1e-6, FAST),
-                        (BP1, 1.0 / 16, SolverOptions(max_iter=10**9))]:
-        (got,) = qslb_deficits(NORM2.recession if len(bp.x0) == 2 else LIN.recession,
-                               [(bp, opts)], h=h)
+    # the M = 4 field's solve also starts from its strip ramp
+    lin4 = catalog_get("linear", {"matrix": [[1.0], [2.0], [-1.0], [0.5]]})
+    for finf, bp, h, opts in [(NORM2.recession, BP2, 1e-3, FAST),
+                              (LIN.recession, BP1, 1e-6, FAST),
+                              (LIN.recession, BP1, 1.0 / 16, SolverOptions(max_iter=10**9)),
+                              (lin4.recession, BP1, 1.0 / 16, SolverOptions(max_iter=10**9))]:
+        (got,) = qslb_deficits(finf, [(bp, opts)], h=h)
         with pytest.raises(type(got), match=re.escape(str(got))):
-            halfball_deficit(NORM2.recession if len(bp.x0) == 2 else LIN.recession,
-                             bp, h=h, options=opts)
+            halfball_deficit(finf, bp, h=h, options=opts)
         assert isinstance(got, (MeshBudgetError, SolverBudgetError))
+    assert "x 41 restarts x" in str(got)  # 8 tents and ramps per component + the strip
 
 
 def test_exact_sphere_bound_keeps_a_vector_valued_quotient_in_bounds():

@@ -86,7 +86,7 @@ def test_facet_jump_against_distributional_pairing():
             divphi = bump(X) * bump_d(Y)
         lhs = -np.sum(uxy * divphi) / k**2
         # measure applied to Phi: singular charge only (density is zero)
-        pos = mu.charge_position(desc)
+        pos = mu.charge_positions()[0]
         phi_mat = np.zeros((1, 2))
         phi_mat[0, comp] = bump(pos[0]) * bump(pos[1])
         # the jump is constant along the facet; integrate Phi over it

@@ -9,8 +9,21 @@ from bvlsc.functional import (
     four_term_residual,
     uniform_continuity_probe,
 )
-from bvlsc.integrands import catalog_get
-from bvlsc.meshing import Domain, build_mesh, interval_mesh, interval_mesh_with
+from bvlsc.integrands import (
+    RecessionFn,
+    catalog_get,
+    catalog_tags,
+    estimated_recession,
+    freeze_x,
+    modulate,
+)
+from bvlsc.meshing import (
+    Domain,
+    build_mesh,
+    interval_mesh,
+    interval_mesh_with,
+    rectangle_mesh,
+)
 
 LIN = catalog_get("linear", {"matrix": [[1.0]]})
 
@@ -193,3 +206,60 @@ def test_four_term_residual_zero_perturbation():
     f = catalog_get("area")
     rep = four_term_residual(f, f.recession, u, zero)
     assert abs(rep["residual"]) <= 1e-13
+
+
+def _jump_fields():
+    """Piecewise-constant fields with M = 1 and M = 2: atoms on an interval,
+    facet jumps on a square."""
+    rng = np.random.default_rng(7)
+    line = interval_mesh_with(0.0, 1.0, 0.1, [1.0 / 3.0], domain=Domain.interval(0.0, 1.0))
+    square = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 3, 3)
+    for mesh in (line, square):
+        for M in (1, 2):
+            yield BVFunction.from_cellwise_constant(mesh, rng.normal(size=(mesh.n_cells, M)))
+
+
+def _recessions(M, N):
+    """Every catalog recession on M x N matrices, a composite, an x-dependent
+    modulation, a frozen x, an estimated recession and a user RecessionFn."""
+    rng = np.random.default_rng(M * 10 + N)
+    params = {"linear": {"matrix": rng.normal(size=(M, N)).tolist()},
+              "boundary_null_lagrangian": {"a": rng.normal(size=M).tolist(),
+                                           "t": rng.normal(size=N).tolist()}}
+    for tag in catalog_tags():
+        yield tag, catalog_get(tag, params.get(tag, {"M": M, "N": N})).recession
+    yield "composite", catalog_get("composite", {"terms": [
+        [0.5, {"tag": "norm_sin", "params": {"M": M, "N": N}}],
+        [-1.5, {"tag": "linear", "params": params["linear"]}]]}).recession
+    yield "modulate", modulate(catalog_get("norm", {"M": M, "N": N}), 1.0,
+                               rng.uniform(0.5, 1.0, size=N)).recession
+    yield "freeze_x", freeze_x(catalog_get("linear", params["linear"]),
+                               rng.uniform(size=N)).recession
+    yield "estimated", estimated_recession(catalog_get("area", {"M": M, "N": N}))
+    yield "user", RecessionFn(
+        lambda x, xi: np.abs(xi).sum(axis=(1, 2)) * (1.0 + x[:, 0] ** 2), M, N)
+
+
+def test_one_recession_call_per_measure_matches_one_call_per_charge():
+    # bit for bit: the singular values, the masses and the polars
+    for u in _jump_fields():
+        mu, mesh = derivative(u), u.mesh
+        v = mesh.vertices
+        if mesh.dim == 1:
+            raw = [(loc, j[:, None]) for loc, j in u.atoms]
+            where = [np.array([loc]) for loc, _ in u.atoms]
+        else:
+            raw = [(f, np.outer(j, n) * np.linalg.norm(v[f[1]] - v[f[0]]))
+                   for f, j, n in u.jump_facets]
+            where = [0.5 * (v[f[0]] + v[f[1]]) for f, _, _ in u.jump_facets]
+        masses = [float(np.linalg.norm(m)) for _, m in raw]
+        assert len(masses) == len(mu.charges) > 3
+        assert np.array(masses).tobytes() == mu.masses.tobytes()
+        polars = np.array([m / mass for (_, m), mass in zip(raw, masses)])
+        assert polars.tobytes() == mu.polars.tobytes()
+        assert [d for d, _, _ in mu.charges] == [d for d, _ in raw]
+        for name, finf in _recessions(u.M, mesh.dim):
+            got = eval_G(finf.as_integrand(), finf, mu).per_charge
+            want = [finf.at(x, p) * m for x, p, m in zip(where, polars, masses)]
+            assert np.array([g for _, g in got]).tobytes() == np.array(want).tobytes(), (
+                name, mesh.dim, u.M)

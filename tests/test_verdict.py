@@ -269,6 +269,22 @@ def test_a_vector_valued_linear_boundary_check_passes_its_homogeneity_bound():
     assert verdict.overall == "not-wlsc"
 
 
+def test_refinement_rows_of_a_vector_valued_1d_field_reach_the_closed_form():
+    # the half-ball solves start from the strip ramp along -A nu / |A nu|;
+    # from coordinate directions alone they stopped at -2.3966 (h = 1/32)
+    # and -2.3035 (h = 1/64)
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["integrand"] = {"tag": "linear", "params": {"matrix": [[1], [2], [-1], [0.5]]}}
+    sc = Scenario(cfg)
+    sc.cfg["checks"].update(qc=False, sequences=False, refinement=True)
+    verdict = analyze(sc)
+    assert verdict.errors == []
+    assert [r.deficit for r in verdict.qslb_reports] == [-2.5, -2.5]
+    rows = verdict.extras["refinement"]
+    assert [r["h"] for r in rows] == [1.0 / 32, 1.0 / 64] * 2
+    assert all(abs(r["deficit"] + 2.5) <= 1e-9 for r in rows)
+
+
 @pytest.mark.parametrize("name", ["norm_square", "nulllag_square"])
 def test_closed_form_boundary_checks_build_no_mesh_and_run_no_solve(name, monkeypatch):
     sc = load(name)
