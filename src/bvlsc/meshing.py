@@ -616,23 +616,29 @@ def _halfball_interval(nu):
     return (-1.0, 0.0) if nu[0] > 0 else (0.0, 1.0)
 
 
+def _halfball_rings(h_target):
+    """The point counts of the 2D half-ball's rings for h (ring k of nr has
+    radius k / nr), after the cell budget check, which runs on every call."""
+    nr = max(2, int(np.ceil(1.0 / h_target)))
+    _check_budget(4 * nr * nr, f"h={h_target}")
+    return tuple(max(3, int(np.ceil(np.pi * (k / nr) / h_target)) + 1)
+                 for k in range(1, nr + 1))
+
+
 def _canonical_halfball(h_target):
     """Ring points and cells of the 2D half-ball in the canonical frame nu =
     e1, after the cell budget check, which runs on every call."""
-    nr = max(2, int(np.ceil(1.0 / h_target)))
-    _check_budget(4 * nr * nr, f"h={h_target}")
-    return _triangulated_halfball(nr, h_target)
+    return _triangulated_halfball(_halfball_rings(h_target))
 
 
 @functools.lru_cache(maxsize=8)
-def _triangulated_halfball(nr, h_target):
+def _triangulated_halfball(rings):
     """_canonical_halfball's points and cells, locked, Delaunay-triangulated
-    once per h and shared by every normal; the cells are oriented as Mesh
-    orients them, so every rotation keeps this one array."""
+    once per ring sizes and shared by every normal; the cells are oriented as
+    Mesh orients them, so every rotation keeps this one array."""
     pts = [np.zeros(2)]
-    for k in range(1, nr + 1):
-        r = k / nr
-        m = max(3, int(np.ceil(np.pi * r / h_target)) + 1)
+    for k, m in enumerate(rings, 1):
+        r = k / len(rings)
         theta = np.linspace(np.pi / 2.0, 3.0 * np.pi / 2.0, m)
         ring = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
         ring[0] = [0.0, r]
@@ -667,14 +673,20 @@ def halfball_mesh(normal, h_target):
 
 
 def halfball_cells(normal, h_target):
-    """halfball_mesh(normal, h_target).n_cells, without building the mesh;
-    raises the MeshBudgetError that halfball_mesh raises.  Left out of
-    __all__, whose functions return meshes (benchmarks/tracing.py counts
-    their cells)."""
+    """halfball_mesh(normal, h_target).n_cells, in closed form, without
+    building or triangulating the mesh; raises the MeshBudgetError that
+    halfball_mesh raises.  Left out of __all__, whose functions return meshes
+    (benchmarks/tracing.py counts their cells)."""
     nu = np.atleast_1d(np.asarray(normal, dtype=float))
     if len(nu) == 1:
         return _interval_cells(*_halfball_interval(nu), h_target)
-    return len(_canonical_halfball(h_target)[1])
+    # Euler's formula: a triangulation of n points, b of them on the boundary
+    # of their convex hull, has 2 n - b - 2 triangles.  The hull of the ring
+    # points runs along the flat side (the 2 nr + 1 points on {y1 = 0}) and
+    # the outer ring (its m_nr - 2 other points).
+    rings = _halfball_rings(h_target)
+    n, b = 1 + sum(rings), 2 * len(rings) + 1 + rings[-1] - 2
+    return 2 * n - b - 2
 
 
 def build_mesh(domain, h_target):

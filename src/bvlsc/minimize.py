@@ -289,53 +289,70 @@ class BulkObjective(_Objective):
         if len(sizes - {1}) > 1:
             raise ValueError(f"BulkObjective copies disagree: {sorted(sizes)}")
         self.copies = max(sizes)
-        self._tiles = {}
+        self._x_tiled = self._x[0][:0]
+        self._w_tiled = np.empty((wts.shape[-1], 0, self.M * dim))
         self._offset = np.zeros(1)
         if subtract_offset:  # E of the zero field, field p on copy p
             self._offset = self.from_cells(np.zeros((self.copies, nc, self.M, dim)))
 
-    def _rows(self, name, R, on):
-        """The per-copy array `name` (1 or P, n, ...) as the rows (R * n, ...)
-        of a batch on copies `on`; one copy is tiled for the largest R asked
-        so far and sliced."""
-        a = getattr(self, name)
-        if len(a) > 1:
-            a = _on(a, on)
-            if len(a) != R:
-                raise ValueError(f"{R} fields for {len(a)} copies")
-            return a.reshape((-1,) + a.shape[2:])
-        n = a.shape[1]
-        tiled = self._tiles.get(name)
-        if tiled is None or len(tiled) < R * n:
-            tiled = np.tile(a.reshape((-1,) + a.shape[2:]), (R,) + (1,) * (a.ndim - 2))
-            self._tiles[name] = tiled
-        return tiled[: R * n]
+    def _points(self, R, on):
+        """The x rows passed to g for a batch of R fields on copies `on`; one
+        copy's rows are tiled for the largest R asked so far and sliced."""
+        x = self._x
+        if len(x) > 1:
+            x = _on(x, on)
+            if len(x) != R:
+                raise ValueError(f"{R} fields for {len(x)} copies")
+            return x.reshape(-1, x.shape[-1])
+        if len(self._x_tiled) < R * x.shape[1]:
+            self._x_tiled = np.tile(x[0], (R, 1))
+        return self._x_tiled[: R * x.shape[1]]
+
+    def _weights(self, R, on):
+        """Quadrature weight q of each cell, once per entry of the cell
+        gradients of a batch of R fields on copies `on`: (nq, R * nc, M *
+        dim), so that each term of a cell's sum over its points is one
+        contiguous product.  One copy's are tiled for the largest R asked so
+        far and sliced."""
+        wts, nc = self._wts, self.mesh.n_cells
+        if len(wts) == 1 and self._w_tiled.shape[1] >= R * nc:
+            return self._w_tiled[:, : R * nc]
+        wts = _on(wts, on) if len(wts) > 1 else np.tile(wts, (R, 1, 1))
+        w = np.repeat(wts.reshape(-1, wts.shape[-1]).T[..., None],
+                      self.M * self.mesh.dim, axis=2)
+        if len(self._wts) == 1:
+            self._w_tiled = w
+        return w
 
     def from_cells(self, grads, delta=0.0, with_grad=False, on=None):
         R, g = len(grads), self.g
-        nq = self._wts.shape[-1]
+        nc, nq = self.mesh.n_cells, self._wts.shape[-1]
         cell_xi = grads if self._xi0 is None else grads + _on(self._xi0, on)[:, None]
         cell_xi = cell_xi.reshape(-1, g.M, self.mesh.dim)
-        x = self._rows("_x", R, on)
+        x = self._points(R, on)
         xi = cell_xi if self._frozen else np.repeat(cell_xi, nq, axis=0)
         if with_grad:
             val, exact, dg = g.evaluate(x, xi, delta)
             vals = val if exact is val else np.concatenate((val, exact))
         else:
             vals = g(x, xi) if delta == 0.0 else g.evaluate(x, xi, delta)[0]
-        if self._frozen:
-            vals = np.repeat(vals, nq)
-        # the smoothed and exact sums in one reduction, row by row as each alone
-        wts = _on(self._wts, on)
-        wts = wts.reshape(len(wts), -1)
-        sums = (vals.reshape(-1, R, wts.shape[-1]) * wts).sum(axis=-1)
+        # per cell and quadrature point, its weight times its value (a frozen
+        # cell's one value serves all its points); the smoothed and exact sums
+        # in one reduction, row by row as each alone
+        wts = _on(self._wts, on)  # (1 or R, nc, nq)
+        terms = vals.reshape(-1, R, nc, 1 if self._frozen else nq) * wts
+        sums = terms.reshape(-1, R, nc * nq).sum(axis=-1)
         sums -= _on(self._offset, on)
         if not with_grad:
             return sums[0]
-        if self._frozen:
-            dg = np.repeat(dg, nq, axis=0)
-        wts = self._rows("_wts", R, on)
-        per_cell = np.einsum("cq,cqmn->cmn", wts, dg.reshape(len(wts), nq, g.M, self.mesh.dim))
+        # the weighted derivatives at a cell's points summed in order from
+        # 0.0, as np.einsum("cq,cqmn->cmn") sums them (a frozen cell has one)
+        w = self._weights(R, on)
+        dg = dg.reshape(R * nc, -1, w.shape[-1])
+        per_cell = w[0] * dg[:, 0]
+        per_cell += 0.0
+        for q in range(1, nq):
+            per_cell += w[q] * dg[:, min(q, dg.shape[1] - 1)]
         return sums[0], sums[-1], per_cell.reshape(grads.shape)
 
 
@@ -461,26 +478,25 @@ def default_inits(mesh, M, clamped, options, rng):
 
 def _shrink(batch, grads, size, cap):
     """Scale each field of the batch whose size exceeds cap down onto it,
-    and its cell gradients with it."""
+    and its cell gradients with it, in place."""
     over = size > cap
-    if not over.any():
-        return batch, grads
-    factor = np.divide(cap, size, out=np.ones_like(size), where=over)
-    return batch * factor[:, None, None], grads * factor[:, None, None, None]
+    if over.any():
+        factor = np.divide(cap, size, out=np.ones_like(size), where=over)
+        batch *= factor[:, None, None]
+        grads *= factor[:, None, None, None]
 
 
 def _project(batch, grads, mesh, options, on):
     """Rescale each field of a batch (R, nv, M) on copies `on` of `mesh`, with
-    cell gradients `grads`, onto the feasible set; returns the fields and
-    their cell gradients."""
+    cell gradients `grads`, onto the feasible set, in place; returns the cell
+    gradients."""
     if options.grad_cap > 0:
         mags = row_norms(grads.reshape(len(batch), mesh.n_cells, -1))
-        batch, grads = _shrink(batch, grads, mags.max(axis=-1, initial=0.0),
-                               options.grad_cap)
+        _shrink(batch, grads, mags.max(axis=-1), options.grad_cap)
     if options.tv_cap > 0:
         tv = TVObjective(mesh, batch.shape[2]).from_cells(grads, on=on)
-        batch, grads = _shrink(batch, grads, tv, options.tv_cap)
-    return batch, grads
+        _shrink(batch, grads, tv, options.tv_cap)
+    return grads
 
 
 def _shared(options):
@@ -591,7 +607,6 @@ def _solve(objective, problems, on, floors):
         return out
     family = objective.mesh  # every problem's mesh, as a copy of it
     owner = np.array(owner)
-    at = on[owner]  # per restart: its copy
     first = np.searchsorted(owner, np.arange(len(problems)))  # each problem's row 0
     clamp = np.zeros((len(problems), family.n_vertices), dtype=bool)
     for p, (_, clamped, _) in enumerate(problems):
@@ -599,152 +614,199 @@ def _solve(objective, problems, on, floors):
     n = len(owner)
     normalize = options.mode == "normalize"
     size = max(1, BATCH_CELLS // family.n_cells)
-
-    def chunks(rows):
-        return (rows[i:i + size] for i in range(0, len(rows), size))
-
-    failed = np.zeros(len(problems), dtype=bool)
-    alive = np.zeros(n, dtype=bool)  # cleared by patience: no later stage runs
-    active = np.zeros(n, dtype=bool)  # cleared by a zero gradient: next stage
-
-    def fail(rows, bad, message, values):
-        """End the problems of the restarts rows[bad], each with its first."""
-        for i in np.flatnonzero(bad):
-            p = owner[rows[i]]
-            if not failed[p]:
-                failed[p] = True
-                out[p] = FieldEvaluationError(message.format(r=rows[i] - first[p]),
-                                              None if values is None else values[i])
-        lost = failed[owner]
-        alive[lost] = active[lost] = False
-
-    # per restart: the current iterate and its clamped smoothed gradient, the
-    # best value and where it was reached
-    fields = np.array(starts)
-    fields[clamp[owner]] = 0.0
-    steps = np.zeros_like(fields)
-    d = np.ones(n)
-    for rows in chunks(np.arange(n)):
-        fields[rows], G = _project(fields[rows], family.p1_gradient(fields[rows], at[rows]),
-                                   family, options, at[rows])
-        if normalize:
-            d[rows] = objective.den.from_cells(G, on=at[rows])
-    usable = ~(d < DEN_FLOOR)
-    fields /= np.where(usable, d, 1.0)[:, None, None]
-    for p in np.unique(owner):
-        if not usable[owner == p].any():
-            fail(first[p:p + 1], [True], "no usable start (degenerate inits)", None)
     stages = list(options.smoothing) or [0.0]
+    iters_per_stage = max(1, options.max_iter // len(stages))
+    cap = len(stages) * iters_per_stage  # the most iterations a restart takes
+    decay = np.sqrt(1.0 + np.arange(cap))  # step0 over it: the step at k_global
+    patience = max(options.patience, 1)  # since is 0 after an improvement
+    failed = np.zeros(len(problems), dtype=bool)
+    floor = None
+    if any(f is not None for f in floors):
+        floor = np.array([-np.inf if f is None else f for f in floors])
+    # per restart: why it stopped
+    reasons = np.full(n, "iteration_cap", dtype=object)
 
-    def evaluate(rows, G, delta, on, clamped):
-        """The exact values of the fields `rows` (on copies `on`, clamped
-        where `clamped`) from their cell gradients G; their gradients at
-        smoothing delta go to steps[rows]."""
-        _, exact, dG = objective.from_cells(G, delta, True, **_placed(objective, on))
-        g = family.p1_assemble(dG, on)
-        g[clamped] = 0.0
-        steps[rows] = g
-        return exact
-
+    # The per-restart state, one row per restart: its problem and copy, the
+    # current iterate and its clamped smoothed gradient, the best value and
+    # where it was reached.  Row i holds restart order[i].  permute reorders
+    # the rows in place so that the restarts still iterating form a prefix:
+    # a chunk of it is a slice, and its state a view.  The rows return to
+    # restart order at the end.
+    order = np.arange(n)
+    at = on[owner]
+    clamp = clamp[owner]
+    fields = np.array(starts)
+    fields[clamp] = 0.0
+    steps = np.zeros_like(fields)
     best = np.full(n, np.inf)
-    for rows in chunks(np.flatnonzero(usable & ~failed[owner])):
-        best[rows] = evaluate(rows, family.p1_gradient(fields[rows], at[rows]), stages[0],
-                              at[rows], clamp[owner[rows]])
-        bad = ~np.isfinite(best[rows])
-        if bad.any():
-            fail(rows, bad, "objective non-finite at restart {r} init", fields[rows])
-    best_fields = fields.copy()
-    since_improve = np.zeros(n, dtype=np.int64)
+    since = np.zeros(n, dtype=np.int64)  # iterations since the last improvement
     k_global = np.zeros(n, dtype=np.int64)
-    hit_cap = np.zeros(n, dtype=bool)
+    d = np.ones(n)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        G = _project(fields[lo:hi], family.p1_gradient(fields[lo:hi], at[lo:hi]),
+                     family, options, at[lo:hi])
+        if normalize:
+            d[lo:hi] = objective.den.from_cells(G, on=at[lo:hi])
+    alive = ~(d < DEN_FLOOR)  # cleared by a stop: no later stage runs
+    reasons[~alive] = "unusable_start"
+    fields /= np.where(alive, d, 1.0)[:, None, None]
+    best_fields = fields.copy()
     if options.step0 > 0:
         step0 = np.full(n, options.step0)
     else:
         step0 = 0.3 * np.maximum(np.abs(fields).max(axis=(1, 2), initial=0.0), 0.1)
-    alive[:] = usable & ~failed[owner]
-    reasons = np.where(usable, "iteration_cap", "unusable_start").astype(object)
-    floor = np.array([-np.inf if f is None else f for f in floors])[owner]
-    floored = any(f is not None for f in floors)
+    flat = np.zeros(n, dtype=bool)  # set by a zero gradient: next stage
+    state = (order, owner, at, clamp, fields, steps, best, best_fields, since,
+             k_global, step0, alive, flat)
+    stopped = False  # a row stopped in this iteration
+
+    def permute(lo, perm):
+        """Rows lo, lo + 1, ... take the rows lo + perm."""
+        if (perm[1:] > perm[:-1]).all():
+            return  # the identity
+        hi = lo + len(perm)
+        for a in state:
+            a[lo:hi] = a[lo:hi][perm]
+
+    def fail(lo, bad, message, values):
+        """End the problems of the rows lo + flatnonzero(bad), each with its
+        first."""
+        nonlocal stopped
+        for i in np.flatnonzero(bad):
+            p = owner[lo + i]
+            if not failed[p]:
+                failed[p] = True
+                out[p] = FieldEvaluationError(
+                    message.format(r=order[lo + i] - first[p]),
+                    None if values is None else values[i].copy())
+        alive[failed[owner]] = False
+        stopped = True
+
+    for p in np.unique(owner):
+        if not alive[owner == p].any():
+            fail(first[p], [True], "no usable start (degenerate inits)", None)
+
+    def evaluate(lo, hi, G, delta):
+        """The exact values of rows lo..hi-1 from their cell gradients G;
+        their gradients at smoothing delta go to steps[lo:hi]."""
+        _, exact, dG = objective.from_cells(G, delta, True,
+                                            **_placed(objective, at[lo:hi]))
+        g = family.p1_assemble(dG, at[lo:hi])
+        np.copyto(g, 0.0, where=clamp[lo:hi, :, None])
+        steps[lo:hi] = g
+        return exact
+
+    permute(0, np.argsort(~alive, kind="stable"))  # the usable starts first
+    usable = int(alive.sum())
+    for lo in range(0, usable, size):
+        hi = min(lo + size, usable)
+        best[lo:hi] = evaluate(lo, hi, family.p1_gradient(fields[lo:hi], at[lo:hi]),
+                               stages[0])
+        bad = ~np.isfinite(best[lo:hi])
+        if bad.any():
+            fail(lo, bad, "objective non-finite at restart {r} init", fields[lo:hi])
 
     def certify():
         """End every problem whose best value has reached its floor."""
-        if not floored:
+        nonlocal stopped
+        if floor is None:
             return
-        proven = np.isin(owner, owner[best <= floor]) & alive
-        alive[proven] = active[proven] = False
-        reasons[proven] = "certified"
+        proven = np.isin(owner, owner[best <= floor[owner]]) & alive
+        if proven.any():
+            alive[proven] = False
+            reasons[order[proven]] = "certified"
+            stopped = True
 
     certify()
 
-    def advance(rows, delta, flat):
-        """One iteration of the restarts `rows`, all in the same stage: a step
+    def sift(lo, hi, gn):
+        """Move the rows lo..hi-1 that step to the front of the chunk; returns
+        the end of those rows and their gradient norms.  A row of a problem
+        that ended in an earlier chunk does not step, nor does one whose
+        gradient vanished (it waits for the next stage); a non-finite
+        gradient ends its problem."""
+        nonlocal stopped
+        stopped = True
+        live = alive[lo:hi].copy()
+        zero = live & (gn < 1e-15)
+        flat[lo:hi] |= zero
+        bad = live & ~zero & ~np.isfinite(gn)
+        if bad.any():
+            fail(lo, bad, "non-finite gradient", fields[lo:hi])
+        go = alive[lo:hi] & ~zero
+        perm = np.argsort(~go, kind="stable")
+        permute(lo, perm)
+        k = int(go.sum())
+        return lo + k, gn[perm[:k]]
+
+    def advance(lo, hi, delta):
+        """One iteration of the rows lo..hi-1, all in the same stage: a step
         along their gradients, the cell gradients of the step (a rescaling
         scales them with the field), and one evaluation with one assembly."""
-        if failed.any():
-            rows = rows[~failed[owner[rows]]]  # a problem may end in an earlier chunk
-            if not len(rows):
-                return
-        g = steps[rows]
+        nonlocal stopped
+        g = steps[lo:hi]
         # one dot per restart, as np.linalg.norm of a single field takes it
-        gn = np.sqrt([gr.dot(gr) for gr in g.reshape(len(rows), -1)])
-        zero = gn < 1e-15
-        active[rows[zero]] = False
-        flat[rows[zero]] = True
-        go = ~zero
-        bad = ~np.isfinite(gn)
-        if bad.any():
-            fail(rows, bad, "non-finite gradient", fields[rows])
-            go &= ~failed[owner[rows]]
-        if not go.all():
-            rows, g, gn = rows[go], g[go], gn[go]
-            if not len(rows):
+        gn = np.sqrt([gr.dot(gr) for gr in g.reshape(hi - lo, -1)])
+        if stopped or not ((gn >= 1e-15) & (gn < np.inf)).all():
+            hi, gn = sift(lo, hi, gn)
+            if hi == lo:
                 return
-        at_rows, clamp_rows = at[rows], clamp[owner[rows]]
-        alpha = step0[rows] / np.sqrt(1.0 + k_global[rows])
-        new = fields[rows] - alpha[:, None, None] * (g / gn[:, None, None])
-        new[clamp_rows] = 0.0
-        new, G = _project(new, family.p1_gradient(new, at_rows), family, options,
-                          at_rows)
+            g = steps[lo:hi]
+        new, copies = fields[lo:hi], at[lo:hi]
+        new -= (step0[lo:hi] / decay[k_global[lo:hi]])[:, None, None] * (g / gn[:, None, None])
+        np.copyto(new, 0.0, where=clamp[lo:hi, :, None])
+        G = _project(new, family.p1_gradient(new, copies), family, options, copies)
         if normalize:
-            d = objective.den.from_cells(G, on=at_rows)
+            d = objective.den.from_cells(G, on=copies)
             d = np.where(d > DEN_FLOOR, d, 1.0)
             new /= d[:, None, None]
-            G = G / d[:, None, None, None]
-        k_global[rows] += 1
-        v = evaluate(rows, G, delta, at_rows, clamp_rows)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            fail(rows, bad, "objective non-finite", new)
-            ok = ~failed[owner[rows]]
-            rows, new, v = rows[ok], new[ok], v[ok]
-        fields[rows] = new
-        lb = best[rows]
+            G /= d[:, None, None, None]
+        k_global[lo:hi] += 1
+        v = evaluate(lo, hi, G, delta)
+        finite = np.isfinite(v)
+        if not finite.all():
+            fail(lo, ~finite, "objective non-finite", new)
+        lb = best[lo:hi]
         better = v < lb - 1e-14 * (1.0 + np.abs(lb))
-        best[rows] = np.where(better, v, lb)
-        up = rows[better]
-        best_fields[up] = new[better]
-        hit_cap[up] = k_global[up] >= options.max_iter - 1
-        since_improve[rows] = since = np.where(better, 0, since_improve[rows] + 1)
-        tired = rows[~better & (since >= options.patience)]
-        alive[tired] = active[tired] = False
-        reasons[tired] = "patience"
+        np.copyto(lb, v, where=better)
+        np.copyto(best_fields[lo:hi], new, where=better[:, None, None])
+        s = since[lo:hi]
+        s += 1
+        s[better] = 0
+        tired = s >= patience
+        if tired.any():
+            alive[lo:hi][tired] = False
+            reasons[order[lo:hi][tired]] = "patience"
+            stopped = True
 
-    iters_per_stage = max(1, options.max_iter // len(stages))
     for s, delta in enumerate(stages):
-        active[:] = alive
-        flat = np.zeros(n, dtype=bool)
+        if not alive.any():
+            break
+        # the live restarts first, in restart order
+        permute(0, np.argsort(np.where(alive, order, order + n)))
+        live = int(alive.sum())
+        flat[:] = False
         if s:  # the first stage's gradients came with the start values
-            for rows in chunks(np.flatnonzero(alive)):
-                evaluate(rows, family.p1_gradient(fields[rows], at[rows]), delta,
-                         at[rows], clamp[owner[rows]])
+            for lo in range(0, live, size):
+                hi = min(lo + size, live)
+                evaluate(lo, hi, family.p1_gradient(fields[lo:hi], at[lo:hi]), delta)
         for _ in range(iters_per_stage):
-            rows = np.flatnonzero(active)
-            if not len(rows):
+            if not live:
                 break
-            for part in chunks(rows):
-                advance(part, delta, flat)
+            stopped = False
+            for lo in range(0, live, size):
+                advance(lo, min(lo + size, live), delta)
             certify()  # after whole iterations only, so alone = in a family
-    reasons[alive & flat] = "zero_gradient"
+            if stopped:  # the rows still iterating first
+                moving = alive[:live] & ~flat[:live]
+                permute(0, np.argsort(~moving, kind="stable"))
+                live = int(moving.sum())
+    reasons[order[alive & flat]] = "zero_gradient"
+    permute(0, np.argsort(order))  # back in restart order
+    # k_global - since is the iteration of a restart's last improvement (0
+    # for none); one at or next to the cap hit it
+    hit_cap = k_global - since >= max(cap - 1, 1)
 
     delta_min = min(options.smoothing) if options.smoothing else 0.0
     for p, (mesh, clamped, opts) in enumerate(problems):

@@ -183,3 +183,18 @@ def test_scipy_is_not_imported_by_the_cli_or_a_1d_analysis():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["norm_square", "nulllag_square"])
+def test_a_2d_analysis_of_closed_form_boundary_points_leaves_scipy_unloaded(name):
+    """Their qslb deficits come in closed form, and the cell budget of a
+    closed-form point is counted without triangulating the half-ball."""
+    code = (
+        "import sys\n"
+        "import bvlsc.cli\n"
+        "from bvlsc.verdict import Scenario, analyze\n"
+        f"analyze(Scenario.from_file(bvlsc.cli.resolve_config({name!r})))\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

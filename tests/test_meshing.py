@@ -130,6 +130,11 @@ def test_a_stack_of_four_halfball_normals_shares_one_cells_array():
     assert all(m.cells is stack.cells for m in meshes)
 
 
+def test_halfball_cells_in_closed_form_equals_the_delaunay_count():
+    for h in np.linspace(0.02, 1.5, 407):
+        assert halfball_cells([0.6, 0.8], h) == len(_canonical_halfball(h)[1]), h
+
+
 @pytest.mark.parametrize("nu", [[1.0], [-1.0], [0.6, 0.8]])
 def test_halfball_cells_refuses_what_halfball_mesh_refuses(nu, monkeypatch):
     assert halfball_cells(nu, 0.25) == halfball_mesh(nu, 0.25).n_cells

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from bvlsc import minimize
+from bvlsc.boundary import halfball_deficit
 from bvlsc.integrands import Integrand, catalog_get, catalog_tags, freeze_x, modulate
-from bvlsc.meshing import Mesh, halfball_mesh, interval_mesh, unit_square_mesh
+from bvlsc.meshing import BoundaryPoint, Mesh, halfball_mesh, interval_mesh, unit_square_mesh
 from bvlsc.minimize import (
     BulkObjective,
     FieldEvaluationError,
@@ -17,6 +18,7 @@ from bvlsc.minimize import (
     TVObjective,
     default_inits,
     minimize_field,
+    minimize_fields,
 )
 
 
@@ -245,7 +247,8 @@ def reference_minimize(objective, mesh, clamped, options):
                 if v < local_best - 1e-14 * (1.0 + abs(local_best)):
                     local_best, local_best_values = v, values.copy()
                     since_improve = 0
-                    hit_cap = k_global >= options.max_iter - 1
+                    # at or next to the last iteration the stages allow
+                    hit_cap = k_global >= len(stages) * iters_per_stage - 1
                 else:
                     since_improve += 1
                     if since_improve >= options.patience:
@@ -353,6 +356,93 @@ def test_lockstep_matches_per_restart_loop(case, chunked, monkeypatch):
         assert reason in got.stop_reasons
     assert len(got.restart_values) == len(got.stop_reasons) == got.restarts_used
     assert got.restart_values[got.best_restart] == min(got.restart_values)
+
+
+# -- compaction: the restarts still iterating form a prefix of the batch ------------
+
+
+def _pull_to_slope_one():
+    """(xi - 1)^2 on [0, 1] clamped at 0 only: the field x is its minimum,
+    where the gradient vanishes."""
+    def fn(x, xi):
+        return (xi[:, 0, 0] - 1.0) ** 2
+
+    return Integrand(fn, 1, 1, growth=1.0, grad=lambda x, xi: 2.0 * (xi - 1.0))
+
+
+def _compaction_cases():
+    """Per case: the family's objective, then per problem its objective
+    alone, mesh, clamped set, options and floor."""
+    iv = interval_mesh(0.0, 1.0, 0.125)
+    pull = BulkObjective(iv, _pull_to_slope_one())
+    # restart 3 of 6 starts at the minimum: it stops at its first iteration,
+    # before any other restart
+    stuck = SolverOptions(restarts=6, max_iter=60, patience=10, seed=2,
+                          extra_inits=(iv.vertices[:, 0],))
+    quotient, hb, hb_clamped, unusable = _lockstep_cases()["normalize_degenerate_init"]
+    sq = unit_square_mesh(4)
+    f = modulate(catalog_get("norm_sin", {"M": 1, "N": 2}), 1.0, [0.4, -0.3])
+    gs = [freeze_x(f, x) for x in ([0.3, 0.6], [0.7, 0.4])]
+    xis = np.array([[[0.0, 0.0]], [[1.0, 0.0]]])
+    qc = [SolverOptions(restarts=5, max_iter=90, patience=15, grad_cap=4.0, seed=s)
+          for s in (3, 4)]
+    # problem 0 reaches its floor mid-solve; problem 1 has none
+    qc_alone = [BulkObjective(sq, g, xi0=xi, subtract_offset=True) for g, xi in zip(gs, xis)]
+    free0 = minimize_field(qc_alone[0], sq, sq.boundary_vertices, qc[0])
+    return {
+        "middle_restart_stops_first": (pull, [
+            (pull, iv, [0], stuck, None),
+            (pull, iv, [0], dataclasses.replace(stuck, seed=5, extra_inits=()), None)]),
+        "unusable_start_mid_batch": (quotient, [
+            (quotient, hb, hb_clamped, unusable, None),
+            (quotient, hb, hb_clamped, dataclasses.replace(unusable, seed=9), None)]),
+        "problem_0_certified_mid_solve": (
+            BulkObjective(sq, gs, xi0=xis, subtract_offset=True),
+            [(qc_alone[0], sq, sq.boundary_vertices, qc[0], free0.value + 1e-3),
+             (qc_alone[1], sq, sq.boundary_vertices, qc[1], None)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["middle_restart_stops_first", "unusable_start_mid_batch",
+                                  "problem_0_certified_mid_solve"])
+@pytest.mark.parametrize("rows", [None, 2, 0], ids=["one_batch", "two_rows", "one_row"])
+def test_compaction_keeps_every_bit(case, rows, monkeypatch):
+    """Restarts that stop leave the prefix of restarts still iterating; the
+    family, each problem alone and the per-restart loop agree bit for bit,
+    whatever the chunk size."""
+    objective, problems = _compaction_cases()[case]
+    if rows is not None:  # rows restarts per chunk; 0: one, as for 1 cell
+        monkeypatch.setattr(minimize, "BATCH_CELLS", rows * problems[0][1].n_cells)
+    family = minimize_fields(objective, [(m, c, o) for _, m, c, o, _ in problems],
+                             floors=[f for *_, f in problems])
+    for p, (alone, mesh, clamped, opts, floor) in enumerate(problems):
+        (solo,) = minimize_fields(alone, [(mesh, clamped, opts)], floors=[floor])
+        _assert_same_result(family[p], solo)
+        if floor is None:
+            _assert_same_result(family[p], reference_minimize(alone, mesh, clamped, opts))
+    reasons = family[0].stop_reasons
+    if case == "middle_restart_stops_first":
+        assert reasons[3] == "zero_gradient"
+        assert family[0].restart_values[3] == 0.0
+        assert "zero_gradient" not in reasons[:3] + reasons[4:]
+    elif case == "unusable_start_mid_batch":
+        assert reasons[4] == "unusable_start" and len(reasons) == 6
+    else:
+        assert "certified" in reasons and "certified" not in family[1].stop_reasons
+        assert family[0].iterations < family[1].iterations
+
+
+@pytest.mark.parametrize("max_iter", [500, 501, 502])
+def test_low_confidence_reads_the_cap_the_stages_allow(max_iter):
+    """Three stages let a restart run 3 * (max_iter // 3) iterations; a best
+    iterate at or next to that cap, with a large residual, is low confidence
+    whatever max_iter % 3 (at 500 and 502 the cap once read max_iter and was
+    never reached)."""
+    finf = catalog_get("linear", {"matrix": [[0.6, -0.8]]}).recession
+    rep = halfball_deficit(finf, BoundaryPoint([0.0, 0.0], [1.0, 0.0]), h=0.1,
+                           options=SolverOptions(restarts=4, max_iter=max_iter))
+    assert rep.diagnostics["stationarity_residual"] == pytest.approx(0.175, abs=1e-3)
+    assert rep.diagnostics["low_confidence"]
 
 
 def test_lockstep_raises_where_per_restart_loop_raises():
@@ -588,6 +678,29 @@ def _catalog_entry(tag, N):
     params = {"linear": {"matrix": [[0.7, -0.4][:N]]},
               "boundary_null_lagrangian": {"a": [1.0], "t": [0.6, 0.8][:N]}}
     return catalog_get(tag, params.get(tag, {"M": 1, "N": N}))
+
+
+@pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 0.1), unit_square_mesh(4)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "every_point"])
+def test_cell_derivatives_sum_a_cells_points_as_einsum_does(mesh, frozen):
+    """The per-cell derivative of from_cells is np.einsum("cq,cqmn->cmn") of
+    the quadrature weights and the integrand's derivatives at the points, bit
+    for bit, also at the -0.0 entries of a zero gradient."""
+    f = catalog_get("negnorm", {"M": 2, "N": mesh.dim})
+    g = (freeze_x(f, [0.4] * mesh.dim) if frozen
+         else modulate(f, 1.2, [0.5, -0.4][:mesh.dim]))
+    batch = np.random.default_rng(3).normal(size=(3, mesh.n_vertices, 2))
+    batch[1] = 0.0
+    G = mesh.p1_gradient(batch)
+    _, _, dG = BulkObjective(mesh, g).from_cells(G, 1e-2, True)
+    pts, wts = mesh.quadrature()
+    nq = wts.shape[1]
+    x = np.tile(pts.reshape(-1, mesh.dim), (3, 1))
+    dg = g.evaluate(x, np.repeat(G.reshape(-1, 2, mesh.dim), nq, axis=0), 1e-2)[2]
+    want = np.einsum("cq,cqmn->cmn", np.tile(wts, (3, 1)), dg.reshape(-1, nq, 2, mesh.dim))
+    assert np.signbit(dg).any() and not np.signbit(want[want == 0.0]).any()
+    assert dG.tobytes() == want.reshape(dG.shape).tobytes()
 
 
 @pytest.mark.parametrize("mesh", [interval_mesh(0.0, 1.0, 0.1), unit_square_mesh(4)],
