@@ -617,7 +617,7 @@ def _solve(objective, problems, on, floors):
     stages = list(options.smoothing) or [0.0]
     iters_per_stage = max(1, options.max_iter // len(stages))
     cap = len(stages) * iters_per_stage  # the most iterations a restart takes
-    decay = np.sqrt(1.0 + np.arange(cap))  # step0 over it: the step at k_global
+    decay = np.sqrt(1.0 + np.arange(cap))  # the step at k_global k is step0 / decay[k]
     patience = max(options.patience, 1)  # since is 0 after an improvement
     failed = np.zeros(len(problems), dtype=bool)
     floor = None
@@ -659,7 +659,7 @@ def _solve(objective, problems, on, floors):
     flat = np.zeros(n, dtype=bool)  # set by a zero gradient: next stage
     state = (order, owner, at, clamp, fields, steps, best, best_fields, since,
              k_global, step0, alive, flat)
-    stopped = False  # a row stopped in this iteration
+    stopped = False  # a row stopped (or its problem ended) in this iteration
 
     def permute(lo, perm):
         """Rows lo, lo + 1, ... take the rows lo + perm."""
@@ -754,7 +754,8 @@ def _solve(objective, problems, on, floors):
                 return
             g = steps[lo:hi]
         new, copies = fields[lo:hi], at[lo:hi]
-        new -= (step0[lo:hi] / decay[k_global[lo:hi]])[:, None, None] * (g / gn[:, None, None])
+        alpha = step0[lo:hi] / decay[k_global[lo:hi]]
+        new -= alpha[:, None, None] * (g / gn[:, None, None])
         np.copyto(new, 0.0, where=clamp[lo:hi, :, None])
         G = _project(new, family.p1_gradient(new, copies), family, options, copies)
         if normalize:
