@@ -17,6 +17,19 @@ for the restart alone, so the result equals that of running the restarts
 one after another, and ties still go to the lowest restart.  Batches larger
 than BATCH_CELLS cells x restarts advance in chunks.
 
+The per-restart state (iterate, gradient, best value and iterate, step
+count, patience count, copy and clamped set) is one slab whose leading rows
+are the restarts still iterating, in restart order: a chunk is a slice of
+them and its state a view, with no gathers or scatters.  A restart that
+stops (patience, a zero gradient, its problem's error or certification)
+leaves the prefix by a stable permutation of the rows at the end of the
+iteration (of the chunk's rows, while the chunk runs), and a new stage
+brings the live restarts back to the front.  The rows return to restart
+order before the results are assembled.  A solve is low_confidence when its
+best restart last improved at or next to the iteration cap the stages allow
+(len(smoothing) x (max_iter // len(smoothing)) iterations) and its
+stationarity residual exceeds stationarity_tol.
+
 A family of independent problems advances the same way (minimize_fields):
 the restarts of all problems form one batch, problem p on copy p of an
 objective whose parameters vary per copy (BulkObjective's integrand point,
