@@ -785,10 +785,10 @@ def _solve(objective, problems, on, floors):
         better = v < lb - 1e-14 * (1.0 + np.abs(lb))
         np.copyto(lb, v, where=better)
         np.copyto(best_fields[lo:hi], new, where=better[:, None, None])
-        s = since[lo:hi]
-        s += 1
-        s[better] = 0
-        tired = s >= patience
+        idle = since[lo:hi]
+        idle += 1
+        idle[better] = 0
+        tired = idle >= patience
         if tired.any():
             alive[lo:hi][tired] = False
             reasons[order[lo:hi][tired]] = "patience"

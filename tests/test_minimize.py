@@ -405,14 +405,15 @@ def _compaction_cases():
 
 @pytest.mark.parametrize("case", ["middle_restart_stops_first", "unusable_start_mid_batch",
                                   "problem_0_certified_mid_solve"])
-@pytest.mark.parametrize("rows", [None, 2, 0], ids=["one_batch", "two_rows", "one_row"])
-def test_compaction_keeps_every_bit(case, rows, monkeypatch):
+@pytest.mark.parametrize("batch_cells", [None, lambda nc: 2 * nc, lambda nc: 1],
+                         ids=["one_batch", "two_rows", "one_row"])
+def test_compaction_keeps_every_bit(case, batch_cells, monkeypatch):
     """Restarts that stop leave the prefix of restarts still iterating; the
     family, each problem alone and the per-restart loop agree bit for bit,
     whatever the chunk size."""
     objective, problems = _compaction_cases()[case]
-    if rows is not None:  # rows restarts per chunk; 0: one, as for 1 cell
-        monkeypatch.setattr(minimize, "BATCH_CELLS", rows * problems[0][1].n_cells)
+    if batch_cells is not None:
+        monkeypatch.setattr(minimize, "BATCH_CELLS", batch_cells(problems[0][1].n_cells))
     family = minimize_fields(objective, [(m, c, o) for _, m, c, o, _ in problems],
                              floors=[f for *_, f in problems])
     for p, (alone, mesh, clamped, opts, floor) in enumerate(problems):
