@@ -78,6 +78,7 @@ minimum, and low_confidence stays False because the cap was never hit.  A
 problem without a floor runs exactly as it would without this rule.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -494,7 +495,7 @@ def _shrink(batch, grads, size, cap):
     and its cell gradients with it, in place."""
     over = size > cap
     if over.any():
-        factor = np.divide(cap, size, out=np.ones_like(size), where=over)
+        factor = cap / np.where(over, size, cap)  # 1.0 where not over
         batch *= factor[:, None, None]
         grads *= factor[:, None, None, None]
 
@@ -760,8 +761,11 @@ def _solve(objective, problems, on, floors):
         nonlocal stopped
         g = steps[lo:hi]
         # one dot per restart, as np.linalg.norm of a single field takes it
-        gn = np.sqrt([gr.dot(gr) for gr in g.reshape(hi - lo, -1)])
-        if stopped or not ((gn >= 1e-15) & (gn < np.inf)).all():
+        dots = [gr.dot(gr) for gr in g.reshape(hi - lo, -1)]
+        gn = np.sqrt(dots)
+        # every norm finite and >= 1e-15 (sqrt(2e-30) > 1e-15) lets the
+        # whole chunk step; otherwise sift looks row by row
+        if stopped or not (math.isfinite(sum(dots)) and min(dots) >= 2e-30):
             hi, gn = sift(lo, hi, gn)
             if hi == lo:
                 return
