@@ -513,6 +513,13 @@ def _project(batch, grads, mesh, options, on):
     return grads
 
 
+def _front(first):
+    """The stable permutation that moves the rows where `first` is True ahead
+    of the others: two index scans, where a sort would page in numpy's sort
+    kernels (0.1-0.4 MB of resident memory)."""
+    return np.concatenate((np.flatnonzero(first), np.flatnonzero(~first)))
+
+
 def _shared(options):
     """The options every problem of one family must agree on."""
     return replace(options, seed=0, restarts=0, extra_inits=())
@@ -711,7 +718,7 @@ def _solve(objective, problems, on, floors):
         steps[lo:hi] = g
         return exact
 
-    permute(0, np.argsort(~alive, kind="stable"))  # the usable starts first
+    permute(0, _front(alive))  # the usable starts first
     usable = int(alive.sum())
     for lo in range(0, usable, size):
         hi = min(lo + size, usable)
@@ -749,7 +756,7 @@ def _solve(objective, problems, on, floors):
         if bad.any():
             fail(lo, bad, "non-finite gradient", fields[lo:hi])
         go = alive[lo:hi] & ~zero
-        perm = np.argsort(~go, kind="stable")
+        perm = _front(go)
         permute(lo, perm)
         k = int(go.sum())
         return lo + k, gn[perm[:k]]
@@ -801,8 +808,9 @@ def _solve(objective, problems, on, floors):
     for s, delta in enumerate(stages):
         if not alive.any():
             break
-        # the live restarts first, in restart order
-        permute(0, np.argsort(np.where(alive, order, order + n)))
+        # the live restarts first, in restart order (the keys are distinct;
+        # "stable" is the sort Mesh.facets already uses)
+        permute(0, np.argsort(np.where(alive, order, order + n), kind="stable"))
         live = int(alive.sum())
         flat[:] = False
         if s:  # the first stage's gradients came with the start values
@@ -818,10 +826,10 @@ def _solve(objective, problems, on, floors):
             certify()  # after whole iterations only, so alone = in a family
             if stopped:  # the rows still iterating first
                 moving = alive[:live] & ~flat[:live]
-                permute(0, np.argsort(~moving, kind="stable"))
+                permute(0, _front(moving))
                 live = int(moving.sum())
     reasons[order[alive & flat]] = "zero_gradient"
-    permute(0, np.argsort(order))  # back in restart order
+    permute(0, np.argsort(order, kind="stable"))  # back in restart order
     # k_global - since is the iteration of a restart's last improvement (0
     # for none); one at or next to the cap hit it
     hit_cap = k_global - since >= max(cap - 1, 1)
