@@ -646,12 +646,12 @@ def _zip_rings(sizes):
     the circle through a_i, a_i+1 and b_j is symmetric about the bisector of
     the edge a_i a_i+1 and, for rings as close as the half-ball's, centred
     outward along it, so it holds b_j+1 exactly when the edge b_j b_j+1 lies
-    at the smaller mid-angle.  The zip is thus a merge of the two
-    rings' edges by mid-angle, the fraction (2 i + 1) / (2 (m - 1)) of the
-    span for edge i of a ring of m points, compared exactly in integers; at
-    a tie (a co-circular quad) the inner edge goes first.
+    at the smaller mid-angle.  The zip is thus a merge of the two rings'
+    edges by mid-angle, the fraction (2 i + 1) / (2 (m - 1)) of the span for
+    edge i of a ring of m points, compared exactly in integers; at a tie (a
+    co-circular quad) the inner edge goes first.
     """
-    starts = np.cumsum((0,) + tuple(sizes))
+    starts = np.cumsum((0, *sizes))
     cells = []
     for a, ma, b, mb in zip(starts[:-2], sizes[:-1], starts[1:-1], sizes[1:]):
         i, j = np.arange(ma - 1), np.arange(mb - 1)
@@ -693,8 +693,8 @@ def halfball_mesh(normal, h_target):
     1D: D_nu is the unit interval on the side opposite the normal.
     2D: concentric polar rings in the canonical frame nu = e1 (left half-disk,
     flat facet exactly on {y1 = 0}), zipped ring to ring into a Delaunay
-    triangulation once per h, without scipy, then rotated so the flat facet lies on
-    {y.nu = 0}.
+    triangulation once per h, without scipy, then rotated so the flat facet
+    lies on {y.nu = 0}.
     """
     nu = np.atleast_1d(np.asarray(normal, dtype=float))
     nu = nu / np.linalg.norm(nu)

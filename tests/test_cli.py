@@ -185,16 +185,33 @@ def test_scipy_is_not_imported_by_the_cli_or_a_1d_analysis():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("name", ["norm_square", "nulllag_square"])
-def test_a_2d_analysis_of_closed_form_boundary_points_leaves_scipy_unloaded(name):
-    """Their qslb deficits come in closed form, and the cell budget of a
-    closed-form point is counted without triangulating the half-ball."""
-    code = (
-        "import sys\n"
-        "import bvlsc.cli\n"
-        "from bvlsc.verdict import Scenario, analyze\n"
-        f"analyze(Scenario.from_file(bvlsc.cli.resolve_config({name!r})))\n"
-        "assert 'scipy' not in sys.modules\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+ANALYZE = (
+    "from bvlsc.cli import resolve_config\n"
+    "from bvlsc.verdict import Scenario, analyze\n"
+    "analyze(Scenario.from_file(resolve_config({!r})))\n"
+)
+HALFBALL_SOLVE = (
+    "from bvlsc.boundary import halfball_deficit\n"
+    "from bvlsc.integrands import catalog_get\n"
+    "from bvlsc.meshing import BoundaryPoint\n"
+    "from bvlsc.minimize import SolverOptions\n"
+    "f = catalog_get('norm', {'M': 1, 'N': 2})\n"
+    "rep = halfball_deficit(f.recession, BoundaryPoint([0.0, 0.0], [0.6, 0.8]), h=0.1,\n"
+    "                       options=SolverOptions(restarts=2, max_iter=60))\n"
+    "assert rep.diagnostics['source'] == 'mesh'\n"
+)
+
+
+@pytest.mark.parametrize("code", [
+    *(pytest.param(ANALYZE.format(name), id=name)
+      for name in ("norm_square", "nulllag_square", "negnorm_square")),
+    pytest.param(HALFBALL_SOLVE, id="halfball_deficit"),
+])
+def test_a_2d_analysis_or_halfball_solve_leaves_scipy_unloaded(code):
+    """The half-ball mesh is zipped ring to ring without scipy (negnorm_square
+    builds its qslb witness on it); the qslb deficits of norm_square and
+    nulllag_square come in closed form, with no mesh at all."""
+    proc = subprocess.run([sys.executable, "-c", code + "import sys\n"
+                           "assert 'scipy' not in sys.modules\n"],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

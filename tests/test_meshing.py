@@ -108,20 +108,86 @@ HALFBALL_NORMALS = ([1.0, 0.0], [0.6, 0.8], [0.0, -1.0], [-np.sqrt(0.5), np.sqrt
 
 @pytest.mark.parametrize("h", [0.5, 0.25, 0.1, 0.05])
 def test_halfball_mesh_rotates_one_triangulation_per_h_as_a_fresh_build(h):
-    """A fresh build triangulates the canonical ring points again and lets the
-    rotated mesh orient its own cells."""
-    from scipy.spatial import Delaunay
-
+    """A fresh build zips the canonical ring points again, past the cache,
+    and lets the rotated mesh orient its own cells."""
     meshes = [halfball_mesh(nu, h) for nu in HALFBALL_NORMALS]
-    pts = _canonical_halfball(h)[0]
-    simplices = Delaunay(pts).simplices
-    simplices = simplices[_sub_measures(pts, simplices, 2) > 1e-13]
+    pts, cells = meshing._triangulated_halfball.__wrapped__(meshing._halfball_rings(h))
     for nu, mesh in zip(HALFBALL_NORMALS, meshes):
         nu = np.asarray(nu) / np.linalg.norm(nu)
-        fresh = Mesh(pts @ np.array([[nu[0], -nu[1]], [nu[1], nu[0]]]).T, simplices)
+        fresh = Mesh(pts @ np.array([[nu[0], -nu[1]], [nu[1], nu[0]]]).T, cells)
         assert mesh.vertices.tobytes() == fresh.vertices.tobytes()
         assert mesh.cells.tobytes() == fresh.cells.tobytes()
         assert halfball_cells(nu, h) == mesh.n_cells
+
+
+def _ring_points(rings):
+    """The half-ball's ring points, built apart from meshing as the reference
+    for their bytes, which the zip left as they were under scipy's Delaunay."""
+    pts = [np.zeros(2)]
+    for k, m in enumerate(rings, 1):
+        r = k / len(rings)
+        theta = np.linspace(np.pi / 2.0, 3.0 * np.pi / 2.0, m)
+        ring = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        ring[0] = [0.0, r]
+        ring[-1] = [0.0, -r]
+        pts.append(ring)
+    pts = np.vstack(pts)
+    pts[np.abs(pts[:, 0]) < 1e-14, 0] = 0.0
+    return pts
+
+
+def _min_angle(pts, cells):
+    v = pts[cells]
+    cosines = []
+    for i in range(3):
+        a, b = v[:, (i + 1) % 3] - v[:, i], v[:, (i + 2) % 3] - v[:, i]
+        cosines.append(np.sum(a * b, axis=1) / (row_norms(a) * row_norms(b)))
+    return float(np.arccos(np.clip(np.max(cosines), -1.0, 1.0)))
+
+
+def _in_circle(cells_pts, d):
+    """In-circle determinants, positive where d lies inside the circumcircle
+    of the counterclockwise triangle, and the size of their terms,
+    (|a - d| |b - d| |c - d|)^(4/3)."""
+    rel = cells_pts - d[:, None, :]
+    lift = np.sum(rel * rel, axis=2)
+    m = np.concatenate([rel, lift[:, :, None]], axis=2)
+    return np.linalg.det(m), np.prod(lift, axis=1) ** (2.0 / 3.0)
+
+
+def test_halfball_zip_is_a_conforming_delaunay_triangulation_of_the_ring_points():
+    from scipy.spatial import Delaunay
+
+    for h in np.linspace(0.02, 1.5, 407):
+        rings = meshing._halfball_rings(h)
+        pts, cells = _canonical_halfball(h)
+        assert pts.tobytes() == _ring_points(rings).tobytes(), h
+        tri = Delaunay(pts).simplices
+        tri = tri[_sub_measures(pts, tri, 2) > 1e-13]
+        assert len(cells) == halfball_cells([0.6, 0.8], h) == len(tri), h
+        mesh = Mesh(pts, cells)
+        assert mesh.cells.tobytes() == cells.tobytes(), h  # all counterclockwise
+        assert abs(mesh.cell_measures.sum() - _sub_measures(pts, tri, 2).sum()) <= 1e-14, h
+        assert _min_angle(pts, cells) >= _min_angle(pts, tri) - 1e-12, h
+        # conforming: every cell edge is a facet of Mesh.facets(), one cell on
+        # each side of an interior facet, and the one-cell facets are the
+        # flat side and the outer ring
+        facets, sides = mesh.facets()
+        inner = sides[:, 1] >= 0
+        assert 2 * inner.sum() + (~inner).sum() == 3 * len(cells), h
+        ends = pts[facets[~inner]]
+        flat = np.all(ends[:, :, 0] == 0.0, axis=1)
+        outer = np.all(np.abs(row_norms(ends) - 1.0) <= 1e-14, axis=1)
+        assert np.all(flat | outer), h
+        assert flat.sum() == 2 * len(rings) and outer.sum() == rings[-1] - 1, h
+        # empty circumcircles: across each interior facet the far vertex of
+        # one cell lies outside the other's circumcircle, which for a
+        # triangulation of a convex point set holds for every point exactly
+        # when it holds across every interior facet (the Delaunay lemma)
+        edge, c1 = facets[inner], cells[sides[inner, 1]]
+        far = c1[(c1 != edge[:, :1]) & (c1 != edge[:, 1:])]
+        det, scale = _in_circle(pts[cells[sides[inner, 0]]], pts[far])
+        assert np.all(det <= 1e-9 * scale), h
 
 
 def test_a_stack_of_four_halfball_normals_shares_one_cells_array():
