@@ -555,6 +555,22 @@ def refine_bv_1d(u, coords):
     within each parent cell (exact, also across discontinuities), atoms are
     untouched.
     """
+    return refined_bv(u, *refined_1d(u, coords))
+
+
+def refined_bv(u, pts, cell_values):
+    """The BVFunction of refined_1d's arrays: u's atoms and the cell values
+    on the mesh of the vertices pts, in u's domain."""
+    n = len(pts) - 1
+    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    return BVFunction(Mesh(pts[:, None], cells, domain=u.mesh.domain), cell_values,
+                      atoms=u.atoms)
+
+
+def refined_1d(u, coords):
+    """The arrays of refine_bv_1d(u, coords) without the mesh and function:
+    the sorted vertex coordinates (n + 1,) and the cell values (n, 2, M) of
+    the cells between consecutive vertices."""
     mesh = u.mesh
     if mesh.dim != 1:
         raise ValueError("refine_bv_1d needs a 1D mesh")
@@ -564,9 +580,6 @@ def refine_bv_1d(u, coords):
     coords = coords[(coords > a + 1e-14) & (coords < b - 1e-14)]
     pts = np.unique(np.concatenate([old, np.round(coords, 14)]))
     pts = pts[np.concatenate([[True], np.diff(pts) > 1e-14])]
-    n = len(pts) - 1
-    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    new_mesh = Mesh(pts[:, None], cells, domain=mesh.domain)
     old_cells = mesh.vertices[mesh.cells][:, :, 0]
     lefts = old_cells[:, 0]
     mid = 0.5 * (pts[:-1] + pts[1:])
@@ -575,5 +588,4 @@ def refine_bv_1d(u, coords):
     x0, x1 = old_cells[pi, :1], old_cells[pi, 1:]
     t = (np.column_stack([pts[:-1], pts[1:]]) - x0) / (x1 - x0)  # (n, 2)
     v0, v1 = u.cell_values[pi, :1], u.cell_values[pi, 1:]  # (n, 1, M)
-    new_cv = v0 + t[..., None] * (v1 - v0)
-    return BVFunction(new_mesh, new_cv, atoms=u.atoms)
+    return pts, v0 + t[..., None] * (v1 - v0)

@@ -24,7 +24,9 @@ import warnings
 
 import numpy as np
 
-from .bv import derivative, does_not_charge, refine_bv_1d, tv_on_neighborhood
+from .bv import (derivative, does_not_charge, refine_bv_1d, refined_1d, refined_bv,
+                 tv_on_neighborhood)
+from .meshing import segment_shape_gradients
 
 __all__ = [
     "CoverSpec",
@@ -93,16 +95,20 @@ class DecompositionResult:
         }
 
 
-def _abs_integral_times_grad(u, phi_values):
-    """Exact integral of |u| |grad phi| for affine u, cellwise-constant grad phi."""
-    mesh = u.mesh
-    gphi = mesh.p1_gradient(phi_values)[:, 0, 0]
+def _abs_integral_times_grad(pts, cell_values, phi_values):
+    """Exact integral of |u| |grad phi| for u affine with the cell values
+    (n, 2, M) on the cells between the sorted vertices pts (n + 1,) and phi
+    continuous P1 with the vertex values phi_values (cellwise-constant grad
+    phi, taken as Mesh.p1_gradient takes it)."""
+    x = np.column_stack([pts[:-1], pts[1:]])
+    corners = np.column_stack([phi_values[:-1], phi_values[1:]])[:, :, None]
+    gphi = np.einsum("cim,cid->cmd", corners,
+                     segment_shape_gradients(x[:, 1] - x[:, 0]))[:, 0, 0]
     total = 0.0
-    x = mesh.vertices[mesh.cells][:, :, 0]
     for ci in np.where(np.abs(gphi) > 1e-15)[0]:
-        v0, v1 = u.cell_values[ci, 0], u.cell_values[ci, 1]
+        v0, v1 = cell_values[ci, 0], cell_values[ci, 1]
         length = x[ci, 1] - x[ci, 0]
-        if u.M == 1:
+        if cell_values.shape[2] == 1:
             a, b = float(v0[0]), float(v1[0])
             if a * b >= 0:
                 area = 0.5 * abs(a + b) * length
@@ -118,8 +124,8 @@ def _abs_integral_times_grad(u, phi_values):
     return total
 
 
-def _cutoff_values(mesh, kset, n):
-    d = kset.dist(mesh.vertices)
+def _cutoff_values(vertices, kset, n):
+    d = kset.dist(vertices)
     r_out, r_in = 1.0 / n, 0.5 / n
     return np.clip((r_out - d) / (r_out - r_in), 0.0, 1.0)
 
@@ -204,20 +210,21 @@ def _single_stage(members, kset, n_target, bound_factor, lo, hi,
         brk = _breakpoints_1d(kset, n, lo, hi)
         pick, best = None, np.inf
         for k in range(k_prev + 1, len(members)):
-            uk = refine_bv_1d(members[k], brk)
-            phi = _cutoff_values(uk.mesh, kset, n)
-            mixed = _abs_integral_times_grad(uk, phi)
+            pts, cell_values = refined_1d(members[k], brk)
+            phi = _cutoff_values(pts[:, None], kset, n)
+            mixed = _abs_integral_times_grad(pts, cell_values, phi)
             if mixed < best:
                 best = mixed
             if mixed <= bound:
-                pick = (k, uk, phi)
+                pick = (k, pts, cell_values, phi)
                 break
         if pick is None:
             if best_effort:
                 break
             raise PrefixTooShortError(n, best, bound)
-        k, uk, phi = pick
+        k, pts, cell_values, phi = pick
         k_prev = k
+        uk = refined_bv(members[k], pts, cell_values)
         first = cutoff_multiply(uk, phi)
         n_values.append(n)
         k_map[n] = k

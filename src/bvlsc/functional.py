@@ -7,21 +7,32 @@ Bulk integrals use the mesh's quadrature rule in x (meshing.QUADRATURE); the
 gradient is exact per cell, so x-independent integrands are integrated
 exactly.  eval_G applies the same rule to an arbitrary matrix measure.
 
-All the charges of a measure go through the recession function in one call,
-one row (position, polar) per charge.  A recession function, a user
-RecessionFn included, must therefore treat its rows independently, giving
-each row the value it would give it alone, as the batched half-ball solves
-already require.
+One evaluation path, eval_stack, takes a MeasureStack of one or more
+measures: every quadrature point of every member goes through f in one
+call, and every charge of every member through the recession function in
+one call, one row (position, polar) per charge; each member's bulk and
+singular sums are then formed as for that member alone.  eval_G is its
+one-member case, and a table of sequence members is one stack.  An
+integrand or a recession function, a user RecessionFn included, must
+therefore treat its rows independently, giving each row the value it would
+give it alone, as the batched half-ball solves already require.
 """
+
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
+from . import meshing
 from .bv import derivative, total_variation
 
 __all__ = [
     "FunctionalValue",
+    "MeasureStack",
     "eval_F",
+    "eval_F_table",
     "eval_G",
+    "eval_stack",
     "four_term_residual",
     "uniform_continuity_probe",
     "additivity_residual",
@@ -55,45 +66,105 @@ class FunctionalValue:
         )
 
 
-def _bulk_cell_values(f, mesh, grads):
-    pts, wts = mesh.quadrature()
+class MeasureStack(NamedTuple):
+    """The data of several measures, member after member: quadrature points
+    (C, nq, dim) and weights (C, nq) of the cells, the density (C, M, N),
+    the charge positions (K, dim), polars (K, M, N) and masses (K,), and the
+    index of each member's first cell and first charge."""
+
+    points: np.ndarray
+    weights: np.ndarray
+    density: np.ndarray
+    positions: np.ndarray
+    polars: np.ndarray
+    masses: np.ndarray
+    cell_starts: list
+    charge_starts: list
+
+    @classmethod
+    def of(cls, measures):
+        """The stack of the MatrixMeasures, each on its own mesh."""
+        def stacked(arrays):
+            return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+
+        quads = [mu.mesh.quadrature() for mu in measures]
+        return cls(stacked([q[0] for q in quads]), stacked([q[1] for q in quads]),
+                   stacked([mu.density for mu in measures]),
+                   stacked([mu.charge_positions() for mu in measures]),
+                   stacked([mu.polars for mu in measures]),
+                   stacked([mu.masses for mu in measures]),
+                   list(accumulate([mu.mesh.n_cells for mu in measures[:-1]], initial=0)),
+                   list(accumulate([len(mu.masses) for mu in measures[:-1]], initial=0)))
+
+
+def eval_stack(f, finf, stack):
+    """The functional on each member of a MeasureStack: one call of f on
+    every quadrature point of every member and at most one call of finf on
+    every charge.  Returns the per-cell values (C,), the per-charge values
+    (list, K), and per member the bulk and the singular part (lists), each
+    summed as for that member alone."""
+    pts, wts, dens = stack.points, stack.weights, stack.density
     nq = pts.shape[1]
-    flat_x = pts.reshape(-1, mesh.dim)
-    flat_xi = np.repeat(grads, nq, axis=0)
-    vals = f(flat_x, flat_xi).reshape(mesh.n_cells, nq)
-    return (vals * wts).sum(axis=1)
+    vals = f(pts.reshape(-1, pts.shape[2]), np.repeat(dens, nq, axis=0))
+    per_cell = (vals.reshape(len(dens), nq) * wts).sum(axis=1)
+    # per-member slices: np.add.reduceat does not round as sum does
+    ends = stack.cell_starts[1:] + [len(per_cell)]
+    bulk = [float(per_cell[i:j].sum()) for i, j in zip(stack.cell_starts, ends)]
+    per_charge = []
+    if len(stack.masses):
+        per_charge = (finf(stack.positions, stack.polars) * stack.masses).tolist()
+    ends = stack.charge_starts[1:] + [len(per_charge)]
+    singular = [float(sum(per_charge[i:j])) for i, j in zip(stack.charge_starts, ends)]
+    return per_cell, per_charge, bulk, singular
 
 
-def _singular_values(finf, mu):
-    """(where, f_inf(position, polar) * mass) per charge, from one call of
-    finf on all the charges of mu."""
-    if not mu.charges:
-        return []
-    values = finf(mu.charge_positions(), mu.polars) * mu.masses
-    where = ([float(d) for d, _, _ in mu.charges] if mu.mesh.dim == 1
-             else [[int(i) for i in d] for d, _, _ in mu.charges])
-    return list(zip(where, values.tolist()))
+def eval_F_table(f, finf, members):
+    """eval_F(f, finf, u).total of each BVFunction u of the iterable members,
+    through one eval_stack per run of members holding at most MAX_CELLS
+    cells in all."""
+    totals = []
+    for batch in batches(members, lambda u: u.mesh.n_cells):
+        for u in batch:
+            _check_dims(f, u.M, u.mesh.dim)
+        _, _, bulk, singular = eval_stack(
+            f, finf, MeasureStack.of([derivative(u) for u in batch]))
+        totals += [b + s for b, s in zip(bulk, singular)]
+    return totals
+
+
+def batches(items, size):
+    """The items in consecutive lists of total size at most MAX_CELLS, an
+    item of a larger size alone; the items are taken one at a time."""
+    batch, total = [], 0
+    for item in items:
+        if batch and total + size(item) > meshing.MAX_CELLS:
+            yield batch
+            batch, total = [], 0
+        batch.append(item)
+        total += size(item)
+    if batch:
+        yield batch
+
+
+def _check_dims(f, M, N):
+    if f.M != M or f.N != N:
+        raise ValueError(f"integrand is {f.M}x{f.N} but the function has M={M}, N={N}")
 
 
 def eval_F(f, finf, u):
     """Evaluate the functional at a BVFunction."""
-    if f.M != u.M or f.N != u.mesh.dim:
-        raise ValueError(
-            f"integrand is {f.M}x{f.N} but the function has M={u.M}, N={u.mesh.dim}"
-        )
+    _check_dims(f, u.M, u.mesh.dim)
     mu = derivative(u)
     return eval_G(f, finf, mu)
 
 
 def eval_G(f, finf, mu):
-    """Evaluate the measure functional at a MatrixMeasure: the bulk through
-    f at the quadrature points, the charges through one call of finf on the
-    rows (charge_positions(), polars), times the masses."""
-    per_cell = _bulk_cell_values(f, mu.mesh, mu.density)
-    per_charge = _singular_values(finf, mu)
-    bulk = float(per_cell.sum())
-    singular = float(sum(v for _, v in per_charge))
-    return FunctionalValue(bulk, singular, per_cell, per_charge)
+    """Evaluate the measure functional at a MatrixMeasure: the one-member
+    eval_stack, with the charges listed by where they sit."""
+    per_cell, values, (bulk,), (singular,) = eval_stack(f, finf, MeasureStack.of([mu]))
+    where = ([float(d) for d, _, _ in mu.charges] if mu.mesh.dim == 1
+             else [[int(i) for i in d] for d, _, _ in mu.charges])
+    return FunctionalValue(bulk, singular, per_cell, list(zip(where, values)))
 
 
 def _signed_total(f, finf, terms):

@@ -228,6 +228,15 @@ def row_norms(x):
     return np.sqrt(s)
 
 
+def segment_shape_gradients(length):
+    """Gradients (nc, 2, 1) of the two hat functions of segments of the given
+    signed lengths, left vertex first."""
+    grads = np.empty((len(length), 2, 1))
+    grads[:, 1, 0] = 1.0 / length
+    grads[:, 0, 0] = -grads[:, 1, 0]
+    return grads
+
+
 class Mesh:
     """Conforming simplicial mesh with a facet table built on first use."""
 
@@ -265,10 +274,7 @@ class Mesh:
                 x = self.vertices[self.cells, 0]
                 length = x[:, 1] - x[:, 0]
             self.cell_measures = _lock(length)
-            grads = np.empty((self.n_cells, 2, 1))
-            grads[:, 1, 0] = 1.0 / length
-            grads[:, 0, 0] = -grads[:, 1, 0]
-            self.shape_gradients = _lock(grads)
+            self.shape_gradients = _lock(segment_shape_gradients(length))
             self.h = float(np.max(length))
             self.centroids = _lock(0.5 * (x[:, 0] + x[:, 1])[:, None])
         else:
@@ -528,9 +534,14 @@ class MeshStack:
 # -- constructors -----------------------------------------------------------
 
 
-def _interval_cells(a, b, h_target):
-    _check_budget((b - a) / h_target, f"h={h_target} on [{a}, {b}]")
-    return max(1, int(np.ceil((b - a) / h_target)))
+def _interval_cells(a, b, h_target, extra=0):
+    """Cells of the uniform grid of step h_target on [a, b], after checking
+    that they and `extra` inserted points fit the budget."""
+    cells = (b - a) / h_target
+    if cells + extra > MAX_CELLS:  # the message is formatted only to be raised
+        more = f" with {extra} more points" if extra else ""
+        _check_budget(cells + extra, f"h={h_target} on [{a}, {b}]{more}")
+    return max(1, int(np.ceil(cells)))
 
 
 def interval_mesh(a, b, h_target, domain=None):
@@ -540,12 +551,21 @@ def interval_mesh(a, b, h_target, domain=None):
     return Mesh(verts, cells, domain=domain or Domain.interval(a, b))
 
 
+def interval_points(a, b, h_target, required_points=()):
+    """Sorted distinct vertex coordinates of interval_mesh_with: the uniform
+    grid of step h_target on [a, b] and the required points within it,
+    rounded to 14 decimals.  The budget covers the grid cells plus the
+    required points and is checked before any array is built."""
+    required = np.asarray(required_points, dtype=float)
+    base = np.linspace(a, b, _interval_cells(a, b, h_target, required.size) + 1)
+    pts = np.concatenate([base, required.ravel()])
+    pts = pts[(pts >= a - 1e-14) & (pts <= b + 1e-14)]
+    return np.unique(np.round(pts, 14))
+
+
 def interval_mesh_with(a, b, h_target, required_points=(), domain=None):
     """Uniform interval mesh with extra vertices inserted at required points."""
-    base = np.linspace(a, b, max(1, int(np.ceil((b - a) / h_target))) + 1)
-    pts = np.concatenate([base, np.asarray(required_points, dtype=float)])
-    pts = pts[(pts >= a - 1e-14) & (pts <= b + 1e-14)]
-    pts = np.unique(np.round(pts, 14))
+    pts = interval_points(a, b, h_target, required_points)
     cells = np.arange(len(pts) - 1)[:, None] + np.arange(2)
     return Mesh(pts[:, None], cells, domain=domain or Domain.interval(a, b))
 

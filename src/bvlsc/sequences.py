@@ -17,15 +17,27 @@ the functional values along the sequence with the value at the limit; the
 necessity-witness construction turns a half-ball violation into shrinking
 rescaled copies with unit W^{1,1} norm and checks that they push the energy
 below the value at zero.
+
+A table is evaluated as a whole.  A 1D kind is a rule for the vertices of
+member n and for its values as arrays in x and n; a table stacks the
+members' vertices, cells, values and atoms, and one mesh over all their
+cells gives the quadrature and the gradients for one functional.eval_stack,
+with no mesh or function per member.  generate(spec, n) wraps the
+one-member table into its Mesh and BVFunction.  The 2D oscillation and the
+necessity witness keep a mesh per member and stack those.  Each value is
+bit-equal to eval_F on the member alone.
 """
 
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bv import BVFunction
-from .functional import eval_F
-from .meshing import BoundaryPoint, Domain, Mesh, interval_mesh_with, rectangle_mesh
+from .functional import MeasureStack, _check_dims, batches, eval_F, eval_F_table, eval_stack
+from .meshing import (BoundaryPoint, Domain, Mesh, _interval_cells, interval_mesh_with,
+                      interval_points, rectangle_mesh)
 
 __all__ = [
     "SequenceSpec",
@@ -84,24 +96,58 @@ def _profile_fn(params):
 
 
 def generate(spec, n):
-    """Member n of the sequence described by spec."""
+    """Member n of the sequence described by spec.
+
+    The 1D kinds wrap the one-member table of _interval_table into its mesh
+    and function, so member n of a table and generate(spec, n) hold the same
+    vertices, cell values and atoms."""
+    _check_index(spec, n)
+    rule = _rule(spec)
+    if rule is None:
+        return _oscillation_2d(spec, n)
+    table = _interval_table(rule, [(n, _interval_points(spec, rule, n))])
+    mesh = Mesh(table.x[:, None], table.cells, domain=spec.domain)
+    return BVFunction(mesh, table.cell_values,
+                      atoms=zip(table.atom_x.tolist(), table.jumps))
+
+
+def _check_index(spec, n):
     if not 1 <= n <= spec.n_max:
         raise ValueError(f"index {n} outside [1, {spec.n_max}]")
-    if spec.kind not in _GENERATORS:
+    if spec.kind not in _RULES:
         raise ValueError(f"unknown sequence kind {spec.kind!r}")
-    return _GENERATORS[spec.kind](spec, n)
 
 
-def _jump_migration(spec, n):
+def _rule(spec):
+    """The _IntervalRule of a 1D kind, or None for the 2D oscillation."""
+    if spec.kind == "fixed_trace_oscillation" and spec.domain.dim != 1:
+        return None
+    return _RULES[spec.kind](spec)
+
+
+class _IntervalRule(NamedTuple):
+    """A 1D kind: the grid step h and the points required(n) of member n,
+    and its values, either continuous P1 with the vertex values
+    vertex_values(x, n) or cellwise constant with the cell values
+    cell_values(centroid, n) and a jump at each interface where they differ.
+    The value rules take arrays x (or centroids) and n of one length."""
+
+    h: float
+    required: object
+    vertex_values: object = None
+    cell_values: object = None
+
+
+def _jump_migration(spec):
     a, b = _interval_bounds(spec.domain)
     if a > 0.0 or b < 1.0:
         raise ValueError("jump_migration needs an interval containing (0, 1)")
-    h0 = spec.params.get("h", 1.0 / 16.0)
-    mesh = interval_mesh_with(a, b, h0, [0.0, 1.0 / n], domain=spec.domain)
-    return BVFunction.indicator_1d(mesh, 0.0, 1.0 / n)
+    return _IntervalRule(spec.params.get("h", 1.0 / 16.0),
+                         lambda n: [0.0, 1.0 / n],
+                         cell_values=lambda c, n: (c > 0.0) & (c < 1.0 / n))
 
 
-def _boundary_rescale(spec, n):
+def _boundary_rescale(spec):
     if spec.domain.dim != 1:
         raise ValueError(
             "boundary_rescale members are generated on 1D intervals only; "
@@ -113,31 +159,41 @@ def _boundary_rescale(spec, n):
     inward = 1.0 if abs(x0 - a) < abs(x0 - b) else -1.0
     prof = _profile_fn(spec.params)
     q = int(spec.params.get("resolution", 16))
-    if x0 + inward / n < a - 1e-12 or x0 + inward / n > b + 1e-12:
-        raise ValueError("profile support (x0, x0 + 1/n) leaves the domain")
     h0 = spec.params.get("h", 1.0 / 16.0)
+    _interval_cells(a, b, h0, q + 1)  # the budget, before the grid is built
     ref = np.arange(q + 1) / q  # reference grid on [0, 1]
-    required = x0 + inward * ref / n
-    mesh = interval_mesh_with(a, b, h0, required, domain=spec.domain)
-    s = inward * (mesh.vertices[:, 0] - x0) * n
-    vals = np.where((s >= 0.0) & (s <= 1.0), prof(np.clip(s, 0.0, 1.0)), 0.0)
-    # N = 1: the k^(N-1) amplitude factor is 1
-    return BVFunction.from_vertex_values(mesh, vals)
+
+    def required(n):
+        if x0 + inward / n < a - 1e-12 or x0 + inward / n > b + 1e-12:
+            raise ValueError("profile support (x0, x0 + 1/n) leaves the domain")
+        return x0 + inward * ref / n
+
+    def values(x, n):
+        s = inward * (x - x0) * n
+        # N = 1: the k^(N-1) amplitude factor is 1
+        return np.where((s >= 0.0) & (s <= 1.0), prof(np.clip(s, 0.0, 1.0)), 0.0)
+
+    return _IntervalRule(h0, required, values)
 
 
-def _fixed_trace_oscillation(spec, n):
+def _fixed_trace_oscillation(spec):
     amp = float(spec.params.get("amplitude", 1.0))
-    if spec.domain.dim == 1:
-        a, b = _interval_bounds(spec.domain)
+    a, b = _interval_bounds(spec.domain)
+
+    def values(x, n):
         period = (b - a) / n
-        pts = a + 0.5 * period * np.arange(2 * n + 1)
-        mesh = interval_mesh_with(a, b, (b - a), pts, domain=spec.domain)
-        x = mesh.vertices[:, 0]
         t = (x - a) / period
         saw = 1.0 - np.abs(2.0 * (t - np.floor(t)) - 1.0)
-        vals = amp * 0.5 * period * saw
-        return BVFunction.from_vertex_values(mesh, vals)
-    # 2D laminate in the e1 direction with a zero boundary layer of width 1/n
+        return amp * 0.5 * period * saw
+
+    return _IntervalRule(b - a, lambda n: a + 0.5 * ((b - a) / n) * np.arange(2 * n + 1),
+                         values)
+
+
+def _oscillation_2d(spec, n):
+    """The 2D laminate in the e1 direction with a zero boundary layer of
+    width 1/n."""
+    amp = float(spec.params.get("amplitude", 1.0))
     if spec.domain.kind != "polygon":
         raise ValueError("2D oscillation needs a polygon domain")
     verts = spec.domain.params["vertices"]
@@ -160,32 +216,127 @@ def _fixed_trace_oscillation(spec, n):
     return BVFunction.from_vertex_values(mesh, vals)
 
 
-def _pure_boundary_concentration(spec, n):
+def _pure_boundary_concentration(spec):
     if spec.domain.dim != 1:
         raise ValueError("pure_boundary_concentration is implemented on intervals")
     a, b = _interval_bounds(spec.domain)
     amp = float(spec.params.get("amplitude", 0.25))
     q = int(spec.params.get("resolution", 4))
-    rn = 1.0 / n
-    req = np.concatenate([
-        a + rn * np.arange(q + 1) / q,
-        b - rn * np.arange(q + 1) / q,
-    ])
-    mesh = interval_mesh_with(a, b, (b - a) / 8.0, req, domain=spec.domain)
-    x = mesh.vertices[:, 0]
-    left = np.clip(1.0 - np.abs(2.0 * (x - a) / rn - 1.0), 0.0, 1.0)
-    right = np.clip(1.0 - np.abs(2.0 * (b - x) / rn - 1.0), 0.0, 1.0)
-    vals = amp * (left + right)
-    return BVFunction.from_vertex_values(mesh, vals)
+    h0 = (b - a) / 8.0
+    _interval_cells(a, b, h0, 2 * (q + 1))  # the budget, before the grid is built
+    steps = np.arange(q + 1)
+
+    def required(n):
+        rn = 1.0 / n
+        return np.concatenate([a + rn * steps / q, b - rn * steps / q])
+
+    def values(x, n):
+        rn = 1.0 / n
+        left = np.clip(1.0 - np.abs(2.0 * (x - a) / rn - 1.0), 0.0, 1.0)
+        right = np.clip(1.0 - np.abs(2.0 * (b - x) / rn - 1.0), 0.0, 1.0)
+        return amp * (left + right)
+
+    return _IntervalRule(h0, required, values)
 
 
-_GENERATORS = {
+_RULES = {
     "jump_migration": _jump_migration,
     "boundary_rescale": _boundary_rescale,
     "fixed_trace_oscillation": _fixed_trace_oscillation,
     "pure_boundary_concentration": _pure_boundary_concentration,
 }
-SEQUENCE_KINDS = tuple(_GENERATORS)
+SEQUENCE_KINDS = tuple(_RULES)
+
+
+def _interval_points(spec, rule, n):
+    """Vertex coordinates of member n: interval_mesh_with's, budget checked."""
+    a, b = _interval_bounds(spec.domain)
+    return interval_points(a, b, rule.h, rule.required(n))
+
+
+class _IntervalTable(NamedTuple):
+    """Members of a 1D kind one after another: the vertex coordinates x (V,),
+    the cells (C, 2) between consecutive vertices of a member, the cell
+    values (C, 2, 1), the atoms at atom_x (A,) with jumps (A, 1), and the
+    index of each member's first cell and first atom."""
+
+    x: np.ndarray
+    cells: np.ndarray
+    cell_values: np.ndarray
+    atom_x: np.ndarray
+    jumps: np.ndarray
+    cell_starts: list
+    atom_starts: list
+
+
+def _interval_table(rule, members):
+    """The _IntervalTable of the members (n, vertex coordinates): the cells,
+    values and atoms of each are those of interval_mesh_with and the
+    BVFunction constructors on its own mesh."""
+    ns = [n for n, _ in members]
+    sizes = [len(x) for _, x in members]
+    x = np.concatenate([x for _, x in members]) if len(members) > 1 else members[0][1]
+    left = np.arange(len(x) - 1)
+    # the index n per vertex and per cell (one member: n itself, which the
+    # value rules treat as an array of it)
+    n_vertex = n_cell = ns[0]
+    if len(sizes) > 1:  # no cell from a member's last vertex to the next one's first
+        left = np.delete(left, np.cumsum(sizes[:-1]) - 1)
+        n_vertex, n_cell = np.repeat(ns, sizes), np.repeat(ns, np.subtract(sizes, 1))
+    cells = left[:, None] + np.arange(2)
+    cell_starts = list(itertools.accumulate([s - 1 for s in sizes[:-1]], initial=0))
+    if rule.vertex_values is not None:
+        values = rule.vertex_values(x, n_vertex)
+        return _IntervalTable(x, cells, values[:, None][cells], x[:0], np.zeros((0, 1)),
+                              cell_starts, [0] * len(ns))
+    centroids = 0.5 * (x[cells[:, 0]] + x[cells[:, 1]])
+    vpc = rule.cell_values(centroids, n_cell).astype(float)
+    vpc = vpc[:, None]
+    jumps = vpc[1:] - vpc[:-1]
+    at = np.flatnonzero((cells[:-1, 1] == cells[1:, 0]) & (jumps != 0).any(axis=1))
+    return _IntervalTable(x, cells, np.repeat(vpc[:, None, :], 2, axis=1),
+                          x[cells[at, 1]], jumps[at], cell_starts,
+                          np.searchsorted(at, cell_starts).tolist())
+
+
+def _table_totals(f, finf, spec, n_values, limit=None):
+    """eval_F(f, finf, generate(spec, n)).total for n in n_values and then,
+    given limit, the value at 0.0 * generate(spec, limit), bit for bit.
+
+    A 1D kind evaluates its table without a mesh or function per member: one
+    mesh holds the cells of every member for the quadrature and the
+    gradients, and eval_stack sums each member's cells and charges.  The 2D
+    oscillation stacks its members' own meshes through eval_F_table.  Either
+    way a table over MAX_CELLS cells is evaluated in runs of members under
+    it."""
+    ns = list(n_values) + ([limit] if limit else [])
+    for n in ns:
+        _check_index(spec, n)
+    rule = _rule(spec)
+    if rule is None:
+        members = (generate(spec, n) for n in ns)
+        if limit:
+            members = (0.0 * u if i == len(ns) - 1 else u for i, u in enumerate(members))
+        return eval_F_table(f, finf, members)
+    _check_dims(f, 1, 1)
+    totals = []
+    items = ((n, _interval_points(spec, rule, n)) for n in ns)
+    for batch in batches(items, lambda item: len(item[1]) - 1):
+        table = _interval_table(rule, batch)
+        cv, c0, a0 = table.cell_values, table.cell_starts[-1], table.atom_starts[-1]
+        atom_x, jumps = table.atom_x, table.jumps
+        if limit and len(totals) + len(batch) == len(ns):  # 0.0 * the last member
+            cv[c0:] = 0.0 * cv[c0:]
+            atom_x, jumps = atom_x[:a0], jumps[:a0]
+        mesh = Mesh(table.x[:, None], table.cells)
+        masses = np.sqrt(jumps[:, 0] * jumps[:, 0])
+        stack = MeasureStack(
+            *mesh.quadrature(), np.einsum("cim,cid->cmd", cv, mesh.shape_gradients),
+            atom_x[:, None], (jumps / masses[:, None])[:, :, None], masses,
+            table.cell_starts, table.atom_starts)
+        _, _, bulk, singular = eval_stack(f, finf, stack)
+        totals += [b + s for b, s in zip(bulk, singular)]
+    return totals
 
 
 def empirical_liminf(f, finf, spec, n_values=None, tol=1e-6):
@@ -199,13 +350,10 @@ def empirical_liminf(f, finf, spec, n_values=None, tol=1e-6):
     if n_values is None:
         if spec.n_max < 8:
             raise ValueError("need n_max >= 8 for a meaningful tail")
-        n_values = list(range(1, spec.n_max + 1))
-    table = []
-    for n in n_values:
-        un = generate(spec, n)
-        table.append((n, eval_F(f, finf, un).total))
-    member = generate(spec, min(8, spec.n_max))
-    limit_value = eval_F(f, finf, 0.0 * member).total
+        n_values = range(1, spec.n_max + 1)
+    n_values = list(n_values)
+    *values, limit_value = _table_totals(f, finf, spec, n_values, limit=min(8, spec.n_max))
+    table = list(zip(n_values, values))
     running = np.minimum.accumulate([v for _, v in table])
     tail = running[-max(1, len(running) // 4):]
     drift = float(np.max(tail) - np.min(tail))
@@ -255,10 +403,7 @@ def limit_energy_check(f, profile, x0, domain, k_values=(1, 2, 4, 8, 16, 32, 64)
     ref = BVFunction.from_vertex_values(ref_mesh, prof(ref_mesh.vertices[:, 0]))
     finf = f.recession
     ref_value = eval_F(f, finf, ref).total
-    table = []
-    for k in k_values:
-        uk = generate(spec, k)
-        table.append((k, eval_F(f, finf, uk).total))
+    table = list(zip(k_values, _table_totals(f, finf, spec, k_values)))
     gap = abs(table[-1][1] - ref_value) / max(abs(ref_value), 1e-12)
     return {"table": table, "halfball_value": ref_value, "relative_gap": gap}
 
@@ -288,7 +433,7 @@ def necessity_witness(f, finf, x0, witness, eps, n_values=(2, 4, 8, 16, 32, 64),
         raise NecessityTransferError("witness has no gradient mass")
     values = values / tv
     N = wmesh.dim
-    rows = []
+    copies, norms = [], []
     for n in n_values:
         scale = 1.0 / n
         verts = x0.x0[None, :] + scale * np.asarray(wmesh.vertices)
@@ -297,11 +442,11 @@ def necessity_witness(f, finf, x0, witness, eps, n_values=(2, 4, 8, 16, 32, 64),
         vn = BVFunction.from_vertex_values(smesh, amp * values)
         w11 = vn.l1_norm() + float(np.sum(smesh.gradient_masses(vn.gradients())))
         un = (1.0 / w11) * vn
-        gap = (
-            eval_F(f, finf, un).total
-            - eval_F(f, finf, 0.0 * un).total
-        )
-        rows.append({"n": n, "gap": gap, "w11_normalizer": w11})
+        copies += [un, 0.0 * un]
+        norms.append(w11)
+    totals = eval_F_table(f, finf, copies)
+    rows = [{"n": n, "gap": totals[2 * i] - totals[2 * i + 1], "w11_normalizer": w11}
+            for i, (n, w11) in enumerate(zip(n_values, norms))]
     best = min(r["gap"] for r in rows)
     certificate = best <= -eps / 2.0 + tol
     if not certificate:

@@ -190,6 +190,24 @@ def test_three_set_cover_matches_nested_two_set_runs():
     ]
 
 
+def test_a_two_set_stage_builds_one_refined_mesh_per_pick(monkeypatch):
+    import bvlsc.bv
+
+    built = []
+
+    def counted(*args, _inner=bvlsc.bv.Mesh, **kwargs):
+        built.append(args)
+        return _inner(*args, **kwargs)
+
+    members = jump_members(60)
+    monkeypatch.setattr(bvlsc.bv, "Mesh", counted)
+    with pytest.warns(UserWarning, match="cover gap"):
+        res = local_decompose(members, COVER, n_max=16)
+    # the picks skip candidates: 32 members are scanned for the 16 picks
+    assert res.k_map[16] + 1 == 2 * len(res.n_values)
+    assert len(built) == len(res.n_values) == 16
+
+
 def test_s_table_recorded(migrating_decomposition):
     tbl = migrating_decomposition.s_table
     assert tbl["monotone"]

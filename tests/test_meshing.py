@@ -217,6 +217,16 @@ def test_mesh_budget_rejected():
         build_mesh(Domain.interval(0.0, 1.0), 1e-9)
 
 
+def test_interval_mesh_with_counts_its_required_points_against_the_budget(monkeypatch):
+    # 250,001 grid cells, a few MB were the check missing
+    with pytest.raises(MeshBudgetError, match=re.escape("h=4e-06 on [0.0, 1.0] with 1 more")):
+        interval_mesh_with(0.0, 1.0, 4e-6, [0.5])
+    monkeypatch.setattr(meshing, "MAX_CELLS", 10)
+    assert interval_mesh_with(0.0, 1.0, 0.125, [0.3, 0.6]).n_cells == 10
+    with pytest.raises(MeshBudgetError, match="3 more points implies about 11 cells"):
+        interval_mesh_with(0.0, 1.0, 0.125, [0.1, 0.3, 0.6])
+
+
 @pytest.mark.parametrize("build", [
     lambda: interval_mesh(0.0, 1.0, 1e-9),
     lambda: rectangle_mesh(0.0, 1.0, 0.0, 1.0, 1000, 1000),

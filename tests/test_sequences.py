@@ -217,3 +217,156 @@ def test_liminf_tables_match_golden():
     golden = make_goldens.LIMINF_GOLDEN
     assert golden.exists(), "regenerate with python tests/make_goldens.py"
     assert make_goldens.liminf_tables_json().encode() == golden.read_bytes()
+
+
+# -- stacked tables ---------------------------------------------------------------
+
+SQUARE = Domain.polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+WIDE = Domain.interval(-1.0, 1.0)
+TABLE_SPECS = [
+    SequenceSpec("jump_migration", OMEGA, n_max=24),
+    SequenceSpec("jump_migration", WIDE, n_max=12, params={"h": 0.1}),
+    SequenceSpec("boundary_rescale", OMEGA, n_max=12, params={"profile": "bump"}),
+    SequenceSpec("boundary_rescale", WIDE, n_max=9,
+                 params={"x0": 1.0, "resolution": 5, "h": 0.3}),
+    SequenceSpec("fixed_trace_oscillation", WIDE, n_max=12, params={"amplitude": -0.7}),
+    SequenceSpec("pure_boundary_concentration", OMEGA, n_max=12),
+    SequenceSpec("fixed_trace_oscillation", SQUARE, n_max=8),
+]
+TABLE_IDS = [f"{s.kind}-{i}" for i, s in enumerate(TABLE_SPECS)]
+
+
+def catalog_integrands(N):
+    yield catalog_get("linear", {"matrix": [[1.0, -0.5][:N]]})
+    for tag in ("norm", "negnorm", "area", "norm_sin"):
+        yield catalog_get(tag, {"M": 1, "N": N})
+
+
+def n_value_lists(n_max):
+    return [list(range(1, n_max + 1)), [1, 7, n_max], [n_max]]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
+def test_stacked_table_is_bit_equal_to_one_eval_F_per_member(spec):
+    from bvlsc.functional import eval_F
+
+    for f in catalog_integrands(spec.domain.dim):
+        zero = 0.0 * generate(spec, min(8, spec.n_max))
+        limit = eval_F(f, f.recession, zero).total
+        for n_values in n_value_lists(spec.n_max):
+            rep = empirical_liminf(f, f.recession, spec, n_values=n_values)
+            want = [(n, eval_F(f, f.recession, generate(spec, n)).total) for n in n_values]
+            assert repr(rep["table"]) == repr(want), (f.tag, n_values)
+            assert repr(rep["limit_value"]) == repr(limit), f.tag
+
+
+def _old_generate(spec, n):
+    """A member as built one at a time on its own interval_mesh_with mesh."""
+    from bvlsc.bv import BVFunction
+    from bvlsc.meshing import interval_mesh_with
+
+    a, b = spec.domain.params["a"], spec.domain.params["b"]
+    p = spec.params
+    if spec.kind == "jump_migration":
+        mesh = interval_mesh_with(a, b, p.get("h", 1 / 16), [0.0, 1.0 / n], domain=spec.domain)
+        return BVFunction.indicator_1d(mesh, 0.0, 1.0 / n)
+    if spec.kind == "boundary_rescale":
+        x0 = float(p.get("x0", a))
+        inward = 1.0 if abs(x0 - a) < abs(x0 - b) else -1.0
+        q = int(p.get("resolution", 16))
+        req = x0 + inward * (np.arange(q + 1) / q) / n
+        mesh = interval_mesh_with(a, b, p.get("h", 1 / 16), req, domain=spec.domain)
+        s = inward * (mesh.vertices[:, 0] - x0) * n
+        prof = {"hat": lambda t: np.clip(1 - np.abs(t), 0, 1),
+                "bump": lambda t: np.clip(1 - np.abs(2 * np.abs(t) - 1), 0, 1)}[
+                    p.get("profile", "hat")]
+        vals = np.where((s >= 0.0) & (s <= 1.0), prof(np.clip(s, 0.0, 1.0)), 0.0)
+    elif spec.kind == "fixed_trace_oscillation":
+        period = (b - a) / n
+        mesh = interval_mesh_with(a, b, b - a, a + 0.5 * period * np.arange(2 * n + 1),
+                                  domain=spec.domain)
+        t = (mesh.vertices[:, 0] - a) / period
+        saw = 1.0 - np.abs(2.0 * (t - np.floor(t)) - 1.0)
+        vals = float(p.get("amplitude", 1.0)) * 0.5 * period * saw
+    else:
+        q, rn = int(p.get("resolution", 4)), 1.0 / n
+        req = np.concatenate([a + rn * np.arange(q + 1) / q, b - rn * np.arange(q + 1) / q])
+        mesh = interval_mesh_with(a, b, (b - a) / 8.0, req, domain=spec.domain)
+        x = mesh.vertices[:, 0]
+        left = np.clip(1.0 - np.abs(2.0 * (x - a) / rn - 1.0), 0.0, 1.0)
+        right = np.clip(1.0 - np.abs(2.0 * (b - x) / rn - 1.0), 0.0, 1.0)
+        vals = float(p.get("amplitude", 0.25)) * (left + right)
+    return BVFunction.from_vertex_values(mesh, vals)
+
+
+def _atom_bytes(atoms):
+    return [(repr(loc), j.tobytes()) for loc, j in atoms]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS[:-1], ids=TABLE_IDS[:-1])
+def test_generate_wraps_member_n_of_the_stacked_table_byte_for_byte(spec):
+    from bvlsc import sequences
+
+    rule = sequences._rule(spec)
+    ns = list(range(1, spec.n_max + 1))
+    table = sequences._interval_table(
+        rule, [(n, sequences._interval_points(spec, rule, n)) for n in ns])
+    vertex_starts = [int(table.cells[c, 0]) for c in table.cell_starts] + [len(table.x)]
+    cell_ends = table.cell_starts[1:] + [len(table.cells)]
+    atom_ends = table.atom_starts[1:] + [len(table.atom_x)]
+    for i, n in enumerate(ns):
+        u = generate(spec, n)
+        old = _old_generate(spec, n)
+        assert u.mesh.vertices.tobytes() == old.mesh.vertices.tobytes()
+        assert u.mesh.cells.tobytes() == old.mesh.cells.tobytes()
+        assert u.cell_values.tobytes() == old.cell_values.tobytes()
+        assert _atom_bytes(u.atoms) == _atom_bytes(old.atoms)
+        x = table.x[vertex_starts[i]:vertex_starts[i + 1]]
+        assert u.mesh.vertices[:, 0].tobytes() == x.tobytes()
+        cells = table.cells[table.cell_starts[i]:cell_ends[i]] - vertex_starts[i]
+        assert u.mesh.cells.tobytes() == cells.tobytes()
+        cv = table.cell_values[table.cell_starts[i]:cell_ends[i]]
+        assert u.cell_values.tobytes() == cv.tobytes()
+        atoms = slice(table.atom_starts[i], atom_ends[i])
+        assert _atom_bytes(u.atoms) == _atom_bytes(zip(table.atom_x[atoms].tolist(),
+                                                       table.jumps[atoms]))
+
+
+class _Counted:
+    """An integrand or recession function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __getattr__(self, name):
+        return getattr(self.fn, name)
+
+    def __call__(self, x, xi):
+        self.calls += 1
+        return self.fn(x, xi)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
+def test_a_table_makes_one_integrand_call_and_at_most_one_recession_call(spec):
+    f = catalog_get("norm", {"M": 1, "N": spec.domain.dim})
+    counted_f, counted_finf = _Counted(f), _Counted(f.recession)
+    rep = empirical_liminf(counted_f, counted_finf, spec)
+    assert rep == empirical_liminf(f, f.recession, spec)
+    assert counted_f.calls == 1
+    assert counted_finf.calls == (1 if spec.kind == "jump_migration" else 0)
+
+
+# jump members on [-1, 1] at h = 0.1 have 21 or 22 cells, and the square's
+# oscillation members 16 to 256
+@pytest.mark.parametrize("spec, budget", [(TABLE_SPECS[1], 50), (TABLE_SPECS[-1], 300)],
+                         ids=["1d", "2d"])
+def test_a_table_over_the_cell_budget_is_evaluated_in_runs_to_the_same_bits(
+        spec, budget, monkeypatch):
+    import bvlsc.meshing
+
+    f = catalog_get("norm_sin", {"M": 1, "N": spec.domain.dim})
+    want = empirical_liminf(f, f.recession, spec)
+    counted = _Counted(f)
+    monkeypatch.setattr(bvlsc.meshing, "MAX_CELLS", budget)
+    assert repr(empirical_liminf(counted, f.recession, spec)) == repr(want)
+    assert counted.calls > 1

@@ -199,6 +199,22 @@ def test_violation_with_errored_check_is_still_not_wlsc():
     assert verdict.overall == "not-wlsc"
 
 
+@pytest.mark.parametrize("params", [{"h": 4e-6}, {"resolution": 199_984}],
+                         ids=["jump_migration_h", "boundary_rescale_resolution"])
+def test_an_over_budget_sequence_member_is_an_errored_liminf_job(params):
+    # 250,001 grid cells, or 16 grid cells and 199,985 profile points: a few
+    # MB per member were the budget not checked
+    sc = load("example_1_2")
+    sc.cfg["sequence"].update(params=params)
+    if "resolution" in params:
+        sc.cfg["sequence"]["kind"] = "boundary_rescale"
+    verdict = analyze(sc)
+    assert "liminf" not in verdict.extras
+    assert [e["job"] for e in verdict.errors] == ["liminf"]
+    assert "over the budget 200000" in verdict.errors[0]["error"]
+    assert verdict.overall != "wlsc-plausible"
+
+
 def test_a_solver_budget_beyond_the_float_range_is_reported(tmp_path):
     # 10**400 iterations: the work product is an int that float() overflows
     cfg = json.loads(resolve_config("example_1_2").read_text())
