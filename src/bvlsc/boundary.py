@@ -79,8 +79,7 @@ class QuotientBoundError(ArithmeticError):
 
 
 class QslbReport:
-    def __init__(self, x0, nu, deficit, verdict, witness, tol, diagnostics,
-                 tables=None):
+    def __init__(self, x0, nu, deficit, verdict, witness, tol, diagnostics):
         self.x0 = x0
         self.nu = nu
         self.deficit = deficit
@@ -88,7 +87,6 @@ class QslbReport:
         self.witness = witness
         self.tol = tol
         self.diagnostics = diagnostics
-        self.tables = tables or {}
 
     @property
     def low_confidence(self):
@@ -102,20 +100,21 @@ class QslbReport:
             "verdict": self.verdict,
             "tol": self.tol,
             "diagnostics": self.diagnostics,
-            "tables": self.tables,
+            "tables": {},
         }
 
     def __repr__(self):
         return f"QslbReport(deficit={self.deficit:.6g}, verdict={self.verdict!r})"
 
 
-def _halfball_clamped(mesh, nu, tol=1e-9):
-    """Boundary vertices minus the open flat facet {y.nu = 0, |y| < 1}."""
+def _halfball_clamped(mesh, nu):
+    """Boundary vertices minus the open flat facet {y.nu = 0, |y| < 1}, to
+    within 1e-9."""
     bverts = mesh.boundary_vertices
     verts = mesh.vertices[bverts]
     s = verts @ nu
     r = np.linalg.norm(verts, axis=1)
-    on_flat_interior = (np.abs(s) <= tol) & (r < 1.0 - tol)
+    on_flat_interior = (np.abs(s) <= 1e-9) & (r < 1.0 - 1e-9)
     return bverts[~on_flat_interior]
 
 
@@ -331,14 +330,15 @@ def _qslb_report(x0, mesh, res, c_inf, tol):
 
 
 def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
-                   tol=1e-6, options=None, refine_levels=1):
+                   options=None):
     """Unbounded-below signature of the local growth inequality at x0.
 
     Returns rows (eps, delta, R, minimum) for the TV caps R = 1, 10, 100 and
     per-(eps, delta) verdicts: "unbounded-below" when the minimum at R=100 is
-    at least 5 times deeper than at R=10 (and the latter is below -tol), else
-    "bounded plausible".  x0 may be a BoundaryPoint, a polygon corner
-    coordinate, or an interior point; no boundary regularity is used.
+    at least 5 times deeper than at R=10 (and the latter is below -1e-6), else
+    "bounded plausible".  Each patch is local_patch's, refined once.  x0 may
+    be a BoundaryPoint, a polygon corner coordinate, or an interior point; no
+    boundary regularity is used.
     """
     center = x0.x0 if isinstance(x0, BoundaryPoint) else np.atleast_1d(
         np.asarray(x0, dtype=float)
@@ -347,8 +347,7 @@ def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
     rows = []
     verdicts = {}
     for delta in delta_grid:
-        patch = local_patch(domain_mesh, center, float(delta),
-                            refine_levels=refine_levels)
+        patch = local_patch(domain_mesh, center, float(delta))
         for eps in eps_grid:
             objective = LinearCombo(
                 [(1.0, BulkObjective(patch.mesh, f)),
@@ -376,20 +375,17 @@ def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
                      "minimum": res.value}
                 )
             lo, hi = minima[10.0], minima[100.0]
-            unbounded = lo < -tol and hi <= 5.0 * lo
+            unbounded = lo < -1e-6 and hi <= 5.0 * lo
             verdicts[(float(eps), float(delta))] = (
                 "unbounded-below" if unbounded else "bounded plausible"
             )
     return {"rows": rows, "verdicts": verdicts}
 
 
-def _patch_sign_test(g, center, domain_mesh, eps, tol, base, refine_levels=1,
-                     delta=None):
-    """Sign test for a 1-homogeneous patch objective (cap R=1 suffices)."""
-    if delta is None:
-        delta = 2.5 * domain_mesh.h
-    patch = local_patch(domain_mesh, center, float(delta),
-                        refine_levels=refine_levels)
+def _patch_sign_test(g, center, domain_mesh, eps, tol, base):
+    """Sign test for a 1-homogeneous patch objective (cap R=1 suffices) on
+    the patch of radius 2.5 h around center."""
+    patch = local_patch(domain_mesh, center, 2.5 * domain_mesh.h)
     objective = LinearCombo(
         [(1.0, BulkObjective(patch.mesh, g)),
          (float(eps), TVObjective(patch.mesh, g.M))]
@@ -399,9 +395,9 @@ def _patch_sign_test(g, center, domain_mesh, eps, tol, base, refine_levels=1,
     return res.value, ("violated" if res.value < -tol else "qslb-plausible")
 
 
-def equivalence_harness(f, finf, x0, domain_mesh, eps_grid=(0.1,), tol=1e-3,
-                        options=None):
-    """Cross-check the equivalent formulations of boundary sublinearity at x0.
+def equivalence_harness(f, finf, x0, domain_mesh, options=None):
+    """Cross-check the equivalent formulations of boundary sublinearity at x0,
+    at eps = 0.1 and tolerance 1e-3.
 
     Interior points run: frozen recession form, unfrozen form, and the
     quasiconvexity-at-zero test of f_inf(x0, .).  Boundary points (flat
@@ -420,14 +416,13 @@ def equivalence_harness(f, finf, x0, domain_mesh, eps_grid=(0.1,), tol=1e-3,
                 "needs a flat segment (boundary flattening is not implemented)"
             )
     forms = {}
-    eps_min = min(eps_grid)
     g_frozen = freeze_x(finf.as_integrand(), center)
 
-    val, verdict = _patch_sign_test(g_frozen, center, domain_mesh, eps_min, tol, base)
+    val, verdict = _patch_sign_test(g_frozen, center, domain_mesh, 0.1, 1e-3, base)
     forms["frozen"] = {"value": val, "verdict": verdict}
 
     probe = epsdelta_probe(
-        f, x0, domain_mesh, eps_grid=(eps_min,),
+        f, x0, domain_mesh, eps_grid=(0.1,),
         delta_grid=(max(2.5 * domain_mesh.h, 0.2),), options=base
     )
     unb = any(v == "unbounded-below" for v in probe["verdicts"].values())
@@ -438,7 +433,7 @@ def equivalence_harness(f, finf, x0, domain_mesh, eps_grid=(0.1,), tol=1e-3,
 
     if is_boundary:
         rep = halfball_deficit(finf, x0, h=max(domain_mesh.h / 2, 0.05),
-                               tol=tol, options=base)
+                               tol=1e-3, options=base)
         forms["halfball"] = {"value": rep.deficit, "verdict": rep.verdict}
     else:
         qc = qc_deficit(g_frozen, np.zeros((f.M, f.N)), options=base)

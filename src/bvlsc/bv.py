@@ -251,9 +251,10 @@ class BVFunction:
     def linf_norm(self):
         return float(np.max(np.linalg.norm(self.cell_values, axis=2), initial=0.0))
 
-    def support_cells(self, tol=1e-13):
+    def support_cells(self):
+        """Cells with a value above 1e-13 in norm."""
         mags = np.max(np.linalg.norm(self.cell_values, axis=2), axis=1)
-        return np.where(mags > tol)[0]
+        return np.where(mags > 1e-13)[0]
 
     def __repr__(self):
         return (
@@ -366,41 +367,11 @@ def derivative(u):
     return MatrixMeasure.from_raw_charges(mesh, u.gradients(), raw)
 
 
-def total_variation(mu, cells=None):
-    """|mu|(Omega), optionally restricted to a cell-id subset.
-
-    With a cell subset, a singular charge is counted iff its owner cell (the
-    lowest-index incident cell) belongs to the subset.
-    """
-    masses = mu.mesh.gradient_masses(mu.density)
-    if cells is None:
-        bulk = float(np.sum(masses))
-        sing = float(sum(m for _, _, m in mu.charges))
-        return bulk + sing
-    cells = np.asarray(cells, dtype=np.int64)
-    sel = np.zeros(mu.mesh.n_cells, dtype=bool)
-    sel[cells] = True
-    bulk = float(np.sum(masses[sel]))
-    sing = 0.0
-    for desc, _, m in mu.charges:
-        if sel[_owner_cell(mu.mesh, desc)]:
-            sing += m
+def total_variation(mu):
+    """|mu|(Omega): the density's mass plus the singular charges' masses."""
+    bulk = float(np.sum(mu.mesh.gradient_masses(mu.density)))
+    sing = float(sum(m for _, _, m in mu.charges))
     return bulk + sing
-
-
-def _owner_cell(mesh, desc):
-    if mesh.dim == 1:
-        x = float(desc)
-        v = mesh.vertices[mesh.cells][:, :, 0]
-        hit = np.where((v[:, 0] - 1e-12 <= x) & (x <= v[:, 1] + 1e-12))[0]
-        if len(hit) == 0:
-            raise ValueError(f"atom at {x} lies outside the mesh")
-        return int(hit[0])
-    facets, sides = mesh.facets()
-    hit = np.flatnonzero((facets == sorted(desc)).all(axis=1))
-    if len(hit) == 0:
-        raise ValueError(f"facet {desc} not found in mesh")
-    return int(sides[hit[0], 0])
 
 
 def tv_on_neighborhood(mu, kset, delta, subdivisions=2):

@@ -10,7 +10,7 @@ on the 1/(2n)-neighborhood of K_1, 0 outside the 1/n-neighborhood (gradient
 at most 2n), and the remainder is recursively decomposed against the rest of
 the cover.  The subsequence index k(n) is the smallest one past the previous
 pick that keeps the mixed term integral |u_k| |grad phi_n| below a vanishing
-bound (selection_bound_factor / n, default 0.5/n).
+bound (SELECTION_BOUND_FACTOR / n = 0.5/n).
 
 Only 1D meshes are supported: cutoff level sets are then mesh-exact after a
 refinement that inserts the neighborhood breakpoints.  verify_properties
@@ -36,6 +36,9 @@ __all__ = [
     "verify_properties",
 ]
 
+SELECTION_BOUND_FACTOR = 0.5
+GRAD_SLACK = 0.05  # a cutoff gradient may exceed its bound 2n by 1 + GRAD_SLACK
+
 
 class PrefixTooShortError(RuntimeError):
     def __init__(self, n, achieved, bound):
@@ -56,7 +59,7 @@ class CoverSpec:
         if len(self.sets) < 2:
             raise ValueError("a cover needs at least two compact sets")
 
-    def validate_covers(self, mesh, tol=1e-9):
+    def validate_covers(self, mesh):
         """Largest gap between the mesh vertices and the set union (0 = covers)."""
         verts = np.asarray(mesh.vertices)
         dists = np.min(np.stack([k.dist(verts) for k in self.sets]), axis=0)
@@ -149,8 +152,7 @@ def require_1d(dim):
         )
 
 
-def local_decompose(members, cover, n_max=None, selection_bound_factor=0.5,
-                    grad_slack=0.05):
+def local_decompose(members, cover, n_max=None):
     """Decompose a 1D vanishing sequence against a compact cover."""
     members = list(members)
     if not members:
@@ -168,9 +170,8 @@ def local_decompose(members, cover, n_max=None, selection_bound_factor=0.5,
     lo = float(mesh0.vertices.min())
     hi = float(mesh0.vertices.max())
 
-    result = _decompose_stage(members, cover.sets, n_max,
-                              selection_bound_factor, grad_slack, lo, hi)
-    n_values, k_map, subsequence, components, cutoffs = result
+    n_values, k_map, subsequence, components, cutoffs = _decompose_stage(
+        members, cover.sets, n_max, lo, hi)
 
     # member k enters the rows m <= k + 1, at the radii 0.5 / m
     radii = [0.5 / m for m in range(1, n_max + 1)]
@@ -192,12 +193,11 @@ def local_decompose(members, cover, n_max=None, selection_bound_factor=0.5,
 
     return DecompositionResult(
         cover, members, n_values, k_map, subsequence, components, cutoffs,
-        selection_bound_factor, grad_slack, s_table,
+        SELECTION_BOUND_FACTOR, GRAD_SLACK, s_table,
     )
 
 
-def _single_stage(members, kset, n_target, bound_factor, lo, hi,
-                  best_effort=False):
+def _single_stage(members, kset, n_target, lo, hi, best_effort=False):
     """Cutoff stage against one compact set: per n, pick the subsequence index
     and split off the component supported near the set."""
     from .bv import cutoff_multiply
@@ -206,7 +206,7 @@ def _single_stage(members, kset, n_target, bound_factor, lo, hi,
     remainders = []
     k_prev = -1
     for n in range(1, n_target + 1):
-        bound = bound_factor / n
+        bound = SELECTION_BOUND_FACTOR / n
         brk = _breakpoints_1d(kset, n, lo, hi)
         pick, best = None, np.inf
         for k in range(k_prev + 1, len(members)):
@@ -235,11 +235,11 @@ def _single_stage(members, kset, n_target, bound_factor, lo, hi,
     return n_values, k_map, subsequence, firsts, cutoffs, remainders
 
 
-def _decompose_stage(members, sets, n_max, bound_factor, grad_slack, lo, hi):
+def _decompose_stage(members, sets, n_max, lo, hi):
     """One cutoff stage against sets[0]; recurse on the remainder sequence."""
     if len(sets) == 2:
         n_values, k_map, subsequence, firsts, cutoffs, remainders = _single_stage(
-            members, sets[0], n_max, bound_factor, lo, hi
+            members, sets[0], n_max, lo, hi
         )
         components = {n: [firsts[n], remainders[i]]
                       for i, n in enumerate(n_values)}
@@ -249,10 +249,9 @@ def _decompose_stage(members, sets, n_max, bound_factor, grad_slack, lo, hi):
     # below selects its own subsequence out of them
     cap = min(len(members), 4 * n_max + 8)
     n1, k_map, subsequence, firsts, cutoffs, remainders = _single_stage(
-        members, sets[0], cap, bound_factor, lo, hi, best_effort=True
+        members, sets[0], cap, lo, hi, best_effort=True
     )
-    sub = _decompose_stage(remainders, sets[1:], n_max, bound_factor,
-                           grad_slack, lo, hi)
+    sub = _decompose_stage(remainders, sets[1:], n_max, lo, hi)
     sub_n, sub_k, sub_subseq, sub_comp, sub_cut = sub
     final_n, final_k, final_sub, final_compo, final_cutoffs = [], {}, {}, {}, {}
     for n in sub_n:
@@ -279,13 +278,14 @@ def _reinterp_scalar(old_mesh, values, new_mesh):
     return out
 
 
-def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e-2,
-                      tol=1e-12):
+def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e-2):
     """Re-check the decomposition guarantees on the discrete data.
 
     Returns a report with per-check verdicts and the list of flagged entities;
-    violations are reported, never raised.
+    violations are reported, never raised.  Masses may exceed their bounds
+    by 1e-12.
     """
+    tol = 1e-12
     sets = result.cover.sets
     J = len(sets)
     flags = []
@@ -388,10 +388,10 @@ def _union(a, b):
     return CompactSet(a.dim, list(a.pieces) + list(b.pieces))
 
 
-def _support_points(u, tol=1e-13):
+def _support_points(u):
     mesh = u.mesh
     pts = []
-    cells = u.support_cells(tol)
+    cells = u.support_cells()
     if len(cells):
         pts.append(mesh.centroids[cells])
     for loc, _ in u.atoms:

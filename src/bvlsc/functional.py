@@ -228,13 +228,13 @@ def uniform_continuity_probe(f, finf, pair_generator, n_max):
     }
 
 
-def additivity_residual(f, finf, v, members, components_per_n, threshold=1e-2):
+def additivity_residual(f, finf, v, members, components_per_n):
     """Residuals F(u_n + v) - F(v) - sum_j [F(u_{j,n} + v) - F(v)] over n.
 
     members[i] must equal the sum of components_per_n[i] (ValueError beyond a
     deviation of 1e-12); the residual
     is accumulated per cell/charge in a single pass.  Verdict "additive" when
-    the residual magnitude tail falls below the threshold.
+    the residual magnitude tail falls below 1e-2.
     """
     rows = []
     for un, comps in zip(members, components_per_n):
@@ -256,6 +256,6 @@ def additivity_residual(f, finf, v, members, components_per_n, threshold=1e-2):
     tail = [abs(r) for r in rows[-max(1, len(rows) // 4):]]
     return {
         "residuals": rows,
-        "verdict": "additive" if max(tail) < threshold else "not additive",
+        "verdict": "additive" if max(tail) < 1e-2 else "not additive",
         "final": rows[-1] if rows else 0.0,
     }

@@ -117,12 +117,13 @@ class Integrand:
         val = self(x, xi)
         return val, val, self.grad_xi(x, xi)
 
-    def spot_check(self, rng=None, n=64, radius=10.0):
+    def spot_check(self):
         """Random check of the growth bound |f| <= C(|xi|+1) and of continuity
-        in x, at x = 0."""
-        rng = rng or np.random.default_rng(0)
+        in x, at x = 0, on 64 seeded samples with |xi| <= 10."""
+        rng = np.random.default_rng(0)
+        n = 64
         xi = rng.normal(size=(n, self.M, self.N))
-        xi *= (radius * rng.random(n) / np.maximum(_frob(xi), 1e-12))[:, None, None]
+        xi *= (10.0 * rng.random(n) / np.maximum(_frob(xi), 1e-12))[:, None, None]
         x = np.zeros((n, self.N))
         vals = self._fn(x, xi)
         bound = self.growth * (_frob(xi) + 1.0)
@@ -146,8 +147,8 @@ class RecessionFn:
     where known, maps a point x to the (c, A) of split_at.
     """
 
-    def __init__(self, fn, M, N, provenance="analytic", t_grid=None,
-                 sphere_min=None, one_pass=None, split=None):
+    def __init__(self, fn, M, N, provenance="analytic", sphere_min=None,
+                 one_pass=None, split=None):
         self._fn = fn
         self._one_pass = one_pass
         self._split = split
@@ -155,7 +156,6 @@ class RecessionFn:
         self.M = int(M)
         self.N = int(N)
         self.provenance = provenance
-        self.t_grid = t_grid
 
     def __call__(self, x, xi):
         x = np.asarray(x, dtype=float)
@@ -174,29 +174,29 @@ class RecessionFn:
             return None
         return self._split(np.atleast_1d(np.asarray(x, dtype=float)))
 
-    def as_integrand(self, growth=None):
+    def as_integrand(self):
         """View the recession function itself as an integrand (f = f_inf)."""
-        g = growth if growth is not None else self.sup_on_sphere() + 1.0
-        return Integrand(self.__call__, self.M, self.N, g, tag="recession",
-                         recession=self, mu_analytic=lambda t: 0.0,
+        return Integrand(self.__call__, self.M, self.N, self.sup_on_sphere() + 1.0,
+                         tag="recession", recession=self, mu_analytic=lambda t: 0.0,
                          one_pass=self._one_pass)
 
-    def sup_on_sphere(self, x=None, samples=256, seed=0):
-        """Largest |f_inf(x, xi)| over sampled unit xi, at the point x (None:
-        the origin)."""
-        rng = np.random.default_rng(seed)
-        xi = rng.normal(size=(samples, self.M, self.N))
+    def sup_on_sphere(self, x=None):
+        """Largest |f_inf(x, xi)| over 256 seeded unit xi, at the point x
+        (None: the origin)."""
+        samples = 256
+        xi = np.random.default_rng(0).normal(size=(samples, self.M, self.N))
         xi /= np.maximum(_frob(xi), 1e-12)[:, None, None]
         x = np.zeros(self.N) if x is None else np.asarray(x, dtype=float)
         return float(np.max(np.abs(self(np.tile(x, (samples, 1)), xi))))
 
-    def homogeneity_check(self, alphas=(0.0, 0.5, 2.0, 10.0), samples=32, seed=0):
-        rng = np.random.default_rng(seed)
-        xi = rng.normal(size=(samples, self.M, self.N))
-        x = np.zeros((samples, self.N))
+    def homogeneity_check(self):
+        """Largest |f_inf(0, a xi) - a f_inf(0, xi)| over 32 seeded xi and
+        a in (0, 0.5, 2, 10)."""
+        xi = np.random.default_rng(0).normal(size=(32, self.M, self.N))
+        x = np.zeros((32, self.N))
         base = self(x, xi)
         worst = 0.0
-        for a in alphas:
+        for a in (0.0, 0.5, 2.0, 10.0):
             dev = np.max(np.abs(self(x, a * xi) - a * base))
             worst = max(worst, float(dev))
         return worst
@@ -284,8 +284,9 @@ def recession_estimate(f, x, xi, t_grid=DEFAULT_T_GRID, check_joint=True):
     return RecessionEstimate(est, rate, list(zip(t.tolist(), vals.tolist())), stability)
 
 
-def estimated_recession(f, t_grid=DEFAULT_T_GRID):
-    """Build a RecessionFn by running the tail estimate at each evaluation."""
+def estimated_recession(f):
+    """Build a RecessionFn by running the tail estimate on DEFAULT_T_GRID at
+    each evaluation."""
 
     def fn(x, xi):
         x = np.atleast_2d(x)
@@ -293,19 +294,19 @@ def estimated_recession(f, t_grid=DEFAULT_T_GRID):
         out = np.zeros(len(xi))
         for i in range(len(xi)):
             out[i] = recession_estimate(
-                f, x[i], xi[i], t_grid, check_joint=False
+                f, x[i], xi[i], check_joint=False
             ).value
         return out
 
-    return RecessionFn(fn, f.M, f.N, provenance="estimated", t_grid=tuple(t_grid))
+    return RecessionFn(fn, f.M, f.N, provenance="estimated")
 
 
-def mu_estimate(f, finf, t, budget=2000, seed=0, span=100.0):
+def mu_estimate(f, finf, t, budget=2000, seed=0):
     """Sampled lower bound for the deviation modulus
 
         mu(t) = sup over x and |xi| >= t of |f(x, xi) - finf(x, xi)| / (1 + |xi|),
 
-    scanning |xi| in [t, span * max(t, 1)] (plus xi = 0 when t = 0) at x = 0.
+    scanning |xi| in [t, 100 max(t, 1)] (plus xi = 0 when t = 0) at x = 0.
     The analytic value is attached for integrands that provide one; the
     sampled figure is a lower estimate, never a certified supremum.
     """
@@ -316,7 +317,7 @@ def mu_estimate(f, finf, t, budget=2000, seed=0, span=100.0):
     dirs = rng.normal(size=(budget, f.M, f.N))
     dirs /= np.maximum(_frob(dirs), 1e-12)[:, None, None]
     lo = max(t, 1e-9)
-    hi = span * max(t, 1.0)
+    hi = 100.0 * max(t, 1.0)
     mags = np.exp(rng.uniform(np.log(lo), np.log(hi), size=budget))
     mags[0] = max(t, 0.0)  # hit the lower boundary exactly
     xi = dirs * mags[:, None, None]

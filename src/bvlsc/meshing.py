@@ -150,12 +150,14 @@ class Domain:
         d_arc = np.where(outward, np.inf, d_arc)
         return np.minimum(d_flat, d_arc)
 
-    def boundary_point(self, x0, tol=1e-9):
-        """Make a BoundaryPoint at x0, computing the outward unit normal.
+    def boundary_point(self, x0):
+        """Make a BoundaryPoint at x0, within 1e-9 of the boundary, computing
+        the outward unit normal.
 
         Polygon corners have no single normal and are rejected; checks that
         need corners route through the eps-delta probe instead.
         """
+        tol = 1e-9
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if self.kind == "interval":
             a, b = self.params["a"], self.params["b"]
@@ -441,8 +443,10 @@ class Mesh:
         """Per-cell |g|_F * |cell| of cellwise gradients (nc, M, dim)."""
         return row_norms(grads.reshape(len(grads), -1)) * self.cell_measures
 
-    def find_cell(self, x, tol=1e-10):
-        """Index of a cell whose closure contains x (smallest index wins)."""
+    def find_cell(self, x):
+        """Index of a cell whose closure, widened by 1e-10, contains x
+        (smallest index wins)."""
+        tol = 1e-10
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.dim == 1:
             v = self.vertices[self.cells][:, :, 0]

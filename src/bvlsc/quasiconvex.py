@@ -57,7 +57,7 @@ def default_qc_mesh(N, h=0.125):
     return unit_square_mesh(max(2, int(round(1.0 / h))))
 
 
-def qc_deficit(g, xi, mesh=None, L_grid=(1.0, 4.0, 16.0), tol=None, options=None):
+def qc_deficit(g, xi, mesh=None, L_grid=(1.0, 4.0, 16.0), options=None):
     """Deficit of the quasiconvexity inequality for g at the matrix xi.
 
     For each gradient cap L the clamped-field minimum of
@@ -66,29 +66,28 @@ def qc_deficit(g, xi, mesh=None, L_grid=(1.0, 4.0, 16.0), tol=None, options=None
     which makes the reported deficits non-increasing in L.  The one-job case
     of qc_deficits, raising the error that ended the job.
     """
-    (rep,) = qc_deficits([(g, xi, options)], mesh=mesh, L_grid=L_grid, tol=tol)
+    (rep,) = qc_deficits([(g, xi, options)], mesh=mesh, L_grid=L_grid)
     if isinstance(rep, Exception):
         raise rep
     return rep
 
 
-def qc_deficits(jobs, mesh=None, L_grid=(1.0, 4.0, 16.0), tol=None):
+def qc_deficits(jobs, mesh=None, L_grid=(1.0, 4.0, 16.0)):
     """qc_deficit for each job (g, xi, options) on one mesh, as one family.
 
     The integrands g are one integrand, or freeze_x of one integrand at
     different points.  At each cap the solves of all jobs advance as one
     lockstep batch (minimize_fields); the caps of one job stay chained.
     Returns one entry per job, in order: its QcReport, or the error that
-    ended it (the other jobs finish as they would alone).
+    ended it (the other jobs finish as they would alone).  A job is violated
+    when its deficit is below -1e-6 |domain| (1 + |xi|).
     """
     out = [None] * len(jobs)
     g0 = jobs[0][0]
     mesh = mesh or default_qc_mesh(g0.N)
     domain_measure = float(np.sum(mesh.cell_measures))
     xis = [np.asarray(xi, dtype=float).reshape(g0.M, g0.N) for _, xi, _ in jobs]
-    tols = [tol if tol is not None
-            else 1e-6 * domain_measure * (1.0 + float(np.linalg.norm(xi)))
-            for xi in xis]
+    tols = [1e-6 * domain_measure * (1.0 + float(np.linalg.norm(xi))) for xi in xis]
     bases = [options or SolverOptions() for _, _, options in jobs]
     clamped = mesh.boundary_vertices
     objective = BulkObjective(mesh, [g for g, _, _ in jobs], xi0=np.array(xis),

@@ -43,6 +43,7 @@ from .minimize import SolverBudgetError, SolverOptions
 from .quasiconvex import default_qc_mesh, qc_deficits
 from .regions import CompactSet
 from .sequences import (
+    PROFILES,
     SEQUENCE_KINDS,
     NecessityTransferError,
     SequenceSpec,
@@ -103,6 +104,7 @@ _POSITIVE_INT = _Accepts("a positive integer", lambda v: _count(v) and v > 0)
 _MEMBERS = _Accepts("a positive integer at most 128",
                     lambda v: _POSITIVE_INT.test(v) and v <= 128)
 _POSITIVE = _Accepts("a positive number", lambda v: _finite_number(v) and v > 0)
+_FINITE = _Accepts("a finite number", _finite_number)
 _NON_NEGATIVE = _Accepts("a non-negative finite number",
                          lambda v: _finite_number(v) and v >= 0)
 _OBJECT = _Accepts("an object", lambda v: isinstance(v, dict))
@@ -156,6 +158,17 @@ _SCHEMA = {
     "decomposition.cover": (_PER_FORM, [{"point": [0.0]},
                                         {"segment": [[0.125], [1.0]]}]),
     "liminf_tol": (_NON_NEGATIVE, 1e-6),
+}
+# the sequence.params members each sequence kind reads, checked per kind
+_SEQUENCE_PARAMS = {
+    "jump_migration": {"h": _POSITIVE},
+    "boundary_rescale": {"h": _POSITIVE, "x0": _FINITE,
+                         "profile": _Accepts("one of " + "|".join(PROFILES),
+                                             lambda v: v in tuple(PROFILES)),
+                         "resolution": _POSITIVE_INT},
+    "fixed_trace_oscillation": {"amplitude": _FINITE},
+    "pure_boundary_concentration": {"amplitude": _FINITE, "resolution": _POSITIVE_INT},
+    "none": {},
 }
 _SECTIONS = {}  # section ("" for the top level) -> {member: row}
 for _key, _row in _SCHEMA.items():
@@ -258,8 +271,8 @@ def _checked(cfg, raw_text=""):
         else:
             err(f"'{section}' must be an object", section)
 
-    # the per-form parts: domain kinds, point lists, the cover as given and
-    # the integrand's dimensions
+    # the per-form parts: domain kinds, point lists, the cover as given, the
+    # sequence params of the kind and the integrand's dimensions
     dim = _domain_dim(cfg["domain"], err) if "domain" in cfg else None
 
     def points(key, spec):
@@ -279,6 +292,17 @@ def _checked(cfg, raw_text=""):
     except (KeyError, TypeError, ValueError) as e:
         err(f"'decomposition.cover' must be a list of compact-set pieces in {dim}D, "
             f"got {cover!r}: {e}", "decomposition.cover")
+    seq = out.get("sequence", {})
+    kind, params = seq.get("kind"), seq.get("params")
+    rows = _SEQUENCE_PARAMS.get(kind) if isinstance(kind, str) else None
+    if rows is not None and isinstance(params, dict):
+        for name in sorted(params):
+            key = f"sequence.params.{name}"
+            if name not in rows:
+                err(f"unknown key {name!r} in 'sequence.params' of kind {kind!r} "
+                    f"(known: {', '.join(rows) or 'none'})", key)
+            elif not rows[name].test(params[name]):
+                err(rows[name].message(key, params[name]), key)
     params = out.get("integrand", {}).get("params")
     for key in ("M", "N") if isinstance(params, dict) else ():
         if key in params and not _POSITIVE_INT.test(params[key]):
@@ -618,22 +642,15 @@ def analyze(scenario):
 
 
 def _entries(jobs, family):
-    """family(jobs), one report or error per job.  If the family raises as a
-    whole, each job runs as the family [job], so that it keeps its own report
-    or error."""
+    """family(jobs), one report or error per job.  A family already ends
+    each failed job with its own error; if it raises as a whole, every job
+    gets that exception."""
     if not jobs:
         return []
     try:
         return family(jobs)
-    except Exception:  # collect and continue, job by job
-        return [_alone(family, job) for job in jobs]
-
-
-def _alone(family, job):
-    try:
-        return family([job])[0]
     except Exception as e:  # collect and continue
-        return e
+        return [e] * len(jobs)
 
 
 def _run_decomposition(scenario, f, finf, errors):

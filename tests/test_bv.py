@@ -15,7 +15,6 @@ from bvlsc.bv import (
     tv_on_neighborhood,
     weakstar_diagnostics,
 )
-from bvlsc.bv import _owner_cell
 from bvlsc.meshing import (
     Domain,
     build_mesh,
@@ -106,15 +105,6 @@ def test_total_variation_examples():
     assert total_variation(derivative(BVFunction.affine(mesh, xi))) == pytest.approx(
         2.0, rel=1e-12
     )
-
-
-def test_total_variation_restricted_to_cells():
-    u = jump_member(4)
-    mu = derivative(u)
-    all_cells = np.arange(u.mesh.n_cells)
-    assert total_variation(mu, cells=all_cells) == pytest.approx(1.0)
-    far = np.where(u.mesh.centroids[:, 0] > 0.5)[0]
-    assert total_variation(mu, cells=far) == 0.0
 
 
 def test_does_not_charge_migrating_jumps():
@@ -448,37 +438,6 @@ def test_from_cellwise_constant_2d_matches_facet_loop():
             for (_, _, n), (_, _, m) in zip(got.jump_facets, want.jump_facets):
                 assert np.max(np.abs(n - m)) <= 4.5e-16
         assert len(BVFunction.from_cellwise_constant(mesh, steps).jump_facets) > 10
-
-
-def test_owner_cells_are_the_lowest_index_incident_cells():
-    rng = np.random.default_rng(2)
-    mesh = shuffled_triangle_mesh(2)
-    step = (mesh.centroids[:, 0] + 0.3 * mesh.centroids[:, 1] > 0.6).astype(float)
-    mu = derivative(BVFunction.from_cellwise_constant(mesh, step))
-    descs = [desc for desc, _, _ in mu.charges]
-    assert len(descs) > 5
-    want = [min(ci for ci, c in enumerate(mesh.cells.tolist()) if set(d) <= set(c))
-            for d in descs]
-    assert [_owner_cell(mesh, d) for d in descs] == want
-    # total_variation on a cell subset counts a charge iff its owner is in it
-    sub = rng.permutation(mesh.n_cells)[: mesh.n_cells // 2]
-    sing = 0.0
-    for (_, _, m), owner in zip(mu.charges, want):
-        if owner in sub:
-            sing += m
-    assert 0.0 < sing < total_variation(mu)
-    assert total_variation(mu, cells=sub) == sing  # no density: charges only
-    corners = [int(np.argmin(np.linalg.norm(mesh.vertices - p, axis=1)))
-               for p in ([0.0, 0.0], [1.0, 1.0])]
-    with pytest.raises(ValueError, match="not found"):
-        _owner_cell(mesh, tuple(sorted(corners)))  # a diagonal, not a facet
-    u = jump_member(4)
-    x = [loc for loc, _ in u.atoms] + [0.0, 1.0]
-    left = [min(ci for ci, (a, b) in enumerate(u.mesh.vertices[u.mesh.cells][:, :, 0])
-                if a - 1e-12 <= p <= b + 1e-12) for p in x]
-    assert [_owner_cell(u.mesh, p) for p in x] == left
-    with pytest.raises(ValueError, match="outside the mesh"):
-        _owner_cell(u.mesh, 1.5)
 
 
 def test_l1_distance_mismatch():

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -542,7 +543,14 @@ _MOTIVATION = [("qc", 5, "'qc' must be an object"),
                ("sequence.n_max", 10**6, "'sequence.n_max' must be a positive integer "
                                          "at most 128, got 1000000"),
                ("decomposition.prefix", 10**5, "'decomposition.prefix' must be a positive "
-                                               "integer at most 128, got 100000")]
+                                               "integer at most 128, got 100000"),
+               # a one-cell grid that read as an lsc violation, a division by
+               # zero and a type error in the liminf job, each with exit 0
+               ("sequence.params.h", -0.5,
+                "'sequence.params.h' must be a positive number, got -0.5"),
+               ("sequence.params.h", 0, "'sequence.params.h' must be a positive number, got 0"),
+               ("sequence.params.h", "x",
+                "'sequence.params.h' must be a positive number, got 'x'")]
 
 
 @pytest.mark.parametrize("key, value, message", _MOTIVATION,
@@ -556,6 +564,42 @@ def test_mistyped_or_unknown_key_exits_2(tmp_path, capsys, key, value, message):
     out = capsys.readouterr().out
     assert "config error (line " in out and message in out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", bvlsc.verdict.SEQUENCE_KINDS)
+def test_an_unknown_sequence_param_exits_2(tmp_path, capsys, kind):
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["sequence"].update(kind=kind, params={"zz": 1})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    line = next(i for i, s in enumerate(path.read_text().splitlines()) if '"zz"' in s)
+    known = ", ".join(bvlsc.verdict._SEQUENCE_PARAMS[kind])
+    assert (f"config error (line {line + 1}): unknown key 'zz' in 'sequence.params' "
+            f"of kind {kind!r} (known: {known})" in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("params, bad", [
+    ({"h": 0.125, "x0": 0.0, "profile": "bump", "resolution": 8}, None),
+    ({"profile": "tent"}, "'sequence.params.profile' must be one of hat|bump, got 'tent'"),
+    ({"resolution": 2.5}, "'sequence.params.resolution' must be a positive integer"),
+    ({"x0": float("inf")}, "'sequence.params.x0' must be a finite number, got inf"),
+])
+def test_boundary_rescale_params_are_checked(params, bad):
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["sequence"].update(kind="boundary_rescale", params=params)
+    if bad is None:
+        assert Scenario(cfg).cfg["sequence"]["params"] == params
+    else:
+        with pytest.raises(ConfigError, match=re.escape(bad)):
+            Scenario(cfg)
+
+
+def test_every_bundled_scenario_loads_with_its_sequence_params():
+    # every kind has its row, so no kind's params go unchecked
+    assert set(bvlsc.verdict._SEQUENCE_PARAMS) == {*bvlsc.verdict.SEQUENCE_KINDS, "none"}
+    for path in bundled_scenarios().values():
+        Scenario.from_file(path)
 
 
 def test_a_top_level_key_is_reported_at_its_own_line(tmp_path, capsys):
@@ -627,14 +671,15 @@ _BUNDLED_CONFIGS = {name: json.loads(path.read_text())
                     for name, path in bundled_scenarios().items()}
 _FIELDS = ["kind", "a", "b", "vertices", "restarts", "max_iter", "patience",
            "step0", "smoothing", "n_max", "params"]
+_PARAM_KEYS = ["h", "x0", "profile", "resolution", "amplitude"]  # sequence.params
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
-    | st.sampled_from(["interval", "polygon", "none", "jump_migration"])
+    | st.sampled_from(["interval", "polygon", "none", "jump_migration", "hat"])
     | st.text(max_size=6)
     | st.lists(st.lists(st.integers(-2, 2) | st.floats(-2, 2), min_size=2, max_size=2),
                min_size=3, max_size=5),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    | st.dictionaries(st.sampled_from(_PARAM_KEYS) | st.text(max_size=6), inner, max_size=3),
     max_leaves=10,
 )
 _json_objects = st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=6),
@@ -706,25 +751,23 @@ def test_each_missing_piece_of_evidence_alone_is_inconclusive(edit, monkeypatch)
         assert analyze(sc).overall == "wlsc-plausible"
 
 
-def test_a_family_that_raises_falls_back_to_each_job_alone(monkeypatch):
-    # a family holding the boundary point of seed 1001 raises as a whole; run
-    # alone, that point errs and the others keep their violations
+def test_a_family_that_raises_gives_each_job_its_error(monkeypatch):
+    # the qslb family of four mesh solves raises as a whole: it runs once, and
+    # each boundary point records the one error
+    calls = []
+
     def raising(objective, problems, on=None, floors=None):
-        if any(opts.seed == 1001 for _, _, opts in problems):
-            raise RuntimeError("boom")
-        return minimize_fields(objective, problems, on, floors)
+        calls.append(len(problems))
+        raise RuntimeError("boom")
 
     sc = linear_square()
     sc.cfg["checks"].update(qc=False, sequences=False)
-    want = analyze(sc)
-    assert len(want.qslb_reports) == 4
     monkeypatch.setattr(bvlsc.boundary, "minimize_fields", raising)
     verdict = analyze(sc)
-    assert verdict.errors == [{"job": "qslb", "error": "boom"}]
-    assert [r.to_json() for r in verdict.qslb_reports] == [
-        want.qslb_reports[k].to_json() for k in (0, 2, 3)]
-    assert verdict.qslb_reports[0].verdict == "violated"
-    assert verdict.overall == "not-wlsc"
+    assert calls == [4]
+    assert verdict.errors == [{"job": "qslb", "error": "boom"}] * 4
+    assert verdict.qslb_reports == []
+    assert verdict.overall == "inconclusive"
 
 
 # -- whole-config fuzz ------------------------------------------------------------
