@@ -11,7 +11,7 @@ Three numerical forms are provided:
 
     qslb_deficits, the check analyze runs, takes the quotient in closed form
     where it is exact.  For f_inf(x0, xi) = c |xi|_F + A : xi (see
-    RecessionFn.split_at) and outward normal nu, the constant divergence-free
+    Integrand.split_at) and outward normal nu, the constant divergence-free
     tau = (A nu) (x) nu - A has tau nu = 0 on the flat facet, so
     integral A : grad phi = integral (A nu) . (grad phi nu) for every field
     clamped on the arc, and every quotient is >= c - |A nu| (the normal-trace
@@ -152,7 +152,7 @@ def _strip_direction(finf, x0):
 
 def _sphere_bound(finf, x):
     """Bound on |f_inf(x, xi)| over unit xi: |c| + |A|_F where the split
-    c |xi|_F + A : xi is known, else the sampled RecessionFn.sup_on_sphere
+    c |xi|_F + A : xi is known, else the sampled Integrand.sup_on_sphere
     (which falls short of the supremum once M N >= 3)."""
     split = finf.split_at(x)
     if split is None:
@@ -196,7 +196,6 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
     error that ended it (the other jobs finish as they would alone).
     """
     out = [None] * len(jobs)
-    base = finf.as_integrand()
     family = []  # (job, mesh, integrand, clamped, options) of each live job
     for j, (x0, options) in enumerate(jobs):
         try:
@@ -209,21 +208,21 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
         clamped = _halfball_clamped(mesh, x0.normal)
         opts = options or SolverOptions()
         widths = (2 * mesh.h, 4 * mesh.h, 8 * mesh.h, 0.5)
-        extra = tuple(_layer_inits(mesh, x0.normal, base.M, clamped, widths))
+        extra = tuple(_layer_inits(mesh, x0.normal, finf.M, clamped, widths))
         s = _strip_direction(finf, x0)
         if s is not None:
             extra += (_strip_witness(mesh, x0.normal, s).values,)
-        opts = replace(opts, restarts=_halfball_restarts(opts, base.M, mesh.dim, s),
+        opts = replace(opts, restarts=_halfball_restarts(opts, finf.M, mesh.dim, s),
                        mode="normalize", grad_cap=0.0, tv_cap=0.0,
                        extra_inits=extra + tuple(opts.extra_inits))
-        family.append((j, mesh, freeze_x(base, x0.x0), clamped, opts))
+        family.append((j, mesh, freeze_x(finf, x0.x0), clamped, opts))
     if not family:
         return out
 
     meshes = [m for _, m, _, _, _ in family]
     stack = meshes[0] if len(meshes) == 1 else MeshStack(meshes)
     objective = RayleighQuotient(BulkObjective(stack, [g for _, _, g, _, _ in family]),
-                                 TVObjective(stack, base.M))
+                                 TVObjective(stack, finf.M))
     # 1-homogeneity: f_inf(x0, xi) >= sphere_min |xi|, so no quotient is lower
     results = minimize_fields(objective, [(m, c, o) for _, m, _, c, o in family],
                               floors=[finf.sphere_min] * len(family))
@@ -284,7 +283,7 @@ def _closed_form_report(finf, x0, c, a_nu, options, h, tol):
         mesh = halfball_mesh(nu, h)
         s = -a_nu / r if r > 0 else np.eye(finf.M)[0]
         witness = _strip_witness(mesh, nu, s)
-        quotient = RayleighQuotient(BulkObjective(mesh, freeze_x(finf.as_integrand(), x0.x0)),
+        quotient = RayleighQuotient(BulkObjective(mesh, freeze_x(finf, x0.x0)),
                                     TVObjective(mesh, finf.M))
         diagnostics.update(h=mesh.h, witness_quotient=float(quotient.value(witness.values)))
     return QslbReport(x0=x0.x0, nu=nu, deficit=deficit,
@@ -416,7 +415,7 @@ def equivalence_harness(f, finf, x0, domain_mesh, options=None):
                 "needs a flat segment (boundary flattening is not implemented)"
             )
     forms = {}
-    g_frozen = freeze_x(finf.as_integrand(), center)
+    g_frozen = freeze_x(finf, center)
 
     val, verdict = _patch_sign_test(g_frozen, center, domain_mesh, 0.1, 1e-3, base)
     forms["frozen"] = {"value": val, "verdict": verdict}

@@ -11,13 +11,16 @@ Evaluators are batched: f(x, xi) takes x of shape (k, N) and xi of shape
     norm_sin               f = |xi| + sin(|xi|)
 
 plus weighted composites and affine spatial modulation c(x) * f(xi).  Every
-catalog entry knows its recession function analytically.  Smoothing and
-gradients live in one pass per integrand and per recession function:
-Integrand.evaluate(x, xi, delta) gives the solver the smoothed values
-(|xi| -> sqrt(|xi|^2 + delta^2) in the nonsmooth entries), the exact values
-and the smoothed gradient of a batch.  Composites, modulations and frozen
-integrands combine the passes of their terms.  Final evaluations always use
-the true integrand.
+catalog entry knows its recession function analytically.  A recession
+function is itself an integrand, its own recession, with f_inf(x, 0) = +0.0
+(RecessionFn builds one).  Smoothing and gradients live in one pass per
+integrand: Integrand.evaluate(x, xi, delta) gives the solver the smoothed
+values (|xi| -> sqrt(|xi|^2 + delta^2) in the nonsmooth entries), the exact
+values and the smoothed gradient of a batch.  Composites, modulations and
+frozen integrands combine the passes of their terms, and their recession is
+the same combinator over the terms' recessions (or the combination itself,
+where every term is its own recession).  Final evaluations always use the
+true integrand.
 """
 
 import numpy as np
@@ -53,32 +56,47 @@ def _plus_zero_at_origin(out, xi):
 class Integrand:
     """Density f(x, xi) with linear-growth constant and optional extras.
 
-    `one_pass`, when given, is where the integrand defines its smoothing and
-    its gradient: (x, xi, delta) -> (values smoothed at delta, exact values,
-    gradient in xi of the smoothed values), with the exact values as the
-    smoothed ones at delta = 0.  Without a pass, evaluate is unsmoothed.
-    grad_xi is `grad` where given (user integrands), else the pass at
-    delta = 0, else central finite differences.  `frozen` is (f, x0) for
-    freeze_x(f, x0), which evaluates as f at rows of x0.  `convex` is True
-    only where f is proven independent of x and convex in xi (then Jensen's
-    inequality makes every quasiconvexity deficit >= 0).
+    `growth` is C in |f(x, xi)| <= C (|xi|_F + 1), or a function of no
+    arguments that gives it when first read.  `one_pass`, when given, is
+    where the integrand defines its smoothing and its gradient: (x, xi,
+    delta) -> (values smoothed at delta, exact values, gradient in xi of the
+    smoothed values), with the exact values as the smoothed ones at delta =
+    0.  Without a pass, evaluate is unsmoothed.  grad_xi is `grad` where
+    given (user integrands), else the pass at delta = 0, else central finite
+    differences.  `frozen` is (f, x0) for freeze_x(f, x0), which evaluates as
+    f at rows of x0.  `convex` is True only where f is proven independent of
+    x and convex in xi (then Jensen's inequality makes every quasiconvexity
+    deficit >= 0).  `sphere_min`, where known, is a lower bound on f(x, xi)
+    over every x and every xi with |xi|_F = 1 (the minimum for catalog
+    recessions); for a recession function, 1-homogeneity makes it
+    f(x, xi) >= sphere_min |xi|_F.  `split`, where known, maps a point x to
+    the (c, A) of split_at.
     """
 
     frozen = None
 
     def __init__(self, fn, M, N, growth, tag="user", params=None, grad=None,
-                 recession=None, mu_analytic=None, convex=False, one_pass=None):
+                 recession=None, mu_analytic=None, convex=False, one_pass=None,
+                 sphere_min=None, split=None):
         self._fn = fn
         self.convex = convex
         self.M = int(M)
         self.N = int(N)
-        self.growth = float(growth)
+        self._growth = growth
         self.tag = tag
         self.params = params or {}
         self._grad = grad
         self.recession = recession
         self.mu_analytic = mu_analytic
         self._one_pass = one_pass
+        self.sphere_min = sphere_min
+        self._split = split
+
+    @property
+    def growth(self):
+        if callable(self._growth):
+            self._growth = self._growth()
+        return float(self._growth)
 
     def __call__(self, x, xi):
         x = np.asarray(x, dtype=float)
@@ -90,6 +108,17 @@ class Integrand:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xi = np.asarray(xi, dtype=float).reshape(self.M, self.N)
         return float(self._fn(x[None, :], xi[None, :, :])[0])
+
+    def as_integrand(self):
+        """The integrand itself (a recession function is one already)."""
+        return self
+
+    def split_at(self, x):
+        """(c, A), A of shape (M, N), with f(x, xi) = c |xi|_F + A : xi for
+        every xi, at the point x; None where no split is known."""
+        if self._split is None:
+            return None
+        return self._split(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def grad_xi(self, x, xi):
         x = np.asarray(x, dtype=float)
@@ -132,57 +161,9 @@ class Integrand:
         cont = float(np.max(np.abs(self._fn(x + dx, xi) - vals)))
         return {"growth_ok": growth_ok, "x_continuity_dev": cont}
 
-    def __repr__(self):
-        return f"Integrand(tag={self.tag!r}, M={self.M}, N={self.N}, C={self.growth})"
-
-
-class RecessionFn:
-    """Positively 1-homogeneous large-argument limit of an integrand.
-
-    `sphere_min`, when known analytically, is a lower bound on f_inf(x, xi)
-    over every x and every xi with |xi|_F = 1 (the minimum for catalog
-    entries); by homogeneity f_inf(x, xi) >= sphere_min |xi|_F.  None where
-    no bound is known.  `one_pass` is the smoothing and gradient of
-    as_integrand (see Integrand), and keeps f_inf(x, 0) = +0.0.  `split`,
-    where known, maps a point x to the (c, A) of split_at.
-    """
-
-    def __init__(self, fn, M, N, provenance="analytic", sphere_min=None,
-                 one_pass=None, split=None):
-        self._fn = fn
-        self._one_pass = one_pass
-        self._split = split
-        self.sphere_min = sphere_min
-        self.M = int(M)
-        self.N = int(N)
-        self.provenance = provenance
-
-    def __call__(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return _plus_zero_at_origin(self._fn(x, xi), xi)
-
-    def at(self, x, xi):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = np.asarray(xi, dtype=float).reshape(self.M, self.N)
-        return float(self(x[None, :], xi[None, :, :])[0])
-
-    def split_at(self, x):
-        """(c, A), A of shape (M, N), with f_inf(x, xi) = c |xi|_F + A : xi
-        for every xi, at the point x; None where no split is known."""
-        if self._split is None:
-            return None
-        return self._split(np.atleast_1d(np.asarray(x, dtype=float)))
-
-    def as_integrand(self):
-        """View the recession function itself as an integrand (f = f_inf)."""
-        return Integrand(self.__call__, self.M, self.N, self.sup_on_sphere() + 1.0,
-                         tag="recession", recession=self, mu_analytic=lambda t: 0.0,
-                         one_pass=self._one_pass)
-
     def sup_on_sphere(self, x=None):
-        """Largest |f_inf(x, xi)| over 256 seeded unit xi, at the point x
-        (None: the origin)."""
+        """Largest |f(x, xi)| over 256 seeded unit xi, at the point x (None:
+        the origin)."""
         samples = 256
         xi = np.random.default_rng(0).normal(size=(samples, self.M, self.N))
         xi /= np.maximum(_frob(xi), 1e-12)[:, None, None]
@@ -190,8 +171,8 @@ class RecessionFn:
         return float(np.max(np.abs(self(np.tile(x, (samples, 1)), xi))))
 
     def homogeneity_check(self):
-        """Largest |f_inf(0, a xi) - a f_inf(0, xi)| over 32 seeded xi and
-        a in (0, 0.5, 2, 10)."""
+        """Largest |f(0, a xi) - a f(0, xi)| over 32 seeded xi and a in (0,
+        0.5, 2, 10): 0 for a recession function."""
         xi = np.random.default_rng(0).normal(size=(32, self.M, self.N))
         x = np.zeros((32, self.N))
         base = self(x, xi)
@@ -202,7 +183,32 @@ class RecessionFn:
         return worst
 
     def __repr__(self):
-        return f"RecessionFn(M={self.M}, N={self.N}, provenance={self.provenance!r})"
+        return f"Integrand(tag={self.tag!r}, M={self.M}, N={self.N}, C={self.growth})"
+
+
+def RecessionFn(fn, M, N, sphere_min=None, one_pass=None, split=None):
+    """The positively 1-homogeneous large-argument limit f_inf of an
+    integrand, as the integrand that is its own recession: +0.0 where xi = 0,
+    a zero deviation modulus, and the growth constant sup_on_sphere() + 1,
+    sampled when first read.  `one_pass` (see Integrand) must keep the +0.0."""
+    g = Integrand(lambda x, xi: _plus_zero_at_origin(fn(x, xi), xi), M, N,
+                  growth=lambda: g.sup_on_sphere() + 1.0, tag="recession",
+                  mu_analytic=lambda t: 0.0, one_pass=one_pass, sphere_min=sphere_min,
+                  split=split)
+    g.recession = g
+    return g
+
+
+def _with_recession(g, terms, combine):
+    """g, with its recession set: g itself where every term is its own
+    recession, else combine(the terms' recessions), or None where a term has
+    none."""
+    recs = [f.recession for f in terms]
+    if all(r is f for r, f in zip(recs, terms)):
+        g.recession = g
+    elif None not in recs:
+        g.recession = combine(recs)
+    return g
 
 
 class RecessionLimitError(RuntimeError):
@@ -285,8 +291,8 @@ def recession_estimate(f, x, xi, t_grid=DEFAULT_T_GRID, check_joint=True):
 
 
 def estimated_recession(f):
-    """Build a RecessionFn by running the tail estimate on DEFAULT_T_GRID at
-    each evaluation."""
+    """A RecessionFn that runs the tail estimate on DEFAULT_T_GRID at each
+    evaluation."""
 
     def fn(x, xi):
         x = np.atleast_2d(x)
@@ -298,7 +304,7 @@ def estimated_recession(f):
             ).value
         return out
 
-    return RecessionFn(fn, f.M, f.N, provenance="estimated")
+    return RecessionFn(fn, f.M, f.N)
 
 
 def mu_estimate(f, finf, t, budget=2000, seed=0):
@@ -512,46 +518,34 @@ def composite(terms):
     def fn(x, xi):
         return sum(w * f(x, xi) for w, f in zip(ws, fs))
 
-    def summed(passes):
-        def one_pass(x, xi, delta):
-            outs = [p(x, xi, delta) for p in passes]
-            return tuple(sum(w * out[k] for w, out in zip(ws, outs)) for k in range(3))
+    def one_pass(x, xi, delta):
+        outs = [f.evaluate(x, xi, delta) for f in fs]
+        return tuple(sum(w * out[k] for w, out in zip(ws, outs)) for k in range(3))
 
-        return one_pass
-
-    recs = [f.recession for f in fs]
-    rec = None
-    nonnegative = all(w >= 0 for w in ws)
-    if all(r is not None for r in recs):
-        def recfn(x, xi):
-            return sum(w * r(x, xi) for w, r in zip(ws, recs))
-
-        def split(x):
-            parts = [r.split_at(x) for r in recs]
-            if None in parts:
-                return None
-            return (sum(w * c for w, (c, _) in zip(ws, parts)),
-                    sum(w * A for w, (_, A) in zip(ws, parts)))
-
-        mins = [r.sphere_min for r in recs]
-        rec_passes = [r._one_pass for r in recs]
-        rec = RecessionFn(recfn, M, N, sphere_min=sum(w * m for w, m in zip(ws, mins))
-                          if nonnegative and None not in mins else None,
-                          one_pass=None if None in rec_passes else summed(rec_passes),
-                          split=split)
+    def split(x):
+        parts = [f.split_at(x) for f in fs]
+        if None in parts:
+            return None
+        return (sum(w * c for w, (c, _) in zip(ws, parts)),
+                sum(w * A for w, (_, A) in zip(ws, parts)))
 
     mu = None
     if all(f.mu_analytic is not None for f in fs):
         def mu(t):
             return sum(abs(w) * f.mu_analytic(t) for w, f in zip(ws, fs))
 
-    return Integrand(
-        fn, M, N, growth=sum(abs(w) * f.growth for w, f in zip(ws, fs)),
+    nonnegative = all(w >= 0 for w in ws)
+    mins = [f.sphere_min for f in fs]
+    sphere_min = (sum(w * m for w, m in zip(ws, mins))
+                  if nonnegative and None not in mins else None)
+    g = Integrand(
+        fn, M, N, growth=lambda: sum(abs(w) * f.growth for w, f in zip(ws, fs)),
         tag="composite",
         params={"terms": [(w, {"tag": f.tag, "params": f.params}) for w, f in terms]},
-        recession=rec, mu_analytic=mu, convex=nonnegative and all(f.convex for f in fs),
-        one_pass=summed([f.evaluate for f in fs]),
+        mu_analytic=mu, convex=nonnegative and all(f.convex for f in fs), one_pass=one_pass,
+        sphere_min=sphere_min, split=split,
     )
+    return _with_recession(g, fs, lambda recs: composite(list(zip(ws, recs))))
 
 
 def modulate(f, c0, cvec):
@@ -567,34 +561,22 @@ def modulate(f, c0, cvec):
     def fn(x, xi):
         return c(x) * f(x, xi)
 
-    def scaled(inner):
-        def one_pass(x, xi, delta):
-            cx = c(x)
-            val, exact, grad = inner(x, xi, delta)
-            return cx * val, cx * exact, cx[:, None, None] * grad
+    def one_pass(x, xi, delta):
+        cx = c(x)
+        val, exact, grad = f.evaluate(x, xi, delta)
+        return cx * val, cx * exact, cx[:, None, None] * grad
 
-        return one_pass
+    def split(x):
+        part = f.split_at(x)
+        return None if part is None else (c(x) * part[0], c(x) * part[1])
 
-    rec = None
-    if f.recession is not None:
-        base_rec = f.recession
-
-        def recfn(x, xi):
-            return c(x) * base_rec(x, xi)
-
-        def split(x):
-            part = base_rec.split_at(x)
-            return None if part is None else (c(x) * part[0], c(x) * part[1])
-
-        rec = RecessionFn(recfn, f.M, f.N, one_pass=None if base_rec._one_pass is None
-                          else scaled(base_rec._one_pass), split=split)
-
-    return Integrand(
-        fn, f.M, f.N, growth=f.growth * (abs(c0) + np.linalg.norm(cvec) * 10.0),
+    g = Integrand(
+        fn, f.M, f.N, growth=lambda: f.growth * (abs(c0) + np.linalg.norm(cvec) * 10.0),
         tag=f"modulated({f.tag})", params={"c0": c0, "cvec": cvec.tolist(),
                                            "inner": f.tag},
-        recession=rec, one_pass=scaled(f.evaluate),
+        one_pass=one_pass, split=split,
     )
+    return _with_recession(g, [f], lambda recs: modulate(recs[0], c0, cvec))
 
 
 def freeze_x(f, x0):
@@ -613,29 +595,14 @@ def freeze_x(f, x0):
     def fn(x, xi):
         return f(xs(len(xi)), xi)
 
-    def frozen(inner):
-        def one_pass(x, xi, delta):
-            return inner(xs(len(xi)), xi, delta)
-
-        return one_pass
-
-    rec = None
-    if f.recession is not None:
-        base_rec = f.recession
-
-        def recfn(x, xi):
-            return base_rec(xs(len(xi)), xi)
-
-        rec = RecessionFn(recfn, f.M, f.N, provenance=base_rec.provenance,
-                          sphere_min=base_rec.sphere_min,
-                          one_pass=None if base_rec._one_pass is None
-                          else frozen(base_rec._one_pass),
-                          split=lambda x: base_rec.split_at(x0))
+    def one_pass(x, xi, delta):
+        return f.evaluate(xs(len(xi)), xi, delta)
 
     g = Integrand(
-        fn, f.M, f.N, growth=f.growth, tag=f"frozen({f.tag})",
-        params={"x0": x0.tolist(), "inner": f.tag}, recession=rec,
-        mu_analytic=f.mu_analytic, convex=f.convex, one_pass=frozen(f.evaluate),
+        fn, f.M, f.N, growth=lambda: f.growth, tag=f"frozen({f.tag})",
+        params={"x0": x0.tolist(), "inner": f.tag}, mu_analytic=f.mu_analytic,
+        convex=f.convex, one_pass=one_pass, sphere_min=f.sphere_min,
+        split=lambda x: f.split_at(x0),
     )
     g.frozen = (f, x0)
-    return g
+    return _with_recession(g, [f], lambda recs: freeze_x(recs[0], x0))

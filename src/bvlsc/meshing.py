@@ -52,8 +52,13 @@ class MeshBudgetError(ValueError):
 
 def _check_budget(n_cells, request):
     if n_cells > MAX_CELLS:
+        # Decimal formats a count of any size, where float() would overflow;
+        # imported here, off the path of every mesh that fits
+        from decimal import Decimal
+
         raise MeshBudgetError(
-            f"{request} implies about {n_cells:.0f} cells, over the budget {MAX_CELLS}"
+            f"{request} implies about {Decimal(n_cells):.0f} cells, over the budget "
+            f"{MAX_CELLS}"
         )
 
 
@@ -542,9 +547,13 @@ def _interval_cells(a, b, h_target, extra=0):
     """Cells of the uniform grid of step h_target on [a, b], after checking
     that they and `extra` inserted points fit the budget."""
     cells = (b - a) / h_target
-    if cells + extra > MAX_CELLS:  # the message is formatted only to be raised
+    # cells + extra > MAX_CELLS, compared without float() of an int extra
+    # beyond the float range; the message is formatted only to be raised
+    if extra > MAX_CELLS - cells:
+        from decimal import Decimal
+
         more = f" with {extra} more points" if extra else ""
-        _check_budget(cells + extra, f"h={h_target} on [{a}, {b}]{more}")
+        _check_budget(Decimal(cells) + extra, f"h={h_target} on [{a}, {b}]{more}")
     return max(1, int(np.ceil(cells)))
 
 
@@ -628,7 +637,10 @@ def _polygon_mesh(domain, h):
 
     tri = Delaunay(pts)
     cent = pts[tri.simplices].mean(axis=1)
-    keep = region.contains(cent, tol=1e-12) & (_sub_measures(pts, tri.simplices, 2) > 1e-13)
+    # relative to h^2: the rounding above moves boundary points off slanted
+    # edges, and the near-flat triangles Delaunay spans over them are slivers
+    keep = region.contains(cent, tol=1e-12) & (
+        _sub_measures(pts, tri.simplices, 2) > 1e-9 * h * h)
     cells = tri.simplices[keep]
     used = np.unique(cells)
     remap = -np.ones(len(pts), dtype=np.int64)

@@ -28,7 +28,7 @@ brings the live restarts back to the front.  The rows return to restart
 order before the results are assembled.  A solve is low_confidence when its
 best restart last improved at or next to the iteration cap the stages allow
 (len(smoothing) x (max_iter // len(smoothing)) iterations) and its
-stationarity residual exceeds stationarity_tol.
+stationarity residual exceeds STATIONARITY_TOL.
 
 A family of independent problems advances the same way (minimize_fields):
 the restarts of all problems form one batch, problem p on copy p of an
@@ -130,6 +130,12 @@ MAX_WORK = 50_000_000
 BATCH_CELLS = 2560
 
 
+# a solve whose best restart last improved at the iteration cap is low
+# confidence when its stationarity residual (the largest entry of its final
+# gradient off the clamped set, at the finest smoothing) exceeds this
+STATIONARITY_TOL = 1e-2
+
+
 class SolverBudgetError(ValueError):
     """Raised before a solve whose cells x restarts x iterations exceed MAX_WORK."""
 
@@ -193,7 +199,6 @@ class SolverOptions:
     grad_cap: float = 0.0  # 0 means none
     tv_cap: float = 0.0  # 0 means none
     patience: int = 60
-    stationarity_tol: float = 1e-2
     extra_inits: tuple = field(default_factory=tuple)
 
 
@@ -860,7 +865,7 @@ def _solve(objective, problems, on, floors):
             stationarity_residual=residual,
             best_restart=best_restart,
             low_confidence=bool(hit_cap[mine[best_restart]]
-                                and residual > opts.stationarity_tol),
+                                and residual > STATIONARITY_TOL),
             seed=opts.seed,
             restart_values=tuple(best[mine].tolist()),
             stop_reasons=tuple(reasons[mine].tolist()),

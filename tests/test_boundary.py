@@ -94,6 +94,27 @@ def test_halfball_norm_quotient_is_one():
     assert rep.deficit == pytest.approx(1.0, abs=1e-6)
 
 
+def test_a_halfball_family_of_four_normals_is_one_objective_on_one_recession(monkeypatch):
+    # every half-ball integrand is the recession frozen at its point, so the
+    # four copies of the family share the recession as their base
+    built = []
+
+    def recorded(mesh, g, *args, _inner=boundary.BulkObjective):
+        built.append(g)
+        return _inner(mesh, g, *args)
+
+    monkeypatch.setattr(boundary, "BulkObjective", recorded)
+    finf = modulate(catalog_get("norm", {"M": 1, "N": 2}), 1.0, [0.5, 0.25]).recession
+    pts = [BoundaryPoint([0.0, 0.5], [-1.0, 0.0]), BoundaryPoint([1.0, 0.5], [1.0, 0.0]),
+           BoundaryPoint([0.5, 0.0], [0.0, -1.0]), BoundaryPoint([0.5, 1.0], [0.0, 1.0])]
+    reps = boundary.halfball_deficits(finf, [(bp, FAST) for bp in pts], h=0.25)
+    assert len(built) == 1 and len(built[0]) == 4
+    assert all(g.frozen[0] is finf and g.recession is g for g in built[0])
+    for bp, rep in zip(pts, reps):
+        # f_inf(x0, xi) = c(x0) |xi|: every field's quotient is c(x0)
+        assert rep.deficit == pytest.approx(1.0 + 0.5 * bp.x0[0] + 0.25 * bp.x0[1], abs=1e-12)
+
+
 def test_halfball_rotation_equivariance():
     a = [1.0]
     vals = []

@@ -354,3 +354,40 @@ def test_combined_recessions_combine_their_terms_passes(delta, N):
         got = g.recession.as_integrand().evaluate(x, xi, delta)
         want = combined.evaluate(x, xi, delta)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("name", sorted(_one_pass_cases(2)))
+def test_a_recession_is_an_integrand_and_its_own_recession(name):
+    rec = _one_pass_cases(2)[name].recession
+    assert rec.recession is rec
+    assert rec.as_integrand() is rec
+    zero = rec(np.zeros((3, 2)), np.zeros((3, 1, 2)))
+    assert zero.tobytes() == np.zeros(3).tobytes()  # +0.0
+
+
+def test_combined_recessions_split_and_floor_by_the_rule_over_their_terms():
+    """split_at: summed, scaled by c(x), taken at x0; sphere_min: the weighted
+    sum for nonnegative weights (else None), None under modulate, kept by
+    freeze_x."""
+    terms = [(1.0, _entry("norm_sin", 2)), (0.5, _entry("negnorm", 2)),
+             (2.0, _entry("linear", 2)), (0.3, _entry("area", 2))]
+    recs = [(w, f.recession) for w, f in terms]
+    x, x0, cvec = np.array([0.3, 0.7]), np.array([0.1, 0.2]), np.array([0.5, -0.4])
+    parts = [r.split_at(x) for _, r in recs]
+    for g in (composite(terms), composite(recs)):
+        c, A = g.recession.split_at(x)
+        assert c == sum(w * p[0] for (w, _), p in zip(recs, parts))
+        assert A.tobytes() == sum(w * p[1] for (w, _), p in zip(recs, parts)).tobytes()
+        assert g.recession.sphere_min == sum(w * r.sphere_min for w, r in recs)
+    signed = [(1.0, terms[0][1]), (-0.5, terms[1][1])]
+    assert composite(signed).recession.sphere_min is None
+    f = _entry("norm", 2)
+    cx = 1.2 + (x * cvec).sum()
+    c, A = modulate(f, 1.2, cvec).recession.split_at(x)
+    assert (c, A.tobytes()) == (cx * 1.0, (cx * np.zeros((1, 2))).tobytes())
+    assert modulate(f, 1.2, cvec).recession.sphere_min is None
+    frozen = freeze_x(composite(terms), x0).recession
+    c, A = frozen.split_at(x)
+    want = composite(terms).recession.split_at(x0)
+    assert (c, A.tobytes()) == (want[0], want[1].tobytes())
+    assert frozen.sphere_min == composite(terms).recession.sphere_min

@@ -96,6 +96,27 @@ def test_cell_measures_match_domain_measure():
         assert m.cell_measures.sum() == pytest.approx(dom.measure(), rel=1e-10)
 
 
+HEXAGON = [[np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)] for k in range(6)]
+
+
+@pytest.mark.parametrize("vertices", [[[0, 0], [1, 0], [0.3, 0.8]], HEXAGON],
+                         ids=["triangle", "hexagon"])
+def test_polygon_mesh_has_no_sliver_cells(vertices):
+    # rounding moves boundary points off a slanted edge, and Delaunay spans
+    # near-flat triangles over them (0 degrees at h = 0.125 on the triangle
+    # and h = 0.4 on the hexagon with an absolute measure filter)
+    dom = Domain.polygon(vertices)
+    for h in np.linspace(0.03, 0.6, 58):
+        m = build_mesh(dom, h)
+        assert np.degrees(_min_angle(m.vertices, m.cells)) > 10.0, h
+        assert m.cell_measures.sum() == pytest.approx(dom.measure(), abs=1e-11), h
+
+
+def test_unit_square_polygon_mesh_keeps_every_cell():
+    m = build_mesh(Domain.polygon([[0, 0], [1, 0], [1, 1], [0, 1]]), 0.125)
+    assert m.n_cells == 128
+
+
 def test_halfball_area_within_chord_error():
     h = 0.1
     m = halfball_mesh([1.0, 0.0], h)

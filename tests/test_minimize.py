@@ -281,7 +281,7 @@ def reference_minimize(objective, mesh, clamped, options):
         restarts_used=len(inits),
         stationarity_residual=residual,
         best_restart=best_restart,
-        low_confidence=bool(best_hit_cap and residual > options.stationarity_tol),
+        low_confidence=bool(best_hit_cap and residual > minimize.STATIONARITY_TOL),
         seed=options.seed,
         restart_values=tuple(restart_values),
         stop_reasons=tuple(stop_reasons),

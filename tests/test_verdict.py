@@ -230,6 +230,25 @@ def test_a_solver_budget_beyond_the_float_range_is_reported(tmp_path):
     assert verdict.overall == "inconclusive"
 
 
+@pytest.mark.parametrize("resolution", [10**9, 10**400], ids=["1e9", "1e400"])
+def test_a_resolution_beyond_the_float_range_is_over_the_cell_budget(tmp_path, resolution):
+    # 10**400 + 1 profile points: an int that float() overflows, so the
+    # budget compares and formats the count without it
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["checks"].update(qc=False, qslb=False)
+    cfg["sequence"].update(kind="boundary_rescale", params={"resolution": resolution})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    errors = json.loads((tmp_path / "out" / "report.json").read_text())["verdict"]["errors"]
+    assert [e["job"] for e in errors] == ["liminf"]
+    msg = errors[0]["error"]
+    assert msg.startswith(f"h=0.0625 on [0.0, 1.0] with {resolution + 1} more points ")
+    assert msg.endswith(" cells, over the budget 200000")
+    if resolution == 10**9:
+        assert "implies about 1000000017 cells" in msg
+
+
 def test_unbudgeted_solver_work_fails_fast(tmp_path):
     # 194,688 qc cells pass the cell budget, but 8 restarts x 400 iterations
     # on them would run for about an hour
