@@ -11,7 +11,9 @@ Evaluators are batched: f(x, xi) takes x of shape (k, N) and xi of shape
     norm_sin               f = |xi| + sin(|xi|)
 
 plus weighted composites and affine spatial modulation c(x) * f(xi).  Every
-catalog entry knows its recession function analytically.  A recession
+catalog entry knows its recession function analytically, and the
+1-homogeneous ones (linear, norm, negnorm, the null Lagrangian) know their
+split c |xi|_F + A : xi as well.  A recession
 function is itself an integrand, its own recession, with f_inf(x, 0) = +0.0
 (RecessionFn builds one).  Smoothing and gradients live in one pass per
 integrand: Integrand.evaluate(x, xi, delta) gives the solver the smoothed
@@ -394,7 +396,7 @@ def _mk_linear(matrix, tag="linear"):
     return Integrand(
         fn, M, N, growth=max(np.linalg.norm(A), 1e-12), tag=tag,
         params={"matrix": A.tolist()}, recession=rec, mu_analytic=lambda t: 0.0,
-        convex=True, one_pass=linear_pass(fn),
+        convex=True, one_pass=linear_pass(fn), split=_constant_split(0.0, A),
     )
 
 
@@ -406,6 +408,7 @@ def _mk_norm(sign=1.0, tag="norm", M=1, N=1):
         fn, M, N, growth=1.0, tag=tag, params={"M": M, "N": N},
         recession=_norm_recession(sign, True, M, N), mu_analytic=lambda t: 0.0,
         convex=sign > 0, one_pass=_norm_pass(sign, True),
+        split=_constant_split(sign, np.zeros((M, N))),
     )
 
 

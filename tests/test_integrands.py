@@ -226,6 +226,20 @@ def test_recession_split_reproduces_the_recession(name, f, x):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("tag,params", CATALOG_1D + SPLIT_2D,
+                         ids=[f"{t}-{i}" for i, (t, _) in enumerate(CATALOG_1D + SPLIT_2D)])
+def test_catalog_entry_splits_exactly_where_it_is_one_homogeneous(tag, params):
+    f = catalog_get(tag, params)
+    x = [0.3] * f.N
+    if tag in ("area", "norm_sin"):
+        assert f.split_at(x) is None
+        return
+    c, A = f.split_at(x)
+    xi = random_xis(f.M, f.N, 16, seed=5)
+    got = c * np.linalg.norm(xi.reshape(16, -1), axis=1) + np.einsum("mn,kmn->k", A, xi)
+    np.testing.assert_allclose(got, f(np.tile(x, (16, 1)), xi), rtol=1e-14, atol=1e-14)
+
+
 def test_split_is_known_only_where_every_part_has_one():
     est = estimated_recession(catalog_get("area"))
     assert est.split_at([0.0]) is None

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bvlsc.integrands import Integrand, catalog_get, composite
+import bvlsc.quasiconvex
+from bvlsc import minimize
+from bvlsc.integrands import Integrand, catalog_get, composite, freeze_x, modulate
 from bvlsc.meshing import unit_square_mesh
-from bvlsc.minimize import SolverOptions
-from bvlsc.quasiconvex import qc_deficit
+from bvlsc.minimize import BulkObjective, SolverOptions, minimize_fields
+from bvlsc.quasiconvex import default_qc_mesh, qc_deficit, qc_deficits
 
 FAST = SolverOptions(restarts=6, max_iter=200)
 
@@ -25,8 +29,6 @@ def test_negnorm_violated_at_zero():
     assert per_cap[1.0] < -0.5  # |B| = 1 for the unit square
     assert rep.witness is not None
     # stored witness re-evaluates to the reported deficit
-    from bvlsc.minimize import BulkObjective
-
     obj = BulkObjective(rep.witness.mesh, f, xi0=np.zeros((1, 2)),
                         subtract_offset=True)
     assert obj.value(rep.witness.values) == pytest.approx(rep.deficit, abs=1e-10)
@@ -40,8 +42,6 @@ def test_linear_deficit_vanishes_exactly():
     # brute-force oracle: random clamped fields give exactly zero energy
     mesh = unit_square_mesh(4)
     rng = np.random.default_rng(0)
-    from bvlsc.minimize import BulkObjective
-
     obj = BulkObjective(mesh, f, xi0=np.array([[0.3, 0.8]]), subtract_offset=True)
     for _ in range(10):
         v = rng.normal(size=(mesh.n_vertices, 1))
@@ -87,3 +87,126 @@ def test_1d_qc_on_interval_domain():
     rep = qc_deficit(f, [[0.0]], options=FAST)
     assert rep.verdict == "violated"
     assert rep.deficit < -0.5
+
+
+# -- closed form for frozen split integrands ----------------------------------------
+
+
+def _frozen_split_cases():
+    """(id, frozen integrand, xi) with a split: catalog entries, a composite and
+    a modulation, each frozen at two points, for (M, N) = (1, 1), (1, 2), (2, 1);
+    in 1D |xi| < 1, and for M = 2, N = 1 xi is parallel to e1."""
+    xis = {(1, 1): [[0.6]], (1, 2): [[0.3, -0.5]], (2, 1): [[0.6], [0.0]]}
+    points = {1: ([0.3], [0.7]), 2: ([0.3, 0.6], [0.7, 0.4])}
+    for (M, N), xi in xis.items():
+        neg = catalog_get("negnorm", {"M": M, "N": N})
+        norm = catalog_get("norm", {"M": M, "N": N})
+        lin = catalog_get("linear", {"matrix": np.linspace(-1.0, 1.5, M * N).reshape(M, N)})
+        bases = {
+            "negnorm": neg,
+            "norm": norm,
+            "linear": lin,
+            "nulllag": catalog_get("boundary_null_lagrangian",
+                                   {"a": [1.0, -0.5][:M], "t": [0.6, 0.8][:N]}),
+            "composite": composite([(0.5, norm), (1.0, neg), (1.0, lin)]),
+            "modulate": modulate(neg, 1.0, [0.4, -0.3][:N]),
+        }
+        for name, f in bases.items():
+            for pi, x0 in enumerate(points[N]):
+                yield f"{name}-{M}x{N}-p{pi}", freeze_x(f, x0), np.array(xi)
+
+
+CASES = list(_frozen_split_cases())
+
+
+def _job_mesh(g):
+    return default_qc_mesh(g.N, 0.25)
+
+
+@pytest.mark.parametrize("name,g,xi", CASES, ids=[c[0] for c in CASES])
+def test_closed_form_lies_below_the_solver_and_random_fields(name, g, xi):
+    mesh = _job_mesh(g)
+    rep = qc_deficit(g, xi, mesh=mesh, L_grid=(1.0, 4.0), options=FAST)
+    assert all(d["source"] == "closed_form" and d["iterations"] == 0
+               for d in rep.diagnostics)
+    objective = BulkObjective(mesh, g, xi0=xi, subtract_offset=True)
+    clamped = mesh.boundary_vertices
+    rng = np.random.default_rng(3)
+    for L, closed in rep.per_cap:
+        opts = dataclasses.replace(FAST, grad_cap=L)
+        (res,) = minimize_fields(objective, [(mesh, clamped, opts)])
+        assert closed <= res.value + rep.tol
+        for _ in range(20):
+            v = rng.normal(size=(mesh.n_vertices, g.M))
+            v[clamped] = 0.0
+            top = np.max(np.linalg.norm(mesh.p1_gradient(v).reshape(mesh.n_cells, -1), axis=1))
+            assert closed <= objective.value(v * (L * rng.random() / top)) + 1e-12
+
+
+@pytest.mark.parametrize("name,g,xi", CASES, ids=[c[0] for c in CASES])
+def test_a_closed_form_violation_has_a_mesh_witness_at_or_above_it(name, g, xi):
+    mesh = _job_mesh(g)
+    rep = qc_deficit(g, xi, mesh=mesh, L_grid=(1.0, 4.0), options=FAST)
+    c = g.split_at(g.frozen[1])[0]
+    assert (rep.verdict == "violated") == (c < 0.0)
+    if c >= 0.0:
+        assert rep.deficit == 0.0 and rep.witness is None
+        assert all("witness_value" not in d for d in rep.diagnostics)
+        return
+    value = rep.diagnostics[-1]["witness_value"]
+    assert rep.deficit - 1e-12 <= value < -rep.tol
+    objective = BulkObjective(mesh, g, xi0=xi, subtract_offset=True)
+    assert objective.value(rep.witness.values) == value
+    top = np.max(np.linalg.norm(rep.witness.gradients().reshape(mesh.n_cells, -1), axis=1))
+    assert top == pytest.approx(4.0, rel=1e-12)
+    if g.M == g.N == 1:  # |xi| < L: the pyramid is the two-gradient extreme
+        assert value == pytest.approx(rep.deficit, abs=1e-12)
+    if g.N == 1 < g.M:  # gradients perpendicular to xi, which lies along e1
+        assert np.all(rep.witness.values @ xi[:, 0] == 0.0)
+
+
+def test_closed_form_values_per_cap():
+    f = catalog_get("negnorm", {"M": 1, "N": 2})
+    rep = qc_deficit(freeze_x(f, [0.5, 0.5]), [[0.6, 0.0]], mesh=default_qc_mesh(2, 0.25),
+                     L_grid=(4.0, 1.0))
+    assert rep.per_cap == [(1.0, -(np.hypot(0.6, 1.0) - 0.6)),
+                           (4.0, -(np.hypot(0.6, 4.0) - 0.6))]
+    assert rep.deficit == rep.per_cap[-1][1]
+    g = freeze_x(catalog_get("negnorm"), [0.5])
+    rep = qc_deficit(g, [[-2.0]], L_grid=(1.0, 4.0))
+    assert rep.per_cap == [(1.0, 0.0), (4.0, -2.0)]
+    rep = qc_deficit(g, [[-5.0]], L_grid=(1.0, 4.0))
+    assert rep.per_cap == [(1.0, 0.0), (4.0, 0.0)] and rep.verdict == "qc-plausible"
+
+
+def test_unfrozen_or_split_free_jobs_still_run_the_solver():
+    mod = modulate(catalog_get("negnorm", {"M": 1, "N": 2}), 1.0, [0.4, -0.3])
+    area = freeze_x(catalog_get("area", {"M": 1, "N": 2}), [0.5, 0.5])
+    diagnostics = [qc_deficit(g, [[0.3, -0.5]], mesh=unit_square_mesh(4), L_grid=(1.0,),
+                              options=FAST).diagnostics[0] for g in (mod, area)]
+    assert all(d["source"] == "mesh" and "stationarity_residual" in d for d in diagnostics)
+    assert diagnostics[0]["iterations"] > 0
+
+
+def test_closed_form_job_errs_where_its_mesh_solve_would(monkeypatch):
+    # one restart: the first cap fits the work budget, the second, which also
+    # starts from the first cap's witness, does not
+    mesh = unit_square_mesh(4)
+    g = freeze_x(catalog_get("negnorm", {"M": 1, "N": 2}), [0.5, 0.5])
+    opts = dataclasses.replace(FAST, restarts=1)
+    monkeypatch.setattr(minimize, "MAX_WORK", mesh.n_cells * opts.max_iter)
+    ((closed,), (solved,)) = (
+        qc_deficits([(g, np.zeros((1, 2)), opts)], mesh=mesh, L_grid=L_grid)
+        for L_grid in ((1.0, 4.0), (1.0,)))
+    assert isinstance(closed, minimize.SolverBudgetError)
+    assert solved.verdict == "violated"
+    (mesh_err,) = bvlsc.quasiconvex._mesh_deficits([(g, np.zeros((1, 2)), opts)], mesh,
+                                                   (1.0, 4.0))
+    assert str(closed) == str(mesh_err)
+
+
+def test_a_violation_without_a_mesh_witness_is_an_error():
+    # every vertex of a two-cell square lies on its boundary: no field to witness
+    g = freeze_x(catalog_get("negnorm", {"M": 1, "N": 2}), [0.5, 0.5])
+    (rep,) = qc_deficits([(g, np.zeros((1, 2)), FAST)], mesh=unit_square_mesh(1))
+    assert isinstance(rep, ArithmeticError) and "witness" in str(rep)
