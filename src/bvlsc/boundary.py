@@ -42,7 +42,6 @@ from .meshing import (
     BoundaryPoint,
     MeshBudgetError,
     MeshStack,
-    halfball_cells,
     halfball_mesh,
     local_patch,
 )
@@ -50,13 +49,11 @@ from .minimize import (
     BulkObjective,
     LinearCombo,
     RayleighQuotient,
-    SolverBudgetError,
     SolverOptions,
     TestField,
     TVObjective,
     minimize_field,
     minimize_fields,
-    work_error,
 )
 from .quasiconvex import qc_deficit
 
@@ -124,15 +121,6 @@ def _ramp_profile(mesh, direction, width):
     s = s - float(np.min(s))
     t = np.clip(1.0 - s / width, 0.0, 1.0)
     return t
-
-
-def _halfball_restarts(options, M, dim, strip):
-    """Starts of a half-ball solve: room for default_inits' 2 M dim tents, the
-    8 M boundary-layer ramps of _layer_inits (four widths, two signs), the
-    strip ramp where `strip` is a direction (see _strip_direction) and the
-    caller's extra_inits."""
-    return max(options.restarts, 2 * M * dim + 8 * M + (strip is not None)
-               + len(options.extra_inits))
 
 
 def _strip_direction(finf, x0):
@@ -212,9 +200,12 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
         s = _strip_direction(finf, x0)
         if s is not None:
             extra += (_strip_witness(mesh, x0.normal, s).values,)
-        opts = replace(opts, restarts=_halfball_restarts(opts, finf.M, mesh.dim, s),
-                       mode="normalize", grad_cap=0.0, tv_cap=0.0,
-                       extra_inits=extra + tuple(opts.extra_inits))
+        extra += tuple(opts.extra_inits)
+        # room for default_inits' 2 M dim tents besides the extra starts: the
+        # 8 M boundary-layer ramps (four widths, two signs), the strip ramp
+        # and the caller's extra_inits
+        opts = replace(opts, restarts=max(opts.restarts, 2 * finf.M * mesh.dim + len(extra)),
+                       mode="normalize", grad_cap=0.0, tv_cap=0.0, extra_inits=extra)
         family.append((j, mesh, freeze_x(finf, x0.x0), clamped, opts))
     if not family:
         return out
@@ -238,11 +229,10 @@ def qslb_deficits(finf, jobs, h=0.05, tol=1e-3):
     for each job whose recession splits at x0 and whose half-ball has N = 1
     or A nu = 0; every other job goes to halfball_deficits, as one family.
 
-    A closed-form job builds no mesh and runs no solve, but it errs as its
-    mesh solve would on a half-ball mesh over the cell budget or a solve over
-    the work budget.  Only a violation builds the half-ball mesh, for its
-    witness: the strip ramp of _strip_witness, whose mesh quotient the
-    diagnostics carry.
+    A closed-form job builds no mesh and runs no solve.  Only a violation
+    builds the half-ball mesh, for its witness: the strip ramp of
+    _strip_witness, whose mesh quotient the diagnostics carry; a witness
+    mesh over the cell budget errs (MeshBudgetError).
     """
     out = [None] * len(jobs)
     rest = []  # the jobs of the mesh family
@@ -253,9 +243,8 @@ def qslb_deficits(finf, jobs, h=0.05, tol=1e-3):
             a_nu = A @ x0.normal
             if len(x0.normal) == 1 or np.linalg.norm(a_nu) <= 1e-12 * np.linalg.norm(A):
                 try:
-                    out[j] = _closed_form_report(finf, x0, float(c), a_nu,
-                                                 options or SolverOptions(), h, tol)
-                except (MeshBudgetError, SolverBudgetError) as e:
+                    out[j] = _closed_form_report(finf, x0, float(c), a_nu, h, tol)
+                except MeshBudgetError as e:
                     out[j] = e
                 continue
         rest.append(j)
@@ -266,13 +255,8 @@ def qslb_deficits(finf, jobs, h=0.05, tol=1e-3):
     return out
 
 
-def _closed_form_report(finf, x0, c, a_nu, options, h, tol):
+def _closed_form_report(finf, x0, c, a_nu, h, tol):
     nu = x0.normal
-    cells = halfball_cells(nu, h)
-    budget = work_error(cells, replace(options, restarts=_halfball_restarts(
-        options, finf.M, len(nu), _strip_direction(finf, x0))))
-    if budget is not None:
-        raise budget
     r = float(np.linalg.norm(a_nu))
     deficit = c - r
     violated = deficit < -tol

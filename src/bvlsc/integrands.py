@@ -112,7 +112,8 @@ class Integrand:
         return float(self._fn(x[None, :], xi[None, :, :])[0])
 
     def as_integrand(self):
-        """The integrand itself (a recession function is one already)."""
+        """The integrand itself (a recession function is one already); kept
+        only for benchmarks/tracing.py, which calls it."""
         return self
 
     def split_at(self, x):

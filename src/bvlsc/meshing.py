@@ -649,11 +649,6 @@ def _polygon_mesh(domain, h):
     return mesh
 
 
-def _halfball_interval(nu):
-    """The 1D half-ball of the normal nu: the unit interval opposite it."""
-    return (-1.0, 0.0) if nu[0] > 0 else (0.0, 1.0)
-
-
 def _halfball_rings(h_target):
     """The point counts of the 2D half-ball's rings for h (ring k of nr has
     radius k / nr), after the cell budget check, which runs on every call."""
@@ -736,29 +731,12 @@ def halfball_mesh(normal, h_target):
     nu = nu / np.linalg.norm(nu)
     domain = Domain.halfball(nu)
     if len(nu) == 1:
-        return interval_mesh(*_halfball_interval(nu), h_target, domain=domain)
+        a = -1.0 if nu[0] > 0 else 0.0  # the unit interval opposite nu
+        return interval_mesh(a, a + 1.0, h_target, domain=domain)
     pts, cells = _canonical_halfball(h_target)
     # rotate canonical frame (nu = e1) onto the requested normal
     R = np.array([[nu[0], -nu[1]], [nu[1], nu[0]]])
     return Mesh(pts @ R.T, cells, domain=domain)
-
-
-def halfball_cells(normal, h_target):
-    """halfball_mesh(normal, h_target).n_cells, in closed form, without
-    building or triangulating the mesh; raises the MeshBudgetError that
-    halfball_mesh raises.  Left out of __all__, whose functions return meshes
-    (benchmarks/tracing.py counts their cells)."""
-    nu = np.atleast_1d(np.asarray(normal, dtype=float))
-    if len(nu) == 1:
-        return _interval_cells(*_halfball_interval(nu), h_target)
-    # The zip makes m_(k-1) + m_k - 2 triangles between rings k - 1 and k
-    # (m_0 = 1, the centre), 2 n - b - 2 in all for the n = 1 + sum m_k
-    # points, b = 2 nr + m_nr - 1 of them on the hull: the 2 nr + 1 on the
-    # flat side {y1 = 0} and the m_nr - 2 others of the outer ring.  That is
-    # Euler's count for any triangulation of the points.
-    rings = _halfball_rings(h_target)
-    n, b = 1 + sum(rings), 2 * len(rings) + 1 + rings[-1] - 2
-    return 2 * n - b - 2
 
 
 def build_mesh(domain, h_target):

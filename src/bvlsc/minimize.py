@@ -116,8 +116,8 @@ DEN_FLOOR = 1e-12
 
 # cells x restarts x iterations one solve may take.  The mesh cell budget
 # alone lets a 200k-cell qc mesh through, whose solve would run for about an
-# hour; the largest solve of the tests and bundled scenarios is the 1,275-cell
-# half-ball mesh x 10 restarts x 500 iterations = 6.4e6.
+# hour.  The bundled scenarios run no solve (their checks take closed forms);
+# the largest solves of the tests are on the 1,275-cell half-ball mesh.
 MAX_WORK = 50_000_000
 
 

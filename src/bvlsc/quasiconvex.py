@@ -33,14 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from .meshing import interval_mesh, row_norms, unit_square_mesh
-from .minimize import (
-    BulkObjective,
-    SolverBudgetError,
-    SolverOptions,
-    TestField,
-    minimize_fields,
-    work_error,
-)
+from .minimize import BulkObjective, SolverOptions, TestField, minimize_fields
 
 __all__ = ["QcReport", "qc_deficit", "qc_deficits", "default_qc_mesh"]
 
@@ -105,22 +98,20 @@ def qc_deficits(jobs, mesh=None, L_grid=(1.0, 4.0, 16.0)):
     QcReport, or the error that ended it.  A job is violated when its
     deficit is below -1e-6 |domain| (1 + |xi|).
 
-    A closed-form job runs no solve, but it errs as its mesh solve would on
-    a solve over the work budget, and a violation with no mesh witness below
+    A closed-form job runs no solve; a violation with no mesh witness below
     the tolerance is an error (ArithmeticError), never a verdict.
     """
     out = [None] * len(jobs)
     mesh = mesh or default_qc_mesh(jobs[0][0].N)
     rest = []  # the jobs of the mesh family
-    for j, (g, xi, options) in enumerate(jobs):
+    for j, (g, xi, _) in enumerate(jobs):
         split = None if g.frozen is None else g.split_at(g.frozen[1])
         if split is None:
             rest.append(j)
             continue
         try:
-            out[j] = _closed_form_report(g, xi, float(split[0]), mesh, L_grid,
-                                         options or SolverOptions())
-        except (SolverBudgetError, ArithmeticError) as e:
+            out[j] = _closed_form_report(g, xi, float(split[0]), mesh, L_grid)
+        except ArithmeticError as e:
             out[j] = e
     if rest:
         for j, rep in zip(rest, _mesh_deficits([jobs[j] for j in rest], mesh, L_grid)):
@@ -134,14 +125,8 @@ def _shape_and_tol(g, xi, mesh):
     return xi, 1e-6 * float(np.sum(mesh.cell_measures)) * (1.0 + float(np.linalg.norm(xi)))
 
 
-def _closed_form_report(g, xi, c, mesh, L_grid, options):
-    # the work of the mesh solve: its first cap starts from its restarts,
-    # each later cap also from the previous cap's witness
+def _closed_form_report(g, xi, c, mesh, L_grid):
     caps = sorted(float(L) for L in L_grid)
-    for extra in ((), (None,))[:len(caps)]:
-        budget = work_error(mesh.n_cells, replace(options, extra_inits=extra))
-        if budget is not None:
-            raise budget
     xi, tol = _shape_and_tol(g, xi, mesh)
     measure = float(np.sum(mesh.cell_measures))
     r = float(np.linalg.norm(xi))

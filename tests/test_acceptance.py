@@ -227,7 +227,7 @@ def test_criterion_07_interior_equivalence_oracle():
         for x0 in (np.array([0.4]), np.array([0.6])):
             from bvlsc.integrands import freeze_x
 
-            frozen = freeze_x(g_inf.as_integrand(), x0)
+            frozen = freeze_x(g_inf, x0)
             _, qslb_verdict = _patch_sign_test(frozen, x0, mesh, 0.1, 1e-3,
                                                opts)
             qc = qc_deficit(frozen, np.zeros((1, 1)), options=opts)

@@ -11,6 +11,7 @@ from bvlsc.boundary import (
     epsdelta_probe,
     equivalence_harness,
     halfball_deficit,
+    halfball_deficits,
     qslb_deficits,
 )
 from bvlsc.integrands import RecessionFn, catalog_get, freeze_x, modulate
@@ -78,7 +79,7 @@ def test_halfball_tangential_null_lagrangian_vanishes():
     from bvlsc.boundary import _halfball_clamped
 
     clamped = _halfball_clamped(mesh, nu)
-    g = freeze_x(f.recession.as_integrand(), bp.x0)
+    g = freeze_x(f.recession, bp.x0)
     obj = BulkObjective(mesh, g)
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -268,7 +269,7 @@ def _ramp_quotient(finf, bp, h):
     s = -a_nu / r if r > 1e-12 * np.linalg.norm(A) else np.eye(finf.M)[0]
     mesh = halfball_mesh(bp.normal, h)
     witness = _strip_witness(mesh, bp.normal, s)
-    g = freeze_x(finf.as_integrand(), bp.x0)
+    g = freeze_x(finf, bp.x0)
     return (BulkObjective(mesh, g).value(witness.values)
             / TVObjective(mesh, finf.M).value(witness.values)), witness
 
@@ -345,17 +346,26 @@ def test_jobs_without_a_closed_form_run_as_one_family_in_job_order(monkeypatch):
     assert [r.diagnostics["source"] for r in reps] == ["mesh", "closed_form"]
 
 
-def test_a_closed_form_job_errs_as_its_mesh_solve_would_over_budget():
-    # the M = 4 field's solve also starts from its strip ramp
+def test_a_closed_form_job_answers_where_its_mesh_solve_would_be_over_budget():
+    # no half-ball mesh at h = 1e-3 fits the cell budget; the exact quotient needs none
+    with pytest.raises(MeshBudgetError):
+        halfball_mesh(BP2.normal, 1e-3)
+    (rep,) = qslb_deficits(NORM2.recession, [(BP2, FAST)], h=1e-3)
+    assert (rep.deficit, rep.verdict, rep.witness) == (1.0, "qslb-plausible", None)
+    assert rep.diagnostics["source"] == "closed_form" and "h" not in rep.diagnostics
+    # a solve of 10**9 iterations is over the work budget, yet the closed form runs none
+    huge = SolverOptions(max_iter=10**9)
+    (rep,) = qslb_deficits(LIN.recession, [(BP1, huge)], h=1.0 / 16)
+    assert (rep.deficit, rep.verdict) == (-1.0, "violated")
+    with pytest.raises(SolverBudgetError):
+        halfball_deficit(LIN.recession, BP1, h=1.0 / 16, options=huge)
+    # a violation builds its witness half-ball, which must fit the cell budget
+    (got,) = qslb_deficits(LIN.recession, [(BP1, FAST)], h=1e-6)
+    assert isinstance(got, MeshBudgetError)
+    # the M = 4 field's mesh solve also starts from its strip ramp
     lin4 = catalog_get("linear", {"matrix": [[1.0], [2.0], [-1.0], [0.5]]})
-    for finf, bp, h, opts in [(NORM2.recession, BP2, 1e-3, FAST),
-                              (LIN.recession, BP1, 1e-6, FAST),
-                              (LIN.recession, BP1, 1.0 / 16, SolverOptions(max_iter=10**9)),
-                              (lin4.recession, BP1, 1.0 / 16, SolverOptions(max_iter=10**9))]:
-        (got,) = qslb_deficits(finf, [(bp, opts)], h=h)
-        with pytest.raises(type(got), match=re.escape(str(got))):
-            halfball_deficit(finf, bp, h=h, options=opts)
-        assert isinstance(got, (MeshBudgetError, SolverBudgetError))
+    (got,) = halfball_deficits(lin4.recession, [(BP1, huge)], h=1.0 / 16)
+    assert isinstance(got, SolverBudgetError)
     assert "x 41 restarts x" in str(got)  # 8 tents and ramps per component + the strip
 
 

@@ -70,7 +70,7 @@ def test_no_floor_without_a_proof():
     user = Integrand(fn, 1, 1, growth=1.0)
     assert user.convex is False
     assert estimated_recession(user).sphere_min is None
-    assert NORM.recession.as_integrand().convex is False
+    assert NORM.recession.convex is False
     mod = modulate(NORM, 1.0, [0.5, 0.0])
     assert mod.convex is False and mod.recession.sphere_min is None
     assert freeze_x(mod, [0.2, 0.2]).recession.sphere_min is None

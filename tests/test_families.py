@@ -244,7 +244,7 @@ def test_one_report_per_job_in_job_order():
 
 def test_stacked_objectives_evaluate_each_copy_as_its_own():
     meshes = [halfball_mesh(nu, 0.25) for nu in NORMALS]
-    finf = catalog_get("norm_sin", {"M": 1, "N": 2}).recession.as_integrand()
+    finf = catalog_get("norm_sin", {"M": 1, "N": 2}).recession
     gs = [freeze_x(finf, [0.1 * i, 0.2]) for i in range(4)]
     stack = MeshStack(meshes)
     family = RayleighQuotient(BulkObjective(stack, gs), TVObjective(stack, 1))

@@ -259,7 +259,7 @@ def test_one_recession_call_per_measure_matches_one_call_per_charge():
         assert polars.tobytes() == mu.polars.tobytes()
         assert [d for d, _, _ in mu.charges] == [d for d, _ in raw]
         for name, finf in _recessions(u.M, mesh.dim):
-            got = eval_G(finf.as_integrand(), finf, mu).per_charge
+            got = eval_G(finf, finf, mu).per_charge
             want = [finf.at(x, p) * m for x, p, m in zip(where, polars, masses)]
             assert np.array([g for _, g in got]).tobytes() == np.array(want).tobytes(), (
                 name, mesh.dim, u.M)

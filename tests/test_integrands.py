@@ -307,15 +307,15 @@ def _one_pass_cases(N):
     for tag in catalog_tags():
         f = _entry(tag, N)
         cases[tag] = f
-        cases[f"recession({tag})"] = f.recession.as_integrand()
+        cases[f"recession({tag})"] = f.recession
     cvec = [0.5, -0.4][:N]
     cases["composite"] = composite([(1.0, _entry("norm_sin", N)), (-0.5, _entry("negnorm", N)),
                                     (2.0, _entry("linear", N)), (0.3, _entry("area", N))])
     cases["modulate"] = modulate(_entry("norm", N), 1.2, cvec)
     cases["freeze_x"] = freeze_x(modulate(_entry("negnorm", N), 0.8, cvec), [0.3, 0.6][:N])
     cases["freeze_x(composite)"] = freeze_x(cases["composite"], [0.1, 0.2][:N])
-    cases["recession(composite)"] = cases["composite"].recession.as_integrand()
-    cases["recession(modulate)"] = cases["modulate"].recession.as_integrand()
+    cases["recession(composite)"] = cases["composite"].recession
+    cases["recession(modulate)"] = cases["modulate"].recession
     return cases
 
 
@@ -356,16 +356,16 @@ def test_combined_recessions_combine_their_terms_passes(delta, N):
     cvec, x0 = [0.5, -0.4][:N], [0.3, 0.6][:N]
     f = _entry("norm", N)
     pairs = [
-        (composite(terms), composite([(w, g.recession.as_integrand()) for w, g in terms])),
-        (modulate(f, 1.2, cvec), modulate(f.recession.as_integrand(), 1.2, cvec)),
-        (freeze_x(f, x0), freeze_x(f.recession.as_integrand(), x0)),
+        (composite(terms), composite([(w, g.recession) for w, g in terms])),
+        (modulate(f, 1.2, cvec), modulate(f.recession, 1.2, cvec)),
+        (freeze_x(f, x0), freeze_x(f.recession, x0)),
     ]
     rng = np.random.default_rng(5)
     x = rng.random((7, N))
     xi = rng.normal(size=(7, 1, N))
     xi[[1, 5]] = 0.0
     for g, combined in pairs:
-        got = g.recession.as_integrand().evaluate(x, xi, delta)
+        got = g.recession.evaluate(x, xi, delta)
         want = combined.evaluate(x, xi, delta)
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 

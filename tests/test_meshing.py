@@ -20,7 +20,7 @@ from bvlsc.meshing import (
     unit_square_mesh,
 )
 from bvlsc import meshing
-from bvlsc.meshing import _canonical_halfball, _refine_all, _sub_measures, halfball_cells
+from bvlsc.meshing import _canonical_halfball, _refine_all, _sub_measures
 from bvlsc.quasiconvex import default_qc_mesh
 from mesh_helpers import shuffled_interval_mesh, shuffled_triangle_mesh
 
@@ -138,7 +138,6 @@ def test_halfball_mesh_rotates_one_triangulation_per_h_as_a_fresh_build(h):
         fresh = Mesh(pts @ np.array([[nu[0], -nu[1]], [nu[1], nu[0]]]).T, cells)
         assert mesh.vertices.tobytes() == fresh.vertices.tobytes()
         assert mesh.cells.tobytes() == fresh.cells.tobytes()
-        assert halfball_cells(nu, h) == mesh.n_cells
 
 
 def _ring_points(rings):
@@ -185,7 +184,7 @@ def test_halfball_zip_is_a_conforming_delaunay_triangulation_of_the_ring_points(
         assert pts.tobytes() == _ring_points(rings).tobytes(), h
         tri = Delaunay(pts).simplices
         tri = tri[_sub_measures(pts, tri, 2) > 1e-13]
-        assert len(cells) == halfball_cells([0.6, 0.8], h) == len(tri), h
+        assert len(cells) == len(tri), h
         mesh = Mesh(pts, cells)
         assert mesh.cells.tobytes() == cells.tobytes(), h  # all counterclockwise
         assert abs(mesh.cell_measures.sum() - _sub_measures(pts, tri, 2).sum()) <= 1e-14, h
@@ -217,20 +216,13 @@ def test_a_stack_of_four_halfball_normals_shares_one_cells_array():
     assert all(m.cells is stack.cells for m in meshes)
 
 
-def test_halfball_cells_in_closed_form_equals_the_delaunay_count():
-    for h in np.linspace(0.02, 1.5, 407):
-        assert halfball_cells([0.6, 0.8], h) == len(_canonical_halfball(h)[1]), h
-
-
 @pytest.mark.parametrize("nu", [[1.0], [-1.0], [0.6, 0.8]])
-def test_halfball_cells_refuses_what_halfball_mesh_refuses(nu, monkeypatch):
-    assert halfball_cells(nu, 0.25) == halfball_mesh(nu, 0.25).n_cells
-    # the budget is checked on every call, also for a triangulation already kept
+def test_halfball_mesh_checks_the_budget_on_every_call(nu, monkeypatch):
+    # also for a triangulation already kept
+    halfball_mesh(nu, 0.25)
     monkeypatch.setattr(meshing, "MAX_CELLS", 3)
-    with pytest.raises(MeshBudgetError) as want:
+    with pytest.raises(MeshBudgetError):
         halfball_mesh(nu, 0.25)
-    with pytest.raises(MeshBudgetError, match=re.escape(str(want.value))):
-        halfball_cells(nu, 0.25)
 
 
 def test_mesh_budget_rejected():

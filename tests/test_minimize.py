@@ -312,7 +312,7 @@ def _lockstep_cases():
             sq, sq.boundary_vertices,
             SolverOptions(restarts=6, max_iter=90, tv_cap=1.0, seed=4)),
         "normalize_degenerate_init": (
-            RayleighQuotient(BulkObjective(hb, lin.recession.as_integrand()),
+            RayleighQuotient(BulkObjective(hb, lin.recession),
                              TVObjective(hb, 1)),
             hb, hb_clamped,
             SolverOptions(restarts=6, max_iter=120, mode="normalize", seed=5,

@@ -188,21 +188,21 @@ def test_unfrozen_or_split_free_jobs_still_run_the_solver():
     assert diagnostics[0]["iterations"] > 0
 
 
-def test_closed_form_job_errs_where_its_mesh_solve_would(monkeypatch):
+def test_closed_form_job_answers_where_its_mesh_solve_errs(monkeypatch):
     # one restart: the first cap fits the work budget, the second, which also
-    # starts from the first cap's witness, does not
+    # starts from the first cap's witness, does not; the closed form runs no solve
     mesh = unit_square_mesh(4)
     g = freeze_x(catalog_get("negnorm", {"M": 1, "N": 2}), [0.5, 0.5])
     opts = dataclasses.replace(FAST, restarts=1)
     monkeypatch.setattr(minimize, "MAX_WORK", mesh.n_cells * opts.max_iter)
-    ((closed,), (solved,)) = (
-        qc_deficits([(g, np.zeros((1, 2)), opts)], mesh=mesh, L_grid=L_grid)
-        for L_grid in ((1.0, 4.0), (1.0,)))
-    assert isinstance(closed, minimize.SolverBudgetError)
-    assert solved.verdict == "violated"
-    (mesh_err,) = bvlsc.quasiconvex._mesh_deficits([(g, np.zeros((1, 2)), opts)], mesh,
-                                                   (1.0, 4.0))
-    assert str(closed) == str(mesh_err)
+    jobs = [(g, np.zeros((1, 2)), opts)]
+    (closed,) = qc_deficits(jobs, mesh=mesh, L_grid=(1.0, 4.0))
+    # c (sqrt(|xi|^2 + L^2) - |xi|) |B| at c = -1, xi = 0, L = 4, |B| = 1
+    assert (closed.deficit, closed.verdict) == (-4.0, "violated")
+    (mesh_err,) = bvlsc.quasiconvex._mesh_deficits(jobs, mesh, (1.0, 4.0))
+    assert isinstance(mesh_err, minimize.SolverBudgetError)
+    (solved,) = bvlsc.quasiconvex._mesh_deficits(jobs, mesh, (1.0,))
+    assert [d["source"] for d in solved.diagnostics] == ["mesh"]
 
 
 def test_a_violation_without_a_mesh_witness_is_an_error():

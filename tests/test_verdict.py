@@ -217,16 +217,17 @@ def test_an_over_budget_sequence_member_is_an_errored_liminf_job(params):
 
 
 def test_a_solver_budget_beyond_the_float_range_is_reported(tmp_path):
-    # 10**400 iterations: the work product is an int that float() overflows
-    cfg = json.loads(resolve_config("example_1_2").read_text())
-    cfg["solver"] = {"max_iter": 10**400}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg, indent=1))
-    code, verdict = run_scenario(path, out_dir=tmp_path / "out")
+    # 10**400 iterations: the work product is an int that float() overflows.
+    # A nu != 0 on every edge of the square, so every qslb job solves on the mesh
+    def edit(cfg):
+        cfg["integrand"] = {"tag": "linear", "params": {"matrix": [[1.0, 1.0]]}}
+        cfg["solver"] = {"max_iter": 10**400}
+
+    code, verdict = _run_modified(tmp_path, edit)
     assert code == 0
-    assert [e["job"] for e in verdict.errors] == ["qc", "qslb", "qslb"]
+    assert [e["job"] for e in verdict.errors] == ["qc"] + ["qslb"] * 4
     assert all("over the budget" in e["error"] for e in verdict.errors)
-    assert "iterations = 3.20e+402" in verdict.errors[1]["error"]
+    assert all("iterations = 3.89e+403" in e["error"] for e in verdict.errors[1:])
     assert verdict.overall == "inconclusive"
 
 
@@ -251,8 +252,10 @@ def test_a_resolution_beyond_the_float_range_is_over_the_cell_budget(tmp_path, r
 
 def test_unbudgeted_solver_work_fails_fast(tmp_path):
     # 194,688 qc cells pass the cell budget, but 8 restarts x 400 iterations
-    # on them would run for about an hour
+    # on them would run for about an hour: the area integrand has no split,
+    # so its qc jobs solve on the mesh
     cfg = json.loads(resolve_config("norm_square").read_text())
+    cfg["integrand"] = {"tag": "area", "params": {"M": 1, "N": 2}}
     cfg["qc"]["h"] = 0.0032
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg, indent=1))
@@ -369,8 +372,8 @@ def _run_modified(tmp_path, edit):
 
 
 def test_errored_refinement_check_is_inconclusive(tmp_path):
-    # h=0.0015 puts every half-ball mesh over the cell budget, the refinement
-    # check's included
+    # h=0.0015 puts every half-ball mesh over the cell budget: the refinement
+    # check's mesh solves err, while the closed-form qslb jobs build none
     def edit(cfg):
         cfg["checks"].update(refinement=True, qc=False)
         cfg["qslb"]["h"] = 0.0015
@@ -378,8 +381,11 @@ def test_errored_refinement_check_is_inconclusive(tmp_path):
     code, verdict = _run_modified(tmp_path, edit)
     assert code == 0
     assert verdict.overall == "inconclusive"
-    assert {e["job"] for e in verdict.errors} == {"qslb", "refinement"}
+    assert {e["job"] for e in verdict.errors} == {"refinement"}
     assert verdict.extras["refinement"] == []
+    assert len(verdict.qslb_reports) == 4
+    assert all((r.deficit, r.diagnostics["source"]) == (1.0, "closed_form")
+               for r in verdict.qslb_reports)
 
 
 @pytest.mark.parametrize("name", ["example_1_2", "norm_square"])
