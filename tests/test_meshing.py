@@ -210,6 +210,17 @@ def test_halfball_zip_is_a_conforming_delaunay_triangulation_of_the_ring_points(
         assert np.all(det <= 1e-9 * scale), h
 
 
+def test_halfball_cell_count_is_eulers_and_within_the_budget_estimate():
+    # a triangulation of n points, b of them on its boundary, has 2 n - b - 2
+    # cells; the budget check prices 4 nr^2 cells, never fewer than are built
+    for h in np.linspace(0.02, 1.5, 407):
+        rings = meshing._halfball_rings(h)
+        mesh = Mesh(*_canonical_halfball(h))
+        n, b = mesh.n_vertices, len(mesh.boundary_vertices)
+        assert b == 2 * len(rings) + 1 + rings[-1] - 2, h
+        assert mesh.n_cells == 2 * n - b - 2 <= 4 * len(rings) ** 2, h
+
+
 def test_a_stack_of_four_halfball_normals_shares_one_cells_array():
     meshes = [halfball_mesh(nu, 0.1) for nu in HALFBALL_NORMALS]
     stack = MeshStack(meshes)
