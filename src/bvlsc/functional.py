@@ -30,7 +30,6 @@ __all__ = [
     "FunctionalValue",
     "MeasureStack",
     "eval_F",
-    "eval_F_table",
     "eval_G",
     "eval_stack",
     "four_term_residual",
@@ -116,20 +115,6 @@ def eval_stack(f, finf, stack):
     ends = stack.charge_starts[1:] + [len(per_charge)]
     singular = [float(sum(per_charge[i:j])) for i, j in zip(stack.charge_starts, ends)]
     return per_cell, per_charge, bulk, singular
-
-
-def eval_F_table(f, finf, members):
-    """eval_F(f, finf, u).total of each BVFunction u of the iterable members,
-    through one eval_stack per run of members holding at most MAX_CELLS
-    cells in all."""
-    totals = []
-    for batch in batches(members, lambda u: u.mesh.n_cells):
-        for u in batch:
-            _check_dims(f, u.M, u.mesh.dim)
-        _, _, bulk, singular = eval_stack(
-            f, finf, MeasureStack.of([derivative(u) for u in batch]))
-        totals += [b + s for b, s in zip(bulk, singular)]
-    return totals
 
 
 def batches(items, size):

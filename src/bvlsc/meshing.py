@@ -244,6 +244,64 @@ def segment_shape_gradients(length):
     return grads
 
 
+def simplex_geometry(vertices, cells):
+    """The geometry of the simplices cells (nc, dim+1) on vertices (nv, dim):
+    the cells oriented (segments left to right, triangles counterclockwise),
+    their measures (nc,), the gradients (nc, dim+1, dim) of their barycentric
+    coordinates and their diameters (nc,).  Every entry is computed from its
+    own cell alone.  Raises ValueError on a cell of zero measure.  Vertices
+    are gathered by take, an order of magnitude faster than fancy indexing
+    by the cells array."""
+    if vertices.shape[1] == 1:
+        x = vertices[:, 0].take(cells)  # (nc, 2)
+        length = x[:, 1] - x[:, 0]
+        if length.min() < 1e-15:
+            if np.any(np.abs(length) < 1e-15):
+                raise ValueError("degenerate cell (zero length)")
+            # orient cells left-to-right
+            flip = length < 0
+            cells = cells.copy()
+            cells[flip] = cells[flip][:, ::-1]
+            x = vertices[:, 0].take(cells)
+            length = x[:, 1] - x[:, 0]
+        return cells, length, segment_shape_gradients(length), length
+
+    def edges(cells):
+        v0, v1, v2 = (vertices.take(cells[:, i], axis=0) for i in range(3))
+        e1, e2 = v1 - v0, v2 - v0
+        return e1, e2, e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+
+    e1, e2, det = edges(cells)
+    flip = det < 0
+    if np.any(flip):
+        cells = cells.copy()
+        cells[flip] = cells[flip][:, [0, 2, 1]]
+        e1, e2, det = edges(cells)
+    if np.any(np.abs(det) < 1e-15):
+        raise ValueError("degenerate cell (zero area)")
+    g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) / det[:, None]
+    g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
+    g0 = -g1 - g2
+    diameters = np.maximum(row_norms(e1), np.maximum(row_norms(e2), row_norms(e1 - e2)))
+    return cells, 0.5 * det, np.stack([g0, g1, g2], axis=1), diameters
+
+
+def cell_quadrature(vertices, cells, measures):
+    """Points (nc, nq, dim) and weights (nc, nq) of the QUADRATURE rule on
+    the simplices cells (nc, dim+1) on vertices (nv, dim) with measures
+    (nc,).  The point q of a cell sums bary[q, i] * v[i] over its vertices
+    v[i] left to right, the order in which einsum("qi,cid->cqd") sums them."""
+    bary, w = QUADRATURE[vertices.shape[1]]
+    corners = [vertices.take(cells[:, i], axis=0) for i in range(cells.shape[1])]
+    pts = []
+    for b in bary:
+        p = corners[0] * b[0]
+        for v, bi in zip(corners[1:], b[1:]):
+            p += v * bi
+        pts.append(p)
+    return np.stack(pts, axis=1), np.outer(measures, w)
+
+
 class Mesh:
     """Conforming simplicial mesh with a facet table built on first use."""
 
@@ -267,48 +325,13 @@ class Mesh:
     def _build_geometry(self):
         self.n_cells = len(self.cells)
         self.n_vertices = len(self.vertices)
-        if self.dim == 1:
-            x = self.vertices[self.cells, 0]  # (nc, 2)
-            length = x[:, 1] - x[:, 0]
-            if length.min() < 1e-15:
-                if np.any(np.abs(length) < 1e-15):
-                    raise ValueError("degenerate cell (zero length)")
-                # orient cells left-to-right
-                flip = length < 0
-                cells = self.cells.copy()
-                cells[flip] = cells[flip][:, ::-1]
-                self.cells = _lock(cells)
-                x = self.vertices[self.cells, 0]
-                length = x[:, 1] - x[:, 0]
-            self.cell_measures = _lock(length)
-            self.shape_gradients = _lock(segment_shape_gradients(length))
-            self.h = float(np.max(length))
-            self.centroids = _lock(0.5 * (x[:, 0] + x[:, 1])[:, None])
-        else:
-            v = self.vertices[self.cells]  # (nc, 3, 2)
-            e1 = v[:, 1] - v[:, 0]
-            e2 = v[:, 2] - v[:, 0]
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            flip = det < 0
-            if np.any(flip):
-                cells = self.cells.copy()
-                cells[flip] = cells[flip][:, [0, 2, 1]]
-                self.cells = _lock(cells)
-                v = self.vertices[self.cells]
-                e1 = v[:, 1] - v[:, 0]
-                e2 = v[:, 2] - v[:, 0]
-                det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            if np.any(np.abs(det) < 1e-15):
-                raise ValueError("degenerate cell (zero area)")
-            self.cell_measures = _lock(0.5 * det)
-            # gradients of barycentric coordinates
-            g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) / det[:, None]
-            g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
-            g0 = -g1 - g2
-            self.shape_gradients = _lock(np.stack([g0, g1, g2], axis=1))
-            diam = np.maximum(row_norms(e1), np.maximum(row_norms(e2), row_norms(e1 - e2)))
-            self.h = float(np.max(diam))
-            self.centroids = _lock(v.mean(axis=1))
+        cells, measures, grads, diameters = simplex_geometry(self.vertices, self.cells)
+        self.cells = _lock(cells)
+        self.cell_measures = _lock(measures)
+        self.shape_gradients = _lock(grads)
+        self.h = float(np.max(diameters))
+        v = self.vertices.take(self.cells, axis=0)
+        self.centroids = _lock(0.5 * (v[:, 0] + v[:, 1]) if self.dim == 1 else v.mean(axis=1))
 
     def facets(self):
         """Each facet once, as its sorted vertex row, in lexicographic order,
@@ -346,9 +369,8 @@ class Mesh:
         """Per-cell points and weights of the QUADRATURE rule: (nc, nq, dim),
         (nc, nq)."""
         if self._quad is None:
-            bary, w = QUADRATURE[self.dim]
-            pts = np.einsum("qi,cid->cqd", bary, self.vertices[self.cells])
-            self._quad = (_lock(pts), _lock(np.outer(self.cell_measures, w)))
+            self._quad = tuple(map(_lock, cell_quadrature(self.vertices, self.cells,
+                                                           self.cell_measures)))
         return self._quad
 
     def refined_cells(self, subdivisions):
@@ -583,19 +605,33 @@ def interval_mesh_with(a, b, h_target, required_points=(), domain=None):
     return Mesh(pts[:, None], cells, domain=domain or Domain.interval(a, b))
 
 
+def rectangle_lines(x0, x1, y0, y1, nx, ny):
+    """The x and y lines of the structured nx x ny grid on [x0, x1] x
+    [y0, y1], after checking its 2 nx ny cells against the budget."""
+    _check_budget(2 * nx * ny, f"a {nx}x{ny} grid")
+    return np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1)
+
+
+def rectangle_grids(lines):
+    """Vertices and cells of the structured grids on the lines [(xs, ys),
+    ...], one after another: the vertices (xs[i], ys[j]) i-major, and per
+    grid quad (i-major) the triangles [a, b, c] and [a, c, d], a its lower
+    left vertex, each grid's vertex ids offset by the vertices before it."""
+    sizes = [len(xs) * len(ys) for xs, ys in lines]
+    vertices = np.column_stack([np.concatenate([np.repeat(xs, len(ys)) for xs, ys in lines]),
+                                np.concatenate([np.tile(ys, len(xs)) for xs, ys in lines])])
+    # quad q = i ny + j of a grid has the lower left vertex i (ny + 1) + j = q + i
+    quads = [(len(xs) - 1) * (len(ys) - 1) for xs, ys in lines]
+    ny = np.repeat([len(ys) - 1 for _, ys in lines], quads)
+    q = np.arange(sum(quads)) - np.repeat(np.cumsum(quads) - quads, quads)
+    a = q + q // ny + np.repeat(np.cumsum(sizes) - sizes, quads)
+    b, c, d = a + ny + 1, a + ny + 2, a + 1
+    return vertices, np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+
+
 def rectangle_mesh(x0, x1, y0, y1, nx, ny, domain=None):
     """Structured rectangle mesh; each grid quad split into two triangles."""
-    _check_budget(2 * nx * ny, f"a {nx}x{ny} grid")
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    a = (i * (ny + 1) + j).ravel()
-    b, c, d = a + ny + 1, a + ny + 2, a + 1
-    # per grid quad (i-major), the triangles [a, b, c] and [a, c, d]
-    cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    verts, cells = rectangle_grids([rectangle_lines(x0, x1, y0, y1, nx, ny)])
     if domain is None:
         domain = Domain.polygon([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
     return Mesh(verts, cells, domain=domain)

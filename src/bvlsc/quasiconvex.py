@@ -105,7 +105,7 @@ def qc_deficits(jobs, mesh=None, L_grid=(1.0, 4.0, 16.0)):
     mesh = mesh or default_qc_mesh(jobs[0][0].N)
     rest = []  # the jobs of the mesh family
     for j, (g, xi, _) in enumerate(jobs):
-        split = None if g.frozen is None else g.split_at(g.frozen[1])
+        split = closed_form_split(g)
         if split is None:
             rest.append(j)
             continue
@@ -117,6 +117,13 @@ def qc_deficits(jobs, mesh=None, L_grid=(1.0, 4.0, 16.0)):
         for j, rep in zip(rest, _mesh_deficits([jobs[j] for j in rest], mesh, L_grid)):
             out[j] = rep
     return out
+
+
+def closed_form_split(g):
+    """The split (c, A) of g at its point when g is frozen and splits there,
+    so that qc_deficits answers its jobs in closed form; None for an
+    integrand whose jobs solve on the mesh."""
+    return None if g.frozen is None else g.split_at(g.frozen[1])
 
 
 def _shape_and_tol(g, xi, mesh):

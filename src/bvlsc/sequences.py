@@ -18,14 +18,16 @@ necessity-witness construction turns a half-ball violation into shrinking
 rescaled copies with unit W^{1,1} norm and checks that they push the energy
 below the value at zero.
 
-A table is evaluated as a whole.  A 1D kind is a rule for the vertices of
-member n and for its values as arrays in x and n; a table stacks the
-members' vertices, cells, values and atoms, and one mesh over all their
-cells gives the quadrature and the gradients for one functional.eval_stack,
-with no mesh or function per member.  generate(spec, n) wraps the
-one-member table into its Mesh and BVFunction.  The 2D oscillation and the
-necessity witness keep a mesh per member and stack those.  Each value is
-bit-equal to eval_F on the member alone.
+A table is evaluated as a whole.  Each kind is a rule for the grid of
+member n (interval_mesh_with's points in 1D, rectangle_mesh's lines for the
+2D oscillation) and for its values as arrays in x and n; a table stacks the
+members' vertices, cells, values and atoms, and one geometry pass over all
+their cells (meshing.simplex_geometry and meshing.cell_quadrature) gives the
+quadrature and the gradients for one functional.eval_stack, with no mesh or
+function per member.  generate(spec, n) wraps the one-member table into its
+Mesh and BVFunction.  The necessity witness stacks its rescaled copies of
+the witness mesh the same way.  Each value is bit-equal to eval_F on the
+member alone.
 """
 
 import itertools
@@ -35,9 +37,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bv import BVFunction
-from .functional import MeasureStack, _check_dims, batches, eval_F, eval_F_table, eval_stack
-from .meshing import (BoundaryPoint, Domain, Mesh, _interval_cells, interval_mesh_with,
-                      interval_points, rectangle_mesh)
+from .functional import MeasureStack, _check_dims, batches, eval_F, eval_stack
+from .meshing import (QUADRATURE, BoundaryPoint, Domain, Mesh, _interval_cells, cell_quadrature,
+                      interval_mesh_with, interval_points, rectangle_grids, rectangle_lines,
+                      row_norms, simplex_geometry)
 
 __all__ = [
     "SequenceSpec",
@@ -96,17 +99,13 @@ def _profile_fn(params):
 
 
 def generate(spec, n):
-    """Member n of the sequence described by spec.
-
-    The 1D kinds wrap the one-member table of _interval_table into its mesh
-    and function, so member n of a table and generate(spec, n) hold the same
-    vertices, cell values and atoms."""
+    """Member n of the sequence described by spec: the one-member table of
+    _table wrapped into its mesh and function, so member n of a table and
+    generate(spec, n) hold the same vertices, cell values and atoms."""
     _check_index(spec, n)
     rule = _rule(spec)
-    if rule is None:
-        return _oscillation_2d(spec, n)
-    table = _interval_table(rule, [(n, _interval_points(spec, rule, n))])
-    mesh = Mesh(table.x[:, None], table.cells, domain=spec.domain)
+    table = _table(rule, [(n, *_grid(spec, rule, n))])
+    mesh = Mesh(table.vertices, table.cells, domain=spec.domain)
     return BVFunction(mesh, table.cell_values,
                       atoms=zip(table.atom_x.tolist(), table.jumps))
 
@@ -119,9 +118,10 @@ def _check_index(spec, n):
 
 
 def _rule(spec):
-    """The _IntervalRule of a 1D kind, or None for the 2D oscillation."""
+    """The _IntervalRule of a 1D kind, or the _RectangleRule of the 2D
+    oscillation."""
     if spec.kind == "fixed_trace_oscillation" and spec.domain.dim != 1:
-        return None
+        return _oscillation_2d(spec)
     return _RULES[spec.kind](spec)
 
 
@@ -190,7 +190,18 @@ def _fixed_trace_oscillation(spec):
                          values)
 
 
-def _oscillation_2d(spec, n):
+class _RectangleRule(NamedTuple):
+    """The 2D kind: member n lies on rectangle_mesh's grid of 2n x max(4, n)
+    quads of the rectangle lo..hi, with the vertex values
+    vertex_values(xy, n) at the vertices xy (V, 2), n an array of length V
+    or one number."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    vertex_values: object
+
+
+def _oscillation_2d(spec):
     """The 2D laminate in the e1 direction with a zero boundary layer of
     width 1/n."""
     amp = float(spec.params.get("amplitude", 1.0))
@@ -203,17 +214,17 @@ def _oscillation_2d(spec, n):
             [lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]]))
     ):
         raise ValueError("2D oscillation supports axis-aligned rectangles only")
-    nx = 2 * n
-    ny = max(4, n)
-    mesh = rectangle_mesh(lo[0], hi[0], lo[1], hi[1], nx, ny, domain=spec.domain)
-    period = (hi[0] - lo[0]) / n
-    t = (mesh.vertices[:, 0] - lo[0]) / period
-    saw = 1.0 - np.abs(2.0 * (t - np.floor(t + 1e-12)) - 1.0)
-    layer = 1.0 / n
-    d2 = np.minimum(mesh.vertices[:, 1] - lo[1], hi[1] - mesh.vertices[:, 1])
-    plateau = np.clip(d2 / layer, 0.0, 1.0)
-    vals = amp * 0.5 * period * saw * plateau
-    return BVFunction.from_vertex_values(mesh, vals)
+
+    def values(xy, n):
+        period = (hi[0] - lo[0]) / n
+        t = (xy[:, 0] - lo[0]) / period
+        saw = 1.0 - np.abs(2.0 * (t - np.floor(t + 1e-12)) - 1.0)
+        layer = 1.0 / n
+        d2 = np.minimum(xy[:, 1] - lo[1], hi[1] - xy[:, 1])
+        plateau = np.clip(d2 / layer, 0.0, 1.0)
+        return amp * 0.5 * period * saw * plateau
+
+    return _RectangleRule(lo, hi, values)
 
 
 def _pure_boundary_concentration(spec):
@@ -248,19 +259,27 @@ _RULES = {
 SEQUENCE_KINDS = tuple(_RULES)
 
 
-def _interval_points(spec, rule, n):
-    """Vertex coordinates of member n: interval_mesh_with's, budget checked."""
+def _grid(spec, rule, n):
+    """The grid of member n and its cell count, checked against the cell
+    budget before any array is built: the vertex coordinates of
+    interval_mesh_with for a 1D kind, the x and y lines of rectangle_mesh
+    for the 2D oscillation."""
+    if isinstance(rule, _RectangleRule):
+        nx, ny = 2 * n, max(4, n)
+        lo, hi = rule.lo, rule.hi
+        return rectangle_lines(lo[0], hi[0], lo[1], hi[1], nx, ny), 2 * nx * ny
     a, b = _interval_bounds(spec.domain)
-    return interval_points(a, b, rule.h, rule.required(n))
+    x = interval_points(a, b, rule.h, rule.required(n))
+    return x, len(x) - 1
 
 
-class _IntervalTable(NamedTuple):
-    """Members of a 1D kind one after another: the vertex coordinates x (V,),
-    the cells (C, 2) between consecutive vertices of a member, the cell
-    values (C, 2, 1), the atoms at atom_x (A,) with jumps (A, 1), and the
-    index of each member's first cell and first atom."""
+class _Table(NamedTuple):
+    """Members one after another: the vertices (V, dim), the cells
+    (C, dim+1) of each member among its own vertices, the cell values
+    (C, dim+1, 1), the atoms at atom_x (A,) with jumps (A, 1) (1D only),
+    and the index of each member's first cell and first atom."""
 
-    x: np.ndarray
+    vertices: np.ndarray
     cells: np.ndarray
     cell_values: np.ndarray
     atom_x: np.ndarray
@@ -269,13 +288,19 @@ class _IntervalTable(NamedTuple):
     atom_starts: list
 
 
+def _table(rule, members):
+    """The _Table of the members (n, grid, cell count) of _grid."""
+    if isinstance(rule, _RectangleRule):
+        return _rectangle_table(rule, members)
+    return _interval_table(rule, members)
+
+
 def _interval_table(rule, members):
-    """The _IntervalTable of the members (n, vertex coordinates): the cells,
-    values and atoms of each are those of interval_mesh_with and the
-    BVFunction constructors on its own mesh."""
-    ns = [n for n, _ in members]
-    sizes = [len(x) for _, x in members]
-    x = np.concatenate([x for _, x in members]) if len(members) > 1 else members[0][1]
+    """The cells, values and atoms of each member are those of
+    interval_mesh_with and the BVFunction constructors on its own mesh."""
+    ns = [n for n, _, _ in members]
+    sizes = [len(x) for _, x, _ in members]
+    x = np.concatenate([x for _, x, _ in members]) if len(members) > 1 else members[0][1]
     left = np.arange(len(x) - 1)
     # the index n per vertex and per cell (one member: n itself, which the
     # value rules treat as an array of it)
@@ -287,55 +312,72 @@ def _interval_table(rule, members):
     cell_starts = list(itertools.accumulate([s - 1 for s in sizes[:-1]], initial=0))
     if rule.vertex_values is not None:
         values = rule.vertex_values(x, n_vertex)
-        return _IntervalTable(x, cells, values[:, None][cells], x[:0], np.zeros((0, 1)),
-                              cell_starts, [0] * len(ns))
+        return _Table(x[:, None], cells, values[:, None].take(cells, axis=0), x[:0],
+                      np.zeros((0, 1)), cell_starts, [0] * len(ns))
     centroids = 0.5 * (x[cells[:, 0]] + x[cells[:, 1]])
     vpc = rule.cell_values(centroids, n_cell).astype(float)
     vpc = vpc[:, None]
     jumps = vpc[1:] - vpc[:-1]
     at = np.flatnonzero((cells[:-1, 1] == cells[1:, 0]) & (jumps != 0).any(axis=1))
-    return _IntervalTable(x, cells, np.repeat(vpc[:, None, :], 2, axis=1),
-                          x[cells[at, 1]], jumps[at], cell_starts,
-                          np.searchsorted(at, cell_starts).tolist())
+    return _Table(x[:, None], cells, np.repeat(vpc[:, None, :], 2, axis=1),
+                  x[cells[at, 1]], jumps[at], cell_starts,
+                  np.searchsorted(at, cell_starts).tolist())
+
+
+def _rectangle_table(rule, members):
+    """The vertices and cells of each member are those of rectangle_mesh on
+    its lines, and its values those of BVFunction.from_vertex_values."""
+    ns = [n for n, _, _ in members]
+    lines = [grid for _, grid, _ in members]
+    vertices, cells = rectangle_grids(lines)
+    sizes = [len(xs) * len(ys) for xs, ys in lines]
+    values = rule.vertex_values(vertices, np.repeat(ns, sizes) if len(ns) > 1 else ns[0])
+    cell_starts = list(itertools.accumulate([size for _, _, size in members[:-1]], initial=0))
+    return _Table(vertices, cells, values[:, None].take(cells, axis=0), np.zeros(0),
+                  np.zeros((0, 1)), cell_starts, [0] * len(ns))
+
+
+def _stacked_geometry(vertices, cells):
+    """The oriented cells, measures, shape gradients, quadrature points and
+    weights of stacked members' cells, in one pass over all of them."""
+    cells, measures, grads, _ = simplex_geometry(vertices, cells)
+    return (cells, measures, grads) + cell_quadrature(vertices, cells, measures)
+
+
+def _stack_totals(f, finf, stack):
+    """The total of each member of the MeasureStack, as eval_F gives it."""
+    _, _, bulk, singular = eval_stack(f, finf, stack)
+    return [b + s for b, s in zip(bulk, singular)]
 
 
 def _table_totals(f, finf, spec, n_values, limit=None):
     """eval_F(f, finf, generate(spec, n)).total for n in n_values and then,
     given limit, the value at 0.0 * generate(spec, limit), bit for bit.
 
-    A 1D kind evaluates its table without a mesh or function per member: one
-    mesh holds the cells of every member for the quadrature and the
-    gradients, and eval_stack sums each member's cells and charges.  The 2D
-    oscillation stacks its members' own meshes through eval_F_table.  Either
-    way a table over MAX_CELLS cells is evaluated in runs of members under
-    it."""
+    A table is evaluated without a mesh or function per member: one
+    geometry pass over the cells of every member gives the quadrature and
+    the gradients, and eval_stack sums each member's cells and charges.  A
+    table over MAX_CELLS cells is evaluated in runs of members under it."""
     ns = list(n_values) + ([limit] if limit else [])
     for n in ns:
         _check_index(spec, n)
     rule = _rule(spec)
-    if rule is None:
-        members = (generate(spec, n) for n in ns)
-        if limit:
-            members = (0.0 * u if i == len(ns) - 1 else u for i, u in enumerate(members))
-        return eval_F_table(f, finf, members)
-    _check_dims(f, 1, 1)
+    _check_dims(f, 1, spec.domain.dim)
     totals = []
-    items = ((n, _interval_points(spec, rule, n)) for n in ns)
-    for batch in batches(items, lambda item: len(item[1]) - 1):
-        table = _interval_table(rule, batch)
+    items = ((n, *_grid(spec, rule, n)) for n in ns)
+    for batch in batches(items, lambda item: item[2]):
+        table = _table(rule, batch)
         cv, c0, a0 = table.cell_values, table.cell_starts[-1], table.atom_starts[-1]
         atom_x, jumps = table.atom_x, table.jumps
         if limit and len(totals) + len(batch) == len(ns):  # 0.0 * the last member
             cv[c0:] = 0.0 * cv[c0:]
             atom_x, jumps = atom_x[:a0], jumps[:a0]
-        mesh = Mesh(table.x[:, None], table.cells)
+        _, _, grads, pts, wts = _stacked_geometry(table.vertices, table.cells)
         masses = np.sqrt(jumps[:, 0] * jumps[:, 0])
-        stack = MeasureStack(
-            *mesh.quadrature(), np.einsum("cim,cid->cmd", cv, mesh.shape_gradients),
+        totals += _stack_totals(f, finf, MeasureStack(
+            pts, wts, np.einsum("cim,cid->cmd", cv, grads),
             atom_x[:, None], (jumps / masses[:, None])[:, :, None], masses,
-            table.cell_starts, table.atom_starts)
-        _, _, bulk, singular = eval_stack(f, finf, stack)
-        totals += [b + s for b, s in zip(bulk, singular)]
+            table.cell_starts, table.atom_starts))
     return totals
 
 
@@ -427,28 +469,16 @@ def necessity_witness(f, finf, x0, witness, eps):
         raise ValueError("precondition unmet: needs a reported violation (eps > 0)")
     if not isinstance(x0, BoundaryPoint):
         raise TypeError("x0 must be a BoundaryPoint")
-    wmesh = witness.mesh
-    values = witness.values
     tv = witness.gradient_tv()
     if tv <= 1e-12:
         raise NecessityTransferError("witness has no gradient mass")
-    values = values / tv
-    N = wmesh.dim
-    n_values = (2, 4, 8, 16, 32, 64)
-    copies, norms = [], []
-    for n in n_values:
-        scale = 1.0 / n
-        verts = x0.x0[None, :] + scale * np.asarray(wmesh.vertices)
-        smesh = Mesh(verts, np.asarray(wmesh.cells))
-        amp = float(n ** (N - 1))
-        vn = BVFunction.from_vertex_values(smesh, amp * values)
-        w11 = vn.l1_norm() + float(np.sum(smesh.gradient_masses(vn.gradients())))
-        un = (1.0 / w11) * vn
-        copies += [un, 0.0 * un]
-        norms.append(w11)
-    totals = eval_F_table(f, finf, copies)
-    rows = [{"n": n, "gap": totals[2 * i] - totals[2 * i + 1], "w11_normalizer": w11}
-            for i, (n, w11) in enumerate(zip(n_values, norms))]
+    values = witness.values / tv
+    wmesh = witness.mesh
+    _check_dims(f, values.shape[1], wmesh.dim)
+    rows = []
+    # runs of copies under MAX_CELLS cells, each copy with its zero
+    for batch in batches((2, 4, 8, 16, 32, 64), lambda n: 2 * wmesh.n_cells):
+        rows += _certificate_rows(f, finf, x0, wmesh, values, batch)
     best = min(r["gap"] for r in rows)
     target = -eps / 2.0 + 1e-3
     if not best <= target:
@@ -464,3 +494,38 @@ def necessity_witness(f, finf, x0, witness, eps):
         "x0": x0.x0.tolist(),
         "normal": x0.normal.tolist(),
     }
+
+
+def _certificate_rows(f, finf, x0, wmesh, values, n_values):
+    """The rows of necessity_witness for the copies n of n_values, stacked:
+    copy n lies on the witness mesh scaled by 1/n about x0 and has the
+    vertex values n^(N-1) values / w11, w11 its W^{1,1} norm before that
+    division.  The copies and their zeros are one eval_stack, each value
+    bit-equal to eval_F of the copy built as a Mesh and a BVFunction."""
+    N, M = wmesh.dim, values.shape[1]
+    k, C = len(n_values), wmesh.n_cells
+    ns = np.array(n_values)
+    verts = (x0.x0 + (1.0 / ns)[:, None, None] * wmesh.vertices).reshape(-1, N)
+    cells = (wmesh.cells + wmesh.n_vertices * np.arange(k)[:, None, None]).reshape(-1, N + 1)
+    cells, measures, grads, pts, wts = _stacked_geometry(verts, cells)
+    amps = np.array([float(n ** (N - 1)) for n in n_values])
+    cv = (amps[:, None, None] * values).reshape(-1, M).take(cells, axis=0)
+    # W^{1,1} norms per copy: BVFunction.l1_norm and Mesh.gradient_masses
+    l1 = wts * np.linalg.norm(np.einsum("qi,cim->cqm", QUADRATURE[N][0], cv), axis=2)
+    g = np.einsum("cim,cid->cmd", cv, grads)
+    mass = row_norms(g.reshape(len(g), -1)) * measures
+    norms = [float(np.sum(l1[i * C:(i + 1) * C])) + float(np.sum(mass[i * C:(i + 1) * C]))
+             for i in range(k)]
+    un = (np.repeat([1.0 / w for w in norms], C)[:, None, None] * cv).reshape(k, C, N + 1, M)
+    # member 2i is copy i and member 2i + 1 its zero, on the same cells
+    pairs = np.stack([un, 0.0 * un], axis=1).reshape(-1, N + 1, M)
+
+    def twice(a):
+        return np.repeat(a.reshape((k, C) + a.shape[1:]), 2, axis=0).reshape((-1,) + a.shape[1:])
+
+    totals = _stack_totals(f, finf, MeasureStack(
+        twice(pts), twice(wts), np.einsum("cim,cid->cmd", pairs, twice(grads)),
+        np.zeros((0, N)), np.zeros((0, M, N)), np.zeros(0), list(range(0, 2 * k * C, C)),
+        [0] * (2 * k)))
+    return [{"n": n, "gap": totals[2 * i] - totals[2 * i + 1], "w11_normalizer": w11}
+            for i, (n, w11) in enumerate(zip(n_values, norms))]

@@ -40,7 +40,7 @@ from .integrands import CATALOG, catalog_get, estimated_recession, mu_estimate, 
 from . import minimize
 from .meshing import Domain, MeshBudgetError, build_mesh
 from .minimize import SolverBudgetError, SolverOptions
-from .quasiconvex import default_qc_mesh, qc_deficits
+from .quasiconvex import closed_form_split, default_qc_mesh, qc_deficits
 from .regions import CompactSet
 from .sequences import (
     PROFILES,
@@ -372,21 +372,39 @@ class Scenario:
         return SolverOptions(**{**s, "smoothing": tuple(s["smoothing"])},
                              seed=self.seed + seed_offset)
 
-    def check_qc_work(self, cells):
-        """Raises SolverBudgetError when the qc family on a mesh of `cells`
-        cells, jobs x cells x starts x iterations x caps, exceeds MAX_WORK;
-        each job starts from its restarts and the previous cap's witness."""
+    def check_qc_work(self, cells, frozen):
+        """The list of the iterable `frozen` (the integrand frozen at each
+        interior point), once the qc family on a mesh of `cells` cells is
+        found to fit MAX_WORK; SolverBudgetError otherwise, before any job
+        is built.  A job is priced at cells x caps, one pass over the cells
+        per cap, and a job that solves on the mesh (closed_form_split None)
+        at cells x starts x iterations x caps, since it starts from its
+        restarts and the previous cap's witness.  Every job is priced at
+        cells x caps before the first point is taken, and each point's
+        solving jobs as the point comes, so a family over the budget fails
+        at the first point that puts it over."""
         spec, xi = self.cfg["interior_points"], self.cfg["xi_samples"]
         solver, caps = self.cfg["solver"], len(self.cfg["qc"]["L_grid"])
-        points = len(spec) if isinstance(spec, list) else spec["count"]
-        jobs = points * (xi["include_zero"] + xi["random"]
-                         + xi["rank_one"] * self.integrand.M * self.integrand.N)
-        starts = max(solver["restarts"], 2)
-        if jobs * cells * starts * solver["max_iter"] * caps > minimize.MAX_WORK:
-            raise SolverBudgetError(
-                f"qc family needs {jobs} jobs x {cells} cells x {starts} restarts x "
-                f"{solver['max_iter']} iterations x {caps} caps, over the budget "
-                f"{minimize.MAX_WORK:.3g}")
+        per_point = (xi["include_zero"] + xi["random"]
+                     + xi["rank_one"] * self.integrand.M * self.integrand.N)
+        jobs = per_point * (len(spec) if isinstance(spec, list) else spec["count"])
+        starts, iterations = max(solver["restarts"], 2), solver["max_iter"]
+        out, solving = [], 0
+
+        def check():
+            if cells * caps * (jobs + solving * (starts * iterations - 1)) > minimize.MAX_WORK:
+                raise SolverBudgetError(
+                    f"qc family needs {jobs} jobs x {cells} cells x {caps} caps, "
+                    f"{solving} of them solving with {starts} restarts x {iterations} "
+                    f"iterations, over the budget {minimize.MAX_WORK:.3g}")
+
+        check()
+        for g in frozen:
+            out.append(g)
+            if closed_form_split(g) is None:
+                solving += per_point
+                check()
+        return out
 
     def _contains(self, p):
         if self.domain.kind == "interval":
@@ -521,17 +539,16 @@ def analyze(scenario):
     if checks["qc"]:
         try:
             qc_mesh = default_qc_mesh(f.N, qc_cfg["h"])
-            scenario.check_qc_work(qc_mesh.n_cells)
-            points = list(interior)
+            frozen = scenario.check_qc_work(qc_mesh.n_cells,
+                                            (freeze_x(f, x0) for x0 in interior))
         except (MeshBudgetError, SolverBudgetError) as e:
             errors.append({"job": "qc", "error": str(e)})
-            points = []
+            frozen = []
         jobs, job_points = [], []
-        for pi, x0 in enumerate(points):
-            g = freeze_x(f, x0)
+        for pi, g in enumerate(frozen):
             for si, xi in enumerate(scenario.xi_samples()):
                 jobs.append((g, xi, scenario.solver_options(17 * pi + si)))
-                job_points.append(x0)
+                job_points.append(g.frozen[1])
         reps = _entries(jobs, lambda js: qc_deficits(js, mesh=qc_mesh,
                                                      L_grid=qc_cfg["L_grid"]))
         for x0, rep in zip(job_points, reps):
@@ -789,7 +806,6 @@ def _write_witnesses(out, verdict):
     for check, reports in (("qc", verdict.qc_reports), ("qslb", qslb)):
         found = [(x0, rep.witness) for x0, rep in reports if rep.witness is not None]
         for idx, (x0, witness) in enumerate(found):
+            # to_json gives builtins under str keys only: no _sanitize walk
             data = {**witness.to_json(), "check": check, "x0": np.asarray(x0).tolist()}
-            (out / f"witness_{check}_{idx}.json").write_text(
-                json.dumps(_sanitize(data), sort_keys=True)
-            )
+            (out / f"witness_{check}_{idx}.json").write_text(json.dumps(data, sort_keys=True))

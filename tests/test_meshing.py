@@ -572,6 +572,37 @@ def test_quadrature_integrates_a_random_quadratic_exactly(name):
     assert np.sum(wts * p(pts)) == pytest.approx(_degree3_integral(mesh, p), abs=1e-13)
 
 
+QUADRATURE_MESHES = {
+    **RULE_MESHES,
+    "qc_interval": lambda: default_qc_mesh(1),
+    "qc_square": lambda: default_qc_mesh(2, 0.25),
+    "rectangle": lambda: rectangle_mesh(-1.0, 2.0, 0.0, 0.5, 18, 9),
+    "halfball_qslb": lambda: halfball_mesh([0.0, -1.0], 0.1),
+}
+
+
+@pytest.mark.parametrize("name", QUADRATURE_MESHES)
+def test_quadrature_points_are_the_einsum_bit_for_bit(name):
+    mesh = QUADRATURE_MESHES[name]()
+    bary = meshing.QUADRATURE[mesh.dim][0]
+    want = np.einsum("qi,cid->cqd", bary, mesh.vertices[mesh.cells])
+    assert mesh.quadrature()[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadrature_points_of_random_cells_are_the_einsum_bit_for_bit(dim):
+    # 20,000 cells of independent random vertices, magnitudes 1e-3 to 1e3
+    rng = np.random.default_rng(dim)
+    v = rng.uniform(-1.0, 1.0, (20_000, dim + 1, dim))
+    v *= 10.0 ** rng.uniform(-3.0, 3.0, (20_000, 1, 1))
+    cells = np.arange(v.size // dim).reshape(-1, dim + 1)
+    measures = rng.uniform(size=len(cells))
+    pts, wts = meshing.cell_quadrature(v.reshape(-1, dim), cells, measures)
+    want = np.einsum("qi,cid->cqd", meshing.QUADRATURE[dim][0], v)
+    assert pts.tobytes() == want.tobytes()
+    assert wts.tobytes() == np.outer(measures, meshing.QUADRATURE[dim][1]).tobytes()
+
+
 @pytest.mark.parametrize("name", RULE_MESHES)
 def test_values_at_quadrature_of_a_p1_field_are_its_point_values(name):
     mesh = RULE_MESHES[name]()

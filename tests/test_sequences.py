@@ -222,6 +222,7 @@ def test_liminf_tables_match_golden():
 # -- stacked tables ---------------------------------------------------------------
 
 SQUARE = Domain.polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+RECTANGLE = Domain.polygon([[-1.0, 0.0], [2.0, 0.0], [2.0, 0.5], [-1.0, 0.5]])
 WIDE = Domain.interval(-1.0, 1.0)
 TABLE_SPECS = [
     SequenceSpec("jump_migration", OMEGA, n_max=24),
@@ -231,6 +232,7 @@ TABLE_SPECS = [
                  params={"x0": 1.0, "resolution": 5, "h": 0.3}),
     SequenceSpec("fixed_trace_oscillation", WIDE, n_max=12, params={"amplitude": -0.7}),
     SequenceSpec("pure_boundary_concentration", OMEGA, n_max=12),
+    SequenceSpec("fixed_trace_oscillation", RECTANGLE, n_max=9, params={"amplitude": -0.7}),
     SequenceSpec("fixed_trace_oscillation", SQUARE, n_max=8),
 ]
 TABLE_IDS = [f"{s.kind}-{i}" for i, s in enumerate(TABLE_SPECS)]
@@ -261,12 +263,23 @@ def test_stacked_table_is_bit_equal_to_one_eval_F_per_member(spec):
 
 
 def _old_generate(spec, n):
-    """A member as built one at a time on its own interval_mesh_with mesh."""
+    """A member as built one at a time on its own interval_mesh_with or
+    rectangle_mesh mesh."""
     from bvlsc.bv import BVFunction
-    from bvlsc.meshing import interval_mesh_with
+    from bvlsc.meshing import interval_mesh_with, rectangle_mesh
 
-    a, b = spec.domain.params["a"], spec.domain.params["b"]
     p = spec.params
+    if spec.domain.dim == 2:
+        lo, hi = spec.domain.params["vertices"].min(axis=0), spec.domain.params["vertices"].max(axis=0)
+        mesh = rectangle_mesh(lo[0], hi[0], lo[1], hi[1], 2 * n, max(4, n), domain=spec.domain)
+        period = (hi[0] - lo[0]) / n
+        t = (mesh.vertices[:, 0] - lo[0]) / period
+        saw = 1.0 - np.abs(2.0 * (t - np.floor(t + 1e-12)) - 1.0)
+        d2 = np.minimum(mesh.vertices[:, 1] - lo[1], hi[1] - mesh.vertices[:, 1])
+        plateau = np.clip(d2 / (1.0 / n), 0.0, 1.0)
+        amp = float(p.get("amplitude", 1.0))
+        return BVFunction.from_vertex_values(mesh, amp * 0.5 * period * saw * plateau)
+    a, b = spec.domain.params["a"], spec.domain.params["b"]
     if spec.kind == "jump_migration":
         mesh = interval_mesh_with(a, b, p.get("h", 1 / 16), [0.0, 1.0 / n], domain=spec.domain)
         return BVFunction.indicator_1d(mesh, 0.0, 1.0 / n)
@@ -303,15 +316,14 @@ def _atom_bytes(atoms):
     return [(repr(loc), j.tobytes()) for loc, j in atoms]
 
 
-@pytest.mark.parametrize("spec", TABLE_SPECS[:-1], ids=TABLE_IDS[:-1])
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
 def test_generate_wraps_member_n_of_the_stacked_table_byte_for_byte(spec):
     from bvlsc import sequences
 
     rule = sequences._rule(spec)
     ns = list(range(1, spec.n_max + 1))
-    table = sequences._interval_table(
-        rule, [(n, sequences._interval_points(spec, rule, n)) for n in ns])
-    vertex_starts = [int(table.cells[c, 0]) for c in table.cell_starts] + [len(table.x)]
+    table = sequences._table(rule, [(n, *sequences._grid(spec, rule, n)) for n in ns])
+    vertex_starts = [int(table.cells[c, 0]) for c in table.cell_starts] + [len(table.vertices)]
     cell_ends = table.cell_starts[1:] + [len(table.cells)]
     atom_ends = table.atom_starts[1:] + [len(table.atom_x)]
     for i, n in enumerate(ns):
@@ -321,8 +333,8 @@ def test_generate_wraps_member_n_of_the_stacked_table_byte_for_byte(spec):
         assert u.mesh.cells.tobytes() == old.mesh.cells.tobytes()
         assert u.cell_values.tobytes() == old.cell_values.tobytes()
         assert _atom_bytes(u.atoms) == _atom_bytes(old.atoms)
-        x = table.x[vertex_starts[i]:vertex_starts[i + 1]]
-        assert u.mesh.vertices[:, 0].tobytes() == x.tobytes()
+        vertices = table.vertices[vertex_starts[i]:vertex_starts[i + 1]]
+        assert u.mesh.vertices.tobytes() == vertices.tobytes()
         cells = table.cells[table.cell_starts[i]:cell_ends[i]] - vertex_starts[i]
         assert u.mesh.cells.tobytes() == cells.tobytes()
         cv = table.cell_values[table.cell_starts[i]:cell_ends[i]]
@@ -370,3 +382,64 @@ def test_a_table_over_the_cell_budget_is_evaluated_in_runs_to_the_same_bits(
     monkeypatch.setattr(bvlsc.meshing, "MAX_CELLS", budget)
     assert repr(empirical_liminf(counted, f.recession, spec)) == repr(want)
     assert counted.calls > 1
+
+
+# -- the necessity certificate ----------------------------------------------------
+
+
+def _old_certificate_rows(f, finf, x0, witness):
+    """necessity_witness's rows with a Mesh, a BVFunction and an eval_F per copy."""
+    from bvlsc.bv import BVFunction
+    from bvlsc.functional import eval_F
+    from bvlsc.meshing import Mesh
+
+    values = witness.values / witness.gradient_tv()
+    N = witness.mesh.dim
+    rows = []
+    for n in (2, 4, 8, 16, 32, 64):
+        mesh = Mesh(x0.x0[None, :] + (1.0 / n) * np.asarray(witness.mesh.vertices),
+                    np.asarray(witness.mesh.cells))
+        vn = BVFunction.from_vertex_values(mesh, float(n ** (N - 1)) * values)
+        w11 = vn.l1_norm() + float(np.sum(mesh.gradient_masses(vn.gradients())))
+        un = (1.0 / w11) * vn
+        gap = eval_F(f, finf, un).total - eval_F(f, finf, 0.0 * un).total
+        rows.append({"n": n, "gap": gap, "w11_normalizer": w11})
+    return rows
+
+
+@pytest.fixture(scope="module")
+def certificate_cases():
+    """(f, finf, x0, witness, eps) of the 1D linear half-ball witness and of
+    negnorm_square's worst qslb witness."""
+    from bvlsc.cli import bundled_scenarios
+    from bvlsc.verdict import Scenario, analyze
+
+    bp = BoundaryPoint([0.0], [-1.0])
+    rep = halfball_deficit(LIN.recession, bp, h=1.0 / 16,
+                           options=SolverOptions(restarts=4, max_iter=150))
+    scenario = Scenario.load(bundled_scenarios()["negnorm_square"])
+    verdict = analyze(scenario)
+    worst = min((r for r in verdict.qslb_reports if r.verdict == "violated"),
+                key=lambda r: r.deficit)
+    return {
+        "linear": (LIN, LIN.recession, bp, rep.witness, -rep.deficit),
+        "negnorm_square": (scenario.integrand, scenario.recession,
+                           BoundaryPoint(worst.x0, worst.nu), worst.witness, -worst.deficit),
+    }
+
+
+@pytest.mark.parametrize("case", ["linear", "negnorm_square"])
+def test_certificate_rows_are_bit_equal_to_one_eval_F_per_copy(
+        case, certificate_cases, monkeypatch):
+    import bvlsc.meshing
+
+    f, finf, x0, witness, eps = certificate_cases[case]
+    want = repr(_old_certificate_rows(f, finf, x0, witness))
+    counted = _Counted(f)
+    assert repr(necessity_witness(counted, finf, x0, witness, eps)["rows"]) == want
+    assert counted.calls == 1
+    # under a cell budget of one copy and its zero: six runs, the same bits
+    monkeypatch.setattr(bvlsc.meshing, "MAX_CELLS", 2 * witness.mesh.n_cells)
+    counted = _Counted(f)
+    assert repr(necessity_witness(counted, finf, x0, witness, eps)["rows"]) == want
+    assert counted.calls == 6

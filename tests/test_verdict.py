@@ -218,17 +218,31 @@ def test_an_over_budget_sequence_member_is_an_errored_liminf_job(params):
 
 def test_a_solver_budget_beyond_the_float_range_is_reported(tmp_path):
     # 10**400 iterations: the work product is an int that float() overflows.
-    # A nu != 0 on every edge of the square, so every qslb job solves on the mesh
+    # A nu != 0 on every edge of the square, so every qslb job solves on the
+    # mesh; the linear qc jobs take their closed form and run no solve
     def edit(cfg):
         cfg["integrand"] = {"tag": "linear", "params": {"matrix": [[1.0, 1.0]]}}
         cfg["solver"] = {"max_iter": 10**400}
 
     code, verdict = _run_modified(tmp_path, edit)
     assert code == 0
-    assert [e["job"] for e in verdict.errors] == ["qc"] + ["qslb"] * 4
+    assert [e["job"] for e in verdict.errors] == ["qslb"] * 4
     assert all("over the budget" in e["error"] for e in verdict.errors)
-    assert all("iterations = 3.89e+403" in e["error"] for e in verdict.errors[1:])
+    assert all("iterations = 3.89e+403" in e["error"] for e in verdict.errors)
+    assert [rep.deficit for _, rep in verdict.qc_reports] == [0.0, 0.0]
     assert verdict.overall == "inconclusive"
+
+    # area has no split, so its qc jobs would solve: the family is over the budget
+    def edit_area(cfg):
+        cfg["integrand"] = {"tag": "area", "params": {"M": 1, "N": 2}}
+        cfg["solver"] = {"max_iter": 10**400}
+        cfg["checks"]["qslb"] = False
+
+    code, verdict = _run_modified(tmp_path, edit_area)
+    assert code == 0
+    assert [e["job"] for e in verdict.errors] == ["qc"]
+    assert "over the budget" in verdict.errors[0]["error"]
+    assert verdict.qc_reports == [] and verdict.overall == "inconclusive"
 
 
 @pytest.mark.parametrize("resolution", [10**9, 10**400], ids=["1e9", "1e400"])
@@ -267,6 +281,47 @@ def test_unbudgeted_solver_work_fails_fast(tmp_path):
     assert {e["job"] for e in verdict.errors} == {"qc"}
     assert all("over the budget" in e["error"] for e in verdict.errors)
     assert verdict.overall == "inconclusive"
+
+
+def test_a_closed_form_qc_family_on_a_fine_mesh_is_answered(tmp_path):
+    # the same 194,688 qc cells with norm, which splits: its qc jobs take the
+    # closed form, priced at one pass over the cells per cap, and run no solve
+    cfg = json.loads(resolve_config("norm_square").read_text())
+    cfg["qc"]["h"] = 0.0032
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    code, verdict = run_scenario(path, out_dir=tmp_path / "out")
+    assert code == 0
+    assert verdict.errors == []
+    assert [rep.deficit for _, rep in verdict.qc_reports] == [0.0, 0.0]
+    assert all(d["source"] == "closed_form" for _, rep in verdict.qc_reports
+               for d in rep.diagnostics)
+    assert verdict.overall == "wlsc-plausible"
+
+
+def _builtin_json(obj):
+    """True when obj holds only dicts with str keys, lists, str, int, float,
+    bool and None."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) and _builtin_json(v) for k, v in obj.items())
+    if isinstance(obj, list):
+        return all(_builtin_json(v) for v in obj)
+    return obj is None or type(obj) in (str, int, float, bool)
+
+
+def test_every_bundled_witness_serializes_as_builtins(tmp_path):
+    # witness files are written by json.dumps with no _sanitize walk, so
+    # to_json must give what _sanitize would leave unchanged
+    found = 0
+    for name, path in bundled_scenarios().items():
+        code, verdict = run_scenario(path, out_dir=tmp_path / name)
+        assert code == 0
+        reports = [rep for _, rep in verdict.qc_reports] + verdict.qslb_reports
+        for rep in reports:
+            if rep.witness is not None:
+                assert _builtin_json(rep.witness.to_json()), name
+                found += 1
+    assert found >= 2
 
 
 def test_quotient_outside_homogeneity_bound_is_errored_qslb_check(monkeypatch):
