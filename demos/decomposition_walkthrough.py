@@ -45,7 +45,7 @@ print(f"  exact reassembly deviation: {rep['reassembly_dev']:.1e}")
 print(f"  derivative mass bounds:     "
       f"{'ok' if rep['mass_bound_ok'] else 'violated'} "
       f"(recorded slack {max(rep['slack_recorded']):.1e})")
-table = rep["charge_tables"][2]
+table = rep["charge_tables"]["2"]
 print(f"  remainder charge on {{0}}:   {table['verdict']} "
       f"(table {[round(v, 6) for _, v in table['table']]})")
 

@@ -46,7 +46,6 @@ def _add_common(p):
     p.add_argument("config", help="config file path or bundled scenario name")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out-dir", default=None, help="output directory")
-    p.add_argument("--h", type=float, default=None, help="override mesh sizes")
 
 
 def parse_args(argv=None):
@@ -61,7 +60,12 @@ def parse_args(argv=None):
         ("decompose", "decomposition suite for the configured sequence/cover"),
         ("recession", "recession and deviation-modulus estimates"),
     ):
-        _add_common(sub.add_parser(name, help=desc))
+        # options only as spelled: an abbreviation such as --h for --help
+        # would pass for an option a subcommand does not take
+        p = sub.add_parser(name, help=desc, allow_abbrev=False)
+        _add_common(p)
+        if name != "recession":  # the recession estimates use no mesh
+            p.add_argument("--h", type=float, default=None, help="override mesh sizes")
     sub.add_parser("list", help="list bundled scenarios")
     return parser.parse_args(argv)
 
@@ -72,7 +76,7 @@ _ONLY = {"liminf": ("qslb", "sequences"), "decompose": ("decomposition",)}
 
 def _recession_report(config_path, out_dir, seed):
     from .integrands import mu_estimate, recession_estimate
-    from .verdict import Scenario, _sanitize
+    from .verdict import Scenario
 
     scenario = Scenario.load(config_path)
     if scenario is None:
@@ -91,7 +95,7 @@ def _recession_report(config_path, out_dir, seed):
             "xi": xi.tolist(),
             "estimate": est.value,
             "rate": est.rate,
-            "analytic": finf.at(x, xi) if f.recession is not None else None,
+            "analytic": finf.at(x, xi),
             "joint_stability": est.joint_stability,
         })
     mu_rows = [mu_estimate(f, finf, t, seed=scenario.seed)
@@ -99,9 +103,7 @@ def _recession_report(config_path, out_dir, seed):
     report = {"integrand": f.tag, "recession_samples": rows, "mu_table": mu_rows}
     out = Path(out_dir) if out_dir else Path.cwd() / f"out_{scenario.name}"
     out.mkdir(parents=True, exist_ok=True)
-    (out / "recession.json").write_text(
-        json.dumps(_sanitize(report), sort_keys=True, indent=1) + "\n"
-    )
+    (out / "recession.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
     print(f"{scenario.name}: recession report -> {out / 'recession.json'}")
     return 0
 

@@ -283,7 +283,8 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
 
     Returns a report with per-check verdicts and the list of flagged entities;
     violations are reported, never raised.  Masses may exceed their bounds
-    by 1e-12.
+    by 1e-12.  The report is plain JSON data: charge_tables is keyed by the
+    component number as a string ("2", ...).
     """
     tol = 1e-12
     sets = result.cover.sets
@@ -362,7 +363,7 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
         for s in sets[1:j_idx]:
             union = _union(union, s)
         seq = [derivative(result.components[n][j_idx]) for n in result.n_values]
-        charge_tables[j_idx + 1] = does_not_charge(
+        charge_tables[str(j_idx + 1)] = does_not_charge(
             seq, union, deltas, threshold=charge_threshold
         )
 

@@ -289,7 +289,7 @@ def recession_estimate(f, x, xi, t_grid=DEFAULT_T_GRID, check_joint=True):
             e = xihat + 1e-3 * rng.normal(size=xihat.shape)
             e /= np.linalg.norm(e)
             v = float(f(xp[None, :], (t[-1] * e)[None, :, :])[0]) * norm / t[-1]
-            stability = max(stability, abs(v - vals[-1]))
+            stability = max(stability, float(abs(v - vals[-1])))
     return RecessionEstimate(est, rate, list(zip(t.tolist(), vals.tolist())), stability)
 
 

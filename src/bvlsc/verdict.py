@@ -36,7 +36,7 @@ import numpy as np
 
 from .boundary import equivalence_harness, halfball_deficits, qslb_deficits
 from .decompose import CoverSpec, local_decompose, require_1d, verify_properties
-from .integrands import CATALOG, catalog_get, estimated_recession, mu_estimate, freeze_x
+from .integrands import CATALOG, catalog_get, mu_estimate, freeze_x
 from . import minimize
 from .meshing import Domain, MeshBudgetError, build_mesh
 from .minimize import SolverBudgetError, SolverOptions
@@ -345,9 +345,7 @@ class Scenario:
                 [(f"integrand expects N={self.integrand.N} but the domain is "
                   f"{self.domain.dim}D", None)]
             )
-        self.recession = self.integrand.recession or estimated_recession(
-            self.integrand
-        )
+        self.recession = self.integrand.recession
 
     @classmethod
     def from_file(cls, path):
@@ -382,12 +380,17 @@ class Scenario:
         restarts and the previous cap's witness.  Every job is priced at
         cells x caps before the first point is taken, and each point's
         solving jobs as the point comes, so a family over the budget fails
-        at the first point that puts it over."""
+        at the first point that puts it over.  The xi samples the jobs keep,
+        M x N entries each, are priced against the same budget first."""
         spec, xi = self.cfg["interior_points"], self.cfg["xi_samples"]
         solver, caps = self.cfg["solver"], len(self.cfg["qc"]["L_grid"])
-        per_point = (xi["include_zero"] + xi["random"]
-                     + xi["rank_one"] * self.integrand.M * self.integrand.N)
+        entries = self.integrand.M * self.integrand.N
+        per_point = xi["include_zero"] + xi["random"] + xi["rank_one"] * entries
         jobs = per_point * (len(spec) if isinstance(spec, list) else spec["count"])
+        if jobs * entries > minimize.MAX_WORK:
+            raise SolverBudgetError(
+                f"qc family needs {jobs} xi samples x {entries} entries, "
+                f"over the budget {minimize.MAX_WORK:.3g}")
         starts, iterations = max(solver["restarts"], 2), solver["max_iter"]
         out, solving = [], 0
 
@@ -708,18 +711,6 @@ def _strip_tables(report):
 # -- report emission -----------------------------------------------------------
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def run_scenario(config_path, out_dir=None, seed=None, h=None, only=None):
     """Execute a scenario config; write report.json, CSV tables and witnesses.
     `only` names the checks to run, every other one off (default: the
@@ -761,44 +752,34 @@ def run_scenario(config_path, out_dir=None, seed=None, h=None, only=None):
         "scenario": scenario.cfg,
         "verdict": verdict.to_json(),
     }
-    (out / "report.json").write_text(
-        json.dumps(_sanitize(report), sort_keys=True, indent=1) + "\n"
-    )
+    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
     (out / "timings.txt").write_text(f"total_s={verdict.timing['total_s']:.3f}\n")
-    _write_tables(out, verdict)
+    _write_tables(out, report["verdict"])
     _write_witnesses(out, verdict)
     print(f"{scenario.name}: {verdict.overall} -> {out / 'report.json'}")
     return 0, verdict
 
 
 def _write_tables(out, verdict):
+    """tables/*.csv from report.json's verdict part, one row per qc cap, qslb
+    report, liminf member and refinement entry; the liminf and refinement
+    tables only where their check ran."""
+    extras = verdict["extras"]
+    qc = [{**rep, "L": L, "deficit": v} for rep in verdict["qc"] for L, v in rep["per_cap"]]
+    liminf = extras.get("liminf")
     tables = out / "tables"
     tables.mkdir(exist_ok=True)
-    with open(tables / "qc_deficits.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x0", "xi", "L", "deficit", "verdict"])
-        for x0, rep in verdict.qc_reports:
-            for L, v in rep.per_cap:
-                w.writerow([np.asarray(x0).tolist(), np.asarray(rep.xi).tolist(),
-                            L, repr(v), rep.verdict])
-    with open(tables / "qslb.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x0", "nu", "deficit", "verdict"])
-        for rep in verdict.qslb_reports:
-            w.writerow([np.asarray(rep.x0).tolist(), np.asarray(rep.nu).tolist(),
-                        repr(rep.deficit), rep.verdict])
-    if "liminf" in verdict.extras:
-        with open(tables / "liminf.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "F"])
-            for n, v in verdict.extras["liminf"]["table"]:
-                w.writerow([n, repr(v)])
-    if "refinement" in verdict.extras:
-        with open(tables / "refinement.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x0", "h", "deficit"])
-            for row in verdict.extras["refinement"]:
-                w.writerow([row["x0"], row["h"], repr(row["deficit"])])
+    for name, header, rows in (
+            ("qc_deficits", ("x0", "xi", "L", "deficit", "verdict"), qc),
+            ("qslb", ("x0", "nu", "deficit", "verdict"), verdict["qslb"]),
+            ("liminf", ("n", "F"),
+             liminf and [{"n": n, "F": v} for n, v in liminf["table"]]),
+            ("refinement", ("x0", "h", "deficit"), extras.get("refinement"))):
+        if rows is not None:
+            with open(tables / f"{name}.csv", "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows([row[k] for k in header] for row in rows)
 
 
 def _write_witnesses(out, verdict):
@@ -806,6 +787,6 @@ def _write_witnesses(out, verdict):
     for check, reports in (("qc", verdict.qc_reports), ("qslb", qslb)):
         found = [(x0, rep.witness) for x0, rep in reports if rep.witness is not None]
         for idx, (x0, witness) in enumerate(found):
-            # to_json gives builtins under str keys only: no _sanitize walk
+            # to_json gives JSON builtins under str keys only
             data = {**witness.to_json(), "check": check, "x0": np.asarray(x0).tolist()}
             (out / f"witness_{check}_{idx}.json").write_text(json.dumps(data, sort_keys=True))

@@ -87,6 +87,15 @@ def test_h_flag_overrides_mesh(tmp_path):
     assert report["scenario"]["qslb"]["h"] == 0.0625
 
 
+def test_recession_refuses_a_mesh_size_override(tmp_path, capsys):
+    # the recession estimates build no mesh, so --h is not one of its options
+    with pytest.raises(SystemExit) as exc:
+        main(["recession", "example_1_2", "--h", "-3", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --h" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "bvlsc.cli", "list"],
                           capture_output=True, text=True)

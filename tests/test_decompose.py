@@ -97,7 +97,7 @@ def test_mass_bound_with_zero_slack(migrating_decomposition):
 def test_charge_table_tight(migrating_decomposition):
     rep = verify_properties(migrating_decomposition, deltas=(0.1, 0.02, 0.005),
                             charge_threshold=1e-3)
-    table = rep["charge_tables"][2]
+    table = rep["charge_tables"]["2"]
     assert table["verdict"] == "tight"
     assert table["table"][-1][1] < 1e-3
 

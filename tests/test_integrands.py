@@ -129,6 +129,20 @@ def test_catalog_growth_bounds():
         assert f.spot_check()["growth_ok"], tag
 
 
+def test_every_catalog_integrand_and_composite_has_a_recession():
+    fs = [catalog_get(tag, params) for tag, params in CATALOG_1D]
+    fs.append(catalog_get("composite", {"terms": [[1.0, {"tag": tag, "params": params}]
+                                                  for tag, params in CATALOG_1D]}))
+    assert {f.tag for f in fs} == set(catalog_tags()) | {"composite"}
+    assert all(f.recession is not None for f in fs)
+
+
+def test_recession_estimate_of_a_2d_integrand_gives_builtin_floats():
+    f = catalog_get("area", {"M": 1, "N": 2})
+    est = recession_estimate(f, [0.2, 0.3], [[1.0, -2.0]])
+    assert type(est.value) is float and type(est.joint_stability) is float
+
+
 def test_homogeneity_of_catalog_recessions():
     for tag, params in CATALOG_1D:
         f = catalog_get(tag, params)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bvlsc.boundary
 import bvlsc.meshing
+import bvlsc.minimize
 import bvlsc.verdict
 from bvlsc.cli import bundled_scenarios, main, resolve_config
 from bvlsc.integrands import catalog_get
@@ -300,28 +301,44 @@ def test_a_closed_form_qc_family_on_a_fine_mesh_is_answered(tmp_path):
 
 
 def _builtin_json(obj):
-    """True when obj holds only dicts with str keys, lists, str, int, float,
-    bool and None."""
+    """True when obj holds only what json.dumps writes as itself: dicts with
+    str keys, lists and tuples, str, int, float, bool and None.  A numpy
+    float64 is a float subclass that json.dumps takes, so the types are
+    compared exactly."""
     if isinstance(obj, dict):
-        return all(isinstance(k, str) and _builtin_json(v) for k, v in obj.items())
-    if isinstance(obj, list):
+        return all(type(k) is str and _builtin_json(v) for k, v in obj.items())
+    if type(obj) in (list, tuple):
         return all(_builtin_json(v) for v in obj)
     return obj is None or type(obj) in (str, int, float, bool)
 
 
-def test_every_bundled_witness_serializes_as_builtins(tmp_path):
-    # witness files are written by json.dumps with no _sanitize walk, so
-    # to_json must give what _sanitize would leave unchanged
-    found = 0
+_CHECKS = ("qc", "qslb", "sequences", "decomposition", "equivalence", "mu", "refinement")
+
+
+@pytest.mark.filterwarnings("ignore:compact sets leave a cover gap")
+def test_every_bundled_output_is_plain_data(tmp_path, monkeypatch):
+    # report.json, the witness files and recession.json are json.dumps of
+    # the values the checks return, with no conversion between: each value
+    # must be a JSON builtin where it is made.  Each bundle runs with its own
+    # checks and with every check on (decomposition only on an interval)
+    written, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: written.append(obj) or dumps(obj, **kw))
     for name, path in bundled_scenarios().items():
-        code, verdict = run_scenario(path, out_dir=tmp_path / name)
-        assert code == 0
-        reports = [rep for _, rep in verdict.qc_reports] + verdict.qslb_reports
-        for rep in reports:
-            if rep.witness is not None:
-                assert _builtin_json(rep.witness.to_json()), name
-                found += 1
-    assert found >= 2
+        cfg = json.loads(path.read_text())
+        cfg["checks"] = {c: c != "decomposition" or cfg["domain"]["kind"] == "interval"
+                         for c in _CHECKS}
+        every = tmp_path / f"{name}.json"
+        every.write_text(dumps(cfg))
+        for config in (path, every):
+            code, verdict = run_scenario(config, out_dir=tmp_path / name)
+            assert code == 0
+            assert _builtin_json(verdict.to_json()), name
+        assert (verdict.extras.get("decomposition") is not None) == (
+            cfg["domain"]["kind"] == "interval")
+        assert main(["recession", name, "--out-dir", str(tmp_path / name)]) == 0
+    assert all(_builtin_json(obj) for obj in written)
+    assert sum("check" in obj for obj in written) >= 2  # witness files
+    assert sum("recession_samples" in obj for obj in written) == len(bundled_scenarios())
 
 
 def test_quotient_outside_homogeneity_bound_is_errored_qslb_check(monkeypatch):
@@ -745,6 +762,34 @@ def test_qc_family_over_the_work_budget_is_one_errored_job(tmp_path, key, value)
     assert len(verdict.errors) == 1 and verdict.errors[0]["job"] == "qc"
     assert "over the budget" in verdict.errors[0]["error"]
     assert verdict.overall == "inconclusive"
+
+
+def _vector_norm_on_interval(M):
+    """example_1_2's interval with f = |xi| on M x 1 matrices: one interior
+    point, qc only, 1 + M xi samples of M entries each."""
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["integrand"] = {"tag": "norm", "params": {"M": M, "N": 1}}
+    cfg["checks"] = {"qc": True, "qslb": False}
+    cfg["xi_samples"] = {"random": 0}
+    return Scenario(cfg)
+
+
+def test_qc_xi_samples_over_the_work_budget_are_one_errored_job(monkeypatch):
+    # 31 samples x 30 entries = 930 > 800, while the 31 closed-form jobs
+    # x 8 cells x 3 caps = 744 fit: the samples are refused before one is built
+    monkeypatch.setattr(bvlsc.minimize, "MAX_WORK", 800)
+    monkeypatch.setattr(Scenario, "xi_samples", None)
+    verdict = analyze(_vector_norm_on_interval(30))
+    assert verdict.qc_reports == []
+    assert verdict.errors == [{"job": "qc", "error": "qc family needs 31 xi samples x 30 "
+                                                     "entries, over the budget 800"}]
+    assert verdict.overall == "inconclusive"
+
+
+def test_a_thousand_row_qc_family_fits_the_default_budget():
+    verdict = analyze(_vector_norm_on_interval(1000))
+    assert verdict.errors == [] and len(verdict.qc_reports) == 1001
+    assert all(rep.verdict == "qc-plausible" for _, rep in verdict.qc_reports)
 
 
 _BUNDLED_CONFIGS = {name: json.loads(path.read_text())
