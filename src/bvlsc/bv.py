@@ -30,6 +30,7 @@ __all__ = [
     "derivative",
     "total_variation",
     "tv_on_neighborhood",
+    "tv_on_neighborhoods",
     "does_not_charge",
     "cutoff_multiply",
     "l1_distance",
@@ -115,7 +116,7 @@ class BVFunction:
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
-        return cls(mesh, values[mesh.cells])
+        return cls(mesh, values.take(mesh.cells, axis=0))
 
     @classmethod
     def affine(cls, mesh, xi, b=None):
@@ -374,39 +375,86 @@ def total_variation(mu):
     return bulk + sing
 
 
-def tv_on_neighborhood(mu, kset, delta, subdivisions=2):
+def tv_on_neighborhood(mu, kset, delta):
     """|mu| of the open delta-neighborhood of a compact set, intersected with
-    the meshed region.
+    the meshed region: tv_on_neighborhoods of the one measure.  `delta` may
+    be one radius, giving a float, or a sequence of radii, giving a list with
+    one value per radius."""
+    values = tv_on_neighborhoods([mu], kset, [np.atleast_1d(delta)])[0]
+    return values[0] if np.ndim(delta) == 0 else values
 
-    The absolutely continuous part is integrated over the sub-cells of the
+
+def tv_on_neighborhoods(measures, kset, radii_per_measure, subdivisions=2):
+    """|mu| of the open delta-neighborhoods of a compact set, intersected with
+    the meshed region, for a family of measures: one list per measure mu,
+    holding |mu|((K)_delta) for each radius delta of mu's row of
+    `radii_per_measure` (a NaN radius holds nothing).
+
+    The absolutely continuous part is integrated over the sub-cells of each
     mesh refined `subdivisions` times (`Mesh.refined_cells`, built once per
     mesh), classified by their centroids; singular charges are included
-    exactly by their position.  `delta` may be one radius, giving a float,
-    or a sequence of radii, giving a list with one value per radius: the
-    distances to the set are computed once and thresholded per radius.
+    exactly by their position.  The whole family takes one kset.dist call,
+    over every measure's sub-centroids and charge positions stacked.
 
-    Open neighborhoods are nested, so two radii holding equal numbers of
-    sub-cells hold the same sub-cells, summed in the same order to the same
-    bits; each distinct count (of sub-cells, and of charges) is summed once.
+    A value has the bits of the per-radius sums weights[dist < delta].sum()
+    plus the charges' masses added left to right in charge order.  Open
+    neighborhoods are nested, so a radius holding c sub-cells holds the c
+    nearest ones; the (measure, count) pairs of one count c are summed as
+    one (pairs, c) matrix of those sub-cells in cell order, whose row sums
+    are numpy's pairwise sums of the single rows.  The charges are summed by
+    one sequential accumulate over the masses masked per radius.
     """
-    mesh = mu.mesh
-    cent, sub_measure, parent = mesh.refined_cells(subdivisions)
-    weights = row_norms(mu.density.reshape(mesh.n_cells, -1))[parent] * sub_measure
-    dist = kset.dist(cent)
-    cdist = kset.dist(mu.charge_positions())
-    masses = [m for _, _, m in mu.charges]
-    radii = np.atleast_1d(np.asarray(delta, dtype=float))
-    nan = np.isnan(radii)  # d < NaN holds nothing, wherever searchsorted puts NaN
-    held = [np.where(nan, 0, np.searchsorted(np.sort(x), radii)).tolist()
-            for x in (dist, cdist)]
-    bulk, sing, values = {}, {}, []
-    for d, nb, ns in zip(radii.tolist(), *held):
-        if nb not in bulk:
-            bulk[nb] = float(weights[dist < d].sum())
-        if ns not in sing:
-            sing[ns] = sum(m for dc, m in zip(cdist, masses) if dc < d)
-        values.append(bulk[nb] + sing[ns])
-    return values[0] if np.ndim(delta) == 0 else values
+    measures = list(measures)
+    if not measures:
+        return []
+    radii = [np.atleast_1d(np.asarray(r, dtype=float)) for r in radii_per_measure]
+    if len(radii) != len(measures):
+        raise ValueError(f"{len(radii)} rows of radii for {len(measures)} measures")
+    refined = [mu.mesh.refined_cells(subdivisions) for mu in measures]
+    positions = [mu.charge_positions() for mu in measures]
+    n_sub = [len(parent) for _, _, parent in refined]
+    n_charge = [len(p) for p in positions]
+    # stacked sub-cells: measure m holds the rows sub_off[m]:sub_off[m + 1]
+    sub_off = np.cumsum([0] + n_sub)
+    weights = np.concatenate([row_norms(mu.density.reshape(mu.mesh.n_cells, -1))[parent] * sub
+                              for mu, (_, sub, parent) in zip(measures, refined)])
+    dist = kset.dist(np.concatenate([c for c, _, _ in refined] + positions))
+    dist, cdist = dist[:sub_off[-1]], dist[sub_off[-1]:]
+
+    # per radius, the number c of sub-cells nearer than it, read off each
+    # measure's sorted distances; the c nearest sub-cells are the ones held
+    owner = np.repeat(np.arange(len(measures)), n_sub)
+    order = np.lexsort((dist, owner))
+    near = dist[order]
+    counts = np.concatenate([
+        np.where(np.isnan(r), 0, np.searchsorted(near[a:b], r))
+        for a, b, r in zip(sub_off[:-1].tolist(), sub_off[1:].tolist(), radii)])
+    q_owner = np.repeat(np.arange(len(measures)), [len(r) for r in radii])
+    span = max(n_sub) + 1
+    pairs, which = np.unique(q_owner * span + counts, return_inverse=True)
+    p_owner, p_count = np.divmod(pairs, span)
+    bulk = np.empty(len(pairs))
+    for c in np.unique(p_count).tolist():
+        at = np.flatnonzero(p_count == c)
+        cells = order[sub_off[p_owner[at], None] + np.arange(c)]
+        cells.sort(axis=1)
+        bulk[at] = weights[cells].sum(axis=1)
+    values = bulk[which]
+
+    if max(n_charge):
+        # charges padded to (measures, most charges); a pad is +inf away
+        k_owner = np.repeat(np.arange(len(measures)), n_charge)
+        k_slot = np.arange(len(cdist)) - np.repeat(np.cumsum([0] + n_charge[:-1]), n_charge)
+        far = np.full((len(measures), max(n_charge)), np.inf)
+        mass = np.zeros(far.shape)
+        far[k_owner, k_slot] = cdist
+        mass[k_owner, k_slot] = np.concatenate([mu.masses for mu in measures])
+        q_radii = np.concatenate(radii)
+        held = np.where(far[q_owner] < q_radii[:, None], mass[q_owner], 0.0)
+        values = values + np.add.accumulate(held, axis=1)[:, -1]
+    values = values.tolist()
+    q_off = np.cumsum([0] + [len(r) for r in radii]).tolist()
+    return [values[a:b] for a, b in zip(q_off[:-1], q_off[1:])]
 
 
 def does_not_charge(measures, kset, deltas, threshold=1e-2, subdivisions=2):
@@ -415,10 +463,10 @@ def does_not_charge(measures, kset, deltas, threshold=1e-2, subdivisions=2):
     Returns {"table": [(delta, sup_n |mu_n|((K)_delta)], "verdict": ...} with
     verdict "tight" iff the table is non-increasing (up to 1e-12) and its
     entry at the smallest delta is below the threshold; otherwise "charges K".
-    Each measure is measured once for all deltas (one tv_on_neighborhood
-    call, one distance pass).  Only the given finite prefix is scanned, so
-    deltas below the scale the prefix resolves say nothing about the full
-    sequence.
+    The whole sequence is measured at once, one row of deltas per measure
+    (one tv_on_neighborhoods call, one distance pass).  Only the given
+    finite prefix is scanned, so deltas below the scale the prefix resolves
+    say nothing about the full sequence.
     """
     measures = list(measures)
     if not measures:
@@ -426,8 +474,8 @@ def does_not_charge(measures, kset, deltas, threshold=1e-2, subdivisions=2):
     deltas = sorted(set(float(d) for d in deltas), reverse=True)
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
-    per_measure = [tv_on_neighborhood(mu, kset, deltas, subdivisions)
-                   for mu in measures]
+    per_measure = tv_on_neighborhoods(measures, kset, [deltas] * len(measures),
+                                      subdivisions)
     table = [(d, max(vals[i] for vals in per_measure))
              for i, d in enumerate(deltas)]
     values = [v for _, v in table]

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .bv import (derivative, does_not_charge, refine_bv_1d, refined_1d, refined_bv,
-                 tv_on_neighborhood)
+                 tv_on_neighborhoods)
 from .meshing import segment_shape_gradients
 
 __all__ = [
@@ -153,7 +153,12 @@ def require_1d(dim):
 
 
 def local_decompose(members, cover, n_max=None):
-    """Decompose a 1D vanishing sequence against a compact cover."""
+    """Decompose a 1D vanishing sequence against a compact cover.
+
+    The result's s_table compares, per m <= n_max, the members' |Du| on the
+    0.5/m-neighborhood of the first set, from the m-th member on; the whole
+    family takes one tv_on_neighborhoods call (one distance pass).
+    """
     members = list(members)
     if not members:
         raise ValueError("empty sequence")
@@ -173,12 +178,11 @@ def local_decompose(members, cover, n_max=None):
     n_values, k_map, subsequence, components, cutoffs = _decompose_stage(
         members, cover.sets, n_max, lo, hi)
 
-    # member k enters the rows m <= k + 1, at the radii 0.5 / m
+    # member k enters the rows m <= k + 1, at the radii 0.5 / m: one
+    # distance pass over the whole family
     radii = [0.5 / m for m in range(1, n_max + 1)]
-    tvs = [
-        tv_on_neighborhood(derivative(u), cover.sets[0], radii[:k + 1])
-        for k, u in enumerate(members)
-    ]
+    tvs = tv_on_neighborhoods([derivative(u) for u in members], cover.sets[0],
+                              [radii[:k + 1] for k in range(len(members))])
     rows = []
     for m in range(1, n_max + 1):
         vals = [tvs[k][m - 1] for k in range(m - 1, len(members))]
@@ -293,6 +297,12 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
     reassembly_dev = 0.0
     slack_recorded = []
     grad_bound_ok = True
+    # the support points of every (n, component), stacked: one distance pass
+    # per set, read per (n, component) as the largest and smallest distance
+    supports = [_support_points(c) for n in result.n_values
+                for c in result.components[n]]
+    far, near = _segment_extremes(sets, supports)
+    at = 0
 
     for n in result.n_values:
         uk = result.subsequence[n]
@@ -342,20 +352,19 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
                     })
             # support inclusions against the cover neighborhoods
             h = uk.mesh.h
-            pts = _support_points(c)
-            if len(pts):
-                d_own = sets[min(j_idx, J - 1)].dist(pts)
-                if np.max(d_own) > 1.0 / n + 2 * h:
+            if len(supports[at]):
+                d_own = far[min(j_idx, J - 1)][at]
+                if d_own > 1.0 / n + 2 * h:
                     flags.append({"n": n, "component": j_idx + 1,
                                   "check": "support_inclusion",
-                                  "max_dist": float(np.max(d_own))})
+                                  "max_dist": d_own})
                 for i in range(j_idx):
-                    d_prev = sets[i].dist(pts)
-                    if np.min(d_prev) < 0.5 / n - 2 * h - 1e-12:
+                    if near[i][at] < 0.5 / n - 2 * h - 1e-12:
                         flags.append({"n": n, "component": j_idx + 1,
                                       "check": "support_exclusion",
                                       "earlier_set": i,
-                                      "min_dist": float(np.min(d_prev))})
+                                      "min_dist": near[i][at]})
+            at += 1
 
     charge_tables = {}
     for j_idx in range(1, J):
@@ -387,6 +396,26 @@ def _union(a, b):
     from .regions import CompactSet
 
     return CompactSet(a.dim, list(a.pieces) + list(b.pieces))
+
+
+def _segment_extremes(sets, segments):
+    """Per set, the largest and the smallest distance to it of each
+    segment's points, as lists of floats (NaN for a segment without points):
+    one dist call per set over the segments stacked, split by reduceat."""
+    lengths = np.array([len(p) for p in segments], dtype=np.int64)
+    full = lengths > 0
+    starts = (np.cumsum(lengths) - lengths)[full]
+    points = np.concatenate(segments) if full.any() else None
+    far, near = [], []
+    for kset in sets:
+        hi, lo = np.full((2, len(segments)), np.nan)
+        if points is not None:
+            d = kset.dist(points)
+            hi[full] = np.maximum.reduceat(d, starts)
+            lo[full] = np.minimum.reduceat(d, starts)
+        far.append(hi.tolist())
+        near.append(lo.tolist())
+    return far, near
 
 
 def _support_points(u):

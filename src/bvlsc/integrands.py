@@ -310,7 +310,10 @@ def estimated_recession(f):
     return RecessionFn(fn, f.M, f.N)
 
 
-def mu_estimate(f, finf, t, budget=2000, seed=0):
+MU_SAMPLES = 2000  # mu_estimate's default sample count, M x N entries each
+
+
+def mu_estimate(f, finf, t, budget=MU_SAMPLES, seed=0):
     """Sampled lower bound for the deviation modulus
 
         mu(t) = sup over x and |xi| >= t of |f(x, xi) - finf(x, xi)| / (1 + |xi|),

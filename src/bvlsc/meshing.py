@@ -423,7 +423,7 @@ class Mesh:
             values = values[:, None]
         batch, M = values.shape[:-2], values.shape[-1]
         cells, grads = self._copies_for(batch, shapes)
-        out = np.einsum("cim,cid->cmd", values.reshape(-1, M)[cells], grads)
+        out = np.einsum("cim,cid->cmd", values.reshape(-1, M).take(cells, axis=0), grads)
         return out.reshape(batch + (self.n_cells, M, self.dim))
 
     def _p1_assemble(self, per_cell, shapes=None):

@@ -21,12 +21,19 @@ def _as_points(x, dim):
 
 
 def _dist_to_segment(x, a, b):
-    """Distance from points x (k, d) to the closed segment [a, b]."""
+    """Distance from points x (k, d) to the closed segment [a, b].  Each
+    point's distance depends on that point alone (the projections add their
+    d products left to right; a BLAS matrix-vector product may round a row
+    by its place in x), so stacking points keeps every distance's bits."""
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0.0:
         return row_norms(x - a)
-    t = np.clip((x - a) @ ab / denom, 0.0, 1.0)
+    xa = x - a
+    dot = xa[:, 0] * ab[0]
+    for j in range(1, len(ab)):
+        dot += xa[:, j] * ab[j]
+    t = np.clip(dot / denom, 0.0, 1.0)
     proj = a + t[:, None] * ab
     return row_norms(x - proj)
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .boundary import equivalence_harness, halfball_deficits, qslb_deficits
 from .decompose import CoverSpec, local_decompose, require_1d, verify_properties
-from .integrands import CATALOG, catalog_get, mu_estimate, freeze_x
+from .integrands import CATALOG, MU_SAMPLES, catalog_get, mu_estimate, freeze_x
 from . import minimize
 from .meshing import Domain, MeshBudgetError, build_mesh
 from .minimize import SolverBudgetError, SolverOptions
@@ -624,6 +624,11 @@ def analyze(scenario):
     if checks["mu"]:
         tgrid = [1.0, 10.0, 100.0, 1e4, 1e6]
         try:
+            # priced before any draw: each t draws MU_SAMPLES x M x N normals
+            if len(tgrid) * MU_SAMPLES * f.M * f.N > minimize.MAX_WORK:
+                raise SolverBudgetError(
+                    f"mu table needs {len(tgrid)} x {MU_SAMPLES} samples x "
+                    f"{f.M * f.N} entries, over the budget {minimize.MAX_WORK:.3g}")
             extras["mu_table"] = [mu_estimate(f, finf, t, seed=scenario.seed)
                                   for t in tgrid]
         except Exception as e:  # collect and continue

@@ -13,6 +13,7 @@ from bvlsc.bv import (
     refine_bv_1d,
     total_variation,
     tv_on_neighborhood,
+    tv_on_neighborhoods,
     weakstar_diagnostics,
 )
 from bvlsc.meshing import (
@@ -354,6 +355,97 @@ def test_tv_on_neighborhood_scalar_delta_returns_float():
     mu, kset = _measure_with_jumps_2d()
     assert type(tv_on_neighborhood(mu, kset, 0.1)) is float
     assert type(tv_on_neighborhood(mu, kset, np.float64(0.1))) is float
+
+
+def _reference_tv_on_neighborhood(mu, kset, radii):
+    """One measure, one masked sum per radius: the sub-cell weights nearer
+    than the radius summed by numpy, plus the masses of the charges nearer
+    than it added left to right."""
+    cent, sub_measure, parent = mu.mesh.refined_cells(2)
+    weights = np.linalg.norm(mu.density.reshape(mu.mesh.n_cells, -1), axis=1)[parent]
+    weights = weights * sub_measure
+    dist, cdist = kset.dist(cent), kset.dist(mu.charge_positions())
+    return [float(weights[dist < d].sum())
+            + sum(m for dc, (_, _, m) in zip(cdist, mu.charges) if dc < d)
+            for d in radii]
+
+
+def _random_measure(rng, dim):
+    """The derivative of a random step function plus a random affine part
+    (charges and a density, M = 1 or 2), or of a random continuous P1
+    function (a density only)."""
+    M = int(rng.integers(1, 3))
+    if dim == 1:
+        mesh = shuffled_interval_mesh(int(rng.integers(100))) if rng.random() < 0.3 else \
+            interval_mesh(0.0, 1.0, 1.0 / int(rng.integers(1, 40)))
+    else:
+        mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, *rng.integers(1, 6, size=2).tolist())
+    if rng.random() < 0.3:
+        return derivative(BVFunction.from_vertex_values(
+            mesh, rng.normal(size=(mesh.n_vertices, M))))
+    steps = rng.integers(-2, 3, size=(mesh.n_cells, M)).astype(float)
+    u = BVFunction.from_cellwise_constant(mesh, steps)
+    return derivative(u + BVFunction.affine(mesh, rng.normal(size=(M, dim))))
+
+
+def _random_radii(rng, mu, kset):
+    """0-7 radii: uniform ones, sub-cell and charge distances, 0, inf, NaN."""
+    dist = np.concatenate([kset.dist(mu.mesh.refined_cells(2)[0]),
+                           kset.dist(mu.charge_positions())])
+    pool = rng.uniform(0.0, 1.5, size=4).tolist() + rng.choice(dist, size=3).tolist()
+    pool += [0.0, np.inf, np.nan]
+    return [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(8)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
+       count=st.integers(1, 6))
+def test_tv_on_neighborhoods_equals_each_measure_alone(seed, dim, count):
+    # measures of different cell counts and shapes, charge-free ones among
+    # them, against a point, a segment and (2D) a polygon
+    rng = np.random.default_rng(seed)
+    kset = regions.CompactSet(dim).add_point(rng.uniform(0, 1, dim))
+    kset.add_segment(rng.uniform(0, 1, dim), rng.uniform(0, 1, dim))
+    if dim == 2:
+        kset.add_polygon([[0.6, 0.1], [0.9, 0.2], [0.7, 0.5]])
+    measures = [_random_measure(rng, dim) for _ in range(count)]
+    rows = [_random_radii(rng, mu, kset) for mu in measures]
+    stacked = tv_on_neighborhoods(measures, kset, rows)
+    assert len(stacked) == count
+    for mu, row, values in zip(measures, rows, stacked):
+        alone = tv_on_neighborhood(mu, kset, row)
+        reference = _reference_tv_on_neighborhood(mu, kset, row)
+        assert np.array(values).tobytes() == np.array(alone).tobytes()
+        assert np.array(values).tobytes() == np.array(reference).tobytes()
+
+
+def test_tv_on_neighborhoods_sums_a_measure_past_the_ufunc_buffer():
+    # 2,100 cells give 8,400 sub-cells, more than numpy's 8,192-element
+    # ufunc buffer, stacked with a small measure and a charge-free one
+    rng = np.random.default_rng(12)
+    big = interval_mesh(0.0, 1.0, 1.0 / 2100)
+    steps = rng.integers(-3, 4, size=big.n_cells).astype(float)
+    measures = [
+        derivative(BVFunction.from_cellwise_constant(big, steps)
+                   + BVFunction.affine(big, [[0.3]])),
+        derivative(jump_member(4) + BVFunction.affine(jump_member(4).mesh, [[2.0]])),
+        derivative(BVFunction.affine(interval_mesh(0.0, 1.0, 0.1), [[1.5]])),
+    ]
+    assert len(big.refined_cells(2)[0]) > 8192
+    kset = regions.point([0.45])
+    rows = [[0.6, 0.5, 0.3, np.nan, 0.01], [0.2, 0.6], [0.6, 0.05, 0.0]]
+    stacked = tv_on_neighborhoods(measures, kset, rows)
+    for mu, row, values in zip(measures, rows, stacked):
+        reference = _reference_tv_on_neighborhood(mu, kset, row)
+        assert np.array(values).tobytes() == np.array(reference).tobytes()
+    assert stacked[0][0] == pytest.approx(total_variation(measures[0]))
+
+
+def test_tv_on_neighborhoods_of_no_measures_is_empty():
+    assert tv_on_neighborhoods([], regions.point([0.0]), []) == []
+    mu = derivative(jump_member(4))
+    with pytest.raises(ValueError, match="1 rows of radii for 2 measures"):
+        tv_on_neighborhoods([mu, mu], regions.point([0.0]), [[0.1]])
 
 
 def _loop_from_cellwise_constant_1d(mesh, values):

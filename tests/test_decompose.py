@@ -10,6 +10,7 @@ from bvlsc.decompose import (
     CoverSpec,
     DecompositionResult,
     PrefixTooShortError,
+    _support_points,
     local_decompose,
     verify_properties,
 )
@@ -206,6 +207,86 @@ def test_a_two_set_stage_builds_one_refined_mesh_per_pick(monkeypatch):
     # the picks skip candidates: 32 members are scanned for the 16 picks
     assert res.k_map[16] + 1 == 2 * len(res.n_values)
     assert len(built) == len(res.n_values) == 16
+
+
+def test_each_table_and_support_check_takes_one_distance_pass_per_set(monkeypatch):
+    import bvlsc.bv
+    import bvlsc.decompose
+
+    calls, tables = [], []
+
+    def counted(self, x, _inner=regions.CompactSet.dist):
+        calls.append(self)
+        return _inner(self, x)
+
+    def recorded(measures, kset, radii, *args, _inner=bvlsc.bv.tv_on_neighborhoods):
+        before = len(calls)
+        out = _inner(measures, kset, radii, *args)
+        tables.append((len(out), kset, calls[before:]))
+        return out
+
+    monkeypatch.setattr(regions.CompactSet, "dist", counted)
+    monkeypatch.setattr(bvlsc.bv, "tv_on_neighborhoods", recorded)
+    monkeypatch.setattr(bvlsc.decompose, "tv_on_neighborhoods", recorded)
+    members = jump_members(60)
+    with pytest.warns(UserWarning, match="cover gap"):
+        res = local_decompose(members, COVER, n_max=16)
+    # the S-table: 60 members, one distance pass
+    assert tables == [(60, COVER.sets[0], [COVER.sets[0]])]
+    del calls[:]
+    verify_properties(res)
+    # the support checks: one pass per set; the charge table of component 2
+    # (against K_1): one pass over its 16 measures
+    (count, kset, passes), = tables[1:]
+    assert count == 16 and passes == [kset]
+    assert calls == list(COVER.sets) + [kset]
+
+
+def _reference_support_flags(result):
+    """verify_properties' support flags with one distance call per (n,
+    component, set)."""
+    sets, flags = result.cover.sets, []
+    for n in result.n_values:
+        h = result.subsequence[n].mesh.h
+        for j, c in enumerate(result.components[n]):
+            pts = _support_points(c)
+            if not len(pts):
+                continue
+            d_own = sets[min(j, len(sets) - 1)].dist(pts)
+            if np.max(d_own) > 1.0 / n + 2 * h:
+                flags.append({"n": n, "component": j + 1, "check": "support_inclusion",
+                              "max_dist": float(np.max(d_own))})
+            for i in range(j):
+                d_prev = sets[i].dist(pts)
+                if np.min(d_prev) < 0.5 / n - 2 * h - 1e-12:
+                    flags.append({"n": n, "component": j + 1, "check": "support_exclusion",
+                                  "earlier_set": i, "min_dist": float(np.min(d_prev))})
+    return flags
+
+
+def test_stacked_support_checks_flag_as_one_pass_per_component():
+    # components on the wrong sets of a three-set cover, and empty ones:
+    # inclusion and exclusion flags, in (n, component, set) order
+    cover = CoverSpec([regions.point([0.0]), regions.box([0.4], [0.7]),
+                       regions.box([0.65], [1.0])])
+    subsequence, components = {}, {}
+    for n in (2, 4, 8, 16):
+        mesh = interval_mesh_with(0.0, 1.0, 1.0 / 256, [0.01, 0.5, 0.6], domain=OMEGA)
+        far = BVFunction.indicator_1d(mesh, 0.5, 0.6)
+        near = (1.0 / n) * BVFunction.indicator_1d(mesh, 0.0, 0.01)
+        zero = BVFunction.zero(mesh)
+        components[n] = [far, near, 0.5 * far] if n < 16 else [zero, near, zero]
+        subsequence[n] = components[n][0] + components[n][1] + components[n][2]
+    res = DecompositionResult(
+        cover=cover, members=[], n_values=[2, 4, 8, 16], k_map={2: 0, 4: 1, 8: 2, 16: 3},
+        subsequence=subsequence, components=components,
+        cutoffs={n: [] for n in components}, selection_bound_factor=0.5,
+        grad_slack=0.05, s_table=None)
+    flags = [f for f in verify_properties(res)["flags"]
+             if f["check"].startswith("support")]
+    assert flags == _reference_support_flags(res)
+    assert {(f["check"], f.get("earlier_set")) for f in flags} == {
+        ("support_inclusion", None), ("support_exclusion", 0), ("support_exclusion", 1)}
 
 
 def test_s_table_recorded(migrating_decomposition):

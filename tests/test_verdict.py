@@ -786,6 +786,29 @@ def test_qc_xi_samples_over_the_work_budget_are_one_errored_job(monkeypatch):
     assert verdict.overall == "inconclusive"
 
 
+def test_mu_table_over_the_work_budget_is_one_errored_job(monkeypatch):
+    # 5 t values x 2,000 samples x 40,000 entries: about 640 MB a draw, priced
+    # and refused before mu_estimate allocates anything
+    def no_draw(*args, **kwargs):
+        raise AssertionError("mu_estimate ran")
+
+    monkeypatch.setattr(bvlsc.verdict, "mu_estimate", no_draw)
+    scenario = _vector_norm_on_interval(40_000)
+    scenario.cfg["checks"] = {**scenario.cfg["checks"], "qc": False, "mu": True}
+    verdict = analyze(scenario)
+    assert "mu_table" not in verdict.extras
+    assert verdict.errors == [{"job": "mu", "error": "mu table needs 5 x 2000 samples x "
+                                                     "40000 entries, over the budget 5e+07"}]
+    assert verdict.overall == "inconclusive"
+
+
+def test_mu_table_within_the_work_budget_runs():
+    scenario = _vector_norm_on_interval(2)
+    scenario.cfg["checks"] = {**scenario.cfg["checks"], "qc": False, "mu": True}
+    verdict = analyze(scenario)
+    assert verdict.errors == [] and len(verdict.extras["mu_table"]) == 5
+
+
 def test_a_thousand_row_qc_family_fits_the_default_budget():
     verdict = analyze(_vector_norm_on_interval(1000))
     assert verdict.errors == [] and len(verdict.qc_reports) == 1001
