@@ -76,7 +76,8 @@ _ONLY = {"liminf": ("qslb", "sequences"), "decompose": ("decomposition",)}
 
 def _recession_report(config_path, out_dir, seed):
     from .integrands import mu_estimate, recession_estimate
-    from .verdict import Scenario
+    from .minimize import SolverBudgetError
+    from .verdict import Scenario, check_mu_work, write_new
 
     scenario = Scenario.load(config_path)
     if scenario is None:
@@ -85,6 +86,12 @@ def _recession_report(config_path, out_dir, seed):
         scenario.seed = seed
     f = scenario.integrand
     finf = scenario.recession
+    t_values = (0.0, 1.0, 10.0, 1e3, 1e6)
+    try:
+        check_mu_work(f, t_values)
+    except SolverBudgetError as e:
+        print(f"config error: {e}")
+        return 2
     rng = np.random.default_rng(scenario.seed)
     rows = []
     for _ in range(20):
@@ -98,12 +105,11 @@ def _recession_report(config_path, out_dir, seed):
             "analytic": finf.at(x, xi),
             "joint_stability": est.joint_stability,
         })
-    mu_rows = [mu_estimate(f, finf, t, seed=scenario.seed)
-               for t in (0.0, 1.0, 10.0, 1e3, 1e6)]
+    mu_rows = [mu_estimate(f, finf, t, seed=scenario.seed) for t in t_values]
     report = {"integrand": f.tag, "recession_samples": rows, "mu_table": mu_rows}
     out = Path(out_dir) if out_dir else Path.cwd() / f"out_{scenario.name}"
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "recession.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    write_new(out, ("recession.json",),
+              {"recession.json": json.dumps(report, sort_keys=True) + "\n"})
     print(f"{scenario.name}: recession report -> {out / 'recession.json'}")
     return 0
 

@@ -591,11 +591,36 @@ def interval_points(a, b, h_target, required_points=()):
     grid of step h_target on [a, b] and the required points within it,
     rounded to 14 decimals.  The budget covers the grid cells plus the
     required points and is checked before any array is built."""
-    required = np.asarray(required_points, dtype=float)
-    base = np.linspace(a, b, _interval_cells(a, b, h_target, required.size) + 1)
-    pts = np.concatenate([base, required.ravel()])
-    pts = pts[(pts >= a - 1e-14) & (pts <= b + 1e-14)]
-    return np.unique(np.round(pts, 14))
+    return interval_grids(a, b, h_target, [required_points])[0]
+
+
+def _within(pts, a, b):
+    return (pts >= a - 1e-14) & (pts <= b + 1e-14)
+
+
+def interval_grids(a, b, h_target, required):
+    """interval_points of each member's required points (the list
+    `required`), stacked: the members' vertex coordinates one after another
+    and the number of each member's vertices.  Every member's budget is
+    checked before any array is built.  The base grid is rounded once, and
+    one sort on (member, coordinate) merges it into every member; of equal
+    coordinates a member keeps the first, base points before its own."""
+    required = [np.asarray(r, dtype=float).ravel() for r in required]
+    for r in required:  # one base grid for all; only the extra points differ
+        cells = _interval_cells(a, b, h_target, r.size)
+    k = len(required)
+    base = np.linspace(a, b, cells + 1)
+    base = np.round(base[_within(base, a, b)], 14)
+    extra = np.concatenate(required)
+    inside = _within(extra, a, b)
+    pts = np.concatenate([np.tile(base, k), np.round(extra[inside], 14)])
+    member = np.concatenate([np.repeat(np.arange(k), len(base)),
+                             np.repeat(np.arange(k), [r.size for r in required])[inside]])
+    order = np.lexsort((pts, member))
+    pts, member = pts[order], member[order]
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = (pts[1:] != pts[:-1]) | (member[1:] != member[:-1])
+    return pts[first], np.bincount(member[first], minlength=k).tolist()
 
 
 def interval_mesh_with(a, b, h_target, required_points=(), domain=None):

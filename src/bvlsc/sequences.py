@@ -19,8 +19,9 @@ rescaled copies with unit W^{1,1} norm and checks that they push the energy
 below the value at zero.
 
 A table is evaluated as a whole.  Each kind is a rule for the grid of
-member n (interval_mesh_with's points in 1D, rectangle_mesh's lines for the
-2D oscillation) and for its values as arrays in x and n; a table stacks the
+member n (interval_mesh_with's points in 1D, every member's from one
+meshing.interval_grids call; rectangle_mesh's lines for the 2D
+oscillation) and for its values as arrays in x and n; a table stacks the
 members' vertices, cells, values and atoms, and one geometry pass over all
 their cells (meshing.simplex_geometry and meshing.cell_quadrature) gives the
 quadrature and the gradients for one functional.eval_stack, with no mesh or
@@ -39,7 +40,7 @@ import numpy as np
 from .bv import BVFunction
 from .functional import MeasureStack, _check_dims, batches, eval_F, eval_stack
 from .meshing import (QUADRATURE, BoundaryPoint, Domain, Mesh, _interval_cells, cell_quadrature,
-                      interval_mesh_with, interval_points, rectangle_grids, rectangle_lines,
+                      interval_grids, interval_mesh_with, rectangle_grids, rectangle_lines,
                       row_norms, simplex_geometry)
 
 __all__ = [
@@ -104,7 +105,7 @@ def generate(spec, n):
     generate(spec, n) hold the same vertices, cell values and atoms."""
     _check_index(spec, n)
     rule = _rule(spec)
-    table = _table(rule, [(n, *_grid(spec, rule, n))])
+    table = _table(spec, rule, _members(spec, rule, [n]))
     mesh = Mesh(table.vertices, table.cells, domain=spec.domain)
     return BVFunction(mesh, table.cell_values,
                       atoms=zip(table.atom_x.tolist(), table.jumps))
@@ -259,18 +260,19 @@ _RULES = {
 SEQUENCE_KINDS = tuple(_RULES)
 
 
-def _grid(spec, rule, n):
-    """The grid of member n and its cell count, checked against the cell
-    budget before any array is built: the vertex coordinates of
-    interval_mesh_with for a 1D kind, the x and y lines of rectangle_mesh
-    for the 2D oscillation."""
+def _members(spec, rule, ns):
+    """(n, grid input, cells) for each member n of ns, checked against the
+    cell budget before any grid is built: the required points of
+    interval_grids and a bound on the cells for a 1D kind, the x and y
+    lines of rectangle_mesh and its cell count for the 2D oscillation."""
     if isinstance(rule, _RectangleRule):
-        nx, ny = 2 * n, max(4, n)
         lo, hi = rule.lo, rule.hi
-        return rectangle_lines(lo[0], hi[0], lo[1], hi[1], nx, ny), 2 * nx * ny
+        return [(n, rectangle_lines(lo[0], hi[0], lo[1], hi[1], 2 * n, max(4, n)),
+                 4 * n * max(4, n)) for n in ns]
     a, b = _interval_bounds(spec.domain)
-    x = interval_points(a, b, rule.h, rule.required(n))
-    return x, len(x) - 1
+    required = [np.asarray(rule.required(n), dtype=float).ravel() for n in ns]
+    return [(n, r, _interval_cells(a, b, rule.h, r.size) + r.size)
+            for n, r in zip(ns, required)]
 
 
 class _Table(NamedTuple):
@@ -288,19 +290,20 @@ class _Table(NamedTuple):
     atom_starts: list
 
 
-def _table(rule, members):
-    """The _Table of the members (n, grid, cell count) of _grid."""
-    if isinstance(rule, _RectangleRule):
-        return _rectangle_table(rule, members)
-    return _interval_table(rule, members)
-
-
-def _interval_table(rule, members):
-    """The cells, values and atoms of each member are those of
-    interval_mesh_with and the BVFunction constructors on its own mesh."""
+def _table(spec, rule, members):
+    """The _Table of the members (n, grid input, cells) of _members, their
+    grids built at once."""
     ns = [n for n, _, _ in members]
-    sizes = [len(x) for _, x, _ in members]
-    x = np.concatenate([x for _, x, _ in members]) if len(members) > 1 else members[0][1]
+    if isinstance(rule, _RectangleRule):
+        return _rectangle_table(rule, ns, [lines for _, lines, _ in members])
+    a, b = _interval_bounds(spec.domain)
+    return _interval_table(rule, ns, *interval_grids(a, b, rule.h, [r for _, r, _ in members]))
+
+
+def _interval_table(rule, ns, x, sizes):
+    """The cells, values and atoms of each member, its sizes[i] vertices
+    among the stacked coordinates x, are those of interval_mesh_with and the
+    BVFunction constructors on its own mesh."""
     left = np.arange(len(x) - 1)
     # the index n per vertex and per cell (one member: n itself, which the
     # value rules treat as an array of it)
@@ -324,17 +327,16 @@ def _interval_table(rule, members):
                   np.searchsorted(at, cell_starts).tolist())
 
 
-def _rectangle_table(rule, members):
+def _rectangle_table(rule, ns, lines):
     """The vertices and cells of each member are those of rectangle_mesh on
     its lines, and its values those of BVFunction.from_vertex_values."""
-    ns = [n for n, _, _ in members]
-    lines = [grid for _, grid, _ in members]
     vertices, cells = rectangle_grids(lines)
     sizes = [len(xs) * len(ys) for xs, ys in lines]
     values = rule.vertex_values(vertices, np.repeat(ns, sizes) if len(ns) > 1 else ns[0])
-    cell_starts = list(itertools.accumulate([size for _, _, size in members[:-1]], initial=0))
+    quads = [2 * (len(xs) - 1) * (len(ys) - 1) for xs, ys in lines[:-1]]
     return _Table(vertices, cells, values[:, None].take(cells, axis=0), np.zeros(0),
-                  np.zeros((0, 1)), cell_starts, [0] * len(ns))
+                  np.zeros((0, 1)), list(itertools.accumulate(quads, initial=0)),
+                  [0] * len(ns))
 
 
 def _stacked_geometry(vertices, cells):
@@ -356,17 +358,18 @@ def _table_totals(f, finf, spec, n_values, limit=None):
 
     A table is evaluated without a mesh or function per member: one
     geometry pass over the cells of every member gives the quadrature and
-    the gradients, and eval_stack sums each member's cells and charges.  A
-    table over MAX_CELLS cells is evaluated in runs of members under it."""
+    the gradients, and eval_stack sums each member's cells and charges.
+    Every member is checked against the cell budget before any grid is
+    built; a table over MAX_CELLS cells is evaluated in runs of members
+    whose cell bounds sum under it, each run's grids built at once."""
     ns = list(n_values) + ([limit] if limit else [])
     for n in ns:
         _check_index(spec, n)
     rule = _rule(spec)
     _check_dims(f, 1, spec.domain.dim)
     totals = []
-    items = ((n, *_grid(spec, rule, n)) for n in ns)
-    for batch in batches(items, lambda item: item[2]):
-        table = _table(rule, batch)
+    for batch in batches(_members(spec, rule, ns), lambda member: member[2]):
+        table = _table(spec, rule, batch)
         cv, c0, a0 = table.cell_values, table.cell_starts[-1], table.atom_starts[-1]
         atom_x, jumps = table.atom_x, table.jumps
         if limit and len(totals) + len(batch) == len(ns):  # 0.0 * the last member

@@ -25,6 +25,7 @@ carries no wall-clock data (timings go to a separate file).
 
 import copy
 import csv
+import io
 import itertools
 import json
 import math
@@ -624,11 +625,7 @@ def analyze(scenario):
     if checks["mu"]:
         tgrid = [1.0, 10.0, 100.0, 1e4, 1e6]
         try:
-            # priced before any draw: each t draws MU_SAMPLES x M x N normals
-            if len(tgrid) * MU_SAMPLES * f.M * f.N > minimize.MAX_WORK:
-                raise SolverBudgetError(
-                    f"mu table needs {len(tgrid)} x {MU_SAMPLES} samples x "
-                    f"{f.M * f.N} entries, over the budget {minimize.MAX_WORK:.3g}")
+            check_mu_work(f, tgrid)
             extras["mu_table"] = [mu_estimate(f, finf, t, seed=scenario.seed)
                                   for t in tgrid]
         except Exception as e:  # collect and continue
@@ -751,47 +748,94 @@ def run_scenario(config_path, out_dir=None, seed=None, h=None, only=None):
         return 1, None
 
     out = Path(out_dir) if out_dir else Path.cwd() / f"out_{scenario.name}"
-    out.mkdir(parents=True, exist_ok=True)
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario.cfg,
         "verdict": verdict.to_json(),
     }
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
-    (out / "timings.txt").write_text(f"total_s={verdict.timing['total_s']:.3f}\n")
-    _write_tables(out, report["verdict"])
-    _write_witnesses(out, verdict)
+    write_new(out, OUTPUT_SET, {
+        "report.json": json.dumps(report, sort_keys=True) + "\n",
+        "timings.txt": f"total_s={verdict.timing['total_s']:.3f}\n",
+        **_tables(report["verdict"]),
+        **_witnesses(verdict),
+    })
     print(f"{scenario.name}: {verdict.overall} -> {out / 'report.json'}")
     return 0, verdict
 
 
-def _write_tables(out, verdict):
+def check_mu_work(f, tgrid):
+    """SolverBudgetError unless the mu table of f at the t values tgrid fits
+    MAX_WORK, priced before any draw: each t draws MU_SAMPLES x M x N
+    normals."""
+    if len(tgrid) * MU_SAMPLES * f.M * f.N > minimize.MAX_WORK:
+        raise SolverBudgetError(
+            f"mu table needs {len(tgrid)} x {MU_SAMPLES} samples x "
+            f"{f.M * f.N} entries, over the budget {minimize.MAX_WORK:.3g}")
+
+
+# tables/<name>.csv and its header
+TABLES = {
+    "qc_deficits": ("x0", "xi", "L", "deficit", "verdict"),
+    "qslb": ("x0", "nu", "deficit", "verdict"),
+    "liminf": ("n", "F"),
+    "refinement": ("x0", "h", "deficit"),
+}
+# every file run_scenario may write, as glob patterns under its output directory
+OUTPUT_SET = ("report.json", "timings.txt", *(f"tables/{name}.csv" for name in TABLES),
+              "witness_qc_*.json", "witness_qslb_*.json")
+
+
+def write_new(out, output_set, files):
+    """Write files ({path under the directory out: text}) into out, each to a
+    new file.  First every file under out that matches a glob pattern of
+    output_set is removed, so no output of an earlier run outlives this one
+    and no file is opened for truncation: truncating a file to rewrite it
+    makes ext4 (auto_da_alloc) write its data back on close, which can
+    stall the open for milliseconds on a busy disk.  Other files in out are
+    kept."""
+    out.mkdir(parents=True, exist_ok=True)
+    for pattern in output_set:
+        for path in out.glob(pattern):
+            path.unlink()
+    for name, text in files.items():
+        path = out / name
+        path.parent.mkdir(exist_ok=True)
+        with open(path, "x", newline="") as fh:
+            fh.write(text)
+
+
+def _tables(verdict):
     """tables/*.csv from report.json's verdict part, one row per qc cap, qslb
     report, liminf member and refinement entry; the liminf and refinement
     tables only where their check ran."""
     extras = verdict["extras"]
-    qc = [{**rep, "L": L, "deficit": v} for rep in verdict["qc"] for L, v in rep["per_cap"]]
     liminf = extras.get("liminf")
-    tables = out / "tables"
-    tables.mkdir(exist_ok=True)
-    for name, header, rows in (
-            ("qc_deficits", ("x0", "xi", "L", "deficit", "verdict"), qc),
-            ("qslb", ("x0", "nu", "deficit", "verdict"), verdict["qslb"]),
-            ("liminf", ("n", "F"),
-             liminf and [{"n": n, "F": v} for n, v in liminf["table"]]),
-            ("refinement", ("x0", "h", "deficit"), extras.get("refinement"))):
-        if rows is not None:
-            with open(tables / f"{name}.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                w.writerows([row[k] for k in header] for row in rows)
+    rows = {
+        "qc_deficits": [{**rep, "L": L, "deficit": v}
+                        for rep in verdict["qc"] for L, v in rep["per_cap"]],
+        "qslb": verdict["qslb"],
+        "liminf": liminf and [{"n": n, "F": v} for n, v in liminf["table"]],
+        "refinement": extras.get("refinement"),
+    }
+    out = {}
+    for name, header in TABLES.items():
+        if rows[name] is not None:
+            text = io.StringIO()
+            w = csv.writer(text)
+            w.writerow(header)
+            w.writerows([row[k] for k in header] for row in rows[name])
+            out[f"tables/{name}.csv"] = text.getvalue()
+    return out
 
 
-def _write_witnesses(out, verdict):
+def _witnesses(verdict):
+    """witness_<check>_<i>.json for each qc and qslb report with a witness."""
+    out = {}
     qslb = [(rep.x0, rep) for rep in verdict.qslb_reports]
     for check, reports in (("qc", verdict.qc_reports), ("qslb", qslb)):
         found = [(x0, rep.witness) for x0, rep in reports if rep.witness is not None]
         for idx, (x0, witness) in enumerate(found):
             # to_json gives JSON builtins under str keys only
             data = {**witness.to_json(), "check": check, "x0": np.asarray(x0).tolist()}
-            (out / f"witness_{check}_{idx}.json").write_text(json.dumps(data, sort_keys=True))
+            out[f"witness_{check}_{idx}.json"] = json.dumps(data, sort_keys=True)
+    return out

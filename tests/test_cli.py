@@ -56,6 +56,24 @@ def test_recession_subcommand(tmp_path):
     assert mus[-1] < 1e-3
 
 
+def test_recession_prices_its_mu_table_before_any_draw(tmp_path, capsys, monkeypatch):
+    # 5 t values x 2000 samples x 40,000 entries: about 640 MB of normals per t
+    import bvlsc.integrands
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("mu_estimate called for a table over the budget")
+
+    monkeypatch.setattr(bvlsc.integrands, "mu_estimate", no_draw)
+    cfg = json.loads(resolve_config("example_1_2").read_text())
+    cfg["integrand"] = {"tag": "norm", "params": {"M": 40_000, "N": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["recession", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == ("config error: mu table needs 5 x 2000 samples x "
+                                       "40000 entries, over the budget 5e+07\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "liminf", "decompose", "recession"])
 def test_negative_seed_override_is_a_config_error(command, tmp_path, capsys):
     assert main([command, "example_1_2", "--seed", "-1",

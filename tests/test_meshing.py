@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvlsc.bv import BVFunction
 from bvlsc.meshing import (
@@ -12,8 +14,10 @@ from bvlsc.meshing import (
     MeshStack,
     build_mesh,
     halfball_mesh,
+    interval_grids,
     interval_mesh,
     interval_mesh_with,
+    interval_points,
     local_patch,
     rectangle_mesh,
     row_norms,
@@ -249,6 +253,57 @@ def test_interval_mesh_with_counts_its_required_points_against_the_budget(monkey
     assert interval_mesh_with(0.0, 1.0, 0.125, [0.3, 0.6]).n_cells == 10
     with pytest.raises(MeshBudgetError, match="3 more points implies about 11 cells"):
         interval_mesh_with(0.0, 1.0, 0.125, [0.1, 0.3, 0.6])
+
+
+def _required_points(a, b, h):
+    """Lists of required points on [a, b]: on base points, exactly 0.0 and
+    -0.0, within or just beyond 1e-14 outside [a, b], or anywhere, each
+    list possibly duplicated or empty."""
+    base = np.linspace(a, b, meshing._interval_cells(a, b, h) + 1).tolist()
+    edges = [a - d for d in (0.0, 5e-15, 1e-14, 2e-14)] + [b + d for d in (0.0, 5e-15, 1e-14, 2e-14)]
+    point = st.one_of(st.sampled_from(base), st.sampled_from([0.0, -0.0]),
+                      st.sampled_from(edges), st.floats(a - 0.1, b + 0.1))
+    return st.tuples(st.lists(point, max_size=6), st.booleans()).map(
+        lambda pair: pair[0] * 2 if pair[1] else pair[0])
+
+
+@st.composite
+def _grid_cases(draw):
+    a = draw(st.sampled_from([-1.0, -0.0, 0.0, 0.25]))
+    b = a + draw(st.sampled_from([0.5, 1.0, 2.0]))
+    h = draw(st.sampled_from([0.1, 1.0 / 16, 0.3, 5.0]))
+    return a, b, h, draw(st.lists(_required_points(a, b, h), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_cases())
+def test_stacked_grids_equal_one_interval_points_per_member(case):
+    a, b, h, required = case
+    x, sizes = interval_grids(a, b, h, required)
+    assert len(sizes) == len(required) and sum(sizes) == len(x)
+    for r, member in zip(required, np.split(x, np.cumsum(sizes)[:-1])):
+        alone = interval_points(a, b, h, r)
+        assert member.tobytes() == alone.tobytes()
+        # the one np.unique per member they replace, by value: of 0.0 and
+        # -0.0 its unstable sort may keep either
+        pts = np.concatenate([np.linspace(a, b, meshing._interval_cells(a, b, h, len(r)) + 1), r])
+        old = np.unique(np.round(pts[(pts >= a - 1e-14) & (pts <= b + 1e-14)], 14))
+        assert np.array_equal(alone, old)
+        assert np.all(np.diff(alone) > 0)
+
+
+def test_stacked_grids_check_every_budget_before_building_any_array(monkeypatch):
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(meshing, "MAX_CELLS", 10)
+    monkeypatch.setattr(meshing.np, "linspace", no_array)
+    monkeypatch.setattr(meshing.np, "lexsort", no_array)
+    # one base cell; the third member is the first over the budget
+    with pytest.raises(MeshBudgetError) as exc:
+        interval_grids(0.0, 1.0, 1.0, [[0.5] * 2, [0.5] * 9, [0.5] * 12, [0.5] * 15])
+    assert str(exc.value) == ("h=1.0 on [0.0, 1.0] with 12 more points implies about "
+                              "13 cells, over the budget 10")
 
 
 @pytest.mark.parametrize("build", [

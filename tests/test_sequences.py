@@ -322,7 +322,7 @@ def test_generate_wraps_member_n_of_the_stacked_table_byte_for_byte(spec):
 
     rule = sequences._rule(spec)
     ns = list(range(1, spec.n_max + 1))
-    table = sequences._table(rule, [(n, *sequences._grid(spec, rule, n)) for n in ns])
+    table = sequences._table(spec, rule, sequences._members(spec, rule, ns))
     vertex_starts = [int(table.cells[c, 0]) for c in table.cell_starts] + [len(table.vertices)]
     cell_ends = table.cell_starts[1:] + [len(table.cells)]
     atom_ends = table.atom_starts[1:] + [len(table.atom_x)]
@@ -342,6 +342,55 @@ def test_generate_wraps_member_n_of_the_stacked_table_byte_for_byte(spec):
         atoms = slice(table.atom_starts[i], atom_ends[i])
         assert _atom_bytes(u.atoms) == _atom_bytes(zip(table.atom_x[atoms].tolist(),
                                                        table.jumps[atoms]))
+
+
+def _old_interval_points(a, b, h, required):
+    """interval_points as one np.unique per member."""
+    from bvlsc.meshing import _interval_cells
+
+    required = np.asarray(required, dtype=float)
+    pts = np.concatenate([np.linspace(a, b, _interval_cells(a, b, h, required.size) + 1),
+                          required.ravel()])
+    return np.unique(np.round(pts[(pts >= a - 1e-14) & (pts <= b + 1e-14)], 14))
+
+
+@pytest.mark.parametrize("spec", [s for s in TABLE_SPECS if s.domain.dim == 1],
+                         ids=[i for s, i in zip(TABLE_SPECS, TABLE_IDS) if s.domain.dim == 1])
+def test_stacked_grids_equal_interval_points_of_each_member_byte_for_byte(spec):
+    from bvlsc import sequences
+    from bvlsc.meshing import interval_grids, interval_points
+
+    rule = sequences._rule(spec)
+    a, b = spec.domain.params["a"], spec.domain.params["b"]
+    ns = list(range(1, spec.n_max + 1))
+    x, sizes = interval_grids(a, b, rule.h, [rule.required(n) for n in ns])
+    assert len(sizes) == len(ns) and sum(sizes) == len(x)
+    for n, member in zip(ns, np.split(x, np.cumsum(sizes)[:-1])):
+        assert member.tobytes() == interval_points(a, b, rule.h, rule.required(n)).tobytes()
+        assert member.tobytes() == _old_interval_points(a, b, rule.h, rule.required(n)).tobytes()
+
+
+def test_an_over_budget_member_fails_the_table_before_any_grid_is_built(monkeypatch):
+    # on [-1, 1] at h = 2 member n has one base cell and 2n + 1 required
+    # points: n = 5 is the first over a budget of 10 cells
+    import bvlsc.meshing
+    from bvlsc import sequences
+
+    spec = TABLE_SPECS[4]
+    f = catalog_get("norm", {"M": 1, "N": 1})
+    monkeypatch.setattr(bvlsc.meshing, "MAX_CELLS", 10)
+    with pytest.raises(bvlsc.meshing.MeshBudgetError) as want:
+        bvlsc.meshing.interval_points(-1.0, 1.0, 2.0, sequences._rule(spec).required(5))
+    assert str(want.value) == ("h=2.0 on [-1.0, 1.0] with 11 more points implies about "
+                               "12 cells, over the budget 10")
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(sequences, "interval_grids", no_grid)
+    with pytest.raises(bvlsc.meshing.MeshBudgetError) as got:
+        empirical_liminf(f, f.recession, spec)
+    assert str(got.value) == str(want.value)
 
 
 class _Counted:
@@ -376,12 +425,23 @@ def test_a_table_over_the_cell_budget_is_evaluated_in_runs_to_the_same_bits(
         spec, budget, monkeypatch):
     import bvlsc.meshing
 
+    from bvlsc import sequences
+
     f = catalog_get("norm_sin", {"M": 1, "N": spec.domain.dim})
     want = empirical_liminf(f, f.recession, spec)
-    counted = _Counted(f)
+    counted, runs, grids = _Counted(f), [], sequences.interval_grids
+
+    def counted_grids(*args):  # a 1D run's grids, built at once
+        x, sizes = grids(*args)
+        runs.append(len(x) - len(sizes))
+        return x, sizes
+
+    monkeypatch.setattr(sequences, "interval_grids", counted_grids)
     monkeypatch.setattr(bvlsc.meshing, "MAX_CELLS", budget)
     assert repr(empirical_liminf(counted, f.recession, spec)) == repr(want)
     assert counted.calls > 1
+    assert len(runs) == (counted.calls if spec.domain.dim == 1 else 0)
+    assert max(runs, default=0) <= budget
 
 
 # -- the necessity certificate ----------------------------------------------------

@@ -82,6 +82,64 @@ def test_example_scenario_end_to_end(tmp_path):
     assert (tmp_path / "out" / "timings.txt").exists()
 
 
+def _accounted_files(report, verdict):
+    """The files a run writes for its report: report.json, timings.txt, the
+    tables its verdict part holds and a witness file per witness."""
+    v = report["verdict"]
+    files = {"report.json", "timings.txt", "tables/qc_deficits.csv", "tables/qslb.csv"}
+    files |= {f"tables/{name}.csv" for name in ("liminf", "refinement") if name in v["extras"]}
+    for check, reps in (("qc", [r for _, r in verdict.qc_reports]),
+                        ("qslb", verdict.qslb_reports)):
+        files |= {f"witness_{check}_{i}.json"
+                  for i in range(sum(r.witness is not None for r in reps))}
+    return files
+
+
+def test_a_rerun_replaces_the_whole_output_set_and_keeps_other_files(tmp_path):
+    out = tmp_path / "out"
+    config = resolve_config("negnorm_square")
+    code, _ = run_scenario(config, out_dir=out)
+    assert code == 0
+    assert (out / "witness_qc_0.json").exists() and (out / "tables" / "liminf.csv").exists()
+    (out / "notes.txt").write_text("kept\n")
+    code, verdict = run_scenario(config, out_dir=out, only=["qslb"])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdict"]["qc"] == [] and "liminf" not in report["verdict"]["extras"]
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert written == _accounted_files(report, verdict) | {"notes.txt"}
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def _new_files_only(monkeypatch):
+    """Make bvlsc.verdict's open record each path and check that it does not
+    exist yet; returns the list of opened paths."""
+    opened = []
+
+    def fresh_open(path, *args, **kwargs):
+        assert not Path(path).exists(), path
+        opened.append(Path(path).name)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(bvlsc.verdict, "open", fresh_open, raising=False)
+    return opened
+
+
+def test_a_rerun_opens_no_existing_output(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    config = resolve_config("example_1_2")
+    assert run_scenario(config, out_dir=out)[0] == 0
+    first = (out / "report.json").read_bytes()
+    opened = _new_files_only(monkeypatch)
+    assert run_scenario(config, out_dir=out)[0] == 0
+    assert {"report.json", "timings.txt", "liminf.csv", "witness_qslb_0.json"} <= set(opened)
+    assert (out / "report.json").read_bytes() == first
+    opened.clear()
+    assert main(["recession", "example_1_2", "--out-dir", str(out)]) == 0
+    assert main(["recession", "example_1_2", "--out-dir", str(out)]) == 0
+    assert opened == ["recession.json", "recession.json"]
+
+
 def test_seed_override_changes_config_echo(tmp_path):
     code, _ = run_scenario(resolve_config("example_1_2"),
                            out_dir=tmp_path / "out", seed=7)
