@@ -205,7 +205,7 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
         # 8 M boundary-layer ramps (four widths, two signs), the strip ramp
         # and the caller's extra_inits
         opts = replace(opts, restarts=max(opts.restarts, 2 * finf.M * mesh.dim + len(extra)),
-                       mode="normalize", grad_cap=0.0, tv_cap=0.0, extra_inits=extra)
+                       grad_cap=0.0, tv_cap=0.0, extra_inits=extra)
         family.append((j, mesh, freeze_x(finf, x0.x0), clamped, opts))
     if not family:
         return out
@@ -346,8 +346,7 @@ def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
                     if tv_prev > 1e-12:
                         # rescale the carried witness up to the new cap
                         inits = (prev * (R / tv_prev), prev)
-                opts = replace(base, mode="plain", grad_cap=0.0, tv_cap=R,
-                               extra_inits=inits)
+                opts = replace(base, grad_cap=0.0, tv_cap=R, extra_inits=inits)
                 res = minimize_field(
                     objective, patch.mesh, patch.clamped_vertices, opts
                 )
@@ -373,7 +372,7 @@ def _patch_sign_test(g, center, domain_mesh, eps, tol, base):
         [(1.0, BulkObjective(patch.mesh, g)),
          (float(eps), TVObjective(patch.mesh, g.M))]
     )
-    opts = replace(base, mode="plain", grad_cap=0.0, tv_cap=1.0, extra_inits=())
+    opts = replace(base, grad_cap=0.0, tv_cap=1.0, extra_inits=())
     res = minimize_field(objective, patch.mesh, patch.clamped_vertices, opts)
     return res.value, ("violated" if res.value < -tol else "qslb-plausible")
 

@@ -321,15 +321,6 @@ class MatrixMeasure:
         ij = np.array(descs, dtype=np.int64).reshape(-1, 2)
         return 0.5 * (v[ij[:, 0]] + v[ij[:, 1]])
 
-    def scaled(self, alpha):
-        alpha = float(alpha)
-        if alpha == 0.0:
-            return MatrixMeasure(self.mesh, np.zeros_like(self.density))
-        charges = [
-            (d, np.sign(alpha) * p, abs(alpha) * m) for d, p, m in self.charges
-        ]
-        return MatrixMeasure(self.mesh, alpha * self.density, charges)
-
     def __sub__(self, other):
         if self.mesh is not other.mesh and not np.array_equal(
             self.mesh.vertices, other.mesh.vertices

@@ -39,7 +39,7 @@ __all__ = [
 
 
 class FunctionalValue:
-    """Value of the functional with its bulk/singular split and per-entity tables."""
+    """Value of the functional, its bulk/singular split and per-cell and per-charge values."""
 
     def __init__(self, bulk, singular, per_cell, per_charge):
         self.bulk = float(bulk)
@@ -47,16 +47,6 @@ class FunctionalValue:
         self.total = self.bulk + self.singular
         self.per_cell = per_cell
         self.per_charge = per_charge
-
-    def to_json(self):
-        return {
-            "total": self.total,
-            "bulk": self.bulk,
-            "singular": self.singular,
-            "per_charge": [
-                {"where": w, "value": v} for w, v in self.per_charge
-            ],
-        }
 
     def __repr__(self):
         return (
@@ -145,11 +135,9 @@ def eval_F(f, finf, u):
 
 def eval_G(f, finf, mu):
     """Evaluate the measure functional at a MatrixMeasure: the one-member
-    eval_stack, with the charges listed by where they sit."""
-    per_cell, values, (bulk,), (singular,) = eval_stack(f, finf, MeasureStack.of([mu]))
-    where = ([float(d) for d, _, _ in mu.charges] if mu.mesh.dim == 1
-             else [[int(i) for i in d] for d, _, _ in mu.charges])
-    return FunctionalValue(bulk, singular, per_cell, list(zip(where, values)))
+    eval_stack."""
+    per_cell, per_charge, (bulk,), (singular,) = eval_stack(f, finf, MeasureStack.of([mu]))
+    return FunctionalValue(bulk, singular, per_cell, per_charge)
 
 
 def _signed_total(f, finf, terms):
@@ -161,7 +149,7 @@ def _signed_total(f, finf, terms):
             continue
         val = eval_F(f, finf, w)
         cellwise = cellwise + sgn * val.per_cell
-        charge_sum += sgn * sum(v for _, v in val.per_charge)
+        charge_sum += sgn * sum(val.per_charge)
     return float(np.sum(cellwise) + charge_sum)
 
 

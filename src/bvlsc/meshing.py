@@ -427,8 +427,8 @@ class Mesh:
         return out.reshape(batch + (self.n_cells, M, self.dim))
 
     def _p1_assemble(self, per_cell, shapes=None):
-        """p1_assemble; `shapes` (R', nc, dim+1, dim), R a multiple of R',
-        gives batch entry r the shape gradients shapes[r % R']."""
+        """p1_assemble; `shapes` (R, nc, dim+1, dim) gives each entry of a
+        batch the shape gradients of its own mesh with these cells."""
         batch, M = per_cell.shape[:-3], per_cell.shape[-2]
         cells, grads = self._copies_for(batch, shapes)
         contrib = np.einsum("cmn,cin->cim", per_cell.reshape(-1, M, self.dim), grads)
@@ -445,7 +445,7 @@ class Mesh:
         """Cells and shape gradients for one field (batch == ()) or for R
         fields (batch == (R,)) on R disjoint copies of the mesh, copy r with
         its vertex ids offset by r * n_vertices and the shape gradients of
-        this mesh or, given `shapes`, of shapes[r % len(shapes)].  The tiling
+        this mesh or, given `shapes` (R, nc, dim+1, dim), shapes[r].  The tiling
         is built for the largest R asked so far; a smaller R takes its
         leading slice."""
         if not batch:
@@ -461,10 +461,7 @@ class Mesh:
         n = R * self.n_cells
         if shapes is None:
             return self._copies[1][:n], self._copies[2][:n]
-        grads = shapes.reshape(-1, self.dim + 1, self.dim)
-        if len(grads) < n:
-            grads = np.tile(grads, (n // len(grads), 1, 1))
-        return self._copies[1][:n], grads
+        return self._copies[1][:n], shapes.reshape(-1, self.dim + 1, self.dim)
 
     def gradient_masses(self, grads):
         """Per-cell |g|_F * |cell| of cellwise gradients (nc, M, dim)."""
@@ -825,13 +822,11 @@ class Patch:
     domain boundary.
     """
 
-    def __init__(self, mesh, clamped_vertices, free_vertices, center, delta, level):
+    def __init__(self, mesh, clamped_vertices, free_vertices, delta):
         self.mesh = mesh
         self.clamped_vertices = np.asarray(clamped_vertices, dtype=np.int64)
         self.free_vertices = np.asarray(free_vertices, dtype=np.int64)
-        self.center = center
         self.delta = delta
-        self.level = level
 
     def __repr__(self):
         return (
@@ -848,21 +843,20 @@ def _refine_all(vertices, cells, dim):
         m = len(vertices) + np.arange(len(cells))
         verts = np.concatenate([vertices, 0.5 * (vertices[a] + vertices[b])])
         return verts, np.stack([a, m, m, b], axis=1).reshape(-1, 2)
-    mid = {}
-    verts = list(vertices)
-
-    def midpoint(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in mid:
-            mid[key] = len(verts)
-            verts.append(0.5 * (vertices[a] + vertices[b]))
-        return mid[key]
-
-    new_cells = []
-    for a, b, c in cells:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_cells.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
-    return np.array(verts), np.array(new_cells)
+    # the edges ab, bc, ca of each cell, keyed as Mesh.facets keys them; each
+    # edge's midpoint vertex is numbered in the order the cells first meet it
+    ends = cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    rows = np.sort(ends, axis=1)
+    _, first, edge = np.unique(rows[:, 0] * len(vertices) + rows[:, 1],
+                               return_index=True, return_inverse=True)
+    met = np.argsort(first)
+    rank = np.empty_like(met)
+    rank[met] = np.arange(len(met))
+    e = ends[first[met]]
+    verts = np.concatenate([vertices, 0.5 * (vertices[e[:, 0]] + vertices[e[:, 1]])])
+    (a, b, c), (ab, bc, ca) = cells.T, (len(vertices) + rank[edge]).reshape(-1, 3).T
+    return verts, np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                           axis=1).reshape(-1, 3)
 
 
 def _sub_measures(verts, cells, dim):
@@ -892,7 +886,7 @@ def local_patch(mesh, x0, delta, refine_levels=1):
 
     verts = np.asarray(mesh.vertices)
     cells = np.asarray(mesh.cells)
-    for level in range(refine_levels):
+    for _ in range(refine_levels):
         # keep every candidate touching the ball, then refine; the final
         # centroid rule below sees the refined interface
         d = np.linalg.norm(verts - center, axis=1)
@@ -919,7 +913,7 @@ def local_patch(mesh, x0, delta, refine_levels=1):
     free = np.zeros(len(bverts), dtype=bool)
     if mesh.domain is not None:
         free = mesh.domain.boundary_distance(sub.vertices[bverts]) <= 1e-9 * max(mesh.h, 1.0)
-    return Patch(sub, bverts[~free], bverts[free], center, delta, refine_levels)
+    return Patch(sub, bverts[~free], bverts[free], delta)
 
 
 def _any_cell_straddles(verts, cells, center, delta):

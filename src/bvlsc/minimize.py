@@ -43,7 +43,7 @@ unchanged.  minimize_field is the one-problem case.
 Objectives evaluate from cell gradients (see the objectives section below),
 and each restart keeps the smoothed gradient of its iterate.  An iteration
 steps along it and takes the P1 gradient of the stepped field, which serves
-the projection and the denominator; a rescaling (a cap, or normalize mode's
+the projection and the denominator; a rescaling (a cap, or a quotient's
 unit denominator) scales the cell gradients with the field.  One from_cells
 call on those cell gradients then gives both the exact value, for
 acceptance, and the derivative of the smoothed value with respect to the
@@ -56,10 +56,11 @@ smoothing stage evaluates its live restarts once more at its own smoothing.
 
 Constraint handling is by feasible rescaling: an L-infinity cap on cell
 gradients or a cap on the gradient total variation shrinks the whole field
-back onto the feasible set.  In `normalize` mode the objective must be a
-0-homogeneous RayleighQuotient; iterates are renormalized to unit
-denominator, and the witness is returned with denominator exactly 1.  A
-start whose denominator is below DEN_FLOOR is skipped.
+back onto the feasible set.  An objective with a denominator (a
+0-homogeneous RayleighQuotient) is solved normalized: its starts have no
+zero field, iterates are renormalized to unit denominator, and the witness
+is returned with denominator exactly 1.  A start whose denominator is below
+DEN_FLOOR is skipped.
 
 A solve whose cells x restarts x iterations exceed MAX_WORK raises (or, in
 a family, ends with) SolverBudgetError before its first iteration.
@@ -180,7 +181,6 @@ class SolveResult:
     stationarity_residual: float
     best_restart: int
     low_confidence: bool
-    seed: int
     # per restart: its best value (inf for an unusable start) and why it
     # stopped: "patience", "iteration_cap", "zero_gradient", "unusable_start"
     # or "certified" (its problem reached its floor)
@@ -195,7 +195,6 @@ class SolverOptions:
     seed: int = 0
     step0: float = 0.0  # 0 means auto
     smoothing: tuple = (1e-1, 1e-2, 1e-3)
-    mode: str = "plain"  # or "normalize"
     grad_cap: float = 0.0  # 0 means none
     tv_cap: float = 0.0  # 0 means none
     patience: int = 60
@@ -427,9 +426,6 @@ class RayleighQuotient(_Objective):
         self.mesh = num.mesh
         self.copies = max(num.copies, den.copies)
 
-    def denominator(self, values, on=None):
-        return self.den.value(values, 0.0, on)
-
     def _quotient(self, n, d):
         return np.where(d < DEN_FLOOR, np.inf, n / np.maximum(d, DEN_FLOOR))
 
@@ -463,9 +459,12 @@ def tent_field(mesh, field_dir, space_dir, clamped):
     return values
 
 
-def default_inits(mesh, M, clamped, options, rng):
+def default_inits(mesh, M, clamped, options, rng, normalize):
+    """The zero field (unless normalized), the 2 M dim tents, every extra_init
+    and random fields: `restarts` starts, or the extra_inits and one more.
+    Tents beyond the count give way to the extra_inits."""
     inits = []
-    if options.mode != "normalize":
+    if not normalize:
         inits.append(np.zeros((mesh.n_vertices, M)))
     for i in range(M):
         for j in range(mesh.dim):
@@ -475,6 +474,7 @@ def default_inits(mesh, M, clamped, options, rng):
                 b = np.zeros(mesh.dim)
                 b[j] = 1.0
                 inits.append(tent_field(mesh, a, b, clamped))
+    del inits[max(options.restarts - len(options.extra_inits), 1):]
     for extra in options.extra_inits:
         v = np.asarray(extra, dtype=float)
         if v.ndim == 1:
@@ -489,7 +489,7 @@ def default_inits(mesh, M, clamped, options, rng):
         if tv > 1e-12:
             v /= tv
         inits.append(v)
-    return inits[: max(options.restarts, len(options.extra_inits) + 1)]
+    return inits
 
 
 # -- solver -------------------------------------------------------------------
@@ -620,13 +620,14 @@ def _solve(objective, problems, on, floors):
     if len(on) != len(problems) or not np.all((on >= 0) & (on < objective.copies)):
         raise ValueError(f"copies {on.tolist()} for {len(problems)} problems on "
                          f"{objective.copies} copies")
+    normalize = getattr(objective, "den", None) is not None
     starts, owner = [], []
     for p, (mesh, clamped, opts) in enumerate(problems):
         out[p] = work_error(mesh.n_cells, opts)
         if out[p] is not None:
             continue
         inits = default_inits(mesh, objective.M, np.asarray(clamped, dtype=np.int64),
-                              opts, np.random.default_rng(opts.seed))
+                              opts, np.random.default_rng(opts.seed), normalize)
         starts += inits
         owner += [p] * len(inits)
     if not starts:
@@ -638,7 +639,6 @@ def _solve(objective, problems, on, floors):
     for p, (_, clamped, _) in enumerate(problems):
         clamp[p, np.asarray(clamped, dtype=np.int64)] = True
     n = len(owner)
-    normalize = options.mode == "normalize"
     size = max(1, BATCH_CELLS // family.n_cells)
     stages = list(options.smoothing) or [0.0]
     iters_per_stage = max(1, options.max_iter // len(stages))
@@ -840,7 +840,7 @@ def _solve(objective, problems, on, floors):
     hit_cap = k_global - since >= max(cap - 1, 1)
 
     delta_min = min(options.smoothing) if options.smoothing else 0.0
-    for p, (mesh, clamped, opts) in enumerate(problems):
+    for p, (mesh, clamped, _) in enumerate(problems):
         if out[p] is not None:
             continue
         mine = np.flatnonzero(owner == p)
@@ -849,7 +849,7 @@ def _solve(objective, problems, on, floors):
         best_val = best[mine[best_restart]]
         best_values = best_fields[mine[best_restart]].copy()
         if normalize:
-            d = objective.denominator(best_values, **kw)
+            d = objective.den.value(best_values, 0.0, **kw)
             if d > DEN_FLOOR:
                 best_values = best_values / d
             best_val = objective.value(best_values, 0.0, **kw)
@@ -866,7 +866,6 @@ def _solve(objective, problems, on, floors):
             best_restart=best_restart,
             low_confidence=bool(hit_cap[mine[best_restart]]
                                 and residual > STATIONARITY_TOL),
-            seed=opts.seed,
             restart_values=tuple(best[mine].tolist()),
             stop_reasons=tuple(reasons[mine].tolist()),
         )

@@ -207,7 +207,7 @@ def _mesh_deficits(jobs, mesh, L_grid):
         live = [j for j in range(len(jobs)) if out[j] is None]
         if not live:
             break
-        problems = [(mesh, clamped, replace(bases[j], mode="plain", grad_cap=float(L),
+        problems = [(mesh, clamped, replace(bases[j], grad_cap=float(L),
                                             tv_cap=0.0, extra_inits=carry[j]))
                     for j in live]
         # Jensen: for g convex in xi and free of x, the clamped field's mean

@@ -194,8 +194,7 @@ def _fixed_trace_oscillation(spec):
 class _RectangleRule(NamedTuple):
     """The 2D kind: member n lies on rectangle_mesh's grid of 2n x max(4, n)
     quads of the rectangle lo..hi, with the vertex values
-    vertex_values(xy, n) at the vertices xy (V, 2), n an array of length V
-    or one number."""
+    vertex_values(xy, n) at the vertices xy (V, 2), n an array of length V."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -304,13 +303,10 @@ def _interval_table(rule, ns, x, sizes):
     """The cells, values and atoms of each member, its sizes[i] vertices
     among the stacked coordinates x, are those of interval_mesh_with and the
     BVFunction constructors on its own mesh."""
-    left = np.arange(len(x) - 1)
-    # the index n per vertex and per cell (one member: n itself, which the
-    # value rules treat as an array of it)
-    n_vertex = n_cell = ns[0]
-    if len(sizes) > 1:  # no cell from a member's last vertex to the next one's first
-        left = np.delete(left, np.cumsum(sizes[:-1]) - 1)
-        n_vertex, n_cell = np.repeat(ns, sizes), np.repeat(ns, np.subtract(sizes, 1))
+    # no cell from a member's last vertex to the next one's first
+    left = np.delete(np.arange(len(x) - 1), np.cumsum(sizes[:-1], dtype=np.int64) - 1)
+    # the index n per vertex and per cell
+    n_vertex, n_cell = np.repeat(ns, sizes), np.repeat(ns, np.subtract(sizes, 1))
     cells = left[:, None] + np.arange(2)
     cell_starts = list(itertools.accumulate([s - 1 for s in sizes[:-1]], initial=0))
     if rule.vertex_values is not None:
@@ -332,7 +328,7 @@ def _rectangle_table(rule, ns, lines):
     its lines, and its values those of BVFunction.from_vertex_values."""
     vertices, cells = rectangle_grids(lines)
     sizes = [len(xs) * len(ys) for xs, ys in lines]
-    values = rule.vertex_values(vertices, np.repeat(ns, sizes) if len(ns) > 1 else ns[0])
+    values = rule.vertex_values(vertices, np.repeat(ns, sizes))
     quads = [2 * (len(xs) - 1) * (len(ys) - 1) for xs, ys in lines[:-1]]
     return _Table(vertices, cells, values[:, None].take(cells, axis=0), np.zeros(0),
                   np.zeros((0, 1)), list(itertools.accumulate(quads, initial=0)),

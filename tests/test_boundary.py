@@ -209,6 +209,17 @@ def test_equivalence_interior_negnorm_all_violated():
     assert all(v["verdict"] == "violated" for v in rep["forms"].values())
 
 
+def test_equivalence_at_a_flat_point_of_a_halfball_mesh():
+    # the patch's free vertices are those the half-ball's boundary_distance
+    # puts on its flat facet
+    hb = halfball_mesh([1.0, 0.0], 0.2)
+    bp = BoundaryPoint([0.0, 0.2], [1.0, 0.0])
+    f = catalog_get("linear", {"matrix": [[1.0, 0.0]]})
+    rep = equivalence_harness(f, f.recession, bp, hb, options=FAST)
+    assert rep["agreement"]
+    assert {v["verdict"] for v in rep["forms"].values()} == {"violated"}
+
+
 def test_equivalence_boundary_linear_all_violated():
     mesh = build_mesh(Domain.interval(0.0, 1.0), 1.0 / 16)
     bp = BoundaryPoint([0.0], [-1.0])

@@ -53,6 +53,32 @@ def test_derivative_of_affine_function():
     assert len(mu.charges) == 0
 
 
+def test_sum_of_jumps_given_with_opposite_normals():
+    # u and v jump on the same facets, v's given with the opposite normal:
+    # the sum and the difference turn v's jumps to u's normals, so that
+    # D(u + v) = Du + Dv and D(u - v) = Du - Dv
+    mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2)
+    right = mesh.centroids[:, 0] > 0.5
+    u = BVFunction.from_cellwise_constant(mesh, np.where(right, 0.7, 0.0))
+    w = BVFunction.from_cellwise_constant(mesh, np.where(right, -0.2, 0.3))
+    v = BVFunction(mesh, w.cell_values, jump_facets=[(f, -j, -n) for f, j, n in w.jump_facets])
+    assert len(u.jump_facets) == len(v.jump_facets) == 2
+    for (fu, _, nu), (fv, _, nv) in zip(u.jump_facets, v.jump_facets):
+        assert fu == fv and np.array_equal(nu, -nv)
+
+    def charges(mu):
+        return {d: p * m for d, p, m in mu.charges}
+
+    du, dv = charges(derivative(u)), charges(derivative(v))
+    for sign, s in ((1.0, u + v), (-1.0, u - v)):
+        for (_, _, ns), (_, _, nu) in zip(s.jump_facets, u.jump_facets, strict=True):
+            assert np.array_equal(ns, nu)
+        got = charges(derivative(s))
+        assert set(got) == set(du)
+        for d in du:
+            np.testing.assert_allclose(got[d], du[d] + sign * dv[d], rtol=0, atol=1e-15)
+
+
 def test_facet_jump_against_distributional_pairing():
     # 2D: u jumps by j across the vertical line {x1 = 1/2} (normal e1).
     # Oracle: <Du, Phi> = -int u . div Phi for smooth Phi vanishing near the

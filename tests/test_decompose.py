@@ -10,6 +10,7 @@ from bvlsc.decompose import (
     CoverSpec,
     DecompositionResult,
     PrefixTooShortError,
+    _abs_integral_times_grad,
     _support_points,
     local_decompose,
     verify_properties,
@@ -119,7 +120,7 @@ def test_adversarial_cutoff_flagged():
     first = cutoff_multiply(uk, phi)
     rest = uk - first
     res = DecompositionResult(
-        cover=COVER, members=members, n_values=[n], k_map={n: k},
+        cover=COVER, n_values=[n], k_map={n: k},
         subsequence={n: uk}, components={n: [first, rest]},
         cutoffs={n: [(phi, n, uk)]}, selection_bound_factor=0.5,
         grad_slack=0.05, s_table=None,
@@ -278,7 +279,7 @@ def test_stacked_support_checks_flag_as_one_pass_per_component():
         components[n] = [far, near, 0.5 * far] if n < 16 else [zero, near, zero]
         subsequence[n] = components[n][0] + components[n][1] + components[n][2]
     res = DecompositionResult(
-        cover=cover, members=[], n_values=[2, 4, 8, 16], k_map={2: 0, 4: 1, 8: 2, 16: 3},
+        cover=cover, n_values=[2, 4, 8, 16], k_map={2: 0, 4: 1, 8: 2, 16: 3},
         subsequence=subsequence, components=components,
         cutoffs={n: [] for n in components}, selection_bound_factor=0.5,
         grad_slack=0.05, s_table=None)
@@ -287,6 +288,46 @@ def test_stacked_support_checks_flag_as_one_pass_per_component():
     assert flags == _reference_support_flags(res)
     assert {(f["check"], f.get("earlier_set")) for f in flags} == {
         ("support_inclusion", None), ("support_exclusion", 0), ("support_exclusion", 1)}
+
+
+def test_abs_integral_on_a_cell_where_u_changes_sign():
+    # u = 2 -> -1 on [0, 0.5] and |grad phi| = 2: two triangles of areas 1/3
+    # and 1/12
+    got = _abs_integral_times_grad(np.array([0.0, 0.5]), np.array([[[2.0], [-1.0]]]),
+                                   np.array([0.0, 1.0]))
+    assert got == pytest.approx(2.0 * (1.0 / 3.0 + 1.0 / 12.0), rel=1e-15)
+
+
+def _exact_abs_integral(v0, v1, length):
+    """The integral of |v0 + (v1 - v0) t| over a cell of the length, in
+    closed form: sqrt(A) / 2 [u sqrt(u^2 + k) + k asinh(u / sqrt k)] between
+    u = t + B / (2A) at t = 0 and 1, for |.|^2 = A t^2 + B t + C, k > 0."""
+    q = v1 - v0
+    A, B, C = q @ q, 2.0 * (v0 @ q), v0 @ v0
+    k = C / A - (B / (2.0 * A)) ** 2
+
+    def s(u):
+        return u * np.sqrt(u * u + k) + k * np.arcsinh(u / np.sqrt(k))
+
+    return length * 0.5 * np.sqrt(A) * (s(1.0 + B / (2.0 * A)) - s(B / (2.0 * A)))
+
+
+def test_abs_integral_for_vector_fields_is_a_tight_upper_bound():
+    # M = 2: the 9-point trapezoid rule of the convex |u| never reads below
+    # the integral, and over random cells at most 1/64 above it
+    rng = np.random.default_rng(0)
+    ratios = []
+    for i in range(2000):
+        v, length = rng.normal(size=(2, 2)), rng.uniform(0.01, 1.0)
+        exact = _exact_abs_integral(v[0], v[1], length)
+        if i < 3:  # the closed form against a 200,001-point trapezoid rule
+            t = np.linspace(0.0, 1.0, 200_001)[:, None]
+            fine = np.trapezoid(np.linalg.norm(v[0] * (1 - t) + v[1] * t, axis=1),
+                                dx=length / 200_000)
+            assert exact == pytest.approx(fine, rel=1e-10)
+        pts = np.array([0.0, length])  # phi = x: |grad phi| = 1
+        ratios.append(_abs_integral_times_grad(pts, v[None], pts) / exact)
+    assert 1.0 <= min(ratios) and max(ratios) <= 1.0 + 1.0 / 64.0
 
 
 def test_s_table_recorded(migrating_decomposition):

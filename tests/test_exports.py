@@ -133,3 +133,53 @@ def unset_defaults():
 def test_every_keyword_default_is_set_by_some_call():
     # a default no call changes is a constant: write it as one
     assert unset_defaults() == []
+
+
+# -- stored attributes that nothing reads ----------------------------------------
+
+
+def _stored(trees):
+    """{(qualified class name, attribute)} of each attribute a class in
+    src/bvlsc stores, by self.x = ... in a method or as an annotated field
+    of its body (a dataclass or NamedTuple field).  Exception classes are
+    left out: their attributes are payload for the callers that catch them."""
+    out = set()
+    for path, tree in trees.items():
+        if path.parent != ROOT / "src" / "bvlsc":
+            continue
+        mod = importlib.import_module(f"bvlsc.{path.stem}")
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            obj = getattr(mod, cls.name, None)
+            if isinstance(obj, type) and issubclass(obj, BaseException):
+                continue
+            key = f"{path.stem}.{cls.name}"
+            out |= {(key, n.target.id) for n in cls.body
+                    if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+            for node in ast.walk(cls):
+                targets = node.targets if isinstance(node, ast.Assign) else []
+                for t in targets:
+                    for e in t.elts if isinstance(t, ast.Tuple) else [t]:
+                        if isinstance(e, ast.Attribute) and _named(e.value, "self"):
+                            out.add((key, e.attr))
+    return out
+
+
+def unread_attributes():
+    """The stored attributes (see _stored) whose name src, demos, benchmarks
+    and tests never read, as .x or as getattr(..., "x")."""
+    trees = {p: ast.parse(p.read_text()) for d in ("src", "demos", "benchmarks", "tests")
+             for p in sorted((ROOT / d).rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and _named(node.func, "getattr")
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return sorted(f"{key}.{name}" for key, name in _stored(trees) if name not in read)
+
+
+def test_every_stored_attribute_is_read_somewhere():
+    # state that nothing reads is dead weight on every instance: drop it
+    assert unread_attributes() == []

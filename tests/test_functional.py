@@ -261,5 +261,5 @@ def test_one_recession_call_per_measure_matches_one_call_per_charge():
         for name, finf in _recessions(u.M, mesh.dim):
             got = eval_G(finf, finf, mu).per_charge
             want = [finf.at(x, p) * m for x, p, m in zip(where, polars, masses)]
-            assert np.array([g for _, g in got]).tobytes() == np.array(want).tobytes(), (
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (
                 name, mesh.dim, u.M)

@@ -536,6 +536,59 @@ def test_refine_all_1d_matches_cell_loop(order):
         verts, cells = got
 
 
+def _loop_refine_all_2d(vertices, cells):
+    """Reference: the per-cell midpoint dictionary _refine_all used in 2D."""
+    mid = {}
+    verts = list(vertices)
+
+    def midpoint(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in mid:
+            mid[key] = len(verts)
+            verts.append(0.5 * (vertices[a] + vertices[b]))
+        return mid[key]
+
+    new_cells = []
+    for a, b, c in cells:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_cells.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
+    return np.array(verts), np.array(new_cells)
+
+
+_TRIANGLE_MESHES = {
+    "rectangle": lambda: rectangle_mesh(-1.0, 4.0, 0.0, 3.0, 5, 3),
+    "halfball": lambda: halfball_mesh([0.6, -0.8], 0.25),
+    "shuffled": lambda: shuffled_triangle_mesh(3, n=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRIANGLE_MESHES))
+def test_refine_all_2d_matches_cell_loop(name):
+    mesh = _TRIANGLE_MESHES[name]()
+    verts, cells = np.asarray(mesh.vertices), np.asarray(mesh.cells)
+    for _ in range(3):
+        got, want = _refine_all(verts, cells, 2), _loop_refine_all_2d(verts, cells)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        verts, cells = got
+
+
+@pytest.mark.parametrize("name", sorted(_TRIANGLE_MESHES))
+def test_local_patch_and_refined_cells_match_the_cell_loop(name, monkeypatch):
+    def outputs():
+        mesh = _TRIANGLE_MESHES[name]()
+        x0 = mesh.vertices[mesh.n_vertices // 2]
+        patch = local_patch(mesh, x0, 2.0 * mesh.h, refine_levels=2)
+        return [patch.mesh.vertices, patch.mesh.cells, patch.clamped_vertices,
+                patch.free_vertices, *mesh.refined_cells(2)]
+
+    got = outputs()
+    monkeypatch.setattr(meshing, "_refine_all", lambda v, c, dim: _loop_refine_all_2d(v, c))
+    want = outputs()
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_degenerate_polygon_rejected():
     with pytest.raises(ValueError):
         Domain.polygon([[0, 0], [1, 1], [1, 0], [0, 1]])  # self-intersecting

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from bvlsc import minimize
-from bvlsc.boundary import halfball_deficit
+from bvlsc.boundary import epsdelta_probe, halfball_deficit
 from bvlsc.integrands import Integrand, catalog_get, catalog_tags, freeze_x, modulate
-from bvlsc.meshing import BoundaryPoint, Mesh, halfball_mesh, interval_mesh, unit_square_mesh
+from bvlsc.meshing import (BoundaryPoint, Domain, Mesh, build_mesh, halfball_mesh,
+                           interval_mesh, unit_square_mesh)
+from bvlsc.quasiconvex import qc_deficit
 from bvlsc.minimize import (
     BulkObjective,
     FieldEvaluationError,
@@ -46,8 +48,7 @@ def test_normalized_neg_tv_ratio_is_minus_one():
     tv = TVObjective(mesh, 1)
     obj = RayleighQuotient(LinearCombo([(-1.0, tv)]), tv)
     res = minimize_field(obj, mesh, mesh.boundary_vertices,
-                         SolverOptions(restarts=3, max_iter=60,
-                                       mode="normalize"))
+                         SolverOptions(restarts=3, max_iter=60))
     assert res.value == pytest.approx(-1.0, abs=1e-10)
     # witness comes back rescaled to unit gradient TV
     assert res.witness.gradient_tv() == pytest.approx(1.0, abs=1e-10)
@@ -74,8 +75,7 @@ def test_halfball_quotient_matches_bruteforce():
     clamped = [int(np.argmax(mesh.vertices[:, 0]))]
     obj = RayleighQuotient(BulkObjective(mesh, lin), TVObjective(mesh, 1))
     res = minimize_field(obj, mesh, clamped,
-                         SolverOptions(restarts=4, max_iter=150,
-                                       mode="normalize"))
+                         SolverOptions(restarts=4, max_iter=150))
     assert res.value == pytest.approx(oracle, abs=1e-6)
     vals = res.witness.values[np.argsort(mesh.vertices[:, 0]), 0]
     assert np.all(np.diff(vals) <= 1e-9)  # monotone decreasing ramp
@@ -105,8 +105,7 @@ def test_normalize_mode_scale_invariance():
     for alpha in (1.0, 37.5):
         res = minimize_field(
             obj, mesh, clamped,
-            SolverOptions(restarts=1, max_iter=50, mode="normalize",
-                          extra_inits=(alpha * seed_field,)),
+            SolverOptions(restarts=1, max_iter=50, extra_inits=(alpha * seed_field,)),
         )
         out.append(res.value)
     assert out[0] == pytest.approx(out[1], abs=1e-8)
@@ -189,10 +188,10 @@ def reference_minimize(objective, mesh, clamped, options):
     field, and the next step's gradient is assembled from them."""
     clamped = np.asarray(clamped, dtype=np.int64)
     rng = np.random.default_rng(options.seed)
-    inits = default_inits(mesh, objective.M, clamped, options, rng)
+    normalize = getattr(objective, "den", None) is not None
+    inits = default_inits(mesh, objective.M, clamped, options, rng, normalize)
     best_val, best_values, best_restart, best_hit_cap = np.inf, None, -1, False
     total_iters = 0
-    normalize = options.mode == "normalize"
     restart_values, stop_reasons = [], []
     for ridx, values in enumerate(inits):
         values = values.copy()
@@ -266,7 +265,7 @@ def reference_minimize(objective, mesh, clamped, options):
     if best_values is None:
         raise FieldEvaluationError("no usable start (degenerate inits)", None)
     if normalize:
-        d = objective.denominator(best_values)
+        d = objective.den.value(best_values, 0.0)
         if d > 1e-12:
             best_values = best_values / d
         best_val = objective.value(best_values, 0.0)
@@ -282,7 +281,6 @@ def reference_minimize(objective, mesh, clamped, options):
         stationarity_residual=residual,
         best_restart=best_restart,
         low_confidence=bool(best_hit_cap and residual > minimize.STATIONARITY_TOL),
-        seed=options.seed,
         restart_values=tuple(restart_values),
         stop_reasons=tuple(stop_reasons),
     )
@@ -315,7 +313,7 @@ def _lockstep_cases():
             RayleighQuotient(BulkObjective(hb, lin.recession),
                              TVObjective(hb, 1)),
             hb, hb_clamped,
-            SolverOptions(restarts=6, max_iter=120, mode="normalize", seed=5,
+            SolverOptions(restarts=6, max_iter=120, seed=5,
                           extra_inits=(np.zeros(hb.n_vertices),))),
         "patience_stop": (
             BulkObjective(iv, catalog_get("negnorm", {"M": 1, "N": 1})),
@@ -325,6 +323,11 @@ def _lockstep_cases():
         "zero_gradient_stage": (
             BulkObjective(sq, _norm()), sq, sq.boundary_vertices,
             SolverOptions(restarts=4, max_iter=60, seed=7)),
+        # a fixed first step, a config's solver.step0, for every restart
+        "fixed_step0": (
+            LinearCombo([(1.0, BulkObjective(sq, neg)), (0.1, TVObjective(sq, 1))]),
+            sq, sq.boundary_vertices,
+            SolverOptions(restarts=5, max_iter=90, step0=0.05, tv_cap=1.0, seed=8)),
     }
 
 
@@ -497,12 +500,39 @@ def test_work_budget_is_checked_before_the_starts_are_built(monkeypatch):
                        SolverOptions(restarts=10**9))
 
 
+def test_every_carried_start_is_kept_at_the_default_restarts(monkeypatch):
+    # M = N = 2 at 8 restarts: the zero field and the 8 tents already fill
+    # them, so the tents, not the carried witnesses, must give way
+    calls = []
+
+    def spy(mesh, M, clamped, options, rng, normalize):
+        inits = default_inits(mesh, M, clamped, options, rng, normalize)
+        calls.append((clamped, options.extra_inits, inits))
+        return inits
+
+    monkeypatch.setattr(minimize, "default_inits", spy)
+    qc_deficit(catalog_get("negnorm", {"M": 2, "N": 2}), np.zeros((2, 2)),
+               mesh=unit_square_mesh(4))
+    square = build_mesh(Domain.polygon([[0, 0], [1, 0], [1, 1], [0, 1]]), 0.25)
+    epsdelta_probe(catalog_get("linear", {"matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+                   np.array([0.5, 0.0]), square, eps_grid=(0.5,), delta_grid=(0.4,))
+    carried = [(c, extra, inits) for c, extra, inits in calls if extra]
+    assert len(calls) == 6 and len(carried) == 4  # caps 4 and 16; R = 10 and 100
+    for clamped, extra, inits in carried:
+        assert len(inits) == 8
+        for e in extra:
+            e = np.array(e, dtype=float).reshape(inits[0].shape)
+            e[clamped] = 0.0
+            assert np.abs(e).max() > 0.0
+            assert any(np.array_equal(e, start) for start in inits)
+
+
 def test_no_usable_start_raises():
     mesh = unit_square_mesh(3)
     tv = TVObjective(mesh, 1)
     obj = RayleighQuotient(tv, tv)
     # every vertex clamped: every start has zero denominator
-    opts = SolverOptions(restarts=3, max_iter=10, mode="normalize")
+    opts = SolverOptions(restarts=3, max_iter=10)
     with pytest.raises(FieldEvaluationError, match="no usable start"):
         minimize_field(obj, mesh, np.arange(mesh.n_vertices), opts)
 
@@ -601,8 +631,7 @@ def test_one_evaluation_assembles_once_on_its_own_rows(name, monkeypatch):
 
     monkeypatch.setattr(Mesh, "p1_assemble", assembled)
     monkeypatch.setattr(obj, "from_cells", evaluated)
-    opts = SolverOptions(restarts=4, max_iter=30,
-                         mode="normalize" if name == "quotient" else "plain")
+    opts = SolverOptions(restarts=4, max_iter=30)
     # clamped on the side x = 1 only, so the linear numerator is not zero
     res = minimize_field(obj, mesh, np.flatnonzero(mesh.vertices[:, 0] == 1.0), opts)
     assert res.iterations > 0

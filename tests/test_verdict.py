@@ -158,6 +158,18 @@ def test_sampling_monotonicity_more_points_keep_violation():
     assert len(verdict2.qc_reports) > len(verdict1.qc_reports)
 
 
+def test_interior_point_count_on_an_interval_takes_the_golden_ratio_lattice():
+    sc = load("example_1_2")
+    sc.cfg["interior_points"] = {"count": 3}
+    a, b = sc.domain.params["a"], sc.domain.params["b"]
+    t = [(0.5 + i * 0.6180339887498949) % 1.0 for i in range(3)]
+    want = [[a + (0.25 + 0.5 * ti) * (b - a)] for ti in t]
+    assert [p.tolist() for p in sc.interior_points()] == want
+    verdict = analyze(sc)
+    assert {tuple(x.tolist()) for x, _ in verdict.qc_reports} == set(map(tuple, want))
+    assert verdict.overall == "not-wlsc"
+
+
 def test_corner_points_routed_to_note():
     cfg = {
         "name": "corner",
