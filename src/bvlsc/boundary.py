@@ -37,7 +37,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .integrands import freeze_x
+from .integrands import catalog_get, composite, freeze_x
 from .meshing import (
     BoundaryPoint,
     MeshBudgetError,
@@ -47,7 +47,6 @@ from .meshing import (
 )
 from .minimize import (
     BulkObjective,
-    LinearCombo,
     RayleighQuotient,
     SolverOptions,
     TestField,
@@ -138,6 +137,16 @@ def _strip_direction(finf, x0):
     return -a_nu / np.linalg.norm(a_nu)
 
 
+def _sphere_floor(finf, x):
+    """min f_inf(x, xi) over unit xi, below which no half-ball quotient goes:
+    c - |A|_F where the split c |xi|_F + A : xi is known, else None."""
+    split = finf.split_at(x)
+    if split is None:
+        return None
+    c, A = split
+    return float(c) - float(np.linalg.norm(A))
+
+
 def _sphere_bound(finf, x):
     """Bound on |f_inf(x, xi)| over unit xi: |c| + |A|_F where the split
     c |xi|_F + A : xi is known, else the sampled Integrand.sup_on_sphere
@@ -214,9 +223,9 @@ def halfball_deficits(finf, jobs, h=0.05, tol=1e-3):
     stack = meshes[0] if len(meshes) == 1 else MeshStack(meshes)
     objective = RayleighQuotient(BulkObjective(stack, [g for _, _, g, _, _ in family]),
                                  TVObjective(stack, finf.M))
-    # 1-homogeneity: f_inf(x0, xi) >= sphere_min |xi|, so no quotient is lower
     results = minimize_fields(objective, [(m, c, o) for _, m, _, c, o in family],
-                              floors=[finf.sphere_min] * len(family))
+                              floors=[_sphere_floor(finf, jobs[j][0].x0)
+                                      for j, _, _, _, _ in family])
     for (j, mesh, _, _, _), res in zip(family, results):
         x0 = jobs[j][0]
         out[j] = res if isinstance(res, Exception) else _qslb_report(
@@ -312,6 +321,12 @@ def _qslb_report(x0, mesh, res, c_inf, tol):
     )
 
 
+def _epsdelta_objective(mesh, f, eps):
+    """integral f(x, grad v) + eps |grad v| over the mesh: one integrand."""
+    norm = catalog_get("norm", {"M": f.M, "N": f.N})
+    return BulkObjective(mesh, composite([(1.0, f), (float(eps), norm)]))
+
+
 def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
                    options=None):
     """Unbounded-below signature of the local growth inequality at x0.
@@ -332,10 +347,7 @@ def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
     for delta in delta_grid:
         patch = local_patch(domain_mesh, center, float(delta))
         for eps in eps_grid:
-            objective = LinearCombo(
-                [(1.0, BulkObjective(patch.mesh, f)),
-                 (float(eps), TVObjective(patch.mesh, f.M))]
-            )
+            objective = _epsdelta_objective(patch.mesh, f, eps)
             minima = {}
             carry = ()
             for R in (1.0, 10.0, 100.0):
@@ -368,12 +380,9 @@ def _patch_sign_test(g, center, domain_mesh, eps, tol, base):
     """Sign test for a 1-homogeneous patch objective (cap R=1 suffices) on
     the patch of radius 2.5 h around center."""
     patch = local_patch(domain_mesh, center, 2.5 * domain_mesh.h)
-    objective = LinearCombo(
-        [(1.0, BulkObjective(patch.mesh, g)),
-         (float(eps), TVObjective(patch.mesh, g.M))]
-    )
     opts = replace(base, grad_cap=0.0, tv_cap=1.0, extra_inits=())
-    res = minimize_field(objective, patch.mesh, patch.clamped_vertices, opts)
+    res = minimize_field(_epsdelta_objective(patch.mesh, g, eps), patch.mesh,
+                         patch.clamped_vertices, opts)
     return res.value, ("violated" if res.value < -tol else "qslb-plausible")
 
 

@@ -12,8 +12,9 @@ with jump j and unit normal n contributes j (x) n weighted by facet length.
 Jump vectors follow the convention jump = trace on the +n side minus trace on
 the -n side (in 1D: right minus left).
 
-MatrixMeasure stores the absolutely continuous density per cell plus singular
-charges in polar form (unit-Frobenius polar matrix, positive mass).
+MatrixMeasure stores the absolutely continuous density per cell plus the
+singular charges in polar form: the position of each (the atom, or the facet
+midpoint), its unit-Frobenius polar matrix and its positive mass.
 
 Both types are immutable values; operations never mutate their inputs.
 """
@@ -267,15 +268,14 @@ class BVFunction:
 class MatrixMeasure:
     """Matrix-valued measure: cellwise density + singular charges in polar form.
 
-    Singular charges are (location_descriptor, polar matrix, mass); the polar
-    matrix has unit Frobenius norm and mass > 0, so polar * mass reconstructs
-    the raw charge.  In 1D the descriptor is the atom coordinate, in 2D the
-    facet vertex pair; charge_positions() gives the representative points
-    either way.  `polars` (k, M, N) and `masses` (k,) hold the same charges
-    as read-only arrays, in order.
+    Charge i sits at positions[i] (k, dim), the atom in 1D and the facet
+    midpoint in 2D, and equals polars[i] * masses[i]: its polar matrix (k, M,
+    N) has unit Frobenius norm and its mass (k,) is positive.  The
+    constructor takes the raw charge matrices and drops those of mass at most
+    1e-14; every array is read-only.
     """
 
-    def __init__(self, mesh, density, charges=()):
+    def __init__(self, mesh, density, positions=(), matrices=()):
         self.mesh = mesh
         dens = np.asarray(density, dtype=float)
         if dens.ndim == 2:
@@ -284,66 +284,36 @@ class MatrixMeasure:
             raise ValueError("density must have one matrix per cell")
         self.density = dens
         self.M, self.N = dens.shape[1], dens.shape[2]
-        charges = [(d, p, float(m)) for d, p, m in charges]
-        charges = [c for c in charges if not c[2] <= _ATOL]
-        polars = np.asarray([p for _, p, _ in charges], dtype=float).reshape(
-            len(charges), self.M, self.N)
-        if charges and any(abs(n - 1.0) > 1e-12 for n in _frobenius(polars).tolist()):
-            raise ValueError("polar matrix must have unit Frobenius norm")
-        masses = [m for _, _, m in charges]
-        self.polars, self.masses = polars, np.array(masses)
-        self.charges = tuple(zip([d for d, _, _ in charges], polars, masses))
-        for a in (self.density, self.polars, self.masses):
-            a.flags.writeable = False
-
-    @classmethod
-    def from_raw_charges(cls, mesh, density, raw_charges):
-        """The measure with charges (descriptor, matrix) in polar form; the
-        charges of mass at most 1e-14 are dropped."""
-        raw_charges = list(raw_charges)
-        if not raw_charges:
-            return cls(mesh, density)
-        mats = np.asarray([m for _, m in raw_charges], dtype=float)
+        mats = np.asarray(matrices, dtype=float).reshape(-1, self.M, self.N)
+        positions = np.asarray(positions, dtype=float).reshape(len(mats), mesh.dim)
         masses = _frobenius(mats)
-        kept = [i for i, m in enumerate(masses.tolist()) if not m <= _ATOL]
-        if len(kept) < len(raw_charges):
-            raw_charges = [raw_charges[i] for i in kept]
-            mats, masses = mats[kept], masses[kept]
-        polars = mats / masses.reshape((-1,) + (1,) * (mats.ndim - 1))
-        return cls(mesh, density, zip([d for d, _ in raw_charges], polars, masses.tolist()))
-
-    def charge_positions(self):
-        """Representative point of each charge, in charge order: (k, dim)."""
-        descs = [d for d, _, _ in self.charges]
-        if self.mesh.dim == 1:
-            return np.array(descs, dtype=float).reshape(-1, 1)
-        v = self.mesh.vertices
-        ij = np.array(descs, dtype=np.int64).reshape(-1, 2)
-        return 0.5 * (v[ij[:, 0]] + v[ij[:, 1]])
+        keep = ~(masses <= _ATOL)  # a NaN mass is kept
+        self.positions, self.masses = positions[keep], masses[keep]
+        self.polars = mats[keep] / self.masses[:, None, None]
+        for a in (self.density, self.positions, self.polars, self.masses):
+            a.flags.writeable = False
 
     def __sub__(self, other):
         if self.mesh is not other.mesh and not np.array_equal(
             self.mesh.vertices, other.mesh.vertices
         ):
             raise ValueError("measures live on different meshes")
+        # the raw charges, those at one position (to 12 digits) merged
         raw = {}
-        for d, p, m in self.charges:
-            key = d if self.mesh.dim == 2 else round(float(d), 12)
-            raw[key] = (d, p * m)
-        for d, p, m in other.charges:
-            key = d if self.mesh.dim == 2 else round(float(d), 12)
-            if key in raw:
-                raw[key] = (raw[key][0], raw[key][1] - p * m)
-            else:
-                raw[key] = (d, -p * m)
-        return MatrixMeasure.from_raw_charges(
-            self.mesh, self.density - other.density, list(raw.values())
-        )
+        for mu, sign in ((self, 1.0), (other, -1.0)):
+            for x, p, m in zip(mu.positions, mu.polars, mu.masses.tolist()):
+                key = tuple(round(c, 12) for c in x.tolist())
+                if key in raw:
+                    raw[key] = (raw[key][0], raw[key][1] + sign * (p * m))
+                else:
+                    raw[key] = (x, sign * (p * m))
+        return MatrixMeasure(self.mesh, self.density - other.density,
+                             [x for x, _ in raw.values()], [m for _, m in raw.values()])
 
     def __repr__(self):
         return (
             f"MatrixMeasure({self.M}x{self.N}, cells={self.mesh.n_cells}, "
-            f"charges={len(self.charges)})"
+            f"charges={len(self.masses)})"
         )
 
 
@@ -351,18 +321,19 @@ def derivative(u):
     """Derivative measure of a BVFunction: cell gradients + singular charges."""
     mesh = u.mesh
     if mesh.dim == 1:
-        raw = [(loc, j[:, None]) for loc, j in u.atoms]
-    else:
-        v = mesh.vertices
-        raw = [(f, np.outer(j, n) * np.linalg.norm(v[f[1]] - v[f[0]]))
-               for f, j, n in u.jump_facets]
-    return MatrixMeasure.from_raw_charges(mesh, u.gradients(), raw)
+        return MatrixMeasure(mesh, u.gradients(), [loc for loc, _ in u.atoms],
+                             [j[:, None] for _, j in u.atoms])
+    v = mesh.vertices
+    ij = np.array([f for f, _, _ in u.jump_facets], dtype=np.int64).reshape(-1, 2)
+    return MatrixMeasure(mesh, u.gradients(), 0.5 * (v[ij[:, 0]] + v[ij[:, 1]]),
+                         [np.outer(j, n) * np.linalg.norm(v[f[1]] - v[f[0]])
+                          for f, j, n in u.jump_facets])
 
 
 def total_variation(mu):
     """|mu|(Omega): the density's mass plus the singular charges' masses."""
     bulk = float(np.sum(mu.mesh.gradient_masses(mu.density)))
-    sing = float(sum(m for _, _, m in mu.charges))
+    sing = float(sum(mu.masses.tolist()))
     return bulk + sing
 
 
@@ -402,7 +373,7 @@ def tv_on_neighborhoods(measures, kset, radii_per_measure, subdivisions=2):
     if len(radii) != len(measures):
         raise ValueError(f"{len(radii)} rows of radii for {len(measures)} measures")
     refined = [mu.mesh.refined_cells(subdivisions) for mu in measures]
-    positions = [mu.charge_positions() for mu in measures]
+    positions = [mu.positions for mu in measures]
     n_sub = [len(parent) for _, _, parent in refined]
     n_charge = [len(p) for p in positions]
     # stacked sub-cells: measure m holds the rows sub_off[m]:sub_off[m + 1]

@@ -79,7 +79,7 @@ class MeasureStack(NamedTuple):
         quads = [mu.mesh.quadrature() for mu in measures]
         return cls(stacked([q[0] for q in quads]), stacked([q[1] for q in quads]),
                    stacked([mu.density for mu in measures]),
-                   stacked([mu.charge_positions() for mu in measures]),
+                   stacked([mu.positions for mu in measures]),
                    stacked([mu.polars for mu in measures]),
                    stacked([mu.masses for mu in measures]),
                    list(accumulate([mu.mesh.n_cells for mu in measures[:-1]], initial=0)),

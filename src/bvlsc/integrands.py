@@ -68,18 +68,15 @@ class Integrand:
     differences.  `frozen` is (f, x0) for freeze_x(f, x0), which evaluates as
     f at rows of x0.  `convex` is True only where f is proven independent of
     x and convex in xi (then Jensen's inequality makes every quasiconvexity
-    deficit >= 0).  `sphere_min`, where known, is a lower bound on f(x, xi)
-    over every x and every xi with |xi|_F = 1 (the minimum for catalog
-    recessions); for a recession function, 1-homogeneity makes it
-    f(x, xi) >= sphere_min |xi|_F.  `split`, where known, maps a point x to
-    the (c, A) of split_at.
+    deficit >= 0).  `split`, where known, maps a point x to the (c, A) of
+    split_at.
     """
 
     frozen = None
 
     def __init__(self, fn, M, N, growth, tag="user", params=None, grad=None,
                  recession=None, mu_analytic=None, convex=False, one_pass=None,
-                 sphere_min=None, split=None):
+                 split=None):
         self._fn = fn
         self.convex = convex
         self.M = int(M)
@@ -91,7 +88,6 @@ class Integrand:
         self.recession = recession
         self.mu_analytic = mu_analytic
         self._one_pass = one_pass
-        self.sphere_min = sphere_min
         self._split = split
 
     @property
@@ -189,15 +185,14 @@ class Integrand:
         return f"Integrand(tag={self.tag!r}, M={self.M}, N={self.N}, C={self.growth})"
 
 
-def RecessionFn(fn, M, N, sphere_min=None, one_pass=None, split=None):
+def RecessionFn(fn, M, N, one_pass=None, split=None):
     """The positively 1-homogeneous large-argument limit f_inf of an
     integrand, as the integrand that is its own recession: +0.0 where xi = 0,
     a zero deviation modulus, and the growth constant sup_on_sphere() + 1,
     sampled when first read.  `one_pass` (see Integrand) must keep the +0.0."""
     g = Integrand(lambda x, xi: _plus_zero_at_origin(fn(x, xi), xi), M, N,
                   growth=lambda: g.sup_on_sphere() + 1.0, tag="recession",
-                  mu_analytic=lambda t: 0.0, one_pass=one_pass, sphere_min=sphere_min,
-                  split=split)
+                  mu_analytic=lambda t: 0.0, one_pass=one_pass, split=split)
     g.recession = g
     return g
 
@@ -375,8 +370,7 @@ def _norm_recession(sign, smooth, M, N):
     def fn(x, xi):
         return sign * _frob(xi)
 
-    return RecessionFn(fn, M, N, sphere_min=sign,
-                       one_pass=_norm_pass(sign, smooth, recession=True),
+    return RecessionFn(fn, M, N, one_pass=_norm_pass(sign, smooth, recession=True),
                        split=_constant_split(sign, np.zeros((M, N))))
 
 
@@ -395,8 +389,7 @@ def _mk_linear(matrix, tag="linear"):
         return one_pass
 
     rec_pass = linear_pass(lambda x, xi: _plus_zero_at_origin(fn(x, xi), xi))
-    rec = RecessionFn(fn, M, N, sphere_min=-float(np.linalg.norm(A)), one_pass=rec_pass,
-                      split=_constant_split(0.0, A))
+    rec = RecessionFn(fn, M, N, one_pass=rec_pass, split=_constant_split(0.0, A))
     return Integrand(
         fn, M, N, growth=max(np.linalg.norm(A), 1e-12), tag=tag,
         params={"matrix": A.tolist()}, recession=rec, mu_analytic=lambda t: 0.0,
@@ -542,15 +535,12 @@ def composite(terms):
             return sum(abs(w) * f.mu_analytic(t) for w, f in zip(ws, fs))
 
     nonnegative = all(w >= 0 for w in ws)
-    mins = [f.sphere_min for f in fs]
-    sphere_min = (sum(w * m for w, m in zip(ws, mins))
-                  if nonnegative and None not in mins else None)
     g = Integrand(
         fn, M, N, growth=lambda: sum(abs(w) * f.growth for w, f in zip(ws, fs)),
         tag="composite",
         params={"terms": [(w, {"tag": f.tag, "params": f.params}) for w, f in terms]},
         mu_analytic=mu, convex=nonnegative and all(f.convex for f in fs), one_pass=one_pass,
-        sphere_min=sphere_min, split=split,
+        split=split,
     )
     return _with_recession(g, fs, lambda recs: composite(list(zip(ws, recs))))
 
@@ -608,8 +598,7 @@ def freeze_x(f, x0):
     g = Integrand(
         fn, f.M, f.N, growth=lambda: f.growth, tag=f"frozen({f.tag})",
         params={"x0": x0.tolist(), "inner": f.tag}, mu_analytic=f.mu_analytic,
-        convex=f.convex, one_pass=one_pass, sphere_min=f.sphere_min,
-        split=lambda x: f.split_at(x0),
+        convex=f.convex, one_pass=one_pass, split=lambda x: f.split_at(x0),
     )
     g.frozen = (f, x0)
     return _with_recession(g, [f], lambda recs: freeze_x(recs[0], x0))

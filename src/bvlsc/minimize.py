@@ -49,7 +49,7 @@ call on those cell gradients then gives both the exact value, for
 acceptance, and the derivative of the smoothed value with respect to the
 cell gradients, one array of the batch's shape, which one p1_assemble call
 on the batch's rows turns into the gradient the next iteration steps along;
-quotients and combinations of terms combine their per-cell arrays first.  So
+a quotient combines the per-cell arrays of its two terms first.  So
 an iteration costs one P1 gradient, one objective evaluation (one integrand
 pass, Integrand.evaluate, for a BulkObjective) and one assembly.  A new
 smoothing stage evaluates its live restarts once more at its own smoothing.
@@ -92,7 +92,6 @@ __all__ = [
     "SolverOptions",
     "BulkObjective",
     "TVObjective",
-    "LinearCombo",
     "RayleighQuotient",
     "FieldEvaluationError",
     "SolverBudgetError",
@@ -211,9 +210,9 @@ class SolverOptions:
 # from_cells(G, 0.0), so the solver accepts an iterate and takes its next
 # gradient from one call.  p1_assemble is the adjoint of p1_gradient, so
 # p1_assemble(dG) is the gradient (R, nv, M) with respect to the vertex
-# values; being linear, it serves sums and quotients of terms once their
-# per-cell arrays are combined: sum c dG for a LinearCombo, (dN - q dD) / D
-# for a RayleighQuotient of value q.  value and value_and_grad wrap
+# values; being linear, it serves a quotient once its per-cell arrays are
+# combined: (dN - q dD) / D for a RayleighQuotient of value q (a weighted sum
+# of terms is one composite integrand).  value and value_and_grad wrap
 # from_cells for one field (nv, M), giving a float and an (nv, M) gradient,
 # or a batch (R, nv, M), each entry computed as for the field alone.  The
 # solver calls from_cells directly.
@@ -269,7 +268,8 @@ class _Objective:
 
 
 class BulkObjective(_Objective):
-    """E(phi) = sum_cells integral g(x, xi0 + grad phi) dx [- same at xi0].
+    """E(phi) = sum_cells integral g(x, grad phi) dx, or, given xi0,
+    sum_cells integral g(x, xi0 + grad phi) dx minus the same at phi = 0.
 
     A frozen integrand (freeze_x) is evaluated as its base at the frozen
     point, once per cell, and its values are repeated over the quadrature
@@ -282,7 +282,7 @@ class BulkObjective(_Objective):
     entries computes it.
     """
 
-    def __init__(self, mesh, g, xi0=None, subtract_offset=False):
+    def __init__(self, mesh, g, xi0=None):
         gs = list(g) if isinstance(g, (list, tuple)) else [g]
         bases = [gi.frozen or (gi, None) for gi in gs]
         self.g = bases[0][0]
@@ -310,7 +310,7 @@ class BulkObjective(_Objective):
         self._x_tiled = self._x[0][:0]
         self._w_tiled = np.empty((wts.shape[-1], 0, self.M * dim))
         self._offset = np.zeros(1)
-        if subtract_offset:  # E of the zero field, field p on copy p
+        if xi0 is not None:  # E of the zero field, field p on copy p
             self._offset = self.from_cells(np.zeros((self.copies, nc, self.M, dim)))
 
     def _points(self, R, on):
@@ -396,23 +396,6 @@ class TVObjective(_Objective):
             return val
         denom = np.maximum(mags, 1e-300)
         return val, exact, grads * (measures / denom)[..., None, None]
-
-
-class LinearCombo(_Objective):
-    def __init__(self, terms):
-        self.terms = list(terms)
-        self.M = self.terms[0][1].M
-        self.mesh = self.terms[0][1].mesh
-        self.copies = max(o.copies for _, o in self.terms)
-
-    def from_cells(self, grads, delta=0.0, with_grad=False, on=None):
-        if not with_grad:
-            return sum(c * o.from_cells(grads, delta, on=on) for c, o in self.terms)
-        total = exact = dG = 0.0
-        for c, o in self.terms:
-            v, e, g = o.from_cells(grads, delta, True, on)
-            total, exact, dG = total + c * v, exact + c * e, dG + c * g
-        return total, exact, dG
 
 
 class RayleighQuotient(_Objective):
@@ -588,11 +571,16 @@ def minimize_fields(objective, problems, on=None, floors=None):
     return _solve(objective, problems, on, floors)
 
 
+def start_count(restarts, n_extra):
+    """The starts default_inits makes for `restarts` and n_extra extra_inits."""
+    return max(restarts, n_extra + 1)
+
+
 def work_error(n_cells, options):
     """The SolverBudgetError of a solve with `options` on a mesh of n_cells
     cells, whose cells x restarts x iterations exceed MAX_WORK; None for a
     solve that fits."""
-    n = max(options.restarts, len(options.extra_inits) + 1)  # starts it makes
+    n = start_count(options.restarts, len(options.extra_inits))
     work = n_cells * n * options.max_iter
     if work <= MAX_WORK:
         return None

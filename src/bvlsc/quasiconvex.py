@@ -151,8 +151,7 @@ def _closed_form_report(g, xi, c, mesh, L_grid):
     witness = None
     if violated:
         witness = _pyramid_witness(mesh, xi, caps[-1])
-        value = float(BulkObjective(mesh, g, xi0=xi, subtract_offset=True).value(
-            witness.values))
+        value = float(BulkObjective(mesh, g, xi0=xi).value(witness.values))
         if not value < -tol:
             raise ArithmeticError(f"closed-form qc deficit {deficit} has no mesh "
                                   f"witness: the pyramid reads {value} >= -{tol}")
@@ -196,8 +195,7 @@ def _mesh_deficits(jobs, mesh, L_grid):
     xis, tols = zip(*(_shape_and_tol(g, xi, mesh) for g, xi, _ in jobs))
     bases = [options or SolverOptions() for _, _, options in jobs]
     clamped = mesh.boundary_vertices
-    objective = BulkObjective(mesh, [g for g, _, _ in jobs], xi0=np.array(xis),
-                              subtract_offset=True)
+    objective = BulkObjective(mesh, [g for g, _, _ in jobs], xi0=np.array(xis))
 
     per_cap = [[] for _ in jobs]
     diagnostics = [[] for _ in jobs]

@@ -392,7 +392,7 @@ class Scenario:
             raise SolverBudgetError(
                 f"qc family needs {jobs} xi samples x {entries} entries, "
                 f"over the budget {minimize.MAX_WORK:.3g}")
-        starts, iterations = max(solver["restarts"], 2), solver["max_iter"]
+        starts, iterations = minimize.start_count(solver["restarts"], 1), solver["max_iter"]
         out, solving = [], 0
 
         def check():

@@ -246,9 +246,8 @@ def test_criterion_08_uniform_continuity_pairs():
     zeros = np.zeros((mesh.n_cells, 1, 1))
 
     def atom_pair(n):
-        mu = MatrixMeasure.from_raw_charges(mesh, zeros, [(0.5, [[1.0]])])
-        lam = MatrixMeasure.from_raw_charges(mesh, zeros,
-                                             [(0.5, [[1.0 + 1.0 / n]])])
+        mu = MatrixMeasure(mesh, zeros, [0.5], [[[1.0]]])
+        lam = MatrixMeasure(mesh, zeros, [0.5], [[[1.0 + 1.0 / n]]])
         return mu, lam
 
     def density_pair(n):
@@ -257,11 +256,9 @@ def test_criterion_08_uniform_continuity_pairs():
         return mu, lam
 
     def mixed_pair(n):
-        mu = MatrixMeasure.from_raw_charges(mesh, np.full_like(zeros, 0.5),
-                                            [(0.5, [[1.0]])])
-        lam = MatrixMeasure.from_raw_charges(
-            mesh, np.full_like(zeros, 0.5 + 0.5 / n),
-            [(0.5, [[1.0 + 0.5 / n]])])
+        mu = MatrixMeasure(mesh, np.full_like(zeros, 0.5), [0.5], [[[1.0]]])
+        lam = MatrixMeasure(mesh, np.full_like(zeros, 0.5 + 0.5 / n), [0.5],
+                            [[[1.0 + 0.5 / n]]])
         return mu, lam
 
     finals = []

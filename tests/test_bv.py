@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bvlsc import regions
 from bvlsc.bv import (
     BVFunction,
+    MatrixMeasure,
     cutoff_multiply,
     derivative,
     does_not_charge,
@@ -37,8 +38,8 @@ def test_derivative_of_migrating_jump():
     u = jump_member(4)
     mu = derivative(u)
     assert np.allclose(mu.density, 0.0)
-    assert len(mu.charges) == 1
-    (loc, polar, mass) = mu.charges[0]
+    assert len(mu.masses) == 1
+    (loc,), polar, mass = mu.positions[0], mu.polars[0], mu.masses[0]
     assert loc == pytest.approx(0.25)
     assert polar[0, 0] == -1.0
     assert mass == 1.0
@@ -50,7 +51,7 @@ def test_derivative_of_affine_function():
     u = BVFunction.affine(mesh, xi)
     mu = derivative(u)
     assert np.allclose(mu.density, np.broadcast_to(xi, mu.density.shape), atol=1e-12)
-    assert len(mu.charges) == 0
+    assert len(mu.masses) == 0
 
 
 def test_sum_of_jumps_given_with_opposite_normals():
@@ -67,7 +68,8 @@ def test_sum_of_jumps_given_with_opposite_normals():
         assert fu == fv and np.array_equal(nu, -nv)
 
     def charges(mu):
-        return {d: p * m for d, p, m in mu.charges}
+        return {tuple(x): p * m
+                for x, p, m in zip(mu.positions.tolist(), mu.polars, mu.masses)}
 
     du, dv = charges(derivative(u)), charges(derivative(v))
     for sign, s in ((1.0, u + v), (-1.0, u - v)):
@@ -79,6 +81,46 @@ def test_sum_of_jumps_given_with_opposite_normals():
             np.testing.assert_allclose(got[d], du[d] + sign * dv[d], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_measure_difference_merges_charges_at_one_position(dim):
+    # v jumps where u does and elsewhere: Du - Dv holds one charge per
+    # position, as D(u - v) does, and Du - Du none
+    if dim == 1:
+        mesh = interval_mesh_with(0.0, 1.0, 1.0 / 8, [0.25, 0.5],
+                                  domain=Domain.interval(0.0, 1.0))
+        x = mesh.centroids[:, 0]
+        u = BVFunction.from_cellwise_constant(mesh, ((x > 0.25) & (x < 0.5)) * 1.0)
+        v = BVFunction.from_cellwise_constant(mesh, (x < 0.5) * 0.25)
+    else:
+        mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2)
+        right, top = mesh.centroids[:, 0] > 0.5, mesh.centroids[:, 1] > 0.5
+        u = BVFunction.from_cellwise_constant(mesh, right * 0.7)
+        v = BVFunction.from_cellwise_constant(mesh, right * 0.3 + top * 0.2)
+    def charges(mu):
+        return {tuple(x): p * m
+                for x, p, m in zip(mu.positions.tolist(), mu.polars, mu.masses)}
+
+    du, dv = derivative(u), derivative(v)
+    diff = du - dv
+    got, want = charges(diff), charges(derivative(u - v))
+    assert len(diff.masses) == len(got) == len(want) < len(du.masses) + len(dv.masses)
+    assert set(got) == set(want)
+    for x in want:
+        np.testing.assert_allclose(got[x], want[x], rtol=0, atol=1e-15)
+    assert len((du - du).masses) == 0
+
+
+def test_measure_drops_negligible_charges_and_keeps_nan_ones():
+    mesh = interval_mesh(0.0, 1.0, 0.25, domain=Domain.interval(0.0, 1.0))
+    mu = MatrixMeasure(mesh, np.zeros((mesh.n_cells, 1, 1)), [0.25, 0.5, 0.75, 0.8],
+                       [[[np.nan]], [[1e-14]], [[-2.0]], [[0.0]]])
+    assert mu.positions.tolist() == [[0.25], [0.75]]
+    assert np.isnan(mu.masses[0]) and mu.masses[1] == 2.0 and mu.polars[1, 0, 0] == -1.0
+    empty = MatrixMeasure(mesh, np.zeros((mesh.n_cells, 2, 1)))
+    assert empty.positions.shape == (0, 1) and empty.polars.shape == (0, 2, 1)
+    assert empty.masses.shape == (0,) and total_variation(empty) == 0.0
+
+
 def test_facet_jump_against_distributional_pairing():
     # 2D: u jumps by j across the vertical line {x1 = 1/2} (normal e1).
     # Oracle: <Du, Phi> = -int u . div Phi for smooth Phi vanishing near the
@@ -88,8 +130,8 @@ def test_facet_jump_against_distributional_pairing():
     vals = np.where(mesh.centroids[:, 0] > 0.5, j[0], 0.0)
     u = BVFunction.from_cellwise_constant(mesh, vals)
     mu = derivative(u)
-    assert len(mu.charges) == 1
-    desc, polar, mass = mu.charges[0]
+    assert len(mu.masses) == 1
+    polar, mass = mu.polars[0], mu.masses[0]
     assert mass == pytest.approx(abs(j[0]) * 1.0)  # facet length 1
     assert np.allclose(polar * mass, np.outer(j, [1.0, 0.0]))
 
@@ -112,7 +154,7 @@ def test_facet_jump_against_distributional_pairing():
             divphi = bump(X) * bump_d(Y)
         lhs = -np.sum(uxy * divphi) / k**2
         # measure applied to Phi: singular charge only (density is zero)
-        pos = mu.charge_positions()[0]
+        pos = mu.positions[0]
         phi_mat = np.zeros((1, 2))
         phi_mat[0, comp] = bump(pos[0]) * bump(pos[1])
         # the jump is constant along the facet; integrate Phi over it
@@ -205,6 +247,36 @@ def test_cutoff_tv_inequality():
     assert tv_w <= tv_u + mixed + 1e-10
 
 
+def test_cutoff_scales_each_facet_jump_by_its_midpoint_value():
+    mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2)
+    u = BVFunction.from_cellwise_constant(mesh, (mesh.centroids[:, 0] > 0.5) * 0.7)
+    phi = mesh.vertices[:, 1] ** 2  # not affine: the midpoint value is the mean
+    w = cutoff_multiply(u, phi)
+    assert len(w.jump_facets) == len(u.jump_facets) == 2
+    for (fw, jw, nw), (f, j, n) in zip(w.jump_facets, u.jump_facets, strict=True):
+        assert fw == f and np.array_equal(nw, n)
+        assert jw.tobytes() == (0.5 * (phi[f[0]] + phi[f[1]]) * j).tobytes()
+    assert [jw[0] for _, jw, _ in w.jump_facets] == pytest.approx([0.7 * 0.125, 0.7 * 0.625])
+
+
+def test_weakstar_diagnostics_across_meshes():
+    # members on their own meshes against the zero limit on another: the
+    # distance is each member's L1 norm; a nonzero limit there is refused
+    members = [jump_member(n) for n in (2, 4, 8)]
+    zero = BVFunction.zero(interval_mesh(0.0, 1.0, 0.25, domain=Domain.interval(0.0, 1.0)))
+    rep = weakstar_diagnostics(members, limit=zero)
+    assert rep["l1_distances"] == [m.l1_norm() for m in members]
+    with pytest.raises(ValueError, match="only the zero limit"):
+        weakstar_diagnostics(members, limit=BVFunction.affine(zero.mesh, [[1.0]]))
+
+
+def test_weakstar_diagnostics_unbounded_total_variation():
+    members = [1e7 * jump_member(n) for n in (2, 4)]
+    rep = weakstar_diagnostics(members)
+    assert rep["tv_sup"] == pytest.approx(1e7)
+    assert rep["verdict"] == "TV unbounded"
+
+
 def test_weakstar_diagnostics_migrating_jumps():
     members = [jump_member(n) for n in range(1, 33)]
     rep = weakstar_diagnostics(members, l1_threshold=0.05)
@@ -238,7 +310,7 @@ def test_derivative_is_linear():
     left = derivative(u + v)
     right_dens = derivative(u).density + derivative(v).density
     assert np.allclose(left.density, right_dens, atol=1e-13)
-    assert len(left.charges) == len(derivative(u).charges)
+    assert len(left.masses) == len(derivative(u).masses)
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,7 +328,7 @@ def test_tv_invariant_under_constant_shift(c):
 def test_polar_decomposition_recombines():
     u = jump_member(5)
     mu = derivative(u)
-    for desc, polar, mass in mu.charges:
+    for polar, mass in zip(mu.polars, mu.masses):
         assert abs(np.linalg.norm(polar) - 1.0) <= 1e-12
         assert np.allclose(polar * mass, np.array([[-1.0]]), atol=1e-12)
 
@@ -346,7 +418,7 @@ def test_tv_on_neighborhood_sequence_equals_scalar_calls(case):
         kset = regions.point([0.25])
     else:
         mu, kset = _measure_with_jumps_2d()
-    assert mu.charges and np.any(mu.density)
+    assert len(mu.masses) and np.any(mu.density)
     deltas = [0.5, 0.3, 0.1, 0.04, 0.01]
     values = tv_on_neighborhood(mu, kset, deltas)
     assert values == [tv_on_neighborhood(mu, kset, d) for d in deltas]
@@ -362,7 +434,7 @@ def test_tv_on_neighborhood_radii_share_sums_bit_for_bit(case):
         step = BVFunction.indicator_1d(mesh, 0.25, 0.75)
         mu = derivative(step + BVFunction.affine(mesh, [[0.7]]))
         kset = regions.point([0.5])
-        assert [kset.dist([[d]])[0] for d, _, _ in mu.charges] == [0.25, 0.25]
+        assert kset.dist(mu.positions).tolist() == [0.25, 0.25]
     else:
         mu, kset = _measure_with_jumps_2d()
     # unsorted and repeated radii, radii equal to sub-cell and charge distances
@@ -390,9 +462,9 @@ def _reference_tv_on_neighborhood(mu, kset, radii):
     cent, sub_measure, parent = mu.mesh.refined_cells(2)
     weights = np.linalg.norm(mu.density.reshape(mu.mesh.n_cells, -1), axis=1)[parent]
     weights = weights * sub_measure
-    dist, cdist = kset.dist(cent), kset.dist(mu.charge_positions())
+    dist, cdist = kset.dist(cent), kset.dist(mu.positions)
     return [float(weights[dist < d].sum())
-            + sum(m for dc, (_, _, m) in zip(cdist, mu.charges) if dc < d)
+            + sum(m for dc, m in zip(cdist, mu.masses.tolist()) if dc < d)
             for d in radii]
 
 
@@ -417,7 +489,7 @@ def _random_measure(rng, dim):
 def _random_radii(rng, mu, kset):
     """0-7 radii: uniform ones, sub-cell and charge distances, 0, inf, NaN."""
     dist = np.concatenate([kset.dist(mu.mesh.refined_cells(2)[0]),
-                           kset.dist(mu.charge_positions())])
+                           kset.dist(mu.positions)])
     pool = rng.uniform(0.0, 1.5, size=4).tolist() + rng.choice(dist, size=3).tolist()
     pool += [0.0, np.inf, np.nan]
     return [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(8)))]

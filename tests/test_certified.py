@@ -1,7 +1,8 @@
 """Certified stops: a solve ends once its best value reaches a proven lower
 bound (its floor).  The checks take the floors from integrand metadata: 0 for
 the qc deficit of a convex integrand (Jensen), and the minimum of f_inf on
-the unit sphere for the half-ball quotient (1-homogeneity)."""
+the unit sphere for the half-ball quotient (1-homogeneity), c - |A|_F where
+f_inf(x0, xi) = c |xi|_F + A : xi."""
 
 import dataclasses
 
@@ -10,7 +11,7 @@ import pytest
 
 import bvlsc.quasiconvex
 from bvlsc import minimize
-from bvlsc.boundary import halfball_deficit
+from bvlsc.boundary import _sphere_floor, halfball_deficit
 from bvlsc.integrands import (
     Integrand,
     catalog_get,
@@ -27,7 +28,7 @@ from test_families import _assert_same_result, _recording
 NORM = catalog_get("norm", {"M": 1, "N": 2})
 LIN = catalog_get("linear", {"matrix": [[0.6, -0.8]]})
 
-# tag and params -> (convex, sphere_min)
+# tag and params -> (convex, the floor of the recession)
 FLOORS = [
     ("linear", {"matrix": [[0.6, -0.8]]}, True, -1.0),
     ("linear", {"matrix": [[1.0, 2.0], [-2.0, 4.0]]}, True, -5.0),
@@ -45,22 +46,28 @@ FLOORS = [
 ]
 
 
-@pytest.mark.parametrize("tag, params, convex, sphere_min", FLOORS,
-                         ids=[f"{t}{i}" for i, (t, *_) in enumerate(FLOORS)])
-def test_floor_metadata_of_each_catalog_entry(tag, params, convex, sphere_min):
-    f = catalog_get(tag, params)
-    assert f.convex is convex
-    assert f.recession.sphere_min == pytest.approx(sphere_min, abs=1e-15)
-    # freezing the point keeps both
-    frozen = freeze_x(f, np.zeros(f.N))
-    assert frozen.convex is convex
-    assert frozen.recession.sphere_min == f.recession.sphere_min
-    # a lower bound on the unit sphere, attained up to sampling
-    xi = np.random.default_rng(0).normal(size=(4000, f.M, f.N))
+def _assert_floor_on_the_sphere(finf, x, floor):
+    """floor is a lower bound of finf(x, .) on the unit sphere, attained up to
+    sampling."""
+    xi = np.random.default_rng(0).normal(size=(4000, finf.M, finf.N))
     xi /= np.linalg.norm(xi.reshape(len(xi), -1), axis=1)[:, None, None]
-    vals = f.recession(np.zeros((len(xi), f.N)), xi)
-    assert vals.min() >= sphere_min - 1e-12
-    assert vals.min() <= sphere_min + 0.05 * (1 + abs(sphere_min))
+    vals = finf(np.tile(x, (len(xi), 1)), xi)
+    assert vals.min() >= floor - 1e-12
+    assert vals.min() <= floor + 0.05 * (1 + abs(floor))
+
+
+@pytest.mark.parametrize("tag, params, convex, floor", FLOORS,
+                         ids=[f"{t}{i}" for i, (t, *_) in enumerate(FLOORS)])
+def test_floor_metadata_of_each_catalog_entry(tag, params, convex, floor):
+    f = catalog_get(tag, params)
+    x = np.zeros(f.N)
+    assert f.convex is convex
+    assert _sphere_floor(f.recession, x) == pytest.approx(floor, abs=1e-15)
+    # freezing the point keeps both
+    frozen = freeze_x(f, x)
+    assert frozen.convex is convex
+    assert _sphere_floor(frozen.recession, x) == _sphere_floor(f.recession, x)
+    _assert_floor_on_the_sphere(f.recession, x, floor)
 
 
 def test_no_floor_without_a_proof():
@@ -69,15 +76,33 @@ def test_no_floor_without_a_proof():
 
     user = Integrand(fn, 1, 1, growth=1.0)
     assert user.convex is False
-    assert estimated_recession(user).sphere_min is None
+    assert _sphere_floor(estimated_recession(user), np.zeros(1)) is None
     assert NORM.recession.convex is False
     mod = modulate(NORM, 1.0, [0.5, 0.0])
-    assert mod.convex is False and mod.recession.sphere_min is None
-    assert freeze_x(mod, [0.2, 0.2]).recession.sphere_min is None
+    assert mod.convex is False
     negative = composite([(1.0, NORM), (-0.5, NORM)])
-    assert negative.convex is False and negative.recession.sphere_min is None
+    assert negative.convex is False
     assert composite([(1.0, NORM), (0.5, catalog_get("negnorm", {"M": 1, "N": 2}))]
                      ).convex is False
+
+
+@pytest.mark.parametrize("name", ["modulated", "negative_weight", "frozen_modulated"])
+def test_split_recessions_get_their_exact_floor(name):
+    """A modulated recession and a composite with a negative weight: the floor
+    at x0 is c - |A|_F of the split there, the minimum on the unit sphere."""
+    x0 = np.array([0.2, 0.2])
+    finf = {
+        "modulated": lambda: modulate(composite([(1.0, NORM), (0.5, LIN)]), 1.0,
+                                      [0.5, 0.0]).recession,
+        "negative_weight": lambda: composite([(1.0, NORM), (-2.0, LIN)]).recession,
+        "frozen_modulated": lambda: freeze_x(modulate(LIN, 1.0, [0.5, 0.0]), x0).recession,
+    }[name]()
+    c, A = finf.split_at(x0)
+    floor = _sphere_floor(finf, x0)
+    assert floor == float(c) - float(np.linalg.norm(A))
+    assert floor == pytest.approx({"modulated": 0.55, "negative_weight": -1.0,
+                                   "frozen_modulated": -1.1}[name], abs=1e-15)
+    _assert_floor_on_the_sphere(finf, x0, floor)
 
 
 # -- the checks end at their floors -------------------------------------------------
@@ -114,6 +139,16 @@ def test_1d_linear_halfball_ends_at_minus_norm(A, end):
     assert rep.witness.gradient_tv() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("end", [0, 1])
+def test_1d_modulated_linear_halfball_ends_at_its_floor(end):
+    # f_inf(x, xi) = (1 - x / 2) xi: the floor -c(x0) is reached by a start
+    bp = [BoundaryPoint([0.0], [-1.0]), BoundaryPoint([1.0], [1.0])][end]
+    finf = modulate(catalog_get("linear", {"matrix": [[1.0]]}), 1.0, [-0.5]).recession
+    rep = halfball_deficit(finf, bp, h=1.0 / 16, options=FAST)
+    assert rep.deficit == _sphere_floor(finf, bp.x0) == [-1.0, -0.5][end]
+    assert rep.diagnostics["iterations"] == 0
+
+
 # -- a floor stops a problem at the same point alone and in a family ---------------
 
 
@@ -136,7 +171,7 @@ def test_family_with_floors_equals_each_problem_alone(monkeypatch, chunk):
     gs, xis, opts = _family()
 
     def alone(p):
-        return BulkObjective(mesh, gs[p], xi0=xis[p], subtract_offset=True)
+        return BulkObjective(mesh, gs[p], xi0=xis[p])
 
     free = [minimize_field(alone(p), mesh, clamped, opts[p]) for p in range(3)]
     # problem 0 has no floor, problem 1 reaches its floor mid-solve, and
@@ -145,7 +180,7 @@ def test_family_with_floors_equals_each_problem_alone(monkeypatch, chunk):
     if chunk == "split":
         # two restarts a chunk: each problem's five restarts span three chunks
         monkeypatch.setattr(minimize, "BATCH_CELLS", 2 * mesh.n_cells)
-    family = BulkObjective(mesh, gs, xi0=xis, subtract_offset=True)
+    family = BulkObjective(mesh, gs, xi0=xis)
     results = minimize_fields(family, [(mesh, clamped, o) for o in opts], floors=floors)
     for p in range(3):
         # alone, through the one-problem branch, which hands minimize_field
@@ -162,7 +197,7 @@ def test_family_with_floors_equals_each_problem_alone(monkeypatch, chunk):
 def test_floors_of_none_change_nothing():
     mesh = unit_square_mesh(4)
     gs, xis, opts = _family()
-    family = BulkObjective(mesh, gs, xi0=xis, subtract_offset=True)
+    family = BulkObjective(mesh, gs, xi0=xis)
     problems = [(mesh, mesh.boundary_vertices, o) for o in opts]
     for got, want in zip(minimize_fields(family, problems, floors=[None] * 3),
                          minimize_fields(family, problems)):

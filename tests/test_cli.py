@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bvlsc.cli import main, resolve_config
@@ -54,6 +55,33 @@ def test_recession_subcommand(tmp_path):
         assert row["estimate"] == pytest.approx(row["analytic"], abs=1e-6)
     mus = [r.get("analytic", r["sampled"]) for r in report["mu_table"]]
     assert mus[-1] < 1e-3
+
+
+def test_recession_seed_override_draws_the_samples(tmp_path):
+    assert main(["recession", "norm_square", "--seed", "5", "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "recession.json").read_text())
+    xi = np.random.default_rng(5).normal(size=(1, 2))
+    assert report["recession_samples"][0]["xi"] == xi.tolist()
+
+
+def test_recession_of_an_invalid_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{\n "domain": {"kind": "interval", "a": 0.0, "b": 1.0}\n}\n')
+    assert main(["recession", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "integrand" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_execution_error_exits_1_and_writes_no_report(tmp_path, capsys, monkeypatch):
+    import bvlsc.verdict
+
+    def failing(scenario):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bvlsc.verdict, "analyze", failing)
+    assert main(["analyze", "example_1_2", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out == "execution error: boom\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_recession_prices_its_mu_table_before_any_draw(tmp_path, capsys, monkeypatch):

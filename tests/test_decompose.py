@@ -157,8 +157,9 @@ def test_prefix_too_short():
             local_decompose(members, COVER, n_max=8)
 
 
-def test_three_set_cover_matches_nested_two_set_runs():
-    members = jump_members(120)
+def _assert_three_set_cover_nests(members, stage1_n):
+    """The three-set decomposition of the members equals stage one against
+    K1 run to n = stage1_n, then its remainders against K2/K3."""
     cover3 = CoverSpec([
         regions.point([0.0]),
         regions.box([0.1], [0.6]),
@@ -171,7 +172,7 @@ def test_three_set_cover_matches_nested_two_set_runs():
     # manual nesting: stage one against K1, then the remainders against K2/K3
     cover_first = CoverSpec([regions.point([0.0]), regions.box([0.1], [1.0])])
     with pytest.warns(UserWarning, match="cover gap"):
-        stage1 = local_decompose(members, cover_first, n_max=40)
+        stage1 = local_decompose(members, cover_first, n_max=stage1_n)
     remainders = [stage1.components[n][1] for n in stage1.n_values]
     cover_rest = CoverSpec([regions.box([0.1], [0.6]),
                             regions.box([0.55], [1.0])])
@@ -190,6 +191,22 @@ def test_three_set_cover_matches_nested_two_set_runs():
     assert [res3.k_map[n] for n in stage2.n_values] == [
         stage1.k_map[stage2.k_map[n] + 1] for n in stage2.n_values
     ]
+    return cover_first
+
+
+def test_three_set_cover_matches_nested_two_set_runs():
+    # stage one stops at its cap, 4 n_max + 8 = 40 of the 120 members
+    _assert_three_set_cover_nests(jump_members(120), 40)
+
+
+def test_three_set_cover_stage_one_stops_where_its_prefix_runs_out():
+    # stage one picks u_2n for n, so 30 members reach n = 15 and no further:
+    # the stage stops there, and the last stage still finds its n_max = 8
+    members = jump_members(30)
+    cover_first = _assert_three_set_cover_nests(members, 15)
+    with pytest.raises(PrefixTooShortError):
+        with pytest.warns(UserWarning, match="cover gap"):
+            local_decompose(members, cover_first, n_max=16)
 
 
 def test_a_two_set_stage_builds_one_refined_mesh_per_pick(monkeypatch):

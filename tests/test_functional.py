@@ -67,9 +67,7 @@ def test_eval_G_matches_eval_F_on_derivatives():
 
 def test_eval_G_single_atom():
     mesh = interval_mesh(0.0, 1.0, 0.25, domain=Domain.interval(0.0, 1.0))
-    mu = MatrixMeasure.from_raw_charges(
-        mesh, np.zeros((mesh.n_cells, 1, 1)), [(0.5, np.array([[-1.0]]))]
-    )
+    mu = MatrixMeasure(mesh, np.zeros((mesh.n_cells, 1, 1)), [0.5], [np.array([[-1.0]])])
     assert eval_G(LIN, LIN.recession, mu).total == pytest.approx(-1.0)
 
 
@@ -104,12 +102,9 @@ def test_one_homogeneous_scaling():
 
 def _atom_pair_generator(n):
     mesh = interval_mesh(0.0, 1.0, 0.25, domain=Domain.interval(0.0, 1.0))
-    mu = MatrixMeasure.from_raw_charges(
-        mesh, np.zeros((mesh.n_cells, 1, 1)), [(0.5, np.array([[1.0]]))]
-    )
-    lam = MatrixMeasure.from_raw_charges(
-        mesh, np.zeros((mesh.n_cells, 1, 1)), [(0.5, np.array([[1.0 + 1.0 / n]]))]
-    )
+    mu = MatrixMeasure(mesh, np.zeros((mesh.n_cells, 1, 1)), [0.5], [np.array([[1.0]])])
+    lam = MatrixMeasure(mesh, np.zeros((mesh.n_cells, 1, 1)), [0.5],
+                        [np.array([[1.0 + 1.0 / n]])])
     return mu, lam
 
 
@@ -144,9 +139,7 @@ def test_uniform_continuity_refuses_non_vanishing_gap():
         dens = np.zeros((mesh.n_cells, 1, 1))
         dens[mesh.centroids[:, 0] < 1.0 / n] = float(n)
         mu = MatrixMeasure(mesh, dens)
-        lam = MatrixMeasure.from_raw_charges(
-            mesh, np.zeros((mesh.n_cells, 1, 1)), [(0.5, np.array([[1.0]]))]
-        )
+        lam = MatrixMeasure(mesh, np.zeros((mesh.n_cells, 1, 1)), [0.5], [np.array([[1.0]])])
         return mu, lam
 
     rep = uniform_continuity_probe(f, f.recession, gen, 8)
@@ -241,7 +234,7 @@ def _recessions(M, N):
 
 
 def test_one_recession_call_per_measure_matches_one_call_per_charge():
-    # bit for bit: the singular values, the masses and the polars
+    # bit for bit: the singular values, the masses, the polars and the positions
     for u in _jump_fields():
         mu, mesh = derivative(u), u.mesh
         v = mesh.vertices
@@ -253,11 +246,11 @@ def test_one_recession_call_per_measure_matches_one_call_per_charge():
                    for f, j, n in u.jump_facets]
             where = [0.5 * (v[f[0]] + v[f[1]]) for f, _, _ in u.jump_facets]
         masses = [float(np.linalg.norm(m)) for _, m in raw]
-        assert len(masses) == len(mu.charges) > 3
+        assert len(masses) == len(mu.masses) > 3
         assert np.array(masses).tobytes() == mu.masses.tobytes()
         polars = np.array([m / mass for (_, m), mass in zip(raw, masses)])
         assert polars.tobytes() == mu.polars.tobytes()
-        assert [d for d, _, _ in mu.charges] == [d for d, _ in raw]
+        assert np.array(where).reshape(-1, mesh.dim).tobytes() == mu.positions.tobytes()
         for name, finf in _recessions(u.M, mesh.dim):
             got = eval_G(finf, finf, mu).per_charge
             want = [finf.at(x, p) * m for x, p, m in zip(where, polars, masses)]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvlsc.boundary import _sphere_floor
 from bvlsc.integrands import (
     Integrand,
     RecessionLimitError,
@@ -179,6 +180,23 @@ def test_mu_monotone_and_vanishing():
         vals = [mu_estimate(f, f.recession, t, budget=400)["analytic"] for t in grid]
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1)), tag
         assert vals[-1] < 1e-3, tag
+
+
+def test_composite_modulus_bounds_its_deviation():
+    # mu = sum |w_i| mu_i, |f - finf| <= mu(|xi|) (1 + |xi|), and mu_estimate
+    # reports it; a term without a modulus leaves the composite without one
+    area, wavy = catalog_get("area"), catalog_get("norm_sin")
+    f = composite([(2.0, area), (-0.5, wavy)])
+    for t in (0.0, 1.0, 10.0):
+        assert f.mu_analytic(t) == 2.0 * area.mu_analytic(t) + 0.5 * wavy.mu_analytic(t)
+        assert mu_estimate(f, f.recession, t, budget=200)["analytic"] == f.mu_analytic(t)
+    xi = random_xis(1, 1, 64, seed=6, radius=20.0)
+    x = np.zeros((64, 1))
+    mags = np.abs(xi[:, 0, 0])
+    bound = np.array([f.mu_analytic(m) for m in mags]) * (1 + mags)
+    assert np.all(np.abs(f(x, xi) - f.recession(x, xi)) <= bound + 1e-9)
+    user = Integrand(lambda x, xi: xi[:, 0, 0], 1, 1, growth=1.0)
+    assert composite([(1.0, area), (1.0, user)]).mu_analytic is None
 
 
 def test_composite_recession_and_growth():
@@ -394,8 +412,8 @@ def test_a_recession_is_an_integrand_and_its_own_recession(name):
 
 
 def test_combined_recessions_split_and_floor_by_the_rule_over_their_terms():
-    """split_at: summed, scaled by c(x), taken at x0; sphere_min: the weighted
-    sum for nonnegative weights (else None), None under modulate, kept by
+    """split_at: summed, scaled by c(x), taken at x0; the half-ball floor:
+    c - |A|_F of that split, for any weights, under modulate and kept by
     freeze_x."""
     terms = [(1.0, _entry("norm_sin", 2)), (0.5, _entry("negnorm", 2)),
              (2.0, _entry("linear", 2)), (0.3, _entry("area", 2))]
@@ -406,16 +424,16 @@ def test_combined_recessions_split_and_floor_by_the_rule_over_their_terms():
         c, A = g.recession.split_at(x)
         assert c == sum(w * p[0] for (w, _), p in zip(recs, parts))
         assert A.tobytes() == sum(w * p[1] for (w, _), p in zip(recs, parts)).tobytes()
-        assert g.recession.sphere_min == sum(w * r.sphere_min for w, r in recs)
+        assert _sphere_floor(g.recession, x) == float(c) - float(np.linalg.norm(A))
     signed = [(1.0, terms[0][1]), (-0.5, terms[1][1])]
-    assert composite(signed).recession.sphere_min is None
+    assert _sphere_floor(composite(signed).recession, x) == 1.5
     f = _entry("norm", 2)
     cx = 1.2 + (x * cvec).sum()
     c, A = modulate(f, 1.2, cvec).recession.split_at(x)
     assert (c, A.tobytes()) == (cx * 1.0, (cx * np.zeros((1, 2))).tobytes())
-    assert modulate(f, 1.2, cvec).recession.sphere_min is None
+    assert _sphere_floor(modulate(f, 1.2, cvec).recession, x) == cx
     frozen = freeze_x(composite(terms), x0).recession
     c, A = frozen.split_at(x)
     want = composite(terms).recession.split_at(x0)
     assert (c, A.tobytes()) == (want[0], want[1].tobytes())
-    assert frozen.sphere_min == composite(terms).recession.sphere_min
+    assert _sphere_floor(frozen, x) == _sphere_floor(composite(terms).recession, x0)

@@ -128,6 +128,23 @@ def test_halfball_area_within_chord_error():
     assert 0 < np.pi / 2 - m.cell_measures.sum() < h * h
 
 
+@pytest.mark.parametrize("normal", [[1.0], [-1.0], [0.6, 0.8]])
+def test_halfball_domain_builds_its_mesh_and_measures(normal):
+    dom = Domain.halfball(normal)
+    m, want = build_mesh(dom, 0.1), halfball_mesh(normal, 0.1)
+    assert m.domain.kind == "halfball"
+    assert m.vertices.tobytes() == want.vertices.tobytes()
+    assert np.array_equal(m.cells, want.cells)
+    if len(normal) == 2:
+        assert dom.measure() == np.pi / 2
+        assert 0 < dom.measure() - m.cell_measures.sum() < 0.1 * 0.1
+        return
+    # the unit interval opposite the normal: its ends are 0 and -normal
+    assert dom.measure() == 1.0 == m.cell_measures.sum()
+    inside = -normal[0] * np.array([0.5, 0.1, 0.9, 0.0, 1.0])
+    assert dom.boundary_distance(inside[:, None]) == pytest.approx([0.5, 0.1, 0.1, 0.0, 0.0])
+
+
 HALFBALL_NORMALS = ([1.0, 0.0], [0.6, 0.8], [0.0, -1.0], [-np.sqrt(0.5), np.sqrt(0.5)])
 
 
@@ -403,14 +420,20 @@ def _stack(h=0.25):
 def test_p1_assemble_with_cached_scatter_slots_equals_a_fresh_mesh(make):
     """Scatter slots are kept per component count for the most rows asked so
     far; fewer rows, then another component count, still assemble as a mesh
-    that never saw a batch."""
+    that never saw a batch.  A stack takes batches only."""
     mesh = make()
     rng = np.random.default_rng(8)
     for R, M in ((8, 1), (3, 1), (5, 2), (None, 2), (8, 2)):
         shape = (mesh.n_cells, M, mesh.dim) if R is None else (R, mesh.n_cells, M, mesh.dim)
         G = rng.normal(size=shape)
-        # on a stack, field r on mesh r mod 3, or one field on mesh 1
+        # on a stack, field r on mesh r mod 3; one field on mesh 1 errs
         on = None if mesh.copies == 1 else np.arange(R or 1) % 3 + (R is None)
+        if R is None and mesh.copies > 1:
+            with pytest.raises(ValueError, match="batch"):
+                mesh.p1_assemble(G, on)
+            with pytest.raises(ValueError, match="batch"):
+                mesh.p1_gradient(rng.normal(size=(mesh.n_vertices, M)), on)
+            continue
         got = mesh.p1_assemble(G, on)
         want = make().p1_assemble(G, on)
         assert got.shape == shape[:-3] + (mesh.n_vertices, M)

@@ -6,14 +6,14 @@ import pytest
 
 from bvlsc import minimize
 from bvlsc.boundary import epsdelta_probe, halfball_deficit
-from bvlsc.integrands import Integrand, catalog_get, catalog_tags, freeze_x, modulate
+from bvlsc.integrands import (Integrand, catalog_get, catalog_tags, composite, freeze_x,
+                               modulate)
 from bvlsc.meshing import (BoundaryPoint, Domain, Mesh, build_mesh, halfball_mesh,
                            interval_mesh, unit_square_mesh)
 from bvlsc.quasiconvex import qc_deficit
 from bvlsc.minimize import (
     BulkObjective,
     FieldEvaluationError,
-    LinearCombo,
     RayleighQuotient,
     SolveResult,
     SolverOptions,
@@ -21,6 +21,7 @@ from bvlsc.minimize import (
     default_inits,
     minimize_field,
     minimize_fields,
+    tent_field,
 )
 
 
@@ -43,10 +44,19 @@ def test_convex_quadratic_min_is_zero_field():
     assert np.allclose(res.witness.values, 0.0)
 
 
+def test_tent_along_a_degenerate_direction_is_zero():
+    # the mesh does not spread along the direction: no tent fits, the field is 0
+    mesh = unit_square_mesh(3)
+    for space_dir in ([0.0, 0.0], [1e-16, 0.0]):
+        values = tent_field(mesh, [1.0, -2.0], space_dir, mesh.boundary_vertices)
+        assert values.shape == (mesh.n_vertices, 2)
+        assert not values.any()
+
+
 def test_normalized_neg_tv_ratio_is_minus_one():
     mesh = unit_square_mesh(4)
     tv = TVObjective(mesh, 1)
-    obj = RayleighQuotient(LinearCombo([(-1.0, tv)]), tv)
+    obj = RayleighQuotient(BulkObjective(mesh, catalog_get("negnorm", {"M": 1, "N": 2})), tv)
     res = minimize_field(obj, mesh, mesh.boundary_vertices,
                          SolverOptions(restarts=3, max_iter=60))
     assert res.value == pytest.approx(-1.0, abs=1e-10)
@@ -301,12 +311,11 @@ def _lockstep_cases():
     neg = catalog_get("negnorm", {"M": 1, "N": 2})
     return {
         "plain_grad_cap": (
-            BulkObjective(sq, area, xi0=[[0.4, 0.0], [0.0, -0.3]],
-                          subtract_offset=True),
+            BulkObjective(sq, area, xi0=[[0.4, 0.0], [0.0, -0.3]]),
             sq, sq.boundary_vertices,
             SolverOptions(restarts=7, max_iter=90, grad_cap=1.0, seed=3)),
         "plain_tv_cap": (
-            LinearCombo([(1.0, BulkObjective(sq, neg)), (0.1, TVObjective(sq, 1))]),
+            BulkObjective(sq, composite([(1.0, neg), (0.1, _norm())])),
             sq, sq.boundary_vertices,
             SolverOptions(restarts=6, max_iter=90, tv_cap=1.0, seed=4)),
         "normalize_degenerate_init": (
@@ -325,7 +334,7 @@ def _lockstep_cases():
             SolverOptions(restarts=4, max_iter=60, seed=7)),
         # a fixed first step, a config's solver.step0, for every restart
         "fixed_step0": (
-            LinearCombo([(1.0, BulkObjective(sq, neg)), (0.1, TVObjective(sq, 1))]),
+            BulkObjective(sq, composite([(1.0, neg), (0.1, _norm())])),
             sq, sq.boundary_vertices,
             SolverOptions(restarts=5, max_iter=90, step0=0.05, tv_cap=1.0, seed=8)),
     }
@@ -390,7 +399,7 @@ def _compaction_cases():
     qc = [SolverOptions(restarts=5, max_iter=90, patience=15, grad_cap=4.0, seed=s)
           for s in (3, 4)]
     # problem 0 reaches its floor mid-solve; problem 1 has none
-    qc_alone = [BulkObjective(sq, g, xi0=xi, subtract_offset=True) for g, xi in zip(gs, xis)]
+    qc_alone = [BulkObjective(sq, g, xi0=xi) for g, xi in zip(gs, xis)]
     free0 = minimize_field(qc_alone[0], sq, sq.boundary_vertices, qc[0])
     return {
         "middle_restart_stops_first": (pull, [
@@ -400,7 +409,7 @@ def _compaction_cases():
             (quotient, hb, hb_clamped, unusable, None),
             (quotient, hb, hb_clamped, dataclasses.replace(unusable, seed=9), None)]),
         "problem_0_certified_mid_solve": (
-            BulkObjective(sq, gs, xi0=xis, subtract_offset=True),
+            BulkObjective(sq, gs, xi0=xis),
             [(qc_alone[0], sq, sq.boundary_vertices, qc[0], free0.value + 1e-3),
              (qc_alone[1], sq, sq.boundary_vertices, qc[1], None)]),
     }
@@ -500,6 +509,18 @@ def test_work_budget_is_checked_before_the_starts_are_built(monkeypatch):
                        SolverOptions(restarts=10**9))
 
 
+@pytest.mark.parametrize("restarts, extras", [(8, 0), (8, 3), (1, 0), (2, 1), (2, 4), (0, 0)])
+@pytest.mark.parametrize("M, normalize", [(1, False), (2, True)])
+def test_start_count_is_the_number_of_starts_default_inits_makes(restarts, extras, M,
+                                                                normalize):
+    mesh = unit_square_mesh(2)
+    opts = SolverOptions(restarts=restarts,
+                         extra_inits=tuple(np.ones((mesh.n_vertices, M)) for _ in range(extras)))
+    inits = default_inits(mesh, M, mesh.boundary_vertices, opts, np.random.default_rng(0),
+                          normalize)
+    assert len(inits) == minimize.start_count(restarts, extras)
+
+
 def test_every_carried_start_is_kept_at_the_default_restarts(monkeypatch):
     # M = N = 2 at 8 restarts: the zero field and the 8 tents already fill
     # them, so the tents, not the carried witnesses, must give way
@@ -543,9 +564,9 @@ def test_no_usable_start_raises():
 def _objectives(mesh):
     M, N = 1, mesh.dim
     bulk = BulkObjective(mesh, catalog_get("norm_sin", {"M": M, "N": N}),
-                         xi0=np.full((M, N), 0.3), subtract_offset=True)
+                         xi0=np.full((M, N), 0.3))
     tv = TVObjective(mesh, M)
-    combo = LinearCombo([(1.0, BulkObjective(mesh, _norm(M, N))), (-0.7, tv)])
+    combo = BulkObjective(mesh, composite([(1.0, _norm(M, N)), (-0.7, _norm(M, N))]))
     quotient = RayleighQuotient(
         BulkObjective(mesh, catalog_get("linear", {"matrix": [[1.0] * N]})), tv)
     return {"bulk": bulk, "tv": tv, "combo": combo, "quotient": quotient}
@@ -585,7 +606,7 @@ def test_gradient_form_carries_the_bits_of_both_value_calls(mesh, delta, name):
     objectives = _objectives(mesh)
     objectives["frozen"] = BulkObjective(
         mesh, freeze_x(catalog_get("negnorm", {"M": 1, "N": mesh.dim}), [0.4] * mesh.dim),
-        xi0=np.full((1, mesh.dim), 0.2), subtract_offset=True)
+        xi0=np.full((1, mesh.dim), 0.2))
     obj = objectives[name]
     batch = np.random.default_rng(12).normal(size=(4, mesh.n_vertices, 1))
     batch[1] = 0.0
@@ -746,7 +767,7 @@ def test_frozen_integrand_once_per_cell_equals_every_quadrature_point(mesh, delt
         per_point = freeze_x(g, x0)
         per_point.frozen = None  # seen as x-dependent: every quadrature point
         xi0 = np.full((1, mesh.dim), 0.3)
-        for kwargs in ({}, {"xi0": xi0, "subtract_offset": True}):
+        for kwargs in ({}, {"xi0": xi0}):
             a = BulkObjective(mesh, per_cell, **kwargs)
             b = BulkObjective(mesh, per_point, **kwargs)
             va, ga = a.value_and_grad(batch, delta)

@@ -29,8 +29,7 @@ def test_negnorm_violated_at_zero():
     assert per_cap[1.0] < -0.5  # |B| = 1 for the unit square
     assert rep.witness is not None
     # stored witness re-evaluates to the reported deficit
-    obj = BulkObjective(rep.witness.mesh, f, xi0=np.zeros((1, 2)),
-                        subtract_offset=True)
+    obj = BulkObjective(rep.witness.mesh, f, xi0=np.zeros((1, 2)))
     assert obj.value(rep.witness.values) == pytest.approx(rep.deficit, abs=1e-10)
 
 
@@ -42,7 +41,7 @@ def test_linear_deficit_vanishes_exactly():
     # brute-force oracle: random clamped fields give exactly zero energy
     mesh = unit_square_mesh(4)
     rng = np.random.default_rng(0)
-    obj = BulkObjective(mesh, f, xi0=np.array([[0.3, 0.8]]), subtract_offset=True)
+    obj = BulkObjective(mesh, f, xi0=np.array([[0.3, 0.8]]))
     for _ in range(10):
         v = rng.normal(size=(mesh.n_vertices, 1))
         v[mesh.boundary_vertices] = 0.0
@@ -129,7 +128,7 @@ def test_closed_form_lies_below_the_solver_and_random_fields(name, g, xi):
     rep = qc_deficit(g, xi, mesh=mesh, L_grid=(1.0, 4.0), options=FAST)
     assert all(d["source"] == "closed_form" and d["iterations"] == 0
                for d in rep.diagnostics)
-    objective = BulkObjective(mesh, g, xi0=xi, subtract_offset=True)
+    objective = BulkObjective(mesh, g, xi0=xi)
     clamped = mesh.boundary_vertices
     rng = np.random.default_rng(3)
     for L, closed in rep.per_cap:
@@ -155,7 +154,7 @@ def test_a_closed_form_violation_has_a_mesh_witness_at_or_above_it(name, g, xi):
         return
     value = rep.diagnostics[-1]["witness_value"]
     assert rep.deficit - 1e-12 <= value < -rep.tol
-    objective = BulkObjective(mesh, g, xi0=xi, subtract_offset=True)
+    objective = BulkObjective(mesh, g, xi0=xi)
     assert objective.value(rep.witness.values) == value
     top = np.max(np.linalg.norm(rep.witness.gradients().reshape(mesh.n_cells, -1), axis=1))
     assert top == pytest.approx(4.0, rel=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bvlsc.regions import CompactSet
+from bvlsc.regions import CompactSet, box, polygon_region
 
 
 def _reference_dist(x, pieces):
@@ -49,3 +49,11 @@ def test_dist_of_stacked_points_is_the_stack_of_their_dists(dim):
     parts = [k.dist(x[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
     assert whole.tobytes() == np.concatenate(parts).tobytes()
     assert whole.tobytes() == np.concatenate([k.dist(p) for p in x]).tobytes()
+
+
+def test_box_in_2d_is_its_filled_rectangle():
+    rect = box([0.0, 0.0], [1.0, 0.5])
+    x = np.array([[0.5, 0.25], [0.0, 0.5], [2.0, 0.25], [0.5, 1.5], [2.0, 1.5]])
+    assert rect.dist(x).tolist() == [0.0, 0.0, 1.0, 1.0, pytest.approx(np.sqrt(2.0))]
+    same = polygon_region([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.0, 0.5]])
+    assert rect.dist(x).tobytes() == same.dist(x).tobytes()

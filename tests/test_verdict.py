@@ -969,6 +969,27 @@ def test_each_missing_piece_of_evidence_alone_is_inconclusive(edit, monkeypatch)
         assert analyze(sc).overall == "wlsc-plausible"
 
 
+def test_a_qc_family_that_raises_gives_each_job_its_error(monkeypatch):
+    # area has no split, so every qc job solves on the mesh; the family
+    # raises as a whole and each job records the one error
+    import bvlsc.quasiconvex
+
+    def raising(objective, problems, on=None, floors=None):
+        raise RuntimeError("boom")
+
+    cfg = json.loads(resolve_config("norm_square").read_text())
+    cfg["integrand"] = {"tag": "area", "params": {"M": 1, "N": 2}}
+    sc = Scenario(cfg)
+    sc.cfg["checks"].update(qslb=False, sequences=False)
+    monkeypatch.setattr(bvlsc.quasiconvex, "minimize_fields", raising)
+    verdict = analyze(sc)
+    jobs = len(list(sc.interior_points())) * len(list(sc.xi_samples()))
+    assert jobs > 1
+    assert verdict.errors == [{"job": "qc", "error": "boom"}] * jobs
+    assert verdict.qc_reports == []
+    assert verdict.overall == "inconclusive"
+
+
 def test_a_family_that_raises_gives_each_job_its_error(monkeypatch):
     # the qslb family of four mesh solves raises as a whole: it runs once, and
     # each boundary point records the one error
