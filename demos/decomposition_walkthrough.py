@@ -36,7 +36,7 @@ for n in (2, 8, 32):
     k = res.k_map[n]
     first, rest = res.components[n]
     print(f"  n={n:3d}: picked member {k + 1:3d}; "
-          f"component near {{0}} has {len(first.atoms)} atom(s), "
+          f"component near {{0}} has {len(first.jumps)} jump(s), "
           f"remainder sup = {rest.linf_norm():.1e}")
 
 print("\n== re-verification of the discrete guarantees")

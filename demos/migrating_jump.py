@@ -31,7 +31,7 @@ for n in (2, 4, 8, 32):
     val = eval_F(f, f.recession, un)
     print(f"  n={n:3d}: F(u_n) = {val.total:+.3f}  "
           f"(bulk {val.bulk:+.3f}, singular {val.singular:+.3f}), "
-          f"atom at {un.atoms[0][0]:.4f}")
+          f"jump at x = {un.mesh.vertices[un.facets[0, 0], 0]:.4f}")
 
 print("\n== weak* diagnostics (L1 trend + TV bound)")
 members = [generate(spec, n) for n in (4, 8, 16, 32, 64)]
@@ -59,7 +59,8 @@ print(f"  certificate (eventually below {cert['target']:+.3f}): "
 print("\n== same sequence on the enlarged domain (-1, 1)")
 spec_ext = SequenceSpec("jump_migration", Domain.interval(-1.0, 1.0), n_max=64)
 u8 = generate(spec_ext, 8)
-print(f"  atoms of u_8: {[(x, j.item()) for x, j in u8.atoms]}")
+at = u8.mesh.vertices[u8.facets[:, 0], 0]
+print(f"  jumps (x, jump) of u_8: {list(zip(at.tolist(), u8.jumps[:, 0].tolist()))}")
 print(f"  F(u_8) = {eval_F(f, f.recession, u8).total:+.3f}  "
       "(the two jumps cancel)")
 lim_ext = empirical_liminf(f, f.recession, spec_ext)

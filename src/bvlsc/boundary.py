@@ -321,10 +321,9 @@ def _qslb_report(x0, mesh, res, c_inf, tol):
     )
 
 
-def _epsdelta_objective(mesh, f, eps):
-    """integral f(x, grad v) + eps |grad v| over the mesh: one integrand."""
-    norm = catalog_get("norm", {"M": f.M, "N": f.N})
-    return BulkObjective(mesh, composite([(1.0, f), (float(eps), norm)]))
+def _epsdelta_integrand(f, eps):
+    """f(x, xi) + eps |xi|: one integrand."""
+    return composite([(1.0, f), (float(eps), catalog_get("norm", {"M": f.M, "N": f.N}))])
 
 
 def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
@@ -347,7 +346,7 @@ def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
     for delta in delta_grid:
         patch = local_patch(domain_mesh, center, float(delta))
         for eps in eps_grid:
-            objective = _epsdelta_objective(patch.mesh, f, eps)
+            objective = BulkObjective(patch.mesh, _epsdelta_integrand(f, eps))
             minima = {}
             carry = ()
             for R in (1.0, 10.0, 100.0):
@@ -378,11 +377,14 @@ def epsdelta_probe(f, x0, domain_mesh, eps_grid=(0.1, 0.5), delta_grid=(0.2,),
 
 def _patch_sign_test(g, center, domain_mesh, eps, tol, base):
     """Sign test for a 1-homogeneous patch objective (cap R=1 suffices) on
-    the patch of radius 2.5 h around center."""
+    the patch of radius 2.5 h around center.  g is frozen (freeze_x), so
+    g + eps |.| is the eps-delta integrand of g's base frozen at g's point,
+    which takes one value per cell."""
     patch = local_patch(domain_mesh, center, 2.5 * domain_mesh.h)
     opts = replace(base, grad_cap=0.0, tv_cap=1.0, extra_inits=())
-    res = minimize_field(_epsdelta_objective(patch.mesh, g, eps), patch.mesh,
-                         patch.clamped_vertices, opts)
+    g_base, x0 = g.frozen
+    objective = BulkObjective(patch.mesh, freeze_x(_epsdelta_integrand(g_base, eps), x0))
+    res = minimize_field(objective, patch.mesh, patch.clamped_vertices, opts)
     return res.value, ("violated" if res.value < -tol else "qslb-plausible")
 
 

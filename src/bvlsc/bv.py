@@ -1,20 +1,23 @@
 """Discrete BV functions and matrix-valued Radon measures.
 
 A BVFunction is piecewise affine per cell (values stored per cell corner, so
-fields may be discontinuous across facets) together with an explicit singular
-part: point atoms (location, jump vector) in 1D, facet jumps (facet, jump
-vector, orientation normal) in 2D.  Its derivative splits as
+fields may be discontinuous across facets) together with its jumps: the
+facets it jumps on, `facets` (k, dim), each a row of sorted vertex ids as
+Mesh.facets lists them (one vertex in 1D, one edge in 2D), and the jump
+vectors `jumps` (k, M).  A jump is the trace on the +n side of its facet
+minus the trace on the -n side, n the facet's own unit normal: +1 in 1D
+(right minus left), and in 2D the edge a -> b (a < b) turned clockwise,
+(e_y, -e_x) / |e|.  Its derivative splits as
 
     Du = (cellwise gradient) * Lebesgue  +  singular charges,
 
-where a 1D atom with jump j contributes the M x 1 charge j, and a 2D facet
-with jump j and unit normal n contributes j (x) n weighted by facet length.
-Jump vectors follow the convention jump = trace on the +n side minus trace on
-the -n side (in 1D: right minus left).
+where the jump j on a facet contributes the M x dim charge j (x) n |facet|
+at the facet's midpoint, |facet| being 1 for a 1D vertex and the edge
+length in 2D.
 
 MatrixMeasure stores the absolutely continuous density per cell plus the
-singular charges in polar form: the position of each (the atom, or the facet
-midpoint), its unit-Frobenius polar matrix and its positive mass.
+singular charges in polar form: the position of each (the vertex, or the
+facet midpoint), its unit-Frobenius polar matrix and its positive mass.
 
 Both types are immutable values; operations never mutate their inputs.
 """
@@ -41,11 +44,6 @@ __all__ = [
 _ATOL = 1e-14
 
 
-def _rows(vectors):
-    """The vectors, k >= 1 of them, as the rows of one float array (k, n)."""
-    return np.asarray(vectors, dtype=float).reshape(len(vectors), -1)
-
-
 def _frobenius(mats):
     """np.linalg.norm of each matrix (or vector) of the stack mats (k, ...),
     bit for bit: one array pass where each holds a single number, else one
@@ -58,9 +56,14 @@ def _frobenius(mats):
 
 
 class BVFunction:
-    """Piecewise-affine function with explicit singular derivative data."""
+    """Piecewise-affine function with its jumps on mesh facets.
 
-    def __init__(self, mesh, cell_values, atoms=(), jump_facets=()):
+    The constructor sorts each facet row, drops the jumps of norm at most
+    1e-14 and, in 1D, those on the domain boundary (with a warning), and
+    sorts the rest by facet; every array is read-only.
+    """
+
+    def __init__(self, mesh, cell_values, facets=(), jumps=()):
         self.mesh = mesh
         cv = np.asarray(cell_values, dtype=float)
         if cv.ndim == 2:
@@ -72,37 +75,31 @@ class BVFunction:
         self.cell_values = cv
         self.M = cv.shape[2]
 
-        # one norm pass over the jumps and, in 1D, one boundary_distance call
-        # over the atoms; the per-atom decisions are read off as lists
-        atoms = sorted(((float(loc), jump) for loc, jump in atoms), key=lambda a: a[0])
-        if atoms:
-            jumps = _rows([j for _, j in atoms])
+        facets = np.array(facets, dtype=np.int64).reshape(-1, mesh.dim)
+        jumps = np.array(jumps, dtype=float).reshape(len(facets), self.M)
+        if len(facets):
+            if mesh.dim > 1:
+                facets.sort(axis=1)
+            # one norm pass over the jumps and, in 1D, one boundary_distance
+            # call over their vertices; the per-jump decisions are read off
+            # as lists
             keep = [not n <= _ATOL for n in _frobenius(jumps).tolist()]
             if mesh.dim == 1 and mesh.domain is not None and any(keep):
-                bdist = mesh.domain.boundary_distance([[loc] for loc, _ in atoms])
-                for i, d in enumerate(bdist.tolist()):
+                at = mesh.vertices[facets[:, 0]]
+                bdist = mesh.domain.boundary_distance(at)
+                for i, (x, d) in enumerate(zip(at[:, 0].tolist(), bdist.tolist())):
                     if keep[i] and d <= 1e-12:
                         warnings.warn(
-                            f"pruning atom at {atoms[i][0]}: jumps on the domain boundary "
+                            f"pruning atom at {x}: jumps on the domain boundary "
                             "are not part of the derivative measure on the open domain"
                         )
                         keep[i] = False
-            atoms = [(loc, j) for (loc, _), j, k in zip(atoms, jumps, keep) if k]
-        self.atoms = tuple(atoms)
-
-        jump_facets = sorted(((tuple(sorted(map(int, facet))), jump, normal)
-                              for facet, jump, normal in jump_facets), key=lambda a: a[0])
-        if jump_facets:
-            jumps = _rows([j for _, j, _ in jump_facets])
-            keep = [not n <= _ATOL for n in _frobenius(jumps).tolist()]
-            jump_facets = [(facet, j, np.asarray(normal, dtype=float))
-                           for (facet, _, normal), j, k in zip(jump_facets, jumps, keep) if k]
-        self.jump_facets = tuple(jump_facets)
-        if mesh.dim == 1 and self.jump_facets:
-            raise ValueError("facet jumps are a 2D feature; use atoms in 1D")
-        if mesh.dim == 2 and self.atoms:
-            raise ValueError("point atoms are a 1D feature; use facet jumps in 2D")
-        for a in (self.cell_values,):
+            rows = facets.tolist()
+            order = sorted((i for i, k in enumerate(keep) if k), key=rows.__getitem__)
+            if order != list(range(len(rows))):
+                facets, jumps = facets[order], jumps[order]
+        self.facets, self.jumps = facets, jumps
+        for a in (self.cell_values, self.facets, self.jumps):
             a.flags.writeable = False
 
     # -- constructors -------------------------------------------------------
@@ -148,20 +145,15 @@ class BVFunction:
             left, right = order[:-1], order[1:]
             jumps = vpc[right] - vpc[left]
             nz = (mesh.cells[left, 1] == mesh.cells[right, 0]) & (jumps != 0).any(axis=1)
-            at = mesh.vertices[mesh.cells[left[nz], 1], 0]
-            return cls(mesh, cv, atoms=zip(at.tolist(), jumps[nz]))
+            return cls(mesh, cv, mesh.cells[left[nz], 1], jumps[nz])
         facets, sides = mesh.facets()
         inner = sides[:, 1] >= 0
         f, (c0, c1) = facets[inner], sides[inner].T
-        v = mesh.vertices[f]
-        e = v[:, 1] - v[:, 0]
-        n = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        n /= row_norms(n)[:, None]
-        mid = 0.5 * (v[:, 0] + v[:, 1])
+        mid, n, _ = _facet_frames(mesh, f)
         ahead = (n * (mesh.centroids[c0] - mid)).sum(axis=1) > 0  # c0 on the +n side
         jumps = vpc[np.where(ahead, c0, c1)] - vpc[np.where(ahead, c1, c0)]
         nz = (jumps != 0).any(axis=1)
-        return cls(mesh, cv, jump_facets=zip(f[nz], jumps[nz], n[nz]))
+        return cls(mesh, cv, f[nz], jumps[nz])
 
     @classmethod
     def indicator_1d(cls, mesh, a, b):
@@ -171,53 +163,28 @@ class BVFunction:
 
     # -- algebra -------------------------------------------------------------
 
-    def _merged_singular(self, other, sign=1.0):
-        atoms = {}
-        for loc, j in self.atoms:
-            atoms[round(loc, 12)] = (loc, j.copy())
-        for loc, j in other.atoms:
-            key = round(loc, 12)
-            if key in atoms:
-                atoms[key] = (atoms[key][0], atoms[key][1] + sign * j)
-            else:
-                atoms[key] = (loc, sign * j)
-        jumps = {}
-        for f, j, n in self.jump_facets:
-            jumps[f] = (j.copy(), n)
-        for f, j, n in other.jump_facets:
-            if f in jumps:
-                j0, n0 = jumps[f]
-                j_adj = j if np.allclose(n, n0) else -j
-                jumps[f] = (j0 + sign * j_adj, n0)
-            else:
-                jumps[f] = (sign * j, n)
-        return (
-            list(atoms.values()),
-            [(f, j, n) for f, (j, n) in jumps.items()],
-        )
+    def _summed_jumps(self, other, sign):
+        """The facets and jumps of self's jumps plus sign times other's,
+        those on one facet summed."""
+        summed = dict(zip(map(tuple, self.facets.tolist()), self.jumps))
+        for f, j in zip(map(tuple, other.facets.tolist()), other.jumps):
+            summed[f] = summed[f] + sign * j if f in summed else sign * j
+        return list(summed), list(summed.values())
 
     def __add__(self, other):
         self._check_same_mesh(other)
-        atoms, jumps = self._merged_singular(other, sign=1.0)
-        return BVFunction(
-            self.mesh, self.cell_values + other.cell_values, atoms, jumps
-        )
+        return BVFunction(self.mesh, self.cell_values + other.cell_values,
+                          *self._summed_jumps(other, 1.0))
 
     def __sub__(self, other):
         self._check_same_mesh(other)
-        atoms, jumps = self._merged_singular(other, sign=-1.0)
-        return BVFunction(
-            self.mesh, self.cell_values - other.cell_values, atoms, jumps
-        )
+        return BVFunction(self.mesh, self.cell_values - other.cell_values,
+                          *self._summed_jumps(other, -1.0))
 
     def __mul__(self, alpha):
         alpha = float(alpha)
-        return BVFunction(
-            self.mesh,
-            alpha * self.cell_values,
-            [(loc, alpha * j) for loc, j in self.atoms],
-            [(f, alpha * j, n) for f, j, n in self.jump_facets],
-        )
+        return BVFunction(self.mesh, alpha * self.cell_values, self.facets,
+                          alpha * self.jumps)
 
     __rmul__ = __mul__
 
@@ -261,7 +228,7 @@ class BVFunction:
     def __repr__(self):
         return (
             f"BVFunction(M={self.M}, cells={self.mesh.n_cells}, "
-            f"atoms={len(self.atoms)}, jump_facets={len(self.jump_facets)})"
+            f"jumps={len(self.jumps)})"
         )
 
 
@@ -317,17 +284,27 @@ class MatrixMeasure:
         )
 
 
+def _facet_frames(mesh, facets):
+    """Midpoints (k, 2), unit normals (k, 2) and lengths (k,) of the 2D
+    facets (k, 2) of sorted vertex ids: the normal of the edge a -> b is
+    e = b - a turned clockwise, (e_y, -e_x) / |e|."""
+    v = mesh.vertices[facets]
+    e = v[:, 1] - v[:, 0]
+    length = row_norms(e)
+    return (0.5 * (v[:, 0] + v[:, 1]), np.stack([e[:, 1], -e[:, 0]], axis=1) / length[:, None],
+            length)
+
+
 def derivative(u):
-    """Derivative measure of a BVFunction: cell gradients + singular charges."""
+    """Derivative measure of a BVFunction: the cell gradients, and on each
+    jump facet the charge jump (x) n |facet| at its midpoint."""
     mesh = u.mesh
     if mesh.dim == 1:
-        return MatrixMeasure(mesh, u.gradients(), [loc for loc, _ in u.atoms],
-                             [j[:, None] for _, j in u.atoms])
-    v = mesh.vertices
-    ij = np.array([f for f, _, _ in u.jump_facets], dtype=np.int64).reshape(-1, 2)
-    return MatrixMeasure(mesh, u.gradients(), 0.5 * (v[ij[:, 0]] + v[ij[:, 1]]),
-                         [np.outer(j, n) * np.linalg.norm(v[f[1]] - v[f[0]])
-                          for f, j, n in u.jump_facets])
+        return MatrixMeasure(mesh, u.gradients(), mesh.vertices[u.facets[:, 0]],
+                             u.jumps[:, :, None])
+    mid, normal, length = _facet_frames(mesh, u.facets)
+    return MatrixMeasure(mesh, u.gradients(), mid,
+                         u.jumps[:, :, None] * normal[:, None, :] * length[:, None, None])
 
 
 def total_variation(mu):
@@ -450,9 +427,9 @@ def cutoff_multiply(u, phi_vertex_values):
     """Product of a BVFunction with a continuous piecewise-affine cutoff.
 
     The affine part is the cornerwise product re-interpolated per cell (exact
-    product rule in 1D, O(h) projection error in 2D); atoms are scaled by the
-    cutoff value at their location, facet jumps by the value at the facet
-    midpoint.
+    product rule in 1D, O(h) projection error in 2D); each jump is scaled by
+    the mean of the cutoff over its facet's vertices, the value at the
+    vertex in 1D and at the edge midpoint in 2D.
     """
     mesh = u.mesh
     phi = np.asarray(phi_vertex_values, dtype=float)
@@ -461,14 +438,8 @@ def cutoff_multiply(u, phi_vertex_values):
     if phi.min() < -1e-12 or phi.max() > 1.0 + 1e-12:
         raise ValueError("cutoff must take values in [0, 1]")
     cv = u.cell_values * phi[mesh.cells][:, :, None]
-    atoms = [
-        (loc, mesh.eval_p1(phi, [loc]) * j) for loc, j in u.atoms
-    ]
-    jumps = []
-    for f, j, n in u.jump_facets:
-        scale = 0.5 * (phi[f[0]] + phi[f[1]])
-        jumps.append((f, scale * j, n))
-    return BVFunction(mesh, cv, atoms, jumps)
+    scale = phi[u.facets].sum(axis=1) / mesh.dim
+    return BVFunction(mesh, cv, u.facets, u.jumps * scale[:, None])
 
 
 def l1_distance(u, v=None):
@@ -529,38 +500,56 @@ def weakstar_diagnostics(members, limit=None, l1_threshold=1e-2):
     }
 
 
+def reassembly_deviation(u, components):
+    """How far u is from the sum of the components, all on one mesh: the
+    largest norm of a cell value of u minus the sum, plus the norms of its
+    jumps."""
+    total = components[0]
+    for c in components[1:]:
+        total = total + c
+    diff = u - total
+    return diff.linf_norm() + sum(_frobenius(diff.jumps).tolist())
+
+
 def refine_bv_1d(u, coords):
     """Exact re-representation of a 1D BVFunction on a refined mesh.
 
     New vertices at `coords` are inserted; cell data is re-evaluated affinely
-    within each parent cell (exact, also across discontinuities), atoms are
-    untouched.
+    within each parent cell (exact, also across discontinuities), and each
+    jump stays at its vertex.
     """
     return refined_bv(u, *refined_1d(u, coords))
 
 
 def refined_bv(u, pts, cell_values):
-    """The BVFunction of refined_1d's arrays: u's atoms and the cell values
-    on the mesh of the vertices pts, in u's domain."""
+    """The BVFunction of refined_1d's arrays: the cell values on the mesh of
+    the vertices pts, in u's domain, and u's jumps, each at the vertex of
+    pts with its coordinate."""
     n = len(pts) - 1
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    at = np.searchsorted(pts, u.mesh.vertices[u.facets[:, 0], 0])
     return BVFunction(Mesh(pts[:, None], cells, domain=u.mesh.domain), cell_values,
-                      atoms=u.atoms)
+                      at, u.jumps)
 
 
 def refined_1d(u, coords):
     """The arrays of refine_bv_1d(u, coords) without the mesh and function:
     the sorted vertex coordinates (n + 1,) and the cell values (n, 2, M) of
-    the cells between consecutive vertices."""
+    the cells between consecutive vertices.
+
+    Every vertex of u's mesh stays, so each jump stays at a vertex; a new
+    point within 1e-14 of one, or of the new point before it, is dropped."""
     mesh = u.mesh
     if mesh.dim != 1:
         raise ValueError("refine_bv_1d needs a 1D mesh")
-    old = mesh.vertices[:, 0]
-    a, b = float(old.min()), float(old.max())
+    old = np.sort(mesh.vertices[:, 0])
     coords = np.asarray(coords, dtype=float)
-    coords = coords[(coords > a + 1e-14) & (coords < b - 1e-14)]
-    pts = np.unique(np.concatenate([old, np.round(coords, 14)]))
-    pts = pts[np.concatenate([[True], np.diff(pts) > 1e-14])]
+    new = np.round(coords[(coords > old[0] + 1e-14) & (coords < old[-1] - 1e-14)], 14)
+    new.sort()
+    i = np.searchsorted(old, new)  # old[i - 1] < new <= old[i]
+    gap = np.minimum(new - old[i - 1], old[i] - new)
+    gap[1:] = np.minimum(gap[1:], np.diff(new))
+    pts = np.sort(np.concatenate([old, new[gap > 1e-14]]))
     old_cells = mesh.vertices[mesh.cells][:, :, 0]
     lefts = old_cells[:, 0]
     mid = 0.5 * (pts[:-1] + pts[1:])

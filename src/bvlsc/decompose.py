@@ -24,8 +24,8 @@ import warnings
 
 import numpy as np
 
-from .bv import (derivative, does_not_charge, refine_bv_1d, refined_1d, refined_bv,
-                 tv_on_neighborhoods)
+from .bv import (derivative, does_not_charge, reassembly_deviation, refine_bv_1d, refined_1d,
+                 refined_bv, total_variation, tv_on_neighborhoods)
 from .meshing import segment_shape_gradients
 
 __all__ = [
@@ -87,11 +87,7 @@ class DecompositionResult:
             "grad_slack": self.grad_slack,
             "s_table": self.s_table,
             "component_tv": {
-                str(n): [
-                    float(sum(np.linalg.norm(j) for _, j in c.atoms)
-                          + np.sum(c.mesh.gradient_masses(c.gradients())))
-                    for c in comps
-                ]
+                str(n): [total_variation(derivative(c)) for c in comps]
                 for n, comps in self.components.items()
             },
         }
@@ -308,12 +304,7 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
     for n in result.n_values:
         uk = result.subsequence[n]
         comps = result.components[n]
-        total = comps[0]
-        for c in comps[1:]:
-            total = total + c
-        diff = uk - total
-        dev = diff.linf_norm() + sum(np.linalg.norm(j) for _, j in diff.atoms)
-        reassembly_dev = max(reassembly_dev, dev)
+        reassembly_dev = max(reassembly_dev, reassembly_deviation(uk, comps))
 
         allowed_grad = 2.0 * n * (1.0 + result.grad_slack)
         measured = np.zeros(uk.mesh.n_cells)
@@ -330,7 +321,9 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
         slack_recorded.append(float(np.sum(slack_cells)))
 
         parent_mass = uk.mesh.gradient_masses(uk.gradients())
-        parent_atoms = {round(loc, 12): np.linalg.norm(j) for loc, j in uk.atoms}
+        # the components live on uk's vertices (the reassembly above
+        # subtracts them), so a jump is matched to uk's by its vertex
+        parent_jumps = dict(zip(uk.facets[:, 0].tolist(), map(np.linalg.norm, uk.jumps)))
         for j_idx, c in enumerate(comps):
             lhs = c.mesh.gradient_masses(c.gradients())
             rhs = parent_mass + uk.mesh.cell_measures / n + slack_cells + tol
@@ -340,12 +333,13 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
                     "n": n, "component": j_idx + 1, "check": "mass_bound",
                     "cell": int(ci), "mass": float(lhs[ci]), "bound": float(rhs[ci]),
                 })
-            for loc, jv in c.atoms:
-                pm = parent_atoms.get(round(loc, 12), 0.0)
+            for v, jv in zip(c.facets[:, 0].tolist(), c.jumps):
+                pm = parent_jumps.get(v, 0.0)
                 if np.linalg.norm(jv) > pm + tol:
                     flags.append({
                         "n": n, "component": j_idx + 1, "check": "atom_bound",
-                        "x": loc, "mass": float(np.linalg.norm(jv)), "bound": pm,
+                        "x": float(c.mesh.vertices[v, 0]), "mass": float(np.linalg.norm(jv)),
+                        "bound": pm,
                     })
             # support inclusions against the cover neighborhoods
             h = uk.mesh.h
@@ -416,13 +410,6 @@ def _segment_extremes(sets, segments):
 
 
 def _support_points(u):
+    """The centroids of u's support cells and the vertices u jumps at."""
     mesh = u.mesh
-    pts = []
-    cells = u.support_cells()
-    if len(cells):
-        pts.append(mesh.centroids[cells])
-    for loc, _ in u.atoms:
-        pts.append(np.array([[loc]]))
-    if not pts:
-        return np.zeros((0, mesh.dim))
-    return np.vstack(pts)
+    return np.concatenate([mesh.centroids[u.support_cells()], mesh.vertices[u.facets[:, 0]]])

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import meshing
-from .bv import derivative, total_variation
+from .bv import derivative, reassembly_deviation, total_variation
 
 __all__ = [
     "FunctionalValue",
@@ -211,13 +211,7 @@ def additivity_residual(f, finf, v, members, components_per_n):
     """
     rows = []
     for un, comps in zip(members, components_per_n):
-        total = comps[0]
-        for c in comps[1:]:
-            total = total + c
-        diff = un - total
-        dev = diff.linf_norm() + sum(np.linalg.norm(j) for _, j in diff.atoms) + sum(
-            np.linalg.norm(j) for _, j, _ in diff.jump_facets
-        )
+        dev = reassembly_deviation(un, comps)
         if dev > 1e-12:
             raise ValueError(
                 f"components do not sum to the member (deviation {dev:.3g})"

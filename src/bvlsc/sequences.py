@@ -107,8 +107,7 @@ def generate(spec, n):
     rule = _rule(spec)
     table = _table(spec, rule, _members(spec, rule, [n]))
     mesh = Mesh(table.vertices, table.cells, domain=spec.domain)
-    return BVFunction(mesh, table.cell_values,
-                      atoms=zip(table.atom_x.tolist(), table.jumps))
+    return BVFunction(mesh, table.cell_values, table.atom_v, table.jumps)
 
 
 def _check_index(spec, n):
@@ -277,13 +276,14 @@ def _members(spec, rule, ns):
 class _Table(NamedTuple):
     """Members one after another: the vertices (V, dim), the cells
     (C, dim+1) of each member among its own vertices, the cell values
-    (C, dim+1, 1), the atoms at atom_x (A,) with jumps (A, 1) (1D only),
-    and the index of each member's first cell and first atom."""
+    (C, dim+1, 1), the jumps (A, 1) at the vertices atom_v (A,) (1D only;
+    a BVFunction's facets and jumps), and the index of each member's first
+    cell and first atom."""
 
     vertices: np.ndarray
     cells: np.ndarray
     cell_values: np.ndarray
-    atom_x: np.ndarray
+    atom_v: np.ndarray
     jumps: np.ndarray
     cell_starts: list
     atom_starts: list
@@ -311,15 +311,15 @@ def _interval_table(rule, ns, x, sizes):
     cell_starts = list(itertools.accumulate([s - 1 for s in sizes[:-1]], initial=0))
     if rule.vertex_values is not None:
         values = rule.vertex_values(x, n_vertex)
-        return _Table(x[:, None], cells, values[:, None].take(cells, axis=0), x[:0],
-                      np.zeros((0, 1)), cell_starts, [0] * len(ns))
+        return _Table(x[:, None], cells, values[:, None].take(cells, axis=0),
+                      np.zeros(0, dtype=np.int64), np.zeros((0, 1)), cell_starts, [0] * len(ns))
     centroids = 0.5 * (x[cells[:, 0]] + x[cells[:, 1]])
     vpc = rule.cell_values(centroids, n_cell).astype(float)
     vpc = vpc[:, None]
     jumps = vpc[1:] - vpc[:-1]
     at = np.flatnonzero((cells[:-1, 1] == cells[1:, 0]) & (jumps != 0).any(axis=1))
     return _Table(x[:, None], cells, np.repeat(vpc[:, None, :], 2, axis=1),
-                  x[cells[at, 1]], jumps[at], cell_starts,
+                  cells[at, 1], jumps[at], cell_starts,
                   np.searchsorted(at, cell_starts).tolist())
 
 
@@ -330,9 +330,9 @@ def _rectangle_table(rule, ns, lines):
     sizes = [len(xs) * len(ys) for xs, ys in lines]
     values = rule.vertex_values(vertices, np.repeat(ns, sizes))
     quads = [2 * (len(xs) - 1) * (len(ys) - 1) for xs, ys in lines[:-1]]
-    return _Table(vertices, cells, values[:, None].take(cells, axis=0), np.zeros(0),
-                  np.zeros((0, 1)), list(itertools.accumulate(quads, initial=0)),
-                  [0] * len(ns))
+    return _Table(vertices, cells, values[:, None].take(cells, axis=0),
+                  np.zeros(0, dtype=np.int64), np.zeros((0, 1)),
+                  list(itertools.accumulate(quads, initial=0)), [0] * len(ns))
 
 
 def _stacked_geometry(vertices, cells):
@@ -367,15 +367,15 @@ def _table_totals(f, finf, spec, n_values, limit=None):
     for batch in batches(_members(spec, rule, ns), lambda member: member[2]):
         table = _table(spec, rule, batch)
         cv, c0, a0 = table.cell_values, table.cell_starts[-1], table.atom_starts[-1]
-        atom_x, jumps = table.atom_x, table.jumps
+        atom_v, jumps = table.atom_v, table.jumps
         if limit and len(totals) + len(batch) == len(ns):  # 0.0 * the last member
             cv[c0:] = 0.0 * cv[c0:]
-            atom_x, jumps = atom_x[:a0], jumps[:a0]
+            atom_v, jumps = atom_v[:a0], jumps[:a0]
         _, _, grads, pts, wts = _stacked_geometry(table.vertices, table.cells)
         masses = np.sqrt(jumps[:, 0] * jumps[:, 0])
         totals += _stack_totals(f, finf, MeasureStack(
             pts, wts, np.einsum("cim,cid->cmd", cv, grads),
-            atom_x[:, None], (jumps / masses[:, None])[:, :, None], masses,
+            table.vertices[atom_v], (jumps / masses[:, None])[:, :, None], masses,
             table.cell_starts, table.atom_starts))
     return totals
 

@@ -389,3 +389,31 @@ def test_exact_sphere_bound_keeps_a_vector_valued_quotient_in_bounds():
     assert rep.diagnostics["sphere_bound"] == 2.5
     assert -2.5 <= rep.deficit < -2.45
     assert rep.verdict == "violated"
+
+
+@pytest.mark.parametrize("tag, params", [("norm_sin", {"M": 1, "N": 2}),
+                                         ("linear", {"matrix": [[0.6, -0.8]]}),
+                                         ("negnorm", {"M": 1, "N": 2})])
+def test_patch_sign_test_takes_its_frozen_sum_once_per_cell(tag, params, monkeypatch):
+    # g + eps |.| of a frozen g is frozen at g's point: one value per cell,
+    # with the bits of the sum taken at every quadrature point
+    x0 = np.array([0.5, 0.0])
+    g = freeze_x(catalog_get(tag, params).recession, x0)
+    mesh = build_mesh(Domain.polygon([[0, 0], [1, 0], [1, 1], [0, 1]]), 0.125)
+    seen = []
+
+    def recording(objective, *args):
+        seen.append(objective)
+        return minimize.minimize_field(objective, *args)
+
+    monkeypatch.setattr(boundary, "minimize_field", recording)
+    boundary._patch_sign_test(g, x0, mesh, 0.1, 1e-3, SolverOptions(restarts=1, max_iter=5))
+    (frozen,) = seen
+    per_point = BulkObjective(frozen.mesh, boundary._epsdelta_integrand(g, 0.1))
+    assert frozen._frozen and not per_point._frozen
+    batch = np.random.default_rng(8).normal(size=(3, frozen.mesh.n_vertices, 1))
+    assert frozen.value(batch[0]) == per_point.value(batch[0])
+    for delta in (0.0, 0.05):
+        va, ga = frozen.value_and_grad(batch, delta)
+        vb, gb = per_point.value_and_grad(batch, delta)
+        assert va.tobytes() == vb.tobytes() and ga.tobytes() == gb.tobytes()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bvlsc import regions
 from bvlsc.bv import (
     BVFunction,
+    _facet_frames,
     MatrixMeasure,
     cutoff_multiply,
     derivative,
@@ -54,28 +55,30 @@ def test_derivative_of_affine_function():
     assert len(mu.masses) == 0
 
 
-def test_sum_of_jumps_given_with_opposite_normals():
-    # u and v jump on the same facets, v's given with the opposite normal:
-    # the sum and the difference turn v's jumps to u's normals, so that
-    # D(u + v) = Du + Dv and D(u - v) = Du - Dv
+def _charges(mu, sign=1.0, into=None):
+    """The charges of mu times sign, added into a dict keyed by position."""
+    into = {} if into is None else into
+    for x, p, m in zip(mu.positions.tolist(), mu.polars, mu.masses.tolist()):
+        into[tuple(x)] = into.get(tuple(x), 0.0) + sign * (p * m)
+    return into
+
+
+def test_sum_of_jumps_on_shared_facets():
+    # u and v jump on the same facets, each by the trace on the facet's +n
+    # side minus the one on its -n side: the sum and the difference add and
+    # subtract the jumps facet by facet, so that D(u + v) = Du + Dv and
+    # D(u - v) = Du - Dv
     mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2)
     right = mesh.centroids[:, 0] > 0.5
     u = BVFunction.from_cellwise_constant(mesh, np.where(right, 0.7, 0.0))
-    w = BVFunction.from_cellwise_constant(mesh, np.where(right, -0.2, 0.3))
-    v = BVFunction(mesh, w.cell_values, jump_facets=[(f, -j, -n) for f, j, n in w.jump_facets])
-    assert len(u.jump_facets) == len(v.jump_facets) == 2
-    for (fu, _, nu), (fv, _, nv) in zip(u.jump_facets, v.jump_facets):
-        assert fu == fv and np.array_equal(nu, -nv)
-
-    def charges(mu):
-        return {tuple(x): p * m
-                for x, p, m in zip(mu.positions.tolist(), mu.polars, mu.masses)}
-
-    du, dv = charges(derivative(u)), charges(derivative(v))
+    v = BVFunction.from_cellwise_constant(mesh, np.where(right, -0.2, 0.3))
+    assert len(u.jumps) == len(v.jumps) == 2
+    assert u.facets.tobytes() == v.facets.tobytes()
+    du, dv = _charges(derivative(u)), _charges(derivative(v))
     for sign, s in ((1.0, u + v), (-1.0, u - v)):
-        for (_, _, ns), (_, _, nu) in zip(s.jump_facets, u.jump_facets, strict=True):
-            assert np.array_equal(ns, nu)
-        got = charges(derivative(s))
+        assert s.facets.tobytes() == u.facets.tobytes()
+        assert s.jumps.tobytes() == (u.jumps + sign * v.jumps).tobytes()
+        got = _charges(derivative(s))
         assert set(got) == set(du)
         for d in du:
             np.testing.assert_allclose(got[d], du[d] + sign * dv[d], rtol=0, atol=1e-15)
@@ -210,10 +213,11 @@ def test_cutoff_multiply_identity_and_zero():
     ones = np.ones(u.mesh.n_vertices)
     w = cutoff_multiply(u, ones)
     assert np.allclose(w.cell_values, u.cell_values)
-    assert w.atoms == u.atoms
+    assert w.facets.tobytes() == u.facets.tobytes()
+    assert w.jumps.tobytes() == u.jumps.tobytes()
     z = cutoff_multiply(u, 0.0 * ones)
     assert z.linf_norm() == 0.0
-    assert len(z.atoms) == 0
+    assert len(z.jumps) == 0
 
 
 def test_cutoff_product_rule_explicit_pair():
@@ -224,8 +228,8 @@ def test_cutoff_product_rule_explicit_pair():
     u = BVFunction.indicator_1d(mesh, 0.0, 0.25)
     phi = np.clip(1.0 - 2.0 * mesh.vertices[:, 0], 0.0, 1.0)
     w = cutoff_multiply(u, phi)
-    assert len(w.atoms) == 1
-    loc, jump = w.atoms[0]
+    assert len(w.jumps) == 1
+    loc, jump = w.mesh.vertices[w.facets[0, 0], 0], w.jumps[0]
     assert loc == pytest.approx(0.25)
     assert jump[0] == pytest.approx(-0.5)
     grads = w.gradients()[:, 0, 0]
@@ -252,11 +256,11 @@ def test_cutoff_scales_each_facet_jump_by_its_midpoint_value():
     u = BVFunction.from_cellwise_constant(mesh, (mesh.centroids[:, 0] > 0.5) * 0.7)
     phi = mesh.vertices[:, 1] ** 2  # not affine: the midpoint value is the mean
     w = cutoff_multiply(u, phi)
-    assert len(w.jump_facets) == len(u.jump_facets) == 2
-    for (fw, jw, nw), (f, j, n) in zip(w.jump_facets, u.jump_facets, strict=True):
-        assert fw == f and np.array_equal(nw, n)
+    assert len(w.jumps) == len(u.jumps) == 2
+    assert w.facets.tobytes() == u.facets.tobytes()
+    for jw, f, j in zip(w.jumps, u.facets, u.jumps, strict=True):
         assert jw.tobytes() == (0.5 * (phi[f[0]] + phi[f[1]]) * j).tobytes()
-    assert [jw[0] for _, jw, _ in w.jump_facets] == pytest.approx([0.7 * 0.125, 0.7 * 0.625])
+    assert w.jumps[:, 0].tolist() == pytest.approx([0.7 * 0.125, 0.7 * 0.625])
 
 
 def test_weakstar_diagnostics_across_meshes():
@@ -337,29 +341,35 @@ def test_atom_on_boundary_pruned_with_warning():
     mesh = interval_mesh(0.0, 1.0, 0.25, domain=Domain.interval(0.0, 1.0))
     cv = np.zeros((mesh.n_cells, 2, 1))
     with pytest.warns(UserWarning):
-        u = BVFunction(mesh, cv, atoms=[(0.0, np.array([1.0]))])
-    assert len(u.atoms) == 0
+        u = BVFunction(mesh, cv, np.flatnonzero(mesh.vertices[:, 0] == 0.0), [[1.0]])
+    assert len(u.jumps) == 0
 
 
 def test_refine_bv_1d_exact():
     u = jump_member(4)
     r = refine_bv_1d(u, [0.1234, 0.456, 0.789])
     assert r.mesh.n_cells > u.mesh.n_cells
-    assert r.atoms == u.atoms
+    assert (r.mesh.vertices[r.facets[:, 0]].tobytes()
+            == u.mesh.vertices[u.facets[:, 0]].tobytes())
+    assert r.jumps.tobytes() == u.jumps.tobytes()
     diff = abs(total_variation(derivative(r)) - total_variation(derivative(u)))
     assert diff <= 1e-13
     assert abs(r.l1_norm() - u.l1_norm()) <= 1e-12
 
 
 def _reference_refine_bv_1d(u, coords):
-    """refine_bv_1d with its cells re-evaluated one at a time."""
+    """refine_bv_1d with its new points and cells taken one at a time."""
     mesh = u.mesh
     old = mesh.vertices[:, 0]
     a, b = float(old.min()), float(old.max())
     coords = np.asarray(coords, dtype=float)
-    coords = coords[(coords > a + 1e-14) & (coords < b - 1e-14)]
-    pts = np.unique(np.concatenate([old, np.round(coords, 14)]))
-    pts = pts[np.concatenate([[True], np.diff(pts) > 1e-14])]
+    coords = np.round(coords[(coords > a + 1e-14) & (coords < b - 1e-14)], 14)
+    pts, before = old.tolist(), -np.inf
+    for x in sorted(coords.tolist()):
+        if x - before > 1e-14 and np.min(np.abs(old - x)) > 1e-14:
+            pts.append(x)
+        before = x
+    pts = np.array(sorted(pts))
     n = len(pts) - 1
     old_cells = mesh.vertices[mesh.cells][:, :, 0]
     lefts = old_cells[:, 0]
@@ -382,17 +392,26 @@ def test_refine_bv_1d_matches_cell_loop():
     mesh = interval_mesh_with(-1.0, 2.0, 0.3, [0.05, 0.7],
                               domain=Domain.interval(-1.0, 2.0))
     rough = BVFunction(mesh, rng.normal(size=(mesh.n_cells, 2, 2)))
+    near = interval_mesh_with(0.0, 1.0, 0.1, [0.3], domain=Domain.interval(0.0, 1.0))
     cases = [
         (jump_member(4), [0.1234, 0.456, 0.789]),
         (jump_member(7), np.linspace(-0.5, 1.5, 41)),
         (rough, rng.uniform(-1.2, 2.2, size=60)),
         (rough, np.concatenate([mesh.vertices[:, 0], [0.05 + 1e-15, 1.0]])),
+        # 1e-14 below the jump's vertex: the vertex stays, the new point goes
+        (BVFunction.indicator_1d(near, 0.0, 0.3), [0.29999999999999]),
+        (BVFunction.indicator_1d(near, 0.0, 0.3), [0.29999999999999, 0.299999999999995, 0.5]),
+        # new points within 1e-14 of each other: the first stays
+        (jump_member(4), [0.4, 0.4, 0.4 + 8e-15, 0.7]),
     ]
     for u, coords in cases:
         r = refine_bv_1d(u, coords)
         pts, cv = _reference_refine_bv_1d(u, coords)
         assert r.mesh.vertices[:, 0].tobytes() == pts.tobytes()
         assert r.cell_values.tobytes() == cv.tobytes()
+        assert (r.mesh.vertices[r.facets[:, 0]].tobytes()
+                == u.mesh.vertices[u.facets[:, 0]].tobytes())
+        assert r.jumps.tobytes() == u.jumps.tobytes()
 
 
 def test_tv_on_neighborhood_atoms_exact():
@@ -553,7 +572,7 @@ def _loop_from_cellwise_constant_1d(mesh, values):
     for ci in range(mesh.n_cells):
         for v in mesh.cells[ci]:
             owners.setdefault(int(v), []).append(ci)
-    atoms = []
+    facets, jumps = [], []
     for v, cs in owners.items():
         if len(cs) != 2:
             continue
@@ -561,8 +580,9 @@ def _loop_from_cellwise_constant_1d(mesh, values):
         left, right = (c0, c1) if mesh.centroids[c0, 0] < mesh.centroids[c1, 0] else (c1, c0)
         j = vpc[right] - vpc[left]
         if np.linalg.norm(j) > 1e-14:
-            atoms.append((mesh.vertices[v, 0], j))
-    return BVFunction(mesh, np.repeat(vpc[:, None, :], 2, axis=1), atoms=atoms)
+            facets.append([v])
+            jumps.append(j)
+    return BVFunction(mesh, np.repeat(vpc[:, None, :], 2, axis=1), facets, jumps)
 
 
 def test_from_cellwise_constant_1d_matches_cell_loop():
@@ -582,9 +602,9 @@ def test_from_cellwise_constant_1d_matches_cell_loop():
         got = BVFunction.from_cellwise_constant(mesh, values)
         want = _loop_from_cellwise_constant_1d(mesh, values)
         assert got.cell_values.tobytes() == want.cell_values.tobytes()
-        assert [loc for loc, _ in got.atoms] == [loc for loc, _ in want.atoms]
-        assert [j.tobytes() for _, j in got.atoms] == [j.tobytes() for _, j in want.atoms]
-    assert len(BVFunction.from_cellwise_constant(shuffled, steps).atoms) > 3
+        assert got.facets.tolist() == want.facets.tolist()
+        assert got.jumps.tobytes() == want.jumps.tobytes()
+    assert len(BVFunction.from_cellwise_constant(shuffled, steps).jumps) > 3
 
 
 def _loop_from_cellwise_constant_2d(mesh, values):
@@ -607,7 +627,10 @@ def _loop_from_cellwise_constant_2d(mesh, values):
         j = vpc[plus] - vpc[minus]
         if np.linalg.norm(j) > 1e-14:
             jumps.append((f, j, n))
-    return BVFunction(mesh, np.repeat(vpc[:, None, :], 3, axis=1), jump_facets=jumps)
+    jumps.sort(key=lambda fjn: fjn[0])
+    u = BVFunction(mesh, np.repeat(vpc[:, None, :], 3, axis=1),
+                   [f for f, _, _ in jumps], [j for _, j, _ in jumps])
+    return u, np.array([n for _, _, n in jumps]).reshape(-1, 2)
 
 
 def test_from_cellwise_constant_2d_matches_facet_loop():
@@ -619,15 +642,19 @@ def test_from_cellwise_constant_2d_matches_facet_loop():
         steps[::3, 1] += 1e-15  # jumps of norm 1e-15 are dropped
         for values in (steps, rng.normal(size=mesh.n_cells), np.ones(mesh.n_cells)):
             got = BVFunction.from_cellwise_constant(mesh, values)
-            want = _loop_from_cellwise_constant_2d(mesh, values)
+            want, normals = _loop_from_cellwise_constant_2d(mesh, values)
             assert got.cell_values.tobytes() == want.cell_values.tobytes()
-            assert [f for f, _, _ in got.jump_facets] == [f for f, _, _ in want.jump_facets]
-            assert ([j.tobytes() for _, j, _ in got.jump_facets]
-                    == [j.tobytes() for _, j, _ in want.jump_facets])
-            # a row-wise norm may round the last bit of a normal differently
-            for (_, _, n), (_, _, m) in zip(got.jump_facets, want.jump_facets):
-                assert np.max(np.abs(n - m)) <= 4.5e-16
-        assert len(BVFunction.from_cellwise_constant(mesh, steps).jump_facets) > 10
+            assert got.facets.tolist() == want.facets.tolist()
+            assert got.jumps.tobytes() == want.jumps.tobytes()
+            # the normal the jumps are taken along; a row-wise norm may round
+            # its last bit differently
+            assert np.max(np.abs(_facet_frames(mesh, got.facets)[1] - normals),
+                          initial=0.0) <= 4.5e-16
+            # rows given reversed and in reverse order are sorted back
+            again = BVFunction(mesh, got.cell_values, got.facets[::-1, ::-1], got.jumps[::-1])
+            assert again.facets.tobytes() == got.facets.tobytes()
+            assert again.jumps.tobytes() == got.jumps.tobytes()
+        assert len(BVFunction.from_cellwise_constant(mesh, steps).jumps) > 10
 
 
 def test_l1_distance_mismatch():
@@ -636,3 +663,29 @@ def test_l1_distance_mismatch():
     v = BVFunction.zero(mesh2, M=1)
     with pytest.raises(ValueError):
         l1_distance(u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["interval", "triangle"]), st.integers(0, 3), st.integers(1, 2),
+       st.integers(0, 2**32 - 1))
+def test_jumps_add_facet_by_facet_on_shuffled_meshes(kind, mesh_seed, M, seed):
+    # D(u + v) = Du + Dv and D(u - v) = Du - Dv, for steps that jump on
+    # shared facets, cancel on some and jump alone on others; a cutoff of
+    # ones keeps every jump bit for bit
+    mesh = (shuffled_interval_mesh(mesh_seed) if kind == "interval"
+            else shuffled_triangle_mesh(mesh_seed))
+    rng = np.random.default_rng(seed)
+    u, v = (BVFunction.from_cellwise_constant(
+        mesh, rng.integers(-2, 3, size=(mesh.n_cells, M)) * 0.5) for _ in range(2))
+    du, dv = derivative(u), derivative(v)
+    for sign, s in ((1.0, u + v), (-1.0, u - v)):
+        got = _charges(derivative(s))
+        want = {x: c for x, c in _charges(dv, sign, _charges(du)).items()
+                if np.linalg.norm(c) > 1e-12}
+        assert set(got) == set(want)
+        for x in want:
+            np.testing.assert_allclose(got[x], want[x], rtol=0, atol=1e-14)
+    for w in (u, v):
+        kept = cutoff_multiply(w, np.ones(mesh.n_vertices))
+        assert kept.facets.tobytes() == w.facets.tobytes()
+        assert kept.jumps.tobytes() == w.jumps.tobytes()

@@ -41,7 +41,7 @@ def test_whole_function_absorbed_near_the_point(migrating_decomposition):
         # the selected member lives inside the inner cutoff plateau, so the
         # first component is the member itself and the remainder vanishes
         assert rest.linf_norm() == 0.0
-        assert len(rest.atoms) == 0
+        assert len(rest.jumps) == 0
         diff = res.subsequence[n] - first
         assert diff.linf_norm() <= 1e-14
         assert res.k_map[n] + 1 == 2 * n  # member u_{2n}
@@ -183,8 +183,8 @@ def _assert_three_set_cover_nests(members, stage1_n):
         manual_last = stage2.components[n][1]
         direct_last = res3.components[n][2]
         assert np.allclose(
-            sorted(x for x, _ in manual_last.atoms),
-            sorted(x for x, _ in direct_last.atoms), atol=1e-12,
+            np.sort(manual_last.mesh.vertices[manual_last.facets[:, 0], 0]),
+            np.sort(direct_last.mesh.vertices[direct_last.facets[:, 0], 0]), atol=1e-12,
         )
         assert manual_last.l1_norm() == pytest.approx(direct_last.l1_norm(),
                                                       abs=1e-12)

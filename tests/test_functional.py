@@ -239,12 +239,15 @@ def test_one_recession_call_per_measure_matches_one_call_per_charge():
         mu, mesh = derivative(u), u.mesh
         v = mesh.vertices
         if mesh.dim == 1:
-            raw = [(loc, j[:, None]) for loc, j in u.atoms]
-            where = [np.array([loc]) for loc, _ in u.atoms]
+            raw = [(f, j[:, None]) for f, j in zip(u.facets, u.jumps)]
+            where = [v[f[0]] for f in u.facets]
         else:
-            raw = [(f, np.outer(j, n) * np.linalg.norm(v[f[1]] - v[f[0]]))
-                   for f, j, n in u.jump_facets]
-            where = [0.5 * (v[f[0]] + v[f[1]]) for f, _, _ in u.jump_facets]
+            raw = []
+            for f, j in zip(u.facets, u.jumps):
+                e = v[f[1]] - v[f[0]]
+                n = np.array([e[1], -e[0]]) / np.linalg.norm(e)
+                raw.append((f, np.outer(j, n) * np.linalg.norm(e)))
+            where = [0.5 * (v[f[0]] + v[f[1]]) for f in u.facets]
         masses = [float(np.linalg.norm(m)) for _, m in raw]
         assert len(masses) == len(mu.masses) > 3
         assert np.array(masses).tobytes() == mu.masses.tobytes()

@@ -26,10 +26,31 @@ OMEGA = Domain.interval(0.0, 1.0)
 def test_jump_migration_member():
     spec = SequenceSpec("jump_migration", OMEGA, n_max=16)
     u = generate(spec, 7)
-    assert len(u.atoms) == 1
-    loc, j = u.atoms[0]
+    assert len(u.jumps) == 1
+    loc, j = u.mesh.vertices[u.facets[0, 0], 0], u.jumps[0]
     assert loc == pytest.approx(1.0 / 7)
     assert j[0] == -1.0
+
+
+def test_one_d_builders_list_their_jumps_in_increasing_x():
+    # facets are sorted by vertex id; these builders number the vertices in
+    # x order, so their jumps keep the x order that eval_F and the golden
+    # tables sum them in
+    from bvlsc.bv import BVFunction, refine_bv_1d
+    from bvlsc.meshing import interval_mesh_with
+
+    funcs = [generate(SequenceSpec("jump_migration", dom, n_max=16), n)
+             for dom in (OMEGA, Domain.interval(-1.0, 1.0)) for n in (1, 3, 16)]
+    for req in ([0.2, 0.6], [0.05, 0.35, 0.6, 0.95]):
+        mesh = interval_mesh_with(-1.0, 1.0, 0.1, req, domain=Domain.interval(-1.0, 1.0))
+        funcs += [BVFunction.indicator_1d(mesh, req[0], req[1]),
+                  BVFunction.indicator_1d(mesh, req[0], req[1])
+                  - 0.5 * BVFunction.indicator_1d(mesh, req[-2], req[-1])]
+    funcs += [refine_bv_1d(u, np.linspace(-0.9, 0.9, 7)) for u in funcs]
+    assert sum(len(u.jumps) > 1 for u in funcs) >= 8
+    for u in funcs:
+        x = u.mesh.vertices[u.facets[:, 0], 0]
+        assert np.all(np.diff(x) > 0)
 
 
 def test_boundary_rescale_support():
@@ -312,10 +333,6 @@ def _old_generate(spec, n):
     return BVFunction.from_vertex_values(mesh, vals)
 
 
-def _atom_bytes(atoms):
-    return [(repr(loc), j.tobytes()) for loc, j in atoms]
-
-
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=TABLE_IDS)
 def test_generate_wraps_member_n_of_the_stacked_table_byte_for_byte(spec):
     from bvlsc import sequences
@@ -325,14 +342,15 @@ def test_generate_wraps_member_n_of_the_stacked_table_byte_for_byte(spec):
     table = sequences._table(spec, rule, sequences._members(spec, rule, ns))
     vertex_starts = [int(table.cells[c, 0]) for c in table.cell_starts] + [len(table.vertices)]
     cell_ends = table.cell_starts[1:] + [len(table.cells)]
-    atom_ends = table.atom_starts[1:] + [len(table.atom_x)]
+    atom_ends = table.atom_starts[1:] + [len(table.atom_v)]
     for i, n in enumerate(ns):
         u = generate(spec, n)
         old = _old_generate(spec, n)
         assert u.mesh.vertices.tobytes() == old.mesh.vertices.tobytes()
         assert u.mesh.cells.tobytes() == old.mesh.cells.tobytes()
         assert u.cell_values.tobytes() == old.cell_values.tobytes()
-        assert _atom_bytes(u.atoms) == _atom_bytes(old.atoms)
+        assert u.facets.tobytes() == old.facets.tobytes()
+        assert u.jumps.tobytes() == old.jumps.tobytes()
         vertices = table.vertices[vertex_starts[i]:vertex_starts[i + 1]]
         assert u.mesh.vertices.tobytes() == vertices.tobytes()
         cells = table.cells[table.cell_starts[i]:cell_ends[i]] - vertex_starts[i]
@@ -340,8 +358,8 @@ def test_generate_wraps_member_n_of_the_stacked_table_byte_for_byte(spec):
         cv = table.cell_values[table.cell_starts[i]:cell_ends[i]]
         assert u.cell_values.tobytes() == cv.tobytes()
         atoms = slice(table.atom_starts[i], atom_ends[i])
-        assert _atom_bytes(u.atoms) == _atom_bytes(zip(table.atom_x[atoms].tolist(),
-                                                       table.jumps[atoms]))
+        assert u.facets[:, 0].tolist() == (table.atom_v[atoms] - vertex_starts[i]).tolist()
+        assert u.jumps.tobytes() == table.jumps[atoms].tobytes()
 
 
 def _old_interval_points(a, b, h, required):
