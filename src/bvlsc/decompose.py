@@ -7,10 +7,15 @@ Given compact sets K_1, ..., K_J covering the closed domain and a sequence
 
 where u_{1,n} = phi_n u_{k(n)} with a piecewise-affine cutoff phi_n equal to 1
 on the 1/(2n)-neighborhood of K_1, 0 outside the 1/n-neighborhood (gradient
-at most 2n), and the remainder is recursively decomposed against the rest of
-the cover.  The subsequence index k(n) is the smallest one past the previous
-pick that keeps the mixed term integral |u_k| |grad phi_n| below a vanishing
-bound (SELECTION_BOUND_FACTOR / n = 0.5/n).
+at most 2n).  The subsequence index k(n) is the smallest one past the
+previous pick that keeps the mixed term integral |u_k| |grad phi_n| below a
+vanishing bound (SELECTION_BOUND_FACTOR / n = 0.5/n).
+
+A cover of J sets runs J - 1 such stages in a loop, stage j against K_j on
+the remainders u_k - phi_n u_k of stage j - 1, so a pick of stage j indexes
+the picks of stage j - 1.  A final pick's components are the first pieces of
+its earlier picks, refined onto its mesh, then its own first piece and its
+remainder.
 
 Only 1D meshes are supported: cutoff level sets are then mesh-exact after a
 refinement that inserts the neighborhood breakpoints.  verify_properties
@@ -24,8 +29,8 @@ import warnings
 
 import numpy as np
 
-from .bv import (derivative, does_not_charge, reassembly_deviation, refine_bv_1d, refined_1d,
-                 refined_bv, total_variation, tv_on_neighborhoods)
+from .bv import (cutoff_multiply, derivative, does_not_charge, reassembly_deviation,
+                 refine_bv_1d, refined_1d, refined_bv, total_variation, tv_on_neighborhoods)
 from .meshing import segment_shape_gradients
 
 __all__ = [
@@ -68,23 +73,21 @@ class CoverSpec:
 
 class DecompositionResult:
     def __init__(self, cover, n_values, k_map, subsequence, components,
-                 cutoffs, selection_bound_factor, grad_slack, s_table):
+                 cutoffs, s_table):
         self.cover = cover
         self.n_values = list(n_values)
         self.k_map = dict(k_map)  # n -> 0-based index into the members
         self.subsequence = dict(subsequence)  # n -> refined member
         self.components = dict(components)  # n -> [u_{1,n}, ..., u_{J,n}]
         self.cutoffs = dict(cutoffs)  # n -> [(phi values, radius index, stage input)]
-        self.selection_bound_factor = selection_bound_factor
-        self.grad_slack = grad_slack
         self.s_table = s_table
 
     def to_json(self):
         return {
             "n_values": self.n_values,
             "k_map": {str(n): int(k) for n, k in self.k_map.items()},
-            "selection_bound_factor": self.selection_bound_factor,
-            "grad_slack": self.grad_slack,
+            "selection_bound_factor": SELECTION_BOUND_FACTOR,
+            "grad_slack": GRAD_SLACK,
             "s_table": self.s_table,
             "component_tv": {
                 str(n): [total_variation(derivative(c)) for c in comps]
@@ -172,8 +175,32 @@ def local_decompose(members, cover, n_max=None):
     lo = float(mesh0.vertices.min())
     hi = float(mesh0.vertices.max())
 
-    n_values, k_map, subsequence, components, cutoffs = _decompose_stage(
-        members, cover.sets, n_max, lo, hi)
+    # one cutoff stage per set but the last, each on the previous stage's
+    # remainders; an earlier stage picks as many n as its members allow
+    # (at most 4 n_max + 8), the last must reach n_max
+    stages, inputs = [], members
+    for j, kset in enumerate(cover.sets[:-1]):
+        last = j == len(cover.sets) - 2
+        n_target = n_max if last else min(len(inputs), 4 * n_max + 8)
+        picks, shortfall = _stage(inputs, kset, n_target, lo, hi)
+        if last and shortfall:
+            raise PrefixTooShortError(*shortfall)
+        inputs = [uk - first for _, _, uk, _, first in picks]
+        stages.append(picks)
+
+    # a final pick's k indexes the previous stage's picks: walk the chain
+    # back, carrying each earlier pick, first piece and cutoff onto its mesh
+    n_values, k_map, subsequence, components, cutoffs = [], {}, {}, {}, {}
+    for (n, k, uk, phi, first), rest in zip(stages[-1], inputs):
+        coords = uk.mesh.vertices[:, 0]
+        comps, cuts = [first, rest], [(phi, n, uk)]
+        for picks in reversed(stages[:-1]):
+            m, k, um, phi_m, first_m = picks[k]
+            uk = refine_bv_1d(um, coords)
+            comps.insert(0, refine_bv_1d(first_m, coords))
+            cuts.insert(0, (np.interp(coords, um.mesh.vertices[:, 0], phi_m), m, uk))
+        n_values.append(n)
+        k_map[n], subsequence[n], components[n], cutoffs[n] = k, uk, comps, cuts
 
     # member k enters the rows m <= k + 1, at the radii 0.5 / m: one
     # distance pass over the whole family
@@ -192,91 +219,34 @@ def local_decompose(members, cover, n_max=None):
     monotone = all(lasts[i + 1] <= lasts[i] + 1e-12 for i in range(len(lasts) - 1))
     s_table = {"rows": rows, "monotone": monotone}
 
-    return DecompositionResult(
-        cover, n_values, k_map, subsequence, components, cutoffs,
-        SELECTION_BOUND_FACTOR, GRAD_SLACK, s_table,
-    )
+    return DecompositionResult(cover, n_values, k_map, subsequence, components,
+                               cutoffs, s_table)
 
 
-def _single_stage(members, kset, n_target, lo, hi, best_effort=False):
-    """Cutoff stage against one compact set: per n, pick the subsequence index
-    and split off the component supported near the set."""
-    from .bv import cutoff_multiply
-
-    n_values, k_map, subsequence, firsts, cutoffs = [], {}, {}, {}, {}
-    remainders = []
-    k_prev = -1
+def _stage(members, kset, n_target, lo, hi):
+    """Cutoff stage against one compact set: per n = 1..n_target, pick the
+    first member past the previous pick that keeps the mixed term within
+    its bound, and split off its component near the set.  Returns the picks
+    (n, k, refined member, cutoff phi, first piece) and, where the members
+    run out, the (n, best achieved, bound) of the shortfall (else None)."""
+    picks, k_prev = [], -1
     for n in range(1, n_target + 1):
         bound = SELECTION_BOUND_FACTOR / n
         brk = _breakpoints_1d(kset, n, lo, hi)
-        pick, best = None, np.inf
+        best = np.inf
         for k in range(k_prev + 1, len(members)):
             pts, cell_values = refined_1d(members[k], brk)
             phi = _cutoff_values(pts[:, None], kset, n)
             mixed = _abs_integral_times_grad(pts, cell_values, phi)
-            if mixed < best:
-                best = mixed
+            best = min(best, mixed)
             if mixed <= bound:
-                pick = (k, pts, cell_values, phi)
                 break
-        if pick is None:
-            if best_effort:
-                break
-            raise PrefixTooShortError(n, best, bound)
-        k, pts, cell_values, phi = pick
-        k_prev = k
+        else:
+            return picks, (n, best, bound)
         uk = refined_bv(members[k], pts, cell_values)
-        first = cutoff_multiply(uk, phi)
-        n_values.append(n)
-        k_map[n] = k
-        subsequence[n] = uk
-        firsts[n] = first
-        cutoffs[n] = [(phi, n, uk)]
-        remainders.append(uk - first)
-    return n_values, k_map, subsequence, firsts, cutoffs, remainders
-
-
-def _decompose_stage(members, sets, n_max, lo, hi):
-    """One cutoff stage against sets[0]; recurse on the remainder sequence."""
-    if len(sets) == 2:
-        n_values, k_map, subsequence, firsts, cutoffs, remainders = _single_stage(
-            members, sets[0], n_max, lo, hi
-        )
-        components = {n: [firsts[n], remainders[i]]
-                      for i, n in enumerate(n_values)}
-        return n_values, k_map, subsequence, components, cutoffs
-
-    # produce as many stage-1 outputs as the prefix allows; the recursion
-    # below selects its own subsequence out of them
-    cap = min(len(members), 4 * n_max + 8)
-    n1, k_map, subsequence, firsts, cutoffs, remainders = _single_stage(
-        members, sets[0], cap, lo, hi, best_effort=True
-    )
-    sub = _decompose_stage(remainders, sets[1:], n_max, lo, hi)
-    sub_n, sub_k, sub_subseq, sub_comp, sub_cut = sub
-    final_n, final_k, final_sub, final_compo, final_cutoffs = [], {}, {}, {}, {}
-    for n in sub_n:
-        idx = sub_k[n]  # index into remainders, i.e. stage-1 output idx+1
-        stage1_n = n1[idx]
-        target_mesh_coords = sub_subseq[n].mesh.vertices[:, 0]
-        first = refine_bv_1d(firsts[stage1_n], target_mesh_coords)
-        parent = refine_bv_1d(subsequence[stage1_n], target_mesh_coords)
-        final_n.append(n)
-        final_k[n] = k_map[stage1_n]
-        final_sub[n] = parent
-        final_compo[n] = [first] + sub_comp[n]
-        phi1, rad1, _ = cutoffs[stage1_n][0]
-        phi1_ref = _reinterp_scalar(subsequence[stage1_n].mesh, phi1,
-                                    final_sub[n].mesh)
-        final_cutoffs[n] = [(phi1_ref, rad1, parent)] + sub_cut[n]
-    return final_n, final_k, final_sub, final_compo, final_cutoffs
-
-
-def _reinterp_scalar(old_mesh, values, new_mesh):
-    out = np.zeros(new_mesh.n_vertices)
-    for i, x in enumerate(new_mesh.vertices):
-        out[i] = old_mesh.eval_p1(values, x)
-    return out
+        picks.append((n, k, uk, phi, cutoff_multiply(uk, phi)))
+        k_prev = k
+    return picks, None
 
 
 def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e-2):
@@ -306,15 +276,15 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
         comps = result.components[n]
         reassembly_dev = max(reassembly_dev, reassembly_deviation(uk, comps))
 
-        allowed_grad = 2.0 * n * (1.0 + result.grad_slack)
+        allowed_grad = 2.0 * n * (1.0 + GRAD_SLACK)
         measured = np.zeros(uk.mesh.n_cells)
         for phi, rad, stage_input in result.cutoffs[n]:
             g = np.abs(uk.mesh.p1_gradient(phi)[:, 0, 0])
-            if np.max(g, initial=0.0) > 2.0 * rad * (1.0 + result.grad_slack):
+            if np.max(g, initial=0.0) > 2.0 * rad * (1.0 + GRAD_SLACK):
                 grad_bound_ok = False
                 flags.append({"n": n, "check": "cutoff_gradient",
                               "max_grad": float(np.max(g)),
-                              "allowed": 2.0 * rad * (1.0 + result.grad_slack)})
+                              "allowed": 2.0 * rad * (1.0 + GRAD_SLACK)})
             si_max = np.max(np.linalg.norm(stage_input.cell_values, axis=2), axis=1)
             measured += np.minimum(si_max * g, si_max * allowed_grad)
         slack_cells = measured * uk.mesh.cell_measures

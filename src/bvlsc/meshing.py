@@ -467,53 +467,6 @@ class Mesh:
         """Per-cell |g|_F * |cell| of cellwise gradients (nc, M, dim)."""
         return row_norms(grads.reshape(len(grads), -1)) * self.cell_measures
 
-    def find_cell(self, x):
-        """Index of a cell whose closure, widened by 1e-10, contains x
-        (smallest index wins)."""
-        tol = 1e-10
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.dim == 1:
-            v = self.vertices[self.cells][:, :, 0]
-            hit = np.where((v[:, 0] - tol <= x[0]) & (x[0] <= v[:, 1] + tol))[0]
-        else:
-            v = self.vertices[self.cells]
-            a, b, c = v[:, 0], v[:, 1], v[:, 2]
-            d = (b[:, 1] - c[:, 1]) * (a[:, 0] - c[:, 0]) + (c[:, 0] - b[:, 0]) * (
-                a[:, 1] - c[:, 1]
-            )
-            l1 = (
-                (b[:, 1] - c[:, 1]) * (x[0] - c[:, 0])
-                + (c[:, 0] - b[:, 0]) * (x[1] - c[:, 1])
-            ) / d
-            l2 = (
-                (c[:, 1] - a[:, 1]) * (x[0] - c[:, 0])
-                + (a[:, 0] - c[:, 0]) * (x[1] - c[:, 1])
-            ) / d
-            l3 = 1.0 - l1 - l2
-            hit = np.where((l1 >= -tol) & (l2 >= -tol) & (l3 >= -tol))[0]
-        if len(hit) == 0:
-            raise ValueError(f"point {x} lies outside the mesh")
-        return int(hit[0])
-
-    def eval_p1(self, values, x):
-        """Evaluate a continuous P1 field (values (nv, M) or (nv,)) at a point."""
-        values = np.asarray(values, dtype=float)
-        scalar = values.ndim == 1
-        if scalar:
-            values = values[:, None]
-        ci = self.find_cell(x)
-        verts = self.vertices[self.cells[ci]]
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.dim == 1:
-            t = (x[0] - verts[0, 0]) / (verts[1, 0] - verts[0, 0])
-            lam = np.array([1 - t, t])
-        else:
-            T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
-            ab = np.linalg.solve(T, x - verts[0])
-            lam = np.array([1 - ab[0] - ab[1], ab[0], ab[1]])
-        out = lam @ values[self.cells[ci]]
-        return float(out[0]) if scalar else out
-
     def __repr__(self):
         return (
             f"Mesh(dim={self.dim}, vertices={self.n_vertices}, "

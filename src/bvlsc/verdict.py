@@ -681,10 +681,10 @@ def _run_decomposition(scenario, f, finf, errors):
     dcfg = scenario.cfg["decomposition"]
     seq_cfg = scenario.cfg["sequence"]
     try:
-        spec = SequenceSpec(seq_cfg["kind"], scenario.domain, dcfg["prefix"] + 1,
+        spec = SequenceSpec(seq_cfg["kind"], scenario.domain, dcfg["prefix"],
                             dict(seq_cfg["params"]))
         require_1d(scenario.domain.dim)
-        members = [generate(spec, n) for n in range(1, dcfg["prefix"])]
+        members = [generate(spec, n) for n in range(1, dcfg["prefix"] + 1)]
         cover = CoverSpec([
             CompactSet.from_config(scenario.domain.dim, [item])
             for item in dcfg["cover"]

@@ -1,16 +1,21 @@
 import importlib.util
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bvlsc import regions
-from bvlsc.bv import BVFunction, cutoff_multiply
+from bvlsc.bv import BVFunction, cutoff_multiply, refine_bv_1d, refined_1d, refined_bv
 from bvlsc.decompose import (
+    SELECTION_BOUND_FACTOR,
     CoverSpec,
     DecompositionResult,
     PrefixTooShortError,
     _abs_integral_times_grad,
+    _breakpoints_1d,
+    _cutoff_values,
     _support_points,
     local_decompose,
     verify_properties,
@@ -122,8 +127,7 @@ def test_adversarial_cutoff_flagged():
     res = DecompositionResult(
         cover=COVER, n_values=[n], k_map={n: k},
         subsequence={n: uk}, components={n: [first, rest]},
-        cutoffs={n: [(phi, n, uk)]}, selection_bound_factor=0.5,
-        grad_slack=0.05, s_table=None,
+        cutoffs={n: [(phi, n, uk)]}, s_table=None,
     )
     rep = verify_properties(res)
     assert not rep["cutoff_gradient_ok"]
@@ -207,6 +211,144 @@ def test_three_set_cover_stage_one_stops_where_its_prefix_runs_out():
     with pytest.raises(PrefixTooShortError):
         with pytest.warns(UserWarning, match="cover gap"):
             local_decompose(members, cover_first, n_max=16)
+
+
+def _reference_single_stage(members, kset, n_target, lo, hi, best_effort=False):
+    """One cutoff stage as the recursive decomposition ran it: under
+    best_effort it stops where the members run out instead of raising."""
+    n_values, k_map, subsequence, firsts, cutoffs = [], {}, {}, {}, {}
+    remainders = []
+    k_prev = -1
+    for n in range(1, n_target + 1):
+        bound = SELECTION_BOUND_FACTOR / n
+        brk = _breakpoints_1d(kset, n, lo, hi)
+        pick, best = None, np.inf
+        for k in range(k_prev + 1, len(members)):
+            pts, cell_values = refined_1d(members[k], brk)
+            phi = _cutoff_values(pts[:, None], kset, n)
+            mixed = _abs_integral_times_grad(pts, cell_values, phi)
+            if mixed < best:
+                best = mixed
+            if mixed <= bound:
+                pick = (k, pts, cell_values, phi)
+                break
+        if pick is None:
+            if best_effort:
+                break
+            raise PrefixTooShortError(n, best, bound)
+        k, pts, cell_values, phi = pick
+        k_prev = k
+        uk = refined_bv(members[k], pts, cell_values)
+        first = cutoff_multiply(uk, phi)
+        n_values.append(n)
+        k_map[n] = k
+        subsequence[n] = uk
+        firsts[n] = first
+        cutoffs[n] = [(phi, n, uk)]
+        remainders.append(uk - first)
+    return n_values, k_map, subsequence, firsts, cutoffs, remainders
+
+
+def _reference_reinterp(old_mesh, values, new_mesh):
+    """P1 values at each vertex of new_mesh, each from the first cell of
+    old_mesh whose closure, widened by 1e-10, holds it."""
+    v = old_mesh.vertices[old_mesh.cells][:, :, 0]
+    out = np.zeros(new_mesh.n_vertices)
+    for i, x in enumerate(new_mesh.vertices[:, 0]):
+        ci = np.where((v[:, 0] - 1e-10 <= x) & (x <= v[:, 1] + 1e-10))[0][0]
+        t = (x - v[ci, 0]) / (v[ci, 1] - v[ci, 0])
+        out[i] = (np.array([1 - t, t]) @ values[:, None][old_mesh.cells[ci]])[0]
+    return out
+
+
+def _reference_decompose(members, sets, n_max, lo, hi):
+    """The decomposition as a recursion: one best-effort stage against
+    sets[0], capped at 4 n_max + 8 picks, then the remainders against the
+    rest of the cover; two sets take one stage that must reach n_max."""
+    if len(sets) == 2:
+        n_values, k_map, subsequence, firsts, cutoffs, remainders = _reference_single_stage(
+            members, sets[0], n_max, lo, hi)
+        components = {n: [firsts[n], remainders[i]] for i, n in enumerate(n_values)}
+        return n_values, k_map, subsequence, components, cutoffs
+    cap = min(len(members), 4 * n_max + 8)
+    n1, k_map, subsequence, firsts, cutoffs, remainders = _reference_single_stage(
+        members, sets[0], cap, lo, hi, best_effort=True)
+    sub_n, sub_k, sub_subseq, sub_comp, sub_cut = _reference_decompose(
+        remainders, sets[1:], n_max, lo, hi)
+    final_n, final_k, final_sub, final_compo, final_cutoffs = [], {}, {}, {}, {}
+    for n in sub_n:
+        stage1_n = n1[sub_k[n]]
+        coords = sub_subseq[n].mesh.vertices[:, 0]
+        parent = refine_bv_1d(subsequence[stage1_n], coords)
+        final_n.append(n)
+        final_k[n] = k_map[stage1_n]
+        final_sub[n] = parent
+        final_compo[n] = [refine_bv_1d(firsts[stage1_n], coords)] + sub_comp[n]
+        phi1, rad1, _ = cutoffs[stage1_n][0]
+        phi1_ref = _reference_reinterp(subsequence[stage1_n].mesh, phi1, parent.mesh)
+        final_cutoffs[n] = [(phi1_ref, rad1, parent)] + sub_cut[n]
+    return final_n, final_k, final_sub, final_compo, final_cutoffs
+
+
+def _bv_bytes(u):
+    return (u.mesh.vertices.tobytes(), u.cell_values.tobytes(), u.facets.tobytes(),
+            u.jumps.tobytes())
+
+
+def _assert_matches_the_recursion(members, cover, n_max):
+    """local_decompose against _reference_decompose: the picks, every
+    subsequence member, component and stage input bit for bit, each cutoff
+    within 2.3e-16 (np.interp against the reference's dot product)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # cover-gap note
+        res = local_decompose(members, cover, n_max=n_max)
+    vertices = members[0].mesh.vertices
+    n_values, k_map, subsequence, components, cutoffs = _reference_decompose(
+        members, cover.sets, n_max, float(vertices.min()), float(vertices.max()))
+    assert res.n_values == n_values and res.k_map == k_map
+    for n in n_values:
+        assert _bv_bytes(res.subsequence[n]) == _bv_bytes(subsequence[n])
+        assert len(res.components[n]) == len(components[n]) == len(cover.sets)
+        for got, want in zip(res.components[n], components[n]):
+            assert _bv_bytes(got) == _bv_bytes(want)
+        assert len(res.cutoffs[n]) == len(cutoffs[n]) == len(cover.sets) - 1
+        for (phi, rad, stage_input), (want_phi, want_rad, want_input) in zip(
+                res.cutoffs[n], cutoffs[n]):
+            assert rad == want_rad
+            assert _bv_bytes(stage_input) == _bv_bytes(want_input)
+            assert np.max(np.abs(phi - want_phi)) <= 2.3e-16
+    return res
+
+
+COVER3 = CoverSpec([regions.point([0.0]), regions.box([0.1], [0.6]),
+                    regions.box([0.55], [1.0])])
+
+
+@pytest.mark.parametrize("count", [120, 30])
+def test_a_three_set_cover_matches_the_recursion(count):
+    # 120 members: stage one stops at its cap, 4 n_max + 8 = 40; 30 members:
+    # it stops where its members run out, at n = 15
+    _assert_matches_the_recursion(jump_members(count), COVER3, 8)
+
+
+def test_a_four_set_cover_matches_the_recursion():
+    # two stages carry their picks and cutoffs onto the final meshes
+    spec = SequenceSpec("pure_boundary_concentration", OMEGA, n_max=300)
+    members = [generate(spec, n) for n in range(1, 140)]
+    cover = CoverSpec([regions.point([0.0]), regions.point([1.0]),
+                       regions.box([0.05], [0.5]), regions.box([0.45], [0.95])])
+    res = _assert_matches_the_recursion(members, cover, 6)
+    assert res.n_values == list(range(1, 7))
+    assert any(c.l1_norm() > 0 for n in res.n_values for c in res.components[n][1:3])
+
+
+def test_a_last_stage_that_runs_short_raises_the_recursions_error():
+    members = jump_members(30)
+    with pytest.raises(PrefixTooShortError) as want:
+        _reference_decompose(members, COVER3.sets, 16, 0.0, 1.0)
+    with pytest.raises(PrefixTooShortError, match=re.escape(str(want.value))):
+        with pytest.warns(UserWarning, match="cover gap"):
+            local_decompose(members, COVER3, n_max=16)
 
 
 def test_a_two_set_stage_builds_one_refined_mesh_per_pick(monkeypatch):
@@ -298,8 +440,7 @@ def test_stacked_support_checks_flag_as_one_pass_per_component():
     res = DecompositionResult(
         cover=cover, n_values=[2, 4, 8, 16], k_map={2: 0, 4: 1, 8: 2, 16: 3},
         subsequence=subsequence, components=components,
-        cutoffs={n: [] for n in components}, selection_bound_factor=0.5,
-        grad_slack=0.05, s_table=None)
+        cutoffs={n: [] for n in components}, s_table=None)
     flags = [f for f in verify_properties(res)["flags"]
              if f["check"].startswith("support")]
     assert flags == _reference_support_flags(res)

@@ -579,6 +579,29 @@ def test_decomposition_on_a_polygon_builds_no_member(monkeypatch):
         "mesh-exact); 2D sequences are not supported")}]
 
 
+@pytest.mark.filterwarnings("ignore:compact sets leave a cover gap")
+@pytest.mark.parametrize("prefix", [1, 80])
+def test_decomposition_prefix_is_the_number_of_members_built(monkeypatch, prefix):
+    built = []
+
+    def counted(spec, n, _inner=bvlsc.verdict.generate):
+        built.append(n)
+        return _inner(spec, n)
+
+    monkeypatch.setattr(bvlsc.verdict, "generate", counted)
+    sc = load("example_1_2")
+    sc.cfg["checks"].update(qc=False, qslb=False, sequences=False, decomposition=True)
+    sc.cfg["decomposition"]["prefix"] = prefix
+    verdict = analyze(sc)
+    assert built == list(range(1, prefix + 1))
+    if prefix == 1:  # one member cannot reach n_max = 16
+        assert [e["job"] for e in verdict.errors] == ["decomposition"]
+        assert verdict.errors[0]["error"].startswith("prefix too short")
+    else:
+        assert verdict.errors == []
+        assert verdict.extras["decomposition"]["result"]["n_values"] == list(range(1, 17))
+
+
 @pytest.mark.parametrize("term", [{"w": 1, "term": {"tag": "norm"}},
                                   {"w": 1, "term": {"tag": "norm"}, "x": 2}],
                          ids=["two_keys", "three_keys"])
