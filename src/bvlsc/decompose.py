@@ -13,9 +13,9 @@ vanishing bound (SELECTION_BOUND_FACTOR / n = 0.5/n).
 
 A cover of J sets runs J - 1 such stages in a loop, stage j against K_j on
 the remainders u_k - phi_n u_k of stage j - 1, so a pick of stage j indexes
-the picks of stage j - 1.  A final pick's components are the first pieces of
-its earlier picks, refined onto its mesh, then its own first piece and its
-remainder.
+the picks of stage j - 1, and stage j - 1 picks only as far as stage j
+reads.  A final pick's components are the first pieces of its earlier
+picks, refined onto its mesh, then its own first piece and its remainder.
 
 Only 1D meshes are supported: cutoff level sets are then mesh-exact after a
 refinement that inserts the neighborhood breakpoints.  verify_properties
@@ -25,6 +25,7 @@ ones by at most |cell|/n plus the (recorded and capped) cutoff slack, and the
 later components do not charge the earlier compact sets.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -176,22 +177,23 @@ def local_decompose(members, cover, n_max=None):
     hi = float(mesh0.vertices.max())
 
     # one cutoff stage per set but the last, each on the previous stage's
-    # remainders; an earlier stage picks as many n as its members allow
-    # (at most 4 n_max + 8), the last must reach n_max
-    stages, inputs = [], members
-    for j, kset in enumerate(cover.sets[:-1]):
-        last = j == len(cover.sets) - 2
-        n_target = n_max if last else min(len(inputs), 4 * n_max + 8)
-        picks, shortfall = _stage(inputs, kset, n_target, lo, hi)
-        if last and shortfall:
-            raise PrefixTooShortError(*shortfall)
-        inputs = [uk - first for _, _, uk, _, first in picks]
-        stages.append(picks)
+    # remainders: a stage picks only when the next one asks for its next
+    # input, and the last must reach n_max
+    stages, rests = [], members
+    for kset in cover.sets[:-1]:
+        stages.append([])
+        rests = _stage(rests, kset, lo, hi, stages[-1])
+    remainders = []
+    while len(remainders) < n_max:
+        try:
+            remainders.append(next(rests))
+        except StopIteration as short:  # the last stage ran out of members
+            raise PrefixTooShortError(*short.value) from None
 
     # a final pick's k indexes the previous stage's picks: walk the chain
     # back, carrying each earlier pick, first piece and cutoff onto its mesh
     n_values, k_map, subsequence, components, cutoffs = [], {}, {}, {}, {}
-    for (n, k, uk, phi, first), rest in zip(stages[-1], inputs):
+    for (n, k, uk, phi, first), rest in zip(stages[-1], remainders):
         coords = uk.mesh.vertices[:, 0]
         comps, cuts = [first, rest], [(phi, n, uk)]
         for picks in reversed(stages[:-1]):
@@ -223,30 +225,31 @@ def local_decompose(members, cover, n_max=None):
                                cutoffs, s_table)
 
 
-def _stage(members, kset, n_target, lo, hi):
-    """Cutoff stage against one compact set: per n = 1..n_target, pick the
-    first member past the previous pick that keeps the mixed term within
-    its bound, and split off its component near the set.  Returns the picks
-    (n, k, refined member, cutoff phi, first piece) and, where the members
-    run out, the (n, best achieved, bound) of the shortfall (else None)."""
-    picks, k_prev = [], -1
-    for n in range(1, n_target + 1):
+def _stage(members, kset, lo, hi, picks):
+    """Cutoff stage against one compact set, as a generator over the
+    iterable members: per n = 1, 2, ..., pick the first member past the
+    previous pick that keeps the mixed term within its bound, split off its
+    component near the set, append the pick (n, k, refined member, cutoff
+    phi, first piece) to picks and yield its remainder.  Where the members
+    run out, returns the (n, best achieved, bound) of the shortfall."""
+    members = enumerate(members)
+    for n in itertools.count(1):
         bound = SELECTION_BOUND_FACTOR / n
         brk = _breakpoints_1d(kset, n, lo, hi)
         best = np.inf
-        for k in range(k_prev + 1, len(members)):
-            pts, cell_values = refined_1d(members[k], brk)
+        for k, member in members:
+            pts, cell_values = refined_1d(member, brk)
             phi = _cutoff_values(pts[:, None], kset, n)
             mixed = _abs_integral_times_grad(pts, cell_values, phi)
             best = min(best, mixed)
             if mixed <= bound:
                 break
         else:
-            return picks, (n, best, bound)
-        uk = refined_bv(members[k], pts, cell_values)
-        picks.append((n, k, uk, phi, cutoff_multiply(uk, phi)))
-        k_prev = k
-    return picks, None
+            return n, best, bound
+        uk = refined_bv(member, pts, cell_values)
+        first = cutoff_multiply(uk, phi)
+        picks.append((n, k, uk, phi, first))
+        yield uk - first
 
 
 def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e-2):

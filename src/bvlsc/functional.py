@@ -18,7 +18,6 @@ therefore treat its rows independently, giving each row the value it would
 give it alone, as the batched half-ball solves already require.
 """
 
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -71,19 +70,11 @@ class MeasureStack(NamedTuple):
     charge_starts: list
 
     @classmethod
-    def of(cls, measures):
-        """The stack of the MatrixMeasures, each on its own mesh."""
-        def stacked(arrays):
-            return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
-
-        quads = [mu.mesh.quadrature() for mu in measures]
-        return cls(stacked([q[0] for q in quads]), stacked([q[1] for q in quads]),
-                   stacked([mu.density for mu in measures]),
-                   stacked([mu.positions for mu in measures]),
-                   stacked([mu.polars for mu in measures]),
-                   stacked([mu.masses for mu in measures]),
-                   list(accumulate([mu.mesh.n_cells for mu in measures[:-1]], initial=0)),
-                   list(accumulate([len(mu.masses) for mu in measures[:-1]], initial=0)))
+    def of(cls, mu):
+        """The one-member stack of the MatrixMeasure mu."""
+        points, weights = mu.mesh.quadrature()
+        return cls(points, weights, mu.density, mu.positions, mu.polars, mu.masses,
+                   [0], [0])
 
 
 def eval_stack(f, finf, stack):
@@ -136,7 +127,7 @@ def eval_F(f, finf, u):
 def eval_G(f, finf, mu):
     """Evaluate the measure functional at a MatrixMeasure: the one-member
     eval_stack."""
-    per_cell, per_charge, (bulk,), (singular,) = eval_stack(f, finf, MeasureStack.of([mu]))
+    per_cell, per_charge, (bulk,), (singular,) = eval_stack(f, finf, MeasureStack.of(mu))
     return FunctionalValue(bulk, singular, per_cell, per_charge)
 
 

@@ -1,4 +1,4 @@
-"""Integrand catalog f(x, xi) with growth metadata and recession machinery.
+"""Integrand catalog f(x, xi) and its recession machinery.
 
 Evaluators are batched: f(x, xi) takes x of shape (k, N) and xi of shape
 (k, M, N) and returns (k,).  The catalog covers
@@ -56,16 +56,15 @@ def _plus_zero_at_origin(out, xi):
 
 
 class Integrand:
-    """Density f(x, xi) with linear-growth constant and optional extras.
+    """Density f(x, xi) and what the checks read of it.  The constant C of
+    the bound |f(x, xi)| <= C (|xi|_F + 1) enters no check and is not kept.
 
-    `growth` is C in |f(x, xi)| <= C (|xi|_F + 1), or a function of no
-    arguments that gives it when first read.  `one_pass`, when given, is
-    where the integrand defines its smoothing and its gradient: (x, xi,
-    delta) -> (values smoothed at delta, exact values, gradient in xi of the
-    smoothed values), with the exact values as the smoothed ones at delta =
-    0.  Without a pass, evaluate is unsmoothed.  grad_xi is `grad` where
-    given (user integrands), else the pass at delta = 0, else central finite
-    differences.  `frozen` is (f, x0) for freeze_x(f, x0), which evaluates as
+    `one_pass`, when given, is where the integrand defines its smoothing and
+    its gradient: (x, xi, delta) -> (values smoothed at delta, exact values,
+    gradient in xi of the smoothed values), with the exact values as the
+    smoothed ones at delta = 0.  Without a pass, evaluate is unsmoothed.
+    grad_xi is the pass at delta = 0, else central finite differences.
+    `frozen` is (f, x0) for freeze_x(f, x0), which evaluates as
     f at rows of x0.  `convex` is True only where f is proven independent of
     x and convex in xi (then Jensen's inequality makes every quasiconvexity
     deficit >= 0).  `split`, where known, maps a point x to the (c, A) of
@@ -74,27 +73,17 @@ class Integrand:
 
     frozen = None
 
-    def __init__(self, fn, M, N, growth, tag="user", params=None, grad=None,
-                 recession=None, mu_analytic=None, convex=False, one_pass=None,
-                 split=None):
+    def __init__(self, fn, M, N, tag="user", recession=None, mu_analytic=None,
+                 convex=False, one_pass=None, split=None):
         self._fn = fn
         self.convex = convex
         self.M = int(M)
         self.N = int(N)
-        self._growth = growth
         self.tag = tag
-        self.params = params or {}
-        self._grad = grad
         self.recession = recession
         self.mu_analytic = mu_analytic
         self._one_pass = one_pass
         self._split = split
-
-    @property
-    def growth(self):
-        if callable(self._growth):
-            self._growth = self._growth()
-        return float(self._growth)
 
     def __call__(self, x, xi):
         x = np.asarray(x, dtype=float)
@@ -122,8 +111,6 @@ class Integrand:
     def grad_xi(self, x, xi):
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        if self._grad is not None:
-            return self._grad(x, xi)
         if self._one_pass is not None:
             return self._one_pass(x, xi, 0.0)[2]
         g = np.zeros_like(xi)
@@ -145,21 +132,6 @@ class Integrand:
         val = self(x, xi)
         return val, val, self.grad_xi(x, xi)
 
-    def spot_check(self):
-        """Random check of the growth bound |f| <= C(|xi|+1) and of continuity
-        in x, at x = 0, on 64 seeded samples with |xi| <= 10."""
-        rng = np.random.default_rng(0)
-        n = 64
-        xi = rng.normal(size=(n, self.M, self.N))
-        xi *= (10.0 * rng.random(n) / np.maximum(_frob(xi), 1e-12))[:, None, None]
-        x = np.zeros((n, self.N))
-        vals = self._fn(x, xi)
-        bound = self.growth * (_frob(xi) + 1.0)
-        growth_ok = bool(np.all(np.abs(vals) <= bound + 1e-9))
-        dx = 1e-7 * rng.normal(size=x.shape)
-        cont = float(np.max(np.abs(self._fn(x + dx, xi) - vals)))
-        return {"growth_ok": growth_ok, "x_continuity_dev": cont}
-
     def sup_on_sphere(self, x=None):
         """Largest |f(x, xi)| over 256 seeded unit xi, at the point x (None:
         the origin)."""
@@ -169,30 +141,18 @@ class Integrand:
         x = np.zeros(self.N) if x is None else np.asarray(x, dtype=float)
         return float(np.max(np.abs(self(np.tile(x, (samples, 1)), xi))))
 
-    def homogeneity_check(self):
-        """Largest |f(0, a xi) - a f(0, xi)| over 32 seeded xi and a in (0,
-        0.5, 2, 10): 0 for a recession function."""
-        xi = np.random.default_rng(0).normal(size=(32, self.M, self.N))
-        x = np.zeros((32, self.N))
-        base = self(x, xi)
-        worst = 0.0
-        for a in (0.0, 0.5, 2.0, 10.0):
-            dev = np.max(np.abs(self(x, a * xi) - a * base))
-            worst = max(worst, float(dev))
-        return worst
-
     def __repr__(self):
-        return f"Integrand(tag={self.tag!r}, M={self.M}, N={self.N}, C={self.growth})"
+        return f"Integrand(tag={self.tag!r}, M={self.M}, N={self.N})"
 
 
 def RecessionFn(fn, M, N, one_pass=None, split=None):
     """The positively 1-homogeneous large-argument limit f_inf of an
-    integrand, as the integrand that is its own recession: +0.0 where xi = 0,
-    a zero deviation modulus, and the growth constant sup_on_sphere() + 1,
-    sampled when first read.  `one_pass` (see Integrand) must keep the +0.0."""
+    integrand, as the integrand that is its own recession: +0.0 where xi = 0
+    and a zero deviation modulus.  `one_pass` (see Integrand) must keep the
+    +0.0."""
     g = Integrand(lambda x, xi: _plus_zero_at_origin(fn(x, xi), xi), M, N,
-                  growth=lambda: g.sup_on_sphere() + 1.0, tag="recession",
-                  mu_analytic=lambda t: 0.0, one_pass=one_pass, split=split)
+                  tag="recession", mu_analytic=lambda t: 0.0, one_pass=one_pass,
+                  split=split)
     g.recession = g
     return g
 
@@ -390,23 +350,19 @@ def _mk_linear(matrix, tag="linear"):
 
     rec_pass = linear_pass(lambda x, xi: _plus_zero_at_origin(fn(x, xi), xi))
     rec = RecessionFn(fn, M, N, one_pass=rec_pass, split=_constant_split(0.0, A))
-    return Integrand(
-        fn, M, N, growth=max(np.linalg.norm(A), 1e-12), tag=tag,
-        params={"matrix": A.tolist()}, recession=rec, mu_analytic=lambda t: 0.0,
-        convex=True, one_pass=linear_pass(fn), split=_constant_split(0.0, A),
-    )
+    return Integrand(fn, M, N, tag=tag, recession=rec, mu_analytic=lambda t: 0.0,
+                     convex=True, one_pass=linear_pass(fn),
+                     split=_constant_split(0.0, A))
 
 
 def _mk_norm(sign=1.0, tag="norm", M=1, N=1):
     def fn(x, xi):
         return sign * _frob(xi)
 
-    return Integrand(
-        fn, M, N, growth=1.0, tag=tag, params={"M": M, "N": N},
-        recession=_norm_recession(sign, True, M, N), mu_analytic=lambda t: 0.0,
-        convex=sign > 0, one_pass=_norm_pass(sign, True),
-        split=_constant_split(sign, np.zeros((M, N))),
-    )
+    return Integrand(fn, M, N, tag=tag, recession=_norm_recession(sign, True, M, N),
+                     mu_analytic=lambda t: 0.0, convex=sign > 0,
+                     one_pass=_norm_pass(sign, True),
+                     split=_constant_split(sign, np.zeros((M, N))))
 
 
 def _mk_area(M=1, N=1):
@@ -421,9 +377,8 @@ def _mk_area(M=1, N=1):
         # sup_{s>=t} (sqrt(1+s^2)-s)/(1+s), attained at s=t
         return (np.sqrt(1.0 + t * t) - t) / (1.0 + t)
 
-    return Integrand(fn, M, N, growth=1.0, tag="area", params={"M": M, "N": N},
-                     recession=_norm_recession(1.0, True, M, N), mu_analytic=mu,
-                     convex=True, one_pass=one_pass)
+    return Integrand(fn, M, N, tag="area", recession=_norm_recession(1.0, True, M, N),
+                     mu_analytic=mu, convex=True, one_pass=one_pass)
 
 
 def _mk_norm_sin(M=1, N=1):
@@ -447,18 +402,14 @@ def _mk_norm_sin(M=1, N=1):
         return float(np.max(np.abs(np.sin(s)) / (1.0 + s)))
 
     # the recession |xi| is left unsmoothed
-    return Integrand(fn, M, N, growth=2.0, tag="norm_sin", params={"M": M, "N": N},
+    return Integrand(fn, M, N, tag="norm_sin",
                      recession=_norm_recession(1.0, False, M, N), mu_analytic=mu,
                      one_pass=one_pass)
 
 
 def _mk_null_lagrangian(a, t):
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
-    A = np.outer(a, tv)
-    g = _mk_linear(A, tag="boundary_null_lagrangian")
-    g.params = {"a": a.tolist(), "t": tv.tolist()}
-    return g
+    return _mk_linear(np.outer(np.asarray(a, dtype=float), np.asarray(t, dtype=float)),
+                      tag="boundary_null_lagrangian")
 
 
 # tag -> (maker, declared parameters with their defaults; None marks a required one)
@@ -477,7 +428,7 @@ CATALOG_TAGS = tuple(tag for tag in CATALOG if tag != "composite")
 
 
 def catalog_get(tag, params=None):
-    """Named integrand with correct growth constant and analytic recession.
+    """Named integrand with its analytic recession.
 
     Raises ValueError for an unknown tag, a parameter the tag does not declare,
     a required one left out, a dimension that is not a positive integer or a
@@ -535,13 +486,9 @@ def composite(terms):
             return sum(abs(w) * f.mu_analytic(t) for w, f in zip(ws, fs))
 
     nonnegative = all(w >= 0 for w in ws)
-    g = Integrand(
-        fn, M, N, growth=lambda: sum(abs(w) * f.growth for w, f in zip(ws, fs)),
-        tag="composite",
-        params={"terms": [(w, {"tag": f.tag, "params": f.params}) for w, f in terms]},
-        mu_analytic=mu, convex=nonnegative and all(f.convex for f in fs), one_pass=one_pass,
-        split=split,
-    )
+    g = Integrand(fn, M, N, tag="composite", mu_analytic=mu,
+                  convex=nonnegative and all(f.convex for f in fs), one_pass=one_pass,
+                  split=split)
     return _with_recession(g, fs, lambda recs: composite(list(zip(ws, recs))))
 
 
@@ -567,12 +514,8 @@ def modulate(f, c0, cvec):
         part = f.split_at(x)
         return None if part is None else (c(x) * part[0], c(x) * part[1])
 
-    g = Integrand(
-        fn, f.M, f.N, growth=lambda: f.growth * (abs(c0) + np.linalg.norm(cvec) * 10.0),
-        tag=f"modulated({f.tag})", params={"c0": c0, "cvec": cvec.tolist(),
-                                           "inner": f.tag},
-        one_pass=one_pass, split=split,
-    )
+    g = Integrand(fn, f.M, f.N, tag=f"modulated({f.tag})", one_pass=one_pass,
+                  split=split)
     return _with_recession(g, [f], lambda recs: modulate(recs[0], c0, cvec))
 
 
@@ -595,10 +538,7 @@ def freeze_x(f, x0):
     def one_pass(x, xi, delta):
         return f.evaluate(xs(len(xi)), xi, delta)
 
-    g = Integrand(
-        fn, f.M, f.N, growth=lambda: f.growth, tag=f"frozen({f.tag})",
-        params={"x0": x0.tolist(), "inner": f.tag}, mu_analytic=f.mu_analytic,
-        convex=f.convex, one_pass=one_pass, split=lambda x: f.split_at(x0),
-    )
+    g = Integrand(fn, f.M, f.N, tag=f"frozen({f.tag})", mu_analytic=f.mu_analytic,
+                  convex=f.convex, one_pass=one_pass, split=lambda x: f.split_at(x0))
     g.frozen = (f, x0)
     return _with_recession(g, [f], lambda recs: freeze_x(recs[0], x0))

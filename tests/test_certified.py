@@ -74,7 +74,7 @@ def test_no_floor_without_a_proof():
     def fn(x, xi):
         return np.abs(xi[:, 0, 0])
 
-    user = Integrand(fn, 1, 1, growth=1.0)
+    user = Integrand(fn, 1, 1)
     assert user.convex is False
     assert _sphere_floor(estimated_recession(user), np.zeros(1)) is None
     assert NORM.recession.convex is False

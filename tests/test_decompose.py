@@ -199,7 +199,8 @@ def _assert_three_set_cover_nests(members, stage1_n):
 
 
 def test_three_set_cover_matches_nested_two_set_runs():
-    # stage one stops at its cap, 4 n_max + 8 = 40 of the 120 members
+    # the last stage reads stage one's first 8 picks, well inside the 40
+    # that the manual stage one runs to
     _assert_three_set_cover_nests(jump_members(120), 40)
 
 
@@ -264,7 +265,9 @@ def _reference_reinterp(old_mesh, values, new_mesh):
 def _reference_decompose(members, sets, n_max, lo, hi):
     """The decomposition as a recursion: one best-effort stage against
     sets[0], capped at 4 n_max + 8 picks, then the remainders against the
-    rest of the cover; two sets take one stage that must reach n_max."""
+    rest of the cover; two sets take one stage that must reach n_max.  Where
+    the later stages read fewer picks than the cap, the cap changes
+    nothing."""
     if len(sets) == 2:
         n_values, k_map, subsequence, firsts, cutoffs, remainders = _reference_single_stage(
             members, sets[0], n_max, lo, hi)
@@ -326,9 +329,34 @@ COVER3 = CoverSpec([regions.point([0.0]), regions.box([0.1], [0.6]),
 
 @pytest.mark.parametrize("count", [120, 30])
 def test_a_three_set_cover_matches_the_recursion(count):
-    # 120 members: stage one stops at its cap, 4 n_max + 8 = 40; 30 members:
-    # it stops where its members run out, at n = 15
+    # 120 members: the reference's stage one stops at its cap, 4 n_max + 8
+    # = 40; 30 members: it stops where its members run out, at n = 15
     _assert_matches_the_recursion(jump_members(count), COVER3, 8)
+
+
+def test_an_earlier_stage_builds_only_the_picks_its_next_stage_reads(monkeypatch):
+    import bvlsc.decompose
+
+    stage_of, built = [None], []
+
+    def values(vertices, kset, n, _inner=bvlsc.decompose._cutoff_values):
+        stage_of[0] = kset
+        return _inner(vertices, kset, n)
+
+    def multiply(u, phi, _inner=bvlsc.decompose.cutoff_multiply):
+        built.append(stage_of[0])  # a pick of the stage that scanned last
+        return _inner(u, phi)
+
+    monkeypatch.setattr(bvlsc.decompose, "_cutoff_values", values)
+    monkeypatch.setattr(bvlsc.decompose, "cutoff_multiply", multiply)
+    with pytest.warns(UserWarning, match="cover gap"):
+        res = local_decompose(jump_members(120), COVER3, n_max=8)
+    # a final pick's first cutoff carries the n of the stage-one pick it
+    # came from: the last stage reads stage-one picks n = 1..8, not 40
+    read = max(res.cutoffs[n][0][1] for n in res.n_values)
+    assert read == 8
+    assert built.count(COVER3.sets[0]) == read
+    assert built.count(COVER3.sets[1]) == len(res.n_values) == 8
 
 
 def test_a_four_set_cover_matches_the_recursion():

@@ -26,6 +26,65 @@ CATALOG_1D = [
     ("norm_sin", {"M": 1, "N": 1}),
 ]
 
+CATALOG_2D = [
+    ("linear", {"matrix": [[0.6, -0.8], [2.0, 1.0]]}),
+    ("norm", {"M": 2, "N": 2}),
+    ("negnorm", {"M": 2, "N": 2}),
+    ("area", {"M": 2, "N": 2}),
+    ("boundary_null_lagrangian", {"a": [1.0, -2.0], "t": [0.6, 0.8]}),
+    ("norm_sin", {"M": 2, "N": 2}),
+]
+
+
+def growth_constant(tag, params):
+    """C in |f(x, xi)| <= C (|xi|_F + 1) for a catalog entry."""
+    if tag == "linear":
+        return float(np.linalg.norm(params["matrix"]))
+    if tag == "boundary_null_lagrangian":
+        return float(np.linalg.norm(np.outer(params["a"], params["t"])))
+    return {"norm": 1.0, "negnorm": 1.0, "area": 1.0, "norm_sin": 2.0}[tag]
+
+
+def spot_check(f, C):
+    """Random check of the growth bound |f| <= C(|xi|+1) and of continuity
+    in x, at x = 0, on 64 seeded samples with |xi| <= 10."""
+    rng = np.random.default_rng(0)
+    n = 64
+    xi = rng.normal(size=(n, f.M, f.N))
+    norms = np.linalg.norm(xi.reshape(n, -1), axis=1)
+    xi *= (10.0 * rng.random(n) / np.maximum(norms, 1e-12))[:, None, None]
+    x = np.zeros((n, f.N))
+    vals = f(x, xi)
+    bound = C * (np.linalg.norm(xi.reshape(n, -1), axis=1) + 1.0)
+    growth_ok = bool(np.all(np.abs(vals) <= bound + 1e-9))
+    dx = 1e-7 * rng.normal(size=x.shape)
+    cont = float(np.max(np.abs(f(x + dx, xi) - vals)))
+    return {"growth_ok": growth_ok, "x_continuity_dev": cont}
+
+
+def homogeneity_check(f):
+    """Largest |f(0, a xi) - a f(0, xi)| over 32 seeded xi and a in (0,
+    0.5, 2, 10): 0 for a recession function."""
+    xi = np.random.default_rng(0).normal(size=(32, f.M, f.N))
+    x = np.zeros((32, f.N))
+    base = f(x, xi)
+    worst = 0.0
+    for a in (0.0, 0.5, 2.0, 10.0):
+        dev = np.max(np.abs(f(x, a * xi) - a * base))
+        worst = max(worst, float(dev))
+    return worst
+
+
+def _growth_cases():
+    """(name, integrand, C): every catalog form in 1D and at M = N = 2, and a
+    composite of 2D forms with C = sum |w_i| C_i."""
+    for tag, params in CATALOG_1D + CATALOG_2D:
+        f = catalog_get(tag, params)
+        yield f"{tag}-{f.M}x{f.N}", f, growth_constant(tag, params)
+    terms = [(2.0, CATALOG_2D[1]), (-0.5, CATALOG_2D[5]), (1.5, CATALOG_2D[0])]
+    f = composite([(w, catalog_get(tag, params)) for w, (tag, params) in terms])
+    yield "composite", f, sum(abs(w) * growth_constant(*entry) for w, entry in terms)
+
 
 def random_xis(M, N, k, seed=0, radius=3.0):
     rng = np.random.default_rng(seed)
@@ -68,7 +127,7 @@ def test_recession_not_detected_raises():
         n = np.linalg.norm(xi.reshape(len(xi), -1), axis=1)
         return n * np.sin(np.log1p(n))
 
-    f = Integrand(fn, 1, 1, growth=2.0, tag="oscillating")
+    f = Integrand(fn, 1, 1, tag="oscillating")
     with pytest.raises(RecessionLimitError):
         recession_estimate(f, np.zeros(1), np.array([[1.0]]))
 
@@ -119,15 +178,16 @@ def test_catalog_null_lagrangian():
 
 def test_catalog_negnorm_growth():
     f = catalog_get("negnorm")
-    assert f.growth == 1.0
     assert f.at([0.0], [[3.0]]) == -3.0
-    assert f.spot_check()["growth_ok"]
+    assert spot_check(f, 1.0)["growth_ok"]
 
 
-def test_catalog_growth_bounds():
-    for tag, params in CATALOG_1D:
-        f = catalog_get(tag, params)
-        assert f.spot_check()["growth_ok"], tag
+@pytest.mark.parametrize("name,f,C", list(_growth_cases()),
+                         ids=[n for n, _, _ in _growth_cases()])
+def test_catalog_growth_bounds(name, f, C):
+    rep = spot_check(f, C)
+    assert rep["growth_ok"]
+    assert rep["x_continuity_dev"] == 0.0  # no catalog form reads x
 
 
 def test_every_catalog_integrand_and_composite_has_a_recession():
@@ -144,10 +204,10 @@ def test_recession_estimate_of_a_2d_integrand_gives_builtin_floats():
     assert type(est.value) is float and type(est.joint_stability) is float
 
 
-def test_homogeneity_of_catalog_recessions():
-    for tag, params in CATALOG_1D:
-        f = catalog_get(tag, params)
-        assert f.recession.homogeneity_check() <= 1e-10, tag
+@pytest.mark.parametrize("name,f,C", list(_growth_cases()),
+                         ids=[n for n, _, _ in _growth_cases()])
+def test_homogeneity_of_catalog_recessions(name, f, C):
+    assert homogeneity_check(f.recession) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,7 +255,7 @@ def test_composite_modulus_bounds_its_deviation():
     mags = np.abs(xi[:, 0, 0])
     bound = np.array([f.mu_analytic(m) for m in mags]) * (1 + mags)
     assert np.all(np.abs(f(x, xi) - f.recession(x, xi)) <= bound + 1e-9)
-    user = Integrand(lambda x, xi: xi[:, 0, 0], 1, 1, growth=1.0)
+    user = Integrand(lambda x, xi: xi[:, 0, 0], 1, 1)
     assert composite([(1.0, area), (1.0, user)]).mu_analytic is None
 
 
@@ -205,7 +265,7 @@ def test_composite_recession_and_growth():
     x = np.zeros((1, 1))
     assert f(x, xi)[0] == pytest.approx(2 * 4 + np.sqrt(17.0))
     assert f.recession(x, xi)[0] == pytest.approx(3 * 4.0)
-    assert f.growth == pytest.approx(3.0)
+    assert spot_check(f, 3.0)["growth_ok"]
 
 
 def test_modulate_scales_by_position():
@@ -275,8 +335,7 @@ def test_catalog_entry_splits_exactly_where_it_is_one_homogeneous(tag, params):
 def test_split_is_known_only_where_every_part_has_one():
     est = estimated_recession(catalog_get("area"))
     assert est.split_at([0.0]) is None
-    user = Integrand(lambda x, xi: np.abs(xi[:, 0, 0]), 1, 1, 1.0,
-                     recession=est)
+    user = Integrand(lambda x, xi: np.abs(xi[:, 0, 0]), 1, 1, recession=est)
     mixed = composite([(1.0, catalog_get("norm")), (1.0, user)])
     assert mixed.recession.split_at([0.0]) is None
     assert modulate(user, 1.0, [0.5]).recession.split_at([0.0]) is None
@@ -317,7 +376,7 @@ def test_grad_finite_difference_fallback():
     def fn(x, xi):
         return np.linalg.norm(xi.reshape(len(xi), -1), axis=1) ** 2
 
-    f = Integrand(fn, 1, 2, growth=10.0)
+    f = Integrand(fn, 1, 2)
     xi = np.array([[[1.0, -2.0]]])
     g = f.grad_xi(np.zeros((1, 2)), xi)
     assert np.allclose(g, 2 * xi, atol=1e-5)

@@ -613,12 +613,24 @@ def test_local_patch_and_refined_cells_match_the_cell_loop(name, monkeypatch):
 
 
 def test_degenerate_polygon_rejected():
-    with pytest.raises(ValueError):
-        Domain.polygon([[0, 0], [1, 1], [1, 0], [0, 1]])  # self-intersecting
-    with pytest.raises(ValueError):
-        Domain.polygon([[0, 0], [0, 1], [1, 1], [1, 0]])  # negatively oriented
-    with pytest.raises(ValueError):
+    # a bow tie has signed area 0, so it fails the orientation test first
+    with pytest.raises(ValueError, match="must be positively oriented"):
+        Domain.polygon([[0, 0], [1, 1], [1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="self-intersecting"):
+        Domain.polygon([[0, 0], [3, 0], [3, 2], [2, -1], [1, 2]])
+    with pytest.raises(ValueError, match="must be positively oriented"):
+        Domain.polygon([[0, 0], [0, 1], [1, 1], [1, 0]])
+    with pytest.raises(ValueError, match=r"needs an \(k, 2\) vertex loop with k >= 3"):
+        Domain.polygon([[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match=r"interval needs a < b, got \[1.0, 1.0\]"):
         Domain.interval(1.0, 1.0)
+
+
+def test_degenerate_halfball_normal_rejected():
+    with pytest.raises(ValueError, match="normal must be nonzero"):
+        Domain.halfball([0, 0])
+    with pytest.raises(ValueError, match="normal must be a unit vector"):
+        Domain.halfball([2, 0])
 
 
 def test_local_patch_interval_markers():

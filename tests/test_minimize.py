@@ -32,7 +32,8 @@ def square_integrand(M=1, N=2):
     def grad(x, xi):
         return 2.0 * xi
 
-    return Integrand(fn, M, N, growth=100.0, tag="square", grad=grad)
+    return Integrand(fn, M, N, tag="square",
+                     one_pass=lambda x, xi, d: (v := fn(x, xi), v, grad(x, xi)))
 
 
 def test_convex_quadratic_min_is_zero_field():
@@ -138,7 +139,7 @@ def test_nonfinite_objective_reports_field():
         out = np.linalg.norm(xi.reshape(len(xi), -1), axis=1)
         return np.where(out > 0.1, np.nan, out)
 
-    bad = Integrand(fn, 1, 1, growth=1.0)
+    bad = Integrand(fn, 1, 1)
     obj = BulkObjective(mesh, bad)
     with pytest.raises(FieldEvaluationError) as exc:
         minimize_field(obj, mesh, [0], SolverOptions(restarts=2, max_iter=30))
@@ -379,7 +380,7 @@ def _pull_to_slope_one():
     def fn(x, xi):
         return (xi[:, 0, 0] - 1.0) ** 2
 
-    return Integrand(fn, 1, 1, growth=1.0, grad=lambda x, xi: 2.0 * (xi - 1.0))
+    return Integrand(fn, 1, 1, one_pass=lambda x, xi, d: (v := fn(x, xi), v, 2.0 * (xi - 1.0)))
 
 
 def _compaction_cases():
@@ -465,7 +466,7 @@ def test_lockstep_raises_where_per_restart_loop_raises():
         out = np.linalg.norm(xi.reshape(len(xi), -1), axis=1)
         return np.where(out > 0.1, np.nan, out)
 
-    obj = BulkObjective(mesh, Integrand(fn, 1, 1, growth=1.0))
+    obj = BulkObjective(mesh, Integrand(fn, 1, 1))
     opts = SolverOptions(restarts=3, max_iter=30)
     with pytest.raises(FieldEvaluationError):
         reference_minimize(obj, mesh, [0], opts)
@@ -486,7 +487,8 @@ def test_lockstep_raises_mid_solve_where_per_restart_loop_raises(chunked, monkey
         v = xi[:, 0, 0]
         return np.where(np.abs(v) > 3.0, np.nan, -v * v)
 
-    obj = BulkObjective(mesh, Integrand(fn, 1, 1, growth=1.0, grad=lambda x, xi: -2.0 * xi))
+    obj = BulkObjective(mesh, Integrand(
+        fn, 1, 1, one_pass=lambda x, xi, d: (v := fn(x, xi), v, -2.0 * xi)))
     opts = SolverOptions(restarts=4, max_iter=60)
     with pytest.raises(FieldEvaluationError) as want:
         reference_minimize(obj, mesh, [0], opts)

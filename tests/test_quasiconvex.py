@@ -63,8 +63,11 @@ def test_translation_consistency():
     def shifted(x, eta):
         return f(x, eta + xi[None, :, :])
 
-    g = Integrand(shifted, 1, 2, growth=f.growth + np.linalg.norm(xi),
-                  grad=lambda x, eta: f.grad_xi(x, eta + xi[None, :, :]))
+    def one_pass(x, eta, delta):
+        v = shifted(x, eta)
+        return v, v, f.grad_xi(x, eta + xi[None, :, :])
+
+    g = Integrand(shifted, 1, 2, one_pass=one_pass)
     rep2 = qc_deficit(g, np.zeros((1, 2)), options=FAST)
     assert rep1.deficit == pytest.approx(rep2.deficit, abs=1e-6)
 

@@ -497,6 +497,16 @@ def test_nonpositive_mesh_size_is_schema_error(tmp_path, capsys, section, h):
     assert f"'{section}.h' must be a positive number" in capsys.readouterr().out
 
 
+def test_an_integer_beyond_the_float_range_is_schema_error(tmp_path, capsys):
+    cfg = json.loads(resolve_config("norm_square").read_text())
+    cfg["mesh"]["h"] = 10**400
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    code, verdict = run_scenario(path, out_dir=tmp_path / "out")
+    assert (code, verdict) == (2, None)
+    assert "'mesh.h' must be a positive number" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("h", [0.0, -0.1])
 def test_nonpositive_h_override_is_rejected(tmp_path, h):
     code, verdict = run_scenario(resolve_config("norm_square"),
@@ -753,6 +763,18 @@ def test_mistyped_or_unknown_key_exits_2(tmp_path, capsys, key, value, message):
     assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     out = capsys.readouterr().out
     assert "config error (line " in out and message in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_polygon_that_is_not_simple_exits_2(tmp_path, capsys):
+    cfg = json.loads(resolve_config("norm_square").read_text())
+    cfg["domain"]["vertices"] = [[0, 0], [3, 0], [3, 2], [2, -1], [1, 2]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    line = bvlsc.verdict._line_of(path.read_text(), "domain")
+    assert (f"config error (line {line}): polygon vertex loop is self-intersecting"
+            in capsys.readouterr().out)
     assert not (tmp_path / "out").exists()
 
 
