@@ -19,18 +19,27 @@ MatrixMeasure stores the absolutely continuous density per cell plus the
 singular charges in polar form: the position of each (the vertex, or the
 facet midpoint), its unit-Frobenius polar matrix and its positive mass.
 
+A Family1D stacks many 1D functions in one set of arrays (vertex
+coordinates, cells, cell values, jump rows and offsets), so that slopes,
+refinements and variation measures of a whole family are array passes; a
+VariationStack holds what tv_on_neighborhoods reads of a family of
+measures, built from MatrixMeasures or from a Family1D with the same bits.
+
 Both types are immutable values; operations never mutate their inputs.
 """
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
-from .meshing import QUADRATURE, Mesh, row_norms
+from .meshing import QUADRATURE, Mesh, row_norms, segment_shape_gradients
 
 __all__ = [
     "BVFunction",
+    "Family1D",
     "MatrixMeasure",
+    "VariationStack",
     "derivative",
     "total_variation",
     "tv_on_neighborhood",
@@ -60,10 +69,25 @@ class BVFunction:
 
     The constructor sorts each facet row, drops the jumps of norm at most
     1e-14 and, in 1D, those on the domain boundary (with a warning), and
-    sorts the rest by facet; every array is read-only.
+    sorts the rest by facet; every array is read-only.  A function derived
+    from built ones (a sum, difference, multiple, cutoff product or
+    refinement) keeps jumps that were already inside the domain, so its
+    jumps skip the boundary test; the sort and the drop of negligible jumps,
+    which a sum can cancel, stay.
     """
 
     def __init__(self, mesh, cell_values, facets=(), jumps=()):
+        self._build(mesh, cell_values, facets, jumps, checked=False)
+
+    @classmethod
+    def _derived(cls, mesh, cell_values, facets, jumps):
+        """The function with these arrays, whose jumps come from built
+        functions: no boundary test."""
+        u = cls.__new__(cls)
+        u._build(mesh, cell_values, facets, jumps, checked=True)
+        return u
+
+    def _build(self, mesh, cell_values, facets, jumps, checked):
         self.mesh = mesh
         cv = np.asarray(cell_values, dtype=float)
         if cv.ndim == 2:
@@ -84,7 +108,7 @@ class BVFunction:
             # call over their vertices; the per-jump decisions are read off
             # as lists
             keep = [not n <= _ATOL for n in _frobenius(jumps).tolist()]
-            if mesh.dim == 1 and mesh.domain is not None and any(keep):
+            if mesh.dim == 1 and mesh.domain is not None and not checked and any(keep):
                 at = mesh.vertices[facets[:, 0]]
                 bdist = mesh.domain.boundary_distance(at)
                 for i, (x, d) in enumerate(zip(at[:, 0].tolist(), bdist.tolist())):
@@ -173,18 +197,18 @@ class BVFunction:
 
     def __add__(self, other):
         self._check_same_mesh(other)
-        return BVFunction(self.mesh, self.cell_values + other.cell_values,
-                          *self._summed_jumps(other, 1.0))
+        return BVFunction._derived(self.mesh, self.cell_values + other.cell_values,
+                                   *self._summed_jumps(other, 1.0))
 
     def __sub__(self, other):
         self._check_same_mesh(other)
-        return BVFunction(self.mesh, self.cell_values - other.cell_values,
-                          *self._summed_jumps(other, -1.0))
+        return BVFunction._derived(self.mesh, self.cell_values - other.cell_values,
+                                   *self._summed_jumps(other, -1.0))
 
     def __mul__(self, alpha):
         alpha = float(alpha)
-        return BVFunction(self.mesh, alpha * self.cell_values, self.facets,
-                          alpha * self.jumps)
+        return BVFunction._derived(self.mesh, alpha * self.cell_values, self.facets,
+                                   alpha * self.jumps)
 
     __rmul__ = __mul__
 
@@ -319,57 +343,78 @@ def tv_on_neighborhood(mu, kset, delta):
     the meshed region: tv_on_neighborhoods of the one measure.  `delta` may
     be one radius, giving a float, or a sequence of radii, giving a list with
     one value per radius."""
-    values = tv_on_neighborhoods([mu], kset, [np.atleast_1d(delta)])[0]
+    values = tv_on_neighborhoods(VariationStack.of([mu]), kset,
+                                 np.atleast_1d(delta)[None])[0].tolist()
     return values[0] if np.ndim(delta) == 0 else values
 
 
-def tv_on_neighborhoods(measures, kset, radii_per_measure, subdivisions=2):
-    """|mu| of the open delta-neighborhoods of a compact set, intersected with
-    the meshed region, for a family of measures: one list per measure mu,
-    holding |mu|((K)_delta) for each radius delta of mu's row of
-    `radii_per_measure` (a NaN radius holds nothing).
+class VariationStack(NamedTuple):
+    """The variation measures |mu| of a family, as tv_on_neighborhoods reads
+    them, member after member: the centroids (S, dim) of each member's
+    sub-cells and the mass of its density on each (S,), its charges'
+    positions (K, dim) and masses (K,), and per member the number of its
+    sub-cells and of its charges (arrays, members long)."""
 
-    The absolutely continuous part is integrated over the sub-cells of each
-    mesh refined `subdivisions` times (`Mesh.refined_cells`, built once per
-    mesh), classified by their centroids; singular charges are included
-    exactly by their position.  The whole family takes one kset.dist call,
-    over every measure's sub-centroids and charge positions stacked.
+    centroids: np.ndarray
+    weights: np.ndarray
+    n_sub: np.ndarray
+    positions: np.ndarray
+    masses: np.ndarray
+    n_charge: np.ndarray
+
+    @classmethod
+    def of(cls, measures, subdivisions=2):
+        """The stack of the MatrixMeasures, their meshes refined
+        `subdivisions` times (`Mesh.refined_cells`, built once per mesh)."""
+        refined = [mu.mesh.refined_cells(subdivisions) for mu in measures]
+        weights = [row_norms(mu.density.reshape(mu.mesh.n_cells, -1))[parent] * sub
+                   for mu, (_, sub, parent) in zip(measures, refined)]
+        return cls(np.concatenate([c for c, _, _ in refined]), np.concatenate(weights),
+                   np.array([len(w) for w in weights]),
+                   np.concatenate([mu.positions for mu in measures]),
+                   np.concatenate([mu.masses for mu in measures]),
+                   np.array([len(mu.masses) for mu in measures]))
+
+
+def tv_on_neighborhoods(stack, kset, radii):
+    """|mu|((K)_delta) for a family of measures and radii: the open
+    delta-neighborhoods of a compact set, intersected with the meshed
+    region.  `stack` is the family's VariationStack and radii (members, R)
+    holds a row of radii per member; returns the values (members, R).  A
+    NaN radius holds nothing.
+
+    The absolutely continuous part is integrated over the sub-cells,
+    classified by their centroids; singular charges are included exactly by
+    their position.  The whole family takes one kset.dist call, over every
+    sub-centroid and charge position stacked.
 
     A value has the bits of the per-radius sums weights[dist < delta].sum()
-    plus the charges' masses added left to right in charge order.  Open
-    neighborhoods are nested, so a radius holding c sub-cells holds the c
-    nearest ones; the (measure, count) pairs of one count c are summed as
-    one (pairs, c) matrix of those sub-cells in cell order, whose row sums
-    are numpy's pairwise sums of the single rows.  The charges are summed by
-    one sequential accumulate over the masses masked per radius.
+    over the member's sub-cells plus its charges' masses added left to right
+    in charge order.  Open neighborhoods are nested, so a radius holding c
+    sub-cells holds the c nearest ones; the (member, count) pairs of one
+    count c are summed as one (pairs, c) matrix of those sub-cells in cell
+    order, whose row sums are numpy's pairwise sums of the single rows.  The
+    charges are summed by one sequential accumulate over the masses masked
+    per radius.
     """
-    measures = list(measures)
-    if not measures:
-        return []
-    radii = [np.atleast_1d(np.asarray(r, dtype=float)) for r in radii_per_measure]
-    if len(radii) != len(measures):
-        raise ValueError(f"{len(radii)} rows of radii for {len(measures)} measures")
-    refined = [mu.mesh.refined_cells(subdivisions) for mu in measures]
-    positions = [mu.positions for mu in measures]
-    n_sub = [len(parent) for _, _, parent in refined]
-    n_charge = [len(p) for p in positions]
-    # stacked sub-cells: measure m holds the rows sub_off[m]:sub_off[m + 1]
-    sub_off = np.cumsum([0] + n_sub)
-    weights = np.concatenate([row_norms(mu.density.reshape(mu.mesh.n_cells, -1))[parent] * sub
-                              for mu, (_, sub, parent) in zip(measures, refined)])
-    dist = kset.dist(np.concatenate([c for c, _, _ in refined] + positions))
+    radii = np.asarray(radii, dtype=float)
+    members = len(stack.n_sub)
+    if len(radii) != members:
+        raise ValueError(f"{len(radii)} rows of radii for {members} measures")
+    n_sub, n_charge = stack.n_sub, stack.n_charge
+    sub_off = _offsets(n_sub)
+    dist = kset.dist(np.concatenate([stack.centroids, stack.positions]))
     dist, cdist = dist[:sub_off[-1]], dist[sub_off[-1]:]
 
-    # per radius, the number c of sub-cells nearer than it, read off each
-    # measure's sorted distances; the c nearest sub-cells are the ones held
-    owner = np.repeat(np.arange(len(measures)), n_sub)
+    # per radius, the number c of sub-cells nearer than it, read off the
+    # member's sorted distances; the c nearest sub-cells are the ones held
+    owner = _owners(sub_off)
     order = np.lexsort((dist, owner))
-    near = dist[order]
-    counts = np.concatenate([
-        np.where(np.isnan(r), 0, np.searchsorted(near[a:b], r))
-        for a, b, r in zip(sub_off[:-1].tolist(), sub_off[1:].tolist(), radii)])
-    q_owner = np.repeat(np.arange(len(measures)), [len(r) for r in radii])
-    span = max(n_sub) + 1
+    q_owner = np.repeat(np.arange(members), radii.shape[1])
+    q_radii = radii.ravel()
+    counts = np.searchsorted(_member_keys(owner, dist[order]), _member_keys(q_owner, q_radii))
+    counts = np.where(np.isnan(q_radii), 0, counts - sub_off[q_owner])
+    span = n_sub.max() + 1
     pairs, which = np.unique(q_owner * span + counts, return_inverse=True)
     p_owner, p_count = np.divmod(pairs, span)
     bulk = np.empty(len(pairs))
@@ -377,46 +422,41 @@ def tv_on_neighborhoods(measures, kset, radii_per_measure, subdivisions=2):
         at = np.flatnonzero(p_count == c)
         cells = order[sub_off[p_owner[at], None] + np.arange(c)]
         cells.sort(axis=1)
-        bulk[at] = weights[cells].sum(axis=1)
+        bulk[at] = stack.weights[cells].sum(axis=1)
     values = bulk[which]
 
-    if max(n_charge):
-        # charges padded to (measures, most charges); a pad is +inf away
-        k_owner = np.repeat(np.arange(len(measures)), n_charge)
-        k_slot = np.arange(len(cdist)) - np.repeat(np.cumsum([0] + n_charge[:-1]), n_charge)
-        far = np.full((len(measures), max(n_charge)), np.inf)
+    if len(cdist):
+        # charges padded to (members, most charges); a pad is +inf away
+        charge_off = _offsets(n_charge)
+        k_owner = _owners(charge_off)
+        k_slot = np.arange(len(cdist)) - charge_off[k_owner]
+        far = np.full((members, n_charge.max()), np.inf)
         mass = np.zeros(far.shape)
         far[k_owner, k_slot] = cdist
-        mass[k_owner, k_slot] = np.concatenate([mu.masses for mu in measures])
-        q_radii = np.concatenate(radii)
+        mass[k_owner, k_slot] = stack.masses
         held = np.where(far[q_owner] < q_radii[:, None], mass[q_owner], 0.0)
         values = values + np.add.accumulate(held, axis=1)[:, -1]
-    values = values.tolist()
-    q_off = np.cumsum([0] + [len(r) for r in radii]).tolist()
-    return [values[a:b] for a, b in zip(q_off[:-1], q_off[1:])]
+    return values.reshape(radii.shape)
 
 
-def does_not_charge(measures, kset, deltas, threshold=1e-2, subdivisions=2):
+def does_not_charge(stack, kset, deltas, threshold=1e-2):
     """Tightness table for a sequence of measures against a compact set.
 
     Returns {"table": [(delta, sup_n |mu_n|((K)_delta)], "verdict": ...} with
     verdict "tight" iff the table is non-increasing (up to 1e-12) and its
     entry at the smallest delta is below the threshold; otherwise "charges K".
-    The whole sequence is measured at once, one row of deltas per measure
-    (one tv_on_neighborhoods call, one distance pass).  Only the given
-    finite prefix is scanned, so deltas below the scale the prefix resolves
-    say nothing about the full sequence.
+    The sequence is given as its VariationStack and measured at once, every
+    member at every delta (one tv_on_neighborhoods call, one distance
+    pass).  Only the given finite prefix is scanned, so deltas below the
+    scale the prefix resolves say nothing about the full sequence.
     """
-    measures = list(measures)
-    if not measures:
+    if not len(stack.n_sub):
         raise ValueError("empty sequence of measures")
     deltas = sorted(set(float(d) for d in deltas), reverse=True)
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
-    per_measure = tv_on_neighborhoods(measures, kset, [deltas] * len(measures),
-                                      subdivisions)
-    table = [(d, max(vals[i] for vals in per_measure))
-             for i, d in enumerate(deltas)]
+    per_delta = tv_on_neighborhoods(stack, kset, np.tile(deltas, (len(stack.n_sub), 1)))
+    table = [(d, max(vals)) for d, vals in zip(deltas, per_delta.T.tolist())]
     values = [v for _, v in table]
     decreasing = all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
     verdict = "tight" if (decreasing and values[-1] < threshold) else "charges K"
@@ -439,7 +479,7 @@ def cutoff_multiply(u, phi_vertex_values):
         raise ValueError("cutoff must take values in [0, 1]")
     cv = u.cell_values * phi[mesh.cells][:, :, None]
     scale = phi[u.facets].sum(axis=1) / mesh.dim
-    return BVFunction(mesh, cv, u.facets, u.jumps * scale[:, None])
+    return BVFunction._derived(mesh, cv, u.facets, u.jumps * scale[:, None])
 
 
 def l1_distance(u, v=None):
@@ -516,46 +556,151 @@ def refine_bv_1d(u, coords):
 
     New vertices at `coords` are inserted; cell data is re-evaluated affinely
     within each parent cell (exact, also across discontinuities), and each
-    jump stays at its vertex.
+    jump stays at its vertex (Family1D.refined of the one function).
     """
-    return refined_bv(u, *refined_1d(u, coords))
+    return Family1D.of([u]).refined(coords).function(0, u.mesh.domain)
 
 
-def refined_bv(u, pts, cell_values):
-    """The BVFunction of refined_1d's arrays: the cell values on the mesh of
-    the vertices pts, in u's domain, and u's jumps, each at the vertex of
-    pts with its coordinate."""
-    n = len(pts) - 1
-    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    at = np.searchsorted(pts, u.mesh.vertices[u.facets[:, 0], 0])
-    return BVFunction(Mesh(pts[:, None], cells, domain=u.mesh.domain), cell_values,
-                      at, u.jumps)
+def _offsets(counts):
+    """Where each of consecutive runs of the counts starts, and the total."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
-def refined_1d(u, coords):
-    """The arrays of refine_bv_1d(u, coords) without the mesh and function:
-    the sorted vertex coordinates (n + 1,) and the cell values (n, 2, M) of
-    the cells between consecutive vertices.
+def _owners(off):
+    """The run each position of consecutive runs starting at off belongs to."""
+    return np.arange(len(off) - 1).repeat(off[1:] - off[:-1])
 
-    Every vertex of u's mesh stays, so each jump stays at a vertex; a new
-    point within 1e-14 of one, or of the new point before it, is dropped."""
-    mesh = u.mesh
-    if mesh.dim != 1:
-        raise ValueError("refine_bv_1d needs a 1D mesh")
-    old = np.sort(mesh.vertices[:, 0])
-    coords = np.asarray(coords, dtype=float)
-    new = np.round(coords[(coords > old[0] + 1e-14) & (coords < old[-1] - 1e-14)], 14)
-    new.sort()
-    i = np.searchsorted(old, new)  # old[i - 1] < new <= old[i]
-    gap = np.minimum(new - old[i - 1], old[i] - new)
-    gap[1:] = np.minimum(gap[1:], np.diff(new))
-    pts = np.sort(np.concatenate([old, new[gap > 1e-14]]))
-    old_cells = mesh.vertices[mesh.cells][:, :, 0]
-    lefts = old_cells[:, 0]
-    mid = 0.5 * (pts[:-1] + pts[1:])
-    parent = np.searchsorted(np.sort(lefts), mid, side="right") - 1
-    pi = np.argsort(lefts)[parent]
-    x0, x1 = old_cells[pi, :1], old_cells[pi, 1:]
-    t = (np.column_stack([pts[:-1], pts[1:]]) - x0) / (x1 - x0)  # (n, 2)
-    v0, v1 = u.cell_values[pi, :1], u.cell_values[pi, 1:]  # (n, 1, M)
-    return pts, v0 + t[..., None] * (v1 - v0)
+
+def _member_keys(owner, x):
+    """The pairs (owner, x) as complex numbers, which numpy orders by owner,
+    then x: member slices sorted in x make one sorted array, so one
+    np.searchsorted of keyed values finds each within its own member."""
+    keys = np.empty(len(x), dtype=complex)
+    keys.real, keys.imag = owner, x
+    return keys
+
+
+class Family1D(NamedTuple):
+    """1D BV functions stacked member after member in one set of arrays: the
+    vertex x-coordinates (V,), the cells (C, 2) as rows of ids into them,
+    left end first, the cell values (C, 2, M), and the jumps as rows of a
+    vertex id (K,) and a jump (K, M).  Each member keeps its mesh's vertex,
+    cell and facet order.  v_off, c_off and j_off (members + 1,) hold where
+    each member's vertices, cells and jumps start, and the totals."""
+
+    vertices: np.ndarray
+    cells: np.ndarray
+    values: np.ndarray
+    jump_at: np.ndarray
+    jumps: np.ndarray
+    v_off: np.ndarray
+    c_off: np.ndarray
+    j_off: np.ndarray
+
+    @classmethod
+    def of(cls, functions):
+        """The family of the BVFunctions on 1D meshes, in order."""
+        meshes = [u.mesh for u in functions]
+        if any(mesh.dim != 1 for mesh in meshes):
+            raise ValueError("a 1D family needs functions on 1D meshes")
+        v_off = _offsets([mesh.n_vertices for mesh in meshes])
+        c_off = _offsets([mesh.n_cells for mesh in meshes])
+        j_off = _offsets([len(u.jumps) for u in functions])
+        return cls(np.concatenate([mesh.vertices[:, 0] for mesh in meshes]),
+                   np.concatenate([mesh.cells for mesh in meshes])
+                   + v_off[_owners(c_off)][:, None],
+                   np.concatenate([u.cell_values for u in functions]),
+                   np.concatenate([u.facets[:, 0] for u in functions]) + v_off[_owners(j_off)],
+                   np.concatenate([u.jumps for u in functions]), v_off, c_off, j_off)
+
+    def take(self, a, b):
+        """Members a, ..., b - 1 as a family of their own."""
+        v, c, j = self.v_off, self.c_off, self.j_off
+        return Family1D(self.vertices[v[a]:v[b]], self.cells[c[a]:c[b]] - v[a],
+                        self.values[c[a]:c[b]], self.jump_at[j[a]:j[b]] - v[a],
+                        self.jumps[j[a]:j[b]], v[a:b + 1] - v[a], c[a:b + 1] - c[a],
+                        j[a:b + 1] - j[a])
+
+    def function(self, i, domain):
+        """Member i as a BVFunction on a mesh of its own, in the domain; its
+        jumps, taken from built functions, skip the boundary test."""
+        v, c, j = self.v_off, self.c_off, self.j_off
+        mesh = Mesh(self.vertices[v[i]:v[i + 1], None], self.cells[c[i]:c[i + 1]] - v[i],
+                    domain=domain)
+        return BVFunction._derived(mesh, self.values[c[i]:c[i + 1]],
+                                   self.jump_at[j[i]:j[i + 1]] - v[i], self.jumps[j[i]:j[i + 1]])
+
+    def lengths(self):
+        """The cell lengths (C,), as Mesh.cell_measures gives them."""
+        x = self.vertices[self.cells]
+        return x[:, 1] - x[:, 0]
+
+    def slopes(self):
+        """The slope of each cell (C, M), as BVFunction.gradients gives it."""
+        grads = segment_shape_gradients(self.lengths())
+        return np.einsum("cim,cid->cmd", self.values, grads)[:, :, 0]
+
+    def variation(self):
+        """The family's VariationStack: each cell halved twice, into the
+        sub-cells of Mesh.refined_cells(2) in their order and with their
+        bits (a midpoint is 0.5 (a + b), a centroid the mean of its ends, a
+        length |b - a|)."""
+        ends = self.vertices[self.cells]
+        for _ in range(2):
+            mid = 0.5 * (ends[:, 0] + ends[:, 1])
+            ends = np.column_stack([ends[:, 0], mid, mid, ends[:, 1]]).reshape(-1, 2)
+        return VariationStack(ends.mean(axis=1)[:, None],
+                              row_norms(self.slopes()).repeat(4) * np.abs(ends[:, 1] - ends[:, 0]),
+                              (self.c_off[1:] - self.c_off[:-1]) * 4,
+                              self.vertices[self.jump_at][:, None], _frobenius(self.jumps),
+                              self.j_off[1:] - self.j_off[:-1])
+
+    def refined(self, coords):
+        """Every member refined at the points coords, as a family whose
+        members have their vertices in increasing x and cells from left to
+        right, each as refine_bv_1d refines one function alone.
+
+        Every vertex of a member stays, so each jump stays at a vertex; a new
+        point within 1e-14 of one, or of the member's new point before it, is
+        dropped.  A new cell takes the values of the old cell holding its
+        midpoint, re-evaluated affinely at its ends."""
+        members = len(self.v_off) - 1
+        v_owner = _owners(self.v_off)
+        order = np.lexsort((self.vertices, v_owner))
+        old = self.vertices[order]
+        lo, hi = old[self.v_off[:-1]], old[self.v_off[1:] - 1]
+        coords = np.asarray(coords, dtype=float)
+        rounded = coords.round(14)
+        by = rounded.argsort(kind="stable")
+        owner, at = ((coords[by] > lo[:, None] + 1e-14)
+                     & (coords[by] < hi[:, None] - 1e-14)).nonzero()
+        new = rounded[by[at]]  # each member's new points, increasing
+        i = _member_keys(v_owner, old).searchsorted(_member_keys(owner, new))
+        gap = np.minimum(new - old[i - 1], old[i] - new)  # old[i - 1] < new <= old[i]
+        step = new[1:] - new[:-1]
+        step[owner[1:] != owner[:-1]] = np.inf
+        np.minimum(gap[1:], step, out=gap[1:])
+        keep = gap > 1e-14
+        x = np.concatenate([old, new[keep]])
+        x_owner = np.concatenate([v_owner, owner[keep]])
+        merged = np.lexsort((x, x_owner))
+        pts, p_owner = x[merged], x_owner[merged]
+        v_off = p_owner.searchsorted(np.arange(members + 1))
+
+        cells = (p_owner[1:] == p_owner[:-1]).nonzero()[0][:, None] + np.arange(2)
+        ends = pts[cells]
+        mid = 0.5 * (ends[:, 0] + ends[:, 1])
+        old_ends = self.vertices[self.cells]
+        c_owner = _owners(self.c_off)
+        by_left = np.lexsort((old_ends[:, 0], c_owner))
+        parent = by_left[_member_keys(c_owner, old_ends[by_left, 0]).searchsorted(
+            _member_keys(p_owner[cells[:, 0]], mid), side="right") - 1]
+        span, corner = old_ends[parent], self.values[parent]
+        t = (ends - span[:, :1]) / (span[:, 1:] - span[:, :1])
+        v0, v1 = corner[:, :1], corner[:, 1:]
+        # a jump stays at its vertex, which went to place[rank[id]]
+        rank, place = np.empty_like(order), np.empty_like(merged)
+        rank[order] = np.arange(len(order))
+        place[merged] = np.arange(len(merged))
+        return Family1D(pts, cells, v0 + t[..., None] * (v1 - v0), place[rank[self.jump_at]],
+                        self.jumps, v_off, v_off - np.arange(members + 1), self.j_off)

@@ -25,6 +25,8 @@ where every term is its own recession).  Final evaluations always use the
 true integrand.
 """
 
+import math
+
 import numpy as np
 
 from .meshing import row_norms
@@ -427,12 +429,24 @@ CATALOG = {
 CATALOG_TAGS = tuple(tag for tag in CATALOG if tag != "composite")
 
 
+def _finite_number(x):
+    """An int or float (not a bool) with a finite value: a JSON number a
+    config or a catalog parameter may hold."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def catalog_get(tag, params=None):
     """Named integrand with its analytic recession.
 
     Raises ValueError for an unknown tag, a parameter the tag does not declare,
     a required one left out, a dimension that is not a positive integer or a
-    matrix or vector with a non-finite entry."""
+    matrix or vector with an entry that is not a finite int or float (a bool
+    or a numeric string is not one)."""
     if tag not in CATALOG:
         raise ValueError(f"unknown integrand tag {tag!r} ({'|'.join(CATALOG)})")
     maker, declared = CATALOG[tag]
@@ -447,7 +461,8 @@ def catalog_get(tag, params=None):
             raise ValueError(f"parameter {k!r} must be a positive integer, "
                              f"got {params[k]!r}")
     for k in ("matrix", "a", "t"):
-        if k in params and not np.all(np.isfinite(np.asarray(params[k], dtype=float))):
+        if k in params and not all(map(_finite_number,
+                                       np.asarray(params[k], dtype=object).ravel())):
             raise ValueError(f"parameter {k!r} must hold finite numbers, got {params[k]!r}")
     return maker(**{**declared, **params})
 

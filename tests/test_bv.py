@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from bvlsc import regions
 from bvlsc.bv import (
     BVFunction,
+    Family1D,
     _facet_frames,
     MatrixMeasure,
+    VariationStack,
     cutoff_multiply,
     derivative,
     does_not_charge,
@@ -181,7 +183,7 @@ def test_total_variation_examples():
 
 def test_does_not_charge_migrating_jumps():
     seq = [derivative(jump_member(n)) for n in range(1, 65)]
-    rep = does_not_charge(seq, regions.point([0.0]), [0.3, 0.1, 0.05])
+    rep = does_not_charge(VariationStack.of(seq), regions.point([0.0]), [0.3, 0.1, 0.05])
     assert all(v == pytest.approx(1.0) for _, v in rep["table"])
     assert rep["verdict"] == "charges K"
 
@@ -192,7 +194,7 @@ def test_does_not_charge_far_supported_sequence():
         mesh = interval_mesh_with(0.0, 1.0, 1.0 / 16, [0.5, 0.75],
                                   domain=Domain.interval(0.0, 1.0))
         seq.append(derivative(BVFunction.indicator_1d(mesh, 0.5, 0.75)))
-    rep = does_not_charge(seq, regions.point([0.0]), [0.3, 0.1, 0.05])
+    rep = does_not_charge(VariationStack.of(seq), regions.point([0.0]), [0.3, 0.1, 0.05])
     assert [v for _, v in rep["table"]] == [0.0, 0.0, 0.0]
     assert rep["verdict"] == "tight"
 
@@ -201,8 +203,8 @@ def test_does_not_charge_lebesgue_density():
     mesh = interval_mesh(-1.0, 1.0, 1.0 / 32, domain=Domain.interval(-1.0, 1.0))
     u = BVFunction.affine(mesh, [[1.0]])
     seq = [derivative(u)] * 4
-    rep = does_not_charge(seq, regions.point([0.0]), [0.1, 0.01, 0.001],
-                          subdivisions=4)
+    rep = does_not_charge(VariationStack.of(seq, subdivisions=4), regions.point([0.0]),
+                          [0.1, 0.01, 0.001])
     vals = [v for _, v in rep["table"]]
     assert vals[0] == pytest.approx(0.2, rel=0.2)  # ~ 2*delta
     assert rep["verdict"] == "tight"
@@ -527,13 +529,22 @@ def test_tv_on_neighborhoods_equals_each_measure_alone(seed, dim, count):
         kset.add_polygon([[0.6, 0.1], [0.9, 0.2], [0.7, 0.5]])
     measures = [_random_measure(rng, dim) for _ in range(count)]
     rows = [_random_radii(rng, mu, kset) for mu in measures]
-    stacked = tv_on_neighborhoods(measures, kset, rows)
-    assert len(stacked) == count
+    stacked = tv_on_neighborhoods(VariationStack.of(measures), kset, _padded(rows))
+    assert stacked.shape == (count, max(map(len, rows)))
     for mu, row, values in zip(measures, rows, stacked):
         alone = tv_on_neighborhood(mu, kset, row)
         reference = _reference_tv_on_neighborhood(mu, kset, row)
-        assert np.array(values).tobytes() == np.array(alone).tobytes()
-        assert np.array(values).tobytes() == np.array(reference).tobytes()
+        assert values[:len(row)].tobytes() == np.array(alone).tobytes()
+        assert values[:len(row)].tobytes() == np.array(reference).tobytes()
+        assert not values[len(row):].any()  # a NaN radius holds nothing
+
+
+def _padded(rows):
+    """The rows of radii as one table, each padded with NaN radii."""
+    table = np.full((len(rows), max(map(len, rows))), np.nan)
+    for i, row in enumerate(rows):
+        table[i, :len(row)] = row
+    return table
 
 
 def test_tv_on_neighborhoods_sums_a_measure_past_the_ufunc_buffer():
@@ -551,18 +562,126 @@ def test_tv_on_neighborhoods_sums_a_measure_past_the_ufunc_buffer():
     assert len(big.refined_cells(2)[0]) > 8192
     kset = regions.point([0.45])
     rows = [[0.6, 0.5, 0.3, np.nan, 0.01], [0.2, 0.6], [0.6, 0.05, 0.0]]
-    stacked = tv_on_neighborhoods(measures, kset, rows)
+    stacked = tv_on_neighborhoods(VariationStack.of(measures), kset, _padded(rows))
     for mu, row, values in zip(measures, rows, stacked):
         reference = _reference_tv_on_neighborhood(mu, kset, row)
-        assert np.array(values).tobytes() == np.array(reference).tobytes()
+        assert values[:len(row)].tobytes() == np.array(reference).tobytes()
     assert stacked[0][0] == pytest.approx(total_variation(measures[0]))
 
 
-def test_tv_on_neighborhoods_of_no_measures_is_empty():
-    assert tv_on_neighborhoods([], regions.point([0.0]), []) == []
+def test_does_not_charge_needs_measures_and_positive_deltas():
+    empty = VariationStack(np.zeros((0, 1)), np.zeros(0), np.zeros(0, dtype=int),
+                           np.zeros((0, 1)), np.zeros(0), np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="empty sequence of measures"):
+        does_not_charge(empty, regions.point([0.0]), [0.1])
+    stack = VariationStack.of([derivative(jump_member(4))])
+    with pytest.raises(ValueError, match="deltas must be positive"):
+        does_not_charge(stack, regions.point([0.0]), [0.1, 0.0])
+
+
+def test_tv_on_neighborhoods_needs_one_row_of_radii_per_measure():
     mu = derivative(jump_member(4))
     with pytest.raises(ValueError, match="1 rows of radii for 2 measures"):
-        tv_on_neighborhoods([mu, mu], regions.point([0.0]), [[0.1]])
+        tv_on_neighborhoods(VariationStack.of([mu, mu]), regions.point([0.0]), [[0.1]])
+
+
+def _random_functions_1d(rng, count):
+    """Random 1D functions of M = 1 or 2 (one M per family) on interval
+    meshes of different sizes and spans, shuffled ones among them, with
+    jumps, a density or both."""
+    M = int(rng.integers(1, 3))
+    out = []
+    for _ in range(count):
+        kind = rng.integers(3)
+        if kind == 0:
+            mesh = shuffled_interval_mesh(int(rng.integers(100)))
+        else:
+            a = float(rng.uniform(-1.0, 0.5))
+            mesh = interval_mesh_with(a, a + float(rng.uniform(0.5, 2.0)),
+                                      1.0 / int(rng.integers(1, 30)),
+                                      rng.uniform(a, a + 0.5, size=2).tolist(),
+                                      domain=Domain.interval(-1.0, 3.0))
+        steps = rng.integers(-2, 3, size=(mesh.n_cells, M)).astype(float)
+        u = BVFunction.from_cellwise_constant(mesh, steps * (kind != 2))
+        out.append(u + BVFunction.affine(mesh, rng.normal(size=(M, 1))))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6))
+def test_a_family_stack_has_the_bits_of_its_members(seed, count):
+    # slopes and the variation stack of the family against each member's
+    # gradients and MatrixMeasure (sub-cells of Mesh.refined_cells(2))
+    rng = np.random.default_rng(seed)
+    funcs = _random_functions_1d(rng, count)
+    family = Family1D.of(funcs)
+    assert family.slopes().tobytes() == np.concatenate(
+        [u.gradients()[:, :, 0] for u in funcs]).tobytes()
+    got, want = family.variation(), VariationStack.of([derivative(u) for u in funcs])
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for i, u in enumerate(funcs):
+        v = family.function(i, u.mesh.domain)
+        for a, b in ((v.mesh.vertices, u.mesh.vertices), (v.mesh.cells, u.mesh.cells),
+                     (v.cell_values, u.cell_values), (v.facets, u.facets), (v.jumps, u.jumps)):
+            assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5))
+def test_a_refined_family_refines_each_member_as_alone(seed, count):
+    # new points inside and outside each member's span, on and near its
+    # vertices and each other, refined as one family, member by member
+    rng = np.random.default_rng(seed)
+    funcs = _random_functions_1d(rng, count)
+    near = rng.choice(np.concatenate([u.mesh.vertices[:, 0] for u in funcs]), size=4)
+    coords = np.concatenate([rng.uniform(-1.5, 3.0, size=int(rng.integers(0, 12))),
+                             near, near + 8e-15, near - 3e-15, near[:1]])
+    refined = Family1D.of(funcs).refined(coords)
+    for i, u in enumerate(funcs):
+        r = refined.function(i, u.mesh.domain)
+        pts, cv = _reference_refine_bv_1d(u, coords)
+        assert r.mesh.vertices[:, 0].tobytes() == pts.tobytes()
+        assert r.cell_values.tobytes() == cv.tobytes()
+        # each jump at its vertex, listed in increasing x
+        at = u.mesh.vertices[u.facets[:, 0], 0]
+        order = np.argsort(at, kind="stable")
+        assert r.mesh.vertices[r.facets[:, 0], 0].tobytes() == at[order].tobytes()
+        assert r.jumps.tobytes() == u.jumps[order].tobytes()
+        assert refine_bv_1d(u, coords).cell_values.tobytes() == cv.tobytes()
+
+
+def test_a_family_needs_1d_meshes():
+    square = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2)
+    with pytest.raises(ValueError, match="1D meshes"):
+        Family1D.of([jump_member(4), BVFunction.zero(square)])
+
+
+def test_only_a_function_built_from_arrays_tests_its_jumps_on_the_boundary(monkeypatch):
+    # a user-built function prunes a boundary jump with a warning; sums,
+    # differences, multiples, cutoff products and refinements of built
+    # functions do not test again, but still drop the jumps they cancel
+    domain = Domain.interval(0.0, 1.0)
+    mesh = interval_mesh(0.0, 1.0, 0.25, domain=domain)
+    tested = []
+    inner = Domain.boundary_distance
+
+    def counted(self, x):
+        tested.append(len(x))
+        return inner(self, x)
+
+    monkeypatch.setattr(Domain, "boundary_distance", counted)
+    with pytest.warns(UserWarning, match="pruning atom at 1.0"):
+        u = BVFunction(mesh, np.ones((mesh.n_cells, 2, 1)), [1, 4], [[1.0], [2.0]])
+    assert u.facets.tolist() == [[1]] and tested == [2]
+    v = BVFunction.indicator_1d(mesh, 0.0, 0.25)
+    assert v.facets.tolist() == [[1]] and u.jumps.tolist() == [[1.0]]
+    del tested[:]
+    derived = [u + v, u - v, 2.0 * u, cutoff_multiply(u, np.ones(mesh.n_vertices)),
+               refine_bv_1d(u, [0.1, 0.6])]
+    assert tested == []
+    # v jumps by -1 where u jumps by 1: the sum cancels the jump and drops it
+    assert [w.jumps.tolist() for w in derived] == [[], [[2.0]], [[2.0]], [[1.0]], [[1.0]]]
 
 
 def _loop_from_cellwise_constant_1d(mesh, values):

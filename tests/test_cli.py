@@ -111,7 +111,9 @@ def test_negative_seed_override_is_a_config_error(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("params", ['{"matrix": [[1e400, 1.0]]}', '{"matrix": [[NaN, 1.0]]}',
-                                    '{"a": [1e400], "t": [0.0, 1.0]}'])
+                                    '{"a": [1e400], "t": [0.0, 1.0]}',
+                                    '{"matrix": [["2", 1.0]]}', '{"matrix": [[true, 1.0]]}',
+                                    '{"a": ["1"], "t": [0.0, true]}'])
 def test_non_finite_integrand_parameter_exits_2(tmp_path, capsys, params):
     text = resolve_config("nulllag_square").read_text()
     tag = "boundary_null_lagrangian" if '"a"' in params else "linear"

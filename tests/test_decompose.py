@@ -7,20 +7,22 @@ import numpy as np
 import pytest
 
 from bvlsc import regions
-from bvlsc.bv import BVFunction, cutoff_multiply, refine_bv_1d, refined_1d, refined_bv
+from bvlsc.bv import (BVFunction, Family1D, VariationStack, cutoff_multiply, derivative,
+                      does_not_charge, reassembly_deviation, refine_bv_1d)
 from bvlsc.decompose import (
+    GRAD_SLACK,
     SELECTION_BOUND_FACTOR,
     CoverSpec,
     DecompositionResult,
     PrefixTooShortError,
-    _abs_integral_times_grad,
     _breakpoints_1d,
     _cutoff_values,
-    _support_points,
+    _mixed_terms,
+    _union,
     local_decompose,
     verify_properties,
 )
-from bvlsc.meshing import Domain, interval_mesh_with
+from bvlsc.meshing import Domain, Mesh, interval_mesh_with, segment_shape_gradients
 from bvlsc.sequences import SequenceSpec, generate
 
 OMEGA = Domain.interval(0.0, 1.0)
@@ -214,9 +216,48 @@ def test_three_set_cover_stage_one_stops_where_its_prefix_runs_out():
             local_decompose(members, cover_first, n_max=16)
 
 
+def _reference_abs_integral(pts, cell_values, phi_values):
+    """The integral of |u| |grad phi| on the cells between the sorted
+    vertices pts, one cell at a time: u affine with the cell values (n, 2,
+    M), phi continuous P1 with the vertex values (exact for M = 1, the
+    9-point trapezoid rule of |u| for M > 1), the terms added in cell
+    order."""
+    x = np.column_stack([pts[:-1], pts[1:]])
+    corners = np.column_stack([phi_values[:-1], phi_values[1:]])[:, :, None]
+    gphi = np.einsum("cim,cid->cmd", corners,
+                     segment_shape_gradients(x[:, 1] - x[:, 0]))[:, 0, 0]
+    total = 0.0
+    for ci in np.where(np.abs(gphi) > 1e-15)[0]:
+        v0, v1 = cell_values[ci, 0], cell_values[ci, 1]
+        length = x[ci, 1] - x[ci, 0]
+        if cell_values.shape[2] == 1:
+            a, b = float(v0[0]), float(v1[0])
+            if a * b >= 0:
+                area = 0.5 * abs(a + b) * length
+            else:
+                t = a / (a - b)
+                area = 0.5 * length * (abs(a) * t + abs(b) * (1 - t))
+        else:
+            ts = np.linspace(0.0, 1.0, 9)
+            vals = np.linalg.norm(v0[None, :] * (1 - ts)[:, None]
+                                  + v1[None, :] * ts[:, None], axis=1)
+            area = float(np.trapezoid(vals, dx=length / 8.0))
+        total += area * abs(gphi[ci])
+    return total
+
+
+def _mixed(pts, cell_values, phi_values):
+    """_mixed_terms of the one function with these arrays."""
+    n = len(pts) - 1
+    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    u = BVFunction(Mesh(np.asarray(pts, dtype=float)[:, None], cells), cell_values)
+    return _mixed_terms(Family1D.of([u]), np.asarray(phi_values, dtype=float))[0]
+
+
 def _reference_single_stage(members, kset, n_target, lo, hi, best_effort=False):
-    """One cutoff stage as the recursive decomposition ran it: under
-    best_effort it stops where the members run out instead of raising."""
+    """One cutoff stage as the recursive decomposition ran it, one candidate
+    at a time: under best_effort it stops where the members run out instead
+    of raising."""
     n_values, k_map, subsequence, firsts, cutoffs = [], {}, {}, {}, {}
     remainders = []
     k_prev = -1
@@ -225,21 +266,21 @@ def _reference_single_stage(members, kset, n_target, lo, hi, best_effort=False):
         brk = _breakpoints_1d(kset, n, lo, hi)
         pick, best = None, np.inf
         for k in range(k_prev + 1, len(members)):
-            pts, cell_values = refined_1d(members[k], brk)
+            uk = refine_bv_1d(members[k], brk)
+            pts = uk.mesh.vertices[:, 0]
             phi = _cutoff_values(pts[:, None], kset, n)
-            mixed = _abs_integral_times_grad(pts, cell_values, phi)
+            mixed = _reference_abs_integral(pts, uk.cell_values, phi)
             if mixed < best:
                 best = mixed
             if mixed <= bound:
-                pick = (k, pts, cell_values, phi)
+                pick = (k, uk, phi)
                 break
         if pick is None:
             if best_effort:
                 break
             raise PrefixTooShortError(n, best, bound)
-        k, pts, cell_values, phi = pick
+        k, uk, phi = pick
         k_prev = k
-        uk = refined_bv(members[k], pts, cell_values)
         first = cutoff_multiply(uk, phi)
         n_values.append(n)
         k_map[n] = k
@@ -407,10 +448,10 @@ def test_each_table_and_support_check_takes_one_distance_pass_per_set(monkeypatc
         calls.append(self)
         return _inner(self, x)
 
-    def recorded(measures, kset, radii, *args, _inner=bvlsc.bv.tv_on_neighborhoods):
+    def recorded(stack, kset, radii, _inner=bvlsc.bv.tv_on_neighborhoods):
         before = len(calls)
-        out = _inner(measures, kset, radii, *args)
-        tables.append((len(out), kset, calls[before:]))
+        out = _inner(stack, kset, radii)
+        tables.append((len(stack.n_sub), kset, calls[before:]))
         return out
 
     monkeypatch.setattr(regions.CompactSet, "dist", counted)
@@ -430,6 +471,12 @@ def test_each_table_and_support_check_takes_one_distance_pass_per_set(monkeypatc
     assert calls == list(COVER.sets) + [kset]
 
 
+def _reference_support_points(u):
+    """The centroids of u's support cells and the vertices u jumps at."""
+    mesh = u.mesh
+    return np.concatenate([mesh.centroids[u.support_cells()], mesh.vertices[u.facets[:, 0]]])
+
+
 def _reference_support_flags(result):
     """verify_properties' support flags with one distance call per (n,
     component, set)."""
@@ -437,7 +484,7 @@ def _reference_support_flags(result):
     for n in result.n_values:
         h = result.subsequence[n].mesh.h
         for j, c in enumerate(result.components[n]):
-            pts = _support_points(c)
+            pts = _reference_support_points(c)
             if not len(pts):
                 continue
             d_own = sets[min(j, len(sets) - 1)].dist(pts)
@@ -479,8 +526,7 @@ def test_stacked_support_checks_flag_as_one_pass_per_component():
 def test_abs_integral_on_a_cell_where_u_changes_sign():
     # u = 2 -> -1 on [0, 0.5] and |grad phi| = 2: two triangles of areas 1/3
     # and 1/12
-    got = _abs_integral_times_grad(np.array([0.0, 0.5]), np.array([[[2.0], [-1.0]]]),
-                                   np.array([0.0, 1.0]))
+    got = _mixed(np.array([0.0, 0.5]), np.array([[[2.0], [-1.0]]]), np.array([0.0, 1.0]))
     assert got == pytest.approx(2.0 * (1.0 / 3.0 + 1.0 / 12.0), rel=1e-15)
 
 
@@ -512,7 +558,7 @@ def test_abs_integral_for_vector_fields_is_a_tight_upper_bound():
                                 dx=length / 200_000)
             assert exact == pytest.approx(fine, rel=1e-10)
         pts = np.array([0.0, length])  # phi = x: |grad phi| = 1
-        ratios.append(_abs_integral_times_grad(pts, v[None], pts) / exact)
+        ratios.append(_mixed(pts, v[None], pts) / exact)
     assert 1.0 <= min(ratios) and max(ratios) <= 1.0 + 1.0 / 64.0
 
 
@@ -529,10 +575,239 @@ def test_cover_needs_two_sets():
 
 def test_decompose_tables_match_golden():
     # criterion 6's s_table and charge tables, byte for byte (floats by repr)
-    path = Path(__file__).parent / "make_goldens.py"
-    spec = importlib.util.spec_from_file_location("make_goldens", path)
-    make_goldens = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_goldens)
+    make_goldens = _make_goldens()
     golden = make_goldens.DECOMPOSE_GOLDEN
     assert golden.exists(), "regenerate with python tests/make_goldens.py"
     assert make_goldens.decompose_tables_json().encode() == golden.read_bytes()
+
+
+def test_mixed_terms_of_a_family_equal_each_member_cell_by_cell():
+    # M = 1 with sign changes and M = 2, members of different cell counts:
+    # one pass over the family, each member's terms added in cell order
+    rng = np.random.default_rng(5)
+    for M in (1, 2):
+        funcs, phis = [], []
+        for _ in range(7):
+            pts = np.sort(rng.uniform(0.0, 1.0, size=int(rng.integers(2, 30))))
+            n = len(pts) - 1
+            cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+            funcs.append(BVFunction(Mesh(pts[:, None], cells), rng.normal(size=(n, 2, M))))
+            phi = np.clip(rng.uniform(-0.5, 1.5, size=n + 1), 0.0, 1.0)
+            phis.append(phi)
+        got = _mixed_terms(Family1D.of(funcs), np.concatenate(phis)).tolist()
+        want = [_reference_abs_integral(u.mesh.vertices[:, 0], u.cell_values, phi)
+                for u, phi in zip(funcs, phis)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _reference_verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02),
+                                 charge_threshold=1e-2):
+    """verify_properties one n at a time: the report as the per-n loop made
+    it, with one derivative per component of a charge table."""
+    tol = 1e-12
+    sets = result.cover.sets
+    J = len(sets)
+    flags, slack_recorded = [], []
+    reassembly_dev, grad_bound_ok = 0.0, True
+    for n in result.n_values:
+        uk, comps = result.subsequence[n], result.components[n]
+        reassembly_dev = max(reassembly_dev, reassembly_deviation(uk, comps))
+        allowed_grad = 2.0 * n * (1.0 + GRAD_SLACK)
+        measured = np.zeros(uk.mesh.n_cells)
+        for phi, rad, stage_input in result.cutoffs[n]:
+            g = np.abs(uk.mesh.p1_gradient(phi)[:, 0, 0])
+            if np.max(g, initial=0.0) > 2.0 * rad * (1.0 + GRAD_SLACK):
+                grad_bound_ok = False
+                flags.append({"n": n, "check": "cutoff_gradient", "max_grad": float(np.max(g)),
+                              "allowed": 2.0 * rad * (1.0 + GRAD_SLACK)})
+            si_max = np.max(np.linalg.norm(stage_input.cell_values, axis=2), axis=1)
+            measured += np.minimum(si_max * g, si_max * allowed_grad)
+        slack_cells = measured * uk.mesh.cell_measures
+        slack_recorded.append(float(np.sum(slack_cells)))
+        parent_mass = uk.mesh.gradient_masses(uk.gradients())
+        parent_jumps = dict(zip(uk.facets[:, 0].tolist(), map(np.linalg.norm, uk.jumps)))
+        h = uk.mesh.h
+        for j, c in enumerate(comps):
+            lhs = c.mesh.gradient_masses(c.gradients())
+            rhs = parent_mass + uk.mesh.cell_measures / n + slack_cells + tol
+            for ci in np.where(lhs > rhs)[0]:
+                flags.append({"n": n, "component": j + 1, "check": "mass_bound",
+                              "cell": int(ci), "mass": float(lhs[ci]), "bound": float(rhs[ci])})
+            for v, jv in zip(c.facets[:, 0].tolist(), c.jumps):
+                pm = parent_jumps.get(v, 0.0)
+                if np.linalg.norm(jv) > pm + tol:
+                    flags.append({"n": n, "component": j + 1, "check": "atom_bound",
+                                  "x": float(c.mesh.vertices[v, 0]),
+                                  "mass": float(np.linalg.norm(jv)), "bound": pm})
+            pts = _reference_support_points(c)
+            if not len(pts):
+                continue
+            d_own = float(np.max(sets[min(j, J - 1)].dist(pts)))
+            if d_own > 1.0 / n + 2 * h:
+                flags.append({"n": n, "component": j + 1, "check": "support_inclusion",
+                              "max_dist": d_own})
+            for i in range(j):
+                d_prev = float(np.min(sets[i].dist(pts)))
+                if d_prev < 0.5 / n - 2 * h - 1e-12:
+                    flags.append({"n": n, "component": j + 1, "check": "support_exclusion",
+                                  "earlier_set": i, "min_dist": d_prev})
+    charge_tables = {}
+    for j in range(1, J):
+        union = sets[0]
+        for s in sets[1:j]:
+            union = _union(union, s)
+        seq = [derivative(result.components[n][j]) for n in result.n_values]
+        table = does_not_charge(VariationStack.of(seq), union, deltas,
+                                threshold=charge_threshold)
+        charge_tables[str(j + 1)] = {"verdict": table["verdict"], "table": table["table"]}
+    return {
+        "reassembly_dev": reassembly_dev,
+        "reassembly_ok": reassembly_dev <= 1e-14 * 10,
+        "cutoff_gradient_ok": grad_bound_ok,
+        "mass_bound_ok": not any(f["check"] == "mass_bound" for f in flags),
+        "slack_recorded": slack_recorded,
+        "charge_tables": charge_tables,
+        "charge_ok": all(t["verdict"] == "tight" for t in charge_tables.values()),
+        "s_table": result.s_table,
+        "flags": flags,
+    }
+
+
+def _make_goldens():
+    path = Path(__file__).parent / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["jump_to_boundary", "jump_to_interior", "boundary_bumps"])
+def test_verify_properties_equals_the_per_n_reference_on_criterion_6(name):
+    (members, cover), = [(m, c) for f, m, c in _make_goldens().decomposition_families()
+                         if f == name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # cover-gap note
+        res = local_decompose(members, cover, n_max=64)
+    for kwargs in ({}, {"deltas": (0.1, 0.02, 0.005), "charge_threshold": 1e-3}):
+        assert verify_properties(res, **kwargs) == _reference_verify_properties(res, **kwargs)
+
+
+def _flagged_results():
+    """Built results that raise every flag kind, several n apiece."""
+    members = jump_members(40)
+    subsequence, components, cutoffs = {}, {}, {}
+    for n in (2, 3, 4):
+        # a cutoff of slope 4n, not 2n: gradient and mass flags
+        uk = refine_bv_1d(members[2 * n - 1], [0.5 / (4 * n), 1.0 / (4 * n)])
+        d = regions.point([0.0]).dist(uk.mesh.vertices)
+        phi = np.clip((1.0 / (4 * n) - d) / (0.5 / (4 * n)), 0.0, 1.0)
+        first = cutoff_multiply(uk, phi)
+        subsequence[n], components[n], cutoffs[n] = uk, [first, uk - first], [(phi, n, uk)]
+    for n in (5, 6):
+        # twice the member, with a slope, and minus it: mass and atom flags
+        # on the first piece
+        uk = members[n] + BVFunction.affine(members[n].mesh, [[1.0]])
+        subsequence[n], components[n] = uk, [2.0 * uk, uk - 2.0 * uk]
+        cutoffs[n] = [(np.zeros(uk.mesh.n_vertices), n, uk)]
+    # pieces that miss half of a step function with many jumps: the jumps
+    # left over add to the reassembly deviation
+    mesh = interval_mesh_with(0.0, 1.0, 1.0 / 16, [], domain=OMEGA)
+    uk = BVFunction.from_cellwise_constant(mesh, np.random.default_rng(7).normal(size=16))
+    subsequence[7], components[7] = uk, [uk, -0.5 * uk]
+    cutoffs[7] = [(np.zeros(mesh.n_vertices), 7, uk)]
+    yield DecompositionResult(cover=COVER, n_values=[2, 3, 4, 5, 6, 7],
+                              k_map={n: n for n in subsequence}, subsequence=subsequence,
+                              components=components, cutoffs=cutoffs, s_table=None)
+    cover = CoverSpec([regions.point([0.0]), regions.box([0.4], [0.7]),
+                       regions.box([0.65], [1.0])])
+    subsequence, components = {}, {}
+    for n in (2, 4, 8, 16):
+        mesh = interval_mesh_with(0.0, 1.0, 1.0 / 256, [0.01, 0.5, 0.6], domain=OMEGA)
+        far = BVFunction.indicator_1d(mesh, 0.5, 0.6)
+        near = (1.0 / n) * BVFunction.indicator_1d(mesh, 0.0, 0.01)
+        zero = BVFunction.zero(mesh)
+        components[n] = [far, near, 0.5 * far] if n < 16 else [zero, near, zero]
+        subsequence[n] = components[n][0] + components[n][1] + components[n][2]
+    yield DecompositionResult(
+        cover=cover, n_values=[2, 4, 8, 16], k_map={2: 0, 4: 1, 8: 2, 16: 3},
+        subsequence=subsequence, components=components,
+        cutoffs={n: [] for n in components}, s_table=None)
+    # pieces whose jumps at x = 0.5 sum to 2^-54, a negligible jump the sum
+    # drops, so u_k's jump 0.5 is left over whole
+    mesh = interval_mesh_with(0.0, 1.0, 1.0 / 8, [], domain=OMEGA)
+    zero, v = np.zeros((mesh.n_cells, 2, 1)), [4]
+    pieces = [BVFunction(mesh, zero, v, [[0.1 + 0.2]]), BVFunction(mesh, zero, v, [[-0.3]])]
+    yield DecompositionResult(cover=COVER, n_values=[3], k_map={3: 0},
+                              subsequence={3: BVFunction(mesh, zero, v, [[0.5]])},
+                              components={3: pieces}, cutoffs={3: []}, s_table=None)
+
+
+def test_verify_properties_equals_the_per_n_reference_on_every_flag_kind():
+    kinds = set()
+    for res in _flagged_results():
+        report = verify_properties(res)
+        assert report == _reference_verify_properties(res)
+        kinds |= {f["check"] for f in report["flags"]}
+        assert report["reassembly_ok"] == (res.n_values[-1] not in (3, 7))
+    assert report["reassembly_dev"] == 0.5  # the last result: not 0.5 - 2^-54
+    assert kinds == {"cutoff_gradient", "mass_bound", "atom_bound", "support_inclusion",
+                     "support_exclusion"}
+
+
+def test_verify_properties_needs_one_shape_of_decomposition_per_n():
+    res = next(_flagged_results())
+    ragged = DecompositionResult(res.cover, res.n_values, res.k_map, res.subsequence,
+                                 {**res.components, 6: res.components[6][:1]},
+                                 res.cutoffs, None)
+    with pytest.raises(ValueError, match="as many components and cutoffs"):
+        verify_properties(ragged)
+    elsewhere = refine_bv_1d(res.components[5][0], [0.3])
+    moved = DecompositionResult(res.cover, res.n_values, res.k_map, res.subsequence,
+                                {**res.components, 5: [elsewhere, res.components[5][1]]},
+                                res.cutoffs, None)
+    with pytest.raises(ValueError, match="their member's mesh"):
+        verify_properties(moved)
+
+
+def test_an_empty_sequence_is_refused():
+    with pytest.raises(ValueError, match="empty sequence"):
+        local_decompose([], COVER)
+    with pytest.warns(UserWarning, match="cover gap"):
+        res = local_decompose(jump_members(4), COVER, n_max=0)
+    assert res.n_values == [] and res.s_table == {"rows": [], "monotone": True}
+    with pytest.raises(ValueError, match="empty sequence of measures"):
+        verify_properties(res)
+
+
+def test_n_max_defaults_to_half_the_members():
+    with pytest.warns(UserWarning, match="cover gap"):
+        res = local_decompose(jump_members(40), COVER)
+    assert res.n_values == list(range(1, 21))
+    assert len(res.s_table["rows"]) == 20
+
+
+@pytest.mark.parametrize("name", ["jump_to_boundary", "jump_to_interior", "boundary_bumps"])
+def test_a_criterion_6_decomposition_matches_the_scan_one_candidate_at_a_time(name):
+    # the block scan against the reference stage's scan of one candidate at
+    # a time: the picks, every member, component and cutoff bit for bit
+    (members, cover), = [(m, c) for f, m, c in _make_goldens().decomposition_families()
+                         if f == name]
+    _assert_matches_the_recursion(members, cover, 64)
+
+
+def test_a_block_holds_as_many_candidates_as_the_previous_pick_scanned(monkeypatch):
+    import bvlsc.decompose
+
+    sizes = []
+
+    def recorded(family, phi, _inner=bvlsc.decompose._mixed_terms):
+        sizes.append(len(family.v_off) - 1)
+        return _inner(family, phi)
+
+    monkeypatch.setattr(bvlsc.decompose, "_mixed_terms", recorded)
+    with pytest.warns(UserWarning, match="cover gap"):
+        res = local_decompose(jump_members(60), COVER, n_max=16)
+    # pick n is member 2n - 1 (0-based): n = 1 scans members 0 and 1 in
+    # blocks of one, every later pick both candidates of one block of two
+    assert [res.k_map[n] for n in res.n_values] == [2 * n - 1 for n in res.n_values]
+    assert sizes == [1, 1] + [2] * 15

@@ -366,10 +366,24 @@ def test_unknown_tag_rejected():
     ("boundary_null_lagrangian", {"a": [float("inf")], "t": [1.0]}, "a"),
     ("boundary_null_lagrangian", {"a": [1.0], "t": [float("nan"), 1.0]}, "t"),
     ("norm", {"M": True}, "M"),
+    # numeric strings and bools are not numbers, though float() takes them
+    ("linear", {"matrix": [["2"]]}, "matrix"),
+    ("linear", {"matrix": [[True]]}, "matrix"),
+    ("linear", {"matrix": [[1.0, None]]}, "matrix"),
+    ("boundary_null_lagrangian", {"a": ["1"], "t": [1.0]}, "a"),
+    ("boundary_null_lagrangian", {"a": [1.0], "t": [True]}, "t"),
+    ("boundary_null_lagrangian", {"a": [1.0], "t": np.array([False])}, "t"),
 ])
 def test_non_finite_or_bool_parameter_rejected(tag, params, key):
-    with pytest.raises(ValueError, match=f"parameter '{key}'"):
+    with pytest.raises(ValueError, match=f"parameter '{key}' must"):
         catalog_get(tag, params)
+
+
+def test_int_float_and_array_parameters_accepted():
+    xi = np.array([[[0.5]]])
+    for matrix in ([[2]], [[2.0]], np.array([[2.0]]), np.array([[2]]), [[np.float64(2.0)]]):
+        f = catalog_get("linear", {"matrix": matrix})
+        assert f(np.zeros((1, 1)), xi).tolist() == [1.0]
 
 
 def test_grad_finite_difference_fallback():
