@@ -21,9 +21,11 @@ facet midpoint), its unit-Frobenius polar matrix and its positive mass.
 
 A Family1D stacks many 1D functions in one set of arrays (vertex
 coordinates, cells, cell values, jump rows and offsets), so that slopes,
-refinements and variation measures of a whole family are array passes; a
+dense jumps and variation measures of a whole family are array passes; a
 VariationStack holds what tv_on_neighborhoods reads of a family of
 measures, built from MatrixMeasures or from a Family1D with the same bits.
+reassembly_deviations checks a stack of members against their components,
+and reassembly_deviation is its case of one function.
 
 Both types are immutable values; operations never mutate their inputs.
 """
@@ -380,8 +382,8 @@ def tv_on_neighborhoods(stack, kset, radii):
     """|mu|((K)_delta) for a family of measures and radii: the open
     delta-neighborhoods of a compact set, intersected with the meshed
     region.  `stack` is the family's VariationStack and radii (members, R)
-    holds a row of radii per member; returns the values (members, R).  A
-    NaN radius holds nothing.
+    holds a row of radii per member; returns the values (members, R), of
+    shape (0, R) for a family of no members.  A NaN radius holds nothing.
 
     The absolutely continuous part is integrated over the sub-cells,
     classified by their centroids; singular charges are included exactly by
@@ -401,6 +403,8 @@ def tv_on_neighborhoods(stack, kset, radii):
     members = len(stack.n_sub)
     if len(radii) != members:
         raise ValueError(f"{len(radii)} rows of radii for {members} measures")
+    if not members:
+        return np.zeros(radii.shape)
     n_sub, n_charge = stack.n_sub, stack.n_charge
     sub_off = _offsets(n_sub)
     dist = kset.dist(np.concatenate([stack.centroids, stack.positions]))
@@ -543,12 +547,53 @@ def weakstar_diagnostics(members, limit=None, l1_threshold=1e-2):
 def reassembly_deviation(u, components):
     """How far u is from the sum of the components, all on one mesh: the
     largest norm of a cell value of u minus the sum, plus the norms of its
-    jumps."""
-    total = components[0]
-    for c in components[1:]:
-        total = total + c
-    diff = u - total
-    return diff.linf_norm() + sum(_frobenius(diff.jumps).tolist())
+    jumps (reassembly_deviations of the one member, the jumps dense over the
+    facets of u and the components)."""
+    for c in components:
+        u._check_same_mesh(c)
+    funcs = [u, *components]
+    facets, at = np.unique(np.concatenate([f.facets for f in funcs]), axis=0,
+                           return_inverse=True)
+    off = _offsets([len(f.facets) for f in funcs])
+    dense = []
+    for f, a, b in zip(funcs, off[:-1], off[1:]):
+        dense.append(np.zeros((len(facets), u.M)))
+        dense[-1][at.reshape(-1)[a:b]] = f.jumps
+    return float(reassembly_deviations(
+        u.cell_values, dense[0], [(c.cell_values, j) for c, j in zip(components, dense[1:])],
+        np.array([0, u.mesh.n_cells]), np.array([0, len(facets)]))[0])
+
+
+def reassembly_deviations(values, jumps, parts, c_off, f_off):
+    """reassembly_deviation of each member of a stack: values (C, k, M) the
+    members' cell values and jumps (F, M) their jumps dense over the facets
+    (zero where a facet does not jump), parts a (cell values, dense jumps)
+    pair per component slot, and c_off, f_off where each member's cells and
+    facets start.  The slots are summed in order, each sum dropping its
+    negligible jumps, as u_1 + u_2 + ... drops them; a member's jumps left
+    over are added left to right in facet order.  Returns (members,)."""
+    summed, summed_jumps = parts[0]
+    for v, j in parts[1:]:
+        summed = summed + v
+        summed_jumps = summed_jumps + j
+        summed_jumps[_dense_norms(summed_jumps) <= _ATOL] = 0.0
+    deviation = np.maximum.reduceat(
+        np.max(np.linalg.norm(values - summed, axis=2), axis=1), c_off[:-1])
+    left = _dense_norms(jumps - summed_jumps)
+    kept = ~(left <= _ATOL)
+    for i in np.unique(_owners(f_off)[kept]).tolist():
+        a, b = f_off[i], f_off[i + 1]
+        deviation[i] += sum(left[a:b][kept[a:b]].tolist())
+    return deviation
+
+
+def _dense_norms(jumps):
+    """The norm of each row of dense jumps, as _frobenius takes it, on the
+    rows that are not zero only."""
+    norms = np.zeros(len(jumps))
+    rows = np.flatnonzero(np.any(jumps != 0.0, axis=1))
+    norms[rows] = _frobenius(jumps[rows])
+    return norms
 
 
 def refine_bv_1d(u, coords):
@@ -556,9 +601,49 @@ def refine_bv_1d(u, coords):
 
     New vertices at `coords` are inserted; cell data is re-evaluated affinely
     within each parent cell (exact, also across discontinuities), and each
-    jump stays at its vertex (Family1D.refined of the one function).
+    jump stays at its vertex.
     """
-    return Family1D.of([u]).refined(coords).function(0, u.mesh.domain)
+    return refined_bv(u, *refined_1d(u, coords))
+
+
+def refined_bv(u, pts, cell_values):
+    """The BVFunction of refined_1d's arrays: the cell values on the mesh of
+    the vertices pts, in u's domain, and u's jumps, each at the vertex of
+    pts with its coordinate."""
+    n = len(pts) - 1
+    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    at = np.searchsorted(pts, u.mesh.vertices[u.facets[:, 0], 0])
+    return BVFunction._derived(Mesh(pts[:, None], cells, domain=u.mesh.domain), cell_values,
+                               at, u.jumps)
+
+
+def refined_1d(u, coords):
+    """The arrays of refine_bv_1d(u, coords) without the mesh and function:
+    the sorted vertex coordinates (n + 1,) and the cell values (n, 2, M) of
+    the cells between consecutive vertices.
+
+    Every vertex of u's mesh stays, so each jump stays at a vertex; a new
+    point within 1e-14 of one, or of the new point before it, is dropped."""
+    mesh = u.mesh
+    if mesh.dim != 1:
+        raise ValueError("refine_bv_1d needs a 1D mesh")
+    old = np.sort(mesh.vertices[:, 0])
+    coords = np.asarray(coords, dtype=float)
+    new = np.round(coords[(coords > old[0] + 1e-14) & (coords < old[-1] - 1e-14)], 14)
+    new.sort()
+    i = np.searchsorted(old, new)  # old[i - 1] < new <= old[i]
+    gap = np.minimum(new - old[i - 1], old[i] - new)
+    gap[1:] = np.minimum(gap[1:], np.diff(new))
+    pts = np.sort(np.concatenate([old, new[gap > 1e-14]]))
+    old_cells = mesh.vertices[mesh.cells][:, :, 0]
+    lefts = old_cells[:, 0]
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    parent = np.searchsorted(np.sort(lefts), mid, side="right") - 1
+    pi = np.argsort(lefts)[parent]
+    x0, x1 = old_cells[pi, :1], old_cells[pi, 1:]
+    t = (np.column_stack([pts[:-1], pts[1:]]) - x0) / (x1 - x0)  # (n, 2)
+    v0, v1 = u.cell_values[pi, :1], u.cell_values[pi, 1:]  # (n, 1, M)
+    return pts, v0 + t[..., None] * (v1 - v0)
 
 
 def _offsets(counts):
@@ -621,14 +706,12 @@ class Family1D(NamedTuple):
                         self.jumps[j[a]:j[b]], v[a:b + 1] - v[a], c[a:b + 1] - c[a],
                         j[a:b + 1] - j[a])
 
-    def function(self, i, domain):
-        """Member i as a BVFunction on a mesh of its own, in the domain; its
-        jumps, taken from built functions, skip the boundary test."""
-        v, c, j = self.v_off, self.c_off, self.j_off
-        mesh = Mesh(self.vertices[v[i]:v[i + 1], None], self.cells[c[i]:c[i + 1]] - v[i],
-                    domain=domain)
-        return BVFunction._derived(mesh, self.values[c[i]:c[i + 1]],
-                                   self.jump_at[j[i]:j[i + 1]] - v[i], self.jumps[j[i]:j[i + 1]])
+    def dense_jumps(self):
+        """The jumps as rows (V, M) indexed by vertex id, zero where a vertex
+        does not jump."""
+        out = np.zeros((len(self.vertices), self.jumps.shape[1]))
+        out[self.jump_at] = self.jumps
+        return out
 
     def lengths(self):
         """The cell lengths (C,), as Mesh.cell_measures gives them."""
@@ -654,53 +737,3 @@ class Family1D(NamedTuple):
                               (self.c_off[1:] - self.c_off[:-1]) * 4,
                               self.vertices[self.jump_at][:, None], _frobenius(self.jumps),
                               self.j_off[1:] - self.j_off[:-1])
-
-    def refined(self, coords):
-        """Every member refined at the points coords, as a family whose
-        members have their vertices in increasing x and cells from left to
-        right, each as refine_bv_1d refines one function alone.
-
-        Every vertex of a member stays, so each jump stays at a vertex; a new
-        point within 1e-14 of one, or of the member's new point before it, is
-        dropped.  A new cell takes the values of the old cell holding its
-        midpoint, re-evaluated affinely at its ends."""
-        members = len(self.v_off) - 1
-        v_owner = _owners(self.v_off)
-        order = np.lexsort((self.vertices, v_owner))
-        old = self.vertices[order]
-        lo, hi = old[self.v_off[:-1]], old[self.v_off[1:] - 1]
-        coords = np.asarray(coords, dtype=float)
-        rounded = coords.round(14)
-        by = rounded.argsort(kind="stable")
-        owner, at = ((coords[by] > lo[:, None] + 1e-14)
-                     & (coords[by] < hi[:, None] - 1e-14)).nonzero()
-        new = rounded[by[at]]  # each member's new points, increasing
-        i = _member_keys(v_owner, old).searchsorted(_member_keys(owner, new))
-        gap = np.minimum(new - old[i - 1], old[i] - new)  # old[i - 1] < new <= old[i]
-        step = new[1:] - new[:-1]
-        step[owner[1:] != owner[:-1]] = np.inf
-        np.minimum(gap[1:], step, out=gap[1:])
-        keep = gap > 1e-14
-        x = np.concatenate([old, new[keep]])
-        x_owner = np.concatenate([v_owner, owner[keep]])
-        merged = np.lexsort((x, x_owner))
-        pts, p_owner = x[merged], x_owner[merged]
-        v_off = p_owner.searchsorted(np.arange(members + 1))
-
-        cells = (p_owner[1:] == p_owner[:-1]).nonzero()[0][:, None] + np.arange(2)
-        ends = pts[cells]
-        mid = 0.5 * (ends[:, 0] + ends[:, 1])
-        old_ends = self.vertices[self.cells]
-        c_owner = _owners(self.c_off)
-        by_left = np.lexsort((old_ends[:, 0], c_owner))
-        parent = by_left[_member_keys(c_owner, old_ends[by_left, 0]).searchsorted(
-            _member_keys(p_owner[cells[:, 0]], mid), side="right") - 1]
-        span, corner = old_ends[parent], self.values[parent]
-        t = (ends - span[:, :1]) / (span[:, 1:] - span[:, :1])
-        v0, v1 = corner[:, :1], corner[:, 1:]
-        # a jump stays at its vertex, which went to place[rank[id]]
-        rank, place = np.empty_like(order), np.empty_like(merged)
-        rank[order] = np.arange(len(order))
-        place[merged] = np.arange(len(merged))
-        return Family1D(pts, cells, v0 + t[..., None] * (v1 - v0), place[rank[self.jump_at]],
-                        self.jumps, v_off, v_off - np.arange(members + 1), self.j_off)

@@ -18,10 +18,9 @@ reads.  A final pick's components are the first pieces of its earlier
 picks, refined onto its mesh, then its own first piece and its remainder.
 
 Only 1D meshes are supported: cutoff level sets are then mesh-exact after a
-refinement that inserts the neighborhood breakpoints.  The members are one
-Family1D stack (bv.py): a stage scans its candidates in blocks taken from
-it, each block refined, cut off and integrated in one array pass, and the
-S-table measures the whole stack in one tv_on_neighborhoods call.
+refinement that inserts the neighborhood breakpoints.  A stage scans its
+candidates one at a time; the S-table measures the members as one Family1D
+stack (bv.py) in one tv_on_neighborhoods call.
 
 verify_properties re-checks the discrete surrogates of the two
 decomposition guarantees: the component derivative masses exceed the parent
@@ -39,8 +38,9 @@ import warnings
 
 import numpy as np
 
-from .bv import (_ATOL, Family1D, _frobenius, _owners, cutoff_multiply, derivative,
-                 does_not_charge, refine_bv_1d, total_variation, tv_on_neighborhoods)
+from .bv import (Family1D, _frobenius, _owners, cutoff_multiply, derivative, does_not_charge,
+                 reassembly_deviations, refine_bv_1d, refined_1d, refined_bv, total_variation,
+                 tv_on_neighborhoods)
 from .meshing import row_norms, segment_shape_gradients
 
 __all__ = [
@@ -106,36 +106,35 @@ class DecompositionResult:
         }
 
 
-def _mixed_terms(family, phi):
-    """Per member u of a refined family, the integral of |u| |grad phi|:
-    u affine with the cell values (C, 2, M) on the cells between its sorted
-    vertices, phi continuous P1 with the vertex values phi (V,)
-    (cellwise-constant grad phi, taken as Mesh.p1_gradient takes it).  Exact
-    for M = 1; for M > 1 the 9-point trapezoid rule of the convex |u| is an
-    upper bound (at most about 1.5% high), so the selection bound stays
-    conservative.  A member's cell terms, over its cells where grad phi is
-    not zero, are added in cell order."""
-    length = family.lengths()
-    gphi = np.abs(np.einsum("cim,cid->cmd", phi[family.cells][:, :, None],
-                            segment_shape_gradients(length))[:, 0, 0])
-    v0, v1 = family.values[:, 0], family.values[:, 1]
-    if family.values.shape[2] == 1:
-        a, b = v0[:, 0], v1[:, 0]
-        same = a * b >= 0
-        t = a / np.where(same, 1.0, a - b)
-        area = np.where(same, 0.5 * np.abs(a + b) * length,
-                        0.5 * length * (np.abs(a) * t + np.abs(b) * (1 - t)))
-    else:
-        ts = np.linspace(0.0, 1.0, 9)[:, None]
-        area = np.trapezoid(np.linalg.norm(v0[:, None] * (1 - ts) + v1[:, None] * ts, axis=2),
-                            dx=length[:, None] / 8.0, axis=1)
-    # each member's terms in a row padded with zeros, added by one sequential
-    # accumulate as a loop over its cells adds them
-    off = family.c_off
-    owner = _owners(off)
-    table = np.zeros((len(off) - 1, (off[1:] - off[:-1]).max()))
-    table[owner, np.arange(len(owner)) - off[owner]] = np.where(gphi > 1e-15, area * gphi, 0.0)
-    return np.add.accumulate(table, axis=1)[:, -1]
+def _abs_integral_times_grad(pts, cell_values, phi_values):
+    """Integral of |u| |grad phi| for u affine with the cell values (n, 2, M)
+    on the cells between the sorted vertices pts (n + 1,) and phi continuous
+    P1 with the vertex values phi_values (cellwise-constant grad phi, taken
+    as Mesh.p1_gradient takes it).  Exact for M = 1; for M > 1 the 9-point
+    trapezoid rule of the convex |u| is an upper bound (at most about 1.5%
+    high), so the selection bound stays conservative."""
+    x = np.column_stack([pts[:-1], pts[1:]])
+    corners = np.column_stack([phi_values[:-1], phi_values[1:]])[:, :, None]
+    gphi = np.einsum("cim,cid->cmd", corners,
+                     segment_shape_gradients(x[:, 1] - x[:, 0]))[:, 0, 0]
+    total = 0.0
+    for ci in np.where(np.abs(gphi) > 1e-15)[0]:
+        v0, v1 = cell_values[ci, 0], cell_values[ci, 1]
+        length = x[ci, 1] - x[ci, 0]
+        if cell_values.shape[2] == 1:
+            a, b = float(v0[0]), float(v1[0])
+            if a * b >= 0:
+                area = 0.5 * abs(a + b) * length
+            else:
+                t = a / (a - b)
+                area = 0.5 * length * (abs(a) * t + abs(b) * (1 - t))
+        else:
+            ts = np.linspace(0.0, 1.0, 9)
+            vals = np.linalg.norm(v0[None, :] * (1 - ts)[:, None]
+                                  + v1[None, :] * ts[:, None], axis=1)
+            area = float(np.trapezoid(vals, dx=length / 8.0))
+        total += area * abs(gphi[ci])
+    return total
 
 
 def _cutoff_values(vertices, kset, n):
@@ -166,11 +165,10 @@ def require_1d(dim):
 def local_decompose(members, cover, n_max=None):
     """Decompose a 1D vanishing sequence against a compact cover.
 
-    The members are stacked once as a Family1D, which the first stage scans
-    and the S-table measures.  The result's s_table compares, per m <= n_max,
-    the members' |Du| on the 0.5/m-neighborhood of the first set, from the
-    m-th member on; the whole family takes one tv_on_neighborhoods call (one
-    distance pass).
+    The result's s_table compares, per m <= n_max, the members' |Du| on the
+    0.5/m-neighborhood of the first set, from the m-th member on: the
+    members are stacked as one Family1D, whose variation takes one
+    tv_on_neighborhoods call (one distance pass).
     """
     members = list(members)
     if not members:
@@ -187,15 +185,14 @@ def local_decompose(members, cover, n_max=None):
         n_max = len(members) // 2
     lo = float(mesh0.vertices.min())
     hi = float(mesh0.vertices.max())
-    family = Family1D.of(members)
 
     # one cutoff stage per set but the last, each on the previous stage's
     # remainders: a stage picks only when the next one asks for its next
     # input, and the last must reach n_max
-    stages, rests, stack = [], members, family
+    stages, rests = [], members
     for kset in cover.sets[:-1]:
         stages.append([])
-        rests, stack = _stage(rests, kset, lo, hi, stages[-1], stack), None
+        rests = _stage(rests, kset, lo, hi, stages[-1])
     remainders = []
     while len(remainders) < n_max:
         try:
@@ -220,7 +217,7 @@ def local_decompose(members, cover, n_max=None):
     # member k enters the rows m <= k + 1, at the radii 0.5 / m (a NaN radius
     # elsewhere): one distance pass over the whole family
     entered = np.arange(len(members))[:, None] >= np.arange(n_max)
-    tvs = tv_on_neighborhoods(family.variation(), cover.sets[0],
+    tvs = tv_on_neighborhoods(Family1D.of(members).variation(), cover.sets[0],
                               np.where(entered, 0.5 / np.arange(1, n_max + 1), np.nan))
     last = tvs[-1]
     sup_dev = np.max(np.abs(np.where(entered, tvs, last) - last), axis=0)
@@ -232,50 +229,30 @@ def local_decompose(members, cover, n_max=None):
                                cutoffs, s_table)
 
 
-def _stage(members, kset, lo, hi, picks, family=None):
+def _stage(members, kset, lo, hi, picks):
     """Cutoff stage against one compact set, as a generator over the
-    members: per n = 1, 2, ..., pick the first member past the previous
-    pick that keeps the mixed term within its bound, split off its
+    iterable members: per n = 1, 2, ..., pick the first member past the
+    previous pick that keeps the mixed term within its bound, split off its
     component near the set, append the pick (n, k, refined member, cutoff
     phi, first piece) to picks and yield its remainder.  Where the members
-    run out, returns the (n, best achieved, bound) of the shortfall.
-
-    The members are a list stacked as `family`, or, without one, an
-    iterator (an earlier stage's remainders) pulled one at a time.  The
-    candidates are scanned in blocks read off the stack: each block is
-    refined, cut off (one distance pass) and integrated at once, and holds
-    as many candidates as the previous pick scanned, at least one, of those
-    already at hand; an iterator's next one is never at hand."""
-    if family is None:
-        members, pulled = [], iter(members)
-    else:
-        pulled = iter(())
-    k, size = 0, 1
+    run out, returns the (n, best achieved, bound) of the shortfall."""
+    members = enumerate(members)
     for n in itertools.count(1):
         bound = SELECTION_BOUND_FACTOR / n
         brk = _breakpoints_1d(kset, n, lo, hi)
-        best, start, hit = np.inf, k, None
-        while hit is None:
-            if k == len(members):
-                u = next(pulled, None)
-                if u is None:
-                    return n, best, bound
-                members.append(u)
-            stop = min(k + size, len(members))
-            block = (family.take(k, stop) if family is not None
-                     else Family1D.of(members[k:stop])).refined(brk)
-            phi = _cutoff_values(block.vertices[:, None], kset, n)
-            for i, mixed in enumerate(_mixed_terms(block, phi).tolist()):
-                best = min(best, mixed)
-                if mixed <= bound:
-                    hit = i
-                    break
-            k = stop if hit is None else k + hit + 1
-        size = k - start
-        uk = block.function(hit, members[k - 1].mesh.domain)
-        phi = phi[block.v_off[hit]:block.v_off[hit + 1]]
+        best = np.inf
+        for k, member in members:
+            pts, cell_values = refined_1d(member, brk)
+            phi = _cutoff_values(pts[:, None], kset, n)
+            mixed = _abs_integral_times_grad(pts, cell_values, phi)
+            best = min(best, mixed)
+            if mixed <= bound:
+                break
+        else:
+            return n, best, bound
+        uk = refined_bv(member, pts, cell_values)
         first = cutoff_multiply(uk, phi)
-        picks.append((n, k - 1, uk, phi, first))
+        picks.append((n, k, uk, phi, first))
         yield uk - first
 
 
@@ -324,21 +301,10 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
     shapes = segment_shape_gradients(length)
     flags = []  # (order key (n index, component or -1, kind, item), flag)
 
-    # reassembly: u_k minus the sum of its components, summed slot by slot
-    # as u_1 + u_2 + ... sums them, each sum dropping its negligible jumps
-    summed = slots[0].values
-    jumps = _dense_jumps(slots[0], V)
-    for part in slots[1:]:
-        summed = summed + part.values
-        jumps = jumps + _dense_jumps(part, V)
-        jumps[_dense_norms(jumps) <= _ATOL] = 0.0
-    deviation = np.maximum.reduceat(
-        np.max(np.linalg.norm(parents.values - summed, axis=2), axis=1), starts)
-    left = _dense_norms(_dense_jumps(parents, V) - jumps)
-    kept = ~(left <= _ATOL)
-    for i in np.unique(vertex_of[kept]).tolist():  # the jumps left over
-        a, b = parents.v_off[i], parents.v_off[i + 1]
-        deviation[i] += sum(left[a:b][kept[a:b]].tolist())
+    # reassembly: u_k minus the sum of its components, slot after slot
+    deviation = reassembly_deviations(parents.values, parents.dense_jumps(),
+                                      [(p.values, p.dense_jumps()) for p in slots],
+                                      parents.c_off, parents.v_off)
     reassembly_dev = max([0.0] + deviation.tolist())
 
     # cutoff gradients and the slack they record, cutoff slot by slot
@@ -434,23 +400,6 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
         "s_table": result.s_table,
         "flags": flags,
     }
-
-
-def _dense_jumps(family, size):
-    """The family's jumps as rows (size, M) indexed by vertex id, zero where
-    a vertex does not jump."""
-    out = np.zeros((size, family.jumps.shape[1]))
-    out[family.jump_at] = family.jumps
-    return out
-
-
-def _dense_norms(jumps):
-    """The norm of each row of dense jumps, as _frobenius takes it, on the
-    rows that are not zero only."""
-    norms = np.zeros(len(jumps))
-    rows = np.flatnonzero(np.any(jumps != 0.0, axis=1))
-    norms[rows] = _frobenius(jumps[rows])
-    return norms
 
 
 def _segment_sums(values, off):

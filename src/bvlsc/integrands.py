@@ -26,6 +26,7 @@ true integrand.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -429,10 +430,10 @@ CATALOG = {
 CATALOG_TAGS = tuple(tag for tag in CATALOG if tag != "composite")
 
 
-def _finite_number(x):
-    """An int or float (not a bool) with a finite value: a JSON number a
-    config or a catalog parameter may hold."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+def _finite_real(x):
+    """A real number with a finite value: an int, a float or a numpy scalar
+    of one, not a bool."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
         return False
     try:
         return math.isfinite(x)
@@ -445,8 +446,8 @@ def catalog_get(tag, params=None):
 
     Raises ValueError for an unknown tag, a parameter the tag does not declare,
     a required one left out, a dimension that is not a positive integer or a
-    matrix or vector with an entry that is not a finite int or float (a bool
-    or a numeric string is not one)."""
+    matrix or vector with an entry that is not a finite real number (a bool
+    or a numeric string is not one; a numpy scalar is)."""
     if tag not in CATALOG:
         raise ValueError(f"unknown integrand tag {tag!r} ({'|'.join(CATALOG)})")
     maker, declared = CATALOG[tag]
@@ -461,7 +462,7 @@ def catalog_get(tag, params=None):
             raise ValueError(f"parameter {k!r} must be a positive integer, "
                              f"got {params[k]!r}")
     for k in ("matrix", "a", "t"):
-        if k in params and not all(map(_finite_number,
+        if k in params and not all(map(_finite_real,
                                        np.asarray(params[k], dtype=object).ravel())):
             raise ValueError(f"parameter {k!r} must hold finite numbers, got {params[k]!r}")
     return maker(**{**declared, **params})

@@ -28,6 +28,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -36,7 +37,7 @@ import numpy as np
 
 from .boundary import equivalence_harness, halfball_deficits, qslb_deficits
 from .decompose import CoverSpec, local_decompose, require_1d, verify_properties
-from .integrands import CATALOG, MU_SAMPLES, _finite_number, catalog_get, mu_estimate, freeze_x
+from .integrands import CATALOG, MU_SAMPLES, catalog_get, mu_estimate, freeze_x
 from . import minimize
 from .meshing import Domain, MeshBudgetError, build_mesh
 from .minimize import SolverBudgetError, SolverOptions
@@ -61,6 +62,16 @@ class ConfigError(ValueError):
     def __init__(self, messages):
         super().__init__("; ".join(m for m, _ in messages))
         self.messages = messages
+
+
+def _finite_number(x):
+    """A JSON number (not a bool) with a finite float value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _count(x):

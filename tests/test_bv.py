@@ -569,17 +569,22 @@ def test_tv_on_neighborhoods_sums_a_measure_past_the_ufunc_buffer():
     assert stacked[0][0] == pytest.approx(total_variation(measures[0]))
 
 
+def _empty_stack():
+    return VariationStack(np.zeros((0, 1)), np.zeros(0), np.zeros(0, dtype=int),
+                          np.zeros((0, 1)), np.zeros(0), np.zeros(0, dtype=int))
+
+
 def test_does_not_charge_needs_measures_and_positive_deltas():
-    empty = VariationStack(np.zeros((0, 1)), np.zeros(0), np.zeros(0, dtype=int),
-                           np.zeros((0, 1)), np.zeros(0), np.zeros(0, dtype=int))
     with pytest.raises(ValueError, match="empty sequence of measures"):
-        does_not_charge(empty, regions.point([0.0]), [0.1])
+        does_not_charge(_empty_stack(), regions.point([0.0]), [0.1])
     stack = VariationStack.of([derivative(jump_member(4))])
     with pytest.raises(ValueError, match="deltas must be positive"):
         does_not_charge(stack, regions.point([0.0]), [0.1, 0.0])
 
 
-def test_tv_on_neighborhoods_needs_one_row_of_radii_per_measure():
+def test_tv_on_neighborhoods_of_no_measures_is_empty():
+    values = tv_on_neighborhoods(_empty_stack(), regions.point([0.0]), np.zeros((0, 3)))
+    assert values.shape == (0, 3)
     mu = derivative(jump_member(4))
     with pytest.raises(ValueError, match="1 rows of radii for 2 measures"):
         tv_on_neighborhoods(VariationStack.of([mu, mu]), regions.point([0.0]), [[0.1]])
@@ -620,41 +625,20 @@ def test_a_family_stack_has_the_bits_of_its_members(seed, count):
     got, want = family.variation(), VariationStack.of([derivative(u) for u in funcs])
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    for i, u in enumerate(funcs):
-        v = family.function(i, u.mesh.domain)
-        for a, b in ((v.mesh.vertices, u.mesh.vertices), (v.mesh.cells, u.mesh.cells),
-                     (v.cell_values, u.cell_values), (v.facets, u.facets), (v.jumps, u.jumps)):
-            assert a.tobytes() == b.tobytes()
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5))
-def test_a_refined_family_refines_each_member_as_alone(seed, count):
-    # new points inside and outside each member's span, on and near its
-    # vertices and each other, refined as one family, member by member
-    rng = np.random.default_rng(seed)
-    funcs = _random_functions_1d(rng, count)
-    near = rng.choice(np.concatenate([u.mesh.vertices[:, 0] for u in funcs]), size=4)
-    coords = np.concatenate([rng.uniform(-1.5, 3.0, size=int(rng.integers(0, 12))),
-                             near, near + 8e-15, near - 3e-15, near[:1]])
-    refined = Family1D.of(funcs).refined(coords)
-    for i, u in enumerate(funcs):
-        r = refined.function(i, u.mesh.domain)
-        pts, cv = _reference_refine_bv_1d(u, coords)
-        assert r.mesh.vertices[:, 0].tobytes() == pts.tobytes()
-        assert r.cell_values.tobytes() == cv.tobytes()
-        # each jump at its vertex, listed in increasing x
-        at = u.mesh.vertices[u.facets[:, 0], 0]
-        order = np.argsort(at, kind="stable")
-        assert r.mesh.vertices[r.facets[:, 0], 0].tobytes() == at[order].tobytes()
-        assert r.jumps.tobytes() == u.jumps[order].tobytes()
-        assert refine_bv_1d(u, coords).cell_values.tobytes() == cv.tobytes()
+    # each member's jumps at its vertices, in the rows of the dense table
+    dense = family.dense_jumps()
+    for u, a, b in zip(funcs, family.v_off[:-1], family.v_off[1:]):
+        alone = np.zeros((u.mesh.n_vertices, u.M))
+        alone[u.facets[:, 0]] = u.jumps
+        assert dense[a:b].tobytes() == alone.tobytes()
 
 
 def test_a_family_needs_1d_meshes():
     square = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2)
     with pytest.raises(ValueError, match="1D meshes"):
         Family1D.of([jump_member(4), BVFunction.zero(square)])
+    with pytest.raises(ValueError, match="needs a 1D mesh"):
+        refine_bv_1d(BVFunction.zero(square), [0.5])
 
 
 def test_only_a_function_built_from_arrays_tests_its_jumps_on_the_boundary(monkeypatch):

@@ -7,22 +7,23 @@ import numpy as np
 import pytest
 
 from bvlsc import regions
-from bvlsc.bv import (BVFunction, Family1D, VariationStack, cutoff_multiply, derivative,
-                      does_not_charge, reassembly_deviation, refine_bv_1d)
+from bvlsc.bv import (BVFunction, VariationStack, _frobenius, cutoff_multiply, derivative,
+                      does_not_charge, reassembly_deviation, refine_bv_1d, refined_1d,
+                      refined_bv)
 from bvlsc.decompose import (
     GRAD_SLACK,
     SELECTION_BOUND_FACTOR,
     CoverSpec,
     DecompositionResult,
     PrefixTooShortError,
+    _abs_integral_times_grad,
     _breakpoints_1d,
     _cutoff_values,
-    _mixed_terms,
     _union,
     local_decompose,
     verify_properties,
 )
-from bvlsc.meshing import Domain, Mesh, interval_mesh_with, segment_shape_gradients
+from bvlsc.meshing import Domain, interval_mesh_with, rectangle_mesh
 from bvlsc.sequences import SequenceSpec, generate
 
 OMEGA = Domain.interval(0.0, 1.0)
@@ -216,48 +217,9 @@ def test_three_set_cover_stage_one_stops_where_its_prefix_runs_out():
             local_decompose(members, cover_first, n_max=16)
 
 
-def _reference_abs_integral(pts, cell_values, phi_values):
-    """The integral of |u| |grad phi| on the cells between the sorted
-    vertices pts, one cell at a time: u affine with the cell values (n, 2,
-    M), phi continuous P1 with the vertex values (exact for M = 1, the
-    9-point trapezoid rule of |u| for M > 1), the terms added in cell
-    order."""
-    x = np.column_stack([pts[:-1], pts[1:]])
-    corners = np.column_stack([phi_values[:-1], phi_values[1:]])[:, :, None]
-    gphi = np.einsum("cim,cid->cmd", corners,
-                     segment_shape_gradients(x[:, 1] - x[:, 0]))[:, 0, 0]
-    total = 0.0
-    for ci in np.where(np.abs(gphi) > 1e-15)[0]:
-        v0, v1 = cell_values[ci, 0], cell_values[ci, 1]
-        length = x[ci, 1] - x[ci, 0]
-        if cell_values.shape[2] == 1:
-            a, b = float(v0[0]), float(v1[0])
-            if a * b >= 0:
-                area = 0.5 * abs(a + b) * length
-            else:
-                t = a / (a - b)
-                area = 0.5 * length * (abs(a) * t + abs(b) * (1 - t))
-        else:
-            ts = np.linspace(0.0, 1.0, 9)
-            vals = np.linalg.norm(v0[None, :] * (1 - ts)[:, None]
-                                  + v1[None, :] * ts[:, None], axis=1)
-            area = float(np.trapezoid(vals, dx=length / 8.0))
-        total += area * abs(gphi[ci])
-    return total
-
-
-def _mixed(pts, cell_values, phi_values):
-    """_mixed_terms of the one function with these arrays."""
-    n = len(pts) - 1
-    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    u = BVFunction(Mesh(np.asarray(pts, dtype=float)[:, None], cells), cell_values)
-    return _mixed_terms(Family1D.of([u]), np.asarray(phi_values, dtype=float))[0]
-
-
 def _reference_single_stage(members, kset, n_target, lo, hi, best_effort=False):
-    """One cutoff stage as the recursive decomposition ran it, one candidate
-    at a time: under best_effort it stops where the members run out instead
-    of raising."""
+    """One cutoff stage as the recursive decomposition ran it: under
+    best_effort it stops where the members run out instead of raising."""
     n_values, k_map, subsequence, firsts, cutoffs = [], {}, {}, {}, {}
     remainders = []
     k_prev = -1
@@ -266,21 +228,21 @@ def _reference_single_stage(members, kset, n_target, lo, hi, best_effort=False):
         brk = _breakpoints_1d(kset, n, lo, hi)
         pick, best = None, np.inf
         for k in range(k_prev + 1, len(members)):
-            uk = refine_bv_1d(members[k], brk)
-            pts = uk.mesh.vertices[:, 0]
+            pts, cell_values = refined_1d(members[k], brk)
             phi = _cutoff_values(pts[:, None], kset, n)
-            mixed = _reference_abs_integral(pts, uk.cell_values, phi)
+            mixed = _abs_integral_times_grad(pts, cell_values, phi)
             if mixed < best:
                 best = mixed
             if mixed <= bound:
-                pick = (k, uk, phi)
+                pick = (k, pts, cell_values, phi)
                 break
         if pick is None:
             if best_effort:
                 break
             raise PrefixTooShortError(n, best, bound)
-        k, uk, phi = pick
+        k, pts, cell_values, phi = pick
         k_prev = k
+        uk = refined_bv(members[k], pts, cell_values)
         first = cutoff_multiply(uk, phi)
         n_values.append(n)
         k_map[n] = k
@@ -526,7 +488,8 @@ def test_stacked_support_checks_flag_as_one_pass_per_component():
 def test_abs_integral_on_a_cell_where_u_changes_sign():
     # u = 2 -> -1 on [0, 0.5] and |grad phi| = 2: two triangles of areas 1/3
     # and 1/12
-    got = _mixed(np.array([0.0, 0.5]), np.array([[[2.0], [-1.0]]]), np.array([0.0, 1.0]))
+    got = _abs_integral_times_grad(np.array([0.0, 0.5]), np.array([[[2.0], [-1.0]]]),
+                                   np.array([0.0, 1.0]))
     assert got == pytest.approx(2.0 * (1.0 / 3.0 + 1.0 / 12.0), rel=1e-15)
 
 
@@ -558,7 +521,7 @@ def test_abs_integral_for_vector_fields_is_a_tight_upper_bound():
                                 dx=length / 200_000)
             assert exact == pytest.approx(fine, rel=1e-10)
         pts = np.array([0.0, length])  # phi = x: |grad phi| = 1
-        ratios.append(_mixed(pts, v[None], pts) / exact)
+        ratios.append(_abs_integral_times_grad(pts, v[None], pts) / exact)
     assert 1.0 <= min(ratios) and max(ratios) <= 1.0 + 1.0 / 64.0
 
 
@@ -581,23 +544,15 @@ def test_decompose_tables_match_golden():
     assert make_goldens.decompose_tables_json().encode() == golden.read_bytes()
 
 
-def test_mixed_terms_of_a_family_equal_each_member_cell_by_cell():
-    # M = 1 with sign changes and M = 2, members of different cell counts:
-    # one pass over the family, each member's terms added in cell order
-    rng = np.random.default_rng(5)
-    for M in (1, 2):
-        funcs, phis = [], []
-        for _ in range(7):
-            pts = np.sort(rng.uniform(0.0, 1.0, size=int(rng.integers(2, 30))))
-            n = len(pts) - 1
-            cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-            funcs.append(BVFunction(Mesh(pts[:, None], cells), rng.normal(size=(n, 2, M))))
-            phi = np.clip(rng.uniform(-0.5, 1.5, size=n + 1), 0.0, 1.0)
-            phis.append(phi)
-        got = _mixed_terms(Family1D.of(funcs), np.concatenate(phis)).tolist()
-        want = [_reference_abs_integral(u.mesh.vertices[:, 0], u.cell_values, phi)
-                for u, phi in zip(funcs, phis)]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+def _reference_reassembly_deviation(u, components):
+    """How far u is from the sum of the components, by BVFunction sums: the
+    largest norm of a cell value of u minus the sum, plus the norms of its
+    jumps."""
+    total = components[0]
+    for c in components[1:]:
+        total = total + c
+    diff = u - total
+    return diff.linf_norm() + sum(_frobenius(diff.jumps).tolist())
 
 
 def _reference_verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02),
@@ -611,7 +566,7 @@ def _reference_verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02),
     reassembly_dev, grad_bound_ok = 0.0, True
     for n in result.n_values:
         uk, comps = result.subsequence[n], result.components[n]
-        reassembly_dev = max(reassembly_dev, reassembly_deviation(uk, comps))
+        reassembly_dev = max(reassembly_dev, _reference_reassembly_deviation(uk, comps))
         allowed_grad = 2.0 * n * (1.0 + GRAD_SLACK)
         measured = np.zeros(uk.mesh.n_cells)
         for phi, rad, stage_input in result.cutoffs[n]:
@@ -754,6 +709,34 @@ def test_verify_properties_equals_the_per_n_reference_on_every_flag_kind():
                      "support_exclusion"}
 
 
+def test_reassembly_deviation_equals_the_sum_by_bvfunction_arithmetic():
+    # the stacked rule of one member against BVFunction sums, on the flagged
+    # results (jumps left over, a cancelled sum) and on 2D functions whose
+    # pieces jump on shared and separate facets
+    for res in _flagged_results():
+        for n in res.n_values:
+            uk, comps = res.subsequence[n], res.components[n]
+            got = reassembly_deviation(uk, comps)
+            assert type(got) is float
+            assert got == _reference_reassembly_deviation(uk, comps)
+    rng = np.random.default_rng(11)
+    mesh = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 3, 3)
+    edges = np.unique(np.sort(mesh.cells[:, :2], axis=1), axis=0)
+    for M in (1, 2):
+        pieces = [BVFunction(mesh, rng.normal(size=(mesh.n_cells, 3, M)),
+                             edges[rng.choice(len(edges), 4, replace=False)][:, ::-1],
+                             rng.normal(size=(4, M))) for _ in range(3)]
+        u = pieces[0] + pieces[1] + pieces[2]
+        for wobble in (0.0, 1e-3):
+            v = u + wobble * pieces[1]
+            assert (reassembly_deviation(v, pieces)
+                    == _reference_reassembly_deviation(v, pieces))
+        assert reassembly_deviation(u, pieces) <= 1e-14
+    with pytest.raises(ValueError):
+        reassembly_deviation(pieces[0], [BVFunction.zero(
+            rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2), M=2)])
+
+
 def test_verify_properties_needs_one_shape_of_decomposition_per_n():
     res = next(_flagged_results())
     ragged = DecompositionResult(res.cover, res.n_values, res.k_map, res.subsequence,
@@ -784,30 +767,3 @@ def test_n_max_defaults_to_half_the_members():
         res = local_decompose(jump_members(40), COVER)
     assert res.n_values == list(range(1, 21))
     assert len(res.s_table["rows"]) == 20
-
-
-@pytest.mark.parametrize("name", ["jump_to_boundary", "jump_to_interior", "boundary_bumps"])
-def test_a_criterion_6_decomposition_matches_the_scan_one_candidate_at_a_time(name):
-    # the block scan against the reference stage's scan of one candidate at
-    # a time: the picks, every member, component and cutoff bit for bit
-    (members, cover), = [(m, c) for f, m, c in _make_goldens().decomposition_families()
-                         if f == name]
-    _assert_matches_the_recursion(members, cover, 64)
-
-
-def test_a_block_holds_as_many_candidates_as_the_previous_pick_scanned(monkeypatch):
-    import bvlsc.decompose
-
-    sizes = []
-
-    def recorded(family, phi, _inner=bvlsc.decompose._mixed_terms):
-        sizes.append(len(family.v_off) - 1)
-        return _inner(family, phi)
-
-    monkeypatch.setattr(bvlsc.decompose, "_mixed_terms", recorded)
-    with pytest.warns(UserWarning, match="cover gap"):
-        res = local_decompose(jump_members(60), COVER, n_max=16)
-    # pick n is member 2n - 1 (0-based): n = 1 scans members 0 and 1 in
-    # blocks of one, every later pick both candidates of one block of two
-    assert [res.k_map[n] for n in res.n_values] == [2 * n - 1 for n in res.n_values]
-    assert sizes == [1, 1] + [2] * 15

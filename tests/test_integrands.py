@@ -373,6 +373,8 @@ def test_unknown_tag_rejected():
     ("boundary_null_lagrangian", {"a": ["1"], "t": [1.0]}, "a"),
     ("boundary_null_lagrangian", {"a": [1.0], "t": [True]}, "t"),
     ("boundary_null_lagrangian", {"a": [1.0], "t": np.array([False])}, "t"),
+    ("boundary_null_lagrangian", {"a": [1.0], "t": [np.bool_(True)]}, "t"),
+    ("linear", {"matrix": [[np.float32("inf")]]}, "matrix"),
 ])
 def test_non_finite_or_bool_parameter_rejected(tag, params, key):
     with pytest.raises(ValueError, match=f"parameter '{key}' must"):
@@ -381,7 +383,8 @@ def test_non_finite_or_bool_parameter_rejected(tag, params, key):
 
 def test_int_float_and_array_parameters_accepted():
     xi = np.array([[[0.5]]])
-    for matrix in ([[2]], [[2.0]], np.array([[2.0]]), np.array([[2]]), [[np.float64(2.0)]]):
+    for matrix in ([[2]], [[2.0]], np.array([[2.0]]), np.array([[2]]), [[np.float64(2.0)]],
+                   [[np.int64(2)]], [[np.float32(2.0)]]):
         f = catalog_get("linear", {"matrix": matrix})
         assert f(np.zeros((1, 1)), xi).tolist() == [1.0]
 
