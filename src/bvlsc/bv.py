@@ -21,7 +21,8 @@ facet midpoint), its unit-Frobenius polar matrix and its positive mass.
 
 A Family1D stacks many 1D functions in one set of arrays (vertex
 coordinates, cells, cell values, jump rows and offsets), so that slopes,
-dense jumps and variation measures of a whole family are array passes; a
+dense jumps, variation measures and refinements of a whole family are
+array passes (refine_bv_1d is the refinement of one function); a
 VariationStack holds what tv_on_neighborhoods reads of a family of
 measures, built from MatrixMeasures or from a Family1D with the same bits.
 reassembly_deviations checks a stack of members against their components,
@@ -620,35 +621,20 @@ def refined_bv(u, pts, cell_values):
 def refined_1d(u, coords):
     """The arrays of refine_bv_1d(u, coords) without the mesh and function:
     the sorted vertex coordinates (n + 1,) and the cell values (n, 2, M) of
-    the cells between consecutive vertices.
-
-    Every vertex of u's mesh stays, so each jump stays at a vertex; a new
-    point within 1e-14 of one, or of the new point before it, is dropped."""
-    mesh = u.mesh
-    if mesh.dim != 1:
+    the cells between consecutive vertices (Family1D.refined_at of the one
+    function)."""
+    if u.mesh.dim != 1:
         raise ValueError("refine_bv_1d needs a 1D mesh")
-    old = np.sort(mesh.vertices[:, 0])
-    coords = np.asarray(coords, dtype=float)
-    new = np.round(coords[(coords > old[0] + 1e-14) & (coords < old[-1] - 1e-14)], 14)
-    new.sort()
-    i = np.searchsorted(old, new)  # old[i - 1] < new <= old[i]
-    gap = np.minimum(new - old[i - 1], old[i] - new)
-    gap[1:] = np.minimum(gap[1:], np.diff(new))
-    pts = np.sort(np.concatenate([old, new[gap > 1e-14]]))
-    old_cells = mesh.vertices[mesh.cells][:, :, 0]
-    lefts = old_cells[:, 0]
-    mid = 0.5 * (pts[:-1] + pts[1:])
-    parent = np.searchsorted(np.sort(lefts), mid, side="right") - 1
-    pi = np.argsort(lefts)[parent]
-    x0, x1 = old_cells[pi, :1], old_cells[pi, 1:]
-    t = (np.column_stack([pts[:-1], pts[1:]]) - x0) / (x1 - x0)  # (n, 2)
-    v0, v1 = u.cell_values[pi, :1], u.cell_values[pi, 1:]  # (n, 1, M)
-    return pts, v0 + t[..., None] * (v1 - v0)
+    coords = np.sort(np.asarray(coords, dtype=float).reshape(1, -1))
+    pts, values, _ = Family1D.of([u]).refined_at(np.zeros(1, dtype=np.int64), coords)
+    return pts, values
 
 
 def _offsets(counts):
     """Where each of consecutive runs of the counts starts, and the total."""
-    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
 
 
 def _owners(off):
@@ -697,6 +683,59 @@ class Family1D(NamedTuple):
                    np.concatenate([u.cell_values for u in functions]),
                    np.concatenate([u.facets[:, 0] for u in functions]) + v_off[_owners(j_off)],
                    np.concatenate([u.jumps for u in functions]), v_off, c_off, j_off)
+
+    def refined_at(self, member, coords):
+        """Member member[p] refined at the points of row p of coords (runs,
+        W), each row sorted, for every run p: the sorted vertex coordinates
+        of the refinements run after run, their cell values (C, 2, M), the
+        cells of a run being those between its consecutive vertices, and
+        the offsets (runs + 1,) where each run of vertices starts (a run's
+        cells start at the offset less p).
+
+        Every vertex of the member stays, so each jump stays at a vertex; a
+        new point is rounded to 14 digits and dropped if it lies within
+        1e-14 of the member's ends or beyond them (an inf pads a row), of a
+        vertex, or of the run's new point before it.  A new cell takes the
+        values of the old cell holding its midpoint, re-evaluated affinely
+        at its ends."""
+        v_owner, c_owner = _owners(self.v_off), _owners(self.c_off)
+        old = self.vertices[np.lexsort((self.vertices, v_owner))]  # per member, increasing
+        lo, hi = old[self.v_off[:-1]][member], old[self.v_off[1:] - 1][member]
+        inside = (coords > lo[:, None] + 1e-14) & (coords < hi[:, None] - 1e-14)
+        owner, new = inside.nonzero()[0], coords[inside].round(14)
+        i = _member_keys(v_owner, old).searchsorted(_member_keys(member[owner], new))
+        gap = np.minimum(new - old[i - 1], old[i] - new)  # old[i - 1] < new <= old[i]
+        step = new[1:] - new[:-1]
+        step[owner[1:] != owner[:-1]] = np.inf
+        np.minimum(gap[1:], step, out=gap[1:])
+        keep = gap > 1e-14
+        owner, new, i = owner[keep], new[keep], i[keep]
+
+        # a run is its member's vertices with the kept new points merged in:
+        # a new point goes after the old vertices below it and the run's
+        # kept new points before it
+        n_old = (self.v_off[1:] - self.v_off[:-1])[member]
+        n_new = np.bincount(owner, minlength=len(member))
+        p_off, k_off, o_off = _offsets(n_old + n_new), _offsets(n_new), _offsets(n_old)
+        at = p_off[owner] + i - self.v_off[member[owner]] + np.arange(len(owner)) - k_off[owner]
+        pts = np.empty(p_off[-1])
+        is_old = np.ones(p_off[-1], dtype=bool)
+        pts[at], is_old[at] = new, False
+        pts[is_old] = old[(self.v_off[member] - o_off[:-1]).repeat(n_old) + np.arange(o_off[-1])]
+
+        # every vertex of a run but its last starts a cell
+        starts = np.ones(p_off[-1], dtype=bool)
+        starts[p_off[1:] - 1] = False
+        x0, x1 = pts[starts], pts[1:][starts[:-1]]
+        lefts, rights = self.vertices[self.cells[:, 0]], self.vertices[self.cells[:, 1]]
+        by_left = np.lexsort((lefts, c_owner))
+        parent = by_left[_member_keys(c_owner, lefts[by_left]).searchsorted(
+            _member_keys(member.repeat(n_old + n_new - 1), 0.5 * (x0 + x1)), side="right") - 1]
+        a = lefts[parent]
+        span = rights[parent] - a
+        v0, v1 = self.values[parent, 0], self.values[parent, 1]
+        t = np.stack([(x0 - a) / span, (x1 - a) / span], axis=1)
+        return pts, v0[:, None] + t[..., None] * (v1 - v0)[:, None], p_off
 
     def take(self, a, b):
         """Members a, ..., b - 1 as a family of their own."""

@@ -19,8 +19,17 @@ picks, refined onto its mesh, then its own first piece and its remainder.
 
 Only 1D meshes are supported: cutoff level sets are then mesh-exact after a
 refinement that inserts the neighborhood breakpoints.  A stage scans its
-candidates one at a time; the S-table measures the members as one Family1D
-stack (bv.py) in one tv_on_neighborhoods call.
+candidates in blocks of BLOCK: as a level scans one candidate or more, the
+i-th candidate of a block starting at level n0 is scanned at one of the
+levels n0, ..., n0 + i, and the block refines, cuts off and measures each
+candidate at each of these levels in one stacked pass (Family1D.refined_at,
+one distance pass, one integration), then walks its candidates in order.
+The last stage's block never holds more candidates than the stage has
+levels left, n_max - n + 1, so it pulls no input it does not read; an
+earlier stage's block has no such bound, so a middle stage of a cover of
+four or more sets may make the stage before it build up to BLOCK - 1 picks
+it never reads.  The S-table measures the members as one Family1D stack
+(bv.py) in one tv_on_neighborhoods call.
 
 verify_properties re-checks the discrete surrogates of the two
 decomposition guarantees: the component derivative masses exceed the parent
@@ -38,9 +47,8 @@ import warnings
 
 import numpy as np
 
-from .bv import (Family1D, _frobenius, _owners, cutoff_multiply, derivative, does_not_charge,
-                 reassembly_deviations, refine_bv_1d, refined_1d, refined_bv, total_variation,
-                 tv_on_neighborhoods)
+from .bv import (Family1D, _frobenius, _owners, cutoff_multiply, does_not_charge,
+                 reassembly_deviations, refine_bv_1d, refined_bv, tv_on_neighborhoods)
 from .meshing import row_norms, segment_shape_gradients
 
 __all__ = [
@@ -52,6 +60,8 @@ __all__ = [
 ]
 
 SELECTION_BOUND_FACTOR = 0.5
+BLOCK = 8  # members per block of a stage's scan
+_PAIRS = np.tril_indices(BLOCK)  # (member, level) of a block's pairs, in scan order
 GRAD_SLACK = 0.05  # a cutoff gradient may exceed its bound 2n by 1 + GRAD_SLACK
 
 
@@ -93,48 +103,64 @@ class DecompositionResult:
         self.s_table = s_table
 
     def to_json(self):
+        """The result as plain JSON data; component_tv holds each
+        component's total_variation(derivative(c)), read off one Family1D
+        stack of all components."""
+        pieces = [c for comps in self.components.values() for c in comps]
+        tvs = iter(_total_variations(Family1D.of(pieces)) if pieces else [])
         return {
             "n_values": self.n_values,
             "k_map": {str(n): int(k) for n, k in self.k_map.items()},
             "selection_bound_factor": SELECTION_BOUND_FACTOR,
             "grad_slack": GRAD_SLACK,
             "s_table": self.s_table,
-            "component_tv": {
-                str(n): [total_variation(derivative(c)) for c in comps]
-                for n, comps in self.components.items()
-            },
+            "component_tv": {str(n): [next(tvs) for _ in comps]
+                             for n, comps in self.components.items()},
         }
+
+
+def _total_variations(family):
+    """total_variation(derivative(u)) of each member u of the family, bit
+    for bit: the np.sum of its cell masses plus its jump masses summed left
+    to right (a BVFunction keeps no jump that MatrixMeasure would drop)."""
+    bulk = _segment_sums(row_norms(family.slopes()) * family.lengths(), family.c_off)
+    return (bulk + _row_totals(_frobenius(family.jumps), family.j_off)).tolist()
 
 
 def _abs_integral_times_grad(pts, cell_values, phi_values):
     """Integral of |u| |grad phi| for u affine with the cell values (n, 2, M)
     on the cells between the sorted vertices pts (n + 1,) and phi continuous
-    P1 with the vertex values phi_values (cellwise-constant grad phi, taken
-    as Mesh.p1_gradient takes it).  Exact for M = 1; for M > 1 the 9-point
-    trapezoid rule of the convex |u| is an upper bound (at most about 1.5%
-    high), so the selection bound stays conservative."""
-    x = np.column_stack([pts[:-1], pts[1:]])
-    corners = np.column_stack([phi_values[:-1], phi_values[1:]])[:, :, None]
-    gphi = np.einsum("cim,cid->cmd", corners,
-                     segment_shape_gradients(x[:, 1] - x[:, 0]))[:, 0, 0]
-    total = 0.0
-    for ci in np.where(np.abs(gphi) > 1e-15)[0]:
-        v0, v1 = cell_values[ci, 0], cell_values[ci, 1]
-        length = x[ci, 1] - x[ci, 0]
-        if cell_values.shape[2] == 1:
-            a, b = float(v0[0]), float(v1[0])
-            if a * b >= 0:
-                area = 0.5 * abs(a + b) * length
-            else:
-                t = a / (a - b)
-                area = 0.5 * length * (abs(a) * t + abs(b) * (1 - t))
-        else:
-            ts = np.linspace(0.0, 1.0, 9)
-            vals = np.linalg.norm(v0[None, :] * (1 - ts)[:, None]
-                                  + v1[None, :] * ts[:, None], axis=1)
-            area = float(np.trapezoid(vals, dx=length / 8.0))
-        total += area * abs(gphi[ci])
-    return total
+    P1 with the vertex values phi_values: _mixed_terms of the one run."""
+    return float(_mixed_terms(pts, cell_values, np.array([0, len(pts)]), phi_values)[0])
+
+
+def _mixed_terms(pts, cell_values, off, phi):
+    """Per run pts[off[r]:off[r + 1]] of sorted vertices, the integral of
+    |u| |grad phi|: u affine with the cell values (C, 2, M) on the cells
+    between the run's consecutive vertices (run r's cells start at off[r] -
+    r), phi continuous P1 with the vertex values phi (cellwise-constant
+    grad phi, taken as Mesh.p1_gradient takes it).  Exact for M = 1; for
+    M > 1 the 9-point trapezoid rule of the convex |u| is an upper bound (at
+    most about 1.5% high), so the selection bound stays conservative.  A
+    run's cell terms, over its cells where grad phi is not zero, are added
+    in cell order from 0.0."""
+    starts = np.ones(len(pts), dtype=bool)  # every vertex of a run but its last
+    starts[off[1:] - 1] = False
+    length = pts[1:][starts[:-1]] - pts[starts]
+    corners = np.stack([phi[starts], phi[1:][starts[:-1]]], axis=1)[:, :, None]
+    gphi = np.abs(np.einsum("cim,cid->cmd", corners, segment_shape_gradients(length))[:, 0, 0])
+    v0, v1 = cell_values[:, 0], cell_values[:, 1]
+    if cell_values.shape[2] == 1:
+        a, b = v0[:, 0], v1[:, 0]
+        same = a * b >= 0
+        t = a / np.where(same, 1.0, a - b)
+        area = np.where(same, 0.5 * np.abs(a + b) * length,
+                        0.5 * length * (np.abs(a) * t + np.abs(b) * (1 - t)))
+    else:
+        ts = np.linspace(0.0, 1.0, 9)[:, None]
+        area = np.trapezoid(np.linalg.norm(v0[:, None] * (1 - ts) + v1[:, None] * ts, axis=2),
+                            dx=length[:, None] / 8.0, axis=1)
+    return _row_totals(np.where(gphi > 1e-15, area * gphi, 0.0), off - np.arange(len(off)))
 
 
 def _cutoff_values(vertices, kset, n):
@@ -143,14 +169,15 @@ def _cutoff_values(vertices, kset, n):
     return np.clip((r_out - d) / (r_out - r_in), 0.0, 1.0)
 
 
-def _breakpoints_1d(kset, n, lo, hi):
-    pts = []
-    for kind, data in kset.pieces:
-        anchors = [data[0]] if kind == "point" else [data[0][0], data[1][0]]
-        for a in anchors:
-            for r in (0.5 / n, 1.0 / n):
-                pts.extend([a - r, a + r])
-    return [p for p in pts if lo < p < hi]
+def _breakpoints(kset, ns, lo, hi):
+    """The cutoff breakpoints a -+ 0.5/n, a -+ 1/n of each anchor a of the
+    set (a point, or an end of a segment) at each level of ns, one row per
+    level: those inside (lo, hi) sorted, then +inf for the others."""
+    anchors = np.array([a for kind, data in kset.pieces
+                        for a in ([data[0]] if kind == "point" else [data[0][0], data[1][0]])])
+    r = np.array([-1.0, -0.5, 0.5, 1.0]) / np.asarray(ns)[:, None]
+    pts = (anchors[:, None] + r[:, None, :]).reshape(len(r), -1)
+    return np.sort(np.where((lo < pts) & (pts < hi), pts, np.inf), axis=1)
 
 
 def require_1d(dim):
@@ -188,11 +215,11 @@ def local_decompose(members, cover, n_max=None):
 
     # one cutoff stage per set but the last, each on the previous stage's
     # remainders: a stage picks only when the next one asks for its next
-    # input, and the last must reach n_max
-    stages, rests = [], members
-    for kset in cover.sets[:-1]:
+    # inputs, and the last must reach n_max
+    stages, rests, last = [], members, len(cover.sets) - 2
+    for j, kset in enumerate(cover.sets[:-1]):
         stages.append([])
-        rests = _stage(rests, kset, lo, hi, stages[-1])
+        rests = _stage(rests, kset, lo, hi, stages[-1], n_max if j == last else None)
     remainders = []
     while len(remainders) < n_max:
         try:
@@ -229,31 +256,57 @@ def local_decompose(members, cover, n_max=None):
                                cutoffs, s_table)
 
 
-def _stage(members, kset, lo, hi, picks):
+def _stage(members, kset, lo, hi, picks, levels=None):
     """Cutoff stage against one compact set, as a generator over the
     iterable members: per n = 1, 2, ..., pick the first member past the
     previous pick that keeps the mixed term within its bound, split off its
     component near the set, append the pick (n, k, refined member, cutoff
     phi, first piece) to picks and yield its remainder.  Where the members
-    run out, returns the (n, best achieved, bound) of the shortfall."""
+    run out, returns the (n, best achieved, bound) of the shortfall.
+
+    The members are scanned in blocks of the next BLOCK of them.  The last
+    stage, which stops at n = levels, takes no more than the levels it has
+    left, levels - n + 1: each level takes at least one member, so it pulls
+    no input it does not read.  An earlier stage (levels None) takes whole
+    blocks, so a middle stage of a cover of four or more sets may make the
+    stage before it build up to BLOCK - 1 picks it never reads.
+    _scan_block measures each member of a block at every level it can be
+    scanned at, in one pass; the block is then walked member after member
+    with the rule above, and a pick takes its refined points, cell values
+    and cutoff from the block's arrays."""
     members = enumerate(members)
-    for n in itertools.count(1):
-        bound = SELECTION_BOUND_FACTOR / n
-        brk = _breakpoints_1d(kset, n, lo, hi)
-        best = np.inf
-        for k, member in members:
-            pts, cell_values = refined_1d(member, brk)
-            phi = _cutoff_values(pts[:, None], kset, n)
-            mixed = _abs_integral_times_grad(pts, cell_values, phi)
-            best = min(best, mixed)
-            if mixed <= bound:
-                break
-        else:
-            return n, best, bound
-        uk = refined_bv(member, pts, cell_values)
-        first = cutoff_multiply(uk, phi)
-        picks.append((n, k, uk, phi, first))
-        yield uk - first
+    n, best = 1, np.inf
+    while True:
+        block = list(itertools.islice(members, BLOCK if levels is None
+                                      else min(BLOCK, levels - n + 1)))
+        if not block:
+            return n, best, SELECTION_BOUND_FACTOR / n
+        n0 = n
+        pts, cell_values, off, phi, mixed = _scan_block([u for _, u in block], kset, n0, lo, hi)
+        for i, (k, member) in enumerate(block):
+            p = i * (i + 1) // 2 + n - n0  # member i at level n
+            best = min(best, mixed[p])
+            if mixed[p] <= SELECTION_BOUND_FACTOR / n:
+                a, b = off[p], off[p + 1]
+                uk = refined_bv(member, pts[a:b], cell_values[a - p:b - p - 1])
+                first = cutoff_multiply(uk, phi[a:b])
+                picks.append((n, k, uk, phi[a:b], first))
+                yield uk - first
+                n, best = n + 1, np.inf
+
+
+def _scan_block(block, kset, n0, lo, hi):
+    """Block member i refined, cut off and measured at each level n0, ...,
+    n0 + i: the pairs (i, d) of level n0 + d, d <= i, in the order i, then
+    d, pair p = i (i + 1) / 2 + d.  Returns the refined points, cell values,
+    vertex offsets and cutoff values of the pairs, stacked as
+    Family1D.refined_at stacks them, and each pair's mixed term as a list:
+    one refinement, one distance pass and one integration for the block."""
+    member, level = (a[:len(block) * (len(block) + 1) // 2] for a in _PAIRS)
+    coords = _breakpoints(kset, n0 + np.arange(len(block)), lo, hi)[level]
+    pts, cell_values, off = Family1D.of(block).refined_at(member, coords)
+    phi = _cutoff_values(pts[:, None], kset, (n0 + level).repeat(np.diff(off)))
+    return pts, cell_values, off, phi, _mixed_terms(pts, cell_values, off, phi).tolist()
 
 
 def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e-2):
@@ -400,6 +453,17 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
         "s_table": result.s_table,
         "flags": flags,
     }
+
+
+def _row_totals(values, off):
+    """Each segment values[off[i]:off[i + 1]] summed left to right from 0.0,
+    as a loop adds it: the segments as rows after a column of zeros, padded
+    with zeros, added by one sequential np.add.accumulate."""
+    counts = np.diff(off)
+    owner = _owners(off)
+    table = np.zeros((len(counts), 1 + counts.max(initial=0)))
+    table[owner, 1 + np.arange(len(owner)) - off[owner]] = values
+    return np.add.accumulate(table, axis=1)[:, -1]
 
 
 def _segment_sums(values, off):

@@ -633,6 +633,32 @@ def test_a_family_stack_has_the_bits_of_its_members(seed, count):
         assert dense[a:b].tobytes() == alone.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5), runs=st.integers(1, 12))
+def test_refined_at_refines_each_run_as_the_cell_loop(seed, count, runs):
+    # runs of random members (shuffled meshes among them), each run twice
+    # in a row, at sorted rows of points padded with inf: points outside,
+    # near the ends, on or near vertices and near each other
+    rng = np.random.default_rng(seed)
+    funcs = _random_functions_1d(rng, count)
+    member = rng.integers(count, size=runs).repeat(2)
+    rows = []
+    for m in member[::2].tolist():
+        x = funcs[m].mesh.vertices[:, 0]
+        near = rng.choice(x, size=3) + rng.choice([0.0, 5e-15, -2e-14, 1e-9], size=3)
+        pts = np.concatenate([rng.uniform(x.min() - 0.2, x.max() + 0.2, rng.integers(6)),
+                              near, near[:1] + 8e-15])
+        rows += [np.sort(pts)] * 2
+    width = max(len(r) for r in rows)
+    coords = np.full((len(rows), width), np.inf)
+    for row, pts in zip(coords, rows):
+        row[:len(pts)] = pts
+    pts, values, off = Family1D.of(funcs).refined_at(member, coords)
+    for p, (m, row) in enumerate(zip(member.tolist(), rows)):
+        want_pts, want_values = _reference_refine_bv_1d(funcs[m], row)
+        assert pts[off[p]:off[p + 1]].tobytes() == want_pts.tobytes()
+        assert values[off[p] - p:off[p + 1] - p - 1].tobytes() == want_values.tobytes()
+
 def test_a_family_needs_1d_meshes():
     square = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2)
     with pytest.raises(ValueError, match="1D meshes"):

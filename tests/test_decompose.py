@@ -9,7 +9,7 @@ import pytest
 from bvlsc import regions
 from bvlsc.bv import (BVFunction, VariationStack, _frobenius, cutoff_multiply, derivative,
                       does_not_charge, reassembly_deviation, refine_bv_1d, refined_1d,
-                      refined_bv)
+                      refined_bv, total_variation)
 from bvlsc.decompose import (
     GRAD_SLACK,
     SELECTION_BOUND_FACTOR,
@@ -17,13 +17,14 @@ from bvlsc.decompose import (
     DecompositionResult,
     PrefixTooShortError,
     _abs_integral_times_grad,
-    _breakpoints_1d,
     _cutoff_values,
+    _mixed_terms,
     _union,
     local_decompose,
     verify_properties,
 )
-from bvlsc.meshing import Domain, interval_mesh_with, rectangle_mesh
+from bvlsc.meshing import (Domain, interval_mesh_with, rectangle_mesh,
+                            segment_shape_gradients)
 from bvlsc.sequences import SequenceSpec, generate
 
 OMEGA = Domain.interval(0.0, 1.0)
@@ -217,6 +218,44 @@ def test_three_set_cover_stage_one_stops_where_its_prefix_runs_out():
             local_decompose(members, cover_first, n_max=16)
 
 
+def _reference_breakpoints(kset, n, lo, hi):
+    """The cutoff breakpoints of level n inside (lo, hi), anchor by anchor."""
+    pts = []
+    for kind, data in kset.pieces:
+        anchors = [data[0]] if kind == "point" else [data[0][0], data[1][0]]
+        for a in anchors:
+            for r in (0.5 / n, 1.0 / n):
+                pts.extend([a - r, a + r])
+    return [p for p in pts if lo < p < hi]
+
+
+def _reference_abs_integral_times_grad(pts, cell_values, phi_values):
+    """_abs_integral_times_grad cell by cell: each cell where grad phi is
+    not zero adds its term to a Python float, in cell order."""
+    x = np.column_stack([pts[:-1], pts[1:]])
+    corners = np.column_stack([phi_values[:-1], phi_values[1:]])[:, :, None]
+    gphi = np.einsum("cim,cid->cmd", corners,
+                     segment_shape_gradients(x[:, 1] - x[:, 0]))[:, 0, 0]
+    total = 0.0
+    for ci in np.where(np.abs(gphi) > 1e-15)[0]:
+        v0, v1 = cell_values[ci, 0], cell_values[ci, 1]
+        length = x[ci, 1] - x[ci, 0]
+        if cell_values.shape[2] == 1:
+            a, b = float(v0[0]), float(v1[0])
+            if a * b >= 0:
+                area = 0.5 * abs(a + b) * length
+            else:
+                t = a / (a - b)
+                area = 0.5 * length * (abs(a) * t + abs(b) * (1 - t))
+        else:
+            ts = np.linspace(0.0, 1.0, 9)
+            vals = np.linalg.norm(v0[None, :] * (1 - ts)[:, None]
+                                  + v1[None, :] * ts[:, None], axis=1)
+            area = float(np.trapezoid(vals, dx=length / 8.0))
+        total += area * abs(gphi[ci])
+    return total
+
+
 def _reference_single_stage(members, kset, n_target, lo, hi, best_effort=False):
     """One cutoff stage as the recursive decomposition ran it: under
     best_effort it stops where the members run out instead of raising."""
@@ -225,12 +264,12 @@ def _reference_single_stage(members, kset, n_target, lo, hi, best_effort=False):
     k_prev = -1
     for n in range(1, n_target + 1):
         bound = SELECTION_BOUND_FACTOR / n
-        brk = _breakpoints_1d(kset, n, lo, hi)
+        brk = _reference_breakpoints(kset, n, lo, hi)
         pick, best = None, np.inf
         for k in range(k_prev + 1, len(members)):
             pts, cell_values = refined_1d(members[k], brk)
             phi = _cutoff_values(pts[:, None], kset, n)
-            mixed = _abs_integral_times_grad(pts, cell_values, phi)
+            mixed = _reference_abs_integral_times_grad(pts, cell_values, phi)
             if mixed < best:
                 best = mixed
             if mixed <= bound:
@@ -380,6 +419,134 @@ def test_a_last_stage_that_runs_short_raises_the_recursions_error():
     with pytest.raises(PrefixTooShortError, match=re.escape(str(want.value))):
         with pytest.warns(UserWarning, match="cover gap"):
             local_decompose(members, COVER3, n_max=16)
+
+
+def _criterion_6(name):
+    (members, cover), = [(m, c) for f, m, c in _make_goldens().decomposition_families()
+                         if f == name]
+    return members, cover
+
+
+@pytest.mark.parametrize("name", ["jump_to_boundary", "jump_to_interior", "boundary_bumps"])
+def test_the_block_scan_equals_the_one_candidate_reference_on_criterion_6(name):
+    # jump_to_boundary scans two candidates per level, jump_to_interior one
+    # and boundary_bumps a mix: a block's picks sit at every place of its
+    # triangle of (candidate, level) pairs
+    _assert_matches_the_recursion(*_criterion_6(name), 64)
+
+
+def test_a_member_list_that_ends_mid_block_matches_the_reference():
+    # stage one picks u_2n from blocks of 8 and then of the 5 members left;
+    # the last stage's one block asks for its 6 levels, and stage one's
+    # sixth pick is its last
+    res = _assert_matches_the_recursion(jump_members(13), COVER3, 6)
+    assert res.k_map == {n: 2 * n - 1 for n in range(1, 7)}
+
+
+def test_the_last_stage_pulls_only_the_inputs_it_reads(monkeypatch):
+    import bvlsc.decompose
+
+    sizes = []
+
+    def scan(block, *args, _inner=bvlsc.decompose._scan_block):
+        sizes.append(len(block))
+        return _inner(block, *args)
+
+    monkeypatch.setattr(bvlsc.decompose, "_scan_block", scan)
+    with pytest.warns(UserWarning, match="cover gap"):
+        res = local_decompose(jump_members(60), COVER, n_max=16)
+    # picks u_2n, two members a level: blocks of 8 up to n = 13, then as
+    # many members as levels left (4, 2, 1 and 1 again after u_31 fails at
+    # n = 16): 32 members for 16 picks
+    assert sizes == [8, 8, 8, 4, 2, 1, 1]
+    assert sum(sizes) == res.k_map[16] + 1
+
+@pytest.mark.parametrize("members, n_max", [
+    # no member achieves the bound: level 1 scans a block of 8, then one
+    # of the 2 members left, and the best of all 10 is reported
+    ([BVFunction.indicator_1d(interval_mesh_with(0.0, 1.0, 1.0 / 32, [0.0625, 0.125],
+                                                 domain=OMEGA), 0.0, 0.125)] * 10, 8),
+    # picks u_2n until the members run out at n = 15, mid-block
+    (jump_members(29), 16),
+])
+def test_a_stage_that_runs_short_mid_block_raises_the_references_error(members, n_max):
+    with pytest.raises(PrefixTooShortError) as want:
+        _reference_decompose(members, COVER.sets, n_max, 0.0, 1.0)
+    with pytest.raises(PrefixTooShortError) as got:
+        with pytest.warns(UserWarning, match="cover gap"):
+            local_decompose(members, COVER, n_max=n_max)
+    assert "best achieved" in str(got.value) and str(got.value) == str(want.value)
+    assert ((got.value.n, got.value.achieved, got.value.bound)
+            == (want.value.n, want.value.achieved, want.value.bound))
+
+
+def vector_members(count, c=0.5):
+    """M = 2 members: (1, -2) on (c - c/n, c) plus (x, 1 - x) / n, whose
+    smooth part keeps the mixed term above the bound for many members."""
+    members = []
+    for n in range(1, count + 1):
+        mesh = interval_mesh_with(0.0, 1.0, 1.0 / 16, [c - c / n, c], domain=OMEGA)
+        step = BVFunction.indicator_1d(mesh, c - c / n, c)
+        vec = np.array([1.0, -2.0])
+        members.append(BVFunction(mesh, step.cell_values * vec, step.facets[:, 0],
+                                  step.jumps * vec)
+                       + (1.0 / n) * BVFunction.affine(mesh, [[1.0], [-1.0]], [0.0, 1.0]))
+    return members
+
+
+def test_a_vector_valued_decomposition_matches_the_reference():
+    # the trapezoid rule of the mixed term, through the block scan
+    sides = regions.CompactSet(1).add_segment([0.0], [0.46]).add_segment([0.54], [1.0])
+    members = vector_members(60)
+    res = _assert_matches_the_recursion(members, CoverSpec([regions.point([0.5]), sides]), 6)
+    assert res.subsequence[6].M == 2
+    # the picks skip members: some candidates fail the bound
+    assert res.k_map[6] > 2 * 6
+
+
+def test_mixed_terms_equal_the_cell_loop_run_by_run():
+    # runs of random cells, M = 1 and 2: cells where u changes sign, where
+    # it is zero and where phi is flat
+    rng = np.random.default_rng(11)
+    for M in (1, 2):
+        runs = []
+        for _ in range(12):
+            cells = int(rng.integers(1, 9))
+            cv = rng.normal(size=(cells, 2, M))
+            cv[rng.random(cells) < 0.2] = 0.0
+            runs.append((np.sort(rng.uniform(0.0, 1.0, cells + 1)), cv,
+                         np.clip(rng.normal(0.5, 0.6, cells + 1), 0.0, 1.0)))
+        want = [_reference_abs_integral_times_grad(*run) for run in runs]
+        off = np.cumsum([0] + [len(pts) for pts, _, _ in runs])
+        pts, cv, phi = (np.concatenate(a) for a in zip(*runs))
+        got = _mixed_terms(pts, cv, off, phi)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert [_abs_integral_times_grad(*run) for run in runs] == want
+
+
+def _decomposition_results():
+    """Results of every kind whose component_tv to_json writes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # cover-gap note
+        for name in ("jump_to_boundary", "jump_to_interior", "boundary_bumps"):
+            yield local_decompose(*_criterion_6(name), n_max=64)
+        yield local_decompose(jump_members(40), COVER3, n_max=8)
+        sides = regions.CompactSet(1).add_segment([0.0], [0.46]).add_segment([0.54], [1.0])
+        yield local_decompose(vector_members(60), CoverSpec([regions.point([0.5]), sides]),
+                              n_max=6)
+    yield from _flagged_results()
+
+
+def test_component_tv_equals_the_total_variation_of_each_derivative():
+    for res in _decomposition_results():
+        got = res.to_json()["component_tv"]
+        want = {str(n): [total_variation(derivative(c)) for c in comps]
+                for n, comps in res.components.items()}
+        assert got.keys() == want.keys()
+        for n in want:
+            assert np.array(got[n]).tobytes() == np.array(want[n]).tobytes()
+    empty = DecompositionResult(COVER, [], {}, {}, {}, {}, None)
+    assert empty.to_json()["component_tv"] == {}
 
 
 def test_a_two_set_stage_builds_one_refined_mesh_per_pick(monkeypatch):
