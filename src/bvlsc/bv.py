@@ -21,10 +21,11 @@ facet midpoint), its unit-Frobenius polar matrix and its positive mass.
 
 A Family1D stacks many 1D functions in one set of arrays (vertex
 coordinates, cells, cell values, jump rows and offsets), so that slopes,
-dense jumps, variation measures and refinements of a whole family are
-array passes (refine_bv_1d is the refinement of one function); a
-VariationStack holds what tv_on_neighborhoods reads of a family of
-measures, built from MatrixMeasures or from a Family1D with the same bits.
+dense jumps, variation measures, refinements, row gathers and joins of
+whole families are array passes (refine_bv_1d is the refinement of one
+function); a VariationStack holds what tv_on_neighborhoods reads of a
+family of measures, built from MatrixMeasures or from a Family1D with the
+same bits.
 reassembly_deviations checks a stack of members against their components,
 and reassembly_deviation is its case of one function.
 
@@ -246,11 +247,6 @@ class BVFunction:
 
     def linf_norm(self):
         return float(np.max(np.linalg.norm(self.cell_values, axis=2), initial=0.0))
-
-    def support_cells(self):
-        """Cells with a value above 1e-13 in norm."""
-        mags = np.max(np.linalg.norm(self.cell_values, axis=2), axis=1)
-        return np.where(mags > 1e-13)[0]
 
     def __repr__(self):
         return (
@@ -602,32 +598,14 @@ def refine_bv_1d(u, coords):
 
     New vertices at `coords` are inserted; cell data is re-evaluated affinely
     within each parent cell (exact, also across discontinuities), and each
-    jump stays at its vertex.
+    jump stays at its vertex (Family1D.refined_at of the one function).
     """
-    return refined_bv(u, *refined_1d(u, coords))
-
-
-def refined_bv(u, pts, cell_values):
-    """The BVFunction of refined_1d's arrays: the cell values on the mesh of
-    the vertices pts, in u's domain, and u's jumps, each at the vertex of
-    pts with its coordinate."""
-    n = len(pts) - 1
-    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    at = np.searchsorted(pts, u.mesh.vertices[u.facets[:, 0], 0])
-    return BVFunction._derived(Mesh(pts[:, None], cells, domain=u.mesh.domain), cell_values,
-                               at, u.jumps)
-
-
-def refined_1d(u, coords):
-    """The arrays of refine_bv_1d(u, coords) without the mesh and function:
-    the sorted vertex coordinates (n + 1,) and the cell values (n, 2, M) of
-    the cells between consecutive vertices (Family1D.refined_at of the one
-    function)."""
     if u.mesh.dim != 1:
         raise ValueError("refine_bv_1d needs a 1D mesh")
     coords = np.sort(np.asarray(coords, dtype=float).reshape(1, -1))
-    pts, values, _ = Family1D.of([u]).refined_at(np.zeros(1, dtype=np.int64), coords)
-    return pts, values
+    r = Family1D.of([u]).refined_at(np.zeros(1, dtype=np.int64), coords)
+    return BVFunction._derived(Mesh(r.vertices[:, None], r.cells, domain=u.mesh.domain), r.values,
+                               r.jump_at, r.jumps)
 
 
 def _offsets(counts):
@@ -640,6 +618,14 @@ def _offsets(counts):
 def _owners(off):
     """The run each position of consecutive runs starting at off belongs to."""
     return np.arange(len(off) - 1).repeat(off[1:] - off[:-1])
+
+
+def _gather(off, index):
+    """The positions of the runs index[0], index[1], ... of consecutive runs
+    starting at off, run after run, and where each starts among them."""
+    counts = off[1:][index] - off[:-1][index]
+    new = _offsets(counts)
+    return (off[:-1][index] - new[:-1]).repeat(counts) + np.arange(new[-1]), new
 
 
 def _member_keys(owner, x):
@@ -671,6 +657,10 @@ class Family1D(NamedTuple):
     @classmethod
     def of(cls, functions):
         """The family of the BVFunctions on 1D meshes, in order."""
+        if not functions:
+            start = np.zeros(1, dtype=np.int64)
+            return cls(np.zeros(0), np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2, 1)),
+                       start[:0], np.zeros((0, 1)), start, start, start)
         meshes = [u.mesh for u in functions]
         if any(mesh.dim != 1 for mesh in meshes):
             raise ValueError("a 1D family needs functions on 1D meshes")
@@ -684,22 +674,46 @@ class Family1D(NamedTuple):
                    np.concatenate([u.facets[:, 0] for u in functions]) + v_off[_owners(j_off)],
                    np.concatenate([u.jumps for u in functions]), v_off, c_off, j_off)
 
+    @classmethod
+    def concat(cls, families):
+        """The families one after the other, as one family."""
+        if len(families) == 1:
+            return families[0]
+        base = _offsets([len(f.vertices) for f in families]).tolist()
+        return cls(np.concatenate([f.vertices for f in families]),
+                   np.concatenate([f.cells + b for f, b in zip(families, base)]),
+                   np.concatenate([f.values for f in families]),
+                   np.concatenate([f.jump_at + b for f, b in zip(families, base)]),
+                   np.concatenate([f.jumps for f in families]),
+                   *(_offsets(np.concatenate([np.diff(getattr(f, name)) for f in families]))
+                     for name in ("v_off", "c_off", "j_off")))
+
+    def rows(self, index):
+        """Members index[0], index[1], ... as a family of their own, copied."""
+        v, v_off = _gather(self.v_off, index)
+        c, c_off = _gather(self.c_off, index)
+        j, j_off = _gather(self.j_off, index)
+        shift = v_off[:-1] - self.v_off[index]
+        return Family1D(self.vertices[v], self.cells[c] + shift.repeat(np.diff(c_off))[:, None],
+                        self.values[c], self.jump_at[j] + shift.repeat(np.diff(j_off)),
+                        self.jumps[j], v_off, c_off, j_off)
+
     def refined_at(self, member, coords):
         """Member member[p] refined at the points of row p of coords (runs,
-        W), each row sorted, for every run p: the sorted vertex coordinates
-        of the refinements run after run, their cell values (C, 2, M), the
-        cells of a run being those between its consecutive vertices, and
-        the offsets (runs + 1,) where each run of vertices starts (a run's
-        cells start at the offset less p).
+        W), each row sorted, for every run p, as a family of the runs: a
+        run's vertices sorted, its cells those between consecutive vertices
+        and its jumps the member's, sorted by vertex as BVFunction sorts
+        them.
 
-        Every vertex of the member stays, so each jump stays at a vertex; a
+        Every vertex of the member stays, so each jump stays at its vertex; a
         new point is rounded to 14 digits and dropped if it lies within
         1e-14 of the member's ends or beyond them (an inf pads a row), of a
         vertex, or of the run's new point before it.  A new cell takes the
         values of the old cell holding its midpoint, re-evaluated affinely
         at its ends."""
         v_owner, c_owner = _owners(self.v_off), _owners(self.c_off)
-        old = self.vertices[np.lexsort((self.vertices, v_owner))]  # per member, increasing
+        by_x = np.lexsort((self.vertices, v_owner))
+        old = self.vertices[by_x]  # per member, increasing
         lo, hi = old[self.v_off[:-1]][member], old[self.v_off[1:] - 1][member]
         inside = (coords > lo[:, None] + 1e-14) & (coords < hi[:, None] - 1e-14)
         owner, new = inside.nonzero()[0], coords[inside].round(14)
@@ -735,7 +749,17 @@ class Family1D(NamedTuple):
         span = rights[parent] - a
         v0, v1 = self.values[parent, 0], self.values[parent, 1]
         t = np.stack([(x0 - a) / span, (x1 - a) / span], axis=1)
-        return pts, v0[:, None] + t[..., None] * (v1 - v0)[:, None], p_off
+
+        # a jump goes to the place of its vertex among its run's old vertices
+        rank = np.empty_like(by_x)
+        rank[by_x] = np.arange(len(by_x))
+        j, j_off = _gather(self.j_off, member)
+        run = _owners(j_off)
+        at = np.flatnonzero(is_old)[o_off[run] + rank[self.jump_at[j]] - self.v_off[member[run]]]
+        order = np.argsort(at, kind="stable")
+        return Family1D(pts, np.flatnonzero(starts)[:, None] + np.arange(2),
+                        v0[:, None] + t[..., None] * (v1 - v0)[:, None], at[order],
+                        self.jumps[j][order], p_off, p_off - np.arange(len(p_off)), j_off)
 
     def take(self, a, b):
         """Members a, ..., b - 1 as a family of their own."""

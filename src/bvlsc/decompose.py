@@ -18,38 +18,35 @@ reads.  A final pick's components are the first pieces of its earlier
 picks, refined onto its mesh, then its own first piece and its remainder.
 
 Only 1D meshes are supported: cutoff level sets are then mesh-exact after a
-refinement that inserts the neighborhood breakpoints.  A stage scans its
-candidates in blocks of BLOCK: as a level scans one candidate or more, the
-i-th candidate of a block starting at level n0 is scanned at one of the
-levels n0, ..., n0 + i, and the block refines, cuts off and measures each
-candidate at each of these levels in one stacked pass (Family1D.refined_at,
-one distance pass, one integration), then walks its candidates in order.
-The last stage's block never holds more candidates than the stage has
-levels left, n_max - n + 1, so it pulls no input it does not read; an
-earlier stage's block has no such bound, so a middle stage of a cover of
-four or more sets may make the stage before it build up to BLOCK - 1 picks
-it never reads.  The S-table measures the members as one Family1D stack
-(bv.py) in one tv_on_neighborhoods call.
+refinement that inserts the neighborhood breakpoints.  The decomposition
+runs on bv.Family1D stacks and builds no Mesh.  The members are stacked
+once, for the S-table and the first stage.  A stage scans its candidates
+in blocks of BLOCK: the i-th candidate of a block starting at level n0 is
+scanned at one of the levels n0, ..., n0 + i, so the block refines, cuts
+off and measures each candidate at each of them in one stacked pass, then
+walks its candidates in order.  A pick is a row of the block's arrays; the
+first pieces and remainders of a stage's picks are array passes over those
+rows.  The result holds stacks over n, and reading an n builds its
+BVFunctions on one Mesh.
 
 verify_properties re-checks the discrete surrogates of the two
-decomposition guarantees: the component derivative masses exceed the parent
-ones by at most |cell|/n plus the (recorded and capped) cutoff slack, cell
-by cell and atom by atom, and the later components do not charge the
-earlier compact sets.  The members and their components are stacked over
-all n, so the reassembly, the cutoff gradients, the slack, the mass bounds
-and the support points are each one array pass (one distance pass per set),
-as is each charge table; only the flagged cells, atoms and supports become
-records one by one.
+decomposition guarantees on those stacks: the component derivative masses
+exceed the parent ones by at most |cell|/n plus the (recorded and capped)
+cutoff slack, cell by cell and atom by atom, and the later components do
+not charge the earlier compact sets.  Each check is one array pass over all
+n (one distance pass per set); only the flagged cells, atoms and supports
+become records one by one.
 """
 
 import itertools
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 
-from .bv import (Family1D, _frobenius, _owners, cutoff_multiply, does_not_charge,
-                 reassembly_deviations, refine_bv_1d, refined_bv, tv_on_neighborhoods)
-from .meshing import row_norms, segment_shape_gradients
+from .bv import (_ATOL, BVFunction, Family1D, _frobenius, _gather, _member_keys, _offsets,
+                 _owners, does_not_charge, reassembly_deviations, tv_on_neighborhoods)
+from .meshing import Mesh, row_norms, segment_shape_gradients
 
 __all__ = [
     "CoverSpec",
@@ -92,31 +89,99 @@ class CoverSpec:
 
 
 class DecompositionResult:
+    """A decomposition as stacks over n, in n_values order, on the meshes of
+    `members`, the Family1D of the subsequence: `parts`, a Family1D per
+    component slot, and `cuts`, per cutoff slot the cutoff values at the
+    members' vertices, each n's radius index and the Family1D of the stage
+    inputs.  k_map maps n to its 0-based index into the members.
+
+    subsequence, components and cutoffs are mappings over n_values: n ->
+    member, n -> [u_{1,n}, ..., u_{J,n}] and n -> [(phi values, radius
+    index, stage input)].  Reading an n builds its BVFunctions from the
+    stacks on one Mesh, built at the first read of that n.  The constructor
+    stacks a decomposition given as such mappings: every n needs as many
+    components and cutoffs as the first, all on its member's mesh.
+    """
+
     def __init__(self, cover, n_values, k_map, subsequence, components,
                  cutoffs, s_table):
-        self.cover = cover
-        self.n_values = list(n_values)
-        self.k_map = dict(k_map)  # n -> 0-based index into the members
-        self.subsequence = dict(subsequence)  # n -> refined member
-        self.components = dict(components)  # n -> [u_{1,n}, ..., u_{J,n}]
-        self.cutoffs = dict(cutoffs)  # n -> [(phi values, radius index, stage input)]
-        self.s_table = s_table
+        ns = list(n_values)
+        comps, cuts = [list(components[n]) for n in ns], [list(cutoffs[n]) for n in ns]
+        if (any(len(c) != len(comps[0]) for c in comps)
+                or any(len(c) != len(cuts[0]) for c in cuts)):
+            raise ValueError("every n needs as many components and cutoffs as the first")
+        members = Family1D.of([subsequence[n] for n in ns])
+        parts = [Family1D.of(slot) for slot in zip(*comps)]
+        if not all(_on_mesh(p, members) for p in parts):
+            raise ValueError("components must live on their member's mesh")
+        cut_stacks = [(np.concatenate([c[0] for c in slot]), [c[1] for c in slot],
+                       Family1D.of([c[2] for c in slot])) for slot in zip(*cuts)]
+        if not all(len(phi) == len(members.vertices) and _on_mesh(inputs, members)
+                   for phi, _, inputs in cut_stacks):
+            raise ValueError("cutoffs must live on their member's mesh")
+        self._hold(cover, ns, k_map, members, parts, cut_stacks,
+                   [subsequence[n].mesh.domain for n in ns], s_table)
+
+    def _hold(self, cover, n_values, k_map, members, parts, cuts, domains, s_table):
+        """Keep the stacks and the mappings that read them; returns self.
+        The mappings hold no reference to self, so that a result dropped is
+        freed at once, not at the next garbage collection."""
+        self.cover, self.n_values, self.k_map = cover, list(n_values), dict(k_map)
+        self.members, self.parts, self.cuts, self.s_table = members, parts, cuts, s_table
+        meshes, v, c = {}, members.v_off, members.c_off
+
+        def read(family, i):
+            """Member i of a stack as a BVFunction on the mesh of the i-th n."""
+            if i not in meshes:
+                meshes[i] = Mesh(members.vertices[v[i]:v[i + 1], None],
+                                 members.cells[c[i]:c[i + 1]] - v[i], domain=domains[i])
+            j0, j1 = family.j_off[i:i + 2]
+            return BVFunction._derived(meshes[i], family.values[c[i]:c[i + 1]],
+                                       family.jump_at[j0:j1] - v[i], family.jumps[j0:j1])
+
+        at = {n: i for i, n in enumerate(self.n_values)}
+        self.subsequence = _ByN(at, lambda i: read(members, i))
+        self.components = _ByN(at, lambda i: [read(p, i) for p in parts])
+        self.cutoffs = _ByN(at, lambda i: [(phi[v[i]:v[i + 1]], radii[i], read(s, i))
+                                           for phi, radii, s in cuts])
+        return self
 
     def to_json(self):
         """The result as plain JSON data; component_tv holds each
-        component's total_variation(derivative(c)), read off one Family1D
-        stack of all components."""
-        pieces = [c for comps in self.components.values() for c in comps]
-        tvs = iter(_total_variations(Family1D.of(pieces)) if pieces else [])
+        component's total_variation(derivative(c)), read off the component
+        stacks."""
+        tvs = [_total_variations(p) for p in self.parts]
         return {
             "n_values": self.n_values,
             "k_map": {str(n): int(k) for n, k in self.k_map.items()},
             "selection_bound_factor": SELECTION_BOUND_FACTOR,
             "grad_slack": GRAD_SLACK,
             "s_table": self.s_table,
-            "component_tv": {str(n): [next(tvs) for _ in comps]
-                             for n, comps in self.components.items()},
+            "component_tv": {str(n): [tv[i] for tv in tvs] for i, n in enumerate(self.n_values)},
         }
+
+
+class _ByN(Mapping):
+    """The mapping n -> read(at[n]) over the keys of at."""
+
+    def __init__(self, at, read):
+        self._at, self._read = at, read
+
+    def __getitem__(self, n):
+        return self._read(self._at[n])
+
+    def __iter__(self):
+        return iter(self._at)
+
+    def __len__(self):
+        return len(self._at)
+
+
+def _on_mesh(stack, members):
+    """Whether each member of the stack lives on its member's mesh."""
+    return stack.values.shape == members.values.shape and all(
+        np.array_equal(getattr(stack, a), getattr(members, a))
+        for a in ("vertices", "cells", "v_off", "c_off"))
 
 
 def _total_variations(family):
@@ -125,13 +190,6 @@ def _total_variations(family):
     to right (a BVFunction keeps no jump that MatrixMeasure would drop)."""
     bulk = _segment_sums(row_norms(family.slopes()) * family.lengths(), family.c_off)
     return (bulk + _row_totals(_frobenius(family.jumps), family.j_off)).tolist()
-
-
-def _abs_integral_times_grad(pts, cell_values, phi_values):
-    """Integral of |u| |grad phi| for u affine with the cell values (n, 2, M)
-    on the cells between the sorted vertices pts (n + 1,) and phi continuous
-    P1 with the vertex values phi_values: _mixed_terms of the one run."""
-    return float(_mixed_terms(pts, cell_values, np.array([0, len(pts)]), phi_values)[0])
 
 
 def _mixed_terms(pts, cell_values, off, phi):
@@ -192,10 +250,12 @@ def require_1d(dim):
 def local_decompose(members, cover, n_max=None):
     """Decompose a 1D vanishing sequence against a compact cover.
 
-    The result's s_table compares, per m <= n_max, the members' |Du| on the
-    0.5/m-neighborhood of the first set, from the m-th member on: the
-    members are stacked as one Family1D, whose variation takes one
-    tv_on_neighborhoods call (one distance pass).
+    The members are stacked once, as one Family1D, which the first stage
+    scans in slices.  The result's s_table compares, per m <= n_max, the
+    members' |Du| on the 0.5/m-neighborhood of the first set, from the m-th
+    member on, in one tv_on_neighborhoods call over that stack.  The result
+    holds stacks over n and no Mesh: reading an n builds that n's
+    BVFunctions on one Mesh.
     """
     members = list(members)
     if not members:
@@ -213,100 +273,159 @@ def local_decompose(members, cover, n_max=None):
     lo = float(mesh0.vertices.min())
     hi = float(mesh0.vertices.max())
 
-    # one cutoff stage per set but the last, each on the previous stage's
-    # remainders: a stage picks only when the next one asks for its next
-    # inputs, and the last must reach n_max
-    stages, rests, last = [], members, len(cover.sets) - 2
-    for j, kset in enumerate(cover.sets[:-1]):
-        stages.append([])
-        rests = _stage(rests, kset, lo, hi, stages[-1], n_max if j == last else None)
-    remainders = []
-    while len(remainders) < n_max:
-        try:
-            remainders.append(next(rests))
-        except StopIteration as short:  # the last stage ran out of members
-            raise PrefixTooShortError(*short.value) from None
-
-    # a final pick's k indexes the previous stage's picks: walk the chain
-    # back, carrying each earlier pick, first piece and cutoff onto its mesh
-    n_values, k_map, subsequence, components, cutoffs = [], {}, {}, {}, {}
-    for (n, k, uk, phi, first), rest in zip(stages[-1], remainders):
-        coords = uk.mesh.vertices[:, 0]
-        comps, cuts = [first, rest], [(phi, n, uk)]
-        for picks in reversed(stages[:-1]):
-            m, k, um, phi_m, first_m = picks[k]
-            uk = refine_bv_1d(um, coords)
-            comps.insert(0, refine_bv_1d(first_m, coords))
-            cuts.insert(0, (np.interp(coords, um.mesh.vertices[:, 0], phi_m), m, uk))
-        n_values.append(n)
-        k_map[n], subsequence[n], components[n], cutoffs[n] = k, uk, comps, cuts
-
     # member k enters the rows m <= k + 1, at the radii 0.5 / m (a NaN radius
     # elsewhere): one distance pass over the whole family
+    family = Family1D.of(members)
     entered = np.arange(len(members))[:, None] >= np.arange(n_max)
-    tvs = tv_on_neighborhoods(Family1D.of(members).variation(), cover.sets[0],
+    tvs = tv_on_neighborhoods(family.variation(), cover.sets[0],
                               np.where(entered, 0.5 / np.arange(1, n_max + 1), np.nan))
     last = tvs[-1]
     sup_dev = np.max(np.abs(np.where(entered, tvs, last) - last), axis=0)
     rows = [{"m": m, "last": v, "sup_dev": d}
             for m, v, d in zip(range(1, n_max + 1), last.tolist(), sup_dev.tolist())]
     s_table = {"rows": rows, "monotone": bool(np.all(last[1:] <= last[:-1] + 1e-12))}
+    if n_max < 1:
+        return DecompositionResult(cover, [], {}, {}, {}, {}, s_table)
 
-    return DecompositionResult(cover, n_values, k_map, subsequence, components,
-                               cutoffs, s_table)
+    # one cutoff stage per set but the last, each on the previous stage's
+    # remainders: a stage picks only when the next one asks for its next
+    # inputs, and the last must reach n_max
+    stages, rests = [], ((family, k) for k in range(len(members)))
+    for j, kset in enumerate(cover.sets[:-1]):
+        stages.append([])
+        rests = _stage(rests, kset, lo, hi, stages[-1],
+                       n_max if j == len(cover.sets) - 2 else None)
+    for _ in range(n_max):
+        try:
+            next(rests)
+        except StopIteration as short:  # the last stage ran out of members
+            raise PrefixTooShortError(*short.value) from None
+
+    # a final pick's k indexes the previous stage's picks: walk the chain
+    # back, one refinement of the earlier picks and first pieces onto the
+    # final points per stage (each stage keeps every vertex of its input,
+    # so the refined points are the final ones)
+    ns, ks, pairs, phi, at = _joined(stages[-1])
+    uk, phi, first, rest = _pieces(pairs, phi, at)
+    parts, cuts, final = [first, rest], [(phi, ns, uk)], uk
+    owner = _owners(final.v_off)
+    coords = np.full((len(ns), np.diff(final.v_off).max()), np.inf)
+    coords[owner, np.arange(len(owner)) - final.v_off[owner]] = final.vertices
+    for picks in reversed(stages[:-1]):
+        ms, prev, pairs, phi_m, at = _joined(picks)
+        um, phi_m, first_m, _ = _pieces(pairs, phi_m, at[ks])
+        both = Family1D.concat([um, first_m]).refined_at(
+            np.arange(2 * len(ns)), np.concatenate([coords, coords]))
+        uk = both.take(0, len(ns))
+        parts.insert(0, both.take(len(ns), 2 * len(ns)))
+        cuts.insert(0, (_interp(final, um, phi_m), [ms[k] for k in ks], uk))
+        ks = [prev[k] for k in ks]
+    return DecompositionResult.__new__(DecompositionResult)._hold(
+        cover, ns, dict(zip(ns, ks)), uk, parts, cuts, [members[k].mesh.domain for k in ks],
+        s_table)
 
 
-def _stage(members, kset, lo, hi, picks, levels=None):
+def _joined(picks):
+    """A stage's picks over all its blocks as one entry of them: the blocks'
+    pairs and cutoff values joined, each pick's pair among them."""
+    ns, ks, pairs, phi, at = zip(*picks)
+    base = _offsets([len(p.v_off) - 1 for p in pairs]).tolist()
+    return ([*itertools.chain(*ns)], [*itertools.chain(*ks)], Family1D.concat(pairs),
+            np.concatenate(phi), np.concatenate([a + b for a, b in zip(at, base)]))
+
+
+def _interp(x, xp, fp):
+    """np.interp(x_r, xp_r, fp_r) for each member r of the families x and
+    xp, with its bits, fp holding the values at xp's vertices: at a vertex
+    xp[j], fp[j]; elsewhere the slope of the cell [xp[j], xp[j + 1]]
+    holding the point, times its distance from xp[j], plus fp[j]."""
+    j = _member_keys(_owners(xp.v_off), xp.vertices).searchsorted(
+        _member_keys(_owners(x.v_off), x.vertices), side="right") - 1
+    out = fp[j]
+    inner = np.flatnonzero(xp.vertices[j] != x.vertices)
+    j = j[inner]
+    out[inner] = ((fp[j + 1] - fp[j]) / (xp.vertices[j + 1] - xp.vertices[j])
+                  * (x.vertices[inner] - xp.vertices[j]) + fp[j])
+    return out
+
+
+def _stage(candidates, kset, lo, hi, picks, levels=None):
     """Cutoff stage against one compact set, as a generator over the
-    iterable members: per n = 1, 2, ..., pick the first member past the
-    previous pick that keeps the mixed term within its bound, split off its
-    component near the set, append the pick (n, k, refined member, cutoff
-    phi, first piece) to picks and yield its remainder.  Where the members
-    run out, returns the (n, best achieved, bound) of the shortfall.
+    candidates, (Family1D, row) pairs: per n = 1, 2, ..., pick the first
+    candidate past the previous pick that keeps the mixed term within its
+    bound.  Each block's picks go to picks as one entry (their n, k, the
+    block's pairs and cutoff values, and each pick's pair), and the stage
+    yields one item per pick: an earlier stage (levels None) the pick's
+    remainder as a (Family1D, row) pair, the last stage None.  Where the
+    candidates run out, returns the (n, best achieved, bound) of the
+    shortfall.
 
-    The members are scanned in blocks of the next BLOCK of them.  The last
-    stage, which stops at n = levels, takes no more than the levels it has
-    left, levels - n + 1: each level takes at least one member, so it pulls
-    no input it does not read.  An earlier stage (levels None) takes whole
-    blocks, so a middle stage of a cover of four or more sets may make the
-    stage before it build up to BLOCK - 1 picks it never reads.
-    _scan_block measures each member of a block at every level it can be
-    scanned at, in one pass; the block is then walked member after member
-    with the rule above, and a pick takes its refined points, cell values
-    and cutoff from the block's arrays."""
-    members = enumerate(members)
+    A block is the next BLOCK candidates, or for the last stage, which stops
+    at n = levels, at most levels - n + 1 of them: each level takes at least
+    one, so the last stage pulls no input it does not read.  A middle stage
+    of a cover of four or more sets may thus make the stage before it build
+    up to BLOCK - 1 picks it never reads."""
+    candidates = enumerate(candidates)
     n, best = 1, np.inf
     while True:
-        block = list(itertools.islice(members, BLOCK if levels is None
+        block = list(itertools.islice(candidates, BLOCK if levels is None
                                       else min(BLOCK, levels - n + 1)))
         if not block:
             return n, best, SELECTION_BOUND_FACTOR / n
-        n0 = n
-        pts, cell_values, off, phi, mixed = _scan_block([u for _, u in block], kset, n0, lo, hi)
-        for i, (k, member) in enumerate(block):
-            p = i * (i + 1) // 2 + n - n0  # member i at level n
+        n0, chosen = n, []
+        pairs, phi, mixed = _scan_block([c for _, c in block], kset, n0, lo, hi)
+        for i, (k, _) in enumerate(block):
+            p = i * (i + 1) // 2 + n - n0  # candidate i at level n
             best = min(best, mixed[p])
             if mixed[p] <= SELECTION_BOUND_FACTOR / n:
-                a, b = off[p], off[p + 1]
-                uk = refined_bv(member, pts[a:b], cell_values[a - p:b - p - 1])
-                first = cutoff_multiply(uk, phi[a:b])
-                picks.append((n, k, uk, phi[a:b], first))
-                yield uk - first
+                chosen.append((n, k, p))
                 n, best = n + 1, np.inf
+        if chosen:
+            ns, ks, at = zip(*chosen)
+            picks.append((ns, ks, pairs, phi, np.array(at)))
+            rest = None if levels else _pieces(pairs, phi, picks[-1][4])[3]
+            yield from ((rest, r) for r in range(len(chosen)))
 
 
 def _scan_block(block, kset, n0, lo, hi):
-    """Block member i refined, cut off and measured at each level n0, ...,
-    n0 + i: the pairs (i, d) of level n0 + d, d <= i, in the order i, then
-    d, pair p = i (i + 1) / 2 + d.  Returns the refined points, cell values,
-    vertex offsets and cutoff values of the pairs, stacked as
-    Family1D.refined_at stacks them, and each pair's mixed term as a list:
-    one refinement, one distance pass and one integration for the block."""
+    """Block candidate i refined, cut off and measured at each level n0,
+    ..., n0 + i: the pairs (i, d) of level n0 + d, d <= i, in the order i,
+    then d, pair p = i (i + 1) / 2 + d.  The candidates are stacked as one
+    slice per run of rows of one family.  Returns the refined pairs as a
+    Family1D, their cutoff values and their mixed terms as a list: one
+    refinement, one distance pass and one integration for the block."""
+    runs = [list(run) for _, run in itertools.groupby(block, key=lambda c: id(c[0]))]
+    family = Family1D.concat([run[0][0].take(run[0][1], run[-1][1] + 1) for run in runs])
     member, level = (a[:len(block) * (len(block) + 1) // 2] for a in _PAIRS)
     coords = _breakpoints(kset, n0 + np.arange(len(block)), lo, hi)[level]
-    pts, cell_values, off = Family1D.of(block).refined_at(member, coords)
-    phi = _cutoff_values(pts[:, None], kset, (n0 + level).repeat(np.diff(off)))
-    return pts, cell_values, off, phi, _mixed_terms(pts, cell_values, off, phi).tolist()
+    pairs = family.refined_at(member, coords)
+    phi = _cutoff_values(pairs.vertices[:, None], kset, (n0 + level).repeat(np.diff(pairs.v_off)))
+    return pairs, phi, _mixed_terms(pairs.vertices, pairs.values, pairs.v_off, phi).tolist()
+
+
+def _pieces(pairs, phi, at):
+    """The picks at the pairs at, rows copied out of the pairs: the refined
+    members, their cutoff values, first pieces and remainders.  A first
+    piece has the cell values times phi at the cell's ends and each jump
+    times phi at its vertex, as cutoff_multiply; a remainder has the values
+    less the first piece's and each jump less the first piece's where that
+    is kept, as BVFunction subtraction.  Each drops its jumps of norm at
+    most 1e-14, as BVFunction does."""
+    uk = pairs.rows(at)
+    phi = phi[_gather(pairs.v_off, at)[0]]
+    values = uk.values * phi[uk.cells][:, :, None]
+    jumps = uk.jumps * phi[uk.jump_at][:, None]
+    kept = ~(_frobenius(jumps) <= _ATOL)
+    rest = np.where(kept[:, None], uk.jumps - jumps, uk.jumps)
+    return (uk, phi, _with(uk, values, jumps, kept),
+            _with(uk, uk.values - values, rest, ~(_frobenius(rest) <= _ATOL)))
+
+
+def _with(family, values, jumps, kept):
+    """The family with these cell values and jumps, less the jumps not kept."""
+    counts = np.bincount(_owners(family.j_off)[kept], minlength=len(family.j_off) - 1)
+    return family._replace(values=values, jump_at=family.jump_at[kept], jumps=jumps[kept],
+                           j_off=_offsets(counts))
 
 
 def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e-2):
@@ -317,12 +436,9 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
     by 1e-12.  The report is plain JSON data: charge_tables is keyed by the
     component number as a string ("2", ...).
 
-    The subsequence members are stacked as one Family1D and the components
-    as another, component slot after slot; every n must have as many
-    components and as many cutoffs as the first, and its components must
-    live on its member's mesh.  Each check is one array pass over all n;
-    the flags are then listed per n, and within it per cutoff, then per
-    component: mass, atom, inclusion and exclusion flags.
+    Each check is one array pass over the result's stacks; the flags are
+    then listed per n, and within it per cutoff, then per component: mass,
+    atom, inclusion and exclusion flags.
     """
     tol = 1e-12
     sets = result.cover.sets
@@ -331,20 +447,9 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
     N = len(ns)
     if not N:
         raise ValueError("empty sequence of measures")
-    comps = [result.components[n] for n in ns]
-    cuts = [result.cutoffs[n] for n in ns]
-    K, R = len(comps[0]), len(cuts[0])
-    if any(len(c) != K for c in comps) or any(len(c) != R for c in cuts):
-        raise ValueError("every n needs as many components and cutoffs as the first")
-    parents = Family1D.of([result.subsequence[n] for n in ns])
-    pieces = Family1D.of([c[j] for j in range(K) for c in comps])
-    slots = [pieces.take(j * N, (j + 1) * N) for j in range(K)]
-    for part in slots:
-        if not all(np.array_equal(a, b) for a, b in zip(
-                (part.vertices, part.cells, part.v_off, part.c_off, part.values.shape),
-                (parents.vertices, parents.cells, parents.v_off, parents.c_off,
-                 parents.values.shape))):
-            raise ValueError("components must live on their member's mesh")
+    parents, slots = result.members, result.parts
+    pieces = Family1D.concat(slots)
+    K = len(slots)
     C, V = len(parents.cells), len(parents.vertices)
     starts = parents.c_off[:-1]
     cell_of, vertex_of = _owners(parents.c_off), _owners(parents.v_off)
@@ -363,17 +468,15 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
     # cutoff gradients and the slack they record, cutoff slot by slot
     allowed_grad = 2.0 * cell_n * (1.0 + GRAD_SLACK)
     measured = np.zeros(C)
-    for r in range(R):
-        phi = np.concatenate([c[r][0] for c in cuts])
+    for r, (phi, radii, inputs) in enumerate(result.cuts):
         g = np.abs(np.einsum("cim,cid->cmd", phi[parents.cells][:, :, None], shapes)[:, 0, 0])
         g_max = np.maximum.reduceat(g, starts)
-        allowed = 2.0 * np.array([c[r][1] for c in cuts]) * (1.0 + GRAD_SLACK)
+        allowed = 2.0 * np.array(radii) * (1.0 + GRAD_SLACK)
         for i in np.flatnonzero(g_max > allowed).tolist():
             flags.append(((i, -1, 0, r), {"n": ns[i], "check": "cutoff_gradient",
                                           "max_grad": float(g_max[i]),
                                           "allowed": float(allowed[i])}))
-        si_max = np.max(np.linalg.norm(np.concatenate([c[r][2].cell_values for c in cuts]),
-                                       axis=2), axis=1)
+        si_max = np.max(np.linalg.norm(inputs.values, axis=2), axis=1)
         measured += np.minimum(si_max * g, si_max * allowed_grad)
     slack_cells = measured * length
     slack_recorded = _segment_sums(slack_cells, parents.c_off).tolist()
@@ -431,13 +534,11 @@ def verify_properties(result, deltas=(0.2, 0.1, 0.05, 0.02), charge_threshold=1e
                                              "min_dist": float(smallest[s])}))
     flags = [f for _, f in sorted(flags, key=lambda kf: kf[0])]
 
-    charge_tables = {}
+    charge_tables, union = {}, sets[0]
     for j in range(1, J):
-        union = sets[0]
-        for s in sets[1:j]:
-            union = _union(union, s)
         charge_tables[str(j + 1)] = does_not_charge(
             slots[j].variation(), union, deltas, threshold=charge_threshold)
+        union = _union(union, sets[j])
 
     return {
         "reassembly_dev": reassembly_dev,

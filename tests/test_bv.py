@@ -653,11 +653,31 @@ def test_refined_at_refines_each_run_as_the_cell_loop(seed, count, runs):
     coords = np.full((len(rows), width), np.inf)
     for row, pts in zip(coords, rows):
         row[:len(pts)] = pts
-    pts, values, off = Family1D.of(funcs).refined_at(member, coords)
+    refined = Family1D.of(funcs).refined_at(member, coords)
+    pts, values, off = refined.vertices, refined.values, refined.v_off
     for p, (m, row) in enumerate(zip(member.tolist(), rows)):
         want_pts, want_values = _reference_refine_bv_1d(funcs[m], row)
         assert pts[off[p]:off[p + 1]].tobytes() == want_pts.tobytes()
         assert values[off[p] - p:off[p + 1] - p - 1].tobytes() == want_values.tobytes()
+        # each jump at the vertex of its coordinate, in x order
+        a, b = refined.j_off[p:p + 2]
+        u = funcs[m]
+        want = np.argsort(u.mesh.vertices[u.facets[:, 0], 0])
+        assert (pts[refined.jump_at[a:b]].tobytes()
+                == u.mesh.vertices[u.facets[want, 0], 0].tobytes())
+        assert refined.jumps[a:b].tobytes() == u.jumps[want].tobytes()
+
+
+def test_rows_and_joins_of_a_family_have_the_bits_of_its_members():
+    rng = np.random.default_rng(5)
+    funcs = _random_functions_1d(rng, 6)
+    family = Family1D.of(funcs)
+    index = np.array([4, 0, 4, 2])
+    for got, want in ((family.rows(index), Family1D.of([funcs[i] for i in index])),
+                      (Family1D.concat([family.take(0, 2), family.take(2, 6)]), family)):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 def test_a_family_needs_1d_meshes():
     square = rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2)

@@ -6,19 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvlsc import regions
-from bvlsc.bv import (BVFunction, VariationStack, _frobenius, cutoff_multiply, derivative,
-                      does_not_charge, reassembly_deviation, refine_bv_1d, refined_1d,
-                      refined_bv, total_variation)
+from bvlsc import meshing, regions
+from bvlsc.bv import (BVFunction, Family1D, VariationStack, _frobenius, cutoff_multiply,
+                      derivative, does_not_charge, reassembly_deviation, refine_bv_1d,
+                      total_variation)
 from bvlsc.decompose import (
     GRAD_SLACK,
     SELECTION_BOUND_FACTOR,
     CoverSpec,
     DecompositionResult,
     PrefixTooShortError,
-    _abs_integral_times_grad,
     _cutoff_values,
+    _interp,
     _mixed_terms,
+    _pieces,
     _union,
     local_decompose,
     verify_properties,
@@ -229,6 +230,13 @@ def _reference_breakpoints(kset, n, lo, hi):
     return [p for p in pts if lo < p < hi]
 
 
+def _abs_integral_times_grad(pts, cell_values, phi_values):
+    """Integral of |u| |grad phi| for u affine with the cell values (n, 2, M)
+    on the cells between the sorted vertices pts (n + 1,) and phi continuous
+    P1 with the vertex values phi_values: _mixed_terms of the one run."""
+    return float(_mixed_terms(pts, cell_values, np.array([0, len(pts)]), phi_values)[0])
+
+
 def _reference_abs_integral_times_grad(pts, cell_values, phi_values):
     """_abs_integral_times_grad cell by cell: each cell where grad phi is
     not zero adds its term to a Python float, in cell order."""
@@ -267,21 +275,21 @@ def _reference_single_stage(members, kset, n_target, lo, hi, best_effort=False):
         brk = _reference_breakpoints(kset, n, lo, hi)
         pick, best = None, np.inf
         for k in range(k_prev + 1, len(members)):
-            pts, cell_values = refined_1d(members[k], brk)
-            phi = _cutoff_values(pts[:, None], kset, n)
-            mixed = _reference_abs_integral_times_grad(pts, cell_values, phi)
+            uk = refine_bv_1d(members[k], brk)
+            phi = _cutoff_values(uk.mesh.vertices, kset, n)
+            mixed = _reference_abs_integral_times_grad(uk.mesh.vertices[:, 0], uk.cell_values,
+                                                       phi)
             if mixed < best:
                 best = mixed
             if mixed <= bound:
-                pick = (k, pts, cell_values, phi)
+                pick = (k, uk, phi)
                 break
         if pick is None:
             if best_effort:
                 break
             raise PrefixTooShortError(n, best, bound)
-        k, pts, cell_values, phi = pick
+        k, uk, phi = pick
         k_prev = k
-        uk = refined_bv(members[k], pts, cell_values)
         first = cutoff_multiply(uk, phi)
         n_values.append(n)
         k_map[n] = k
@@ -379,26 +387,22 @@ def test_a_three_set_cover_matches_the_recursion(count):
 def test_an_earlier_stage_builds_only_the_picks_its_next_stage_reads(monkeypatch):
     import bvlsc.decompose
 
-    stage_of, built = [None], []
+    stages = []
 
-    def values(vertices, kset, n, _inner=bvlsc.decompose._cutoff_values):
-        stage_of[0] = kset
-        return _inner(vertices, kset, n)
+    def stage(candidates, kset, lo, hi, picks, levels=None, _inner=bvlsc.decompose._stage):
+        stages.append((kset, picks))  # the stage's picks, one entry per block
+        return _inner(candidates, kset, lo, hi, picks, levels)
 
-    def multiply(u, phi, _inner=bvlsc.decompose.cutoff_multiply):
-        built.append(stage_of[0])  # a pick of the stage that scanned last
-        return _inner(u, phi)
-
-    monkeypatch.setattr(bvlsc.decompose, "_cutoff_values", values)
-    monkeypatch.setattr(bvlsc.decompose, "cutoff_multiply", multiply)
+    monkeypatch.setattr(bvlsc.decompose, "_stage", stage)
     with pytest.warns(UserWarning, match="cover gap"):
         res = local_decompose(jump_members(120), COVER3, n_max=8)
+    built = [(kset, sum(len(ns) for ns, *_ in picks)) for kset, picks in stages]
     # a final pick's first cutoff carries the n of the stage-one pick it
     # came from: the last stage reads stage-one picks n = 1..8, not 40
     read = max(res.cutoffs[n][0][1] for n in res.n_values)
     assert read == 8
-    assert built.count(COVER3.sets[0]) == read
-    assert built.count(COVER3.sets[1]) == len(res.n_values) == 8
+    assert built == [(COVER3.sets[0], read), (COVER3.sets[1], len(res.n_values))]
+    assert len(res.n_values) == 8
 
 
 def test_a_four_set_cover_matches_the_recursion():
@@ -524,17 +528,78 @@ def test_mixed_terms_equal_the_cell_loop_run_by_run():
         assert [_abs_integral_times_grad(*run) for run in runs] == want
 
 
-def _decomposition_results():
-    """Results of every kind whose component_tv to_json writes."""
+def _computed_results():
+    """local_decompose results: the criterion-6 families, a three-set cover,
+    M = 2 and members whose jumps lie where every cutoff is 0."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # cover-gap note
+        mesh = interval_mesh_with(0.0, 1.0, 1.0 / 16, [0.5, 0.75], domain=OMEGA)
+        yield local_decompose([(1.0 / n) * BVFunction.indicator_1d(mesh, 0.5, 0.75)
+                               for n in range(1, 33)], COVER, n_max=8)
         for name in ("jump_to_boundary", "jump_to_interior", "boundary_bumps"):
             yield local_decompose(*_criterion_6(name), n_max=64)
         yield local_decompose(jump_members(40), COVER3, n_max=8)
         sides = regions.CompactSet(1).add_segment([0.0], [0.46]).add_segment([0.54], [1.0])
         yield local_decompose(vector_members(60), CoverSpec([regions.point([0.5]), sides]),
                               n_max=6)
+
+
+def _decomposition_results():
+    """Results of every kind whose component_tv to_json writes."""
+    yield from _computed_results()
     yield from _flagged_results()
+
+
+def test_each_pick_splits_as_the_cutoff_product_and_the_difference():
+    # a final pick's first piece and remainder, built from the block's
+    # arrays, against cutoff_multiply and BVFunction subtraction of its
+    # stage input, bit for bit: jumps where phi = 1 (the remainder drops
+    # them), where 0 < phi < 1 and where phi = 0 (the first piece drops
+    # them), and M = 2
+    phis, sizes = [], set()
+    for res in _computed_results():
+        for n in res.n_values:
+            phi, _, uk = res.cutoffs[n][-1]
+            first, rest = res.components[n][-2:]
+            want = cutoff_multiply(uk, phi)
+            assert _bv_bytes(first) == _bv_bytes(want)
+            assert _bv_bytes(rest) == _bv_bytes(uk - want)
+            phis += phi[uk.facets[:, 0]].tolist()
+            sizes.add(uk.M)
+    assert 1.0 in phis and 0.0 in phis and any(0.0 < p < 1.0 for p in phis)
+    assert sizes == {1, 2}
+    # one member straight through _pieces, phi = 0, 1e-15, 0.5 and 1 at its
+    # jumps: the first piece drops the jump at 1e-15, which the remainder
+    # keeps whole
+    mesh = interval_mesh_with(0.0, 1.0, 1.0 / 8, [], domain=OMEGA)
+    u = BVFunction.from_cellwise_constant(mesh, np.arange(8.0) % 3)
+    phi = np.full(mesh.n_vertices, 0.25)
+    phi[u.facets[:, 0]] = np.resize([0.0, 1e-15, 0.5, 1.0], len(u.facets))
+    _, _, first, rest = _pieces(Family1D.of([u]), phi, np.array([0]))
+    want = cutoff_multiply(u, phi)
+    for got, w in ((first, want), (rest, u - want)):
+        assert got.values.tobytes() == w.cell_values.tobytes()
+        assert got.jump_at.tobytes() == w.facets[:, 0].tobytes()
+        assert got.jumps.tobytes() == w.jumps.tobytes()
+    assert len(first.jumps) == 3 and len(rest.jumps) == 6
+
+
+def test_the_stacked_interpolation_has_the_bits_of_np_interp():
+    # rows of sorted points holding their row's nodes and points between
+    # them, as a final mesh holds the points of an earlier stage's pick
+    rng = np.random.default_rng(3)
+    nodes = [np.sort(rng.uniform(0.0, 1.0, int(rng.integers(2, 9)))) for _ in range(30)]
+    points = [np.sort(np.concatenate([xp, rng.uniform(xp[0], xp[-1], int(rng.integers(9)))]))
+              for xp in nodes]
+    values = [rng.uniform(0.0, 1.0, len(xp)) for xp in nodes]
+
+    def stack(rows):
+        off = np.cumsum([0] + [len(r) for r in rows])
+        return Family1D(np.concatenate(rows), None, None, None, None, off, None, None)
+
+    got = _interp(stack(points), stack(nodes), np.concatenate(values))
+    want = [np.interp(x, xp, fp) for x, xp, fp in zip(points, nodes, values)]
+    assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 def test_component_tv_equals_the_total_variation_of_each_derivative():
@@ -549,22 +614,52 @@ def test_component_tv_equals_the_total_variation_of_each_derivative():
     assert empty.to_json()["component_tv"] == {}
 
 
-def test_a_two_set_stage_builds_one_refined_mesh_per_pick(monkeypatch):
-    import bvlsc.bv
+def test_a_decomposition_builds_one_mesh_per_n_it_reads(monkeypatch):
+    meshes, stacked = [], []
 
-    built = []
+    def counted(self, *args, _inner=meshing.Mesh.__init__, **kwargs):
+        meshes.append(self)
+        _inner(self, *args, **kwargs)
 
-    def counted(*args, _inner=bvlsc.bv.Mesh, **kwargs):
-        built.append(args)
-        return _inner(*args, **kwargs)
+    def of(cls, functions, _inner=Family1D.of):
+        stacked.append(len(functions))
+        return _inner(functions)
 
     members = jump_members(60)
-    monkeypatch.setattr(bvlsc.bv, "Mesh", counted)
+    monkeypatch.setattr(meshing.Mesh, "__init__", counted)
+    monkeypatch.setattr(Family1D, "of", classmethod(of))
     with pytest.warns(UserWarning, match="cover gap"):
         res = local_decompose(members, COVER, n_max=16)
-    # the picks skip candidates: 32 members are scanned for the 16 picks
+    verify_properties(res)
+    res.to_json()
+    # the members are stacked once, for the S-table and the scan, and no
+    # mesh is built; the picks skip candidates: 32 members are scanned for
+    # the 16 picks
+    assert stacked == [60] and meshes == []
     assert res.k_map[16] + 1 == 2 * len(res.n_values)
-    assert len(built) == len(res.n_values) == 16
+    assert list(res.components) == res.n_values and len(res.cutoffs) == 16
+    # one n read: one mesh, shared by its member, components and stage input
+    uk, comps, ((_, _, stage_input),) = res.subsequence[8], res.components[8], res.cutoffs[8]
+    assert len(meshes) == 1
+    assert all(u.mesh is meshes[0] for u in [uk, *comps, stage_input])
+    assert res.components[8][0].mesh is meshes[0] and len(meshes) == 1
+
+
+def test_a_dropped_result_is_freed_without_a_garbage_collection():
+    # the mappings that read a result's stacks hold no reference to it
+    import gc
+    import weakref
+
+    with pytest.warns(UserWarning, match="cover gap"):
+        res = local_decompose(jump_members(20), COVER, n_max=4)
+    assert len(res.components[2]) == len(res.cutoffs[2]) + 1 == 2
+    gone = weakref.ref(res)
+    gc.disable()
+    try:
+        del res
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_each_table_and_support_check_takes_one_distance_pass_per_set(monkeypatch):
@@ -603,7 +698,8 @@ def test_each_table_and_support_check_takes_one_distance_pass_per_set(monkeypatc
 def _reference_support_points(u):
     """The centroids of u's support cells and the vertices u jumps at."""
     mesh = u.mesh
-    return np.concatenate([mesh.centroids[u.support_cells()], mesh.vertices[u.facets[:, 0]]])
+    support = np.max(np.linalg.norm(u.cell_values, axis=2), axis=1) > 1e-13
+    return np.concatenate([mesh.centroids[support], mesh.vertices[u.facets[:, 0]]])
 
 
 def _reference_support_flags(result):
@@ -904,19 +1000,26 @@ def test_reassembly_deviation_equals_the_sum_by_bvfunction_arithmetic():
             rectangle_mesh(0.0, 1.0, 0.0, 1.0, 2, 2), M=2)])
 
 
-def test_verify_properties_needs_one_shape_of_decomposition_per_n():
+def test_a_built_result_needs_one_shape_of_decomposition_per_n():
     res = next(_flagged_results())
-    ragged = DecompositionResult(res.cover, res.n_values, res.k_map, res.subsequence,
-                                 {**res.components, 6: res.components[6][:1]},
-                                 res.cutoffs, None)
+
+    def built(components=None, cutoffs=None):
+        return DecompositionResult(res.cover, res.n_values, res.k_map, res.subsequence,
+                                   {**res.components, **(components or {})},
+                                   {**res.cutoffs, **(cutoffs or {})}, None)
+
     with pytest.raises(ValueError, match="as many components and cutoffs"):
-        verify_properties(ragged)
+        built(components={6: res.components[6][:1]})
+    with pytest.raises(ValueError, match="as many components and cutoffs"):
+        built(cutoffs={6: []})
     elsewhere = refine_bv_1d(res.components[5][0], [0.3])
-    moved = DecompositionResult(res.cover, res.n_values, res.k_map, res.subsequence,
-                                {**res.components, 5: [elsewhere, res.components[5][1]]},
-                                res.cutoffs, None)
-    with pytest.raises(ValueError, match="their member's mesh"):
-        verify_properties(moved)
+    with pytest.raises(ValueError, match="components must live on their member's mesh"):
+        built(components={5: [elsewhere, res.components[5][1]]})
+    (phi, rad, uk), = res.cutoffs[5]
+    for cut in ((phi, rad, refine_bv_1d(uk, [0.3])), (phi[:-1], rad, uk)):
+        with pytest.raises(ValueError, match="cutoffs must live on their member's mesh"):
+            built(cutoffs={5: [cut]})
+    assert verify_properties(built()) == verify_properties(res)
 
 
 def test_an_empty_sequence_is_refused():
